@@ -15,6 +15,7 @@ import (
 	"log"
 	"net/http"
 	osexec "os/exec"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -23,9 +24,11 @@ import (
 )
 
 // handleScore executes one routed sub-query. The body is a router wire
-// Request; the response is a router wire Result — on failure with Error and
-// a Code that tells the router whether rerouting to another replica can
-// help (bad_request never reroutes; rejected/timeout may).
+// Request; the response is a router wire Result — one binary frame when the
+// caller's Accept header asks for router.FrameContentType, JSON otherwise
+// (curl, an older router). A failure is always the small JSON Result, with
+// Error and a Code that tells the router whether rerouting to another
+// replica can help (bad_request never reroutes; rejected/timeout may).
 func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeScoreError(w, http.StatusMethodNotAllowed, router.CodeBadRequest,
@@ -54,7 +57,21 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeScoreError(w, http.StatusInternalServerError, router.CodeInternal, err.Error())
 		return
 	}
-	writeScoreJSON(w, http.StatusOK, out)
+	if r.Header.Get("Accept") != router.FrameContentType {
+		writeScoreJSON(w, http.StatusOK, out)
+		return
+	}
+	frame, err := router.EncodeFrame(out)
+	if err != nil {
+		writeScoreError(w, http.StatusInternalServerError, router.CodeInternal, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", router.FrameContentType)
+	// Stated, so the router sizes its read buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	if _, err := w.Write(frame); err != nil {
+		log.Printf("score response: %v", err)
+	}
 }
 
 // classifyScoreError maps an executor error to its wire code and HTTP

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -183,5 +185,88 @@ func TestHTTPShardAgainstServe(t *testing.T) {
 	}
 	if _, err := shard.Score(ctx, router.Request{Model: "nope", Data: "iris"}); !exec.IsNoReroute(err) {
 		t.Fatalf("unknown model over HTTP should be NoReroute, got %v", err)
+	}
+
+	// Both representations of /score carry the same Result: HTTPShard asks
+	// for the binary frame, a bare POST gets JSON.
+	for _, req := range []router.Request{
+		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX"},
+		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "1/2"},
+		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "0/3", Limit: 20},
+		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "1/2", Where: "petal_width < 1.5"},
+		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Where: "petal_width > 100"},
+		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "0/2", Agg: "count"},
+		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "1/2", Agg: "group_count"},
+	} {
+		viaFrame, err := shard.Score(ctx, req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		code, viaJSON := postScore(t, ts.URL, req)
+		if code != http.StatusOK || viaJSON.Error != "" {
+			t.Fatalf("%+v: JSON /score = %d, error %q", req, code, viaJSON.Error)
+		}
+		if viaFrame.RowsScanned == 0 || viaFrame.TraceID == viaJSON.TraceID {
+			t.Fatalf("%+v: scanned %d rows, trace ids %q and %q", req, viaFrame.RowsScanned, viaFrame.TraceID, viaJSON.TraceID)
+		}
+		viaFrame.TraceID, viaJSON.TraceID = "", "" // one per execution
+		if !reflect.DeepEqual(viaFrame, viaJSON) {
+			t.Fatalf("%+v: the encodings disagree:\nframe %+v\n json %+v", req, viaFrame, viaJSON)
+		}
+	}
+}
+
+// TestScoreNegotiation: the frame is sent only to a caller that asks for it,
+// with its length stated; a failure is the small JSON Result either way.
+func TestScoreNegotiation(t *testing.T) {
+	ts := startShardServer(t, "shard-0")
+	post := func(accept string, req router.Request) *http.Response {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/score", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			hreq.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	ok := router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "0/2"}
+
+	resp := post(router.FrameContentType, ok)
+	frame, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != router.FrameContentType || resp.ContentLength != int64(len(frame)) {
+		t.Fatalf("frame reply: Content-Type %q, Content-Length %d for %d bytes", ct, resp.ContentLength, len(frame))
+	}
+	res, err := router.DecodeFrame(frame)
+	if err != nil || res.ShardID != "shard-0" || len(res.Predictions) == 0 || len(res.ScoredRows) != len(res.Predictions) {
+		t.Fatalf("frame reply decodes to %+v, %v", res, err)
+	}
+
+	for _, accept := range []string{"", "*/*", "application/json"} {
+		if ct := post(accept, ok).Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Accept %q answered with %q", accept, ct)
+		}
+	}
+
+	resp = post(router.FrameContentType, router.Request{Model: "nope", Data: "iris"})
+	var failed router.Result
+	if err := json.NewDecoder(resp.Body).Decode(&failed); err != nil {
+		t.Fatalf("error reply is not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || failed.Code != router.CodeBadRequest || failed.Error == "" {
+		t.Fatalf("error reply = %d %+v", resp.StatusCode, failed)
 	}
 }

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"accelscore/internal/backend"
@@ -14,6 +15,33 @@ import (
 // three in-process shards is the smallest width where a middle partition has
 // non-trivial neighbors on both sides of the hash split.
 const scaleoutShards = 3
+
+// wiredShard is an in-process shard whose results are encoded and decoded
+// as the HTTP tier would ship them.
+type wiredShard struct {
+	*router.Local
+	frame bool
+}
+
+func (s wiredShard) Score(ctx context.Context, req router.Request) (*router.Result, error) {
+	res, err := s.Local.Score(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if s.frame {
+		wire, err := router.EncodeFrame(res)
+		if err != nil {
+			return nil, err
+		}
+		return router.DecodeFrame(wire)
+	}
+	wire, err := json.Marshal(res)
+	if err != nil {
+		return nil, err
+	}
+	out := new(router.Result)
+	return out, json.Unmarshal(wire, out)
+}
 
 // scaleoutChecks verifies the scatter-gather serving tier end to end for one
 // case: a router over three in-process (router.Local) shards, each a full
@@ -60,7 +88,13 @@ func (r *Runner) scaleoutChecks(rep *Report, c Case, ref *Reference) {
 	single := newPipe()
 	shards := make([]router.Backend, scaleoutShards)
 	for i := range shards {
-		shards[i] = &router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: newPipe()}
+		// Each sub-result crosses one of the two /score representations
+		// (frames on the even shards, JSON on the odd one), so the leg holds
+		// the wire to the same bit-identical bar as the merge.
+		shards[i] = wiredShard{
+			Local: &router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: newPipe()},
+			frame: i%2 == 0,
+		}
 	}
 	rt, err := router.New(router.Config{Backends: shards})
 	if err != nil {

@@ -209,8 +209,10 @@ func (t *Table) AppendIntRows(vals []int) error {
 	base := len(t.cols[0])
 	t.cols[0] = append(t.cols[0], make([]Value, len(vals))...)
 	dst := t.cols[0][base:]
+	// The appended cells are zeroed: setting the one field skips copying
+	// (and write-barriering) the whole pointer-carrying Value per row.
 	for i, v := range vals {
-		dst[i] = Int(int64(v))
+		dst[i].I = int64(v)
 	}
 	t.bumpVersion()
 	return nil

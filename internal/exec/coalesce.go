@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -152,6 +154,13 @@ func (e *Executor) executeBatch(b *pendingBatch) {
 
 	results, err := e.runBatch(bctx, liveReqs)
 	if err != nil {
+		// A run that died with the batch context reports why the context
+		// ended — the last member's own deadline — not the Canceled that
+		// the layers below read off it.
+		if cause := context.Cause(bctx); errors.Is(err, context.Canceled) &&
+			cause != nil && !errors.Is(cause, context.Canceled) {
+			err = fmt.Errorf("%w: %v", cause, err)
+		}
 		b.err = err
 		return
 	}
@@ -165,9 +174,13 @@ func (e *Executor) executeBatch(b *pendingBatch) {
 // at the executor (Close aborts it), bounded by the LATEST member deadline
 // when every member has one (the run is still useful to the member with the
 // most budget), and canceled outright once every member context is done —
-// nobody is waiting for the predictions anymore.
+// nobody is waiting for the predictions anymore. That cancellation carries
+// the last member's own reason as its cause: when the deadline above and the
+// member's expiry fire together, context.Cause says DeadlineExceeded
+// whichever wins.
 func (e *Executor) batchContext(ctxs []context.Context) (context.Context, context.CancelFunc) {
-	bctx, cancel := context.WithCancel(e.rootCtx)
+	root, cancel := context.WithCancelCause(e.rootCtx)
+	bctx, release := context.Context(root), func() { cancel(nil) }
 	latest, all := time.Time{}, true
 	for _, c := range ctxs {
 		d, ok := c.Deadline()
@@ -181,25 +194,23 @@ func (e *Executor) batchContext(ctxs []context.Context) (context.Context, contex
 	}
 	if all && len(ctxs) > 0 {
 		var dcancel context.CancelFunc
-		bctx, dcancel = context.WithDeadline(bctx, latest)
-		inner := cancel
-		cancel = func() { dcancel(); inner() }
+		bctx, dcancel = context.WithDeadline(root, latest)
+		release = func() { dcancel(); cancel(nil) }
 	}
 	remaining := int64(len(ctxs))
 	stops := make([]func() bool, 0, len(ctxs))
 	for _, c := range ctxs {
 		stops = append(stops, context.AfterFunc(c, func() {
 			if atomic.AddInt64(&remaining, -1) == 0 {
-				cancel()
+				cancel(context.Cause(c))
 			}
 		}))
 	}
-	final := cancel
 	return bctx, func() {
 		for _, stop := range stops {
 			stop()
 		}
-		final()
+		release()
 	}
 }
 

@@ -223,6 +223,55 @@ func TestDeadlineExpiryIsTerminal(t *testing.T) {
 	}
 }
 
+// TestCoalescedMemberReasonSurvives: a coalesced run is bounded both by the
+// latest member deadline and by "every member gave up"; for a batch of one
+// the two fire together. Whichever wins, the member must read its own
+// reason — a timeout as DeadlineExceeded (never Canceled, which serve maps to
+// 499 instead of 504), a client hang-up as Canceled — and the matching
+// counter must be the only one bumped. Run with -count=50: the race this
+// pins lost about one run in three.
+func TestCoalescedMemberReasonSurvives(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sql     string
+		hangUp  time.Duration // cancel the caller's context after this long (0 = never)
+		want    error
+		not     error
+		counter string
+		absent  string
+	}{
+		{name: "timeout", sql: scoreSQLTimeout("30ms"),
+			want: context.DeadlineExceeded, not: context.Canceled,
+			counter: exec.MetricDeadlineExceededTotal, absent: exec.MetricCanceledTotal},
+		{name: "hang-up", sql: scoreSQLTimeout("10s"), hangUp: 30 * time.Millisecond,
+			want: context.Canceled, not: context.DeadlineExceeded,
+			counter: exec.MetricCanceledTotal, absent: exec.MetricDeadlineExceededTotal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _, _ := newEnv(t, 4, 6, 80)
+			p.Faults = mustInjector(t, 7, "CPU_SKLearn:compute:hang=2s")
+			e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8, CoalesceWindow: time.Millisecond, MaxBatch: 8})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.hangUp > 0 {
+				defer time.AfterFunc(tc.hangUp, cancel).Stop()
+			}
+			_, err := e.Submit(ctx, tc.sql)
+			if !errors.Is(err, tc.want) || errors.Is(err, tc.not) {
+				t.Fatalf("err = %v, want %v and not %v", err, tc.want, tc.not)
+			}
+			out := exposition(t, p)
+			if !strings.Contains(out, tc.counter+" 1") || strings.Contains(out, tc.absent+" ") {
+				t.Fatalf("want only %s bumped:\n%s", tc.counter, out)
+			}
+		})
+	}
+}
+
+func scoreSQLTimeout(d string) string {
+	return "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='CPU_SKLearn', @timeout='" + d + "'"
+}
+
 // TestCanceledSubmissionIsShed: a query arriving with an already-canceled
 // context never reaches a worker and is counted as shed and canceled.
 func TestCanceledSubmissionIsShed(t *testing.T) {

@@ -45,6 +45,13 @@ const (
 	// MetricRouterAdmissionShedTotal counts queries refused at admission
 	// {class} (capacity, priority, or deadline shedding).
 	MetricRouterAdmissionShedTotal = "accelscore_router_admission_shed_total"
+	// MetricRouterWireBytesTotal counts /score reply bytes the router read
+	// from its shards {format="json"|"frame"}: which representation the
+	// shards answer with, and what the gather moves.
+	MetricRouterWireBytesTotal = "accelscore_router_wire_bytes_total"
+	// MetricRouterWireDecode is the histogram of the time to turn one
+	// /score reply into a result (CRC and ordinal checks included), seconds.
+	MetricRouterWireDecode = "accelscore_router_wire_decode_seconds"
 )
 
 // scatterWidthBuckets resolves fan-out widths 1..64; wider tiers saturate
@@ -55,6 +62,12 @@ var scatterWidthBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 // multi-second shard stalls.
 var stragglerBuckets = []float64{
 	.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
+}
+
+// wireDecodeBuckets resolves decodes from a 600-byte aggregate frame up to
+// a multi-megabyte JSON prediction list.
+var wireDecodeBuckets = []float64{
+	.00001, .000025, .00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25,
 }
 
 // RouterMetrics publishes the accelscore_router_* family into a registry.
@@ -152,4 +165,16 @@ func (m *RouterMetrics) NoteAdmissionShed(class string) {
 	m.reg.Counter(MetricRouterAdmissionShedTotal,
 		"Queries refused at admission (capacity, priority, or deadline shedding).",
 		"class", class).Inc()
+}
+
+// ObserveWire records one decoded /score reply: its representation, its
+// size on the wire, and how long the decode took.
+func (m *RouterMetrics) ObserveWire(format string, bytes int, decode time.Duration) {
+	if m == nil || m.reg == nil {
+		return
+	}
+	m.reg.Counter(MetricRouterWireBytesTotal, "Bytes of /score replies read from shards, by representation.",
+		"format", format).Add(float64(bytes))
+	m.reg.Histogram(MetricRouterWireDecode, "Time to decode one /score reply, seconds.",
+		wireDecodeBuckets).Observe(decode.Seconds())
 }

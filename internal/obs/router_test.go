@@ -85,6 +85,8 @@ func TestRouterMetrics(t *testing.T) {
 	m.SetShardState(1, 2)
 	m.NoteAdmissionShed("batch")
 	m.NoteAdmissionShed("") // empty class normalizes to "default"
+	m.ObserveWire("frame", 25000, 200*time.Microsecond)
+	m.ObserveWire("json", 95000, 4*time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -105,6 +107,9 @@ func TestRouterMetrics(t *testing.T) {
 		`accelscore_router_shard_state{shard="1"} 2`,
 		`accelscore_router_admission_shed_total{class="batch"} 1`,
 		`accelscore_router_admission_shed_total{class="default"} 1`,
+		`accelscore_router_wire_bytes_total{format="frame"} 25000`,
+		`accelscore_router_wire_bytes_total{format="json"} 95000`,
+		`accelscore_router_wire_decode_seconds_count 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in exposition:\n%s", want, out)
@@ -126,6 +131,7 @@ func TestRouterMetrics(t *testing.T) {
 	nilM.NoteHedge("win")
 	nilM.SetShardState(0, 0)
 	nilM.NoteAdmissionShed("batch")
+	nilM.ObserveWire("frame", 1, 0)
 	if NewRouterMetrics(nil) != nil {
 		t.Fatal("NewRouterMetrics(nil) not nil")
 	}

@@ -10,10 +10,13 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"accelscore/internal/exec"
+	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
+	"accelscore/internal/storage/pagefmt"
 )
 
 // Backend is one shard replica the router can scatter to. Implementations
@@ -109,7 +112,25 @@ func NewHTTPShard(name, baseURL string, client *http.Client) (*HTTPShard, error)
 // ID implements Backend.
 func (s *HTTPShard) ID() string { return s.name }
 
-// Score implements Backend by POSTing the wire request to /score.
+// wireTap is where a sub-query reports the decode of its reply: a lane of
+// the routed query's trace and the router's metrics. Router.Score hangs one
+// on each sub-query's context; a Score call made outside a router carries
+// none and goes unobserved (both fields are nil-safe).
+type wireTap struct {
+	trace   *obs.Trace
+	lane    string
+	metrics *obs.RouterMetrics
+}
+
+type wireTapKey struct{}
+
+// bodyPool recycles /score reply buffers: a reply is decoded into a Result
+// that shares no memory with it, so the bytes are dead once Score returns.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// Score implements Backend by POSTing the wire request to /score. It asks
+// for the binary frame and decodes whichever representation the shard
+// answered with, so a shard that only speaks JSON keeps working.
 func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -120,15 +141,41 @@ func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 		return nil, exec.NoReroute(err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Accept", FrameContentType)
 	resp, err := s.client.Do(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("router: shard %s: %w", s.name, err)
 	}
 	defer resp.Body.Close()
-	var res Result
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&res); err != nil {
-		return nil, fmt.Errorf("router: shard %s: decoding /score response (HTTP %d): %w",
+
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	if n := resp.ContentLength; n > 0 && n <= MaxFrameBytes+pagefmt.FrameOverhead {
+		// ReadFrom wants MinRead spare bytes to see EOF without growing.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	// One byte past the cap, so an oversized reply fails its decode instead
+	// of being cut to a prefix that might parse.
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxFrameBytes+pagefmt.FrameOverhead+1)); err != nil {
+		return nil, fmt.Errorf("router: shard %s: reading /score response (HTTP %d): %w",
 			s.name, resp.StatusCode, err)
+	}
+	tap, _ := ctx.Value(wireTapKey{}).(wireTap)
+	end := tap.trace.StartSpanOn(tap.lane, "wire decode")
+	start := time.Now()
+	format, res := "json", new(Result)
+	if resp.Header.Get("Content-Type") == FrameContentType {
+		format = "frame"
+		res, err = DecodeFrame(buf.Bytes())
+	} else {
+		err = json.Unmarshal(buf.Bytes(), res)
+	}
+	end()
+	tap.metrics.ObserveWire(format, buf.Len(), time.Since(start))
+	if err != nil {
+		return nil, fmt.Errorf("router: shard %s: decoding /score %s response (HTTP %d): %w",
+			s.name, format, resp.StatusCode, err)
 	}
 	if res.Error != "" {
 		err := fmt.Errorf("router: shard %s: %s", s.name, res.Error)
@@ -141,7 +188,7 @@ func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("router: shard %s: HTTP %d from /score", s.name, resp.StatusCode)
 	}
-	return &res, nil
+	return res, nil
 }
 
 // warmResponse is the /warm JSON payload shared by serve and the router.

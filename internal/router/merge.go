@@ -2,7 +2,6 @@ package router
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"accelscore/internal/db"
@@ -87,9 +86,27 @@ func mergeTimelines(results []*Result) sim.Timeline {
 	return tl
 }
 
+// mergeHead is one partition's read position in the k-way merge.
+type mergeHead struct {
+	r    *Result
+	rows []int // nil for a dense result: prediction i is ordinal i
+	i    int
+}
+
+// row is the scan ordinal of the partition's i-th prediction.
+func (h *mergeHead) row(i int) int {
+	if h.rows == nil {
+		return i
+	}
+	return h.rows[i]
+}
+
 // Merge gathers per-partition shard results into one Merged. results is
 // indexed by partition; a nil entry is a missing partition (the caller
-// already classified it partial). mode is the query's aggregation.
+// already classified it partial). mode is the query's aggregation. Each
+// result's ScoredRows must ascend strictly and no ordinal may appear in two
+// results; Merge verifies both and fails otherwise. It does not modify the
+// results.
 func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 	m := &Merged{Shards: len(results)}
 	present := make([]*Result, 0, len(results))
@@ -132,45 +149,63 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 		return m, nil
 	}
 
-	// Non-aggregate: k-way merge by global scan ordinal. A shard result
-	// without ScoredRows scored every scanned row (single-shard or tenant
-	// routing); with ScoredRows, its ordinals interleave with the other
-	// partitions'.
-	type pred struct{ row, class int }
-	var rows []pred
-	dense := true
+	// Non-aggregate: k-way merge by global scan ordinal. Scan order makes
+	// every partition's ordinals ascend, so the merge is linear and checks
+	// as it goes that they do, within and across partitions; it never sorts,
+	// so a result that breaks the order fails the query instead of being
+	// repaired. A result without ScoredRows scored every scanned row
+	// (single-shard or tenant routing): row i is ordinal i.
+	heads := make([]mergeHead, 0, len(present))
+	dense, total, last := true, 0, -1
 	for _, r := range present {
+		h := mergeHead{r: r, rows: r.ScoredRows}
 		if len(r.ScoredRows) == 0 && len(r.Predictions) > 0 && r.RowsScored == r.RowsScanned {
-			for i, p := range r.Predictions {
-				rows = append(rows, pred{row: i, class: p})
+			h.rows = nil
+		} else {
+			dense = false
+			if len(r.ScoredRows) != len(r.Predictions) {
+				return nil, fmt.Errorf("router: shard %s returned %d ordinals for %d predictions",
+					r.ShardID, len(r.ScoredRows), len(r.Predictions))
 			}
-			continue
 		}
-		dense = false
-		if len(r.ScoredRows) != len(r.Predictions) {
-			return nil, fmt.Errorf("router: shard %s returned %d ordinals for %d predictions",
-				r.ShardID, len(r.ScoredRows), len(r.Predictions))
-		}
-		for i, row := range r.ScoredRows {
-			rows = append(rows, pred{row: row, class: r.Predictions[i]})
+		if n := len(r.Predictions); n > 0 {
+			heads = append(heads, h)
+			total += n
+			if end := h.row(n - 1); end > last {
+				last = end
+			}
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].row < rows[j].row })
-	for i := 1; i < len(rows); i++ {
-		if rows[i].row == rows[i-1].row {
-			return nil, fmt.Errorf("router: row %d scored by two partitions", rows[i].row)
+	m.Predictions = make([]int, total)
+	// The ordinals are kept unless they are exactly 0..total-1 (the merge
+	// below proves last is the largest, or fails).
+	if !dense && (m.Partial || total != m.RowsScanned || last != total-1) {
+		m.ScoredRows = make([]int, total)
+	}
+	prev, prevRes := -1, (*Result)(nil)
+	for n := 0; n < total; n++ {
+		best, row := 0, heads[0].row(heads[0].i)
+		for k := 1; k < len(heads); k++ {
+			if r := heads[k].row(heads[k].i); r < row {
+				best, row = k, r
+			}
 		}
-	}
-	m.Predictions = make([]int, len(rows))
-	keepOrdinals := !dense &&
-		(m.Partial || len(rows) != m.RowsScanned || (len(rows) > 0 && rows[len(rows)-1].row != len(rows)-1))
-	if keepOrdinals {
-		m.ScoredRows = make([]int, len(rows))
-	}
-	for i, p := range rows {
-		m.Predictions[i] = p.class
-		if keepOrdinals {
-			m.ScoredRows[i] = p.row
+		h := &heads[best]
+		switch {
+		case row == prev && prevRes != h.r:
+			return nil, fmt.Errorf("router: row %d scored by two partitions (shards %s and %s)",
+				row, prevRes.ShardID, h.r.ShardID)
+		case row <= prev:
+			return nil, fmt.Errorf("router: shard %s: row %d out of order after row %d", h.r.ShardID, row, prev)
+		}
+		prev, prevRes = row, h.r
+		m.Predictions[n] = h.r.Predictions[h.i]
+		if m.ScoredRows != nil {
+			m.ScoredRows[n] = row
+		}
+		if h.i++; h.i == len(h.r.Predictions) {
+			heads[best] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
 		}
 	}
 	tbl, err := db.NewTable("predictions", []db.Column{{Name: "prediction", Type: db.Int64Col}})

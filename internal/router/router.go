@@ -357,6 +357,7 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 		defer end()
 		wreq := base
 		wreq.Partition = part.String()
+		ctx = context.WithValue(ctx, wireTapKey{}, wireTap{trace: tr, lane: lane, metrics: r.metrics})
 		return r.cfg.Backends[shard].Score(ctx, wreq)
 	})
 
@@ -431,7 +432,9 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 		byPart[i] = res
 		latencies[i] = d.Latency
 	}
+	endMerge := tr.StartSpan("merge")
 	merged, err = Merge(req.Agg, byPart)
+	endMerge()
 	if err != nil {
 		r.metrics.ObserveQuery("error", len(parts), gap)
 		tr.SetAttr("error", err.Error())

@@ -267,19 +267,38 @@ func (c *CellReader) Int64() (int64, error) {
 	return v, nil
 }
 
+// Uvarint decodes the next uvarint cell. Only the shortest spelling of a
+// value is accepted, so a payload has exactly one accepted encoding.
+func (c *CellReader) Uvarint() (uint64, error) {
+	v, sz := binary.Uvarint(c.data[c.off:])
+	if sz <= 0 || (sz > 1 && c.data[c.off+sz-1] == 0) {
+		return 0, fmt.Errorf("%w: bad uvarint cell", ErrPayload)
+	}
+	c.off += sz
+	return v, nil
+}
+
+// Next returns the next n raw bytes (a packed run of single-byte cells).
+// The result aliases the payload.
+func (c *CellReader) Next(n int) ([]byte, error) {
+	if n < 0 || n > c.Remaining() {
+		return nil, fmt.Errorf("%w: run of %d bytes exceeds remaining payload", ErrPayload, n)
+	}
+	c.off += n
+	return c.data[c.off-n : c.off], nil
+}
+
 // Bytes decodes the next variable-width cell. The result aliases the
 // payload.
 func (c *CellReader) Bytes() ([]byte, error) {
-	n, sz := binary.Uvarint(c.data[c.off:])
-	if sz <= 0 {
+	n, err := c.Uvarint()
+	if err != nil {
 		return nil, fmt.Errorf("%w: bad cell length prefix", ErrPayload)
 	}
-	if n > uint64(c.Remaining()-sz) {
+	if n > uint64(c.Remaining()) {
 		return nil, fmt.Errorf("%w: cell length %d exceeds remaining payload", ErrPayload, n)
 	}
-	start := c.off + sz
-	c.off = start + int(n)
-	return c.data[start:c.off], nil
+	return c.Next(int(n))
 }
 
 // String decodes the next variable-width cell as a string (copies).

@@ -231,6 +231,30 @@ func TestCellReaderHostileInput(t *testing.T) {
 	if _, err := cr.Bytes(); !errors.Is(err, ErrPayload) {
 		t.Fatalf("err = %v, want ErrPayload", err)
 	}
+	// A uvarint has one accepted spelling: 4 as 0x84 0x00 is refused, and so
+	// is a length prefix spelled that way.
+	for _, overlong := range [][]byte{{0x84, 0x00}, {0x80, 0x80, 0x00}} {
+		if _, err := NewCellReader(overlong).Uvarint(); !errors.Is(err, ErrPayload) {
+			t.Fatalf("overlong uvarint %x: err = %v, want ErrPayload", overlong, err)
+		}
+	}
+	if _, err := NewCellReader([]byte{0x83, 0x00, 'a', 'b', 'c'}).Bytes(); !errors.Is(err, ErrPayload) {
+		t.Fatalf("overlong length prefix: err = %v, want ErrPayload", err)
+	}
+	// Raw runs stop at the end of the payload.
+	cr = NewCellReader([]byte{1, 2, 0xAC, 0x02})
+	if run, err := cr.Next(2); err != nil || !bytes.Equal(run, []byte{1, 2}) {
+		t.Fatalf("Next(2) = %v, %v", run, err)
+	}
+	if _, err := cr.Next(3); !errors.Is(err, ErrPayload) {
+		t.Fatalf("Next past the end: err = %v, want ErrPayload", err)
+	}
+	if v, err := cr.Uvarint(); err != nil || v != 300 || cr.Remaining() != 0 {
+		t.Fatalf("Uvarint = %d, %v, %d bytes left", v, err, cr.Remaining())
+	}
+	if _, err := cr.Next(1); !errors.Is(err, ErrPayload) {
+		t.Fatalf("Next at the end: err = %v, want ErrPayload", err)
+	}
 	// NaN payloads round-trip bit-exactly.
 	nan := math.Float32frombits(0x7fc00001)
 	enc := AppendFloat32(nil, nan)
