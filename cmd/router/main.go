@@ -1,28 +1,29 @@
 // Command router is the scatter-gather front of the scale-out serving tier.
 // It hash-partitions each scoring query's rows across N serve shards (FNV
 // over the stable row ordinal; ?tenant= switches to tenant-affine routing),
-// scatters one sub-query per partition through per-shard circuit breakers,
-// and merges the shard results into a single answer bit-identical to a
-// single-node run. A dead shard's partition reroutes to a healthy replica;
-// when every route is exhausted the query either fails with a typed partial
-// error or (with -partial) degrades to an explicit partial result — never
-// silently wrong answers.
+// scatters one sub-query per partition to the shards the health state
+// machine lets take traffic, and merges the shard results into a single
+// answer bit-identical to a single-node run. A dead shard's partition
+// reroutes to a healthy replica; when every route is exhausted the query
+// either fails with a typed partial error or (with -partial) degrades to an
+// explicit partial result — never silently wrong answers.
 //
 // Usage:
 //
 //	router -shards http://localhost:8081,http://localhost:8082 \
 //	    [-addr :8090] [-warm iris_rf] [-partial] \
-//	    [-breaker-threshold 3] [-breaker-cooldown 250ms] [-conns-per-shard 32] \
-//	    [-probe-interval 2s] [-slow-after 0] [-hedge] [-hedge-fraction 0.05] \
+//	    [-conns-per-shard 32] [-probe-interval 2s] [-slow-after 0] \
+//	    [-hedge] [-hedge-fraction 0.05] \
 //	    [-max-inflight 64] [-shard-inflight 16] [-classes interactive=25ms,batch=500ms]
 //
 // The shard health state machine (healthy -> degraded -> quarantined ->
-// rejoining) always runs on passive per-request signals; -probe-interval
-// adds active /healthz probing so a quarantined shard can rejoin without
-// traffic. -hedge enables tail-latency hedging (adaptive per-shard P95
-// trigger, bounded budget, bit-identical result verification). -max-inflight
-// turns on admission control: capacity, priority-class, and deadline-aware
-// shedding answer 503 with Retry-After instead of queueing without bound.
+// rejoining) is the router's one notion of shard health. It always runs on
+// passive per-request signals; -probe-interval adds active /healthz probing
+// so a quarantined shard can rejoin without traffic. -hedge enables
+// tail-latency hedging (adaptive per-shard P95 trigger, bounded budget,
+// bit-identical result verification). -max-inflight turns on admission
+// control: capacity, priority-class, and deadline-aware shedding answer 503
+// with Retry-After instead of queueing without bound.
 //
 // Endpoints: /query (?sql= or POST body, ?tenant=), /warm?model=, /healthz,
 // /metrics, /debug/queries, /debug/trace/<id>.
@@ -53,10 +54,6 @@ func main() {
 		"comma-separated models to warm on every shard at startup (replica-aware cache warming)")
 	partial := flag.Bool("partial", false,
 		"degrade queries with unreachable partitions to explicit partial results instead of failing")
-	breakerThreshold := flag.Int("breaker-threshold", 0,
-		"consecutive failures opening a shard's circuit (0 = default 3, negative disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0,
-		"open-circuit cooldown before a half-open probe (0 = default 250ms)")
 	connsPerShard := flag.Int("conns-per-shard", 32,
 		"idle HTTP connections kept per shard (size to the expected client concurrency)")
 	warmTimeout := flag.Duration("warm-timeout", 10*time.Second, "startup warm fan-out budget")
@@ -101,13 +98,11 @@ func main() {
 	}
 
 	cfg := router.Config{
-		Backends:         backends,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		AllowPartial:     *partial,
-		Obs:              obs.NewObserver(),
-		WarmModels:       splitList(*warm),
-		WarmTimeout:      *warmTimeout,
+		Backends:     backends,
+		AllowPartial: *partial,
+		Obs:          obs.NewObserver(),
+		WarmModels:   splitList(*warm),
+		WarmTimeout:  *warmTimeout,
 		Health: &router.HealthConfig{
 			ProbeInterval: *probeInterval,
 			ProbeTimeout:  *probeTimeout,

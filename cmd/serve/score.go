@@ -77,7 +77,7 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 // classifyScoreError maps an executor error to its wire code and HTTP
 // status. Unrecognized errors are query-level (unknown model, bad filter):
 // on data-symmetric replicas they fail identically everywhere, so the
-// router must not reroute them into a breaker storm.
+// router must not reroute them or hold them against the shard's health.
 func classifyScoreError(err error) (code string, status int) {
 	switch {
 	case errors.Is(err, exec.ErrRejected), errors.Is(err, exec.ErrClosed):

@@ -183,7 +183,7 @@ func TestHTTPShardAgainstServe(t *testing.T) {
 	if !res.CacheHit {
 		t.Fatal("warmed shard missed its model cache")
 	}
-	if _, err := shard.Score(ctx, router.Request{Model: "nope", Data: "iris"}); !exec.IsNoReroute(err) {
+	if _, err := shard.Score(ctx, router.Request{Model: "nope", Data: "iris"}); !router.IsNoReroute(err) {
 		t.Fatalf("unknown model over HTTP should be NoReroute, got %v", err)
 	}
 

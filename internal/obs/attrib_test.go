@@ -11,9 +11,11 @@ func TestReadCostSampleProgresses(t *testing.T) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	before := ReadCostSample()
-	// Allocate something measurable and burn a little CPU.
-	sink := make([][]byte, 0, 1024)
-	for i := 0; i < 1024; i++ {
+	// Allocate something measurable and burn a little CPU: twice the 1 MiB
+	// asserted below, because the runtime counts a span's allocations only
+	// when the span is flushed, so the sample can trail by a few KiB.
+	sink := make([][]byte, 0, 2048)
+	for i := 0; i < 2048; i++ {
 		sink = append(sink, make([]byte, 1024))
 	}
 	_ = sink

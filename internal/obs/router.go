@@ -27,9 +27,6 @@ const (
 	// MetricRouterReroutesTotal counts partitions moved off their preferred
 	// shard {shard} (labelled by the shard routed AWAY from).
 	MetricRouterReroutesTotal = "accelscore_router_reroutes_total"
-	// MetricRouterShardBreakerState gauges each shard's circuit state
-	// {shard}: 0 closed, 1 half-open, 2 open.
-	MetricRouterShardBreakerState = "accelscore_router_shard_breaker_state"
 	// MetricRouterWarmTotal counts model-cache warm calls fanned out to
 	// shards {status="hit"|"miss"|"nocache"|"error"}.
 	MetricRouterWarmTotal = "accelscore_router_warm_total"
@@ -39,6 +36,10 @@ const (
 	// the query loudly), "denied" a trigger with no budget or healthy
 	// replica.
 	MetricRouterHedgesTotal = "accelscore_router_hedges_total"
+	// MetricRouterHedgeTrigger gauges the hedge trigger the dispatcher last
+	// used for a primary on {shard}: the shard's recent P95 after the
+	// floor, seconds; 0 while the shard has too few samples to hedge.
+	MetricRouterHedgeTrigger = "accelscore_router_hedge_trigger_seconds"
 	// MetricRouterShardState gauges each shard's health state {shard}:
 	// 0 healthy, 1 degraded, 2 quarantined, 3 rejoining.
 	MetricRouterShardState = "accelscore_router_shard_state"
@@ -99,8 +100,8 @@ func (m *RouterMetrics) ObserveQuery(outcome string, width int, stragglerGap tim
 		stragglerBuckets).Observe(stragglerGap.Seconds())
 }
 
-// ObserveShard records one sub-query on one shard: its latency and how many
-// reroutes it took to land there.
+// ObserveShard records one sub-query attempt on one shard: its latency and
+// how many partitions (0 or 1) it sent on to another shard by failing.
 func (m *RouterMetrics) ObserveShard(shard int, latency time.Duration, reroutes int) {
 	if m == nil || m.reg == nil {
 		return
@@ -112,17 +113,6 @@ func (m *RouterMetrics) ObserveShard(shard int, latency time.Duration, reroutes 
 		m.reg.Counter(MetricRouterReroutesTotal,
 			"Partitions rerouted away from a shard.", "shard", s).Add(float64(reroutes))
 	}
-}
-
-// SetBreakerState gauges a shard's circuit state (the breaker's 0/1/2
-// metric encoding).
-func (m *RouterMetrics) SetBreakerState(shard, state int) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.reg.Gauge(MetricRouterShardBreakerState,
-		"Shard circuit state: 0 closed, 1 half-open, 2 open.",
-		"shard", strconv.Itoa(shard)).Set(float64(state))
 }
 
 // NoteWarm counts one model-cache warm call outcome.
@@ -141,6 +131,16 @@ func (m *RouterMetrics) NoteHedge(outcome string) {
 	}
 	m.reg.Counter(MetricRouterHedgesTotal, "Tail-latency hedge outcomes.",
 		"outcome", outcome).Inc()
+}
+
+// SetHedgeTrigger gauges the hedge trigger just computed for shard.
+func (m *RouterMetrics) SetHedgeTrigger(shard int, trigger time.Duration) {
+	if m == nil || m.reg == nil {
+		return
+	}
+	m.reg.Gauge(MetricRouterHedgeTrigger,
+		"Hedge trigger in use per shard (recent P95 after the floor), seconds; 0 = too few samples.",
+		"shard", strconv.Itoa(shard)).Set(trigger.Seconds())
 }
 
 // SetShardState gauges a shard's health state (0 healthy, 1 degraded,

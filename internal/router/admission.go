@@ -6,8 +6,8 @@
 // (a query whose remaining deadline is below the EWMA-predicted service
 // time would only burn capacity to time out, so it is refused immediately
 // with a Retry-After hint). Per-shard in-flight and queue bounds guard the
-// scatter itself: a saturated shard fast-fails its sub-query so the
-// dispatcher reroutes instead of queueing without bound.
+// scatter itself: a saturated shard refuses the sub-query so the dispatcher
+// reroutes instead of queueing without bound.
 package router
 
 import (
@@ -242,23 +242,41 @@ func (a *admission) Admit(ctx context.Context, class string) (release func(ok bo
 	}, nil
 }
 
-// acquireShard bounds one shard's concurrent sub-queries. A full queue
-// fast-fails (rerouteable) so the dispatcher moves the partition to a less
-// loaded replica instead of queueing without bound.
-func (a *admission) acquireShard(ctx context.Context, shard int) (func(), error) {
+// acquireShard takes one of shard's sub-query slots, to be returned with
+// releaseShard. With queue set the caller waits its turn behind at most
+// ShardQueue others; without it only a slot that is free right now will do.
+// A full queue (or no free slot) is an error at once — the router's own
+// back-pressure, not the shard's fault — so the dispatcher moves the
+// partition to a less loaded replica instead of queueing without bound.
+func (a *admission) acquireShard(ctx context.Context, shard int, queue bool) error {
 	if a == nil || a.cfg.ShardInFlight <= 0 {
-		return func() {}, nil
+		return nil
+	}
+	if !queue {
+		select {
+		case a.shardSlots[shard] <- struct{}{}:
+			return nil
+		default:
+			return fmt.Errorf("shard %d: no free sub-query slot", shard)
+		}
 	}
 	if a.shardWait[shard].Add(1) > int64(a.cfg.ShardQueue) {
 		a.shardWait[shard].Add(-1)
-		return nil, fmt.Errorf("shard %d: sub-query queue full", shard)
+		return fmt.Errorf("shard %d: sub-query queue full", shard)
 	}
 	defer a.shardWait[shard].Add(-1)
 	select {
 	case a.shardSlots[shard] <- struct{}{}:
-		return func() { <-a.shardSlots[shard] }, nil
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
+	}
+}
+
+// releaseShard returns the slot a successful acquireShard took.
+func (a *admission) releaseShard(shard int) {
+	if a != nil && a.cfg.ShardInFlight > 0 {
+		<-a.shardSlots[shard]
 	}
 }
 

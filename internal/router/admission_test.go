@@ -154,19 +154,23 @@ func TestAdmissionConcurrentLedger(t *testing.T) {
 }
 
 // TestAdmissionShardQueueFastFails fills a shard's slots and queue and
-// checks the next sub-query fast-fails (rerouteable) instead of waiting.
+// checks the next sub-query fast-fails (rerouteable) instead of waiting,
+// and that a caller who will not queue needs a slot that is free right now.
 func TestAdmissionShardQueueFastFails(t *testing.T) {
 	a := newAdmission(&AdmissionConfig{MaxInFlight: 64, ShardInFlight: 1, ShardQueue: 1}, 1, nil)
-	release, err := a.acquireShard(context.Background(), 0)
-	if err != nil {
+	ctx := context.Background()
+	if err := a.acquireShard(ctx, 0, true); err != nil {
 		t.Fatal(err)
+	}
+	if err := a.acquireShard(ctx, 0, false); err == nil {
+		t.Fatal("a no-queue acquire took a slot that was not free")
 	}
 	// The one queue slot: a waiter parked on the semaphore.
 	waiting := make(chan error, 1)
 	go func() {
-		rel, err := a.acquireShard(context.Background(), 0)
+		err := a.acquireShard(ctx, 0, true)
 		if err == nil {
-			rel()
+			a.releaseShard(0)
 		}
 		waiting <- err
 	}()
@@ -179,12 +183,15 @@ func TestAdmissionShardQueueFastFails(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Queue full: the next acquire must fail fast, not block.
-	if _, err := a.acquireShard(context.Background(), 0); err == nil {
+	if err := a.acquireShard(ctx, 0, true); err == nil {
 		t.Fatal("acquire with a full queue should fast-fail")
 	}
-	release()
+	a.releaseShard(0)
 	if err := <-waiting; err != nil {
 		t.Fatalf("parked waiter should win the freed slot: %v", err)
+	}
+	if n := len(a.shardSlots[0]); n != 0 {
+		t.Fatalf("%d slots still held after every release", n)
 	}
 }
 
@@ -197,11 +204,10 @@ func TestAdmissionNilIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel(true, time.Millisecond)
-	relS, err := a.acquireShard(context.Background(), 0)
-	if err != nil {
+	if err := a.acquireShard(context.Background(), 0, true); err != nil {
 		t.Fatal(err)
 	}
-	relS()
+	a.releaseShard(0)
 	if a.Stats() != nil || a.predicted() != 0 {
 		t.Fatal("nil admission should report empty stats")
 	}

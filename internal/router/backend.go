@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"accelscore/internal/exec"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/storage/pagefmt"
@@ -21,9 +20,9 @@ import (
 
 // Backend is one shard replica the router can scatter to. Implementations
 // classify query-level failures (ones that would fail identically on every
-// replica) by wrapping them with exec.NoReroute; every other error is
-// treated as the shard's fault and triggers rerouting plus breaker
-// accounting.
+// replica) by wrapping them with NoReroute; every other error is
+// treated as the shard's fault: the partition reroutes and the shard's
+// health takes a failure signal.
 type Backend interface {
 	// ID names the shard for logs, metrics and merged results.
 	ID() string
@@ -51,7 +50,7 @@ func (l *Local) ID() string { return l.Name }
 func (l *Local) Score(ctx context.Context, req Request) (*Result, error) {
 	sreq, err := req.ScoreRequest()
 	if err != nil {
-		return nil, exec.NoReroute(err)
+		return nil, NoReroute(err)
 	}
 	results, err := l.Pipe.ExecScoreBatchCtx(ctx, []*pipeline.ScoreRequest{sreq})
 	if err != nil {
@@ -60,7 +59,7 @@ func (l *Local) Score(ctx context.Context, req Request) (*Result, error) {
 		}
 		// Pipeline errors are query-level (unknown model/table, bad
 		// filter): identical on every data-symmetric replica.
-		return nil, exec.NoReroute(err)
+		return nil, NoReroute(err)
 	}
 	return WireResult(l.Name, sreq.Agg, results[0])
 }
@@ -87,6 +86,18 @@ func SharedTransport(maxPerHost int) *http.Transport {
 		IdleConnTimeout:     90 * time.Second,
 	}
 }
+
+// ShardError is a shard's own refusal of a sub-query: the error reply it
+// put on the wire, with the failure class (Code is one of the Code*
+// constants) intact so the router's caller sees a timeout as a timeout.
+type ShardError struct {
+	Shard string
+	Code  string
+	Msg   string
+}
+
+// Error implements error.
+func (e *ShardError) Error() string { return fmt.Sprintf("router: shard %s: %s", e.Shard, e.Msg) }
 
 // HTTPShard is a shard reached over its serve process's /score endpoint.
 type HTTPShard struct {
@@ -134,11 +145,11 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, exec.NoReroute(err)
+		return nil, NoReroute(err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/score", bytes.NewReader(body))
 	if err != nil {
-		return nil, exec.NoReroute(err)
+		return nil, NoReroute(err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set("Accept", FrameContentType)
@@ -178,10 +189,10 @@ func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 			s.name, format, resp.StatusCode, err)
 	}
 	if res.Error != "" {
-		err := fmt.Errorf("router: shard %s: %s", s.name, res.Error)
+		err := &ShardError{Shard: s.name, Code: res.Code, Msg: res.Error}
 		if res.Code == CodeBadRequest {
 			// The query would fail the same way on every replica.
-			return nil, exec.NoReroute(err)
+			return nil, NoReroute(err)
 		}
 		return nil, err
 	}

@@ -1,0 +1,204 @@
+package router_test
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"accelscore/internal/pipeline"
+	"accelscore/internal/router"
+)
+
+// heldBackend parks every Score call until release is closed, announcing
+// each arrival on entered.
+type heldBackend struct {
+	router.Backend
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *heldBackend) Score(ctx context.Context, req router.Request) (*router.Result, error) {
+	h.entered <- struct{}{}
+	select {
+	case <-h.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return h.Backend.Score(ctx, req)
+}
+
+// announcingBackend announces every Score call that reaches it.
+type announcingBackend struct {
+	router.Backend
+	served chan struct{}
+}
+
+func (a *announcingBackend) Score(ctx context.Context, req router.Request) (*router.Result, error) {
+	a.served <- struct{}{}
+	return a.Backend.Score(ctx, req)
+}
+
+// TestRouterBackPressureIsNotShardFailure saturates shard 0's sub-query slot
+// and queue: the overflow is the ROUTER's bound, so the sub-query moves to
+// shard 1 without shard 0's health hearing of it. With one strike enough to
+// degrade, any failure signal would show as a transition.
+func TestRouterBackPressureIsNotShardFailure(t *testing.T) {
+	const rows = 200
+	held := &heldBackend{
+		Backend: &router.Local{Name: "shard-0", Pipe: newShardPipeline(t, rows)},
+		entered: make(chan struct{}, 3),
+		release: make(chan struct{}),
+	}
+	spare := &announcingBackend{
+		Backend: &router.Local{Name: "shard-1", Pipe: newShardPipeline(t, rows)},
+		served:  make(chan struct{}, 3),
+	}
+	r, err := router.New(router.Config{
+		Backends:  []router.Backend{held, spare},
+		Health:    &router.HealthConfig{FailThreshold: 1},
+		Admission: &router.AdmissionConfig{MaxInFlight: 16, ShardInFlight: 1, ShardQueue: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	want, err := newShardPipeline(t, rows).ExecQuery(plainSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tenant-affine queries are one sub-query each, all homed on shard 0.
+	tenant := "tenant-0"
+	for i := 1; pipeline.TenantShard(tenant, 2) != 0; i++ {
+		tenant = fmt.Sprintf("tenant-%d", i)
+	}
+	done := make(chan error, 3)
+	query := func() {
+		got, err := r.Query(context.Background(), plainSQL, router.QueryOptions{Tenant: tenant})
+		if err == nil && !reflect.DeepEqual(got.Predictions, want.Predictions) {
+			err = fmt.Errorf("predictions differ from single-node")
+		}
+		done <- err
+	}
+	timeout := time.After(10 * time.Second)
+
+	go query() // takes shard 0's only slot and parks in the backend
+	select {
+	case <-held.entered:
+	case <-timeout:
+		t.Fatal("first query never reached shard 0")
+	}
+	go query() // of these two, one waits in shard 0's one-deep queue...
+	go query()
+	select {
+	case <-spare.served: // ...and the other overflows to shard 1
+	case <-timeout:
+		t.Fatal("overflow sub-query never rerouted to shard 1")
+	}
+	close(held.release)
+	for i := 0; i < 3; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("queries never finished")
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if snap := r.Health().Snapshot(i); snap.State != router.ShardHealthy || snap.Transitions != 0 || snap.InFlight != 0 {
+			t.Fatalf("router back-pressure was charged to shard %d: %+v", i, snap)
+		}
+	}
+}
+
+// TestHandlerShardErrorKeepsItsClass: a shard's error reply carries a wire
+// code, and a single-sub-query /query surfaces that class, not a 400.
+func TestHandlerShardErrorKeepsItsClass(t *testing.T) {
+	for code, want := range map[string]int{
+		router.CodeRejected:   http.StatusServiceUnavailable,
+		router.CodeTimeout:    http.StatusGatewayTimeout,
+		router.CodeCanceled:   499,
+		router.CodeInternal:   http.StatusInternalServerError,
+		router.CodeBadRequest: http.StatusBadRequest,
+	} {
+		var calls atomic.Int32
+		shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(want)
+			json.NewEncoder(w).Encode(router.Result{Error: "shard says no", Code: code})
+		}))
+		backend, err := router.NewHTTPShard("shard-0", shard.URL, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := router.New(router.Config{Backends: []router.Backend{backend}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(router.Handler(rt))
+		resp, err := front.Client().Get(front.URL + "/query?sql=" + url.QueryEscape(plainSQL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr router.QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want || qr.OK || qr.Error == "" {
+			t.Errorf("shard code %q: HTTP %d (%q), want %d", code, resp.StatusCode, qr.Error, want)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("shard code %q: %d calls to a one-shard tier", code, n)
+		}
+		front.Close()
+		rt.Close()
+		shard.Close()
+	}
+}
+
+// TestRouterStragglerGapSkipsMissingPartition: with partition 0 lost, a
+// partial result's straggler gap is slowest minus fastest of the partitions
+// that answered, not slowest minus zero.
+func TestRouterStragglerGapSkipsMissingPartition(t *testing.T) {
+	const n = 3
+	live := newShardPipeline(t, 300)
+	backends := make([]router.Backend, n)
+	for i := range backends {
+		backends[i] = &partitionKiller{
+			Backend: &router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: live},
+			part:    "0/3",
+		}
+	}
+	r, err := router.New(router.Config{Backends: backends, AllowPartial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	res, err := r.Query(context.Background(), plainSQL, router.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial || !reflect.DeepEqual(res.MissingPartitions, []int{0}) {
+		t.Fatalf("partial=%v missing=%v, want partition 0 missing", res.Partial, res.MissingPartitions)
+	}
+	fastest, slowest := res.ShardLatency[1], res.ShardLatency[2]
+	if fastest > slowest {
+		fastest, slowest = slowest, fastest
+	}
+	if fastest <= 0 {
+		t.Fatalf("surviving latencies %v", res.ShardLatency)
+	}
+	if res.StragglerGap != slowest-fastest {
+		t.Fatalf("straggler gap %v over latencies %v, want %v", res.StragglerGap, res.ShardLatency[1:], slowest-fastest)
+	}
+}

@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"accelscore/internal/exec"
 )
 
 // QueryResponse is the /query JSON envelope: the merged scatter result or
@@ -105,7 +103,7 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusServiceUnavailable, QueryResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, statusFor(ctx, err), QueryResponse{Error: err.Error()})
+		writeJSON(w, statusFor(err), QueryResponse{Error: err.Error()})
 		return
 	}
 	resp := QueryResponse{
@@ -132,21 +130,31 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusFor maps a routing error to its HTTP status, mirroring serve's
-// /query mapping so clients see consistent codes through either tier.
-func statusFor(ctx context.Context, err error) int {
-	var pe *exec.PartialError
+// /query mapping so clients see consistent codes through either tier. A
+// shard's own refusal keeps the class it had on the wire.
+func statusFor(err error) int {
+	var pe *PartialError
+	var se *ShardError
 	switch {
-	case errors.As(err, &pe), errors.Is(err, exec.ErrShardBreakerOpen):
+	case errors.As(err, &pe), errors.Is(err, ErrNoShardAvailable):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request
-	case ctx.Err() == nil && strings.Contains(err.Error(), "rejected"):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
+	case errors.As(err, &se):
+		switch se.Code {
+		case CodeRejected:
+			return http.StatusServiceUnavailable
+		case CodeTimeout:
+			return http.StatusGatewayTimeout
+		case CodeCanceled:
+			return 499
+		case CodeInternal:
+			return http.StatusInternalServerError
+		}
 	}
+	return http.StatusBadRequest
 }
 
 // handleWarm fans ?model= to every shard's model cache.
@@ -167,8 +175,8 @@ func (h *handler) handleWarm(w http.ResponseWriter, r *http.Request) {
 }
 
 // routerHealth is the /healthz payload: the health state machine's view of
-// every shard (state, probe history, breaker, reroutes) plus the admission
-// ledger when admission control is on.
+// every shard (state, probe history, reroutes) plus the admission ledger
+// when admission control is on.
 type routerHealth struct {
 	Status    string           `json:"status"`
 	Shards    []shardHealth    `json:"shards"`
@@ -178,16 +186,15 @@ type routerHealth struct {
 type shardHealth struct {
 	Shard string `json:"shard"`
 	ShardHealthSnapshot
-	Breaker  string `json:"breaker"`
 	Reroutes uint64 `json:"reroutes"`
 }
 
 // handleHealthz reports the aggregated health picture: each shard's FSM
-// state (refreshed by an on-demand probe round), circuit-breaker state, and
-// reroute count. The tier is "ok" when every shard is healthy, "degraded"
-// while any shard is off-nominal but at least one still takes traffic, and
-// "down" (503) only when every shard is quarantined — a degraded tier still
-// serves, so it still answers 200.
+// state (refreshed by an on-demand probe round) and reroute count. The tier
+// is "ok" when every shard is healthy, "degraded" while any shard is
+// off-nominal but at least one still takes traffic, and "down" (503) only
+// when every shard is quarantined — a degraded tier still serves, so it
+// still answers 200.
 func (h *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.r.health.ProbeAll()
 	rh := routerHealth{
@@ -201,7 +208,6 @@ func (h *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		rh.Shards[i] = shardHealth{
 			Shard:               b.ID(),
 			ShardHealthSnapshot: snap,
-			Breaker:             h.r.disp.ShardStateName(i),
 			Reroutes:            h.r.RerouteCount(i),
 		}
 		if snap.State != ShardHealthy {

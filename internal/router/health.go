@@ -1,7 +1,8 @@
-// Shard health state machine for the scatter-gather tier. Bare circuit
-// breakers flap: a cooldown expires, one probe query hits a still-sick
-// shard, the circuit re-opens, and real traffic keeps paying for the
-// probes. This state machine replaces that with explicit per-shard states —
+// Shard health state machine for the scatter-gather tier: the router's one
+// notion of shard health. A bare consecutive-failure circuit would flap — a
+// cooldown expires, one probe query hits a still-sick shard, the circuit
+// re-opens, and real traffic keeps paying for the probes — so each shard
+// walks explicit states instead —
 //
 //	healthy → degraded → quarantined → rejoining → healthy
 //
@@ -17,8 +18,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"accelscore/internal/exec"
 )
 
 // ShardState is a shard's position in the health state machine. The
@@ -132,7 +131,7 @@ type shardFSM struct {
 	fails         int // consecutive failure signals
 	passes        int // consecutive success signals
 	trickleOK     int // successful real sub-queries while rejoining
-	inFlight      int // acquired-but-unreleased gate slots
+	inFlight      int // acquired-but-unreleased attempts
 	warming       bool
 	quarantinedAt time.Time
 	backoff       time.Duration
@@ -154,9 +153,9 @@ type ShardHealthSnapshot struct {
 	Backoff      time.Duration `json:"-"`
 }
 
-// HealthManager runs the health state machine for every shard. It
-// implements exec.ShardGate so the dispatcher consults it on every route
-// and feeds it passive signals, and optionally runs an active probe loop.
+// HealthManager runs the health state machine for every shard. The
+// dispatcher consults it before every attempt and feeds it the attempt's
+// outcome as a passive signal; optionally it runs an active probe loop.
 type HealthManager struct {
 	cfg     HealthConfig
 	shards  []*shardFSM
@@ -265,10 +264,6 @@ func (m *HealthManager) State(i int) ShardState {
 	return f.state
 }
 
-// IsHealthy reports whether shard i is fully healthy (hedge-target
-// eligible).
-func (m *HealthManager) IsHealthy(i int) bool { return m.State(i) == ShardHealthy }
-
 // Snapshot returns shard i's health for /healthz.
 func (m *HealthManager) Snapshot(i int) ShardHealthSnapshot {
 	f := m.shards[i]
@@ -295,41 +290,54 @@ func (m *HealthManager) Transitions(i int) int {
 	return f.transitions
 }
 
-// Acquire implements exec.ShardGate: quarantined shards (and shards mid
-// rejoin-warm) refuse traffic; rejoining shards admit a bounded trickle.
-func (m *HealthManager) Acquire(shard int) bool {
+// signal is what one settled attempt tells the state machine.
+type signal int
+
+const (
+	// signalNone: the attempt never meaningfully ran (the caller gave up, a
+	// hedge-race loser was reaped, the shard had no free slot).
+	signalNone signal = iota
+	// signalPass: the shard answered correctly.
+	signalPass
+	// signalFail: the shard failed the attempt.
+	signalFail
+)
+
+// acquire reports whether shard may take one sub-query now: quarantined
+// shards (and shards mid rejoin-warm) refuse traffic, rejoining shards admit
+// a bounded trickle, and with healthyOnly (hedge targeting) only a fully
+// healthy shard will do. A true return must be paired with exactly one
+// release.
+func (m *HealthManager) acquire(shard int, healthyOnly bool) bool {
 	f := m.shards[shard]
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch f.state {
-	case ShardQuarantined:
+	switch {
+	case healthyOnly && f.state != ShardHealthy, f.state == ShardQuarantined:
 		return false
-	case ShardRejoining:
-		if f.warming || f.inFlight >= m.cfg.TrickleConcurrency {
-			return false
-		}
+	case f.state == ShardRejoining && (f.warming || f.inFlight >= m.cfg.TrickleConcurrency):
+		return false
 	}
 	f.inFlight++
 	return true
 }
 
-// Release implements exec.ShardGate, feeding the attempt's outcome back as
-// a passive health signal.
-func (m *HealthManager) Release(shard int, outcome exec.GateOutcome, latency time.Duration) {
+// release pairs an acquire, feeding the attempt's outcome back as a passive
+// health signal.
+func (m *HealthManager) release(shard int, s signal, latency time.Duration) {
 	f := m.shards[shard]
 	f.mu.Lock()
 	if f.inFlight > 0 {
 		f.inFlight--
 	}
 	f.mu.Unlock()
-	switch outcome {
-	case exec.GateSuccess:
+	switch s {
+	case signalPass:
 		slow := m.cfg.SlowAfter > 0 && latency > m.cfg.SlowAfter
 		m.note(shard, true, false, slow)
-	case exec.GateFailure:
+	case signalFail:
 		m.note(shard, false, false, false)
 	}
-	// GateAbandoned: no signal.
 }
 
 // note runs one signal through shard i's state machine. fromProbe marks

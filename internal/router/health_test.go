@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"accelscore/internal/exec"
 )
 
 // testClock is a manually advanced clock for the FSM's backoff dwell.
@@ -74,7 +72,7 @@ func quarantine(t *testing.T, m *HealthManager, i int) {
 
 // TestHealthFSMLegalTransitions walks the full lifecycle: healthy ->
 // degraded -> quarantined -> rejoining -> healthy, checking each edge fires
-// at exactly its threshold and the gate refuses a quarantined shard.
+// at exactly its threshold and a quarantined shard refuses traffic.
 func TestHealthFSMLegalTransitions(t *testing.T) {
 	m, clock := healthManager(nil)
 
@@ -86,10 +84,10 @@ func TestHealthFSMLegalTransitions(t *testing.T) {
 	if s := m.State(0); s != ShardDegraded {
 		t.Fatalf("state %v after FailThreshold failures, want degraded", s)
 	}
-	if !m.Acquire(0) {
+	if !m.acquire(0, false) {
 		t.Fatal("degraded shard must still take traffic")
 	}
-	m.Release(0, exec.GateAbandoned, 0)
+	m.release(0, signalNone, 0)
 
 	// Degraded recovers through consecutive passes.
 	pass(m, 0, 2)
@@ -98,7 +96,7 @@ func TestHealthFSMLegalTransitions(t *testing.T) {
 	}
 
 	quarantine(t, m, 0)
-	if m.Acquire(0) {
+	if m.acquire(0, false) {
 		t.Fatal("quarantined shard must refuse traffic")
 	}
 
@@ -126,10 +124,10 @@ func TestHealthFSMLegalTransitions(t *testing.T) {
 	// Trickle graduation: RejoinTrickle real successes (probes don't count).
 	m.NoteProbe(0, nil)
 	for i := 0; i < 3; i++ {
-		if !m.Acquire(0) {
+		if !m.acquire(0, false) {
 			t.Fatalf("trickle slot %d refused", i)
 		}
-		m.Release(0, exec.GateSuccess, time.Millisecond)
+		m.release(0, signalPass, time.Millisecond)
 	}
 	if s := m.State(0); s != ShardHealthy {
 		t.Fatalf("state %v after rejoin trickle, want healthy", s)
@@ -173,19 +171,19 @@ func TestHealthWarmFirstRejoin(t *testing.T) {
 		t.Fatalf("state %v, want rejoining", s)
 	}
 	<-warmed // warm started
-	if m.Acquire(0) {
+	if m.acquire(0, false) {
 		t.Fatal("trickle must stay gated while the shard re-warms")
 	}
 	close(warmGate)
 	// The warm goroutine clears the gate asynchronously; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
-	for !m.Acquire(0) {
+	for !m.acquire(0, false) {
 		if time.Now().After(deadline) {
 			t.Fatal("trickle never opened after warming finished")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	m.Release(0, exec.GateSuccess, time.Millisecond)
+	m.release(0, signalPass, time.Millisecond)
 	m.Close()
 }
 
@@ -197,17 +195,17 @@ func TestHealthTrickleConcurrencyBound(t *testing.T) {
 	clock.advance(2 * time.Second)
 	m.NoteProbe(0, nil)
 	m.NoteProbe(0, nil)
-	if !m.Acquire(0) {
+	if !m.acquire(0, false) {
 		t.Fatal("first trickle slot refused")
 	}
-	if m.Acquire(0) {
+	if m.acquire(0, false) {
 		t.Fatal("second concurrent trickle slot admitted; bound is 1")
 	}
-	m.Release(0, exec.GateSuccess, time.Millisecond)
-	if !m.Acquire(0) {
+	m.release(0, signalPass, time.Millisecond)
+	if !m.acquire(0, false) {
 		t.Fatal("slot should free after release")
 	}
-	m.Release(0, exec.GateSuccess, time.Millisecond)
+	m.release(0, signalPass, time.Millisecond)
 }
 
 // TestHealthRequarantineDoublesBackoff fails a rejoining shard and checks it
@@ -259,9 +257,9 @@ func TestHealthSlowPassDegradesNeverQuarantines(t *testing.T) {
 		now:                 clock.now,
 	}
 	m := NewHealthManager(1, cfg, nil, nil, nil)
-	slow := func() { m.Release(0, exec.GateSuccess, 50*time.Millisecond) }
-	m.Acquire(0)
-	m.Acquire(0)
+	slow := func() { m.release(0, signalPass, 50*time.Millisecond) }
+	m.acquire(0, false)
+	m.acquire(0, false)
 	slow()
 	slow()
 	if s := m.State(0); s != ShardDegraded {
@@ -270,7 +268,7 @@ func TestHealthSlowPassDegradesNeverQuarantines(t *testing.T) {
 	// While degraded, slow successes count as passes: the shard answers
 	// correctly, so it recovers rather than sinking to quarantine.
 	for i := 0; i < 10; i++ {
-		m.Acquire(0)
+		m.acquire(0, false)
 		slow()
 		if s := m.State(0); s == ShardQuarantined {
 			t.Fatal("slowness alone quarantined a serving shard")
@@ -293,11 +291,11 @@ func TestHealthConcurrentSignals(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				shard := i % 2
-				if m.Acquire(shard) {
+				if m.acquire(shard, false) {
 					if i%3 == 0 {
-						m.Release(shard, exec.GateFailure, time.Millisecond)
+						m.release(shard, signalFail, time.Millisecond)
 					} else {
-						m.Release(shard, exec.GateSuccess, time.Millisecond)
+						m.release(shard, signalPass, time.Millisecond)
 					}
 				}
 				if i%7 == 0 {

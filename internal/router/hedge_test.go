@@ -1,68 +1,47 @@
-package exec
+package router
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 )
 
-// hedgePolicy builds a test policy with a fixed trigger delay and a
-// recording outcome sink.
-func hedgePolicy(delay time.Duration, budget *HedgeBudget) (*HedgePolicy, *outcomeLog) {
-	log := &outcomeLog{}
-	return &HedgePolicy{
-		Delay:  func(int) time.Duration { return delay },
-		Budget: budget,
-		Compare: func(primary, hedge any) error {
-			if primary != hedge {
-				return fmt.Errorf("%v vs %v", primary, hedge)
-			}
-			return nil
-		},
-		OnOutcome: log.note,
-	}, log
-}
-
-type outcomeLog struct {
-	mu  sync.Mutex
-	out []string
-}
-
-func (l *outcomeLog) note(o string) {
-	l.mu.Lock()
-	l.out = append(l.out, o)
-	l.mu.Unlock()
-}
-
-func (l *outcomeLog) count(o string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, v := range l.out {
-		if v == o {
-			n++
+// hedgeDispatcher builds a hedging dispatcher over n shards whose latency
+// rings already hold enough samples of `trigger` to hedge at exactly that
+// delay, with metrics on so tests can read the hedge outcomes.
+func hedgeDispatcher(n int, trigger time.Duration, budget *hedgeBudget) (*dispatcher, *obs.Registry) {
+	reg := obs.NewRegistry()
+	d := testDispatcher(n, HealthConfig{FailThreshold: 1}, nil)
+	d.budget = budget
+	d.metrics = obs.NewRouterMetrics(reg)
+	for shard := 0; shard < n; shard++ {
+		for i := 0; i < hedgeMinSamples; i++ {
+			d.lat.note(shard, trigger)
 		}
 	}
-	return n
+	return d, reg
+}
+
+// hedgeCount reads accelscore_router_hedges_total{outcome}.
+func hedgeCount(reg *obs.Registry, outcome string) float64 {
+	return reg.Counter(obs.MetricRouterHedgesTotal, "", "outcome", outcome).Value()
 }
 
 // TestHedgeWinBitIdentical stalls the primary so the hedge fires, answers
 // identically from the replica, and checks the merged outcome: hedge won,
 // value intact, no error.
 func TestHedgeWinBitIdentical(t *testing.T) {
-	hp, log := hedgePolicy(5*time.Millisecond, NewHedgeBudget(1, 4))
-	d, err := NewDispatcher(DispatcherConfig{Shards: 2, Hedge: hp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := d.Scatter(context.Background(), parts(1),
-		func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
+	d, reg := hedgeDispatcher(2, 5*time.Millisecond, newHedgeBudget(1, 4))
+	results := d.scatter(context.Background(), parts(1),
+		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard == 0 { // primary stalls past the trigger
 				select {
 				case <-time.After(500 * time.Millisecond):
@@ -70,20 +49,29 @@ func TestHedgeWinBitIdentical(t *testing.T) {
 					return nil, ctx.Err()
 				}
 			}
-			return "answer", nil
+			return answer("answer"), nil
 		})
 	r := results[0]
 	if r.Err != nil {
 		t.Fatalf("hedged partition failed: %v", r.Err)
 	}
-	if r.Value != "answer" || r.Shard != 1 {
+	if r.Value.ShardID != "answer" || r.Shard != 1 {
 		t.Fatalf("got value %v from shard %d, want answer from shard 1", r.Value, r.Shard)
 	}
 	if !r.Hedged || !r.HedgeWon {
 		t.Fatalf("Hedged=%v HedgeWon=%v, want both true", r.Hedged, r.HedgeWon)
 	}
-	if log.count(HedgeWin) != 1 {
-		t.Fatalf("outcomes %v, want one win", log.out)
+	if hedgeCount(reg, hedgeWin) != 1 {
+		t.Fatal("want one win")
+	}
+	// The reaped primary is nobody's fault: one strike would have degraded it.
+	if s := d.health.State(0); s != ShardHealthy {
+		t.Fatalf("reaped hedge loser left shard 0 %s", s)
+	}
+	// The trigger the race used is the one /metrics shows.
+	got := reg.Gauge(obs.MetricRouterHedgeTrigger, "", "shard", "0").Value()
+	if got != (5 * time.Millisecond).Seconds() {
+		t.Fatalf("published hedge trigger %v s, want 0.005", got)
 	}
 }
 
@@ -92,19 +80,15 @@ func TestHedgeWinBitIdentical(t *testing.T) {
 // compared and the divergence must fail the query loudly (NoReroute), never
 // silently pick one side.
 func TestHedgeMismatchFailsLoudly(t *testing.T) {
-	hp, log := hedgePolicy(5*time.Millisecond, NewHedgeBudget(1, 4))
-	d, err := NewDispatcher(DispatcherConfig{Shards: 2, Hedge: hp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := d.Scatter(context.Background(), parts(1),
-		func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
+	d, reg := hedgeDispatcher(2, 5*time.Millisecond, newHedgeBudget(1, 4))
+	results := d.scatter(context.Background(), parts(1),
+		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard == 0 {
 				// Outlive the trigger, ignore the cancel, answer divergently.
 				time.Sleep(25 * time.Millisecond)
-				return "primary-answer", nil
+				return &Result{Predictions: []int{1}}, nil
 			}
-			return "hedge-answer", nil
+			return &Result{Predictions: []int{2}}, nil
 		})
 	r := results[0]
 	if r.Err == nil {
@@ -116,8 +100,8 @@ func TestHedgeMismatchFailsLoudly(t *testing.T) {
 	if !strings.Contains(r.Err.Error(), "divergent") {
 		t.Fatalf("mismatch error %q should name the divergence", r.Err)
 	}
-	if log.count(HedgeMismatch) != 1 {
-		t.Fatalf("outcomes %v, want one mismatch", log.out)
+	if hedgeCount(reg, hedgeMismatch) != 1 {
+		t.Fatal("want one mismatch")
 	}
 }
 
@@ -125,33 +109,29 @@ func TestHedgeMismatchFailsLoudly(t *testing.T) {
 // are denied: the primary's answer is awaited instead, and no hedge call
 // reaches another shard.
 func TestHedgeBudgetExhaustion(t *testing.T) {
-	budget := NewHedgeBudget(0.001, 1) // one token, near-zero earn rate
-	if !budget.TrySpend() {
+	budget := newHedgeBudget(0.001, 1) // one token, near-zero earn rate
+	if !budget.trySpend() {
 		t.Fatal("budget should start with its burst available")
 	}
-	hp, log := hedgePolicy(time.Millisecond, budget)
-	d, err := NewDispatcher(DispatcherConfig{Shards: 2, Hedge: hp})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, reg := hedgeDispatcher(2, time.Millisecond, budget)
 	var hedgeCalls sync.Map
-	results := d.Scatter(context.Background(), parts(1),
-		func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
-			if IsHedgeAttempt(ctx) {
+	results := d.scatter(context.Background(), parts(1),
+		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
+			if isHedgeAttempt(ctx) {
 				hedgeCalls.Store(shard, true)
 			}
 			time.Sleep(10 * time.Millisecond) // outlive the trigger
-			return "answer", nil
+			return answer("answer"), nil
 		})
 	r := results[0]
-	if r.Err != nil || r.Value != "answer" || r.Shard != 0 {
+	if r.Err != nil || r.Value.ShardID != "answer" || r.Shard != 0 {
 		t.Fatalf("got %v from shard %d (err %v), want primary answer", r.Value, r.Shard, r.Err)
 	}
 	if r.HedgeWon {
 		t.Fatal("no hedge launched, so none can win")
 	}
-	if log.count(HedgeDenied) != 1 {
-		t.Fatalf("outcomes %v, want one denied", log.out)
+	if hedgeCount(reg, hedgeDenied) != 1 {
+		t.Fatal("want one denied")
 	}
 	n := 0
 	hedgeCalls.Range(func(_, _ any) bool { n++; return true })
@@ -163,48 +143,45 @@ func TestHedgeBudgetExhaustion(t *testing.T) {
 // TestHedgeBudgetEarnRate checks the token bucket's arithmetic: fraction f
 // per earn, capped at burst, one token per spend.
 func TestHedgeBudgetEarnRate(t *testing.T) {
-	b := NewHedgeBudget(0.5, 2)
-	if !b.TrySpend() || !b.TrySpend() {
+	b := newHedgeBudget(0.5, 2)
+	if !b.trySpend() || !b.trySpend() {
 		t.Fatal("burst of 2 should allow two immediate spends")
 	}
-	if b.TrySpend() {
+	if b.trySpend() {
 		t.Fatal("third spend should fail on an empty bucket")
 	}
 	b.earn() // 0.5
-	if b.TrySpend() {
+	if b.trySpend() {
 		t.Fatal("half a token must not allow a spend")
 	}
 	b.earn() // 1.0
-	if !b.TrySpend() {
+	if !b.trySpend() {
 		t.Fatal("two earns at fraction 0.5 should fund one hedge")
 	}
 }
 
-// TestHedgeSkipsUnhealthyTarget marks every replica unhealthy: the trigger
-// fires, no target is found, the token is refunded, and the primary serves.
+// TestHedgeSkipsUnhealthyTarget degrades every replica: the trigger fires,
+// no target is found, the token is refunded, and the primary serves.
 func TestHedgeSkipsUnhealthyTarget(t *testing.T) {
-	budget := NewHedgeBudget(1, 1)
-	hp, log := hedgePolicy(time.Millisecond, budget)
-	hp.Healthy = func(shard int) bool { return shard == 0 }
-	d, err := NewDispatcher(DispatcherConfig{Shards: 3, Hedge: hp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := d.Scatter(context.Background(), parts(1),
-		func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
+	budget := newHedgeBudget(1, 1)
+	d, reg := hedgeDispatcher(3, time.Millisecond, budget)
+	fail(d.health, 1, 1)
+	fail(d.health, 2, 1)
+	results := d.scatter(context.Background(), parts(1),
+		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard != 0 {
 				t.Errorf("hedge reached unhealthy shard %d", shard)
 			}
 			time.Sleep(10 * time.Millisecond)
-			return "answer", nil
+			return answer("answer"), nil
 		})
-	if results[0].Err != nil || results[0].Value != "answer" {
+	if results[0].Err != nil || results[0].Value.ShardID != "answer" {
 		t.Fatalf("primary should have served: %+v", results[0])
 	}
-	if log.count(HedgeDenied) != 1 {
-		t.Fatalf("outcomes %v, want one denied", log.out)
+	if hedgeCount(reg, hedgeDenied) != 1 {
+		t.Fatal("want one denied")
 	}
-	if !budget.TrySpend() {
+	if !budget.trySpend() {
 		t.Fatal("aborted hedge should have refunded its token")
 	}
 }
@@ -214,13 +191,10 @@ func TestHedgeSkipsUnhealthyTarget(t *testing.T) {
 // attempt reachable via errors.Is, and reports the preferred shard in the
 // result.
 func TestRouteErrorLeadsWithPreferredShard(t *testing.T) {
-	d, err := NewDispatcher(DispatcherConfig{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testDispatcher(3, HealthConfig{}, nil)
 	preferredErr := errors.New("disk on fire")
-	results := d.Scatter(context.Background(), parts(3)[1:2], // partition 1 only
-		func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
+	results := d.scatter(context.Background(), parts(3)[1:2], // partition 1 only
+		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard == 1 {
 				return nil, preferredErr
 			}
@@ -251,21 +225,26 @@ func TestRouteErrorLeadsWithPreferredShard(t *testing.T) {
 	}
 }
 
-// TestRouteErrorAllBreakersOpen preserves the ErrShardBreakerOpen contract
-// through the RouteError wrapper.
-func TestRouteErrorAllBreakersOpen(t *testing.T) {
-	d, err := NewDispatcher(DispatcherConfig{Shards: 2, BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fail := func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
+// TestRouteErrorAllQuarantined preserves the ErrNoShardAvailable contract
+// through the RouteError wrapper, for every partition of a scatter.
+func TestRouteErrorAllQuarantined(t *testing.T) {
+	d := testDispatcher(2, oneStrike(), nil)
+	down := func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 		return nil, errors.New("down")
 	}
-	d.Scatter(context.Background(), parts(2), fail) // opens both breakers
-	results := d.Scatter(context.Background(), parts(2), fail)
-	for _, r := range results {
-		if !errors.Is(r.Err, ErrShardBreakerOpen) {
-			t.Fatalf("want ErrShardBreakerOpen via RouteError, got %v", r.Err)
+	d.scatter(context.Background(), parts(2), down) // two failures each: both quarantined
+	for i := 0; i < 2; i++ {
+		if s := d.health.State(i); s != ShardQuarantined {
+			t.Fatalf("shard %d is %s, want quarantined", i, s)
+		}
+	}
+	for _, r := range d.scatter(context.Background(), parts(2), down) {
+		var re *RouteError
+		if !errors.As(r.Err, &re) || !errors.Is(r.Err, ErrNoShardAvailable) {
+			t.Fatalf("want ErrNoShardAvailable via RouteError, got %v", r.Err)
+		}
+		if code := statusFor(r.Err); code != http.StatusServiceUnavailable {
+			t.Fatalf("maps to HTTP %d, want 503", code)
 		}
 	}
 }

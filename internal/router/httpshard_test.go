@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"accelscore/internal/exec"
 	"accelscore/internal/obs"
 	"accelscore/internal/router"
 )
@@ -105,7 +104,7 @@ func TestHTTPShardDecodesByContentType(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: decoded to %+v", name, res)
 		}
-		if exec.IsNoReroute(err) || !strings.Contains(err.Error(), "shard bad") {
+		if router.IsNoReroute(err) || !strings.Contains(err.Error(), "shard bad") {
 			t.Fatalf("%s: error %q should name the shard and stay rerouteable", name, err)
 		}
 	}

@@ -76,11 +76,9 @@ func (t *latencyTracker) p95(shard, minSamples int) time.Duration {
 // ordinals, class counts, and row accounting. Any divergence is a
 // correctness event that fails the query loudly (the dispatcher wraps it
 // NoReroute), never a silent pick-one.
-func compareResults(primary, hedge any) error {
-	a, ok1 := primary.(*Result)
-	b, ok2 := hedge.(*Result)
-	if !ok1 || !ok2 || a == nil || b == nil {
-		return fmt.Errorf("non-result hedge pair (%T vs %T)", primary, hedge)
+func compareResults(a, b *Result) error {
+	if a == nil || b == nil {
+		return fmt.Errorf("hedge pair with a missing result")
 	}
 	if len(a.Predictions) != len(b.Predictions) {
 		return fmt.Errorf("prediction count %d vs %d", len(a.Predictions), len(b.Predictions))

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"accelscore/internal/db"
-	"accelscore/internal/exec"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 )
@@ -17,10 +16,6 @@ import (
 type Config struct {
 	// Backends are the shard replicas, one per partition index.
 	Backends []Backend
-	// BreakerThreshold and BreakerCooldown tune the per-shard circuit
-	// breakers (zero values take the dispatcher defaults).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// AllowPartial degrades a query with unreachable partitions to an
 	// explicit partial result (Merged.Partial=true, missing partitions
 	// listed) instead of failing it. Predictions for missing partitions
@@ -44,49 +39,24 @@ type Config struct {
 	Admission *AdmissionConfig
 }
 
-// HedgeConfig tunes tail-latency hedging. Zero values take the noted
-// defaults.
+// HedgeConfig tunes the hedge budget. Zero values take the noted defaults.
 type HedgeConfig struct {
-	// Disabled turns hedging off even when the config is present.
-	Disabled bool
 	// MaxFraction caps hedges as a fraction of dispatched sub-queries
 	// (default 0.05 — at most ~5% of requests hedge).
 	MaxFraction float64
 	// Burst is the hedge token-bucket depth (default 4).
 	Burst int
-	// MinDelay floors the adaptive trigger (default 2ms) so network
-	// micro-jitter can't hedge everything.
-	MinDelay time.Duration
-	// MinSamples is how many latency observations a shard needs before
-	// hedging engages for it (default 8).
-	MinSamples int
-}
-
-func (c *HedgeConfig) fill() {
-	if c.MaxFraction <= 0 {
-		c.MaxFraction = 0.05
-	}
-	if c.Burst <= 0 {
-		c.Burst = 4
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = 2 * time.Millisecond
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
 }
 
 // Router scatters scoring queries across shard replicas and gathers the
 // results. Safe for concurrent use.
 type Router struct {
 	cfg     Config
-	disp    *exec.Dispatcher
+	disp    *dispatcher
 	metrics *obs.RouterMetrics
 	tracer  *obs.Tracer
 	health  *HealthManager
 	adm     *admission
-	lat     *latencyTracker
 	// reroutes counts partitions routed away from each preferred shard
 	// (the /healthz per-shard ledger).
 	reroutes []atomic.Uint64
@@ -101,12 +71,11 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("router: no shard backends")
 	}
 	n := len(cfg.Backends)
-	r := &Router{cfg: cfg, lat: newLatencyTracker(n), reroutes: make([]atomic.Uint64, n)}
+	r := &Router{cfg: cfg, reroutes: make([]atomic.Uint64, n)}
 	if cfg.Obs != nil {
 		r.metrics = obs.NewRouterMetrics(cfg.Obs.Metrics())
 		r.tracer = cfg.Obs.Tracer
 		for i := range cfg.Backends {
-			r.metrics.SetBreakerState(i, 0)
 			r.metrics.SetShardState(i, int(ShardHealthy))
 		}
 	}
@@ -123,38 +92,17 @@ func New(cfg Config) (*Router, error) {
 		func(i int, s ShardState) { r.metrics.SetShardState(i, int(s)) },
 	)
 
-	dcfg := exec.DispatcherConfig{
-		Shards:           n,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
-		Gate:             r.health,
-	}
-	if cfg.Hedge != nil && !cfg.Hedge.Disabled {
-		hc := *cfg.Hedge
-		hc.fill()
-		dcfg.Hedge = &exec.HedgePolicy{
-			Delay: func(shard int) time.Duration {
-				p := r.lat.p95(shard, hc.MinSamples)
-				if p <= 0 {
-					return 0
-				}
-				if p < hc.MinDelay {
-					p = hc.MinDelay
-				}
-				return p
-			},
-			Budget:    exec.NewHedgeBudget(hc.MaxFraction, hc.Burst),
-			Healthy:   r.health.IsHealthy,
-			Compare:   compareResults,
-			OnOutcome: func(o string) { r.metrics.NoteHedge(o) },
-		}
-	}
-	disp, err := exec.NewDispatcher(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	r.disp = disp
 	r.adm = newAdmission(cfg.Admission, n, func(class string) { r.metrics.NoteAdmissionShed(class) })
+	r.disp = &dispatcher{
+		shards:  n,
+		health:  r.health,
+		adm:     r.adm,
+		lat:     newLatencyTracker(n),
+		metrics: r.metrics,
+	}
+	if cfg.Hedge != nil {
+		r.disp.budget = newHedgeBudget(cfg.Hedge.MaxFraction, cfg.Hedge.Burst)
+	}
 
 	if len(cfg.WarmModels) > 0 {
 		to := cfg.WarmTimeout
@@ -207,15 +155,6 @@ func (r *Router) PredictedLatency() time.Duration { return r.adm.predicted() }
 // Shards returns the scatter width.
 func (r *Router) Shards() int { return len(r.cfg.Backends) }
 
-// ShardStates returns each shard's circuit state name.
-func (r *Router) ShardStates() []string {
-	out := make([]string, r.Shards())
-	for i := range out {
-		out[i] = r.disp.ShardStateName(i)
-	}
-	return out
-}
-
 // WarmStatus is one shard's outcome of a warm fan-out.
 type WarmStatus struct {
 	Shard  string `json:"shard"`
@@ -253,8 +192,8 @@ func (r *Router) Warm(ctx context.Context, model string) []WarmStatus {
 type QueryOptions struct {
 	// Tenant, when non-empty, engages tenant affinity: the whole query
 	// (unpartitioned) routes to the tenant's home shard — FNV over the
-	// tenant key — keeping that tenant's model cache and breaker history
-	// on one replica. Failures still reroute to other shards.
+	// tenant key — keeping that tenant's model cache on one replica.
+	// Failures still reroute to other shards.
 	Tenant string
 	// Class is the query's SLO priority class for admission control
 	// (see AdmissionConfig.Classes; unknown or empty classes get the
@@ -337,17 +276,10 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 	}
 
 	base := WireRequest(req)
-	dres := r.disp.Scatter(ctx, parts, func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
-		slot, serr := r.adm.acquireShard(ctx, shard)
-		if serr != nil {
-			// A saturated shard fast-fails (rerouteable): the dispatcher
-			// moves the partition to a less loaded replica.
-			return nil, serr
-		}
-		defer slot()
+	dres := r.disp.scatter(ctx, parts, func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 		lane := fmt.Sprintf("shard %d", shard)
 		name := "sub-query"
-		if exec.IsHedgeAttempt(ctx) {
+		if isHedgeAttempt(ctx) {
 			name = "hedge"
 		}
 		if part.Active() {
@@ -361,11 +293,11 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 		return r.cfg.Backends[shard].Score(ctx, wreq)
 	})
 
-	// Telemetry: per-shard latency/reroutes, breaker states, straggler gap.
+	// Telemetry: reroutes, hedges, and the straggler gap over the
+	// partitions that have a result.
 	var minLat, maxLat time.Duration
-	reroutes, hedges, hedgeWins := 0, 0, 0
-	for i, d := range dres {
-		r.metrics.ObserveShard(d.Shard, d.Latency, d.Reroutes)
+	reroutes, hedges, hedgeWins, answered := 0, 0, 0, 0
+	for _, d := range dres {
 		reroutes += d.Reroutes
 		if d.Reroutes > 0 {
 			r.reroutes[d.Part.Index%n].Add(uint64(d.Reroutes))
@@ -377,36 +309,30 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 			}
 		}
 		if d.Err == nil {
-			r.lat.note(d.Shard, d.Latency)
-			if i == 0 || d.Latency < minLat {
+			if answered == 0 || d.Latency < minLat {
 				minLat = d.Latency
 			}
 			if d.Latency > maxLat {
 				maxLat = d.Latency
 			}
+			answered++
 		}
 	}
-	for i := 0; i < n; i++ {
-		r.metrics.SetBreakerState(i, r.disp.ShardState(i))
-	}
 	gap := maxLat - minLat
-	if gap < 0 {
-		gap = 0
-	}
 	tr.SetAttr("straggler_gap", gap.String())
 
 	// A query-level error (unknown model, malformed filter) fails
 	// identically on every replica: surface it as the query's own error,
 	// never as a partial result.
 	for _, d := range dres {
-		if exec.IsNoReroute(d.Err) {
+		if IsNoReroute(d.Err) {
 			r.metrics.ObserveQuery("error", len(parts), gap)
 			tr.SetAttr("error", d.Err.Error())
 			return nil, d.Err
 		}
 	}
 
-	pe := exec.Partial(dres)
+	pe := partial(dres)
 	if pe != nil && (!r.cfg.AllowPartial || len(pe.Missing) == len(parts)) {
 		r.metrics.ObserveQuery("error", len(parts), gap)
 		tr.SetAttr("error", pe.Error())
@@ -424,12 +350,11 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 		if d.Err != nil {
 			continue
 		}
-		res, ok := d.Value.(*Result)
-		if !ok || res == nil {
+		if d.Value == nil {
 			r.metrics.ObserveQuery("error", len(parts), gap)
 			return nil, fmt.Errorf("router: shard %d returned no result", d.Shard)
 		}
-		byPart[i] = res
+		byPart[i] = d.Value
 		latencies[i] = d.Latency
 	}
 	endMerge := tr.StartSpan("merge")

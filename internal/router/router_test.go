@@ -12,7 +12,6 @@ import (
 
 	"accelscore/internal/dataset"
 	"accelscore/internal/db"
-	"accelscore/internal/exec"
 	"accelscore/internal/forest"
 	"accelscore/internal/hw"
 	"accelscore/internal/obs"
@@ -217,8 +216,8 @@ func TestRouterPartialShardFailure(t *testing.T) {
 	for i := range backends {
 		backends[i] = &router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: newShardPipeline(t, rows)}
 	}
-	// Kill shard 1 outright; with MaxReroutes at default every partition
-	// still lands on a healthy replica, so first check pure rerouting.
+	// Kill shard 1 outright; every partition still lands on a healthy
+	// replica, so first check pure rerouting.
 	backends[1] = &failingBackend{Backend: backends[1]}
 	r, err := router.New(router.Config{Backends: backends})
 	if err != nil {
@@ -256,21 +255,21 @@ func TestRouterPartialShardFailure(t *testing.T) {
 			part:    "1/3",
 		}
 	}
-	strict, err := router.New(router.Config{Backends: allDead, BreakerThreshold: -1})
+	strict, err := router.New(router.Config{Backends: allDead})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = strict.Query(context.Background(), plainSQL, router.QueryOptions{})
-	var pe *exec.PartialError
+	var pe *router.PartialError
 	if !errors.As(err, &pe) {
-		t.Fatalf("strict mode error = %v, want *exec.PartialError", err)
+		t.Fatalf("strict mode error = %v, want *router.PartialError", err)
 	}
 	if len(pe.Missing) == 0 {
 		t.Fatal("PartialError lists no missing partitions")
 	}
 
 	// Partial mode => explicit partial result, surviving rows exact.
-	partial, err := router.New(router.Config{Backends: allDead, BreakerThreshold: -1, AllowPartial: true})
+	partial, err := router.New(router.Config{Backends: allDead, AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,20 +323,20 @@ func TestRouterRejectsBadSQL(t *testing.T) {
 			t.Fatalf("router accepted %q", sql)
 		}
 	}
-	// Unknown model: query-level error, never partial, never rerouted into
-	// a breaker storm.
+	// Unknown model: query-level error, never partial, never charged to the
+	// shards that answered it.
 	_, err := r.Query(context.Background(),
 		"EXEC sp_score_model @model='nope', @data='iris'", router.QueryOptions{})
 	if err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	var pe *exec.PartialError
+	var pe *router.PartialError
 	if errors.As(err, &pe) {
 		t.Fatalf("query-level error surfaced as PartialError: %v", err)
 	}
-	for i, state := range r.ShardStates() {
-		if state != "closed" {
-			t.Fatalf("query-level error charged shard %d breaker (%s)", i, state)
+	for i := 0; i < r.Shards(); i++ {
+		if snap := r.Health().Snapshot(i); snap.State != router.ShardHealthy || snap.Transitions != 0 {
+			t.Fatalf("query-level error charged shard %d: %+v", i, snap)
 		}
 	}
 }
@@ -414,15 +413,14 @@ func TestRouterHandler(t *testing.T) {
 	var health struct {
 		Status string `json:"status"`
 		Shards []struct {
-			Shard   string `json:"shard"`
-			Breaker string `json:"breaker"`
-			OK      bool   `json:"ok"`
+			Shard string `json:"shard"`
+			State string `json:"state"`
 		} `json:"shards"`
 	}
 	if err := json.NewDecoder(hz.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Status != "ok" || len(health.Shards) != 3 {
+	if health.Status != "ok" || len(health.Shards) != 3 || health.Shards[0].State != "healthy" {
 		t.Fatalf("health %+v", health)
 	}
 

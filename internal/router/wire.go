@@ -2,10 +2,12 @@
 // front that hash-partitions a scoring query's rows across N data-symmetric
 // shard replicas (every shard holds the full table; FNV over the stable row
 // ordinal assigns each row to exactly one partition), scatters one
-// sub-query per partition through per-shard circuit breakers, and merges
-// the shard results — predictions keyed by scan ordinal, class-count
-// histograms summed, simulated O/L/C timelines folded per stage — into a
-// single result bit-identical to a single-node run.
+// sub-query per partition to the shards its health state machine lets take
+// traffic, and merges the shard results — predictions keyed by scan
+// ordinal, class-count histograms summed, simulated O/L/C timelines folded
+// per stage — into a single result bit-identical to a single-node run. The
+// package owns the whole routing decision: scatter and reroute, hedging,
+// shard health and admission.
 //
 // The paper's question ("is acceleration worth the overheads?") recurs at
 // tier scale: the scatter buys parallel scoring but pays router overheads
