@@ -3,14 +3,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
-	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
-	"accelscore/internal/exec"
+	"accelscore/internal/harness"
 )
 
 // runFusionBench executes the fused-vs-unfused selectivity matrix and writes
@@ -18,13 +14,20 @@ import (
 // harness itself verifies, on every repetition, that fused answers equal
 // post-filtering the unfused ones — a divergence aborts with an error before
 // any artifact is written, so a published number is always a verified one.
-func runFusionBench(cfg exec.FusionBenchConfig, jsonOut string) error {
-	if jsonOut == "" {
-		jsonOut = "BENCH_fusion.json"
+func runFusionBench(o *options) error {
+	cfg := harness.FusionBenchConfig{
+		Rows:          o.rows,
+		Trees:         intList(o.trees)[0],
+		Depth:         intList(o.depths)[0],
+		Seed:          o.seed,
+		Repeats:       o.repeats,
+		Selectivities: floatList(o.selectivities),
+		JunkCols:      o.junkCols,
+		Backend:       o.backend,
 	}
 	log.Printf("fusion bench: %d rows, %d trees x depth %d, backend %s, %d junk cols, selectivities %v, %d repeats",
 		cfg.Rows, cfg.Trees, cfg.Depth, cfg.Backend, cfg.JunkCols, cfg.Selectivities, cfg.Repeats)
-	rep, err := exec.RunFusionBench(cfg)
+	rep, err := harness.RunFusionBench(cfg)
 	if err != nil {
 		return err
 	}
@@ -40,28 +43,21 @@ func runFusionBench(cfg exec.FusionBenchConfig, jsonOut string) error {
 			time.Duration(c.FusedNS).Round(time.Microsecond), c.Speedup)
 	}
 
-	doc := envelope("fusion")
-	doc["report"] = rep
-	if err := writeJSON(jsonOut, doc); err != nil {
-		return err
-	}
-	mdPath := filepath.Join("results", "fusion_bench.md")
-	if err := writeFusionMarkdown(mdPath, rep); err != nil {
-		return err
-	}
-	log.Printf("wrote %s and %s", mdPath, jsonOut)
-	return nil
+	return harness.WriteReport(o.jsonOut, fusionDoc(rep), "fusion_bench.md", fusionMarkdown(rep))
 }
 
-// writeFusionMarkdown renders the matrix for results/.
-func writeFusionMarkdown(path string, rep *exec.FusionBenchReport) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
+// fusionDoc assembles the fusion JSON artifact on the common envelope.
+func fusionDoc(rep *harness.FusionBenchReport) map[string]any {
+	doc := harness.Envelope("fusion")
+	doc["report"] = rep
+	return doc
+}
+
+// fusionMarkdown renders the matrix for results/.
+func fusionMarkdown(rep *harness.FusionBenchReport) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Operator fusion: pushed-down WHERE vs score-all-then-filter\n\n")
-	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -bench-fusion` on %s/%s, GOMAXPROCS=%d (%d CPU).\n\n",
-		runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -bench-fusion` on %s.\n\n", harness.Host())
 	fmt.Fprintf(&sb, "Workload: %d-row tables, %d trees x depth %d on %s, caches off "+
 		"(every query pays its own snapshot conversion and model deserialization), "+
 		"median of %d repetitions. The unfused baseline scores every row and filters "+
@@ -71,11 +67,12 @@ func writeFusionMarkdown(path string, rep *exec.FusionBenchReport) error {
 		rep.Rows, rep.Trees, rep.Depth, rep.Backend, rep.Repeats)
 
 	sb.WriteString("## Projection pruning (snapshot conversion only)\n\n")
-	sb.WriteString("| table | REAL columns | feature columns | full conversion | pruned conversion | speedup |\n")
-	sb.WriteString("|---|---:|---:|---:|---:|---:|\n")
+	tbl := harness.NewTable(&sb, []harness.Col{
+		{"table", "%s"}, {"REAL columns:", "%d"}, {"feature columns:", "%d"},
+		{"full conversion:", "%v"}, {"pruned conversion:", "%v"}, {"speedup:", "%.2fx"},
+	})
 	for _, t := range rep.Tables {
-		fmt.Fprintf(&sb, "| %s | %d | %d | %v | %v | %.2fx |\n",
-			t.Table, t.RealColumns, t.FeatureCols,
+		tbl.Row(t.Table, t.RealColumns, t.FeatureCols,
 			time.Duration(t.ConvertFullNS).Round(time.Microsecond),
 			time.Duration(t.ConvertPrunedNS).Round(time.Microsecond), t.ConvertSpeedup)
 	}
@@ -85,11 +82,13 @@ func writeFusionMarkdown(path string, rep *exec.FusionBenchReport) error {
 		"cost a function of the model, not the table.\n\n")
 
 	sb.WriteString("## Predicate pushdown (end-to-end queries)\n\n")
-	sb.WriteString("| table | selectivity | rows scored / scanned | unfused | fused | speedup | unfused sim | fused sim |\n")
-	sb.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|\n")
+	tbl = harness.NewTable(&sb, []harness.Col{
+		{"table", "%s"}, {"selectivity:", "%.0f%%"}, {"rows scored / scanned:", "%s"},
+		{"unfused:", "%v"}, {"fused:", "%v"}, {"speedup:", "%.2fx"},
+		{"unfused sim:", "%v"}, {"fused sim:", "%v"},
+	})
 	for _, c := range rep.Cells {
-		fmt.Fprintf(&sb, "| %s | %.0f%% | %d / %d | %v | %v | %.2fx | %v | %v |\n",
-			c.Table, 100*c.Selectivity, c.RowsScored, c.RowsScanned,
+		tbl.Row(c.Table, 100*c.Selectivity, fmt.Sprintf("%d / %d", c.RowsScored, c.RowsScanned),
 			time.Duration(c.UnfusedNS).Round(time.Microsecond),
 			time.Duration(c.FusedNS).Round(time.Microsecond), c.Speedup,
 			time.Duration(c.UnfusedSimNS).Round(time.Microsecond),
@@ -103,22 +102,5 @@ func writeFusionMarkdown(path string, rep *exec.FusionBenchReport) error {
 		"row. The simulated timelines shrink the same way: transfer and pre-processing " +
 		"still charge scanned rows, but scoring and post-processing charge only scored " +
 		"ones.\n")
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
-}
-
-// floatList parses "0.01,0.1,1" into []float64.
-func floatList(s string) []float64 {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			log.Fatalf("bad float list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out
+	return &sb
 }

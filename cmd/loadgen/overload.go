@@ -25,53 +25,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
+	"accelscore/internal/harness"
 	"accelscore/internal/obs"
 	"accelscore/internal/router"
 )
-
-// overloadConfig parameterizes the overload bench.
-type overloadConfig struct {
-	// ServeBin is a prebuilt serve binary; empty builds one.
-	ServeBin string
-	// Shards is the tier width (>= 3: one straggler, one kill victim, one
-	// flap victim still leaves a survivor through reroutes).
-	Shards int
-	// Records is the demo table size per shard.
-	Records int
-	// Backend is the engine every query requests.
-	Backend string
-	// PaceScale paces each shard to PaceScale x its simulated total; the
-	// straggler shard runs at PaceScale*SlowFactor.
-	PaceScale  float64
-	SlowFactor float64
-	// CellDuration is the open-loop window per sweep cell.
-	CellDuration time.Duration
-	// LoadMultiples are the offered-load points, as multiples of the
-	// calibrated saturation throughput.
-	LoadMultiples []float64
-	// Deadline is the per-query deadline carried by every open-loop
-	// arrival (what deadline-aware shedding trades against).
-	Deadline time.Duration
-	// MaxInFlight bounds the router's concurrent queries (0 = 2x shards).
-	MaxInFlight int
-	// Seed drives the arrival processes.
-	Seed uint64
-	// Chaos enables the kill+flap cell (on by default; CI smoke keeps it).
-	Chaos bool
-}
 
 // overloadClasses is the admission priority spelling used by the harness:
 // interactive sheds last, batch first.
@@ -79,23 +42,22 @@ const overloadClasses = "interactive=250ms,batch=2s"
 
 // overloadCell is one open-loop sweep point.
 type overloadCell struct {
-	Arrival     string            `json:"arrival"`
-	LoadMult    float64           `json:"load_multiple"`
-	OfferedQPS  float64           `json:"offered_qps"`
-	DurationNS  int64             `json:"duration_ns"`
-	Offered     int               `json:"offered"`
-	Accepted    int               `json:"accepted"`
-	Shed        int               `json:"shed"`
-	Failed      int               `json:"failed"`
-	Wrong       int               `json:"wrong"`
-	GoodputQPS  float64           `json:"goodput_qps"`
-	P50NS       int64             `json:"p50_ns"`
-	P95NS       int64             `json:"p95_ns"`
-	P99NS       int64             `json:"p99_ns"`
-	Hedges      int               `json:"hedges"`
-	HedgeWins   int               `json:"hedge_wins"`
-	Reroutes    int               `json:"reroutes"`
-	ShedByClass map[string]uint64 `json:"shed_by_class,omitempty"`
+	Arrival    string  `json:"arrival"`
+	LoadMult   float64 `json:"load_multiple"`
+	OfferedQPS float64 `json:"offered_qps"`
+	DurationNS int64   `json:"duration_ns"`
+	Offered    int     `json:"offered"`
+	Accepted   int     `json:"accepted"`
+	Shed       int     `json:"shed"`
+	Failed     int     `json:"failed"`
+	Wrong      int     `json:"wrong"`
+	GoodputQPS float64 `json:"goodput_qps"`
+	P50NS      int64   `json:"p50_ns"`
+	P95NS      int64   `json:"p95_ns"`
+	P99NS      int64   `json:"p99_ns"`
+	Hedges     int     `json:"hedges"`
+	HedgeWins  int     `json:"hedge_wins"`
+	Reroutes   int     `json:"reroutes"`
 }
 
 // overloadChaosReport is the kill+flap cell's verdict.
@@ -123,14 +85,14 @@ type overloadChaosReport struct {
 
 // overloadRouter builds the harness router: health probing, hedging, and
 // admission all on.
-func overloadRouter(backends []router.Backend, cfg overloadConfig) (*router.Router, error) {
+func overloadRouter(backends []router.Backend, o *options) (*router.Router, error) {
 	classes, err := obs.ParseSLOSpec(overloadClasses)
 	if err != nil {
 		return nil, err
 	}
-	maxInFlight := cfg.MaxInFlight
+	maxInFlight := o.overloadInFlight
 	if maxInFlight <= 0 {
-		maxInFlight = 2 * cfg.Shards
+		maxInFlight = 2 * o.overloadShards
 	}
 	return router.New(router.Config{
 		Backends:   backends,
@@ -152,34 +114,6 @@ func overloadRouter(backends []router.Backend, cfg overloadConfig) (*router.Rout
 			Classes:     classes,
 		},
 	})
-}
-
-// overloadOutcome is one open-loop arrival's result.
-type overloadOutcome struct {
-	merged    *router.Merged
-	err       error
-	latency   time.Duration
-	afterKill bool
-}
-
-// verifyMerged checks one accepted answer against the oracle. Returns a
-// non-empty reason when the answer is wrong.
-func verifyMerged(m *router.Merged, oracle *scaleOracle) string {
-	if m.Partial {
-		return "silently partial result"
-	}
-	if m.ScoredRows != nil {
-		return "merged result not dense"
-	}
-	if len(m.Predictions) != len(oracle.predictions) {
-		return fmt.Sprintf("%d predictions, oracle has %d", len(m.Predictions), len(oracle.predictions))
-	}
-	for i := range m.Predictions {
-		if m.Predictions[i] != oracle.predictions[i] {
-			return fmt.Sprintf("row %d predicted %d, oracle %d", i, m.Predictions[i], oracle.predictions[i])
-		}
-	}
-	return ""
 }
 
 // arrivalTimes generates the cell's arrival schedule: "poisson" draws
@@ -210,230 +144,129 @@ func arrivalTimes(kind string, qps float64, window time.Duration, rng *rand.Rand
 	return out
 }
 
-// runOpenLoop fires the schedule against the router, alternating priority
-// classes, and collects every outcome. killed (may be nil) marks outcomes
-// that started after the chaos kill.
-func runOpenLoop(r *router.Router, sql string, schedule []time.Duration,
-	deadline time.Duration, killed *atomic.Bool) []overloadOutcome {
-	outcomes := make([]overloadOutcome, len(schedule))
-	var wg sync.WaitGroup
-	classes := [2]string{"interactive", "batch"}
-	start := time.Now()
-	for i, at := range schedule {
-		wg.Add(1)
-		go func(i int, at time.Duration) {
-			defer wg.Done()
-			if d := at - time.Since(start); d > 0 {
-				time.Sleep(d)
-			}
-			after := killed != nil && killed.Load()
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			qStart := time.Now()
-			m, err := r.Query(ctx, sql, router.QueryOptions{Class: classes[i%2]})
-			outcomes[i] = overloadOutcome{
-				merged: m, err: err, latency: time.Since(qStart), afterKill: after,
-			}
-		}(i, at)
-	}
-	wg.Wait()
-	return outcomes
-}
+// alternateClasses is the open-loop arrivals' priority mix.
+func alternateClasses(i int) string { return [2]string{"interactive", "batch"}[i%2] }
 
-// tallyCell folds a cell's outcomes into its report row. Wrong answers are
-// counted AND returned as an error: the bench has nothing to report once
-// the tier fabricates data.
-func tallyCell(cell *overloadCell, outcomes []overloadOutcome, oracle *scaleOracle) error {
-	var lats []time.Duration
-	var firstWrong string
-	for _, o := range outcomes {
-		cell.Offered++
-		if o.err != nil {
-			var se *router.ShedError
-			if errors.As(o.err, &se) {
-				cell.Shed++
-			} else {
-				cell.Failed++
-			}
-			continue
-		}
-		if reason := verifyMerged(o.merged, oracle); reason != "" {
-			cell.Wrong++
-			if firstWrong == "" {
-				firstWrong = reason
-			}
-			continue
-		}
-		cell.Accepted++
-		cell.Hedges += o.merged.Hedges
-		cell.HedgeWins += o.merged.HedgeWins
-		cell.Reroutes += o.merged.Reroutes
-		lats = append(lats, o.latency)
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	cell.P50NS = int64(overloadPercentile(lats, 50))
-	cell.P95NS = int64(overloadPercentile(lats, 95))
-	cell.P99NS = int64(overloadPercentile(lats, 99))
-	cell.GoodputQPS = float64(cell.Accepted) / (float64(cell.DurationNS) / float64(time.Second))
-	if cell.Wrong > 0 {
-		return fmt.Errorf("bench-overload: %d accepted answers were WRONG (first: %s)", cell.Wrong, firstWrong)
-	}
-	return nil
-}
+func interactive(int) string { return "interactive" }
 
-func overloadPercentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+// bootOverloadTier boots the shards (the last one paced slower — the static
+// straggler the hedge and straggler-gap machinery must absorb) and the
+// router over them; the caller closes the router and kills the fleet.
+func bootOverloadTier(bin string, o *options) (*harness.Fleet, *router.Router, error) {
+	fleet, err := harness.StartShards(bin, o.overloadShards, o.overloadRecords, func(k int) float64 {
+		if k == o.overloadShards-1 {
+			return o.paceScale * o.overloadSlowFactor
+		}
+		return o.paceScale
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	idx := (len(sorted)*p+99)/100 - 1
-	if idx < 0 {
-		idx = 0
+	r, err := overloadRouter(fleet.Backends, o)
+	if err != nil {
+		fleet.Kill()
+		return nil, nil, err
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return fleet, r, nil
 }
 
 // calibrate measures closed-loop saturation throughput through the full
 // router stack (also seeding the hedge trigger's latency rings and the
 // admission controller's EWMA latency predictor). Clients stay below the
 // tier width so the calibration itself doesn't stack a deep queue on the
-// straggler shard and poison the latency predictor.
-func calibrate(r *router.Router, sql string, clients int, oracle *scaleOracle) (float64, error) {
-	if clients > 2 {
-		clients = 2
-	}
+// straggler shard and poison the latency predictor. Warm-up failures are
+// tolerated; a wrong answer is not.
+func calibrate(r *router.Router, clients int, oracle *harness.DemoOracle) (float64, error) {
+	clients = min(clients, 2)
 	queries := clients * 8
-	var next atomic.Int64
-	var wrong atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if int(next.Add(1)) > queries {
-					return
-				}
-				m, err := r.Query(context.Background(), sql, router.QueryOptions{Class: "interactive"})
-				if err != nil {
-					continue // calibration tolerates warm-up failures
-				}
-				if verifyMerged(m, oracle) != "" {
-					wrong.Add(1)
-				}
-			}
-		}()
+	run := harness.Closed(context.Background(), clients, queries, 0,
+		oracle.QueryOp(r, interactive, new(harness.Routing)))
+	if wrong := run.Tally()[harness.Wrong]; wrong > 0 {
+		return 0, fmt.Errorf("bench-overload: %d wrong answers during fault-free calibration", wrong)
 	}
-	wg.Wait()
-	if wrong.Load() > 0 {
-		return 0, fmt.Errorf("bench-overload: %d wrong answers during fault-free calibration", wrong.Load())
+	return float64(queries) / run.Wall.Seconds(), nil
+}
+
+// runOverloadCell fires one open-loop schedule and folds the outcomes into
+// a report row. Wrong answers are counted AND returned as an error: the
+// bench has nothing to report once the tier fabricates data.
+func runOverloadCell(cell overloadCell, r *router.Router, schedule []time.Duration,
+	deadline time.Duration, oracle *harness.DemoOracle) (overloadCell, error) {
+	var routing harness.Routing
+	run := harness.Open(context.Background(), schedule, deadline, oracle.QueryOp(r, alternateClasses, &routing))
+	t, sum := run.Tally(), harness.Summarize(run.OKLatencies())
+	cell.Offered, cell.Accepted, cell.Shed, cell.Wrong = len(schedule), t[harness.OK], t[harness.Shed], t[harness.Wrong]
+	cell.Failed = cell.Offered - cell.Accepted - cell.Shed - cell.Wrong
+	cell.Hedges, cell.HedgeWins, cell.Reroutes = routing.Hedges, routing.HedgeWins, routing.Reroutes
+	cell.P50NS, cell.P95NS, cell.P99NS = int64(sum.P50), int64(sum.P95), int64(sum.P99)
+	cell.GoodputQPS = float64(cell.Accepted) / (float64(cell.DurationNS) / float64(time.Second))
+	if cell.Wrong > 0 {
+		return cell, fmt.Errorf("bench-overload: %d accepted answers were WRONG (first: %v)",
+			cell.Wrong, routing.FirstWrong)
 	}
-	qps := float64(queries) / time.Since(start).Seconds()
-	return qps, nil
+	return cell, nil
 }
 
 // runOverloadChaos is the survival cell: over-saturated Poisson traffic
 // while one shard is SIGKILLed and another SIGSTOP/SIGCONT-flapped, then a
 // rejoin wait and a low-load drain.
-func runOverloadChaos(r *router.Router, procs []*serveProc, cfg overloadConfig,
-	sql string, satQPS float64, oracle *scaleOracle, rng *rand.Rand) (*overloadChaosReport, error) {
-	n := cfg.Shards
+func runOverloadChaos(r *router.Router, procs []*harness.Proc, o *options, satQPS float64,
+	oracle *harness.DemoOracle, rng *rand.Rand) (*overloadChaosReport, error) {
+	n := o.overloadShards
 	rep := &overloadChaosReport{
 		SlowShard:    n - 1, // boot order: last shard is the straggler
 		KilledShard:  0,
 		FlappedShard: 1,
 	}
-	window := 2 * cfg.CellDuration
-	if window < 3*time.Second {
-		window = 3 * time.Second
-	}
+	window := max(2*o.overloadCell, 3*time.Second)
 	schedule := arrivalTimes("poisson", 1.5*satQPS, window, rng)
 
-	var killed atomic.Bool
+	var routing harness.Routing
 	faultsDone := make(chan struct{})
 	go func() {
 		defer close(faultsDone)
 		// t=25%: SIGKILL the kill victim.
 		time.Sleep(window / 4)
 		log.Printf("bench-overload: chaos SIGKILL shard %d", rep.KilledShard)
-		killed.Store(true)
-		procs[rep.KilledShard].kill()
+		routing.Mark()
+		procs[rep.KilledShard].Kill()
 		// t=40%..55%: freeze the flap victim (requests to it stall, its
 		// probes time out, it quarantines), then thaw it for the rejoin.
 		time.Sleep(window * 15 / 100)
 		log.Printf("bench-overload: chaos SIGSTOP shard %d", rep.FlappedShard)
-		_ = procs[rep.FlappedShard].cmd.Process.Signal(syscall.SIGSTOP)
+		procs[rep.FlappedShard].Stop()
 		time.Sleep(window * 15 / 100)
 		log.Printf("bench-overload: chaos SIGCONT shard %d", rep.FlappedShard)
-		_ = procs[rep.FlappedShard].cmd.Process.Signal(syscall.SIGCONT)
+		procs[rep.FlappedShard].Cont()
 	}()
-
-	outcomes := runOpenLoop(r, sql, schedule, cfg.Deadline, &killed)
+	t := harness.Open(context.Background(), schedule, o.overloadDeadline, oracle.QueryOp(r, alternateClasses, &routing)).Tally()
 	<-faultsDone
-
-	var firstWrong string
-	for _, o := range outcomes {
-		rep.Offered++
-		if o.err != nil {
-			var se *router.ShedError
-			if errors.As(o.err, &se) {
-				rep.Shed++
-			} else {
-				rep.Failed++
-			}
-			continue
-		}
-		if reason := verifyMerged(o.merged, oracle); reason != "" {
-			rep.Wrong++
-			if firstWrong == "" {
-				firstWrong = reason
-			}
-			continue
-		}
-		rep.Accepted++
-		rep.Hedges += o.merged.Hedges
-		rep.HedgeWins += o.merged.HedgeWins
-		rep.Reroutes += o.merged.Reroutes
-		if o.afterKill {
-			rep.OKAfterKill++
-		}
-	}
+	rep.Offered, rep.Accepted, rep.Shed, rep.Wrong = len(schedule), t[harness.OK], t[harness.Shed], t[harness.Wrong]
+	rep.Failed = rep.Offered - rep.Accepted - rep.Shed - rep.Wrong
+	rep.Hedges, rep.HedgeWins, rep.Reroutes = routing.Hedges, routing.HedgeWins, routing.Reroutes
+	rep.OKAfterKill = routing.OKAfterMark
 
 	// Rejoin wait: the flapped shard must come back through quarantine ->
 	// probes -> warm -> trickle on its own. The trickle needs real traffic,
 	// so keep a slow drip flowing while we wait.
-	rejoinDeadline := time.Now().Add(30 * time.Second)
-	for r.Health().State(rep.FlappedShard) != router.ShardHealthy {
-		if time.Now().After(rejoinDeadline) {
-			break
+	drip := oracle.QueryOp(r, interactive, &routing)
+	rejoinCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rep.Wrong += harness.Closed(rejoinCtx, 1, 0, o.overloadDeadline, func(ctx context.Context, i int) error {
+		if r.Health().State(rep.FlappedShard) == router.ShardHealthy {
+			cancel()
+			return nil
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
-		m, err := r.Query(ctx, sql, router.QueryOptions{Class: "interactive"})
-		cancel()
-		if err == nil && verifyMerged(m, oracle) != "" {
-			rep.Wrong++
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		defer time.Sleep(50 * time.Millisecond)
+		return drip(ctx, i)
+	}).Tally()[harness.Wrong]
 	rep.FlapRejoined = r.Health().State(rep.FlappedShard) == router.ShardHealthy
 
 	// Drain: sequential low load after rejoin. Zero errors, zero wrong.
-	for i := 0; i < 16; i++ {
-		rep.DrainQueries++
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		m, err := r.Query(ctx, sql, router.QueryOptions{Class: "interactive"})
-		cancel()
-		if err != nil {
-			rep.DrainErrors++
-			continue
-		}
-		if verifyMerged(m, oracle) != "" {
-			rep.DrainWrong++
-		}
-	}
+	rep.DrainQueries = 16
+	drain := harness.Closed(context.Background(), 1, rep.DrainQueries, 30*time.Second, drip).Tally()
+	rep.DrainWrong = drain[harness.Wrong]
+	rep.DrainErrors = rep.DrainQueries - drain[harness.OK] - rep.DrainWrong
 
 	rep.FinalStates = make([]string, n)
 	rep.Transitions = make([]int, n)
@@ -446,8 +279,8 @@ func runOverloadChaos(r *router.Router, procs []*serveProc, cfg overloadConfig,
 	switch {
 	case rep.Wrong > 0 || rep.DrainWrong > 0:
 		rep.Verdict = "FAIL: wrong predictions"
-		return rep, fmt.Errorf("bench-overload chaos: %d wrong accepted answers (first: %s)",
-			rep.Wrong+rep.DrainWrong, firstWrong)
+		return rep, fmt.Errorf("bench-overload chaos: %d wrong accepted answers (first: %v)",
+			rep.Wrong+rep.DrainWrong, routing.FirstWrong)
 	case rep.OKAfterKill == 0:
 		rep.Verdict = "FAIL: goodput hit zero after the kill"
 		return rep, fmt.Errorf("bench-overload chaos: no successful query after SIGKILL — " +
@@ -464,151 +297,50 @@ func runOverloadChaos(r *router.Router, procs []*serveProc, cfg overloadConfig,
 	return rep, nil
 }
 
-// bootOverloadShards boots the tier with the last shard paced slower (the
-// static straggler the hedge and straggler-gap machinery must absorb).
-func bootOverloadShards(bin string, cfg overloadConfig) ([]*serveProc, []router.Backend, error) {
-	procs := make([]*serveProc, 0, cfg.Shards)
-	backends := make([]router.Backend, 0, cfg.Shards)
-	client := tunedClient(120 * time.Second)
-	for k := 0; k < cfg.Shards; k++ {
-		pace := cfg.PaceScale
-		if k == cfg.Shards-1 {
-			pace *= cfg.SlowFactor
-		}
-		p, err := startShard(bin, k, cfg.Records, pace)
-		if err != nil {
-			killShards(procs)
-			return nil, nil, err
-		}
-		procs = append(procs, p)
-		shard, err := router.NewHTTPShard(fmt.Sprintf("shard-%d", k), p.url, client)
-		if err != nil {
-			killShards(procs)
-			return nil, nil, err
-		}
-		backends = append(backends, shard)
-	}
-	return procs, backends, nil
-}
-
 // runOverloadBench drives the calibration, the open-loop sweep, and the
 // chaos cell, writing results/overload_bench.md + BENCH_overload.json.
-func runOverloadBench(cfg overloadConfig, jsonOut string) error {
-	if jsonOut == "" {
-		jsonOut = "BENCH_overload.json"
+func runOverloadBench(o *options) error {
+	if o.overloadShards < 3 {
+		return fmt.Errorf("bench-overload: need >= 3 shards (straggler + kill victim + flap victim), got %d", o.overloadShards)
 	}
-	if cfg.Shards < 3 {
-		return fmt.Errorf("bench-overload: need >= 3 shards (straggler + kill victim + flap victim), got %d", cfg.Shards)
-	}
-	bin, cleanup, err := ensureServeBin(cfg.ServeBin)
+	bin, cleanup, err := harness.ServeBinary(o.serveBin)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
 
-	log.Printf("bench-overload: records=%d building fault-free oracle", cfg.Records)
-	oracle, err := buildOracle(cfg.Records, cfg.Backend)
+	log.Printf("bench-overload: records=%d building fault-free oracle", o.overloadRecords)
+	oracle, err := harness.NewDemoOracle(o.overloadRecords, o.scaleBackend)
 	if err != nil {
 		return err
 	}
-	sql := scaleSQL(cfg.Backend)
-	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
+	rng := rand.New(rand.NewSource(int64(o.seed)))
 
-	// ---- Sweep tier: all shards nominal except the static straggler.
-	procs, backends, err := bootOverloadShards(bin, cfg)
+	satQPS, cells, admStats, err := runOverloadSweep(bin, o, oracle, rng)
 	if err != nil {
 		return err
 	}
-	r, err := overloadRouter(backends, cfg)
-	if err != nil {
-		killShards(procs)
-		return err
-	}
-
-	satQPS, err := calibrate(r, sql, cfg.Shards, oracle)
-	if err != nil {
-		r.Close()
-		killShards(procs)
-		return err
-	}
-	log.Printf("bench-overload: calibrated saturation ~%.1f q/s", satQPS)
-
-	var cells []overloadCell
-	for _, arrival := range []string{"poisson", "burst"} {
-		for _, mult := range cfg.LoadMultiples {
-			cell := overloadCell{
-				Arrival:    arrival,
-				LoadMult:   mult,
-				OfferedQPS: mult * satQPS,
-				DurationNS: int64(cfg.CellDuration),
-			}
-			schedule := arrivalTimes(arrival, cell.OfferedQPS, cfg.CellDuration, rng)
-			outcomes := runOpenLoop(r, sql, schedule, cfg.Deadline, nil)
-			if err := tallyCell(&cell, outcomes, oracle); err != nil {
-				r.Close()
-				killShards(procs)
-				return err
-			}
-			log.Printf("bench-overload: %s x%.2g: offered %d, goodput %.1f q/s, shed %d, failed %d, hedges %d (%d won)",
-				arrival, mult, cell.Offered, cell.GoodputQPS, cell.Shed, cell.Failed, cell.Hedges, cell.HedgeWins)
-			cells = append(cells, cell)
-		}
-	}
-	// Fold the admission ledger into the last cell's by-class view and
-	// check the books balance: offered == accepted + shed per class.
-	admStats := r.AdmissionStats()
-	for _, s := range admStats {
-		if s.Offered != s.Accepted+s.Shed {
-			r.Close()
-			killShards(procs)
-			return fmt.Errorf("bench-overload: admission ledger out of balance for class %q: %+v", s.Class, s)
-		}
-	}
-
-	// ---- Chaos cell: fresh tier, same straggler, kill + flap under load.
 	var chaosRep *overloadChaosReport
-	if cfg.Chaos {
-		r.Close()
-		killShards(procs)
-		procs, backends, err = bootOverloadShards(bin, cfg)
-		if err != nil {
-			return err
-		}
-		r, err = overloadRouter(backends, cfg)
-		if err != nil {
-			killShards(procs)
-			return err
-		}
-		// Seed the hedge trigger and the latency predictor before faults.
-		if _, err := calibrate(r, sql, cfg.Shards, oracle); err != nil {
-			r.Close()
-			killShards(procs)
-			return err
-		}
-		chaosRep, err = runOverloadChaos(r, procs, cfg, sql, satQPS, oracle, rng)
-		if chaosRep != nil {
-			log.Printf("bench-overload: chaos: offered %d, ok %d (%d after kill), shed %d, failed %d, "+
-				"wrong %d, hedges %d, reroutes %d, rejoined=%v, drain %d/%d ok",
-				chaosRep.Offered, chaosRep.Accepted, chaosRep.OKAfterKill, chaosRep.Shed,
-				chaosRep.Failed, chaosRep.Wrong, chaosRep.Hedges, chaosRep.Reroutes,
-				chaosRep.FlapRejoined, chaosRep.DrainQueries-chaosRep.DrainErrors, chaosRep.DrainQueries)
-		}
-		if err != nil {
-			r.Close()
-			killShards(procs)
+	if o.overloadChaos {
+		if chaosRep, err = runOverloadChaosCell(bin, o, satQPS, oracle, rng); err != nil {
 			return err
 		}
 	}
-	r.Close()
-	killShards(procs)
 
-	doc := envelope("overload")
-	doc["backend"] = cfg.Backend
-	doc["shards"] = cfg.Shards
-	doc["records"] = cfg.Records
-	doc["pace_scale"] = cfg.PaceScale
-	doc["slow_factor"] = cfg.SlowFactor
-	doc["deadline_ns"] = int64(cfg.Deadline)
+	return harness.WriteReport(o.jsonOut, overloadDoc(o, satQPS, cells, admStats, chaosRep),
+		"overload_bench.md", overloadMarkdown(o, satQPS, cells, chaosRep))
+}
+
+// overloadDoc assembles the overload JSON artifact on the common envelope.
+func overloadDoc(o *options, satQPS float64, cells []overloadCell,
+	admStats []router.AdmissionStats, chaosRep *overloadChaosReport) map[string]any {
+	doc := harness.Envelope("overload")
+	doc["backend"] = o.scaleBackend
+	doc["shards"] = o.overloadShards
+	doc["records"] = o.overloadRecords
+	doc["pace_scale"] = o.paceScale
+	doc["slow_factor"] = o.overloadSlowFactor
+	doc["deadline_ns"] = int64(o.overloadDeadline)
 	doc["classes"] = overloadClasses
 	doc["saturation_qps"] = satQPS
 	doc["cells"] = cells
@@ -616,22 +348,79 @@ func runOverloadBench(cfg overloadConfig, jsonOut string) error {
 	if chaosRep != nil {
 		doc["chaos"] = chaosRep
 	}
-	if err := writeJSON(jsonOut, doc); err != nil {
-		return err
-	}
-	mdPath := filepath.Join("results", "overload_bench.md")
-	if err := writeOverloadMarkdown(mdPath, cfg, satQPS, cells, chaosRep); err != nil {
-		return err
-	}
-	log.Printf("wrote %s and %s", mdPath, jsonOut)
-	return nil
+	return doc
 }
 
-func writeOverloadMarkdown(path string, cfg overloadConfig, satQPS float64,
-	cells []overloadCell, chaosRep *overloadChaosReport) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+// runOverloadSweep is the sweep tier — all shards nominal except the static
+// straggler: calibrate saturation, then offer each load multiple with each
+// arrival process.
+func runOverloadSweep(bin string, o *options, oracle *harness.DemoOracle,
+	rng *rand.Rand) (satQPS float64, cells []overloadCell, admStats []router.AdmissionStats, err error) {
+	fleet, r, err := bootOverloadTier(bin, o)
+	if err != nil {
+		return 0, nil, nil, err
 	}
+	defer fleet.Kill()
+	defer r.Close()
+	if satQPS, err = calibrate(r, o.overloadShards, oracle); err != nil {
+		return 0, nil, nil, err
+	}
+	log.Printf("bench-overload: calibrated saturation ~%.1f q/s", satQPS)
+
+	for _, arrival := range []string{"poisson", "burst"} {
+		for _, mult := range floatList(o.overloadMults) {
+			cell := overloadCell{
+				Arrival:    arrival,
+				LoadMult:   mult,
+				OfferedQPS: mult * satQPS,
+				DurationNS: int64(o.overloadCell),
+			}
+			schedule := arrivalTimes(arrival, cell.OfferedQPS, o.overloadCell, rng)
+			if cell, err = runOverloadCell(cell, r, schedule, o.overloadDeadline, oracle); err != nil {
+				return 0, nil, nil, err
+			}
+			log.Printf("bench-overload: %s x%.2g: offered %d, goodput %.1f q/s, shed %d, failed %d, hedges %d (%d won)",
+				arrival, mult, cell.Offered, cell.GoodputQPS, cell.Shed, cell.Failed, cell.Hedges, cell.HedgeWins)
+			cells = append(cells, cell)
+		}
+	}
+	// The admission ledger's books must balance: offered == accepted + shed
+	// per class.
+	admStats = r.AdmissionStats()
+	for _, s := range admStats {
+		if s.Offered != s.Accepted+s.Shed {
+			return 0, nil, nil, fmt.Errorf("bench-overload: admission ledger out of balance for class %q: %+v", s.Class, s)
+		}
+	}
+	return satQPS, cells, admStats, nil
+}
+
+// runOverloadChaosCell boots a fresh tier with the same straggler and runs
+// the kill + flap cell under load.
+func runOverloadChaosCell(bin string, o *options, satQPS float64,
+	oracle *harness.DemoOracle, rng *rand.Rand) (*overloadChaosReport, error) {
+	fleet, r, err := bootOverloadTier(bin, o)
+	if err != nil {
+		return nil, err
+	}
+	defer fleet.Kill()
+	defer r.Close()
+	// Seed the hedge trigger and the latency predictor before faults.
+	if _, err := calibrate(r, o.overloadShards, oracle); err != nil {
+		return nil, err
+	}
+	rep, err := runOverloadChaos(r, fleet.Procs, o, satQPS, oracle, rng)
+	if rep != nil {
+		log.Printf("bench-overload: chaos: offered %d, ok %d (%d after kill), shed %d, failed %d, "+
+			"wrong %d, hedges %d, reroutes %d, rejoined=%v, drain %d/%d ok",
+			rep.Offered, rep.Accepted, rep.OKAfterKill, rep.Shed, rep.Failed, rep.Wrong, rep.Hedges,
+			rep.Reroutes, rep.FlapRejoined, rep.DrainQueries-rep.DrainErrors, rep.DrainQueries)
+	}
+	return rep, err
+}
+
+func overloadMarkdown(o *options, satQPS float64,
+	cells []overloadCell, chaosRep *overloadChaosReport) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Overload survival: the sharded tier past saturation\n\n")
 	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -bench-overload`: %d serve shards "+
@@ -641,16 +430,18 @@ func writeOverloadMarkdown(path string, cfg overloadConfig, satQPS float64,
 		"admission control (`%s`; capacity, priority, and deadline shedding). Open-loop "+
 		"arrivals carry a %v deadline; calibrated saturation is %.1f q/s. Every accepted "+
 		"answer is verified against a fault-free single-node oracle.\n\n",
-		cfg.Shards, cfg.SlowFactor, overloadClasses, cfg.Deadline, satQPS)
-	sb.WriteString("| arrival | load | offered | goodput q/s | shed | failed | wrong | p50 | p95 | p99 | hedges (won) | reroutes |\n")
-	sb.WriteString("|:---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+		o.overloadShards, o.overloadSlowFactor, overloadClasses, o.overloadDeadline, satQPS)
+	tbl := harness.NewTable(&sb, []harness.Col{
+		{":arrival", "%s"}, {"load:", "%.2gx"}, {"offered:", "%d"}, {"goodput q/s:", "%.1f"},
+		{"shed:", "%d"}, {"failed:", "%d"}, {"wrong:", "%d"}, {"p50:", "%v"}, {"p95:", "%v"},
+		{"p99:", "%v"}, {"hedges (won):", "%s"}, {"reroutes:", "%d"},
+	})
 	for _, c := range cells {
-		fmt.Fprintf(&sb, "| %s | %.2gx | %d | %.1f | %d | %d | %d | %v | %v | %v | %d (%d) | %d |\n",
-			c.Arrival, c.LoadMult, c.Offered, c.GoodputQPS, c.Shed, c.Failed, c.Wrong,
+		tbl.Row(c.Arrival, c.LoadMult, c.Offered, c.GoodputQPS, c.Shed, c.Failed, c.Wrong,
 			time.Duration(c.P50NS).Round(time.Millisecond),
 			time.Duration(c.P95NS).Round(time.Millisecond),
 			time.Duration(c.P99NS).Round(time.Millisecond),
-			c.Hedges, c.HedgeWins, c.Reroutes)
+			fmt.Sprintf("%d (%d)", c.Hedges, c.HedgeWins), c.Reroutes)
 	}
 	sb.WriteString("\nPast saturation an open-loop arrival process keeps offering work the tier " +
 		"cannot absorb; without admission control the queue (and every latency percentile) " +
@@ -676,5 +467,5 @@ func writeOverloadMarkdown(path string, cfg overloadConfig, satQPS float64,
 			chaosRep.DrainQueries-chaosRep.DrainErrors, chaosRep.DrainQueries, chaosRep.DrainWrong)
 		fmt.Fprintf(&sb, "Verdict: %s.\n", chaosRep.Verdict)
 	}
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
+	return &sb
 }

@@ -17,44 +17,27 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"math"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accelscore/internal/dataset"
 	"accelscore/internal/experiments"
 	"accelscore/internal/forest"
+	"accelscore/internal/harness"
 )
 
-// restartChaosConfig parameterizes the kill-and-restart scenario.
-type restartChaosConfig struct {
-	// ServeBin is a prebuilt serve binary; empty builds one with `go build`
-	// (CI prebuilds with -race and passes it in).
-	ServeBin string
-	// Kills is the number of SIGKILL-under-load cycles before verification.
-	Kills int
-	// Writers is the number of concurrent writer clients.
-	Writers int
-	// WriteFor is how long each cycle sustains write load before the kill.
-	WriteFor time.Duration
-	// DemoRecords sizes the server's seeded iris table.
-	DemoRecords int
-	// Fsync is the server's WAL sync policy. "always" (the default) and
-	// "batch" both guarantee acked durability, so the lost-write gate
-	// applies; "none" is loss-permitting and the harness only reports.
-	Fsync string
-}
+// restartDemoRecords sizes the server's seeded iris table.
+const restartDemoRecords = 150
 
 // syntheticBase offsets writer-generated sepal_length values so they are
 // disjoint from the seeded iris data. Every synthetic value stays below
@@ -90,73 +73,11 @@ type restartReport struct {
 	WALBytes        int64  `json:"wal_bytes_final_boot"`
 }
 
-// serveProc is one serve process under harness control.
-type serveProc struct {
-	cmd *exec.Cmd
-	url string
-}
-
-// startServe spawns the server on a fresh loopback port over dataDir and
-// waits until /healthz answers.
-func startServe(bin, dataDir string, cfg restartChaosConfig) (*serveProc, error) {
-	port, err := freePort()
-	if err != nil {
-		return nil, err
-	}
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	cmd := exec.Command(bin,
-		"-addr", addr,
-		"-data-dir", dataDir,
-		"-fsync", cfg.Fsync,
-		"-demo-records", fmt.Sprint(cfg.DemoRecords))
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting serve: %w", err)
-	}
-	p := &serveProc{cmd: cmd, url: "http://" + addr}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(p.url + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return p, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			p.kill()
-			return nil, fmt.Errorf("serve on %s never became healthy", addr)
-		}
-		if cmd.ProcessState != nil {
-			return nil, fmt.Errorf("serve exited during startup")
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// kill delivers SIGKILL — the crash under test, not a graceful shutdown —
-// and reaps the process.
-func (p *serveProc) kill() {
-	_ = p.cmd.Process.Kill()
-	_ = p.cmd.Wait()
-}
-
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
-}
-
 // sqlResult mirrors the server's /sql JSON envelope.
 type sqlResult struct {
-	OK      bool     `json:"ok"`
-	Error   string   `json:"error"`
-	Columns []string `json:"columns"`
-	Rows    [][]any  `json:"rows"`
+	OK    bool    `json:"ok"`
+	Error string  `json:"error"`
+	Rows  [][]any `json:"rows"`
 }
 
 func postSQL(client *http.Client, url, sql string) (*sqlResult, error) {
@@ -175,40 +96,36 @@ func postSQL(client *http.Client, url, sql string) (*sqlResult, error) {
 	return &out, nil
 }
 
-// runWriters hammers /sql with INSERTs from cfg.Writers goroutines for
-// cfg.WriteFor, then returns. Writers record an attempt before sending and
-// an ack only after a 200 — a request cut off by the kill stays in-doubt
-// (attempted, not acked), exactly like a real client.
-func runWriters(p *serveProc, cfg restartChaosConfig, nextID *atomic.Int64, attempted, acked *sync.Map) {
-	client := tunedClient(5 * time.Second)
-	stop := time.Now().Add(cfg.WriteFor)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				id := int(nextID.Add(1))
-				row := syntheticRow(id)
-				attempted.Store(id, true)
-				sql := fmt.Sprintf("INSERT INTO iris VALUES (%g, %g, %g, %g, %d)",
-					row[0], row[1], row[2], row[3], int(row[4]))
-				if res, err := postSQL(client, p.url, sql); err == nil && res.OK {
-					acked.Store(id, true)
-				} else {
-					// The server is (being) killed; in-doubt is fine, done.
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+// runWriters hammers /sql with INSERTs from -clients closed-loop writers for
+// -write-for. A writer records an attempt before sending and an ack
+// only after a 200 — a request cut off by the kill stays in-doubt
+// (attempted, not acked), exactly like a real client. The first failed
+// write means the server is (being) killed, and ends the cycle's load.
+func runWriters(url string, o *options, firstID int, attempted, acked *sync.Map) (next int) {
+	client := harness.Client(5 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), o.writeFor)
+	defer cancel()
+	run := harness.Closed(ctx, o.clients, 0, 0, func(_ context.Context, i int) error {
+		id := firstID + i
+		row := syntheticRow(id)
+		attempted.Store(id, true)
+		sql := fmt.Sprintf("INSERT INTO iris VALUES (%g, %g, %g, %g, %d)",
+			row[0], row[1], row[2], row[3], int(row[4]))
+		res, err := postSQL(client, url, sql)
+		if err != nil || !res.OK {
+			cancel()
+			return fmt.Errorf("write %d not acknowledged: %v", id, err)
+		}
+		acked.Store(id, true)
+		return nil
+	})
+	return firstID + len(run.Samples)
 }
 
 // fetchIris pulls the whole iris table and splits it into the seeded demo
 // rows and the writer-generated synthetic rows (by id).
 func fetchIris(url string) (all [][]float64, synthetic map[int][]float64, err error) {
-	client := tunedClient(30 * time.Second)
+	client := harness.Client(30 * time.Second)
 	res, err := postSQL(client, url,
 		"SELECT sepal_length, sepal_width, petal_length, petal_width, label FROM iris")
 	if err != nil {
@@ -285,80 +202,70 @@ func score(rows [][]float64) ([]int, error) {
 // chaos JSON artifact plus results/restart_chaos.md. It returns an error —
 // failing the run — on any lost acked write, phantom or corrupt row, or
 // prediction divergence.
-func runRestartChaos(cfg restartChaosConfig, jsonOut string) error {
-	if jsonOut == "" {
-		jsonOut = "CHAOS_report.json"
+func runRestartChaos(o *options) error {
+	bin, cleanup, err := harness.ServeBinary(o.serveBin)
+	if err != nil {
+		return err
 	}
-	bin := cfg.ServeBin
-	if bin == "" {
-		tmp, err := os.MkdirTemp("", "accelscore-serve-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		bin = filepath.Join(tmp, "serve")
-		log.Printf("restart-chaos: building serve binary")
-		build := exec.Command("go", "build", "-o", bin, "accelscore/cmd/serve")
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("building serve: %w", err)
-		}
-	}
+	defer cleanup()
 	dataDir, err := os.MkdirTemp("", "accelscore-data-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dataDir)
 
-	var nextID atomic.Int64
+	start := func() (*harness.Proc, error) {
+		return harness.Start(bin, "-data-dir", dataDir, "-fsync", o.fsync,
+			"-demo-records", fmt.Sprint(restartDemoRecords))
+	}
+
+	nextID := 1
 	var attempted, acked sync.Map
-	for cycle := 0; cycle < cfg.Kills; cycle++ {
-		p, err := startServe(bin, dataDir, cfg)
+	for cycle := 0; cycle < o.kills; cycle++ {
+		p, err := start()
 		if err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		// SIGKILL lands while writers are mid-request: the goroutine below
+		// SIGKILL lands while writers are mid-request: the timer below
 		// pulls the trigger partway through the write window.
-		killAt := time.Duration(float64(cfg.WriteFor) * 0.6)
 		killed := make(chan struct{})
-		go func() {
-			time.Sleep(killAt)
-			p.kill()
+		time.AfterFunc(time.Duration(float64(o.writeFor)*0.6), func() {
+			p.Kill()
 			close(killed)
-		}()
-		runWriters(p, cfg, &nextID, &attempted, &acked)
+		})
+		nextID = runWriters(p.URL, o, nextID, &attempted, &acked)
 		<-killed
 		log.Printf("restart-chaos: cycle %d killed serve mid-load", cycle+1)
 	}
 
 	// Final boot: recovery must hold everything acked across all kills.
-	p, err := startServe(bin, dataDir, cfg)
+	p, err := start()
 	if err != nil {
 		return fmt.Errorf("final boot: %w", err)
 	}
-	replayed, walBytes := healthzRecovery(p.url)
-	all1, syn1, err := fetchIris(p.url)
+	replayed, walBytes := healthzRecovery(p.URL)
+	all1, syn1, err := fetchIris(p.URL)
+	p.Kill()
 	if err != nil {
-		p.kill()
 		return err
 	}
-	// One more hard kill + boot: recovery must be deterministic, and the
-	// retrained demo model must score both recoveries bit-identically.
-	p.kill()
-	p2, err := startServe(bin, dataDir, cfg)
+	// After that one more hard kill, another boot: recovery must be
+	// deterministic, and the retrained demo model must score both
+	// recoveries bit-identically.
+	p2, err := start()
 	if err != nil {
 		return fmt.Errorf("determinism boot: %w", err)
 	}
-	defer p2.kill()
-	all2, _, err := fetchIris(p2.url)
+	defer p2.Kill()
+	all2, _, err := fetchIris(p2.URL)
 	if err != nil {
 		return err
 	}
 
 	rep := restartReport{
-		Kills:           cfg.Kills,
-		Writers:         cfg.Writers,
-		Fsync:           cfg.Fsync,
+		Kills:           o.kills,
+		Writers:         o.clients,
+		Fsync:           o.fsync,
 		Recovered:       len(syn1),
 		ReplayedRecords: replayed,
 		WALBytes:        walBytes,
@@ -376,12 +283,8 @@ func runRestartChaos(cfg restartChaosConfig, jsonOut string) error {
 			rep.PhantomRows++
 			continue
 		}
-		want := syntheticRow(id)
-		for i := range want {
-			if got[i] != want[i] {
-				rep.CorruptRows++
-				break
-			}
+		if want := syntheticRow(id); !slices.Equal(got, want[:]) {
+			rep.CorruptRows++
 		}
 	}
 	preds1, err := score(all1)
@@ -392,33 +295,21 @@ func runRestartChaos(cfg restartChaosConfig, jsonOut string) error {
 	if err != nil {
 		return err
 	}
-	rep.PredictionsSame = len(all1) == len(all2) && len(preds1) == len(preds2)
-	if rep.PredictionsSame {
-		for i := range preds1 {
-			if preds1[i] != preds2[i] || !equalRow(all1[i], all2[i]) {
-				rep.PredictionsSame = false
-				break
-			}
-		}
-	}
+	rep.PredictionsSame = reflect.DeepEqual(all1, all2) && harness.Verify(preds1, preds2) == nil
 
 	log.Printf("restart-chaos: %d attempted, %d acked, %d recovered synthetic rows, "+
 		"%d lost, %d phantom, %d corrupt, predictions identical: %v",
 		rep.Attempted, rep.Acked, rep.Recovered, rep.LostAcked, rep.PhantomRows,
 		rep.CorruptRows, rep.PredictionsSame)
 
-	if err := mergeChaosJSON(jsonOut, rep); err != nil {
+	if err := harness.WriteReport(o.jsonOut, mergedChaosDoc(o.jsonOut, rep), "restart_chaos.md",
+		restartMarkdown(rep)); err != nil {
 		return err
 	}
-	mdPath := filepath.Join("results", "restart_chaos.md")
-	if err := writeRestartMarkdown(mdPath, cfg, rep); err != nil {
-		return err
-	}
-	log.Printf("wrote %s and merged restart_chaos into %s", mdPath, jsonOut)
 
 	// Both fsyncing policies guarantee acked durability ("batch" blocks the
 	// ack until the group fsync covers it); only "none" is loss-permitting.
-	if cfg.Fsync != "none" && rep.LostAcked > 0 {
+	if o.fsync != "none" && rep.LostAcked > 0 {
 		return fmt.Errorf("restart-chaos: %d acknowledged writes lost", rep.LostAcked)
 	}
 	if rep.PhantomRows > 0 || rep.CorruptRows > 0 {
@@ -434,54 +325,40 @@ func runRestartChaos(cfg restartChaosConfig, jsonOut string) error {
 	return nil
 }
 
-func equalRow(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeChaosJSON adds/overwrites the "restart_chaos" key in the chaos JSON
-// artifact, preserving an existing fault-injection report in the same file.
-func mergeChaosJSON(path string, rep restartReport) error {
+// mergedChaosDoc adds/overwrites the "restart_chaos" key in the chaos JSON
+// artifact at path, preserving an existing fault-injection report in the
+// same file.
+func mergedChaosDoc(path string, rep restartReport) map[string]any {
 	doc := map[string]any{}
 	if data, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(data, &doc)
+		_ = json.Unmarshal(data, &doc) // an unreadable report is replaced
 	}
 	doc["restart_chaos"] = rep
 	// A fresh file gets the full artifact envelope; merging into an existing
 	// fault-injection report keeps its envelope (the restart run happened on
 	// the same host, and "generated" should date the original numbers).
-	for k, v := range envelope("chaos") {
+	for k, v := range harness.Envelope("chaos") {
 		if _, ok := doc[k]; !ok {
 			doc[k] = v
 		}
 	}
-	return writeJSON(path, doc)
+	return doc
 }
 
-func writeRestartMarkdown(path string, cfg restartChaosConfig, rep restartReport) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
+func restartMarkdown(rep restartReport) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Restart chaos: SIGKILL under write load\n\n")
 	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -chaos-restart`: %d kill/restart cycles, "+
-		"%d concurrent writers against /sql, WAL policy `%s`.\n\n", cfg.Kills, cfg.Writers, cfg.Fsync)
-	sb.WriteString("| metric | value |\n|---|---:|\n")
-	fmt.Fprintf(&sb, "| writes attempted | %d |\n", rep.Attempted)
-	fmt.Fprintf(&sb, "| writes acknowledged | %d |\n", rep.Acked)
-	fmt.Fprintf(&sb, "| synthetic rows recovered | %d |\n", rep.Recovered)
-	fmt.Fprintf(&sb, "| acked writes lost | %d |\n", rep.LostAcked)
-	fmt.Fprintf(&sb, "| phantom rows | %d |\n", rep.PhantomRows)
-	fmt.Fprintf(&sb, "| corrupt rows | %d |\n", rep.CorruptRows)
-	fmt.Fprintf(&sb, "| WAL records replayed at final boot | %d |\n", rep.ReplayedRecords)
-	fmt.Fprintf(&sb, "| predictions bit-identical across recoveries | %v |\n", rep.PredictionsSame)
+		"%d concurrent writers against /sql, WAL policy `%s`.\n\n", rep.Kills, rep.Writers, rep.Fsync)
+	tbl := harness.NewTable(&sb, []harness.Col{{"metric", "%s"}, {"value:", "%v"}})
+	tbl.Row("writes attempted", rep.Attempted)
+	tbl.Row("writes acknowledged", rep.Acked)
+	tbl.Row("synthetic rows recovered", rep.Recovered)
+	tbl.Row("acked writes lost", rep.LostAcked)
+	tbl.Row("phantom rows", rep.PhantomRows)
+	tbl.Row("corrupt rows", rep.CorruptRows)
+	tbl.Row("WAL records replayed at final boot", rep.ReplayedRecords)
+	tbl.Row("predictions bit-identical across recoveries", rep.PredictionsSame)
 	sb.WriteString("\nEvery 200 on /sql is a durability acknowledgement: with `-fsync always` the\n" +
 		"WAL record is on disk before the response leaves the server, so a SIGKILL at\n" +
 		"any instant loses only in-doubt requests (sent, never answered) — exactly the\n" +
@@ -490,5 +367,5 @@ func writeRestartMarkdown(path string, cfg restartChaosConfig, rep restartReport
 		"independent crash-recoveries; the predictions must match bit for bit, pinning\n" +
 		"the paper's requirement that the storage path feeding the accelerator never\n" +
 		"perturbs the data.\n")
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
+	return &sb
 }

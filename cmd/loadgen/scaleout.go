@@ -22,47 +22,15 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"log"
-	"os"
-	"os/exec"
-	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"accelscore/internal/dataset"
-	"accelscore/internal/experiments"
-	"accelscore/internal/forest"
-	"accelscore/internal/model"
+	"accelscore/internal/harness"
 	"accelscore/internal/router"
 	"accelscore/internal/sched"
 )
-
-// scaleoutConfig parameterizes the scale-out bench.
-type scaleoutConfig struct {
-	// ServeBin is a prebuilt serve binary; empty builds one.
-	ServeBin string
-	// Shards are the scatter widths to sweep (1 anchors the speedups).
-	Shards []int
-	// Records are the demo table sizes to sweep (the per-query workload).
-	Records []int
-	// Queries is the closed-loop query count per cell.
-	Queries int
-	// Backend is the engine every query requests.
-	Backend string
-	// PaceScale paces each shard to PaceScale x its simulated total.
-	PaceScale float64
-	// Chaos enables the SIGKILL-one-shard leg.
-	Chaos bool
-	// MinSpeedup, when positive, fails the run unless the best measured
-	// speedup at the widest scatter reaches it (the acceptance gate).
-	MinSpeedup float64
-	// RouterOverhead is the fixed per-sub-query cost fed to the predicted
-	// curve (request handling + serialization on a shard).
-	RouterOverhead time.Duration
-}
 
 // scaleCell is one measured sweep point.
 type scaleCell struct {
@@ -96,322 +64,80 @@ type scaleChaos struct {
 	Verdict          string `json:"verdict"`
 }
 
-// ensureServeBin returns a serve binary path, building one into a temp dir
-// when bin is empty. cleanup is non-nil only for the built case.
-func ensureServeBin(bin string) (string, func(), error) {
-	if bin != "" {
-		return bin, func() {}, nil
-	}
-	tmp, err := os.MkdirTemp("", "accelscore-serve-*")
-	if err != nil {
-		return "", nil, err
-	}
-	out := filepath.Join(tmp, "serve")
-	log.Printf("bench-scaleout: building serve binary")
-	build := exec.Command("go", "build", "-o", out, "accelscore/cmd/serve")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		os.RemoveAll(tmp)
-		return "", nil, fmt.Errorf("building serve: %w", err)
-	}
-	return out, func() { os.RemoveAll(tmp) }, nil
-}
-
-// startShard boots one serve process as shard k over a records-row demo
-// table and waits until it answers /healthz. -workers 1 plus -pace-scale
-// makes the shard serve like a single simulated device; coalescing and
-// attribution are off so the measurement is the scoring path itself.
-func startShard(bin string, k, records int, paceScale float64) (*serveProc, error) {
-	port, err := freePort()
-	if err != nil {
-		return nil, err
-	}
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	cmd := exec.Command(bin,
-		"-addr", addr,
-		"-shard-id", fmt.Sprintf("shard-%d", k),
-		"-demo-records", fmt.Sprint(records),
-		"-workers", "1",
-		"-pace-scale", fmt.Sprint(paceScale),
-		"-coalesce", "0",
-		"-attrib=false",
-		"-runtime-sample", "0")
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting shard %d: %w", k, err)
-	}
-	p := &serveProc{cmd: cmd, url: "http://" + addr}
-	deadline := time.Now().Add(60 * time.Second)
-	client := tunedClient(2 * time.Second)
-	for {
-		resp, err := client.Get(p.url + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == 200 {
-				return p, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			p.kill()
-			return nil, fmt.Errorf("shard %d on %s never became healthy", k, addr)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// bootShards starts n shards over the same workload shape.
-func bootShards(bin string, n, records int, paceScale float64) ([]*serveProc, []router.Backend, error) {
-	procs := make([]*serveProc, 0, n)
-	backends := make([]router.Backend, 0, n)
-	client := tunedClient(120 * time.Second)
-	for k := 0; k < n; k++ {
-		p, err := startShard(bin, k, records, paceScale)
-		if err != nil {
-			for _, q := range procs {
-				q.kill()
-			}
-			return nil, nil, err
-		}
-		procs = append(procs, p)
-		shard, err := router.NewHTTPShard(fmt.Sprintf("shard-%d", k), p.url, client)
-		if err != nil {
-			for _, q := range procs {
-				q.kill()
-			}
-			return nil, nil, err
-		}
-		backends = append(backends, shard)
-	}
-	return procs, backends, nil
-}
-
-func killShards(procs []*serveProc) {
-	for _, p := range procs {
-		p.kill()
-	}
-}
-
-// scaleOracle is the single-node ground truth for one record count: the
-// exact predictions every routed repetition must reproduce, plus the
-// calibrated per-record-count service estimator feeding the predicted curve.
-type scaleOracle struct {
-	predictions []int
-	service     func(records int64) (time.Duration, error)
-}
-
-// buildOracle trains the identical demo environment in-process, scores it
-// single-node once for the ground-truth predictions, and derives the service
-// estimator from the seeded demo forest's shape (DemoForestConfig is seeded,
-// so retraining reproduces the servers' model exactly).
-func buildOracle(records int, backend string) (*scaleOracle, error) {
-	demo, err := experiments.NewDemo(records)
-	if err != nil {
-		return nil, err
-	}
-	res, err := demo.Pipe.ExecQuery(scaleSQL(backend))
-	if err != nil {
-		return nil, err
-	}
-	f, err := forest.Train(dataset.Iris(), experiments.DemoForestConfig)
-	if err != nil {
-		return nil, err
-	}
-	stats := f.ComputeStats()
-	blobBytes := int64(stats.TotalNodes)*model.ApproxNodeBytes + 64
-	return &scaleOracle{
-		predictions: res.Predictions,
-		service: func(recs int64) (time.Duration, error) {
-			tl, _, err := demo.Pipe.Estimate(stats, recs, blobBytes, backend)
-			if err != nil {
-				return 0, err
-			}
-			return tl.Total(), nil
-		},
-	}, nil
-}
-
-func scaleSQL(backend string) string {
-	return fmt.Sprintf("EXEC sp_score_model @model='iris_rf', @data='iris', @backend='%s'", backend)
+// demoRouter fronts backends with a default-configured router, demo model
+// warmed.
+func demoRouter(backends []router.Backend) (*router.Router, error) {
+	return router.New(router.Config{Backends: backends, WarmModels: []string{"iris_rf"}})
 }
 
 // runScaleCell measures one (records, shards) sweep point: queries issued
 // closed-loop by `shards` clients through a fresh router, every merged
-// result verified against the oracle.
-func runScaleCell(backends []router.Backend, shards, queries int, sql string, oracle *scaleOracle) (*scaleCell, error) {
-	r, err := router.New(router.Config{
-		Backends:   backends[:shards],
-		WarmModels: []string{"iris_rf"},
-	})
+// result verified against the oracle. With all shards healthy, anything but
+// a bit-identical answer fails the cell.
+func runScaleCell(backends []router.Backend, queries int, oracle *harness.DemoOracle) (*scaleCell, error) {
+	shards := len(backends)
+	r, err := demoRouter(backends)
 	if err != nil {
 		return nil, err
 	}
-	type outcome struct {
-		merged *router.Merged
-		err    error
+	var routing harness.Routing
+	run := harness.Closed(context.Background(), min(shards, queries), queries, 0, oracle.QueryOp(r, nil, &routing))
+	for _, s := range run.Samples {
+		if s.Err != nil {
+			return nil, fmt.Errorf("query %d on %d shards: %w", s.I, shards, s.Err)
+		}
 	}
-	outcomes := make([]outcome, queries)
-	var next atomic.Int64
-	clients := shards
-	if clients > queries {
-		clients = queries
-	}
-	ctx := context.Background()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				q := int(next.Add(1)) - 1
-				if q >= queries {
-					return
-				}
-				m, err := r.Query(ctx, sql, router.QueryOptions{})
-				outcomes[q] = outcome{merged: m, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	makespan := time.Since(start)
-
-	cell := &scaleCell{
-		Shards:       shards,
-		Queries:      queries,
-		MakespanNS:   int64(makespan),
-		BitIdentical: true,
-	}
-	var latSum, gapSum time.Duration
-	for q, o := range outcomes {
-		if o.err != nil {
-			return nil, fmt.Errorf("query %d on %d shards: %w", q, shards, o.err)
-		}
-		m := o.merged
-		if m.Partial {
-			return nil, fmt.Errorf("query %d on %d shards degraded to partial with all shards healthy", q, shards)
-		}
-		if m.ScoredRows != nil {
-			return nil, fmt.Errorf("query %d on %d shards: merged result not dense (%d ordinals kept)",
-				q, shards, len(m.ScoredRows))
-		}
-		if len(m.Predictions) != len(oracle.predictions) {
-			return nil, fmt.Errorf("query %d on %d shards: %d predictions, single-node %d",
-				q, shards, len(m.Predictions), len(oracle.predictions))
-		}
-		for i := range m.Predictions {
-			if m.Predictions[i] != oracle.predictions[i] {
-				return nil, fmt.Errorf("query %d on %d shards: row %d predicted %d, single-node %d — NOT bit-identical",
-					q, shards, i, m.Predictions[i], oracle.predictions[i])
-			}
-		}
-		cell.Reroutes += m.Reroutes
-		if m.CacheHit {
-			cell.CacheHits++
-		}
-		gapSum += m.StragglerGap
-		var worst time.Duration
-		for _, l := range m.ShardLatency {
-			if l > worst {
-				worst = l
-			}
-		}
-		latSum += worst
-	}
-	cell.QueriesPerSec = float64(queries) / makespan.Seconds()
-	cell.RowsPerSec = cell.QueriesPerSec * float64(len(oracle.predictions))
-	cell.MeanLatencyNS = int64(latSum) / int64(queries)
-	cell.MeanStragglerNS = int64(gapSum) / int64(queries)
-	return cell, nil
+	qps := float64(queries) / run.Wall.Seconds()
+	return &scaleCell{
+		Shards:          shards,
+		Queries:         queries,
+		MakespanNS:      int64(run.Wall),
+		BitIdentical:    true,
+		QueriesPerSec:   qps,
+		RowsPerSec:      qps * float64(len(oracle.Predictions)),
+		MeanLatencyNS:   int64(routing.SlowestShard) / int64(queries),
+		MeanStragglerNS: int64(routing.StragglerGap) / int64(queries),
+		Reroutes:        routing.Reroutes,
+		CacheHits:       routing.CacheHits,
+	}, nil
 }
 
 // runScaleChaos is the degradation leg: SIGKILL one shard while queries
 // flow, then verify every successful answer stayed bit-identical and that
 // the tier kept answering through reroutes after the kill.
-func runScaleChaos(bin string, cfg scaleoutConfig, records int, oracle *scaleOracle) (*scaleChaos, error) {
-	const shards = 3
-	procs, backends, err := bootShards(bin, shards, records, cfg.PaceScale)
+func runScaleChaos(bin string, o *options, records int, oracle *harness.DemoOracle) (*scaleChaos, error) {
+	const shards, killedShard = 3, 1
+	fleet, err := harness.StartShards(bin, shards, records, func(int) float64 { return o.paceScale })
 	if err != nil {
 		return nil, err
 	}
-	defer killShards(procs)
-	r, err := router.New(router.Config{
-		Backends:   backends,
-		WarmModels: []string{"iris_rf"},
-	})
+	defer fleet.Kill()
+	r, err := demoRouter(fleet.Backends)
 	if err != nil {
 		return nil, err
 	}
-	sql := scaleSQL(cfg.Backend)
-	queries := cfg.Queries * 3
-	if queries < 12 {
-		queries = 12
-	}
-	const killedShard = 1
+	queries := max(o.scaleQueries*3, 12)
 	killAfter := queries / 3
-	rep := &scaleChaos{Shards: shards, Records: records, KilledShard: killedShard}
-	type outcome struct {
-		merged    *router.Merged
-		err       error
-		afterKill bool
-	}
-	outcomes := make([]outcome, queries)
-	var next atomic.Int64
-	var killed atomic.Bool
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for c := 0; c < shards; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				q := int(next.Add(1)) - 1
-				if q >= queries {
-					return
-				}
-				if q == killAfter && killed.CompareAndSwap(false, true) {
-					log.Printf("bench-scaleout: chaos SIGKILL shard %d mid-run", killedShard)
-					procs[killedShard].kill()
-				}
-				after := killed.Load()
-				m, err := r.Query(ctx, sql, router.QueryOptions{})
-				outcomes[q] = outcome{merged: m, err: err, afterKill: after}
-			}
-		}()
-	}
-	wg.Wait()
+	var routing harness.Routing
+	query := oracle.QueryOp(r, nil, &routing)
+	t := harness.Closed(context.Background(), shards, queries, 0, func(ctx context.Context, q int) error {
+		if q == killAfter {
+			log.Printf("bench-scaleout: chaos SIGKILL shard %d mid-run", killedShard)
+			routing.Mark()
+			fleet.Procs[killedShard].Kill()
+		}
+		return query(ctx, q)
+	}).Tally()
 
-	for _, o := range outcomes {
-		if o.err != nil {
-			rep.QueriesFailed++
-			continue
-		}
-		m := o.merged
-		if m.Partial {
-			// Partial mode is off: a partial here is a contract violation.
-			rep.WrongPredictions++
-			continue
-		}
-		ok := len(m.Predictions) == len(oracle.predictions)
-		if ok {
-			for i := range m.Predictions {
-				if m.Predictions[i] != oracle.predictions[i] {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
-			rep.WrongPredictions++
-			continue
-		}
-		rep.QueriesOK++
-		rep.Reroutes += m.Reroutes
-		if o.afterKill {
-			rep.OKAfterKill++
-		}
+	rep := &scaleChaos{
+		Shards: shards, Records: records, KilledShard: killedShard,
+		QueriesOK:        t[harness.OK],
+		QueriesFailed:    queries - t[harness.OK] - t[harness.Wrong],
+		OKAfterKill:      routing.OKAfterMark,
+		Reroutes:         routing.Reroutes,
+		WrongPredictions: t[harness.Wrong], // partial mode is off: a partial counts as wrong
+		Verdict:          "pass",
 	}
-	rep.Verdict = "pass"
 	if rep.WrongPredictions > 0 {
 		rep.Verdict = "FAIL: wrong predictions"
 		return rep, fmt.Errorf("bench-scaleout chaos: %d queries returned wrong or partial predictions",
@@ -426,81 +152,43 @@ func runScaleChaos(bin string, cfg scaleoutConfig, records int, oracle *scaleOra
 
 // runScaleoutBench drives the full sweep and writes
 // results/scaleout_bench.md + BENCH_scaleout.json.
-func runScaleoutBench(cfg scaleoutConfig, jsonOut string) error {
-	if jsonOut == "" {
-		jsonOut = "BENCH_scaleout.json"
+func runScaleoutBench(o *options) error {
+	shardCounts := intList(o.scaleShards)
+	if len(shardCounts) == 0 {
+		return fmt.Errorf("bench-scaleout: empty shard sweep")
 	}
-	bin, cleanup, err := ensureServeBin(cfg.ServeBin)
+	maxShards := slices.Max(shardCounts)
+	bin, cleanup, err := harness.ServeBinary(o.serveBin)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
 
-	maxShards := 0
-	for _, n := range cfg.Shards {
-		if n > maxShards {
-			maxShards = n
-		}
-	}
-	if maxShards == 0 {
-		return fmt.Errorf("bench-scaleout: empty shard sweep")
-	}
-
-	sql := scaleSQL(cfg.Backend)
 	var cells []scaleCell
 	var chaosRep *scaleChaos
-	for _, records := range cfg.Records {
+	for _, records := range intList(o.scaleRecords) {
 		log.Printf("bench-scaleout: records=%d building single-node oracle", records)
-		oracle, err := buildOracle(records, cfg.Backend)
+		oracle, err := harness.NewDemoOracle(records, o.scaleBackend)
 		if err != nil {
 			return err
 		}
 		predicted, err := sched.ScatterCurve(sched.ScatterConfig{
-			Queries:  cfg.Queries,
+			Queries:  o.scaleQueries,
 			Records:  int64(records),
-			Service:  oracle.service,
-			Overhead: cfg.RouterOverhead,
-		}, cfg.Shards)
+			Service:  oracle.Service,
+			Overhead: o.routerOverhead,
+		}, shardCounts)
 		if err != nil {
 			return err
 		}
-		predByShards := map[int]sched.ScatterPoint{}
-		for _, p := range predicted {
-			predByShards[p.Shards] = p
-		}
-
-		procs, backends, err := bootShards(bin, maxShards, records, cfg.PaceScale)
+		swept, err := sweepShards(bin, o, shardCounts, records, oracle, predicted)
 		if err != nil {
 			return err
 		}
-		var base float64
-		for _, n := range cfg.Shards {
-			log.Printf("bench-scaleout: records=%d shards=%d: %d queries", records, n, cfg.Queries)
-			cell, err := runScaleCell(backends, n, cfg.Queries, sql, oracle)
-			if err != nil {
-				killShards(procs)
-				return err
-			}
-			cell.Records = records
-			if base == 0 {
-				base = cell.QueriesPerSec
-			}
-			cell.Speedup = cell.QueriesPerSec / base
-			if p, ok := predByShards[n]; ok {
-				cell.PredictedQPS = p.Throughput
-				cell.PredictedSpeedup = p.Speedup
-				cell.PredictedLatNS = int64(p.MeanLatency)
-			}
-			log.Printf("bench-scaleout: records=%d shards=%d: %.2f q/s (speedup %.2fx, predicted %.2fx), "+
-				"straggler gap %v, bit-identical",
-				records, n, cell.QueriesPerSec, cell.Speedup, cell.PredictedSpeedup,
-				time.Duration(cell.MeanStragglerNS).Round(time.Millisecond))
-			cells = append(cells, *cell)
-		}
-		killShards(procs)
+		cells = append(cells, swept...)
 
-		if cfg.Chaos && chaosRep == nil {
-			chaosRep, err = runScaleChaos(bin, cfg, records, oracle)
+		if o.scaleChaos && chaosRep == nil {
+			chaosRep, err = runScaleChaos(bin, o, records, oracle)
 			if err != nil {
 				return err
 			}
@@ -510,48 +198,79 @@ func runScaleoutBench(cfg scaleoutConfig, jsonOut string) error {
 		}
 	}
 
-	best := bestSpeedup(cells, maxShards)
-	doc := envelope("scaleout")
-	doc["backend"] = cfg.Backend
-	doc["pace_scale"] = cfg.PaceScale
-	doc["queries_per_cell"] = cfg.Queries
-	doc["router_overhead_ns"] = int64(cfg.RouterOverhead)
+	doc, best := scaleoutDoc(o, maxShards, cells, chaosRep)
+	if err := harness.WriteReport(o.jsonOut, doc, "scaleout_bench.md",
+		scaleoutMarkdown(o, cells, chaosRep, best)); err != nil {
+		return err
+	}
+	if o.scaleMinSpeedup > 0 && best < o.scaleMinSpeedup {
+		return fmt.Errorf("bench-scaleout: best speedup at %d shards is %.2fx, below the %.2fx gate",
+			maxShards, best, o.scaleMinSpeedup)
+	}
+	return nil
+}
+
+// scaleoutDoc assembles the scale-out JSON artifact on the common envelope
+// and returns the best measured speedup at the widest scatter with it.
+func scaleoutDoc(o *options, maxShards int, cells []scaleCell, chaosRep *scaleChaos) (doc map[string]any, best float64) {
+	for _, c := range cells {
+		if c.Shards == maxShards {
+			best = max(best, c.Speedup)
+		}
+	}
+	doc = harness.Envelope("scaleout")
+	doc["backend"] = o.scaleBackend
+	doc["pace_scale"] = o.paceScale
+	doc["queries_per_cell"] = o.scaleQueries
+	doc["router_overhead_ns"] = int64(o.routerOverhead)
 	doc["cells"] = cells
 	doc["best_speedup_at_max_shards"] = best
 	if chaosRep != nil {
 		doc["chaos"] = chaosRep
 	}
-	if err := writeJSON(jsonOut, doc); err != nil {
-		return err
-	}
-	mdPath := filepath.Join("results", "scaleout_bench.md")
-	if err := writeScaleoutMarkdown(mdPath, cfg, cells, chaosRep, best); err != nil {
-		return err
-	}
-	log.Printf("wrote %s and %s", mdPath, jsonOut)
-
-	if cfg.MinSpeedup > 0 && best < cfg.MinSpeedup {
-		return fmt.Errorf("bench-scaleout: best speedup at %d shards is %.2fx, below the %.2fx gate",
-			maxShards, best, cfg.MinSpeedup)
-	}
-	return nil
+	return doc, best
 }
 
-// bestSpeedup returns the highest measured speedup among max-width cells.
-func bestSpeedup(cells []scaleCell, maxShards int) float64 {
-	best := 0.0
-	for _, c := range cells {
-		if c.Shards == maxShards && c.Speedup > best {
-			best = c.Speedup
+// sweepShards boots the widest tier once for one record count and measures
+// every scatter width over a prefix of it; the first width anchors the
+// speedups.
+func sweepShards(bin string, o *options, shardCounts []int, records int,
+	oracle *harness.DemoOracle, predicted []sched.ScatterPoint) ([]scaleCell, error) {
+	fleet, err := harness.StartShards(bin, slices.Max(shardCounts), records, func(int) float64 { return o.paceScale })
+	if err != nil {
+		return nil, err
+	}
+	defer fleet.Kill()
+	var cells []scaleCell
+	for _, n := range shardCounts {
+		log.Printf("bench-scaleout: records=%d shards=%d: %d queries", records, n, o.scaleQueries)
+		cell, err := runScaleCell(fleet.Backends[:n], o.scaleQueries, oracle)
+		if err != nil {
+			return nil, err
 		}
+		cell.Records = records
+		base := cell.QueriesPerSec
+		if len(cells) > 0 {
+			base = cells[0].QueriesPerSec
+		}
+		cell.Speedup = cell.QueriesPerSec / base
+		for _, p := range predicted {
+			if p.Shards == n {
+				cell.PredictedQPS = p.Throughput
+				cell.PredictedSpeedup = p.Speedup
+				cell.PredictedLatNS = int64(p.MeanLatency)
+			}
+		}
+		log.Printf("bench-scaleout: records=%d shards=%d: %.2f q/s (speedup %.2fx, predicted %.2fx), "+
+			"straggler gap %v, bit-identical",
+			records, n, cell.QueriesPerSec, cell.Speedup, cell.PredictedSpeedup,
+			time.Duration(cell.MeanStragglerNS).Round(time.Millisecond))
+		cells = append(cells, *cell)
 	}
-	return best
+	return cells, nil
 }
 
-func writeScaleoutMarkdown(path string, cfg scaleoutConfig, cells []scaleCell, chaosRep *scaleChaos, best float64) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
+func scaleoutMarkdown(o *options, cells []scaleCell, chaosRep *scaleChaos, best float64) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Scale-out serving: sharded scatter-gather vs single node\n\n")
 	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -bench-scaleout`: real serve processes "+
@@ -559,15 +278,16 @@ func writeScaleoutMarkdown(path string, cfg scaleoutConfig, cells []scaleCell, c
 		"scoring device), fronted by the router, backend %s, %d closed-loop queries per cell. "+
 		"Every repetition's merged predictions are verified bit-identical against an "+
 		"in-process single-node oracle before its timing counts.\n\n",
-		cfg.PaceScale, cfg.Backend, cfg.Queries)
-	sb.WriteString("| records | shards | queries/s | rows/s | speedup | predicted speedup | mean latency | straggler gap | bit-identical |\n")
-	sb.WriteString("|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
+		o.paceScale, o.scaleBackend, o.scaleQueries)
+	tbl := harness.NewTable(&sb, []harness.Col{
+		{"records:", "%d"}, {"shards:", "%d"}, {"queries/s:", "%.2f"}, {"rows/s:", "%.0f"},
+		{"speedup:", "%.2fx"}, {"predicted speedup:", "%.2fx"}, {"mean latency:", "%v"},
+		{"straggler gap:", "%v"}, {":bit-identical", "%v"},
+	})
 	for _, c := range cells {
-		fmt.Fprintf(&sb, "| %d | %d | %.2f | %.0f | %.2fx | %.2fx | %v | %v | %v |\n",
-			c.Records, c.Shards, c.QueriesPerSec, c.RowsPerSec, c.Speedup, c.PredictedSpeedup,
+		tbl.Row(c.Records, c.Shards, c.QueriesPerSec, c.RowsPerSec, c.Speedup, c.PredictedSpeedup,
 			time.Duration(c.MeanLatencyNS).Round(time.Millisecond),
-			time.Duration(c.MeanStragglerNS).Round(time.Millisecond),
-			c.BitIdentical)
+			time.Duration(c.MeanStragglerNS).Round(time.Millisecond), c.BitIdentical)
 	}
 	fmt.Fprintf(&sb, "\nBest measured speedup at the widest scatter: **%.2fx**.\n\n", best)
 	sb.WriteString("The predicted column is the `sched` scatter simulator run on the same " +
@@ -587,5 +307,5 @@ func writeScaleoutMarkdown(path string, cfg scaleoutConfig, cells []scaleCell, c
 			chaosRep.Reroutes, chaosRep.QueriesFailed, chaosRep.WrongPredictions)
 		fmt.Fprintf(&sb, "\nVerdict: %s.\n", chaosRep.Verdict)
 	}
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
+	return &sb
 }

@@ -474,17 +474,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := s.exec.Submit(r.Context(), sql)
 	good := s.slo.Observe(class, time.Since(queryStart), err == nil)
 	if err != nil {
-		switch {
-		case errors.Is(err, exec.ErrRejected), errors.Is(err, exec.ErrClosed):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		case errors.Is(err, context.DeadlineExceeded):
-			http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		case errors.Is(err, context.Canceled):
-			// The client is gone; the status exists for logs and metrics.
-			http.Error(w, err.Error(), StatusClientClosedRequest)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		_, status := classifyError(err)
+		http.Error(w, err.Error(), status)
 		return
 	}
 	var sb strings.Builder

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"accelscore/internal/exec"
+	"accelscore/internal/faults"
 	"accelscore/internal/router"
 )
 
@@ -28,7 +29,8 @@ import (
 // caller's Accept header asks for router.FrameContentType, JSON otherwise
 // (curl, an older router). A failure is always the small JSON Result, with
 // Error and a Code that tells the router whether rerouting to another
-// replica can help (bad_request never reroutes; rejected/timeout may).
+// replica can help (bad_request never reroutes; rejected/timeout/internal
+// may).
 func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeScoreError(w, http.StatusMethodNotAllowed, router.CodeBadRequest,
@@ -48,7 +50,7 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.exec.SubmitScore(r.Context(), sreq)
 	if err != nil {
-		code, status := classifyScoreError(err)
+		code, status := classifyError(err)
 		writeScoreError(w, status, code, err.Error())
 		return
 	}
@@ -74,18 +76,25 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// classifyScoreError maps an executor error to its wire code and HTTP
-// status. Unrecognized errors are query-level (unknown model, bad filter):
-// on data-symmetric replicas they fail identically everywhere, so the
-// router must not reroute them or hold them against the shard's health.
-func classifyScoreError(err error) (code string, status int) {
+// classifyError is the one table from an executor error to its /score wire
+// code and HTTP status; /query answers with the same status. A device fault
+// that outlived the executor's retries and fallback, or an open breaker with
+// no fallback, is this shard's trouble: internal, so the router reroutes the
+// partition and counts the failure against the shard's health. Anything
+// unrecognized is query-level (unknown model, bad filter): on
+// data-symmetric replicas it fails identically everywhere, so the router
+// must not reroute it or hold it against the shard.
+func classifyError(err error) (code string, status int) {
 	switch {
 	case errors.Is(err, exec.ErrRejected), errors.Is(err, exec.ErrClosed):
 		return router.CodeRejected, http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return router.CodeTimeout, http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
+		// The client is gone; the status exists for logs and metrics.
 		return router.CodeCanceled, StatusClientClosedRequest
+	case faults.Injected(err), errors.Is(err, exec.ErrBreakerOpen):
+		return router.CodeInternal, http.StatusInternalServerError
 	default:
 		return router.CodeBadRequest, http.StatusBadRequest
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,9 +18,15 @@ import (
 
 // startShardServer builds a serve handler configured as one scale-out shard.
 func startShardServer(t *testing.T, shardID string) *httptest.Server {
+	return startFaultyShardServer(t, shardID, "")
+}
+
+// startFaultyShardServer is startShardServer with a fault plan armed on the
+// shard's pipeline.
+func startFaultyShardServer(t *testing.T, shardID, faultSpec string) *httptest.Server {
 	t.Helper()
 	_, handler, err := newServer(50, exec.Config{CoalesceWindow: 2 * time.Millisecond, MaxBatch: 8},
-		"", 7, nil, obsConfig{ShardID: shardID})
+		faultSpec, 7, nil, obsConfig{ShardID: shardID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,5 +275,71 @@ func TestScoreNegotiation(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusBadRequest || failed.Code != router.CodeBadRequest || failed.Error == "" {
 		t.Fatalf("error reply = %d %+v", resp.StatusCode, failed)
+	}
+}
+
+// crashPlan makes every CPU_SKLearn invocation crash. CPU_SKLearn is the
+// executor's fallback engine, so nothing absorbs the fault: it reaches the
+// endpoint.
+const crashPlan = "CPU_SKLearn:invoke:crash"
+
+// TestScoreDeviceFaultIsInternal: a shard-local device failure is the
+// shard's trouble, not the query's — /score answers 500 internal (which the
+// router reroutes), not 400 bad_request (which fails the query everywhere).
+func TestScoreDeviceFaultIsInternal(t *testing.T) {
+	ts := startFaultyShardServer(t, "shard-0", crashPlan)
+	code, res := postScore(t, ts.URL, router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn"})
+	if code != http.StatusInternalServerError || res.Code != router.CodeInternal || res.Error == "" {
+		t.Fatalf("device crash = %d code %q (%q), want 500 %q", code, res.Code, res.Error, router.CodeInternal)
+	}
+	// A healthy engine on the same shard still answers.
+	if code, res := postScore(t, ts.URL, router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX"}); code != http.StatusOK {
+		t.Fatalf("healthy engine = %d (%q)", code, res.Error)
+	}
+}
+
+// TestRouterReroutesAroundFaultyShard: with one of two replicas crashing on
+// every invocation, the router moves that replica's partition to the healthy
+// one, returns the answer a healthy tier returns, and holds the failure
+// against the sick shard's health.
+func TestRouterReroutesAroundFaultyShard(t *testing.T) {
+	ctx := context.Background()
+	const sql = "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='CPU_SKLearn'"
+	tier := func(faultSpec string) *router.Router {
+		var backends []router.Backend
+		for i, spec := range []string{faultSpec, ""} {
+			name := fmt.Sprintf("shard-%d", i)
+			shard, err := router.NewHTTPShard(name, startFaultyShardServer(t, name, spec).URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backends = append(backends, shard)
+		}
+		r, err := router.New(router.Config{Backends: backends, Health: &router.HealthConfig{FailThreshold: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+	want, err := tier("").Query(ctx, sql, router.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := tier(crashPlan)
+	got, err := r.Query(ctx, sql, router.QueryOptions{})
+	if err != nil {
+		t.Fatalf("one sick replica failed the whole query: %v", err)
+	}
+	if got.Partial || got.Reroutes != 1 || !reflect.DeepEqual(got.Predictions, want.Predictions) {
+		t.Fatalf("partial %v, %d reroutes, %d predictions (healthy tier: %d), want a bit-identical answer over 1 reroute",
+			got.Partial, got.Reroutes, len(got.Predictions), len(want.Predictions))
+	}
+	if st := r.Health().State(0); st == router.ShardHealthy {
+		t.Fatalf("the faulty shard's health never heard about the failure: still %v", st)
+	}
+	if st := r.Health().State(1); st != router.ShardHealthy {
+		t.Fatalf("the healthy shard is %v", st)
 	}
 }

@@ -3,7 +3,6 @@ package db
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -23,8 +22,7 @@ import (
 //	frame{ "ACSNEND" }
 //
 // Pages stream straight out of the column store — Save never materializes a
-// copy of the data (the old gob path deep-copied every table before
-// encoding). Every frame and page carries a CRC, so truncation or bit rot
+// copy of the data. Every frame and page carries a CRC, so truncation or bit rot
 // anywhere in the file surfaces as a typed error on load, never as a
 // silently wrong table. Pages of one column are contiguous and
 // self-describing (column index, row range), which is what lets a reader
@@ -42,28 +40,14 @@ const (
 
 // Typed persistence errors.
 var (
-	// ErrSnapshotFormat reports bytes that are neither the binary page
-	// format nor a legacy gob snapshot — the file needs migration or is
-	// corrupt.
+	// ErrSnapshotFormat reports bytes that do not start with the page
+	// format's magic: not a snapshot, or one written by a format this
+	// build no longer reads.
 	ErrSnapshotFormat = errors.New("db: unrecognized snapshot format")
 	// ErrSnapshotCorrupt reports a binary snapshot that fails validation
 	// (truncated, checksum mismatch, impossible structure).
 	ErrSnapshotCorrupt = errors.New("db: corrupt snapshot")
 )
-
-// legacySnapshot is the pre-binary serialized form (encoding/gob): exported
-// mirror structs so gob can see them without exposing Table internals. Load
-// still accepts it so databases written before the page format exist can be
-// read and migrated by a single Save.
-type legacySnapshot struct {
-	Tables []legacyTableSnapshot
-}
-
-type legacyTableSnapshot struct {
-	Name    string
-	Columns []Column
-	Cols    [][]Value
-}
 
 // colType maps a schema column type to its page encoding.
 func colType(t ColumnType) pagefmt.ColType {
@@ -184,36 +168,21 @@ func (d *Database) tableNamesLocked() []string {
 	return names
 }
 
-// Load reads a database previously written by Save. Both formats are
-// accepted: the binary page format (sniffed by magic) and the legacy gob
-// snapshot from before the storage engine existed. Bytes that are neither
-// fail with ErrSnapshotFormat; a binary snapshot damaged anywhere — torn
+// Load reads a database previously written by Save. Bytes that do not
+// start with the page format's magic — including inputs shorter than the
+// magic — fail with ErrSnapshotFormat; a snapshot damaged anywhere — torn
 // tail, flipped bit, impossible structure — fails with ErrSnapshotCorrupt
 // rather than loading wrong data.
 func Load(r io.Reader) (*Database, error) {
 	var magic [8]byte
-	n, err := io.ReadFull(r, magic[:])
+	_, err := io.ReadFull(r, magic[:])
 	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return nil, err
 	}
-	if magic == snapshotMagic {
-		return loadBinary(bufio.NewReaderSize(r, 64<<10))
+	if magic != snapshotMagic {
+		return nil, ErrSnapshotFormat
 	}
-	return loadLegacyGob(io.MultiReader(newSliceReader(magic[:n]), r))
-}
-
-// newSliceReader avoids importing bytes just for a prefix reader.
-func newSliceReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
+	return loadBinary(bufio.NewReaderSize(r, 64<<10))
 }
 
 // loadBinary decodes the page-format snapshot body after the magic.
@@ -365,70 +334,6 @@ func loadColumnPages(r io.Reader, typ pagefmt.ColType, colIndex uint32, rows uin
 		got += uint64(p.Rows)
 	}
 	return vals, nil
-}
-
-// loadLegacyGob decodes the pre-binary gob snapshot format.
-func loadLegacyGob(r io.Reader) (*Database, error) {
-	var snap legacySnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("%w (not a page snapshot, and gob decode failed: %v)", ErrSnapshotFormat, err)
-	}
-	d := &Database{tables: make(map[string]*Table)}
-	for _, ts := range snap.Tables {
-		t, err := NewTable(ts.Name, ts.Columns)
-		if err != nil {
-			return nil, fmt.Errorf("db: snapshot table %q: %w", ts.Name, err)
-		}
-		if len(ts.Cols) != len(ts.Columns) {
-			return nil, fmt.Errorf("db: snapshot table %q has %d column vectors for %d columns",
-				ts.Name, len(ts.Cols), len(ts.Columns))
-		}
-		n := -1
-		for ci, col := range ts.Cols {
-			if n == -1 {
-				n = len(col)
-			} else if len(col) != n {
-				return nil, fmt.Errorf("db: snapshot table %q column %d has %d rows, want %d",
-					ts.Name, ci, len(col), n)
-			}
-		}
-		t.cols = ts.Cols
-		d.tables[ts.Name] = t
-	}
-	if _, ok := d.tables[ModelsTable]; !ok {
-		models, err := NewTable(ModelsTable, []Column{
-			{Name: "name", Type: TextCol},
-			{Name: "model", Type: BlobCol},
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.tables[ModelsTable] = models
-	}
-	return d, nil
-}
-
-// saveLegacyGob writes the deprecated gob format; it exists so tests can
-// construct pre-migration files and prove Load still reads them.
-func (d *Database) saveLegacyGob(w io.Writer) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var snap legacySnapshot
-	for _, name := range d.tableNamesLocked() {
-		t := d.tables[name]
-		t.rowsMu.RLock()
-		cols := make([][]Value, len(t.cols))
-		for ci, col := range t.cols {
-			cols[ci] = append([]Value(nil), col...)
-		}
-		t.rowsMu.RUnlock()
-		snap.Tables = append(snap.Tables, legacyTableSnapshot{
-			Name:    t.Name,
-			Columns: t.Columns,
-			Cols:    cols,
-		})
-	}
-	return gob.NewEncoder(w).Encode(snap)
 }
 
 // SaveFile writes the database to a file.

@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -100,30 +101,37 @@ func TestBinarySnapshotRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyGobSnapshot proves databases saved before the binary page
-// format still load (the migration path: Load old file, Save rewrites it).
-func TestLoadLegacyGobSnapshot(t *testing.T) {
-	d := buildPersistFixture(t, 20)
-	var buf bytes.Buffer
-	if err := d.saveLegacyGob(&buf); err != nil {
-		t.Fatalf("saveLegacyGob: %v", err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Load(legacy gob): %v", err)
-	}
-	assertSameTables(t, d, back)
-	// Short legacy prefixes (fewer than 8 magic bytes) must also route to the
-	// gob path, not be mistaken for a torn binary header.
-	if _, err := Load(bytes.NewReader(buf.Bytes()[:5])); err == nil {
-		t.Fatalf("truncated gob should fail")
-	}
-}
-
+// TestLoadGarbageGetsTypedError: anything that does not start with the page
+// magic is ErrSnapshotFormat — text, a prefix shorter than the magic (even a
+// prefix of the magic itself), nothing at all, and the gob stream the
+// pre-page-format builds wrote, which this build no longer reads.
 func TestLoadGarbageGetsTypedError(t *testing.T) {
-	_, err := Load(bytes.NewReader([]byte("definitely not a snapshot of any era")))
-	if !errors.Is(err, ErrSnapshotFormat) {
-		t.Fatalf("err = %v, want ErrSnapshotFormat", err)
+	var formerGob bytes.Buffer
+	type tableSnapshot struct {
+		Name    string
+		Columns []Column
+		Cols    [][]Value
+	}
+	err := gob.NewEncoder(&formerGob).Encode(struct{ Tables []tableSnapshot }{
+		Tables: []tableSnapshot{{
+			Name:    "t",
+			Columns: []Column{{Name: "x", Type: Int64Col}},
+			Cols:    [][]Value{{Int(1), Int(2)}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{
+		"text":         []byte("definitely not a snapshot of any era"),
+		"short":        []byte("nope"),
+		"magic-prefix": snapshotMagic[:5],
+		"empty":        nil,
+		"former-gob":   formerGob.Bytes(),
+	} {
+		if _, err := Load(bytes.NewReader(in)); !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("%s: err = %v, want ErrSnapshotFormat", name, err)
+		}
 	}
 }
 

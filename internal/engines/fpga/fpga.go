@@ -76,9 +76,6 @@ func (e *Engine) WithDeepTreeFallback(cpu hw.CPUSpec, threads int) *Engine {
 // Name implements backend.Backend.
 func (e *Engine) Name() string { return "FPGA" }
 
-// Spec returns the engine's hardware description.
-func (e *Engine) Spec() hw.FPGASpec { return e.spec }
-
 // Score implements backend.Backend.
 func (e *Engine) Score(req *backend.Request) (*backend.Result, error) {
 	if err := req.Validate(); err != nil {

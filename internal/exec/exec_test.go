@@ -399,42 +399,3 @@ func TestHammerMixedWorkload(t *testing.T) {
 		t.Fatalf("post-insert scoring saw %d rows, want %d", len(res.Predictions), len(want)+1)
 	}
 }
-
-// TestLoadHarnessSmoke drives the real load harness end to end at tiny
-// scale: executor vs serialized baseline over the same deterministic
-// stream, plus the simulator prediction for the same stream.
-func TestLoadHarnessSmoke(t *testing.T) {
-	env, err := exec.BuildLoadEnv(exec.LoadConfig{
-		Queries:     24,
-		TableRows:   256,
-		TreeChoices: []int{4, 8}, DepthChoices: []int{6},
-	}, obs.NewObserver())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := exec.New(env.Pipe, exec.Config{
-		Workers: 2, QueueDepth: 64,
-		CoalesceWindow: time.Millisecond, MaxBatch: 8,
-	})
-	got, err := exec.RunLoad(env, e, "executor", exec.RunOptions{Clients: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Ok != 24 || got.Errors != 0 || got.Rejected != 0 {
-		t.Fatalf("executor run: %+v", got)
-	}
-	base, err := exec.RunLoad(env, &exec.SerializedRunner{Pipe: env.Pipe}, "serialized", exec.RunOptions{Clients: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Ok != 24 {
-		t.Fatalf("serialized run: %+v", base)
-	}
-	m, err := env.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Makespan <= 0 {
-		t.Fatalf("simulation produced empty metrics: %+v", m)
-	}
-}

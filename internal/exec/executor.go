@@ -305,16 +305,7 @@ func (e *Executor) Submit(ctx context.Context, sql string) (res *pipeline.QueryR
 		}
 	}
 	if req != nil {
-		qctx, cancel := e.queryContext(ctx, req.Timeout)
-		defer cancel()
-		if e.cfg.CoalesceWindow > 0 && e.cfg.MaxBatch > 1 {
-			return e.coalesce(qctx, req)
-		}
-		results, err := e.runBatch(qctx, []*pipeline.ScoreRequest{req})
-		if err != nil {
-			return nil, err
-		}
-		return results[0], nil
+		return e.score(ctx, req)
 	}
 
 	// Non-scoring statements execute in the DBMS under a worker slot; the
@@ -392,7 +383,12 @@ func (e *Executor) SubmitScore(ctx context.Context, req *pipeline.ScoreRequest) 
 		return nil, err
 	}
 	defer release()
+	return e.score(ctx, req)
+}
 
+// score runs one admitted scoring request: coalesced with concurrent
+// same-shape requests when a window is configured, alone otherwise.
+func (e *Executor) score(ctx context.Context, req *pipeline.ScoreRequest) (*pipeline.QueryResult, error) {
 	qctx, cancel := e.queryContext(ctx, req.Timeout)
 	defer cancel()
 	if e.cfg.CoalesceWindow > 0 && e.cfg.MaxBatch > 1 {

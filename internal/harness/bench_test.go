@@ -1,9 +1,10 @@
-package exec
+package harness
 
 import (
 	"testing"
 	"time"
 
+	"accelscore/internal/exec"
 	"accelscore/internal/obs"
 )
 
@@ -31,19 +32,19 @@ func BenchmarkServeThroughput(b *testing.B) {
 			return &SerializedRunner{Pipe: env.Pipe}
 		}},
 		{"executor-w1", func(env *LoadEnv) QueryRunner {
-			return New(env.Pipe, Config{Workers: 1})
+			return exec.New(env.Pipe, exec.Config{Workers: 1})
 		}},
 		{"executor-w4", func(env *LoadEnv) QueryRunner {
-			return New(env.Pipe, Config{Workers: 4})
+			return exec.New(env.Pipe, exec.Config{Workers: 4})
 		}},
 		{"executor-w8", func(env *LoadEnv) QueryRunner {
-			return New(env.Pipe, Config{Workers: 8})
+			return exec.New(env.Pipe, exec.Config{Workers: 8})
 		}},
 		{"executor-w4-coalesce", func(env *LoadEnv) QueryRunner {
-			return New(env.Pipe, Config{Workers: 4, CoalesceWindow: time.Millisecond, MaxBatch: 4})
+			return exec.New(env.Pipe, exec.Config{Workers: 4, CoalesceWindow: time.Millisecond, MaxBatch: 4})
 		}},
 		{"executor-w8-coalesce", func(env *LoadEnv) QueryRunner {
-			return New(env.Pipe, Config{Workers: 8, CoalesceWindow: time.Millisecond, MaxBatch: 4})
+			return exec.New(env.Pipe, exec.Config{Workers: 8, CoalesceWindow: time.Millisecond, MaxBatch: 4})
 		}},
 	}
 	for _, tc := range cases {

@@ -1,16 +1,14 @@
-package exec
+package harness
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"accelscore/internal/exec"
 	"accelscore/internal/faults"
 	"accelscore/internal/obs"
 )
@@ -29,7 +27,7 @@ type ChaosConfig struct {
 	Load LoadConfig
 	// Exec configures the executor (retries, breaker, fallback, attempt
 	// timeout). The same config drives both runs; only the injector differs.
-	Exec Config
+	Exec exec.Config
 	// Clients is the closed-loop concurrency (default 8).
 	Clients int
 	// FaultSpec is the chaos run's fault plan (default DefaultChaosPlan).
@@ -99,7 +97,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	plan, err := faults.Parse(cfg.FaultSpec)
 	if err != nil {
-		return nil, fmt.Errorf("exec: chaos plan: %w", err)
+		return nil, fmt.Errorf("harness: chaos plan: %w", err)
 	}
 
 	oracle, err := chaosOracle(cfg.Load)
@@ -133,7 +131,7 @@ func chaosOracle(load LoadConfig) ([][]int, error) {
 	for i, q := range env.Queries {
 		res, err := env.Pipe.ExecQuery(env.SQLFor(q))
 		if err != nil {
-			return nil, fmt.Errorf("exec: chaos oracle query %d: %w", i, err)
+			return nil, fmt.Errorf("harness: chaos oracle query %d: %w", i, err)
 		}
 		oracle[i] = res.Predictions
 	}
@@ -148,84 +146,44 @@ func runChaosPass(cfg ChaosConfig, label string, inj *faults.Injector, oracle []
 		return nil, err
 	}
 	if inj != nil {
-		env.Pipe.Faults = WireFaultMetrics(inj, observer.Metrics())
+		env.Pipe.Faults = exec.WireFaultMetrics(inj, observer.Metrics())
 	}
-	e := New(env.Pipe, cfg.Exec)
+	e := exec.New(env.Pipe, cfg.Exec)
 	defer func() {
 		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = e.Close(cctx)
 	}()
 
-	rep := &ChaosRun{Label: label, Queries: len(env.Queries)}
-	lats := make([]time.Duration, len(env.Queries))
-	outcomes := make([]error, len(env.Queries))
-	wrong := make([]bool, len(env.Queries))
-
-	start := time.Now()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(env.Queries) {
-					return
-				}
-				ctx := context.Background()
-				var cancel context.CancelFunc = func() {}
-				if cfg.Deadline > 0 {
-					ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-				}
-				t0 := time.Now()
-				res, err := e.Submit(ctx, env.SQLFor(env.Queries[i]))
-				lats[i] = time.Since(t0)
-				cancel()
-				outcomes[i] = err
-				if err == nil && !equalInts(res.Predictions, oracle[i]) {
-					wrong[i] = true
-				}
+	run := Closed(context.Background(), cfg.Clients, len(env.Queries), cfg.Deadline,
+		func(ctx context.Context, i int) error {
+			res, err := e.Submit(ctx, env.SQLFor(env.Queries[i]))
+			if err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	rep.Wall = time.Since(start)
-
-	okLats := make([]time.Duration, 0, len(lats))
-	for i, err := range outcomes {
-		switch {
-		case err == nil:
-			rep.Ok++
-			okLats = append(okLats, lats[i])
-			if wrong[i] {
-				rep.Wrong++
-			}
-		case errors.Is(err, context.DeadlineExceeded):
-			rep.DeadlineExceeded++
-		case errors.Is(err, context.Canceled):
-			rep.Canceled++
-		case errors.Is(err, ErrRejected):
-			rep.Rejected++
-		default:
-			rep.OtherErrors++
-		}
+			return Verify(oracle[i], res.Predictions)
+		})
+	t := run.Tally()
+	sum := Summarize(run.OKLatencies())
+	rep := &ChaosRun{
+		Label: label, Queries: len(env.Queries), Wall: run.Wall,
+		Ok: t[OK], DeadlineExceeded: t[Deadline], Canceled: t[Canceled], Rejected: t[Rejected],
+		OtherErrors: t[Failed] + t[Shed], Wrong: t[Wrong],
+		Mean: sum.Mean, P50: sum.P50, P99: sum.P99,
 	}
 	if rep.Queries > 0 {
 		rep.Availability = float64(rep.Ok) / float64(rep.Queries)
 	}
-	rep.Mean, rep.P50, rep.P99 = latencySummary(okLats)
 
 	var buf bytes.Buffer
 	if err := observer.Metrics().WritePrometheus(&buf); err != nil {
 		return nil, err
 	}
 	text := buf.String()
-	rep.FaultsInjected = metricTotal(text, MetricFaultsInjectedTotal)
-	rep.Retries = metricTotal(text, MetricRetriesTotal)
-	rep.Fallbacks = metricTotal(text, MetricFallbacksTotal)
-	rep.BreakerTransitions = metricTotal(text, MetricBreakerTransitionsTotal)
+	rep.FaultsInjected = metricTotal(text, exec.MetricFaultsInjectedTotal)
+	rep.Retries = metricTotal(text, exec.MetricRetriesTotal)
+	rep.Fallbacks = metricTotal(text, exec.MetricFallbacksTotal)
+	rep.BreakerTransitions = metricTotal(text, exec.MetricBreakerTransitionsTotal)
 	return rep, nil
 }
 
@@ -252,17 +210,4 @@ func metricTotal(exposition, name string) float64 {
 		total += v
 	}
 	return total
-}
-
-// equalInts reports whether two prediction vectors match exactly.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -15,11 +15,10 @@
 // the table carries non-feature REAL columns (they validate the feature
 // count), so its cost is compared to the pruned conversion directly rather
 // than through a query that would be rejected.
-package exec
+package harness
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"accelscore/internal/dataset"
@@ -35,23 +34,23 @@ import (
 // from RunFusionBench.
 type FusionBenchConfig struct {
 	// Rows sizes the scoring input tables (default 8192).
-	Rows int
+	Rows int `json:"rows"`
 	// Trees and Depth shape the model (defaults 256 trees, depth 10) — large
 	// enough that traversal dominates, so skipped rows are visible wins.
-	Trees int
-	Depth int
+	Trees int `json:"trees"`
+	Depth int `json:"depth"`
 	// Seed makes training deterministic (default 1).
-	Seed uint64
-	// Repeats is the measured repetitions per cell; the median is reported
-	// (default 5).
-	Repeats int
+	Seed uint64 `json:"seed"`
+	// Repeats is the measured repetitions per cell; the nearest-rank median
+	// is reported (default 5).
+	Repeats int `json:"repeats"`
 	// Selectivities are the WHERE pass fractions (default 1%, 10%, 50%, 100%).
-	Selectivities []float64
+	Selectivities []float64 `json:"selectivities"`
 	// JunkCols is how many non-feature REAL columns pad the wide table
 	// (default 46, for a ~50-column table over a 4-feature model).
-	JunkCols int
+	JunkCols int `json:"junk_cols"`
 	// Backend is the engine under test (default CPU_SKLearn).
-	Backend string
+	Backend string `json:"backend"`
 }
 
 // FusionCell is one (table, selectivity) measurement.
@@ -83,19 +82,12 @@ type FusionTableStat struct {
 	ConvertSpeedup  float64 `json:"convert_speedup"`
 }
 
-// FusionBenchReport is the full matrix plus the configuration that produced
-// it.
+// FusionBenchReport is the full matrix plus the configuration, defaults
+// filled, that produced it.
 type FusionBenchReport struct {
-	Rows          int               `json:"rows"`
-	Trees         int               `json:"trees"`
-	Depth         int               `json:"depth"`
-	Repeats       int               `json:"repeats"`
-	JunkCols      int               `json:"junk_cols"`
-	Seed          uint64            `json:"seed"`
-	Backend       string            `json:"backend"`
-	Selectivities []float64         `json:"selectivities"`
-	Tables        []FusionTableStat `json:"tables"`
-	Cells         []FusionCell      `json:"cells"`
+	FusionBenchConfig
+	Tables []FusionTableStat `json:"tables"`
+	Cells  []FusionCell      `json:"cells"`
 }
 
 // fusionTableSpec pairs a benchmark table with its junk-column width.
@@ -167,11 +159,7 @@ func RunFusionBench(cfg FusionBenchConfig) (*FusionBenchReport, error) {
 	tb := platform.New()
 	pipe := &pipeline.Pipeline{DB: d, Runtime: hw.DefaultRuntime(), Registry: tb.Registry}
 
-	rep := &FusionBenchReport{
-		Rows: cfg.Rows, Trees: cfg.Trees, Depth: cfg.Depth, Repeats: cfg.Repeats,
-		JunkCols: cfg.JunkCols, Seed: cfg.Seed, Backend: cfg.Backend,
-		Selectivities: cfg.Selectivities,
-	}
+	rep := &FusionBenchReport{FusionBenchConfig: cfg}
 	for _, s := range specs {
 		stat, err := convertStat(cfg, d, s, f.FeatureNames)
 		if err != nil {
@@ -202,8 +190,7 @@ func convertStat(cfg FusionBenchConfig, d *db.Database, spec fusionTableSpec, fe
 		RealColumns: len(features) + spec.junk,
 		FeatureCols: len(features),
 	}
-	full := make([]int64, 0, cfg.Repeats)
-	pruned := make([]int64, 0, cfg.Repeats)
+	var full, pruned []time.Duration
 	for r := 0; r < cfg.Repeats+1; r++ {
 		t0 := time.Now()
 		if _, err := tbl.DatasetFor(nil, 0); err != nil {
@@ -218,11 +205,11 @@ func convertStat(cfg FusionBenchConfig, d *db.Database, spec fusionTableSpec, fe
 		if r == 0 {
 			continue // warm-up round
 		}
-		full = append(full, tf.Nanoseconds())
-		pruned = append(pruned, tp.Nanoseconds())
+		full = append(full, tf)
+		pruned = append(pruned, tp)
 	}
-	stat.ConvertFullNS = medianNS(full)
-	stat.ConvertPrunedNS = medianNS(pruned)
+	stat.ConvertFullNS = int64(Summarize(full).P50)
+	stat.ConvertPrunedNS = int64(Summarize(pruned).P50)
 	if stat.ConvertPrunedNS > 0 {
 		stat.ConvertSpeedup = float64(stat.ConvertFullNS) / float64(stat.ConvertPrunedNS)
 	}
@@ -242,10 +229,7 @@ func runFusionCell(cfg FusionBenchConfig, pipe *pipeline.Pipeline,
 		spec.name, cfg.Backend)
 
 	cell := &FusionCell{Table: spec.name, Selectivity: sel}
-	fusedNS := make([]int64, 0, cfg.Repeats)
-	unfusedNS := make([]int64, 0, cfg.Repeats)
-	fusedSim := make([]int64, 0, cfg.Repeats)
-	unfusedSim := make([]int64, 0, cfg.Repeats)
+	var fusedNS, unfusedNS, fusedSim, unfusedSim []time.Duration
 	var lastFused []int
 
 	// One untimed round warms the runtime (allocator, branch history); the
@@ -282,20 +266,13 @@ func runFusionCell(cfg FusionBenchConfig, pipe *pipeline.Pipeline,
 
 		// The answer check IS the benchmark's admission ticket: fused
 		// predictions must equal filtering the scored-everything baseline.
-		if len(fres.Predictions) != len(want) {
-			return nil, fmt.Errorf("fusion bench %s@%g DIVERGED: fused returned %d rows, post-filter keeps %d",
-				spec.name, sel, len(fres.Predictions), len(want))
+		if err := Verify(want, fres.Predictions); err != nil {
+			return nil, fmt.Errorf("fusion bench %s@%g DIVERGED from post-filtering: %w", spec.name, sel, err)
 		}
-		for i := range want {
-			if fres.Predictions[i] != want[i] {
-				return nil, fmt.Errorf("fusion bench %s@%g DIVERGED at dense row %d: fused %d, post-filtered %d",
-					spec.name, sel, i, fres.Predictions[i], want[i])
-			}
-		}
-		fusedNS = append(fusedNS, tf.Nanoseconds())
-		unfusedNS = append(unfusedNS, tu.Nanoseconds())
-		fusedSim = append(fusedSim, fres.Timeline.Total().Nanoseconds())
-		unfusedSim = append(unfusedSim, ures.Timeline.Total().Nanoseconds())
+		fusedNS = append(fusedNS, tf)
+		unfusedNS = append(unfusedNS, tu)
+		fusedSim = append(fusedSim, fres.Timeline.Total())
+		unfusedSim = append(unfusedSim, ures.Timeline.Total())
 		cell.RowsScanned, cell.RowsScored = fres.RowsScanned, fres.RowsScored
 		lastFused = fres.Predictions
 	}
@@ -323,10 +300,10 @@ func runFusionCell(cfg FusionBenchConfig, pipe *pipeline.Pipeline,
 			spec.name, sel, total, len(lastFused))
 	}
 
-	cell.FusedNS = medianNS(fusedNS)
-	cell.UnfusedNS = medianNS(unfusedNS)
-	cell.FusedSimNS = medianNS(fusedSim)
-	cell.UnfusedSimNS = medianNS(unfusedSim)
+	cell.FusedNS = int64(Summarize(fusedNS).P50)
+	cell.UnfusedNS = int64(Summarize(unfusedNS).P50)
+	cell.FusedSimNS = int64(Summarize(fusedSim).P50)
+	cell.UnfusedSimNS = int64(Summarize(unfusedSim).P50)
 	if cell.FusedNS > 0 {
 		cell.Speedup = float64(cell.UnfusedNS) / float64(cell.FusedNS)
 	}
@@ -368,14 +345,4 @@ func buildFusionTable(name string, data *dataset.Dataset, junk int) (*db.Table, 
 		}
 	}
 	return tbl, nil
-}
-
-// medianNS returns the median of the sample.
-func medianNS(xs []int64) int64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
 }

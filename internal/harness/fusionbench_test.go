@@ -1,16 +1,16 @@
-package exec_test
+package harness_test
 
 import (
 	"math"
 	"testing"
 
-	"accelscore/internal/exec"
+	"accelscore/internal/harness"
 )
 
 // A small matrix must complete, verify, and produce a full set of cells with
 // sane row accounting.
 func TestRunFusionBenchSmall(t *testing.T) {
-	cfg := exec.FusionBenchConfig{
+	cfg := harness.FusionBenchConfig{
 		Rows:          256,
 		Trees:         8,
 		Depth:         6,
@@ -18,7 +18,7 @@ func TestRunFusionBenchSmall(t *testing.T) {
 		Selectivities: []float64{0.1, 1.0},
 		JunkCols:      6,
 	}
-	rep, err := exec.RunFusionBench(cfg)
+	rep, err := harness.RunFusionBench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
-package exec
+package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accelscore/internal/dataset"
@@ -32,14 +32,15 @@ type LoadConfig struct {
 	// drawn log-uniformly in [1, TableRows] and applied via @limit
 	// (default 2048).
 	TableRows int
-	// MeanInterarrival paces the open-loop stream (default 5ms).
-	MeanInterarrival time.Duration
 	// TreeChoices and DepthChoices span the model-complexity axis; one
 	// model is trained and stored per (trees, depth) pair (defaults
 	// {8, 32, 128} x {6, 10}).
 	TreeChoices  []int
 	DepthChoices []int
 }
+
+// meanInterarrival paces the open-loop stream.
+const meanInterarrival = 5 * time.Millisecond
 
 // LoadEnv is a self-contained serving environment for load generation: an
 // IRIS-replicated "stream" table, one trained model per (trees, depth)
@@ -48,7 +49,6 @@ type LoadConfig struct {
 // generator — so measured serving numbers line up with simulator
 // predictions over the same stream.
 type LoadEnv struct {
-	DB      *db.Database
 	Pipe    *pipeline.Pipeline
 	Cfg     LoadConfig
 	Queries []sched.Query
@@ -68,9 +68,6 @@ func BuildLoadEnv(cfg LoadConfig, observer *obs.Observer) (*LoadEnv, error) {
 	}
 	if cfg.TableRows <= 0 {
 		cfg.TableRows = 2048
-	}
-	if cfg.MeanInterarrival <= 0 {
-		cfg.MeanInterarrival = 5 * time.Millisecond
 	}
 	if len(cfg.TreeChoices) == 0 {
 		cfg.TreeChoices = []int{8, 32, 128}
@@ -107,7 +104,7 @@ func BuildLoadEnv(cfg LoadConfig, observer *obs.Observer) (*LoadEnv, error) {
 
 	queries, err := sched.Generate(sched.WorkloadConfig{
 		Queries:          cfg.Queries,
-		MeanInterarrival: cfg.MeanInterarrival,
+		MeanInterarrival: meanInterarrival,
 		Features:         iris.NumFeatures(),
 		Classes:          iris.NumClasses(),
 		TreeChoices:      cfg.TreeChoices,
@@ -122,7 +119,6 @@ func BuildLoadEnv(cfg LoadConfig, observer *obs.Observer) (*LoadEnv, error) {
 
 	tb := platform.New()
 	return &LoadEnv{
-		DB: d,
 		Pipe: &pipeline.Pipeline{
 			DB:       d,
 			Runtime:  hw.DefaultRuntime(),
@@ -156,8 +152,8 @@ func (env *LoadEnv) Simulate() (sched.Metrics, error) {
 	return m, err
 }
 
-// QueryRunner abstracts who executes a statement: the concurrent Executor
-// or the serialized baseline.
+// QueryRunner abstracts who executes a statement: the concurrent
+// exec.Executor or the serialized baseline.
 type QueryRunner interface {
 	ExecQuery(sql string) (*pipeline.QueryResult, error)
 }
@@ -248,89 +244,50 @@ func (r *LoadReport) String() string {
 }
 
 // RunLoad replays the environment's query stream through the runner and
-// measures real end-to-end serving performance.
+// measures real end-to-end serving performance. Anything but an answer or an
+// admission rejection fails the run.
 func RunLoad(env *LoadEnv, r QueryRunner, label string, opt RunOptions) (*LoadReport, error) {
 	if opt.Clients <= 0 {
 		opt.Clients = 8
 	}
-	rep := &LoadReport{Label: label, Queries: len(env.Queries)}
-	lats := make([]time.Duration, len(env.Queries))
-	outcomes := make([]error, len(env.Queries))
-
-	start := time.Now()
+	op := func(_ context.Context, i int) error {
+		_, err := r.ExecQuery(env.SQLFor(env.Queries[i]))
+		return err
+	}
+	var run *Run
 	if opt.OpenLoop {
-		var wg sync.WaitGroup
-		for i := range env.Queries {
-			q := env.Queries[i]
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// Pace to the generated arrival time; latency is measured
-				// from the scheduled arrival so queueing counts.
-				sched := start.Add(q.Arrival)
-				if d := time.Until(sched); d > 0 {
-					time.Sleep(d)
-				}
-				_, err := r.ExecQuery(env.SQLFor(q))
-				lats[i] = time.Since(sched)
-				outcomes[i] = err
-			}(i)
+		schedule := make([]time.Duration, len(env.Queries))
+		for i, q := range env.Queries {
+			schedule[i] = q.Arrival
 		}
-		wg.Wait()
+		run = Open(context.Background(), schedule, 0, op)
 	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for c := 0; c < opt.Clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(env.Queries) {
-						return
-					}
-					t0 := time.Now()
-					_, err := r.ExecQuery(env.SQLFor(env.Queries[i]))
-					lats[i] = time.Since(t0)
-					outcomes[i] = err
-				}
-			}()
-		}
-		wg.Wait()
+		run = Closed(context.Background(), opt.Clients, len(env.Queries), 0, op)
 	}
-	rep.Wall = time.Since(start)
 
-	okLats := make([]time.Duration, 0, len(lats))
-	for i, err := range outcomes {
-		switch {
-		case err == nil:
-			rep.Ok++
-			okLats = append(okLats, lats[i])
-		case err == ErrRejected:
-			rep.Rejected++
-		default:
-			rep.Errors++
+	for _, s := range run.Samples {
+		if c := Classify(s.Err); c != OK && c != Rejected {
+			return nil, fmt.Errorf("harness: load run %q: %w", label, s.Err)
 		}
 	}
-	if rep.Errors > 0 {
-		for _, err := range outcomes {
-			if err != nil && err != ErrRejected {
-				return nil, fmt.Errorf("exec: load run %q: %w", label, err)
-			}
-		}
+	t := run.Tally()
+	rep := &LoadReport{
+		Label: label, Queries: len(env.Queries), Wall: run.Wall,
+		Ok: t[OK], Rejected: t[Rejected],
 	}
 	if rep.Wall > 0 {
 		rep.ThroughputQPS = float64(rep.Ok) / rep.Wall.Seconds()
 	}
-	rep.Mean, rep.P50, rep.P99 = latencySummary(okLats)
+	sum := Summarize(run.OKLatencies())
+	rep.Mean, rep.P50, rep.P99 = sum.Mean, sum.P50, sum.P99
 	if len(opt.SLO) > 0 {
 		// A nil registry keeps the engine pure accounting — loadgen's
 		// per-run environments are throwaway, so no gauges to publish.
 		eng := obs.NewSLOEngine(nil, opt.SLO, 0)
 		maxRec := int64(env.Cfg.TableRows)
-		for i := range env.Queries {
-			class := ClassForRecords(opt.SLO, env.Queries[i].Records, maxRec)
-			eng.Observe(class, lats[i], outcomes[i] == nil)
+		for _, s := range run.Samples {
+			class := ClassForRecords(opt.SLO, env.Queries[s.I].Records, maxRec)
+			eng.Observe(class, s.Latency, s.Err == nil)
 		}
 		rep.SLO = eng.Report()
 		var good, total uint64
@@ -343,19 +300,4 @@ func RunLoad(env *LoadEnv, r QueryRunner, label string, opt RunOptions) (*LoadRe
 		}
 	}
 	return rep, nil
-}
-
-// latencySummary returns mean/p50/p99 of the sample.
-func latencySummary(lats []time.Duration) (mean, p50, p99 time.Duration) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, l := range sorted {
-		sum += l
-	}
-	n := len(sorted)
-	return sum / time.Duration(n), sorted[n/2], sorted[(n*99)/100]
 }

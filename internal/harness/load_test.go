@@ -1,10 +1,11 @@
-package exec_test
+package harness_test
 
 import (
 	"testing"
 	"time"
 
 	"accelscore/internal/exec"
+	"accelscore/internal/harness"
 	"accelscore/internal/obs"
 )
 
@@ -14,17 +15,17 @@ func TestClassForRecords(t *testing.T) {
 		{Class: "interactive", Latency: 10 * time.Millisecond},
 	}
 	const maxRec = 4096
-	if got := exec.ClassForRecords(objs, 1, maxRec); got != "interactive" {
+	if got := harness.ClassForRecords(objs, 1, maxRec); got != "interactive" {
 		t.Errorf("records=1 -> %q, want interactive", got)
 	}
-	if got := exec.ClassForRecords(objs, maxRec, maxRec); got != "batch" {
+	if got := harness.ClassForRecords(objs, maxRec, maxRec); got != "batch" {
 		t.Errorf("records=max -> %q, want batch", got)
 	}
 	// Monotone: once a stream crosses into the slower class it never drops
 	// back to the tighter one.
 	crossed := false
 	for r := int64(1); r <= maxRec; r *= 2 {
-		c := exec.ClassForRecords(objs, r, maxRec)
+		c := harness.ClassForRecords(objs, r, maxRec)
 		switch c {
 		case "batch":
 			crossed = true
@@ -38,10 +39,10 @@ func TestClassForRecords(t *testing.T) {
 	}
 	// Single objective absorbs everything; no objectives yield no class.
 	one := []obs.Objective{{Class: "only", Latency: time.Second}}
-	if got := exec.ClassForRecords(one, maxRec, maxRec); got != "only" {
+	if got := harness.ClassForRecords(one, maxRec, maxRec); got != "only" {
 		t.Errorf("single objective -> %q, want only", got)
 	}
-	if got := exec.ClassForRecords(nil, 1, maxRec); got != "" {
+	if got := harness.ClassForRecords(nil, 1, maxRec); got != "" {
 		t.Errorf("no objectives -> %q, want empty", got)
 	}
 }
@@ -50,7 +51,7 @@ func TestClassForRecords(t *testing.T) {
 // with unmissable objectives every query is good, with impossible ones every
 // query burns budget — bracketing the goodput accounting from both sides.
 func TestRunLoadGoodput(t *testing.T) {
-	env, err := exec.BuildLoadEnv(exec.LoadConfig{
+	env, err := harness.BuildLoadEnv(harness.LoadConfig{
 		Queries:     16,
 		TableRows:   256,
 		TreeChoices: []int{4}, DepthChoices: []int{6},
@@ -58,13 +59,13 @@ func TestRunLoadGoodput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &exec.SerializedRunner{Pipe: env.Pipe}
+	runner := &harness.SerializedRunner{Pipe: env.Pipe}
 
 	loose := []obs.Objective{
 		{Class: "interactive", Latency: time.Hour},
 		{Class: "batch", Latency: 2 * time.Hour},
 	}
-	rep, err := exec.RunLoad(env, runner, "loose", exec.RunOptions{Clients: 4, SLO: loose})
+	rep, err := harness.RunLoad(env, runner, "loose", harness.RunOptions{Clients: 4, SLO: loose})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestRunLoadGoodput(t *testing.T) {
 		t.Errorf("classified %d queries, want 16", total)
 	}
 
-	tight, err := exec.RunLoad(env, runner, "tight", exec.RunOptions{
+	tight, err := harness.RunLoad(env, runner, "tight", harness.RunOptions{
 		Clients: 4, SLO: []obs.Objective{{Class: "default", Latency: time.Nanosecond}},
 	})
 	if err != nil {
@@ -96,11 +97,50 @@ func TestRunLoadGoodput(t *testing.T) {
 	}
 
 	// No SLO configured: the report stays clean so JSON artifacts omit it.
-	plain, err := exec.RunLoad(env, runner, "plain", exec.RunOptions{Clients: 4})
+	plain, err := harness.RunLoad(env, runner, "plain", harness.RunOptions{Clients: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.SLO != nil || plain.Goodput != 0 {
 		t.Errorf("no-SLO run leaked goodput fields: %+v", plain)
+	}
+}
+
+// TestLoadHarnessSmoke drives the real load harness end to end at tiny
+// scale: executor vs serialized baseline over the same deterministic
+// stream, plus the simulator prediction for the same stream.
+func TestLoadHarnessSmoke(t *testing.T) {
+	env, err := harness.BuildLoadEnv(harness.LoadConfig{
+		Queries:     24,
+		TableRows:   256,
+		TreeChoices: []int{4, 8}, DepthChoices: []int{6},
+	}, obs.NewObserver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := exec.New(env.Pipe, exec.Config{
+		Workers: 2, QueueDepth: 64,
+		CoalesceWindow: time.Millisecond, MaxBatch: 8,
+	})
+	got, err := harness.RunLoad(env, e, "executor", harness.RunOptions{Clients: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ok != 24 || got.Errors != 0 || got.Rejected != 0 {
+		t.Fatalf("executor run: %+v", got)
+	}
+	base, err := harness.RunLoad(env, &harness.SerializedRunner{Pipe: env.Pipe}, "serialized", harness.RunOptions{Clients: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Ok != 24 {
+		t.Fatalf("serialized run: %+v", base)
+	}
+	m, err := env.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Makespan <= 0 {
+		t.Fatalf("simulation produced empty metrics: %+v", m)
 	}
 }

@@ -202,17 +202,6 @@ func (e *SLOEngine) Objectives() []Objective {
 	return out
 }
 
-// Classify returns whether a query of class with the given outcome was good.
-// Unknown classes fall back to "default" when configured, else the first
-// class alphabetically (so a single-objective engine classifies everything).
-func (e *SLOEngine) Classify(class string, latency time.Duration, ok bool) bool {
-	c := e.lookup(class)
-	if c == nil {
-		return ok
-	}
-	return ok && latency <= c.obj.Latency
-}
-
 // Observe records one finished query and refreshes the class's burn-rate
 // gauges. It returns whether the query was good.
 func (e *SLOEngine) Observe(class string, latency time.Duration, ok bool) bool {
@@ -321,15 +310,6 @@ func (e *SLOEngine) SetNow(now func() time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.now = now
-}
-
-func (e *SLOEngine) lookup(class string) *sloClass {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lookupLocked(class)
 }
 
 // lookupLocked resolves a class with fallback: exact name, then "default",

@@ -224,16 +224,12 @@ func (p *Pipeline) ExecQueryCtx(ctx context.Context, sql string) (*QueryResult, 
 	return p.ExecStatementCtx(ctx, st)
 }
 
-// ExecStatement runs one parsed statement, counting it by kind. Exported so
-// front-ends that parse once to inspect the statement (the concurrent
-// executor) can dispatch without re-parsing.
-func (p *Pipeline) ExecStatement(st db.Statement) (*QueryResult, error) {
-	return p.ExecStatementCtx(context.Background(), st)
-}
-
-// ExecStatementCtx is ExecStatement under a caller context. Non-scoring
-// statements execute in the DBMS and only check the context up front (they
-// are short); scoring statements thread it all the way into the engine.
+// ExecStatementCtx runs one parsed statement under a caller context,
+// counting it by kind. Exported so front-ends that parse once to inspect the
+// statement (the concurrent executor) can dispatch without re-parsing.
+// Non-scoring statements execute in the DBMS and only check the context up
+// front (they are short); scoring statements thread it all the way into the
+// engine.
 func (p *Pipeline) ExecStatementCtx(ctx context.Context, st db.Statement) (*QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -148,10 +148,6 @@ func (r *Router) RerouteCount(i int) uint64 { return r.reroutes[i].Load() }
 // admission control is disabled).
 func (r *Router) AdmissionStats() []AdmissionStats { return r.adm.Stats() }
 
-// PredictedLatency is the admission controller's EWMA-predicted query
-// latency (0 when admission is disabled or unmeasured).
-func (r *Router) PredictedLatency() time.Duration { return r.adm.predicted() }
-
 // Shards returns the scatter width.
 func (r *Router) Shards() int { return len(r.cfg.Backends) }
 

@@ -109,9 +109,6 @@ type Page struct {
 	Payload      []byte
 }
 
-// EncodedSize returns the total encoded size of the page.
-func (p *Page) EncodedSize() int { return HeaderSize + len(p.Payload) }
-
 // AppendTo appends the encoded page (header + payload) to dst.
 func (p *Page) AppendTo(dst []byte) []byte {
 	base := len(dst)
