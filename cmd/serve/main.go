@@ -7,9 +7,10 @@
 // trace-event JSON, loadable in chrome://tracing or Perfetto).
 //
 // Scoring queries on /query run through the concurrent executor: a bounded
-// admission queue (full queue → 503), a worker pool, and request coalescing
-// that merges same-model queries arriving within -coalesce into one
-// pipeline run.
+// admission queue (full queue → 503), a worker pool, and group-commit request
+// coalescing: a query whose model is idle runs at once, and the same-model
+// queries that arrive while it runs merge into one pipeline run that starts
+// when it ends (or after -coalesce, whichever is first).
 //
 // Usage:
 //
@@ -249,7 +250,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent query workers (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 64, "admission queue depth; beyond it queries get 503")
 	coalesce := flag.Duration("coalesce", 2*time.Millisecond,
-		"request-coalescing window for same-model scoring queries (0 disables)")
+		"longest a batch forming behind a busy model may wait; 0 disables")
 	maxBatch := flag.Int("maxbatch", 8, "max queries merged into one coalesced scoring run")
 	deadline := flag.Duration("deadline", 0,
 		"default per-query deadline (0 = none); an @timeout in the SQL or ?timeout= on /query overrides it")
@@ -338,7 +339,7 @@ func main() {
 			log.Printf("shutdown: %v", err)
 		}
 		// The HTTP server has stopped accepting requests; now drain the
-		// executor — stop admission, flush coalescing windows, wait for
+		// executor — stop admission, seal the batches still forming, wait for
 		// in-flight scoring (the remaining shutdown budget aborts
 		// stragglers).
 		if err := s.exec.Close(shutdownCtx); err != nil {

@@ -34,6 +34,8 @@ type Request struct {
 	// kernel form (the pipeline's compiled-model cache populates it on
 	// warm queries). CPU engines use it to skip per-query compilation; it
 	// MUST be derived from Forest. Nil means the engine compiles itself.
+	// Forest.Compile validates the forest, so a request carrying Compiled
+	// vouches for Forest's structure and Validate does not re-walk it.
 	Compiled *kernel.Compiled
 	// Stats optionally carries Forest's structural stats, again populated
 	// by the compiled-model cache so engines skip the per-query tree walk
@@ -90,7 +92,10 @@ func (r *Request) ModelStats() forest.Stats {
 	return r.Forest.ComputeStats()
 }
 
-// Validate checks the request is complete and consistent.
+// Validate checks the request is complete and consistent. The walk over
+// every tree node is a property of the model, not of the query: it is paid
+// once when a forest is compiled into the model cache, and per call only for
+// a request that arrives without the Compiled form.
 func (r *Request) Validate() error {
 	if r.Forest == nil {
 		return fmt.Errorf("backend: request has no model")
@@ -98,8 +103,10 @@ func (r *Request) Validate() error {
 	if r.Data == nil {
 		return fmt.Errorf("backend: request has no data")
 	}
-	if err := r.Forest.Validate(); err != nil {
-		return err
+	if r.Compiled == nil {
+		if err := r.Forest.Validate(); err != nil {
+			return err
+		}
 	}
 	if err := r.Data.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"accelscore/internal/backend"
 	"accelscore/internal/dataset"
 	"accelscore/internal/forest"
+	"accelscore/internal/kernel"
 	"accelscore/internal/model"
 	"accelscore/internal/platform"
 	"accelscore/internal/sim"
@@ -32,6 +34,102 @@ func TestRequestValidate(t *testing.T) {
 	}
 	if err := (&backend.Request{Forest: f, Data: dataset.Higgs(5, 1)}).Validate(); err == nil {
 		t.Fatal("feature mismatch accepted")
+	}
+
+	// A request carrying the compiled form keeps every per-query check; only
+	// the walk over the forest — done when it was compiled — is not repeated.
+	compiled, err := f.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := backend.Request{Forest: f, Data: dataset.Iris(), Compiled: compiled}
+	if err := cached.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	mismatch := cached
+	mismatch.Data = dataset.Higgs(5, 1)
+	if err := mismatch.Validate(); err == nil {
+		t.Fatal("feature mismatch accepted on a compiled request")
+	}
+	short := cached
+	short.Sel = kernel.SelectionFromFunc(3, func(int) bool { return true })
+	if err := short.Validate(); err == nil {
+		t.Fatal("selection of the wrong length accepted on a compiled request")
+	}
+	noData := cached
+	noData.Data = nil
+	if err := noData.Validate(); err == nil {
+		t.Fatal("nil data accepted on a compiled request")
+	}
+}
+
+// corruptForests returns structurally broken copies of a two-node stump over
+// IRIS, keyed by the validation error each must raise.
+func corruptForests() map[string]*forest.Forest {
+	stump := func(mutate func(root *forest.Node)) *forest.Forest {
+		root := &forest.Node{Feature: 2, Threshold: 2.5,
+			Left: &forest.Node{Class: 0}, Right: &forest.Node{Class: 1}}
+		mutate(root)
+		return &forest.Forest{NumFeatures: 4, NumClasses: 3,
+			Trees: []*forest.Tree{{Root: root, NumFeatures: 4, NumClasses: 3}}}
+	}
+	return map[string]*forest.Forest{
+		"split feature 9 out of range": stump(func(n *forest.Node) { n.Feature = 9 }),
+		"single child":                 stump(func(n *forest.Node) { n.Right = nil }),
+		"leaf class 7 out of range":    stump(func(n *forest.Node) { n.Left.Class = 7 }),
+	}
+}
+
+// TestCorruptForestFailsScoreWithoutCompiled: a forest that reaches an
+// engine without having been compiled into the model cache (the uncached
+// pipeline, a direct caller) is still walked on every call, so structural
+// corruption fails the query instead of reaching a traversal.
+func TestCorruptForestFailsScoreWithoutCompiled(t *testing.T) {
+	tb := platform.New()
+	for want, f := range corruptForests() {
+		if _, err := f.Compile(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Compile accepted a forest with %s (err = %v): it could enter the cache", want, err)
+		}
+		for _, b := range tb.AllBackends() {
+			_, err := b.Score(&backend.Request{Forest: f, Data: dataset.Iris()})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: err = %v, want %q", b.Name(), err, want)
+			}
+		}
+	}
+}
+
+// BenchmarkRequestValidate is the per-query validation charge on a 64-tree
+// model: O(1) for a request out of the compiled-model cache, a walk over
+// every node for one that arrives without the compiled form.
+func BenchmarkRequestValidate(b *testing.B) {
+	data := dataset.Higgs(256, 3)
+	f, err := forest.Train(dataset.Higgs(1500, 9), forest.ForestConfig{
+		NumTrees: 64, Tree: forest.TrainConfig{MaxDepth: 10}, Seed: 1, Bootstrap: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	compiled, err := f.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		req  *backend.Request
+	}{
+		{"cached", &backend.Request{Forest: f, Data: data, Compiled: compiled}},
+		{"uncached", &backend.Request{Forest: f, Data: data}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bc.req.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -10,15 +10,27 @@ import (
 	"accelscore/internal/pipeline"
 )
 
-// pendingBatch is one open coalescing batch: the first query for a
-// (model, backend) key becomes the leader; companions arriving before the
-// batch seals join as followers. The batch seals when the window timer
-// fires, when MaxBatch queries have joined, or — group-commit style — the
-// moment the previous batch for the same key finishes executing, whichever
-// comes first. At that point the leader executes it as ONE pipeline run and
-// every member receives its own QueryResult. The chained seal is what makes
-// the batch size adapt to load without added latency: under a steady stream
-// the window timer only ever pays off the first batch per key.
+// SpanCoalesceWait names the span the executor adds to each member's trace
+// for the time it spent between arrival and its batch sealing.
+const SpanCoalesceWait = "coalesce wait"
+
+// pendingBatch is one coalescing batch under plain group commit. Its first
+// query is the leader. When nothing is executing for the leader's (model,
+// backend, fused shape) key the batch seals at once — no timer, no entry in
+// Executor.pending — because an idle key has nothing to amortize against and
+// waiting would only add a fixed floor to every small query. When the key is
+// executing, the batch opens in Executor.pending, arrivals join it as
+// followers, and it seals at the first of
+//
+//   - a run for the key finishing, whatever the batch's size,
+//   - MaxBatch members having joined,
+//   - CoalesceWindow elapsing: only an upper bound on waiting behind a long
+//     run, so two same-model scans still overlap on two workers.
+//
+// So no query waits longer than min(run end, MaxBatch, window), an idle key
+// never waits at all, and batches form exactly when a query would have queued
+// anyway. The leader then executes the batch as ONE pipeline run and every
+// member receives its own QueryResult.
 //
 // Each member carries its own context: members whose deadline has already
 // expired when the batch executes are shed individually (per-member err),
@@ -26,18 +38,29 @@ import (
 // every member has given up — a batch of abandoned queries stops consuming
 // the device.
 type pendingBatch struct {
-	key   string
-	reqs  []*pipeline.ScoreRequest
-	ctxs  []context.Context
-	timer *time.Timer
+	key     string
+	reqs    []*pipeline.ScoreRequest
+	ctxs    []context.Context
+	arrived []time.Time // per member, for the coalesce-wait layer
+	timer   *time.Timer // the window cap; nil for a batch that never waited
 
-	sealed bool
-	ready  chan struct{} // closed at seal; wakes the leader
+	sealed   bool
+	sealedAt time.Time
+	ready    chan struct{} // closed at seal; wakes the leader
 
 	results []*pipeline.QueryResult
 	errs    []error       // per-member errors (expired members); set before done closes
 	err     error         // batch-wide error for members that actually executed
 	done    chan struct{} // closed after execution; wakes followers
+}
+
+// add appends one member and returns its slot. Callers hold e.mu once the
+// batch is visible in Executor.pending.
+func (b *pendingBatch) add(ctx context.Context, req *pipeline.ScoreRequest, arrived time.Time) int {
+	b.reqs = append(b.reqs, req)
+	b.ctxs = append(b.ctxs, ctx)
+	b.arrived = append(b.arrived, arrived)
+	return len(b.reqs) - 1
 }
 
 // memberOutcome returns member idx's result or error after done has closed.
@@ -60,19 +83,20 @@ func coalesceKey(req *pipeline.ScoreRequest) string {
 	return req.Model + "\x00" + req.Backend + "\x00" + req.FusionKey()
 }
 
-// coalesce joins or opens the batch for req's key and blocks until the
-// batch has executed, returning this query's own result. A follower whose
-// context expires while waiting abandons the batch (its slot still scores;
-// the result is discarded) rather than holding its caller hostage.
+// coalesce runs req in a batch of its key — alone and at once when the key
+// is idle, else with whatever queues behind the run in progress — and blocks
+// until the batch has executed, returning this query's own result. A
+// follower whose context expires while waiting abandons the batch (its slot
+// still scores; the result is discarded) rather than holding its caller
+// hostage.
 func (e *Executor) coalesce(ctx context.Context, req *pipeline.ScoreRequest) (*pipeline.QueryResult, error) {
 	key := coalesceKey(req)
+	arrived := time.Now()
 	e.mu.Lock()
 	if b, ok := e.pending[key]; ok {
 		// Follower: join the open batch. Sealed batches are removed from
 		// pending, so this batch is still accepting members.
-		idx := len(b.reqs)
-		b.reqs = append(b.reqs, req)
-		b.ctxs = append(b.ctxs, ctx)
+		idx := b.add(ctx, req, arrived)
 		if len(b.reqs) >= e.cfg.MaxBatch {
 			e.sealLocked(b)
 		}
@@ -84,38 +108,33 @@ func (e *Executor) coalesce(ctx context.Context, req *pipeline.ScoreRequest) (*p
 			return nil, ctx.Err()
 		}
 	}
-	// Leader: open a batch and arm the window timer.
-	b := &pendingBatch{
-		key:   key,
-		reqs:  []*pipeline.ScoreRequest{req},
-		ctxs:  []context.Context{ctx},
-		ready: make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	e.pending[key] = b
-	b.timer = time.AfterFunc(e.cfg.CoalesceWindow, func() {
-		e.mu.Lock()
+	// Leader. An idle key has nothing to wait for, so its batch seals here
+	// and now; a busy one opens the batch that forms behind the run in
+	// progress, with the window as the cap on how long.
+	b := &pendingBatch{key: key, ready: make(chan struct{}), done: make(chan struct{})}
+	b.add(ctx, req, arrived)
+	if e.inflightKeys[key] == 0 {
 		e.sealLocked(b)
-		e.mu.Unlock()
-	})
+	} else {
+		e.pending[key] = b
+		b.timer = time.AfterFunc(e.cfg.CoalesceWindow, func() {
+			e.mu.Lock()
+			e.sealLocked(b)
+			e.mu.Unlock()
+		})
+	}
 	e.mu.Unlock()
 
 	<-b.ready
-	e.mu.Lock()
-	e.inflightKeys[key]++
-	e.mu.Unlock()
 	e.executeBatch(b)
+	e.noteCoalesceWait(b)
 	e.mu.Lock()
-	e.inflightKeys[key]--
-	if e.inflightKeys[key] == 0 {
+	if e.inflightKeys[key]--; e.inflightKeys[key] == 0 {
 		delete(e.inflightKeys, key)
-		// Group commit: what queued behind this run executes next as one
-		// batch without waiting out its window — but only if it actually
-		// batched. Chaining singletons would convoy batch-of-1 runs, each
-		// paying the full fixed cost the coalescer exists to amortize.
-		if nb, ok := e.pending[key]; ok && len(nb.reqs) >= 2 {
-			e.sealLocked(nb)
-		}
+	}
+	// Group commit: what queued behind this run executes next as one batch.
+	if nb, ok := e.pending[key]; ok {
+		e.sealLocked(nb)
 	}
 	e.mu.Unlock()
 	close(b.done)
@@ -214,16 +233,40 @@ func (e *Executor) batchContext(ctxs []context.Context) (context.Context, contex
 	}
 }
 
-// sealLocked closes a batch to new members and wakes its leader. Callers
-// hold e.mu; sealing twice (timer vs. MaxBatch race) is a no-op.
+// sealLocked closes a batch to new members, counts its key as executing from
+// here until its leader's run returns, and wakes the leader. Callers hold
+// e.mu; sealing twice (timer vs. MaxBatch vs. chained seal) is a no-op.
 func (e *Executor) sealLocked(b *pendingBatch) {
 	if b.sealed {
 		return
 	}
 	b.sealed = true
-	delete(e.pending, b.key)
+	b.sealedAt = time.Now()
+	e.inflightKeys[b.key]++
+	if e.pending[b.key] == b {
+		delete(e.pending, b.key)
+	}
 	if b.timer != nil {
 		b.timer.Stop()
 	}
 	close(b.ready)
+}
+
+// noteCoalesceWait publishes what the coalescer cost each member of an
+// executed batch — arrival to seal — as the layer's own histogram and as a
+// span on the member's trace. The span starts before the trace does (the
+// pipeline opens the trace when the run begins), so its offset is negative.
+func (e *Executor) noteCoalesceWait(b *pendingBatch) {
+	for i, at := range b.arrived {
+		wait := b.sealedAt.Sub(at)
+		if e.met != nil {
+			e.met.coalesceWait.Observe(wait.Seconds())
+		}
+		if b.results == nil || b.results[i] == nil {
+			continue
+		}
+		if tr, ok := e.tracer.Get(b.results[i].TraceID); ok {
+			tr.AddSpan(SpanCoalesceWait, at, wait)
+		}
+	}
 }

@@ -3,18 +3,20 @@
 // ExecQuery" serving with a bounded admission queue (backpressure instead of
 // unbounded pileup), a worker pool, per-device concurrency limits that reuse
 // the scheduling model's device taxonomy (all CPU engines share the host
-// CPU; the GPU and the FPGA each serialize), and request coalescing:
-// concurrent sp_score_model queries against the same (model, backend) that
-// arrive within a short window are merged into ONE pipeline run — one
-// Python-invocation charge, one model pre-processing, one backend call over
-// the concatenated rows — and the predictions are fanned back out with
-// per-query timelines showing the amortized overhead.
+// CPU; the GPU and the FPGA each serialize), and request coalescing by group
+// commit: a sp_score_model query whose (model, backend) is idle runs at
+// once, and the queries that arrive while that run is executing are merged
+// into ONE pipeline run that starts when it ends — one Python-invocation
+// charge, one model pre-processing, one backend call over the concatenated
+// rows — with the predictions fanned back out and per-query timelines
+// showing the amortized overhead.
 //
 // This is the serving-side version of the paper's core observation: fixed
 // per-query overheads (O and L in the Fig. 6 taxonomy, process invocation
 // and model pre-processing in Fig. 11) dominate small-batch scoring, so the
 // way to make a stream of small queries fast is to pay those overheads once
-// per batch, not once per query.
+// per batch, not once per query — and never to add one: a batch forms only
+// out of queries that would have queued anyway (see pendingBatch).
 package exec
 
 import (
@@ -27,6 +29,7 @@ import (
 	"time"
 
 	"accelscore/internal/db"
+	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/sched"
 	"accelscore/internal/xrand"
@@ -42,7 +45,7 @@ var ErrClosed = errors.New("exec: executor is closed")
 // Metric names the executor publishes into the pipeline's observer.
 const (
 	// MetricQueueDepth gauges queries admitted but not yet executing
-	// (waiting for a worker, a device, or a coalescing window).
+	// (waiting for a worker, a device, or the run their batch forms behind).
 	MetricQueueDepth = "accelscore_exec_queue_depth"
 	// MetricInflight gauges queries currently executing in the pipeline.
 	MetricInflight = "accelscore_exec_inflight_queries"
@@ -51,6 +54,10 @@ const (
 	// MetricBatchSize is the histogram of scoring-batch sizes actually
 	// executed (1 = no coalescing happened for that run).
 	MetricBatchSize = "accelscore_exec_coalesced_batch_size"
+	// MetricCoalesceWait is the histogram of what coalescing cost each
+	// query: arrival to its batch sealing (0 for a query that found its key
+	// idle); empty when coalescing is off.
+	MetricCoalesceWait = "accelscore_exec_coalesce_wait_seconds"
 	// MetricRetriesTotal counts re-attempts after retryable faults
 	// {backend}.
 	MetricRetriesTotal = "accelscore_exec_retries_total"
@@ -88,11 +95,12 @@ type Config struct {
 	// QueueDepth bounds queries in the system — waiting plus executing.
 	// Beyond it, ExecQuery fails fast with ErrRejected (default 64).
 	QueueDepth int
-	// CoalesceWindow is how long the first query of a (model, backend) key
-	// waits for companions before scoring. 0 disables coalescing.
+	// CoalesceWindow is the longest a batch forming behind a busy
+	// (model, backend) key may wait for that run to end; a query that finds
+	// its key idle never waits. 0 disables coalescing.
 	CoalesceWindow time.Duration
-	// MaxBatch seals a coalescing batch early when this many queries have
-	// joined, so a full batch never waits out the window (default 16).
+	// MaxBatch seals a forming batch early when this many queries have
+	// joined (default 16).
 	MaxBatch int
 	// DeviceLimits caps concurrent scoring per hardware device (defaults:
 	// cpu=Workers, gpu=1, fpga=1 — CPU engines share host cores, the
@@ -194,11 +202,14 @@ type Executor struct {
 	devices   map[sched.Device]chan struct{} // per-device scoring tokens
 
 	mu           sync.Mutex
-	pending      map[string]*pendingBatch // open coalescing batches by key
-	inflightKeys map[string]int           // keys with a batch mid-execution (chains group-commit seals)
+	pending      map[string]*pendingBatch // batches forming behind a busy key
+	inflightKeys map[string]int           // sealed batches per key whose run has not returned
 
 	admitted atomic.Int64 // queries holding an admission token
 	running  atomic.Int64 // queries currently executing
+
+	met    *execMetrics // nil without a registry
+	tracer *obs.Tracer  // nil-safe
 
 	// rootCtx parents every query context; Close cancels it to abort
 	// in-flight work that outlives the drain deadline.
@@ -218,8 +229,16 @@ type Executor struct {
 	est   map[sched.Device]time.Duration // EWMA of successful batch wall time
 }
 
+// execMetrics holds the instruments every query touches, resolved once in
+// New so the hot path skips the registry's name check, label
+// canonicalization and mutex.
+type execMetrics struct {
+	queueDepth, inflight    *obs.Gauge
+	batchSize, coalesceWait *obs.Histogram
+}
+
 // New builds an executor over the pipeline, publishing telemetry into the
-// pipeline's observer.
+// observer the pipeline carries at this point.
 func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 	cfg = cfg.withDefaults()
 	rootCtx, rootCancel := context.WithCancel(context.Background())
@@ -239,6 +258,19 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 	}
 	for d, n := range cfg.DeviceLimits {
 		e.devices[d] = make(chan struct{}, n)
+	}
+	if pipe.Obs != nil {
+		e.tracer = pipe.Obs.Tracer
+	}
+	if reg := pipe.Obs.Metrics(); reg != nil {
+		e.met = &execMetrics{
+			queueDepth: reg.Gauge(MetricQueueDepth, "Queries admitted but not yet executing."),
+			inflight:   reg.Gauge(MetricInflight, "Queries currently executing."),
+			batchSize: reg.Histogram(MetricBatchSize, "Executed scoring-batch sizes (1 = uncoalesced).",
+				batchSizeBuckets),
+			coalesceWait: reg.Histogram(MetricCoalesceWait,
+				"Time from a query's arrival to its coalescing batch sealing.", obs.DefBuckets),
+		}
 	}
 	if cfg.BreakerThreshold > 0 {
 		for d := range cfg.DeviceLimits {
@@ -463,15 +495,14 @@ func (e *Executor) runBatch(ctx context.Context, reqs []*pipeline.ScoreRequest) 
 
 	e.noteRunning(int64(len(reqs)))
 	defer e.noteRunning(int64(-len(reqs)))
-	if reg := e.pipe.Obs.Metrics(); reg != nil {
-		reg.Histogram(MetricBatchSize, "Executed scoring-batch sizes (1 = uncoalesced).",
-			batchSizeBuckets).Observe(float64(len(reqs)))
+	if e.met != nil {
+		e.met.batchSize.Observe(float64(len(reqs)))
 	}
 	return e.runResilient(ctx, reqs)
 }
 
-// Close stops admission (Submit returns ErrClosed), flushes open coalescing
-// windows so queued leaders run immediately, and waits for in-flight
+// Close stops admission (Submit returns ErrClosed), seals the batches still
+// forming so their leaders run immediately, and waits for in-flight
 // queries to drain. If ctx expires first the executor root is canceled —
 // aborting remaining work at its next boundary — and Close still waits for
 // the (now unblocked) stragglers before returning the context error.
@@ -517,17 +548,11 @@ func (e *Executor) noteRunning(n int64) {
 
 // publishGauges exports the queue-depth and in-flight gauges.
 func (e *Executor) publishGauges() {
-	reg := e.pipe.Obs.Metrics()
-	if reg == nil {
+	if e.met == nil {
 		return
 	}
-	admitted, running := e.admitted.Load(), e.running.Load()
-	queued := admitted - running
-	if queued < 0 {
-		queued = 0
-	}
-	reg.Gauge(MetricQueueDepth, "Queries admitted but not yet executing.").Set(float64(queued))
-	reg.Gauge(MetricInflight, "Queries currently executing.").Set(float64(running))
+	e.met.queueDepth.Set(float64(e.Queued()))
+	e.met.inflight.Set(float64(e.running.Load()))
 }
 
 // Queued returns queries admitted but not yet executing (for tests and

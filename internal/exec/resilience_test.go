@@ -300,29 +300,23 @@ func TestCanceledSubmissionIsShed(t *testing.T) {
 func TestCoalescedErrorFansOutToAllMembers(t *testing.T) {
 	p, _, _ := newEnv(t, 4, 6, 80)
 	p.Faults = mustInjector(t, 7, "FPGA:invoke:crash")
+	bb := newBlocking(t, p, "FPGA") // the gate opens onto the crashing engine
 	const k = 4
 	e := exec.New(p, exec.Config{
 		Workers: 2, QueueDepth: 16,
-		CoalesceWindow:  2 * time.Second, // the MaxBatch seal must win
-		MaxBatch:        k,
+		CoalesceWindow:  time.Minute,
+		MaxBatch:        2 * k,
 		MaxRetries:      -1,
 		FallbackBackend: "none",
 	})
-	fpgaSQL := "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='FPGA'"
 
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	results := make([]bool, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := e.ExecQuery(fpgaSQL)
-			errs[i] = err
-			results[i] = res != nil
-		}(i)
-	}
-	wg.Wait()
+	_, _, firstDone := submitAll(e, blockSQL, 1)
+	bb.awaitEntered(t)
+	results, errs, done := submitAll(e, blockSQL, k)
+	waitFor(t, "the batch to form", func() bool { return e.Forming() == k })
+	close(bb.release)
+	firstDone()
+	done()
 	for i := 0; i < k; i++ {
 		if errs[i] == nil {
 			t.Fatalf("member %d: got nil error from a failed batch", i)
@@ -330,9 +324,12 @@ func TestCoalescedErrorFansOutToAllMembers(t *testing.T) {
 		if !errors.Is(errs[i], faults.ErrInvokeCrash) {
 			t.Fatalf("member %d: err = %v, want wrapped ErrInvokeCrash", i, errs[i])
 		}
-		if results[i] {
+		if results[i] != nil {
 			t.Fatalf("member %d: received a result from a failed batch", i)
 		}
+	}
+	if got := promValue(t, exposition(t, p), exec.MetricBatchSize+`_bucket{le="4"}`); got != 2 {
+		t.Fatalf("want two runs (1 + %d), batch-size histogram counts %g", k, got)
 	}
 }
 
@@ -341,12 +338,8 @@ func TestCoalescedErrorFansOutToAllMembers(t *testing.T) {
 // a no-op.
 func TestCloseDrainsInflightAndStopsAdmission(t *testing.T) {
 	p, _, _ := newEnv(t, 4, 6, 60)
-	bb := &blockingBackend{entered: make(chan struct{}, 4), release: make(chan struct{})}
-	if err := p.Registry.Register(bb); err != nil {
-		t.Fatal(err)
-	}
+	bb := newBlocking(t, p, "")
 	e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8})
-	blockSQL := "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='BLOCK'"
 
 	var inflightErr error
 	var wg sync.WaitGroup

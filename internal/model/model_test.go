@@ -1,6 +1,10 @@
 package model
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +106,38 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Unmarshal(nil); err == nil {
 		t.Fatal("nil blob accepted")
+	}
+}
+
+// TestUnmarshalRejectsStructuralCorruption: a blob whose checksum is right
+// but whose tree is not — a split on a feature the model does not have — is
+// refused here, at the only door into the compiled-model cache, which is why
+// scoring a cached model does not walk it again.
+func TestUnmarshalRejectsStructuralCorruption(t *testing.T) {
+	const mark = 1234.5 // a threshold no other field's bytes spell
+	f := &forest.Forest{NumFeatures: 4, NumClasses: 3, Trees: []*forest.Tree{{
+		NumFeatures: 4, NumClasses: 3,
+		Root: &forest.Node{Feature: 2, Threshold: mark,
+			Left: &forest.Node{Class: 0}, Right: &forest.Node{Class: 1}},
+	}}}
+	blob, err := Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(blob); err != nil {
+		t.Fatal(err)
+	}
+	var thr bytes.Buffer
+	writeF32(&thr, mark)
+	at := bytes.Index(blob, thr.Bytes())
+	if at < 4 {
+		t.Fatal("threshold not found in the blob")
+	}
+	binary.LittleEndian.PutUint32(blob[at-4:], 9) // the split's feature index
+	body := blob[:len(blob)-4]
+	binary.LittleEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
+	if _, err := Unmarshal(blob); err == nil || !strings.Contains(err.Error(), "split feature 9 out of range") {
+		t.Fatalf("err = %v, want the structural check to refuse the blob", err)
 	}
 }
 

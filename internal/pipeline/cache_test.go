@@ -1,11 +1,16 @@
 package pipeline_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
 	"accelscore/internal/dataset"
 	"accelscore/internal/forest"
+	"accelscore/internal/model"
 	"accelscore/internal/pipeline"
 )
 
@@ -142,6 +147,69 @@ func TestCacheInvalidationOnModelReplace(t *testing.T) {
 		if res.Predictions[i] != want[i] {
 			t.Fatalf("post-replacement prediction %d not from the new model", i)
 		}
+	}
+}
+
+// TestCorruptReplacementNeverEntersCache: validation is paid once per cache
+// entry, on the miss that creates it — so the miss after a model is replaced
+// under its name must validate the new blob, and a blob that fails (right
+// checksum, a split on a feature the model does not have) must fail the
+// query without leaving an entry that later queries would trust unwalked.
+func TestCorruptReplacementNeverEntersCache(t *testing.T) {
+	p, _, _ := newCachedPipeline(t, 4, 8, 200)
+	q := "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='CPU_SKLearn'"
+	if _, err := p.ExecQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	good, err := p.DB.LoadModelBlob("iris_rf")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const mark = 1234.5 // a threshold no other field's bytes spell
+	stump := &forest.Forest{NumFeatures: 4, NumClasses: 3, Trees: []*forest.Tree{{
+		NumFeatures: 4, NumClasses: 3,
+		Root: &forest.Node{Feature: 2, Threshold: mark,
+			Left: &forest.Node{Class: 0}, Right: &forest.Node{Class: 1}},
+	}}}
+	bad, err := model.Marshal(stump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(bad, binary.LittleEndian.AppendUint32(nil, math.Float32bits(mark)))
+	if at < 4 {
+		t.Fatal("threshold not found in the blob")
+	}
+	binary.LittleEndian.PutUint32(bad[at-4:], 9) // the split's feature index
+	body := bad[:len(bad)-4]
+	binary.LittleEndian.PutUint32(bad[len(body):], crc32.ChecksumIEEE(body))
+
+	replace := func(blob []byte) {
+		t.Helper()
+		if err := p.DB.DeleteModel("iris_rf"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.DB.StoreModelBlob("iris_rf", blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replace(bad)
+	before := p.Cache.Stats()
+	for i := 0; i < 2; i++ {
+		if _, err := p.ExecQuery(q); err == nil || !strings.Contains(err.Error(), "split feature 9 out of range") {
+			t.Fatalf("query %d over the corrupt model: err = %v, want the structural check", i, err)
+		}
+	}
+	after := p.Cache.Stats()
+	if after.Misses != before.Misses+2 || after.Entries != before.Entries {
+		t.Fatalf("corrupt blob must miss every time and cache nothing: %v -> %v", before, after)
+	}
+
+	// The original bytes come back: same key as the entry validated at the
+	// top, so this is a hit and needs no second walk.
+	replace(good)
+	if res, err := p.ExecQuery(q); err != nil || !res.CacheHit {
+		t.Fatalf("restored model: hit=%v err=%v", res != nil && res.CacheHit, err)
 	}
 }
 
