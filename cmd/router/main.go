@@ -26,22 +26,22 @@
 // with Retry-After instead of queueing without bound.
 //
 // Endpoints: /query (?sql= or POST body, ?tenant=), /warm?model=, /healthz,
-// /metrics, /debug/queries, /debug/trace/<id>.
+// and the ops surface shared with cmd/serve (internal/httpapi): /metrics,
+// /debug/queries, /debug/trace/<id>, /debug/pprof/*. Listening, the request
+// log, HTTP metrics and shutdown are that package's too; a failure's HTTP
+// status comes from the same table (router.StatusOf) on both tiers.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"accelscore/internal/httpapi"
 	"accelscore/internal/obs"
 	"accelscore/internal/router"
 )
@@ -128,41 +128,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer r.Close()
 	log.Printf("router: %d shards: %s", len(urls), strings.Join(urls, ", "))
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           withLogging(router.Handler(r)),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      120 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("accelscore router listening on %s", *addr)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
+	err = httpapi.Serve(*addr, router.Handler(r), 120*time.Second,
+		func(context.Context) error { r.Close(); return nil })
+	if err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("router: %v", err)
-		}
 	}
 }
 
@@ -175,25 +146,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// statusWriter captures the response code for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// withLogging logs every request with its status and latency.
-func withLogging(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		log.Printf("%s %s %d %v", r.Method, r.URL.Path, sw.code, time.Since(start).Round(time.Microsecond))
-	})
 }

@@ -1,10 +1,13 @@
-// Command serve exposes the reproduction as a small web dashboard: each
-// paper figure regenerates on request and renders as preformatted text, so
-// results can be browsed without a terminal. The server is also the live
-// observability surface: every query it runs is metered and traced, and the
-// telemetry is exported on /metrics (Prometheus text format), /debug/queries
-// (recent queries with stage breakdowns) and /debug/trace/<id> (Chrome
-// trace-event JSON, loadable in chrome://tracing or Perfetto).
+// Command serve is one shard of the serving tier: the scoring API over the
+// concurrent executor (/score and /warm for the router, /query and /sql for
+// clients and harnesses, /healthz), with the figure dashboard of
+// internal/experiments mounted at / and /fig/ so results can be browsed
+// without a terminal. The server is also the live observability surface:
+// every query it runs is metered and traced, and the telemetry is exported
+// by the ops endpoints it shares with cmd/router (internal/httpapi):
+// /metrics (Prometheus text format), /debug/queries (recent queries with
+// stage breakdowns), /debug/trace/<id> (Chrome trace-event JSON, loadable in
+// chrome://tracing or Perfetto) and /debug/pprof/*.
 //
 // Scoring queries on /query run through the concurrent executor: a bounded
 // admission queue (full queue → 503), a worker pool, and group-commit request
@@ -19,88 +22,34 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"html/template"
 	"io"
 	"log"
 	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"accelscore/internal/db"
 	"accelscore/internal/exec"
 	"accelscore/internal/experiments"
 	"accelscore/internal/faults"
+	"accelscore/internal/httpapi"
 	"accelscore/internal/obs"
+	"accelscore/internal/pipeline"
+	"accelscore/internal/router"
 	"accelscore/internal/storage"
 )
 
-// StatusClientClosedRequest is nginx's non-standard 499: the client
-// disconnected before the response was ready. It keeps canceled queries
-// distinguishable from timeouts (504) in logs and metrics.
-const StatusClientClosedRequest = 499
-
-var pageTmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
-<html>
-<head>
-<title>accelscore — {{.Title}}</title>
-<style>
-body { font-family: sans-serif; margin: 2rem; max-width: 100rem; }
-pre  { background: #f6f6f6; padding: 1rem; overflow-x: auto; }
-nav a { margin-right: 1rem; }
-</style>
-</head>
-<body>
-<h1>accelscore</h1>
-<p>Reproduction of "Hardware Acceleration for DBMS ML Scoring: Is It Worth
-the Overheads?" (ISPASS 2021). Every figure below is regenerated live from
-the calibrated simulators.</p>
-<nav>{{range .Nav}}<a href="{{.Href}}">{{.Label}}</a>{{end}}</nav>
-<h2>{{.Title}}</h2>
-<pre>{{.Body}}</pre>
-</body>
-</html>`))
-
-type navEntry struct {
-	Href  string
-	Label string
-}
-
-var nav = []navEntry{
-	{"/fig/headline", "Headlines"},
-	{"/fig/7", "Fig. 7"},
-	{"/fig/8", "Fig. 8"},
-	{"/fig/9", "Fig. 9"},
-	{"/fig/10", "Fig. 10"},
-	{"/fig/11", "Fig. 11"},
-	{"/fig/ext", "Extensions"},
-	{"/fig/hotpath", "Hot path"},
-	{"/query", "Run query"},
-	{"/debug/queries", "Recent queries"},
-	{"/metrics", "Metrics"},
-}
-
-// server regenerates figures on demand and runs live queries against a
-// persistent demo environment. Scoring queries go through the concurrent
-// executor (admission control, worker pool, request coalescing) and hold NO
-// server lock — mu only serializes demo-suite figure regeneration, which
-// mutates the suite's memoized state. The obs.Observer is concurrency-safe
-// and shared by both pipelines, so /metrics and /debug read it without any
-// lock.
+// server runs live queries against a persistent demo environment. Scoring
+// queries go through the concurrent executor (admission control, worker
+// pool, request coalescing) and hold NO server lock. The obs.Observer is
+// concurrency-safe and shared with the dashboard's pipelines, so /metrics
+// and /debug read it without any lock.
 type server struct {
-	mu    sync.Mutex // guards suite mutation in build(); never held across scoring
-	suite *experiments.Suite
-	demo  *experiments.Demo
-	exec  *exec.Executor
-	obs   *obs.Observer
+	demo *experiments.Demo
+	exec *exec.Executor
+	obs  *obs.Observer
 
 	// store is the durability engine when -data-dir is set; nil means the
 	// classic in-memory mode. The demo database is journaled through it, so
@@ -112,9 +61,6 @@ type server struct {
 	slo *obs.SLOEngine
 	// runtimeC is the background runtime-health sampler; nil when disabled.
 	runtimeC *obs.RuntimeCollector
-
-	// demoRecords sizes freshly built hot-path demos (tests shrink it).
-	demoRecords int
 
 	// shardID names this process in the scale-out tier (-shard-id); it tags
 	// /score results and /healthz so the router and operators can tell
@@ -174,18 +120,15 @@ func newServer(demoRecords int, cfg exec.Config, faultSpec string, faultSeed uin
 		}
 	}
 	s := &server{
-		suite:       experiments.NewSuite(),
-		demo:        demo,
-		obs:         o,
-		store:       store,
-		demoRecords: demoRecords,
-		shardID:     oc.ShardID,
-		fsync:       "disabled",
+		demo:    demo,
+		obs:     o,
+		store:   store,
+		shardID: oc.ShardID,
+		fsync:   "disabled",
 	}
 	if storeCfg != nil {
 		s.fsync = storeCfg.Sync.String()
 	}
-	s.suite.Pipe.Obs = s.obs
 	s.demo.Pipe.Obs = s.obs
 	if faultSpec != "" {
 		rules, err := faults.Parse(faultSpec)
@@ -211,25 +154,17 @@ func newServer(demoRecords int, cfg exec.Config, faultSpec string, faultSeed uin
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/fig/", s.handleFig)
+	dash := experiments.NewDashboard(o, demoRecords)
+	mux.Handle("/", dash)
+	mux.Handle("/fig/", dash)
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/sql", s.handleSQL)
-	mux.HandleFunc("/score", s.handleScore)
-	mux.HandleFunc("/warm", s.handleWarm)
+	shard := router.ShardHandler(s)
+	mux.Handle("/score", shard)
+	mux.Handle("/warm", shard)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/queries", s.handleDebugQueries)
-	mux.HandleFunc("/debug/trace/", s.handleDebugTrace)
-	// net/http/pprof under the same logging middleware and bounded route
-	// labels as everything else — the continuous-profiling surface: live CPU
-	// profiles, heap snapshots and execution traces from a serving process.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return s, s.withLogging(mux), nil
+	httpapi.MountOps(mux, o)
+	return s, httpapi.Instrument(o.Metrics(), mux), nil
 }
 
 // Close stops the runtime sampler and releases the durable store, if any.
@@ -309,153 +244,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("accelscore dashboard listening on %s", *addr)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		log.Fatal(err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		// The HTTP server has stopped accepting requests; now drain the
-		// executor — stop admission, seal the batches still forming, wait for
-		// in-flight scoring (the remaining shutdown budget aborts
-		// stragglers).
-		if err := s.exec.Close(shutdownCtx); err != nil {
-			log.Printf("executor drain: %v", err)
-		}
-		// With the executor drained no query can reach the database, so the
-		// durable store can flush its final fsync and release the WAL.
-		if err := s.Close(); err != nil {
-			log.Printf("store close: %v", err)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("serve: %v", err)
-		}
-	}
-}
-
-// HTTP telemetry metric names.
-const (
-	// MetricHTTPRequestsTotal counts requests by route and status code.
-	MetricHTTPRequestsTotal = "accelscore_http_requests_total"
-	// MetricHTTPRequestSeconds is the request latency histogram by route.
-	MetricHTTPRequestSeconds = "accelscore_http_request_seconds"
-)
-
-// statusWriter captures the response code for logging and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// routeLabel maps a request path to a bounded metric label so an attacker
-// probing random URLs cannot blow up metric cardinality.
-func routeLabel(path string) string {
-	switch {
-	case path == "/":
-		return "/"
-	case path == "/query":
-		return "/query"
-	case path == "/sql":
-		return "/sql"
-	case path == "/score":
-		return "/score"
-	case path == "/warm":
-		return "/warm"
-	case path == "/healthz":
-		return "/healthz"
-	case path == "/metrics":
-		return "/metrics"
-	case path == "/debug/queries":
-		return "/debug/queries"
-	case strings.HasPrefix(path, "/debug/trace/"):
-		return "/debug/trace/:id"
-	case strings.HasPrefix(path, "/debug/pprof"):
-		// One label for the whole pprof tree: profile names are bounded but
-		// there is no reason to spend a series per profile.
-		return "/debug/pprof/:profile"
-	case strings.HasPrefix(path, "/fig/"):
-		return "/fig/:fig"
-	default:
-		return "other"
-	}
-}
-
-// withLogging wraps the mux with request logging and HTTP-level metrics.
-func (s *server) withLogging(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		elapsed := time.Since(start)
-		route := routeLabel(r.URL.Path)
-		s.obs.Metrics().Counter(MetricHTTPRequestsTotal,
-			"HTTP requests served, by route and status code.",
-			"route", route, "code", fmt.Sprint(sw.code)).Inc()
-		s.obs.Metrics().Histogram(MetricHTTPRequestSeconds,
-			"HTTP request latency in seconds, by route.",
-			obs.DefBuckets, "route", route).Observe(elapsed.Seconds())
-		log.Printf("%s %s %d %v", r.Method, r.URL.Path, sw.code, elapsed.Round(time.Microsecond))
-	})
-}
-
-func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	s.render(w, "Index", "Pick a figure from the navigation bar above.\n\n"+
-		"Figures 7-11 mirror the paper's evaluation section; Extensions holds\n"+
-		"the dynamic-scheduling, LogCA and calibration-sensitivity studies.\n\n"+
-		"Observability: \"Run query\" scores the demo table through the\n"+
-		"instrumented pipeline; /metrics exposes Prometheus counters and\n"+
-		"latency histograms; /debug/queries lists recent queries with their\n"+
-		"per-stage breakdowns and downloadable Chrome traces.")
-}
-
-func (s *server) handleFig(w http.ResponseWriter, r *http.Request) {
-	fig := strings.TrimPrefix(r.URL.Path, "/fig/")
-	body, err := s.build(fig)
+	// Once the HTTP server has stopped accepting requests, drain the executor
+	// — stop admission, seal the batches still forming, wait for in-flight
+	// scoring (the remaining shutdown budget aborts stragglers). With it
+	// drained no query can reach the database, so the durable store can flush
+	// its final fsync and release the WAL.
+	err = httpapi.Serve(*addr, handler, 60*time.Second, s.exec.Close,
+		func(context.Context) error { return s.Close() })
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
+		log.Fatal(err)
 	}
-	s.render(w, "Figure "+fig, body)
 }
 
 // handleQuery runs the canonical demo scoring query through the concurrent
 // executor — no server lock — under the REQUEST's context: the client
-// disconnecting cancels queued work (499), a ?timeout= duration becomes the
-// query's @timeout and maps expiry to 504, and a full admission queue sheds
-// the request with 503. Concurrent requests for the same model may coalesce
-// into one pipeline run.
+// disconnecting cancels queued work, a ?timeout= duration becomes the
+// query's @timeout, and a full admission queue sheds the request — canceled,
+// timeout and rejected in router.StatusOf's table. Concurrent requests for
+// the same model may coalesce into one pipeline run.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sql := experiments.DemoQuery
 	if to := r.URL.Query().Get("timeout"); to != "" {
@@ -475,8 +281,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := s.exec.Submit(r.Context(), sql)
 	good := s.slo.Observe(class, time.Since(queryStart), err == nil)
 	if err != nil {
-		_, status := classifyError(err)
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), router.StatusOf(classify(err)))
 		return
 	}
 	var sb strings.Builder
@@ -517,7 +322,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sb.WriteString("\nRe-run this page to watch the warm path: the model cache hit flips\n" +
 		"to true and model pre-processing collapses to checksum cost. The\n" +
 		"/metrics page accumulates every run.")
-	s.render(w, "Run query", sb.String())
+	experiments.WritePage(w, "Run query", sb.String())
 }
 
 // sqlResponse is the JSON envelope for /sql. For SELECT statements Columns,
@@ -532,38 +337,43 @@ type sqlResponse struct {
 	Rows    [][]any  `json:"rows,omitempty"`
 }
 
-// handleSQL executes one SQL statement against the demo database and answers
-// in JSON. The statement comes from ?q= (GET) or the request body (POST).
-// This is the write surface the restart-chaos harness drives: a 200 here is
-// a durability acknowledgement. EXEC/PREDICT statements are rejected — the
-// scoring path with admission control lives on /query.
+// handleSQL executes one SQL statement against the demo database, under the
+// request's context, and answers in JSON. The statement comes from ?q= (GET)
+// or the request body (POST). This is the write surface the restart-chaos
+// harness drives: a 200 here is a durability acknowledgement. EXEC/PREDICT
+// statements are refused before anything executes — the scoring path with
+// admission control lives on /query.
 func (s *server) handleSQL(w http.ResponseWriter, r *http.Request) {
+	fail := func(code int, msg string) { httpapi.WriteJSON(w, code, sqlResponse{Error: msg}) }
 	sql := r.URL.Query().Get("q")
 	if sql == "" && r.Body != nil {
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
-			writeSQLJSON(w, http.StatusBadRequest, sqlResponse{Error: "reading body: " + err.Error()})
+			fail(http.StatusBadRequest, "reading body: "+err.Error())
 			return
 		}
 		sql = strings.TrimSpace(string(body))
 	}
 	if sql == "" {
-		writeSQLJSON(w, http.StatusBadRequest, sqlResponse{Error: "no statement: pass ?q= or a POST body"})
+		fail(http.StatusBadRequest, "no statement: pass ?q= or a POST body")
 		return
 	}
-	tbl, st, err := s.demo.DB.Query(sql)
+	st, err := s.demo.Pipe.Parse(sql)
 	if err != nil {
-		writeSQLJSON(w, http.StatusBadRequest, sqlResponse{Error: err.Error()})
+		fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	switch st.(type) {
-	case *db.ExecStmt, *db.PredictStmt:
-		writeSQLJSON(w, http.StatusBadRequest,
-			sqlResponse{Error: "scoring statements go to /query, not /sql"})
+	if req, err := pipeline.ScoreRequestOf(s.obs, st); req != nil || err != nil {
+		fail(http.StatusBadRequest, "scoring statements go to /query, not /sql")
+		return
+	}
+	res, err := s.demo.Pipe.ExecStatementCtx(r.Context(), st)
+	if err != nil {
+		fail(router.StatusOf(classify(err)), err.Error())
 		return
 	}
 	resp := sqlResponse{OK: true}
-	if tbl != nil {
+	if tbl := res.Table; tbl != nil {
 		for _, c := range tbl.Columns {
 			resp.Columns = append(resp.Columns, c.Name)
 			resp.Types = append(resp.Types, c.Type.String())
@@ -585,15 +395,7 @@ func (s *server) handleSQL(w http.ResponseWriter, r *http.Request) {
 			resp.Rows = append(resp.Rows, out)
 		}
 	}
-	writeSQLJSON(w, http.StatusOK, resp)
-}
-
-func writeSQLJSON(w http.ResponseWriter, code int, resp sqlResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		log.Printf("sql response: %v", err)
-	}
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz reports liveness plus identity and the durability state:
@@ -618,7 +420,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := health{
 		Status:      "ok",
 		ShardID:     s.shardID,
-		GitDescribe: gitDescribe(),
+		GitDescribe: httpapi.GitDescribe(),
 		Fsync:       s.fsync,
 		Durability:  "disabled",
 		InFlight:    s.exec.Running(),
@@ -630,174 +432,5 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Recovery = &ri
 		h.WALBytes = s.store.WALSize()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(h); err != nil {
-		log.Printf("healthz: %v", err)
-	}
-}
-
-// handleMetrics serves the registry in Prometheus text exposition format.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.obs.Metrics().WritePrometheus(w); err != nil {
-		log.Printf("metrics: %v", err)
-	}
-}
-
-// handleDebugQueries lists the tracer's retained queries, newest first, with
-// wall-clock and simulated stage breakdowns.
-func (s *server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	recent := s.obs.Tracer.Recent()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d recent queries (newest first, ring capacity %d)\n\n",
-		len(recent), s.obs.Tracer.Capacity())
-	for _, tr := range recent { // Recent is already newest-first
-		snap := tr.Snapshot()
-		status := "running"
-		if snap.Done {
-			status = "done"
-			if snap.Attrs["error"] != "" {
-				status = "error: " + snap.Attrs["error"]
-			}
-		}
-		fmt.Fprintf(&sb, "%s  %-22s wall %-12v %s\n",
-			snap.ID, snap.Name, snap.Wall.Round(time.Microsecond), status)
-		for k, v := range snap.Attrs {
-			if k == "error" {
-				continue
-			}
-			fmt.Fprintf(&sb, "    %-26s %s\n", k, v)
-		}
-		for _, span := range snap.WallSpans {
-			fmt.Fprintf(&sb, "    wall  %-26s %v\n", span.Name, span.Duration.Round(time.Microsecond))
-		}
-		for _, c := range snap.Costs {
-			fmt.Fprintf(&sb, "    cost  %-26s cpu=%-10v alloc=%dB/%d objs moved=%dB\n",
-				c.Stage, c.CPUTime.Round(time.Microsecond), c.AllocBytes, c.AllocObjects, c.BytesMoved)
-		}
-		for _, track := range snap.Tracks {
-			fmt.Fprintf(&sb, "    track %s (total %v)\n", track.Name, track.Total)
-			for _, span := range track.Spans {
-				fmt.Fprintf(&sb, "      [%-8s] %-26s %v\n", span.Kind, span.Name, span.Duration)
-			}
-		}
-		fmt.Fprintf(&sb, "    download: /debug/trace/%s\n\n", snap.ID)
-	}
-	if len(recent) == 0 {
-		sb.WriteString("No queries traced yet — visit /query or /fig/hotpath first.\n")
-	}
-	s.render(w, "Recent queries", sb.String())
-}
-
-// handleDebugTrace serves one retained trace as downloadable Chrome
-// trace-event JSON.
-func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
-	if id == "" {
-		http.Error(w, "trace id required: /debug/trace/<id>", http.StatusBadRequest)
-		return
-	}
-	tr, ok := s.obs.Tracer.Get(id)
-	if !ok {
-		http.Error(w, fmt.Sprintf("trace %q not retained (ring keeps the last %d)",
-			id, s.obs.Tracer.Capacity()), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".json"))
-	if err := tr.WriteChromeTrace(w); err != nil {
-		log.Printf("trace %s: %v", id, err)
-	}
-}
-
-// build regenerates one figure's text rendering. Callers hold no lock; build
-// serializes access to the shared suite itself.
-func (s *server) build(fig string) (string, error) {
-	if fig == "hotpath" {
-		// A fresh demo per request keeps the cold/warm contrast visible; it
-		// shares the server's observer so its queries land in /metrics and
-		// /debug/queries too.
-		demo, err := experiments.NewDemo(s.demoRecords)
-		if err != nil {
-			return "", err
-		}
-		demo.Pipe.Obs = s.obs
-		return demo.HotPathReport()
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch fig {
-	case "7":
-		rows, err := s.suite.Fig7()
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig7(rows), nil
-	case "8":
-		var sb strings.Builder
-		for _, shape := range []experiments.DatasetShape{experiments.IrisShape, experiments.HiggsShape} {
-			res, err := s.suite.Fig8(shape)
-			if err != nil {
-				return "", err
-			}
-			sb.WriteString(experiments.RenderFig8(res))
-			sb.WriteString("\n")
-		}
-		return sb.String(), nil
-	case "9":
-		panels, err := s.suite.Fig9()
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig9(panels), nil
-	case "10":
-		panels, err := s.suite.Fig10()
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig10(panels), nil
-	case "11":
-		rows, err := s.suite.Fig11()
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFig11(rows), nil
-	case "headline":
-		hs, err := s.suite.Headlines()
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderHeadlines(hs), nil
-	case "ext":
-		sc, err := s.suite.SchedulerExperiment(300, 1)
-		if err != nil {
-			return "", err
-		}
-		fits, err := s.suite.LogCAExperiment()
-		if err != nil {
-			return "", err
-		}
-		sens, err := s.suite.Sensitivity([]float64{0.5, 1, 2})
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderScheduler(sc) + "\n" +
-			experiments.RenderLogCA(fits) + "\n" +
-			experiments.RenderSensitivity(sens), nil
-	default:
-		return "", fmt.Errorf("unknown figure %q", fig)
-	}
-}
-
-func (s *server) render(w http.ResponseWriter, title, body string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	err := pageTmpl.Execute(w, struct {
-		Title string
-		Body  string
-		Nav   []navEntry
-	}{Title: title, Body: body, Nav: nav})
-	if err != nil {
-		log.Printf("render: %v", err)
-	}
+	httpapi.WriteJSON(w, http.StatusOK, h)
 }

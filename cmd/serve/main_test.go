@@ -13,6 +13,7 @@ import (
 
 	"accelscore/internal/exec"
 	"accelscore/internal/experiments"
+	"accelscore/internal/httpapi"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/storage"
@@ -102,7 +103,7 @@ func TestMetricsAfterQueries(t *testing.T) {
 		pipeline.MetricBackendSelectedTotal + `{backend="CPU_SKLearn",source="param"} 2`,
 		pipeline.MetricModelCacheEventsTotal + `{event="miss"} 1`,
 		pipeline.MetricModelCacheEventsTotal + `{event="hit"} 1`,
-		MetricHTTPRequestsTotal + `{code="200",route="/query"} 2`,
+		httpapi.MetricHTTPRequestsTotal + `{code="200",route="/query"} 2`,
 	} {
 		if !strings.Contains(text, needle) {
 			t.Errorf("/metrics missing %q", needle)
@@ -254,7 +255,7 @@ func TestQueryTimeoutMapsTo504(t *testing.T) {
 	_, body := get(t, ts.URL+"/metrics")
 	for _, needle := range []string{
 		exec.MetricDeadlineExceededTotal + " 1",
-		MetricHTTPRequestsTotal + `{code="504",route="/query"} 1`,
+		httpapi.MetricHTTPRequestsTotal + `{code="504",route="/query"} 1`,
 	} {
 		if !strings.Contains(body, needle) {
 			t.Errorf("/metrics missing %q", needle)
@@ -282,7 +283,7 @@ func TestClientDisconnectMapsTo499(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, body := get(t, ts.URL+"/metrics")
-		if strings.Contains(body, MetricHTTPRequestsTotal+`{code="499",route="/query"} 1`) &&
+		if strings.Contains(body, httpapi.MetricHTTPRequestsTotal+`{code="499",route="/query"} 1`) &&
 			strings.Contains(body, exec.MetricCanceledTotal+" 1") {
 			return
 		}
@@ -304,29 +305,6 @@ func TestQueryRetriesSurviveInjectedFault(t *testing.T) {
 	}
 	if !strings.Contains(body, "retries          1") {
 		t.Fatalf("response does not report the retry:\n%s", body)
-	}
-}
-
-func TestRouteLabelBoundsCardinality(t *testing.T) {
-	for path, want := range map[string]string{
-		"/":                    "/",
-		"/query":               "/query",
-		"/sql":                 "/sql",
-		"/healthz":             "/healthz",
-		"/fig/7":               "/fig/:fig",
-		"/fig/hotpath":         "/fig/:fig",
-		"/debug/trace/q-00001": "/debug/trace/:id",
-		"/debug/queries":       "/debug/queries",
-		"/debug/pprof/":        "/debug/pprof/:profile",
-		"/debug/pprof/profile": "/debug/pprof/:profile",
-		"/debug/pprof/heap":    "/debug/pprof/:profile",
-		"/metrics":             "/metrics",
-		"/etc/passwd":          "other",
-		"/favicon.ico":         "other",
-	} {
-		if got := routeLabel(path); got != want {
-			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
-		}
 	}
 }
 
@@ -478,7 +456,7 @@ func TestPprofMounted(t *testing.T) {
 	}
 	// The middleware counted it under the bounded route label.
 	_, metricsText := get(t, ts.URL+"/metrics")
-	if !strings.Contains(metricsText, `route="/debug/pprof/:profile"`) {
+	if !strings.Contains(metricsText, `route="/debug/pprof/"`) {
 		t.Error("pprof requests not counted under the bounded route label")
 	}
 }

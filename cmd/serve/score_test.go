@@ -109,6 +109,7 @@ func TestScoreEndpoint(t *testing.T) {
 // second hits, unknown models 404.
 func TestWarmEndpoint(t *testing.T) {
 	ts := startShardServer(t, "shard-0")
+	type warmPayload struct{ Model, Status, Error string }
 	warm := func(model string) (int, warmPayload) {
 		resp, err := http.Post(ts.URL+"/warm?model="+model, "", nil)
 		if err != nil {

@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"accelscore/internal/backend"
@@ -269,11 +268,4 @@ func (a *Advisor) PenaltyAnalysis(cfg Config, smallRecords, largeRecords int64) 
 		p.WrongStayThroughput = float64(large.BestCPU.Time) / float64(large.BestAccelerator.Time)
 	}
 	return p, nil
-}
-
-// SortedByTime returns the evaluation results fastest-first, errors last.
-func SortedByTime(results []BackendTime) []BackendTime {
-	out := append([]BackendTime(nil), results...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
 }

@@ -244,21 +244,6 @@ func TestDecompose(t *testing.T) {
 	}
 }
 
-func TestSortedByTime(t *testing.T) {
-	in := []core.BackendTime{
-		{Name: "slow", Time: 3 * time.Second},
-		{Name: "fast", Time: time.Millisecond},
-		{Name: "mid", Time: time.Second},
-	}
-	out := core.SortedByTime(in)
-	if out[0].Name != "fast" || out[2].Name != "slow" {
-		t.Fatalf("sorted order wrong: %+v", out)
-	}
-	if in[0].Name != "slow" {
-		t.Fatal("SortedByTime mutated its input")
-	}
-}
-
 func TestCrossoverNoOffloadRegion(t *testing.T) {
 	// With a tiny search ceiling the CPU wins everywhere -> hi+1 sentinel.
 	tb := platform.New()

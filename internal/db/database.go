@@ -18,6 +18,10 @@ var (
 	ErrTableNotFound = errors.New("table not found")
 	// ErrModelNotFound reports a lookup of a model the store doesn't hold.
 	ErrModelNotFound = errors.New("model not found")
+	// ErrJournal marks a write the journal refused (a failed fsync, a closed
+	// WAL): nothing was applied, and it is the server's failure, not the
+	// statement's. The journal's own error is wrapped beside it.
+	ErrJournal = errors.New("db: journaling")
 )
 
 // ModelsTable is the reserved table holding serialized models, mirroring the
@@ -67,7 +71,7 @@ func (d *Database) CreateTable(t *Table) error {
 		rows := t.rowsLocked()
 		t.rowsMu.RUnlock()
 		if err := j.LogCreateTable(t.Name, t.Columns, rows); err != nil {
-			return fmt.Errorf("db: journaling CREATE TABLE %q: %w", t.Name, err)
+			return fmt.Errorf("%w CREATE TABLE %q: %w", ErrJournal, t.Name, err)
 		}
 	}
 	d.tables[t.Name] = t
@@ -131,7 +135,7 @@ func (d *Database) StoreModelBlob(name string, blob []byte) error {
 	}
 	if j != nil {
 		if err := j.LogModelStore(name, blob); err != nil {
-			return fmt.Errorf("db: journaling model %q: %w", name, err)
+			return fmt.Errorf("%w model %q: %w", ErrJournal, name, err)
 		}
 	}
 	t.insertLocked([]Value{Text(name), Blob(blob)})
@@ -157,7 +161,7 @@ func (d *Database) DeleteModel(name string) error {
 		if t.cellLocked(r, nameIdx).S == name {
 			if j != nil {
 				if err := j.LogModelDelete(name); err != nil {
-					return fmt.Errorf("db: journaling model delete %q: %w", name, err)
+					return fmt.Errorf("%w model delete %q: %w", ErrJournal, name, err)
 				}
 			}
 			for ci := range t.Columns {

@@ -203,7 +203,7 @@ func (d *Database) InsertRows(st *InsertStmt) (int, error) {
 	defer t.rowsMu.Unlock()
 	if j != nil {
 		if err := j.LogInsert(st.Table, t.Columns, rows); err != nil {
-			return 0, fmt.Errorf("db: journaling INSERT into %q: %w", st.Table, err)
+			return 0, fmt.Errorf("%w INSERT into %q: %w", ErrJournal, st.Table, err)
 		}
 	}
 	for _, row := range rows {
@@ -493,7 +493,7 @@ func (d *Database) Delete(st *DeleteStmt) (int, error) {
 	// never reach the WAL.
 	if j != nil {
 		if err := j.LogDelete(st); err != nil {
-			return 0, fmt.Errorf("db: journaling DELETE from %q: %w", st.Table, err)
+			return 0, fmt.Errorf("%w DELETE from %q: %w", ErrJournal, st.Table, err)
 		}
 	}
 	drop := make(map[int]bool, len(victims))
@@ -554,7 +554,7 @@ func (d *Database) Update(st *UpdateStmt) (int, error) {
 	// Logical logging, same contract as Delete.
 	if j != nil {
 		if err := j.LogUpdate(st); err != nil {
-			return 0, fmt.Errorf("db: journaling UPDATE %q: %w", st.Table, err)
+			return 0, fmt.Errorf("%w UPDATE %q: %w", ErrJournal, st.Table, err)
 		}
 	}
 	for _, r := range rows {

@@ -207,13 +207,6 @@ func (g *gemmTree) predictBatch(x *tensor.Matrix) []int {
 	return out
 }
 
-// flops returns the multiply-add count of one batched evaluation, charged to
-// the simulated GEMM rate.
-func (g *gemmTree) flops(records int) int64 {
-	return tensor.FlopCount(records, g.a.Rows, g.a.Cols) +
-		tensor.FlopCount(records, g.c.Rows, g.c.Cols)
-}
-
 // hbProgram is a forest compiled for Hummingbird.
 type hbProgram struct {
 	strategy string // "gemm" or "ptt"

@@ -23,12 +23,10 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"accelscore/internal/db"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/sched"
@@ -281,9 +279,6 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 	return e
 }
 
-// Config returns the resolved configuration.
-func (e *Executor) Config() Config { return e.cfg }
-
 // ExecQuery parses and runs one T-SQL statement through the concurrent hot
 // path with no caller deadline. See Submit.
 func (e *Executor) ExecQuery(sql string) (*pipeline.QueryResult, error) {
@@ -309,32 +304,16 @@ func (e *Executor) Submit(ctx context.Context, sql string) (res *pipeline.QueryR
 	}
 	defer release()
 
-	st, err := db.Parse(sql)
+	st, err := e.pipe.Parse(sql)
 	if err != nil {
-		e.pipe.NoteStatement("parse_error")
 		return nil, err
 	}
 	// Scoring statements — EXEC sp_score_model and the fused
 	// SELECT ... FROM PREDICT(...) — share the coalescing/runBatch path;
 	// their coalesce key includes the fused-query shape.
-	var req *pipeline.ScoreRequest
-	switch s := st.(type) {
-	case *db.ExecStmt:
-		if strings.EqualFold(s.Proc, pipeline.ScoreProcName) {
-			e.pipe.NoteStatement("exec")
-			var perr error
-			if req, perr = pipeline.ParseScoreParams(s); perr != nil {
-				// Re-run through ScoreProc so parameter errors carry the
-				// same metric accounting as the serialized path.
-				return e.pipe.ScoreProc(s)
-			}
-		}
-	case *db.PredictStmt:
-		e.pipe.NoteStatement("predict")
-		var perr error
-		if req, perr = pipeline.ParsePredictStmt(s); perr != nil {
-			return e.pipe.ScorePredict(s)
-		}
+	req, err := pipeline.ScoreRequestOf(e.pipe.Obs, st)
+	if err != nil {
+		return nil, err
 	}
 	if req != nil {
 		return e.score(ctx, req)

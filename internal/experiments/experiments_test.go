@@ -179,7 +179,7 @@ func TestFig10DerivedFromFig9(t *testing.T) {
 					continue
 				}
 				ps := thr[pi].Curves[ci].PerSecond[k]
-				back := latencyOf(ps, lat[pi].Records[k])
+				back := time.Duration(float64(lat[pi].Records[k]) / ps * float64(time.Second))
 				diff := back - d
 				if diff < -time.Microsecond || diff > time.Microsecond {
 					t.Fatalf("throughput/latency inconsistent at panel %d curve %d point %d: %v vs %v",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Fig10Curve is one backend's throughput (scorings per second) across the
@@ -95,13 +94,4 @@ func (p Fig10Panel) PeakThroughput() (string, float64) {
 		}
 	}
 	return bestName, best
-}
-
-// latencyOf is a test helper surface: the latency implied by a throughput
-// value at n records.
-func latencyOf(perSecond float64, n int64) time.Duration {
-	if perSecond == 0 {
-		return 0
-	}
-	return time.Duration(float64(n) / perSecond * float64(time.Second))
 }

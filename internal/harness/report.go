@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	osexec "os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
+
+	"accelscore/internal/httpapi"
 )
 
 // ArtifactSchemaVersion versions the shared envelope of every JSON artifact
@@ -27,7 +28,7 @@ func Envelope(kind string) map[string]any {
 		"schema_version": ArtifactSchemaVersion,
 		"kind":           kind,
 		"generated":      time.Now().UTC().Format(time.RFC3339),
-		"git_describe":   gitDescribe(),
+		"git_describe":   httpapi.GitDescribe(),
 		"host": map[string]any{
 			"goos":       runtime.GOOS,
 			"goarch":     runtime.GOARCH,
@@ -35,17 +36,6 @@ func Envelope(kind string) map[string]any {
 			"num_cpu":    runtime.NumCPU(),
 		},
 	}
-}
-
-// gitDescribe identifies the working tree that produced an artifact.
-// "unknown" when git is unavailable (e.g. a release binary run outside the
-// repo) — the artifact is still valid, just unattributed.
-func gitDescribe() string {
-	out, err := osexec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 // Host renders the host shape for a markdown report's "Measured by" line.

@@ -251,48 +251,3 @@ func TestInterruptCostsMoreThanCSR(t *testing.T) {
 		t.Fatal("CSR setup should cost less than interrupt completion")
 	}
 }
-
-func TestSolveRecoverCalibration(t *testing.T) {
-	// Re-derive the ONNX per-visit cost from its own anchor: CPU_ONNX_52th
-	// ~2.4 s at 1M x 128 trees x 10 levels on IRIS. The solver must land
-	// close to the shipped 45 ns constant.
-	anchor := DefaultCPU().ONNXScoringTime(1_280_000_000, 4, 52)
-	got, err := SolveDuration(time.Nanosecond, time.Microsecond, anchor, 10*time.Microsecond,
-		func(d time.Duration) time.Duration {
-			c := DefaultCPU()
-			c.ONNXVisitCost = d
-			return c.ONNXScoringTime(1_280_000_000, 4, 52)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 44*time.Nanosecond || got > 46*time.Nanosecond {
-		t.Fatalf("recovered visit cost = %v, want ~45ns", got)
-	}
-}
-
-func TestSolveErrors(t *testing.T) {
-	id := func(x float64) time.Duration { return time.Duration(x) }
-	if _, err := Solve(10, 1, time.Duration(5), 1, id); err == nil {
-		t.Fatal("inverted bounds accepted")
-	}
-	if _, err := Solve(1, 10, time.Duration(5), 0, id); err == nil {
-		t.Fatal("zero tolerance accepted")
-	}
-	if _, err := Solve(1, 10, time.Duration(100), 1, id); err == nil {
-		t.Fatal("unreachable goal accepted")
-	}
-	dec := func(x float64) time.Duration { return time.Duration(100 - x) }
-	if _, err := Solve(1, 10, time.Duration(95), 1, dec); err == nil {
-		t.Fatal("decreasing eval accepted")
-	}
-	// The defining property: eval at the solution is within tolerance of
-	// the goal.
-	got, err := Solve(0, 100, time.Duration(42), 1, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := id(got) - time.Duration(42); diff < -1 || diff > 1 {
-		t.Fatalf("Solve = %v, eval diff %v exceeds tolerance", got, diff)
-	}
-}

@@ -148,19 +148,6 @@ var DefBuckets = []float64{
 	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1, 5, 10,
 }
 
-// ExpBuckets returns n bounds starting at start, each factor times the last.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 type metricType int
 
 const (

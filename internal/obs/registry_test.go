@@ -193,13 +193,3 @@ func TestHistogramCumulativeAndConsistent(t *testing.T) {
 		t.Error("exposition missing count")
 	}
 }
-
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(1e-6, 10, 4)
-	want := []float64{1e-6, 1e-5, 1e-4, 1e-3}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > want[i]*1e-9 {
-			t.Fatalf("ExpBuckets[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}

@@ -187,21 +187,6 @@ func NewSLOEngine(reg *Registry, objs []Objective, target float64) *SLOEngine {
 	return e
 }
 
-// Objectives returns the configured objectives, sorted by class.
-func (e *SLOEngine) Objectives() []Objective {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Objective, 0, len(e.classes))
-	for _, c := range e.classes {
-		out = append(out, c.obj)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
-	return out
-}
-
 // Observe records one finished query and refreshes the class's burn-rate
 // gauges. It returns whether the query was good.
 func (e *SLOEngine) Observe(class string, latency time.Duration, ok bool) bool {
@@ -235,21 +220,6 @@ func (e *SLOEngine) Observe(class string, latency time.Duration, ok bool) bool {
 		}
 	}
 	return good
-}
-
-// BurnRate returns the class's burn rate over the window: the bad fraction
-// divided by the error budget (1 - target). 0 when the window is empty.
-func (e *SLOEngine) BurnRate(class string, window time.Duration) float64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.lookupLocked(class)
-	if c == nil {
-		return 0
-	}
-	return e.burnRateLocked(c, e.now(), window)
 }
 
 func (e *SLOEngine) burnRateLocked(c *sloClass, now time.Time, window time.Duration) float64 {
@@ -292,14 +262,6 @@ func (e *SLOEngine) Report() []ClassReport {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
-}
-
-// Target returns the availability objective.
-func (e *SLOEngine) Target() float64 {
-	if e == nil {
-		return 0
-	}
-	return e.target
 }
 
 // SetNow injects a clock for tests.

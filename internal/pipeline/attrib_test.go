@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -154,7 +155,7 @@ func TestBatchAttributionApportions(t *testing.T) {
 	for i, n := range limits {
 		reqs[i] = &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn", Limit: n}
 	}
-	results, err := p.ExecScoreBatch(reqs)
+	results, err := p.ExecScoreBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"testing"
 
 	"accelscore/internal/pipeline"
@@ -21,7 +22,7 @@ func TestExecScoreBatchAmortizesOverheads(t *testing.T) {
 	for i, n := range limits {
 		reqs[i] = &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn", Limit: n}
 	}
-	results, err := p.ExecScoreBatch(reqs)
+	results, err := p.ExecScoreBatchCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestExecScoreBatchAmortizesOverheads(t *testing.T) {
 	}
 
 	// The batch reloads nothing per query: a second identical batch hits.
-	if _, err := p.ExecScoreBatch(reqs); err != nil {
+	if _, err := p.ExecScoreBatchCtx(context.Background(), reqs); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Cache.Stats(); st.Hits != 1 {
@@ -80,7 +81,7 @@ func TestExecScoreBatchAmortizesOverheads(t *testing.T) {
 // is a programming error in the coalescer and must fail loudly.
 func TestExecScoreBatchRejectsMixedKeys(t *testing.T) {
 	p, _, _ := newPipeline(t, 4, 6, 60)
-	_, err := p.ExecScoreBatch([]*pipeline.ScoreRequest{
+	_, err := p.ExecScoreBatchCtx(context.Background(), []*pipeline.ScoreRequest{
 		{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn"},
 		{Model: "iris_rf", Data: "iris", Backend: "FPGA"},
 	})
@@ -99,10 +100,12 @@ func TestBatchOfOneMatchesSingleQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := p2.ExecScore(&pipeline.ScoreRequest{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn"})
+	results, err := p2.ExecScoreBatchCtx(context.Background(),
+		[]*pipeline.ScoreRequest{{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch := results[0]
 	if batch.BatchSize != 1 {
 		t.Fatalf("BatchSize = %d", batch.BatchSize)
 	}

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -237,12 +238,12 @@ func TestFusedBatchKeyValidation(t *testing.T) {
 	}
 	a := &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn", Where: where}
 	b := &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn"}
-	if _, err := p.ExecScoreBatch([]*pipeline.ScoreRequest{a, b}); err == nil {
+	if _, err := p.ExecScoreBatchCtx(context.Background(), []*pipeline.ScoreRequest{a, b}); err == nil {
 		t.Fatal("batch mixing fused shapes must fail")
 	}
 	// Same fusion key coalesces fine and fans out per request.
 	c := &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris_wide", Backend: "CPU_SKLearn", Where: where}
-	results, err := p.ExecScoreBatch([]*pipeline.ScoreRequest{a, c})
+	results, err := p.ExecScoreBatchCtx(context.Background(), []*pipeline.ScoreRequest{a, c})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -172,10 +173,11 @@ func TestPartitionClassCountsSumToWhole(t *testing.T) {
 			Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX",
 			Agg: pipeline.AggGroupCount, Partition: pipeline.Partition{Index: k, Count: n},
 		}
-		res, err := p.ExecScore(req)
+		results, err := p.ExecScoreBatchCtx(context.Background(), []*pipeline.ScoreRequest{req})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := results[0]
 		for i := 0; i < res.Table.NumRows(); i++ {
 			cls := res.Table.Rows()[i][0].I
 			cnt := res.Table.Rows()[i][1].I

@@ -216,64 +216,107 @@ func (p *Pipeline) ExecQuery(sql string) (*QueryResult, error) {
 // ExecQueryCtx is ExecQuery under a caller context: the query's deadline and
 // cancellation propagate through every pipeline stage into the engine call.
 func (p *Pipeline) ExecQueryCtx(ctx context.Context, sql string) (*QueryResult, error) {
-	st, err := db.Parse(sql)
+	st, err := p.Parse(sql)
 	if err != nil {
-		p.countStatement("parse_error")
 		return nil, err
 	}
 	return p.ExecStatementCtx(ctx, st)
 }
 
+// Parse parses one statement, counting a failure as kind "parse_error" —
+// for front-ends that inspect the statement before ExecStatementCtx.
+func (p *Pipeline) Parse(sql string) (db.Statement, error) {
+	st, err := db.Parse(sql)
+	if err != nil {
+		countStatement(p.Obs, "parse_error")
+	}
+	return st, err
+}
+
 // ExecStatementCtx runs one parsed statement under a caller context,
 // counting it by kind. Exported so front-ends that parse once to inspect the
-// statement (the concurrent executor) can dispatch without re-parsing.
-// Non-scoring statements execute in the DBMS and only check the context up
-// front (they are short); scoring statements thread it all the way into the
-// engine.
+// statement (the concurrent executor, serve's /sql) can dispatch without
+// re-parsing. Non-scoring statements execute in the DBMS and only check the
+// context up front (they are short); scoring statements thread it all the
+// way into the engine.
 func (p *Pipeline) ExecStatementCtx(ctx context.Context, st db.Statement) (*QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	req, err := ScoreRequestOf(p.Obs, st)
+	if err != nil {
+		return nil, err
+	}
+	if req != nil {
+		if req.Timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, req.Timeout)
+			defer cancel()
+		}
+		results, err := p.ExecScoreBatchCtx(ctx, []*ScoreRequest{req})
+		if err != nil {
+			return nil, err
+		}
+		return results[0], nil
+	}
 	switch s := st.(type) {
 	case *db.SelectStmt:
-		p.countStatement("select")
+		countStatement(p.Obs, "select")
 		tbl, err := p.DB.Select(s)
 		if err != nil {
 			return nil, err
 		}
 		return &QueryResult{Table: tbl}, nil
 	case *db.CreateStmt:
-		p.countStatement("create")
+		countStatement(p.Obs, "create")
 		return &QueryResult{}, p.DB.Create(s)
 	case *db.InsertStmt:
-		p.countStatement("insert")
+		countStatement(p.Obs, "insert")
 		_, err := p.DB.InsertRows(s)
 		return &QueryResult{}, err
 	case *db.DeleteStmt:
-		p.countStatement("delete")
+		countStatement(p.Obs, "delete")
 		_, err := p.DB.Delete(s)
 		return &QueryResult{}, err
 	case *db.UpdateStmt:
-		p.countStatement("update")
+		countStatement(p.Obs, "update")
 		_, err := p.DB.Update(s)
 		return &QueryResult{}, err
-	case *db.ExecStmt:
-		p.countStatement("exec")
-		if !strings.EqualFold(s.Proc, ScoreProcName) {
-			return nil, fmt.Errorf("pipeline: unknown procedure %q", s.Proc)
-		}
-		return p.ScoreProcCtx(ctx, s)
-	case *db.PredictStmt:
-		p.countStatement("predict")
-		return p.ScorePredictCtx(ctx, s)
 	default:
 		return nil, fmt.Errorf("pipeline: unsupported statement %T", st)
 	}
 }
 
-// NoteStatement bumps the statement-kind counter. Exported so alternative
-// front-ends keep statement accounting consistent with ExecQuery.
-func (p *Pipeline) NoteStatement(kind string) { p.countStatement(kind) }
+// ScoreRequestOf is the one mapping from a parsed statement to the scoring
+// request it describes — the two scoring forms are
+//
+//	EXEC sp_score_model @model = '<model>', @data = '<table>'
+//	     [, @backend = '<name>|auto'] [, @limit = n] [, @where = '...'] ...
+//	SELECT ... FROM PREDICT(@model = ..., @data = ...) [WHERE ...] [GROUP BY prediction]
+//
+// — and (nil, nil) for every other statement. With an observer it counts the
+// scoring statement by kind, and a parameter error as a failed query:
+// parameter failures never reach the batch path's accounting.
+func ScoreRequestOf(o *obs.Observer, st db.Statement) (req *ScoreRequest, err error) {
+	switch s := st.(type) {
+	case *db.ExecStmt:
+		countStatement(o, "exec")
+		if !strings.EqualFold(s.Proc, ScoreProcName) {
+			return nil, fmt.Errorf("pipeline: unknown procedure %q", s.Proc)
+		}
+		req, err = ParseScoreParams(s)
+	case *db.PredictStmt:
+		countStatement(o, "predict")
+		req, err = ParsePredictStmt(s)
+	}
+	if err != nil {
+		if reg := o.Metrics(); reg != nil {
+			reg.Counter(MetricQueriesTotal, "Scoring queries by terminal status.",
+				"status", "error").Inc()
+		}
+	}
+	return req, err
+}
 
 // ScoreRequest is a validated sp_score_model invocation: which model to run
 // over which table on which backend. It is the unit the concurrent executor
@@ -398,85 +441,12 @@ func scoreParamsFromMap(params map[string]db.Literal, allowWhere bool) (*ScoreRe
 	return req, nil
 }
 
-// ScoreProc runs the scoring stored procedure:
-//
-//	EXEC sp_score_model @model = '<model>', @data = '<table>'
-//	     [, @backend = '<name>|auto'] [, @limit = n]
-func (p *Pipeline) ScoreProc(ex *db.ExecStmt) (*QueryResult, error) {
-	return p.ScoreProcCtx(context.Background(), ex)
-}
-
-// ScoreProcCtx is ScoreProc under a caller context.
-func (p *Pipeline) ScoreProcCtx(ctx context.Context, ex *db.ExecStmt) (*QueryResult, error) {
-	req, err := ParseScoreParams(ex)
-	if err != nil {
-		// Parameter failures never reach the batch path's accounting, so
-		// count them here.
-		if reg := p.Obs.Metrics(); reg != nil {
-			reg.Counter(MetricQueriesTotal, "Scoring queries by terminal status.",
-				"status", "error").Inc()
-		}
-		return nil, err
-	}
-	if req.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
-		defer cancel()
-	}
-	results, err := p.ExecScoreBatchCtx(ctx, []*ScoreRequest{req})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// ScorePredict runs a fused SELECT ... FROM PREDICT(...) statement.
-func (p *Pipeline) ScorePredict(ps *db.PredictStmt) (*QueryResult, error) {
-	return p.ScorePredictCtx(context.Background(), ps)
-}
-
-// ScorePredictCtx is ScorePredict under a caller context.
-func (p *Pipeline) ScorePredictCtx(ctx context.Context, ps *db.PredictStmt) (*QueryResult, error) {
-	req, err := ParsePredictStmt(ps)
-	if err != nil {
-		if reg := p.Obs.Metrics(); reg != nil {
-			reg.Counter(MetricQueriesTotal, "Scoring queries by terminal status.",
-				"status", "error").Inc()
-		}
-		return nil, err
-	}
-	if req.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
-		defer cancel()
-	}
-	results, err := p.ExecScoreBatchCtx(ctx, []*ScoreRequest{req})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// ExecScore runs one validated scoring request end to end.
-func (p *Pipeline) ExecScore(req *ScoreRequest) (*QueryResult, error) {
-	results, err := p.ExecScoreBatch([]*ScoreRequest{req})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// ExecScoreBatch runs a coalesced batch of scoring requests as ONE pipeline
-// execution: the model blob is loaded and pre-processed once, the input rows
-// are concatenated and scored in a single backend call, and the predictions
-// are fanned back out per request. Every request must name the same model
-// and backend (that is the coalescing key); input tables may differ. A
-// shared-stage failure fails the whole batch.
-func (p *Pipeline) ExecScoreBatch(reqs []*ScoreRequest) (results []*QueryResult, err error) {
-	return p.ExecScoreBatchCtx(context.Background(), reqs)
-}
-
-// ExecScoreBatchCtx is ExecScoreBatch under a caller context: the context's
+// ExecScoreBatchCtx runs a coalesced batch of scoring requests as ONE
+// pipeline execution: the model blob is loaded and pre-processed once, the
+// input rows are concatenated and scored in a single backend call, and the
+// predictions are fanned back out per request. Every request must name the
+// same model and backend (that is the coalescing key); input tables may
+// differ. A shared-stage failure fails the whole batch. The context's
 // deadline and cancellation cover the DBMS fetches and every pipeline stage,
 // and reach the engine through the backend request. An already-expired
 // context is shed before any work happens.
@@ -1087,8 +1057,8 @@ func (p *Pipeline) noteScoringError(trs []*obs.Trace, engine string, err error) 
 
 // countStatement bumps the statement-kind counter when an observer is
 // attached.
-func (p *Pipeline) countStatement(kind string) {
-	if reg := p.Obs.Metrics(); reg != nil {
+func countStatement(o *obs.Observer, kind string) {
+	if reg := o.Metrics(); reg != nil {
 		reg.Counter(MetricStatementsTotal, "Parsed T-SQL statements by kind.", "kind", kind).Inc()
 	}
 }

@@ -7,12 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"accelscore/internal/httpapi"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/storage/pagefmt"
@@ -202,7 +205,88 @@ func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// warmResponse is the /warm JSON payload shared by serve and the router.
+// ShardHandler is the server end of the shard protocol HTTPShard speaks —
+// POST /score and /warm?model= — over any Backend: NewHTTPShard pointed at
+// it returns what b returns, Result for Result and failure class for
+// failure class. cmd/serve mounts it over its executor; tests mount it over
+// fakes.
+func ShardHandler(b Backend) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/score", func(w http.ResponseWriter, r *http.Request) { serveScore(b, w, r) })
+	mux.HandleFunc("/warm", func(w http.ResponseWriter, r *http.Request) { serveWarm(b, w, r) })
+	return mux
+}
+
+// serveScore executes one routed sub-query. The body is a wire Request; the
+// response is a wire Result — one binary frame when the caller's Accept
+// header asks for FrameContentType, JSON otherwise (curl, an older router).
+// A failure is always the small JSON Result, with Error and a Code that
+// tells the router whether rerouting to another replica can help
+// (bad_request never reroutes; rejected/timeout/internal may).
+func serveScore(b Backend, w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		httpapi.WriteJSON(w, http.StatusMethodNotAllowed,
+			&Result{Error: "POST a JSON score request", Code: CodeBadRequest})
+		return
+	}
+	var req Request
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		writeScoreError(w, NoReroute(fmt.Errorf("decoding request: %w", err)))
+		return
+	}
+	res, err := b.Score(r.Context(), req)
+	if err != nil {
+		writeScoreError(w, err)
+		return
+	}
+	if r.Header.Get("Accept") != FrameContentType {
+		httpapi.WriteJSON(w, http.StatusOK, res)
+		return
+	}
+	frame, err := EncodeFrame(res)
+	if err != nil {
+		writeScoreError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", FrameContentType)
+	// Stated, so the router sizes its read buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	if _, err := w.Write(frame); err != nil {
+		log.Printf("score response: %v", err)
+	}
+}
+
+// writeScoreError puts a failed sub-query on the wire under its class. A
+// ShardError travels as its bare message: the receiving HTTPShard names the
+// shard again.
+func writeScoreError(w http.ResponseWriter, err error) {
+	code, msg := codeOf(err), err.Error()
+	var se *ShardError
+	if errors.As(err, &se) {
+		msg = se.Msg
+	}
+	httpapi.WriteJSON(w, StatusOf(code), &Result{Error: msg, Code: code})
+}
+
+// serveWarm pre-loads ?model= into the shard's compiled-model cache so the
+// first routed sub-query does not pay model resolution behind the gather
+// barrier. The response status field is the cache outcome: "hit" (already
+// resident), "miss" (loaded now) or "nocache".
+func serveWarm(b Backend, w http.ResponseWriter, r *http.Request) {
+	model := r.URL.Query().Get("model")
+	if model == "" {
+		httpapi.WriteJSON(w, http.StatusBadRequest, warmResponse{Error: "pass ?model="})
+		return
+	}
+	status, err := b.Warm(r.Context(), model)
+	if err != nil {
+		httpapi.WriteJSON(w, http.StatusNotFound, warmResponse{Model: model, Error: err.Error()})
+		return
+	}
+	httpapi.WriteJSON(w, http.StatusOK, warmResponse{Model: model, Status: status})
+}
+
+// warmResponse is the /warm JSON payload, both ends.
 type warmResponse struct {
 	Model  string `json:"model"`
 	Status string `json:"status"`

@@ -8,7 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,6 +119,23 @@ func TestRouterBackPressureIsNotShardFailure(t *testing.T) {
 	}
 }
 
+// getQuery GETs /query on a router front and decodes the envelope.
+func getQuery(t *testing.T, rt *router.Router, params string) (int, router.QueryResponse) {
+	t.Helper()
+	front := httptest.NewServer(router.Handler(rt))
+	defer front.Close()
+	resp, err := front.Client().Get(front.URL + "/query?" + params + "sql=" + url.QueryEscape(plainSQL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var qr router.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, qr
+}
+
 // TestHandlerShardErrorKeepsItsClass: a shard's error reply carries a wire
 // code, and a single-sub-query /query surfaces that class, not a 400.
 func TestHandlerShardErrorKeepsItsClass(t *testing.T) {
@@ -129,40 +146,79 @@ func TestHandlerShardErrorKeepsItsClass(t *testing.T) {
 		router.CodeInternal:   http.StatusInternalServerError,
 		router.CodeBadRequest: http.StatusBadRequest,
 	} {
-		var calls atomic.Int32
-		shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			calls.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(want)
-			json.NewEncoder(w).Encode(router.Result{Error: "shard says no", Code: code})
-		}))
-		backend, err := router.NewHTTPShard("shard-0", shard.URL, nil)
+		if got := router.StatusOf(code); got != want {
+			t.Errorf("StatusOf(%q) = %d, want %d", code, got, want)
+		}
+		shard := &scriptedBackend{err: &router.ShardError{Shard: "scripted", Code: code, Msg: "shard says no"}}
+		rt, err := router.New(router.Config{Backends: []router.Backend{servedShard(t, shard, nil)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := router.New(router.Config{Backends: []router.Backend{backend}})
+		status, qr := getQuery(t, rt, "")
+		if status != want || qr.OK || !strings.Contains(qr.Error, "shard says no") {
+			t.Errorf("shard code %q: HTTP %d (%q), want %d", code, status, qr.Error, want)
+		}
+		if n := shard.calls.Load(); n != 1 {
+			t.Errorf("shard code %q: %d calls to a one-shard tier", code, n)
+		}
+		rt.Close()
+	}
+}
+
+// TestUnreachableTierIs503: with every replica dead the tier is unavailable,
+// however many sub-queries the statement scattered into. Only the
+// two-partition scatter (a PartialError) used to say so; a tenant-affine
+// query and a one-shard tier unwrap their sole RouteError, which fell
+// through to 400.
+func TestUnreachableTierIs503(t *testing.T) {
+	dead := func(name string) router.Backend {
+		ts := httptest.NewServer(http.NotFoundHandler())
+		ts.Close() // nothing listens on its port any more
+		shard, err := router.NewHTTPShard(name, ts.URL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		front := httptest.NewServer(router.Handler(rt))
-		resp, err := front.Client().Get(front.URL + "/query?sql=" + url.QueryEscape(plainSQL))
+		return shard
+	}
+	for _, c := range []struct {
+		name, params string
+		shards       int
+	}{
+		{"scatter over two shards", "", 2},
+		{"tenant-affine over two shards", "tenant=acme&", 2},
+		{"one-shard tier", "", 1},
+	} {
+		backends := make([]router.Backend, c.shards)
+		for i := range backends {
+			backends[i] = dead(fmt.Sprintf("shard-%d", i))
+		}
+		rt, err := router.New(router.Config{Backends: backends})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var qr router.QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		status, qr := getQuery(t, rt, c.params)
+		if status != http.StatusServiceUnavailable || qr.OK || qr.Error == "" {
+			t.Errorf("%s: HTTP %d (%q), want 503", c.name, status, qr.Error)
+		}
+		rt.Close()
+	}
+	// A statement the router refuses is still the client's fault.
+	rt, err := router.New(router.Config{Backends: []router.Backend{dead("shard-0")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(router.Handler(rt))
+	defer front.Close()
+	for _, sql := range []string{"SELEKT", "SELECT 1", "EXEC sp_score_model @model='m'"} {
+		resp, err := front.Client().Get(front.URL + "/query?sql=" + url.QueryEscape(sql))
+		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != want || qr.OK || qr.Error == "" {
-			t.Errorf("shard code %q: HTTP %d (%q), want %d", code, resp.StatusCode, qr.Error, want)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%q: HTTP %d, want 400", sql, resp.StatusCode)
 		}
-		if n := calls.Load(); n != 1 {
-			t.Errorf("shard code %q: %d calls to a one-shard tier", code, n)
-		}
-		front.Close()
-		rt.Close()
-		shard.Close()
 	}
 }
 

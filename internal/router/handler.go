@@ -2,15 +2,14 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
+
+	"accelscore/internal/httpapi"
 )
 
 // QueryResponse is the /query JSON envelope: the merged scatter result or
@@ -41,18 +40,20 @@ type QueryResponse struct {
 	TraceID    string     `json:"trace_id,omitempty"`
 }
 
-// Handler serves the router's HTTP surface: /query, /warm, /healthz,
-// /metrics, /debug/queries and /debug/trace/<id>.
+// Handler serves the router's HTTP surface: /query, /warm and /healthz,
+// plus — when the router has an observer — the shared ops endpoints
+// (/metrics, /debug/queries, /debug/trace/<id>, /debug/pprof/*), all behind
+// the shared request log and HTTP metrics.
 func Handler(r *Router) http.Handler {
 	h := &handler{r: r}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", h.handleQuery)
 	mux.HandleFunc("/warm", h.handleWarm)
 	mux.HandleFunc("/healthz", h.handleHealthz)
-	mux.HandleFunc("/metrics", h.handleMetrics)
-	mux.HandleFunc("/debug/queries", h.handleDebugQueries)
-	mux.HandleFunc("/debug/trace/", h.handleDebugTrace)
-	return mux
+	if r.cfg.Obs != nil {
+		httpapi.MountOps(mux, r.cfg.Obs)
+	}
+	return httpapi.Instrument(r.cfg.Obs.Metrics(), mux)
 }
 
 type handler struct {
@@ -66,20 +67,20 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if sql == "" && r.Body != nil {
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "reading body: " + err.Error()})
+			httpapi.WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "reading body: " + err.Error()})
 			return
 		}
 		sql = strings.TrimSpace(string(body))
 	}
 	if sql == "" {
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "no statement: pass ?sql= or a POST body"})
+		httpapi.WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "no statement: pass ?sql= or a POST body"})
 		return
 	}
 	ctx := r.Context()
 	if tmo := r.URL.Query().Get("timeout"); tmo != "" {
 		d, err := time.ParseDuration(tmo)
 		if err != nil || d <= 0 {
-			writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad ?timeout=: " + tmo})
+			httpapi.WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad ?timeout=: " + tmo})
 			return
 		}
 		var cancel context.CancelFunc
@@ -100,10 +101,8 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 				secs++
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusServiceUnavailable, QueryResponse{Error: err.Error()})
-			return
 		}
-		writeJSON(w, statusFor(err), QueryResponse{Error: err.Error()})
+		httpapi.WriteJSON(w, statusFor(err), QueryResponse{Error: err.Error()})
 		return
 	}
 	resp := QueryResponse{
@@ -126,42 +125,18 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Timeline:          wireSpans(&merged.Timeline),
 		TraceID:           merged.TraceID,
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
-// statusFor maps a routing error to its HTTP status, mirroring serve's
-// /query mapping so clients see consistent codes through either tier. A
-// shard's own refusal keeps the class it had on the wire.
-func statusFor(err error) int {
-	var pe *PartialError
-	var se *ShardError
-	switch {
-	case errors.As(err, &pe), errors.Is(err, ErrNoShardAvailable):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499 // client closed request
-	case errors.As(err, &se):
-		switch se.Code {
-		case CodeRejected:
-			return http.StatusServiceUnavailable
-		case CodeTimeout:
-			return http.StatusGatewayTimeout
-		case CodeCanceled:
-			return 499
-		case CodeInternal:
-			return http.StatusInternalServerError
-		}
-	}
-	return http.StatusBadRequest
-}
+// statusFor maps a routing error to its HTTP status through the one table
+// serve answers from, so clients see consistent codes through either tier.
+func statusFor(err error) int { return StatusOf(codeOf(err)) }
 
 // handleWarm fans ?model= to every shard's model cache.
 func (h *handler) handleWarm(w http.ResponseWriter, r *http.Request) {
 	model := r.URL.Query().Get("model")
 	if model == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "pass ?model="})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "pass ?model="})
 		return
 	}
 	statuses := h.r.Warm(r.Context(), model)
@@ -171,7 +146,7 @@ func (h *handler) handleWarm(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, code, map[string]any{"model": model, "shards": statuses})
+	httpapi.WriteJSON(w, code, map[string]any{"model": model, "shards": statuses})
 }
 
 // routerHealth is the /healthz payload: the health state machine's view of
@@ -222,69 +197,5 @@ func (h *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		rh.Status = "down"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, rh)
-}
-
-func (h *handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if h.r.cfg.Obs == nil {
-		http.Error(w, "metrics disabled", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := h.r.cfg.Obs.Metrics().WritePrometheus(w); err != nil {
-		log.Printf("router metrics: %v", err)
-	}
-}
-
-// handleDebugQueries lists recent routed queries with their fan-out attrs.
-func (h *handler) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	if h.r.tracer == nil {
-		http.Error(w, "tracing disabled", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	var sb strings.Builder
-	for _, tr := range h.r.tracer.Recent() {
-		snap := tr.Snapshot()
-		fmt.Fprintf(&sb, "%s  %-24s wall %v\n", snap.ID, snap.Name, snap.Wall.Round(time.Microsecond))
-		for k, v := range snap.Attrs {
-			fmt.Fprintf(&sb, "    %-20s %s\n", k, v)
-		}
-		for _, span := range snap.WallSpans {
-			lane := span.Track
-			if lane == "" {
-				lane = "wall"
-			}
-			fmt.Fprintf(&sb, "    [%-8s] %-24s %v\n", lane, span.Name, span.Duration.Round(time.Microsecond))
-		}
-		fmt.Fprintf(&sb, "    download: /debug/trace/%s\n\n", snap.ID)
-	}
-	io.WriteString(w, sb.String())
-}
-
-// handleDebugTrace serves one routed query's trace as Chrome trace JSON,
-// per-shard fan-out lanes included.
-func (h *handler) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if h.r.tracer == nil {
-		http.Error(w, "tracing disabled", http.StatusNotFound)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
-	tr, ok := h.r.tracer.Get(id)
-	if !ok {
-		http.Error(w, "trace not retained", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := tr.WriteChromeTrace(w); err != nil {
-		log.Printf("router trace %s: %v", id, err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("router response: %v", err)
-	}
+	httpapi.WriteJSON(w, code, rh)
 }

@@ -211,8 +211,8 @@ func TestRouteErrorLeadsWithPreferredShard(t *testing.T) {
 	if re.Preferred != 1 || r.Shard != 1 {
 		t.Fatalf("preferred %d, result shard %d, want 1", re.Preferred, r.Shard)
 	}
-	if !errors.Is(re.Cause(), preferredErr) {
-		t.Fatalf("cause %v should be the preferred shard's own failure", re.Cause())
+	if len(re.Attempts) == 0 || !errors.Is(re.Attempts[0], preferredErr) {
+		t.Fatalf("attempts %v should lead with the preferred shard's own failure", re.Attempts)
 	}
 	if !strings.HasPrefix(r.Err.Error(), "shard 1: disk on fire") {
 		t.Fatalf("message %q should lead with the preferred shard's failure", r.Err)

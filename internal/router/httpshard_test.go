@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,55 +15,53 @@ import (
 	"accelscore/internal/router"
 )
 
-// fakeShard serves /score over an in-process replica, handing each result to
-// reply so a test chooses (or corrupts) the representation on the wire.
-func fakeShard(t *testing.T, name string, reply func(w http.ResponseWriter, r *http.Request, res *router.Result)) *router.HTTPShard {
+// servedShard reaches b the way the tier does: router.ShardHandler on a
+// loopback listener, an HTTPShard pointed at it. wrap (may be nil) sits
+// between the wire and the handler, so a test can pin or damage the
+// representation on the wire.
+func servedShard(t *testing.T, b router.Backend, wrap func(http.Handler) http.Handler) *router.HTTPShard {
 	t.Helper()
-	local := &router.Local{Name: name, Pipe: newShardPipeline(t, 200)}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req router.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Error(err)
-		}
-		res, err := local.Score(r.Context(), req)
-		if err != nil {
-			t.Error(err)
-			res = &router.Result{Error: err.Error(), Code: router.CodeInternal}
-		}
-		reply(w, r, res)
-	}))
+	h := router.ShardHandler(b)
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
-	shard, err := router.NewHTTPShard(name, ts.URL, nil)
+	shard, err := router.NewHTTPShard(b.ID(), ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return shard
 }
 
-func replyJSON(w http.ResponseWriter, _ *http.Request, res *router.Result) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(res)
+// fakeShard is servedShard over an in-process replica.
+func fakeShard(t *testing.T, name string, wrap func(http.Handler) http.Handler) *router.HTTPShard {
+	t.Helper()
+	return servedShard(t, &router.Local{Name: name, Pipe: newShardPipeline(t, 200)}, wrap)
 }
 
-// replyFrame answers as cmd/serve does; corrupt (may be nil) edits the frame
-// on its way out.
-func replyFrame(corrupt func([]byte) []byte) func(http.ResponseWriter, *http.Request, *router.Result) {
-	return func(w http.ResponseWriter, r *http.Request, res *router.Result) {
-		if r.Header.Get("Accept") != router.FrameContentType {
-			http.Error(w, "HTTPShard did not ask for the frame", http.StatusNotAcceptable)
-			return
-		}
-		frame, err := router.EncodeFrame(res)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if corrupt != nil {
-			frame = corrupt(frame)
-		}
-		w.Header().Set("Content-Type", router.FrameContentType)
-		w.Header().Set("Content-Length", fmt.Sprint(len(frame)))
-		w.Write(frame)
+// jsonOnly makes a shard that predates the frame: it never sees the Accept
+// header, so it answers JSON.
+func jsonOnly(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		next.ServeHTTP(w, r)
+	})
+}
+
+// rewriteBody lets edit change the reply's body on its way out; the stated
+// Content-Length follows the edit.
+func rewriteBody(edit func([]byte) []byte) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			body := edit(rec.Body.Bytes())
+			w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			w.WriteHeader(rec.Code)
+			w.Write(body)
+		})
 	}
 }
 
@@ -75,11 +72,11 @@ func replyFrame(corrupt func([]byte) []byte) func(http.ResponseWriter, *http.Req
 func TestHTTPShardDecodesByContentType(t *testing.T) {
 	ctx := context.Background()
 	req := router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "1/2"}
-	viaJSON, err := fakeShard(t, "old", replyJSON).Score(ctx, req)
+	viaJSON, err := fakeShard(t, "old", jsonOnly).Score(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFrame, err := fakeShard(t, "new", replyFrame(nil)).Score(ctx, req)
+	viaFrame, err := fakeShard(t, "new", nil).Score(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +97,7 @@ func TestHTTPShardDecodesByContentType(t *testing.T) {
 		},
 		"bytes after the frame": func(f []byte) []byte { return append(f, 0) },
 	} {
-		res, err := fakeShard(t, "bad", replyFrame(corrupt)).Score(ctx, req)
+		res, err := fakeShard(t, "bad", rewriteBody(corrupt)).Score(ctx, req)
 		if err == nil {
 			t.Fatalf("%s: decoded to %+v", name, res)
 		}
@@ -117,7 +114,7 @@ func TestHTTPShardDecodesByContentType(t *testing.T) {
 func TestRouterOverMixedWire(t *testing.T) {
 	o := obs.NewObserver()
 	r, err := router.New(router.Config{
-		Backends: []router.Backend{fakeShard(t, "shard-0", replyFrame(nil)), fakeShard(t, "shard-1", replyJSON)},
+		Backends: []router.Backend{fakeShard(t, "shard-0", nil), fakeShard(t, "shard-1", jsonOnly)},
 		Obs:      o,
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -200,41 +199,30 @@ type QueryOptions struct {
 // Query parses sql ONCE, scatters it as one sub-query per hash partition
 // (or one tenant-affine sub-query), and merges the shard results into a
 // single result bit-identical to a single-node run of the same statement.
+// Only the two scoring forms are accepted: the router is a scoring tier, not
+// a general SQL proxy. A statement it refuses is the caller's error
+// (NoReroute), like one every shard would refuse.
 func (r *Router) Query(ctx context.Context, sql string, opts QueryOptions) (*Merged, error) {
-	req, err := parseScoringSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	return r.Score(ctx, req, opts)
-}
-
-// parseScoringSQL accepts the two scoring forms (EXEC sp_score_model and
-// SELECT ... FROM PREDICT(...)) and rejects everything else: the router is
-// a scoring tier, not a general SQL proxy.
-func parseScoringSQL(sql string) (*pipeline.ScoreRequest, error) {
 	st, err := db.Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, NoReroute(err)
 	}
-	switch s := st.(type) {
-	case *db.ExecStmt:
-		if !strings.EqualFold(s.Proc, pipeline.ScoreProcName) {
-			return nil, fmt.Errorf("router: only %s is routable, got EXEC %s", pipeline.ScoreProcName, s.Proc)
-		}
-		return pipeline.ParseScoreParams(s)
-	case *db.PredictStmt:
-		return pipeline.ParsePredictStmt(s)
-	default:
-		return nil, fmt.Errorf("router: only scoring statements are routable")
+	req, err := pipeline.ScoreRequestOf(nil, st)
+	if err != nil {
+		return nil, NoReroute(err)
 	}
+	if req == nil {
+		return nil, NoReroute(fmt.Errorf("router: only scoring statements are routable"))
+	}
+	return r.Score(ctx, req, opts)
 }
 
 // Score scatters a validated scoring request. req.Partition must be zero:
 // partitioning is the router's job.
 func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts QueryOptions) (merged *Merged, err error) {
 	if req.Partition.Active() {
-		return nil, fmt.Errorf("router: request already partitioned (%s); the router assigns partitions",
-			req.Partition)
+		return nil, NoReroute(fmt.Errorf("router: request already partitioned (%s); the router assigns partitions",
+			req.Partition))
 	}
 	// Admission control: capacity, priority-class, and deadline shedding
 	// happen HERE, before any shard sees the query.

@@ -270,14 +270,6 @@ func (e *RouteError) Error() string {
 // Unwrap exposes every attempt error for errors.Is/As.
 func (e *RouteError) Unwrap() []error { return e.Attempts }
 
-// Cause returns the preferred shard's own failure (the first attempt).
-func (e *RouteError) Cause() error {
-	if len(e.Attempts) == 0 {
-		return nil
-	}
-	return e.Attempts[0]
-}
-
 // PartialError is the typed "partial results" outcome: some partitions have
 // no surviving route. Callers that cannot tolerate gaps fail the query;
 // callers that can (the router's partial mode) return the surviving

@@ -7,7 +7,10 @@
 // ordinal, class-count histograms summed, simulated O/L/C timelines folded
 // per stage — into a single result bit-identical to a single-node run. The
 // package owns the whole routing decision: scatter and reroute, hedging,
-// shard health and admission.
+// shard health and admission. It also owns both ends of the router→shard
+// seam: HTTPShard is the client and ShardHandler the server of /score and
+// /warm, and StatusOf is the one failure-class → HTTP-status table either
+// tier answers from.
 //
 // The paper's question ("is acceleration worth the overheads?") recurs at
 // tier scale: the scatter buys parallel scoring but pays router overheads
@@ -17,7 +20,10 @@
 package router
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"accelscore/internal/db"
@@ -132,15 +138,6 @@ func wireSpans(tl *sim.Timeline) []WireSpan {
 	return out
 }
 
-// timeline rebuilds a sim.Timeline from wire spans.
-func timeline(spans []WireSpan) sim.Timeline {
-	var tl sim.Timeline
-	for _, s := range spans {
-		tl.Add(s.Name, sim.Kind(s.Kind), time.Duration(s.NS))
-	}
-	return tl
-}
-
 // Error codes a shard's /score endpoint uses to classify failures so the
 // router knows whether rerouting can help.
 const (
@@ -157,6 +154,56 @@ const (
 	// CodeInternal marks everything else.
 	CodeInternal = "internal"
 )
+
+// StatusOf is the one table from a failure class to its HTTP status, on
+// both hops: a shard's /score, serve's /query and /sql, the router's /query.
+func StatusOf(code string) int {
+	switch code {
+	case CodeBadRequest:
+		return http.StatusBadRequest
+	case CodeRejected:
+		return http.StatusServiceUnavailable
+	case CodeTimeout:
+		return http.StatusGatewayTimeout
+	case CodeCanceled:
+		// nginx's non-standard "client closed request": the caller is gone,
+		// the status exists to keep cancels apart from timeouts in logs and
+		// metrics.
+		return 499
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
+// codeOf classes a Backend's or the router's own failure. Only an error some
+// layer marked query-level (NoReroute: parse, validation, unknown model) is
+// the client's fault; a shard's refusal keeps the class it had on the wire;
+// a query no shard could be reached or found a slot for (PartialError,
+// RouteError, ShedError) is the tier being unavailable, not a bad request.
+func codeOf(err error) string {
+	var (
+		se   *ShardError
+		pe   *PartialError
+		re   *RouteError
+		shed *ShedError
+	)
+	switch {
+	case IsNoReroute(err):
+		return CodeBadRequest
+	case errors.As(err, &pe), errors.As(err, &shed):
+		return CodeRejected
+	case errors.Is(err, context.DeadlineExceeded):
+		return CodeTimeout
+	case errors.Is(err, context.Canceled):
+		return CodeCanceled
+	case errors.As(err, &se):
+		return se.Code
+	case errors.As(err, &re):
+		return CodeRejected
+	default:
+		return CodeInternal
+	}
+}
 
 // Result is the wire form of one shard's sub-query outcome.
 type Result struct {

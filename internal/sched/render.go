@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -90,15 +89,4 @@ func RenderMetrics(ms []Metrics) string {
 			m.Offloaded)
 	}
 	return sb.String()
-}
-
-// SlowestQueries returns the k completions with the largest response times,
-// worst first — the tail the paper's wrong-decision analysis is about.
-func SlowestQueries(completions []Completion, k int) []Completion {
-	out := append([]Completion(nil), completions...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Latency() > out[j].Latency() })
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k]
 }

@@ -56,14 +56,6 @@ type ScatterMetrics struct {
 	ShardBusy []time.Duration
 }
 
-// Utilization returns shard k's busy fraction of the makespan.
-func (m ScatterMetrics) Utilization(k int) float64 {
-	if m.Makespan <= 0 {
-		return 0
-	}
-	return float64(m.ShardBusy[k]) / float64(m.Makespan)
-}
-
 // PartitionRecords returns how many of total records land in partition k of
 // n under an even hash split: the base share plus one for the low
 // partitions that absorb the remainder.

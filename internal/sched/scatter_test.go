@@ -105,9 +105,8 @@ func TestScatterStragglerGap(t *testing.T) {
 	if m.MeanStragglerGap != time.Millisecond {
 		t.Fatalf("straggler gap = %v, want 1ms (one extra record)", m.MeanStragglerGap)
 	}
-	if m.Utilization(0) <= m.Utilization(2) {
-		t.Fatalf("heavy partition utilization %v not above light %v",
-			m.Utilization(0), m.Utilization(2))
+	if m.ShardBusy[0] <= m.ShardBusy[2] {
+		t.Fatalf("heavy partition busy %v not above light %v", m.ShardBusy[0], m.ShardBusy[2])
 	}
 }
 

@@ -292,28 +292,6 @@ func TestRenderMetrics(t *testing.T) {
 	}
 }
 
-func TestSlowestQueries(t *testing.T) {
-	tb := platform.New()
-	qs, _ := sched.Generate(sched.DefaultWorkload(50, 23))
-	simu := &sched.Simulator{Registry: tb.Registry}
-	comps, _, err := simu.Run(sched.Oracle{Advisor: tb.Advisor}, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := sched.SlowestQueries(comps, 5)
-	if len(worst) != 5 {
-		t.Fatalf("got %d", len(worst))
-	}
-	for i := 1; i < len(worst); i++ {
-		if worst[i].Latency() > worst[i-1].Latency() {
-			t.Fatal("not sorted worst-first")
-		}
-	}
-	if got := sched.SlowestQueries(comps, 10_000); len(got) != len(comps) {
-		t.Fatal("k clamp broken")
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	qs, err := sched.Generate(sched.DefaultWorkload(100, 29))
 	if err != nil {

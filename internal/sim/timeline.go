@@ -224,9 +224,6 @@ func FormatDuration(d time.Duration) string {
 	}
 }
 
-// Seconds is a convenience conversion used by throughput computations.
-func Seconds(d time.Duration) float64 { return d.Seconds() }
-
 // Throughput returns operations per second for n operations completed in d.
 // It returns 0 for non-positive durations.
 func Throughput(n int, d time.Duration) float64 {

@@ -3,15 +3,13 @@
 // It exists to support the Hummingbird-style GPU backend, which compiles
 // decision forests into a sequence of matrix operations (see Nakandala et
 // al., OSDI 2020, cited by the paper as [30]). Only the operations that the
-// GEMM compilation strategy needs are provided: matrix multiply, broadcast
-// comparison, element-wise ops, and argmax reductions. Everything is
-// row-major and backed by a single flat slice so the simulated GPU can also
-// reason about memory footprints.
+// GEMM compilation strategy needs are provided: matrix multiply and
+// broadcast comparison. Everything is row-major and backed by a single flat
+// slice so the simulated GPU can also reason about memory footprints.
 package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -28,41 +26,9 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float32) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("tensor: ragged rows: row %d has %d cols, want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// At returns the element at (r, c).
-func (m *Matrix) At(r, c int) float32 {
-	return m.Data[r*m.Cols+c]
-}
-
 // Set assigns the element at (r, c).
 func (m *Matrix) Set(r, c int, v float32) {
 	m.Data[r*m.Cols+c] = v
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// SizeBytes reports the memory footprint of the matrix payload.
-func (m *Matrix) SizeBytes() int64 {
-	return int64(len(m.Data)) * 4
 }
 
 // MatMul returns a * b. It panics if the inner dimensions disagree.
@@ -88,12 +54,6 @@ func MatMul(a, b *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// FlopCount returns the number of multiply-add operations a dense a*b GEMM
-// performs; the GPU timing model uses it to charge simulated compute time.
-func FlopCount(aRows, aCols, bCols int) int64 {
-	return 2 * int64(aRows) * int64(aCols) * int64(bCols)
 }
 
 // LessBroadcast returns a matrix g where g[i][j] = 1 if m[i][j] < row[j],
@@ -134,67 +94,6 @@ func EqualBroadcast(m *Matrix, row []float32) *Matrix {
 	return out
 }
 
-// Add returns a + b element-wise.
-func Add(a, b *Matrix) *Matrix {
-	mustSameShape("Add", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// AddInPlace accumulates b into a.
-func AddInPlace(a, b *Matrix) {
-	mustSameShape("AddInPlace", a, b)
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
-	}
-}
-
-// Scale returns m scaled by s.
-func Scale(m *Matrix, s float32) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v * s
-	}
-	return out
-}
-
-// ArgmaxRows returns, for each row, the column index of the maximal value.
-// Ties resolve to the lowest index, matching the majority-vote tie-breaking
-// rule used by the forest package.
-func ArgmaxRows(m *Matrix) []int {
-	out := make([]int, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		base := i * m.Cols
-		best := 0
-		bestV := float32(math.Inf(-1))
-		for j := 0; j < m.Cols; j++ {
-			if v := m.Data[base+j]; v > bestV {
-				bestV = v
-				best = j
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
-// RowSums returns the sum of each row.
-func RowSums(m *Matrix) []float32 {
-	out := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		base := i * m.Cols
-		var s float32
-		for j := 0; j < m.Cols; j++ {
-			s += m.Data[base+j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Bincount tallies non-negative integer values into a histogram of at least
 // minLength buckets, growing as needed — the batch aggregation primitive
 // behind fused GROUP BY prediction when the backend returns materialized
@@ -213,10 +112,4 @@ func Bincount(xs []int, minLength int) []int64 {
 		out[x]++
 	}
 	return out
-}
-
-func mustSameShape(op string, a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 }

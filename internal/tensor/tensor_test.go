@@ -27,37 +27,14 @@ func TestNewZeroed(t *testing.T) {
 	}
 }
 
-func TestFromRowsAndAt(t *testing.T) {
-	m := FromRows([][]float32{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows != 3 || m.Cols != 2 {
-		t.Fatalf("bad shape %dx%d", m.Rows, m.Cols)
-	}
-	if m.At(2, 1) != 6 || m.At(0, 0) != 1 {
-		t.Fatalf("bad values: %v", m.Data)
-	}
-	m.Set(1, 0, 9)
-	if m.At(1, 0) != 9 {
-		t.Fatal("Set did not update value")
-	}
-}
-
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ragged FromRows did not panic")
-		}
-	}()
-	FromRows([][]float32{{1, 2}, {3}})
-}
-
 func TestMatMulKnown(t *testing.T) {
-	a := FromRows([][]float32{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float32{{7, 8}, {9, 10}, {11, 12}})
+	a := &Matrix{Rows: 2, Cols: 3, Data: []float32{1, 2, 3, 4, 5, 6}}
+	b := &Matrix{Rows: 3, Cols: 2, Data: []float32{7, 8, 9, 10, 11, 12}}
 	c := MatMul(a, b)
-	want := FromRows([][]float32{{58, 64}, {139, 154}})
-	for i := range want.Data {
-		if c.Data[i] != want.Data[i] {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want.Data)
+	want := []float32{58, 64, 139, 154}
+	for i := range want {
+		if c.Rows != 2 || c.Cols != 2 || c.Data[i] != want[i] {
+			t.Fatalf("MatMul = %dx%d %v, want 2x2 %v", c.Rows, c.Cols, c.Data, want)
 		}
 	}
 }
@@ -97,25 +74,19 @@ func TestMatMulAgainstNaive(t *testing.T) {
 			for j := 0; j < bc; j++ {
 				var want float32
 				for k := 0; k < ac; k++ {
-					want += a.At(i, k) * b.At(k, j)
+					want += a.Data[i*ac+k] * b.Data[k*bc+j]
 				}
-				diff := got.At(i, j) - want
+				diff := got.Data[i*bc+j] - want
 				if diff < -1e-4 || diff > 1e-4 {
-					t.Fatalf("trial %d: (%d,%d) = %v, want %v", trial, i, j, got.At(i, j), want)
+					t.Fatalf("trial %d: (%d,%d) = %v, want %v", trial, i, j, got.Data[i*bc+j], want)
 				}
 			}
 		}
 	}
 }
 
-func TestFlopCount(t *testing.T) {
-	if got := FlopCount(10, 20, 30); got != 2*10*20*30 {
-		t.Fatalf("FlopCount = %d", got)
-	}
-}
-
 func TestLessBroadcast(t *testing.T) {
-	m := FromRows([][]float32{{1, 5}, {3, 2}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float32{1, 5, 3, 2}}
 	g := LessBroadcast(m, []float32{2, 3})
 	want := []float32{1, 0, 0, 1}
 	for i := range want {
@@ -126,64 +97,13 @@ func TestLessBroadcast(t *testing.T) {
 }
 
 func TestEqualBroadcast(t *testing.T) {
-	m := FromRows([][]float32{{1, 0}, {1, 1}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float32{1, 0, 1, 1}}
 	g := EqualBroadcast(m, []float32{1, 1})
 	want := []float32{1, 0, 1, 1}
 	for i := range want {
 		if g.Data[i] != want[i] {
 			t.Fatalf("EqualBroadcast = %v, want %v", g.Data, want)
 		}
-	}
-}
-
-func TestAddAndScale(t *testing.T) {
-	a := FromRows([][]float32{{1, 2}})
-	b := FromRows([][]float32{{3, 4}})
-	c := Add(a, b)
-	if c.At(0, 0) != 4 || c.At(0, 1) != 6 {
-		t.Fatalf("Add = %v", c.Data)
-	}
-	s := Scale(c, 0.5)
-	if s.At(0, 0) != 2 || s.At(0, 1) != 3 {
-		t.Fatalf("Scale = %v", s.Data)
-	}
-	AddInPlace(a, b)
-	if a.At(0, 1) != 6 {
-		t.Fatalf("AddInPlace = %v", a.Data)
-	}
-}
-
-func TestArgmaxRows(t *testing.T) {
-	m := FromRows([][]float32{{0.1, 0.9, 0.5}, {2, 2, 1}, {-3, -1, -2}})
-	got := ArgmaxRows(m)
-	want := []int{1, 0, 1} // ties resolve to lowest index
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ArgmaxRows = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRowSums(t *testing.T) {
-	m := FromRows([][]float32{{1, 2, 3}, {4, 5, 6}})
-	got := RowSums(m)
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("RowSums = %v", got)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	m := FromRows([][]float32{{1, 2}})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	if got := New(10, 10).SizeBytes(); got != 400 {
-		t.Fatalf("SizeBytes = %d, want 400", got)
 	}
 }
 
@@ -195,10 +115,13 @@ func TestMatMulDistributive(t *testing.T) {
 		a := randomMatrix(rr, 3, 4)
 		b := randomMatrix(rr, 3, 4)
 		c := randomMatrix(rr, 4, 2)
-		left := MatMul(Add(a, b), c)
-		right := Add(MatMul(a, c), MatMul(b, c))
+		sum := New(3, 4)
+		for i := range sum.Data {
+			sum.Data[i] = a.Data[i] + b.Data[i]
+		}
+		left, ac, bc := MatMul(sum, c), MatMul(a, c), MatMul(b, c)
 		for i := range left.Data {
-			d := left.Data[i] - right.Data[i]
+			d := left.Data[i] - (ac.Data[i] + bc.Data[i])
 			if d < -1e-4 || d > 1e-4 {
 				return false
 			}
