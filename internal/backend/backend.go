@@ -132,6 +132,65 @@ func (r *Request) NumScored() int {
 	return r.Data.NumRecords()
 }
 
+// EachRow calls fn for every row the engine is to score, in ascending order,
+// with the row's index into Data and its dense rank (its position in
+// Result.Predictions): the selected rows under a pushed-down filter, every
+// row — rank equal to index — without one. Per-row engines loop through it
+// so the filtered and the plain query are one code path.
+func (r *Request) EachRow(fn func(row, rank int)) {
+	if r.Sel != nil {
+		r.Sel.ForEach(fn)
+		return
+	}
+	for i, n := 0, r.Data.NumRecords(); i < n; i++ {
+		fn(i, i)
+	}
+}
+
+// ScoreKernel is the functional half of a CPU engine's Score, shared by
+// every engine that scores through internal/kernel: validate, cross the O
+// boundary (library or session invocation), lower the forest unless the
+// request carries the Compiled form (pipeline cache hit), cross the C
+// boundary, and run the kernel over the rows to score with up to workers
+// goroutines. The result holds ClassCounts when the request asked for the
+// fused aggregate and Predictions otherwise, and an empty Timeline: what the
+// operation costs on the simulated clock is the calling engine's own
+// Estimate.
+func (r *Request) ScoreKernel(engineName string, workers int) (*Result, error) {
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	if err := r.Boundary(engineName, faults.BoundaryInvoke); err != nil {
+		return nil, err
+	}
+	compiled := r.Compiled
+	if compiled == nil {
+		var err error
+		if compiled, err = r.Forest.Compile(); err != nil {
+			return nil, fmt.Errorf("%s: %w", engineName, err)
+		}
+	}
+	if err := r.Boundary(engineName, faults.BoundaryCompute); err != nil {
+		return nil, err
+	}
+	n, features := r.Data.NumRecords(), r.Data.NumFeatures()
+	x := r.Data.X[:n*features]
+	res := &Result{}
+	if r.WantCounts {
+		// Tallied inside the block loop: the per-row prediction vector is
+		// never materialized. A boosted ensemble predicts 0 or 1 whatever
+		// class count it declares.
+		res.ClassCounts = make([]int64, max(r.Forest.NumClasses, 2))
+		compiled.PredictAggregate(x, features, n, r.Sel, res.ClassCounts, workers)
+	} else {
+		// A nil Sel is the all-rows selection; dead rows of a non-nil one
+		// are skipped before any tree is walked.
+		res.Predictions = make([]int, r.NumScored())
+		compiled.PredictSel(x, features, r.Sel, res.Predictions, workers)
+	}
+	return res, nil
+}
+
 // Result is the outcome of one scoring operation.
 type Result struct {
 	// Predictions holds one class id per scored record: every input record

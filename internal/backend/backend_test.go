@@ -1,6 +1,9 @@
 package backend_test
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -8,7 +11,11 @@ import (
 
 	"accelscore/internal/backend"
 	"accelscore/internal/dataset"
+	"accelscore/internal/engines/cpuonnx"
+	"accelscore/internal/engines/cpusk"
+	"accelscore/internal/faults"
 	"accelscore/internal/forest"
+	"accelscore/internal/hw"
 	"accelscore/internal/kernel"
 	"accelscore/internal/model"
 	"accelscore/internal/platform"
@@ -437,6 +444,131 @@ func TestZeroRecordRequests(t *testing.T) {
 		}
 		if est.Total() != res.Latency() {
 			t.Fatalf("%s: Estimate(0) %v != Score latency %v", b.Name(), est.Total(), res.Latency())
+		}
+	}
+}
+
+// TestCPUEnginesShareOneScoringPath drives both CPU engines through
+// Request.ScoreKernel for every query shape — dense, filtered, aggregate,
+// filtered aggregate — with and without the pre-compiled form, on a vote
+// forest and a boosted ensemble: the functional result is the pointer-walk
+// oracle's on both, identical across the two, and the only thing that
+// differs between the engines is the simulated timeline, which is each
+// engine's own Estimate and nothing else. A fault injected at the invoke or
+// the compute boundary fails both the same way.
+func TestCPUEnginesShareOneScoringPath(t *testing.T) {
+	type engine interface {
+		backend.Backend
+		Threads() int
+	}
+	engines := []engine{cpusk.New(hw.DefaultCPU(), 4), cpuonnx.New(hw.DefaultCPU(), 1)}
+
+	vote, err := forest.Train(dataset.Iris(), forest.ForestConfig{
+		NumTrees: 6, Tree: forest.TrainConfig{MaxDepth: 8}, Seed: 3, Bootstrap: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	higgs := dataset.Higgs(330, 5)
+	boosted, err := forest.TrainBoosted(higgs, forest.BoostConfig{NumTrees: 6, MaxDepth: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name string
+		f    *forest.Forest
+		data *dataset.Dataset
+	}{
+		{"vote", vote, dataset.Iris().Replicate(330)},
+		{"boosted", boosted, higgs},
+	} {
+		n := m.data.NumRecords()
+		compiled, err := m.f.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := kernel.SelectionFromFunc(n, func(r int) bool { return r%3 == 0 && r/64 != 2 })
+		for _, shape := range []struct {
+			name   string
+			sel    *kernel.Selection
+			counts bool
+		}{
+			{"dense", nil, false},
+			{"sel", sel, false},
+			{"counts", nil, true},
+			{"sel+counts", sel, true},
+		} {
+			// The oracle: the forest's pointer walk over the rows the query
+			// selects.
+			var wantPreds []int
+			wantCounts := make([]int64, max(m.f.NumClasses, 2))
+			for i := 0; i < n; i++ {
+				if shape.sel == nil || shape.sel.Selected(i) {
+					p := m.f.PredictClass(m.data.Row(i))
+					wantPreds = append(wantPreds, p)
+					wantCounts[p]++
+				}
+			}
+			for _, pre := range []*kernel.Compiled{nil, compiled} {
+				where := fmt.Sprintf("%s/%s/compiled=%v", m.name, shape.name, pre != nil)
+				newReq := func(inject *faults.Injector) *backend.Request {
+					return &backend.Request{
+						Forest: m.f, Data: m.data, Compiled: pre,
+						Sel: shape.sel, WantCounts: shape.counts, Inject: inject,
+					}
+				}
+				for _, e := range engines {
+					res, err := e.Score(newReq(nil))
+					if err != nil {
+						t.Fatalf("%s on %s: %v", where, e.Name(), err)
+					}
+					if shape.counts {
+						if res.Predictions != nil || !reflect.DeepEqual(res.ClassCounts, wantCounts) {
+							t.Fatalf("%s on %s: counts %v (predictions %d), want %v and none",
+								where, e.Name(), res.ClassCounts, len(res.Predictions), wantCounts)
+						}
+					} else if res.ClassCounts != nil || !reflect.DeepEqual(res.Predictions, wantPreds) {
+						t.Fatalf("%s on %s: predictions differ from the pointer walk", where, e.Name())
+					}
+					if res.NumScored() != len(wantPreds) {
+						t.Fatalf("%s on %s: NumScored %d, want %d", where, e.Name(), res.NumScored(), len(wantPreds))
+					}
+					// The engine adds its Estimate to the helper's result and
+					// nothing else.
+					bare, err := newReq(nil).ScoreKernel(e.Name(), e.Threads())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(bare.Timeline.Spans()) != 0 {
+						t.Fatalf("%s: ScoreKernel charged simulated time: %v", where, bare.Timeline.Spans())
+					}
+					if !reflect.DeepEqual(bare.Predictions, res.Predictions) || !reflect.DeepEqual(bare.ClassCounts, res.ClassCounts) {
+						t.Fatalf("%s on %s: Score and ScoreKernel disagree", where, e.Name())
+					}
+					est, err := e.Estimate(m.f.ComputeStats(), int64(len(wantPreds)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res.Timeline.Spans(), est.Spans()) {
+						t.Fatalf("%s on %s: timeline %v, want the engine's Estimate %v",
+							where, e.Name(), res.Timeline.Spans(), est.Spans())
+					}
+
+					for _, b := range []faults.Boundary{faults.BoundaryInvoke, faults.BoundaryCompute} {
+						inject, err := faults.NewInjector(1, []faults.Rule{{Backend: e.Name(), Boundary: b, Kind: faults.KindCrash}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := e.Score(newReq(inject))
+						if res != nil || !errors.Is(err, faults.ErrInvokeCrash) {
+							t.Fatalf("%s on %s: fault at %s gave (%v, %v), want the injected crash", where, e.Name(), b, res, err)
+						}
+						if ev := inject.Events(); len(ev) != 1 || ev[0].Boundary != b {
+							t.Fatalf("%s on %s: fault at %s fired as %+v", where, e.Name(), b, ev)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"accelscore/internal/backend"
-	"accelscore/internal/faults"
 	"accelscore/internal/forest"
 	"accelscore/internal/hw"
 	"accelscore/internal/model"
@@ -59,55 +58,16 @@ func (e *Engine) ScoreBlob(blob []byte, req *backend.Request) (*backend.Result, 
 	return e.Score(&r)
 }
 
-// Score implements backend.Backend.
+// Score implements backend.Backend. Session initialization — flattening the
+// ensemble into the parallel node arrays the ONNX TreeEnsemble kernels
+// iterate over, the work the ONNXInvoke timing constant charges for — and
+// the per-record interpretation are the shared flat kernel
+// (backend.Request.ScoreKernel); the engine's own part is the timeline.
 func (e *Engine) Score(req *backend.Request) (*backend.Result, error) {
-	if err := req.Validate(); err != nil {
+	res, err := req.ScoreKernel(e.name, e.threads)
+	if err != nil {
 		return nil, err
 	}
-	// O boundary: session invocation.
-	if err := req.Boundary(e.name, faults.BoundaryInvoke); err != nil {
-		return nil, err
-	}
-	n := req.Data.NumRecords()
-
-	// Session initialization: flatten the ensemble into the parallel node
-	// arrays the ONNX TreeEnsemble kernels iterate over (the work the
-	// ONNXInvoke timing constant charges for). A pre-compiled form from the
-	// pipeline's model cache skips this step.
-	fe := req.Compiled
-	if fe == nil {
-		var err error
-		if fe, err = compileFlat(req.Forest); err != nil {
-			return nil, fmt.Errorf("cpuonnx: %w", err)
-		}
-	}
-	// C boundary: per-record interpretation.
-	if err := req.Boundary(e.name, faults.BoundaryCompute); err != nil {
-		return nil, err
-	}
-
-	features := req.Data.NumFeatures()
-	res := &backend.Result{}
-	switch {
-	case req.WantCounts:
-		// Fused score-then-aggregate through the shared kernel histogram.
-		classes := req.Forest.NumClasses
-		if classes < 2 {
-			classes = 2
-		}
-		counts := make([]int64, classes)
-		fe.PredictAggregate(req.Data.X[:n*features], features, n, req.Sel, counts, e.threads)
-		res.ClassCounts = counts
-	case req.Sel != nil:
-		preds := make([]int, req.Sel.Count())
-		fe.PredictSel(req.Data.X[:n*features], features, req.Sel, preds, e.threads)
-		res.Predictions = preds
-	default:
-		preds := make([]int, n)
-		fe.Predict(req.Data.X[:n*features], features, preds, e.threads)
-		res.Predictions = preds
-	}
-
 	tl, err := e.Estimate(req.ModelStats(), int64(req.NumScored()))
 	if err != nil {
 		return nil, err

@@ -144,7 +144,7 @@ func BenchmarkScore10K(b *testing.B) {
 
 func TestFlatEnsembleMatchesPointerWalk(t *testing.T) {
 	f := trainIris(t, 10, 10)
-	fe, err := compileFlat(f)
+	fe, err := f.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestFlatEnsembleBoosted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe, err := compileFlat(f)
+	fe, err := f.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"accelscore/internal/backend"
-	"accelscore/internal/faults"
 	"accelscore/internal/forest"
 	"accelscore/internal/hw"
 	"accelscore/internal/sim"
@@ -44,54 +43,13 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) Threads() int { return e.threads }
 
 // Score implements backend.Backend: goroutine-parallel batch traversal
-// through the shared flat kernel plus the calibrated timeline. When the
-// request carries a pre-compiled kernel form (pipeline cache hit), the
-// per-query lowering is skipped entirely.
+// through the shared flat kernel (backend.Request.ScoreKernel) plus the
+// calibrated timeline.
 func (e *Engine) Score(req *backend.Request) (*backend.Result, error) {
-	if err := req.Validate(); err != nil {
+	res, err := req.ScoreKernel(e.name, e.threads)
+	if err != nil {
 		return nil, err
 	}
-	// O boundary: library/batch setup.
-	if err := req.Boundary(e.name, faults.BoundaryInvoke); err != nil {
-		return nil, err
-	}
-	n := req.Data.NumRecords()
-
-	compiled := req.Compiled
-	if compiled == nil {
-		var err error
-		if compiled, err = req.Forest.Compile(); err != nil {
-			return nil, fmt.Errorf("cpusk: %w", err)
-		}
-	}
-	// C boundary: the traversal itself.
-	if err := req.Boundary(e.name, faults.BoundaryCompute); err != nil {
-		return nil, err
-	}
-	features := req.Data.NumFeatures()
-	res := &backend.Result{}
-	switch {
-	case req.WantCounts:
-		// Fused score-then-aggregate: tally classes inside the block loop,
-		// never materializing the per-row prediction vector.
-		classes := req.Forest.NumClasses
-		if classes < 2 {
-			classes = 2
-		}
-		counts := make([]int64, classes)
-		compiled.PredictAggregate(req.Data.X[:n*features], features, n, req.Sel, counts, e.threads)
-		res.ClassCounts = counts
-	case req.Sel != nil:
-		// Fused filter+score: dead rows are skipped before tree traversal.
-		preds := make([]int, req.Sel.Count())
-		compiled.PredictSel(req.Data.X[:n*features], features, req.Sel, preds, e.threads)
-		res.Predictions = preds
-	default:
-		preds := make([]int, n)
-		compiled.Predict(req.Data.X[:n*features], features, preds, e.threads)
-		res.Predictions = preds
-	}
-
 	tl, err := e.Estimate(req.ModelStats(), int64(req.NumScored()))
 	if err != nil {
 		return nil, err

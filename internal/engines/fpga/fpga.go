@@ -18,7 +18,6 @@ import (
 	"accelscore/internal/faults"
 	"accelscore/internal/forest"
 	"accelscore/internal/hw"
-	"accelscore/internal/kernel"
 	"accelscore/internal/model"
 	"accelscore/internal/sim"
 )
@@ -103,29 +102,20 @@ func (e *Engine) Score(req *backend.Request) (*backend.Result, error) {
 		return nil, err
 	}
 
-	n := req.Data.NumRecords()
 	scored := req.NumScored()
 	preds := make([]int, scored)
 	if hybrid {
 		// Functional result of FPGA-to-depth-10 plus CPU completion equals
 		// the full tree walk.
-		if req.Sel != nil {
-			req.Sel.ForEach(func(row, rank int) {
-				preds[rank] = req.Forest.PredictClass(req.Data.Row(row))
-			})
-		} else {
-			for i := 0; i < n; i++ {
-				preds[i] = req.Forest.PredictClass(req.Data.Row(i))
-			}
-		}
+		req.EachRow(func(row, rank int) {
+			preds[rank] = req.Forest.PredictClass(req.Data.Row(row))
+		})
 	} else {
 		dense, err := model.CompileDense(req.Forest, e.spec.MaxTreeDepth)
 		if err != nil {
 			return nil, fmt.Errorf("fpga: %w", err)
 		}
-		if err := e.scoreDense(dense, req.Data, req.Sel, preds); err != nil {
-			return nil, err
-		}
+		e.scoreDense(dense, req, preds)
 	}
 
 	tl, err := e.Estimate(stats, int64(scored))
@@ -142,13 +132,8 @@ func (e *Engine) Score(req *backend.Request) (*backend.Result, error) {
 // issued to every loaded PE and the votes accumulate in result memory. A
 // pushed-down selection drops dead rows before they are issued, so result
 // memory only ever holds survivors.
-func (e *Engine) scoreDense(dense *model.Dense, data *dataset.Dataset, sel *kernel.Selection, preds []int) error {
-	n := data.NumRecords()
-	scored := n
-	if sel != nil {
-		scored = sel.Count()
-	}
-	votes := make([][]int, scored)
+func (e *Engine) scoreDense(dense *model.Dense, req *backend.Request, preds []int) {
+	votes := make([][]int, len(preds))
 	for i := range votes {
 		votes[i] = make([]int, dense.NumClasses)
 	}
@@ -167,25 +152,17 @@ func (e *Engine) scoreDense(dense *model.Dense, data *dataset.Dataset, sel *kern
 		for t := lo; t < hi; t++ {
 			treeMem[t-lo] = append([]model.DenseNode(nil), dense.TreeSlice(t)...)
 		}
-		issue := func(i, slot int) {
-			row := data.Row(i)
+		req.EachRow(func(i, slot int) {
+			row := req.Data.Row(i)
 			for pe := range treeMem {
 				votes[slot][model.WalkNodes(treeMem[pe], row)]++
 			}
-		}
-		if sel != nil {
-			sel.ForEach(issue)
-		} else {
-			for i := 0; i < n; i++ {
-				issue(i, i)
-			}
-		}
+		})
 	}
 	// Majority-voting unit.
 	for i := range preds {
 		preds[i] = forest.Argmax(votes[i])
 	}
-	return nil
 }
 
 // Estimate implements backend.Backend, producing the Fig. 7 component

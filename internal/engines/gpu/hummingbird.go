@@ -75,8 +75,6 @@ func (h *Hummingbird) Score(req *backend.Request) (*backend.Result, error) {
 	if err := req.Boundary(h.Name(), faults.BoundaryCompute); err != nil {
 		return nil, err
 	}
-	n := req.Data.NumRecords()
-	sel := req.Sel
 	scored := req.NumScored()
 	preds := make([]int, scored)
 	if prog.boosted {
@@ -86,15 +84,9 @@ func (h *Hummingbird) Score(req *backend.Request) (*backend.Result, error) {
 			margins[i] = prog.base
 		}
 		for _, p := range prog.ptt {
-			if sel != nil {
-				sel.ForEach(func(row, rank int) {
-					margins[rank] += float64(p.predictValue(req.Data.Row(row)))
-				})
-			} else {
-				for i := 0; i < n; i++ {
-					margins[i] += float64(p.predictValue(req.Data.Row(i)))
-				}
-			}
+			req.EachRow(func(row, rank int) {
+				margins[rank] += float64(p.predictValue(req.Data.Row(row)))
+			})
 		}
 		for i, m := range margins {
 			if m > 0 {
@@ -111,9 +103,9 @@ func (h *Hummingbird) Score(req *backend.Request) (*backend.Result, error) {
 			// With a pushed-down filter only the surviving rows are gathered
 			// into the input matrix, so the tensor program (and the simulated
 			// H2D copy) never sees dead rows.
-			x := &tensor.Matrix{Rows: n, Cols: req.Data.NumFeatures(), Data: req.Data.X}
-			if sel != nil {
-				x = gatherRows(req.Data, sel)
+			x := &tensor.Matrix{Rows: req.Data.NumRecords(), Cols: req.Data.NumFeatures(), Data: req.Data.X}
+			if req.Sel != nil {
+				x = gatherRows(req.Data, req.Sel)
 			}
 			for _, g := range prog.gemm {
 				classes := g.predictBatch(x)
@@ -123,15 +115,9 @@ func (h *Hummingbird) Score(req *backend.Request) (*backend.Result, error) {
 			}
 		default: // ptt
 			for _, p := range prog.ptt {
-				if sel != nil {
-					sel.ForEach(func(row, rank int) {
-						votes[rank][p.predict(req.Data.Row(row))]++
-					})
-				} else {
-					for i := 0; i < n; i++ {
-						votes[i][p.predict(req.Data.Row(i))]++
-					}
-				}
+				req.EachRow(func(row, rank int) {
+					votes[rank][p.predict(req.Data.Row(row))]++
+				})
 			}
 		}
 		for i := range preds {

@@ -63,22 +63,15 @@ func (r *RAPIDS) Score(req *backend.Request) (*backend.Result, error) {
 	if err := req.Boundary(r.Name(), faults.BoundaryCompute); err != nil {
 		return nil, err
 	}
-	n := req.Data.NumRecords()
 	scored := req.NumScored()
 	preds := make([]int, scored)
 	// One thread block per sample; trees cyclically distributed among the
 	// block's threads, each walking its trees with early exit. FIL supports
 	// both vote (random forest) and margin-sum (boosted) aggregation. A
 	// pushed-down filter drops dead rows before any block is scheduled.
-	if req.Sel != nil {
-		req.Sel.ForEach(func(row, rank int) {
-			preds[rank] = req.Forest.PredictClass(req.Data.Row(row))
-		})
-	} else {
-		for i := 0; i < n; i++ {
-			preds[i] = req.Forest.PredictClass(req.Data.Row(i))
-		}
-	}
+	req.EachRow(func(row, rank int) {
+		preds[rank] = req.Forest.PredictClass(req.Data.Row(row))
+	})
 
 	tl, err := r.Estimate(req.ModelStats(), int64(scored))
 	if err != nil {

@@ -100,10 +100,6 @@ type Config struct {
 	// MaxBatch seals a forming batch early when this many queries have
 	// joined (default 16).
 	MaxBatch int
-	// DeviceLimits caps concurrent scoring per hardware device (defaults:
-	// cpu=Workers, gpu=1, fpga=1 — CPU engines share host cores, the
-	// accelerators serialize).
-	DeviceLimits map[sched.Device]int
 	// MaxRetries bounds extra attempts after a retryable fault (default 2;
 	// negative disables retry entirely).
 	MaxRetries int
@@ -127,8 +123,6 @@ type Config struct {
 	// DefaultDeadline bounds queries that carry neither an @timeout
 	// parameter nor a caller deadline (0 = unbounded).
 	DefaultDeadline time.Duration
-	// Seed seeds the retry-jitter RNG (default 1; deterministic).
-	Seed uint64
 	// PaceScale, when positive, paces successful scoring batches to their
 	// simulated timeline: after the real computation finishes, the device
 	// token is held until PaceScale x the batch's simulated total has
@@ -155,17 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
-	limits := map[sched.Device]int{
-		sched.DeviceCPU:  c.Workers,
-		sched.DeviceGPU:  1,
-		sched.DeviceFPGA: 1,
-	}
-	for d, n := range c.DeviceLimits {
-		if n > 0 {
-			limits[d] = n
-		}
-	}
-	c.DeviceLimits = limits
 	switch {
 	case c.MaxRetries == 0:
 		c.MaxRetries = 2
@@ -183,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FallbackBackend == "" {
 		c.FallbackBackend = "CPU_SKLearn"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -221,7 +201,7 @@ type Executor struct {
 	breakers map[sched.Device]*breaker
 
 	rngMu sync.Mutex
-	rng   *xrand.Rand // retry jitter
+	rng   *xrand.Rand // retry jitter; fixed seed, so deterministic
 
 	estMu sync.Mutex
 	est   map[sched.Device]time.Duration // EWMA of successful batch wall time
@@ -241,21 +221,24 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 	cfg = cfg.withDefaults()
 	rootCtx, rootCancel := context.WithCancel(context.Background())
 	e := &Executor{
-		pipe:         pipe,
-		cfg:          cfg,
-		admission:    make(chan struct{}, cfg.QueueDepth),
-		workers:      make(chan struct{}, cfg.Workers),
-		devices:      make(map[sched.Device]chan struct{}, len(cfg.DeviceLimits)),
+		pipe:      pipe,
+		cfg:       cfg,
+		admission: make(chan struct{}, cfg.QueueDepth),
+		workers:   make(chan struct{}, cfg.Workers),
+		// Concurrent scoring per hardware device: CPU engines share host
+		// cores, the accelerators serialize.
+		devices: map[sched.Device]chan struct{}{
+			sched.DeviceCPU:  make(chan struct{}, cfg.Workers),
+			sched.DeviceGPU:  make(chan struct{}, 1),
+			sched.DeviceFPGA: make(chan struct{}, 1),
+		},
 		pending:      make(map[string]*pendingBatch),
 		inflightKeys: make(map[string]int),
 		rootCtx:      rootCtx,
 		rootCancel:   rootCancel,
 		breakers:     make(map[sched.Device]*breaker),
-		rng:          xrand.New(cfg.Seed),
+		rng:          xrand.New(1),
 		est:          make(map[sched.Device]time.Duration),
-	}
-	for d, n := range cfg.DeviceLimits {
-		e.devices[d] = make(chan struct{}, n)
 	}
 	if pipe.Obs != nil {
 		e.tracer = pipe.Obs.Tracer
@@ -271,7 +254,7 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 		}
 	}
 	if cfg.BreakerThreshold > 0 {
-		for d := range cfg.DeviceLimits {
+		for d := range e.devices {
 			e.breakers[d] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, e.breakerObserver(d))
 			e.publishBreakerState(d, breakerClosed)
 		}

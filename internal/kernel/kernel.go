@@ -1,8 +1,20 @@
 // Package kernel implements the shared flat-traversal scoring kernel every
 // functional CPU path uses: a forest lowered once into parallel int32/float32
 // node arrays (the cache-friendly layout database-integrated inference
-// platforms compile trees into) and scored with a row-block x tree-block
-// loop fanned out over a GOMAXPROCS-sized worker pool.
+// platforms compile trees into) and scored 64 rows at a time, every tree
+// streamed over the block, fanned out over a GOMAXPROCS-sized worker pool.
+//
+// Scoring is written once. Predict, PredictSel and PredictAggregate are the
+// same call with different (selection, output) arguments: score splits the
+// rows among workers, scoreRange lists each 64-row block's rows to score —
+// all of them when the selection is nil, the block's survivors otherwise —
+// and either stores the predictions or tallies them, scoreBlock streams
+// every tree over the block, and descend is the (row, tree) walk. Dense
+// scoring is the all-rows case of the filtered loop, not a second loop, so a
+// change to the node layout or the visiting order is an edit to scoreBlock
+// and descend that the plain, filtered and aggregate queries all run. walk
+// is a second, deliberately independent spelling of the descent for the
+// row-at-a-time oracle PredictRow, which the batch path is tested against.
 //
 // The package is deliberately free of repo dependencies: internal/forest
 // lowers its pointer trees into a Compiled via the builder API (BeginTree /
@@ -17,14 +29,12 @@ import (
 	"sync"
 )
 
-// Blocking parameters of the traversal loop. A row block's feature slices
-// and vote counters stay cache-resident while a tree block's node arrays are
+// rowBlockSize is the traversal's unit of work: a block's feature rows and
+// vote counters stay cache-resident while every tree's node arrays are
 // streamed over them, so neither the model nor the data thrashes the cache
-// when both are large.
-const (
-	rowBlockSize  = 64
-	treeBlockSize = 16
-)
+// when both are large. It equals the Selection word width, so one bitmap
+// word covers exactly one block.
+const rowBlockSize = 64
 
 // maxNodes bounds the flat arrays so node indices fit comfortably in int32.
 const maxNodes = 1 << 30
@@ -128,6 +138,8 @@ func (c *Compiled) NumClasses() int { return c.classes }
 func (c *Compiled) Boosted() bool { return c.boosted }
 
 // walk descends one flattened tree for one row and returns the leaf index.
+// It is PredictRow's own descent, not a call to descend: the oracle shares no
+// traversal code with the batch path it checks.
 func (c *Compiled) walk(root int32, row []float32) int32 {
 	idx := root
 	for {
@@ -169,17 +181,81 @@ func (c *Compiled) PredictRow(row []float32, votes []int) int {
 	return argmax(votes)
 }
 
+// votePool recycles the per-block vote counters so steady-state Predict
+// calls allocate nothing; buffers grow to the widest class count seen and
+// then stick.
+var votePool = sync.Pool{
+	New: func() any {
+		s := make([]int32, 0, 8*rowBlockSize)
+		return &s
+	},
+}
+
+func getVotes(n int) *[]int32 {
+	p := votePool.Get().(*[]int32)
+	if cap(*p) < n {
+		*p = make([]int32, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+func putVotes(p *[]int32) { votePool.Put(p) }
+
 // Predict scores n = len(out) rows of the row-major feature matrix x
 // (features values per row) into out, using up to workers goroutines
-// (clamped to GOMAXPROCS; <= 0 means GOMAXPROCS). The traversal is blocked:
-// each worker scores contiguous row blocks, streaming tree blocks over each
-// row block so tree nodes are reused across the whole block while its vote
-// counters stay in registers/L1.
+// (clamped to GOMAXPROCS; <= 0 means GOMAXPROCS). It is the all-rows case of
+// PredictSel: the same loop with no selection.
 func (c *Compiled) Predict(x []float32, features int, out []int, workers int) {
+	c.score(x, features, len(out), nil, out, nil, workers)
+}
+
+// PredictSel scores only the rows selected by sel, writing their
+// predictions densely (ascending row order) into out, which must have
+// sel.Count() entries. x is the full row-major matrix covering sel.Len()
+// rows; unselected rows are never touched — a 64-row block with no
+// survivors is skipped before any tree node loads. A nil sel selects every
+// one of len(out) rows. workers as in Predict.
+func (c *Compiled) PredictSel(x []float32, features int, sel *Selection, out []int, workers int) {
 	n := len(out)
-	if n == 0 {
-		return
+	if sel != nil {
+		n = sel.Len()
 	}
+	c.score(x, features, n, sel, out, nil, workers)
+}
+
+// PredictAggregate fuses scoring with a per-class count: selected rows are
+// scored block-wise and their predicted classes tallied into counts
+// (length >= NumClasses(), or >= 2 for boosted ensembles) without ever
+// materializing a per-row prediction vector. sel may be nil to aggregate
+// over every row (n rows of x).
+func (c *Compiled) PredictAggregate(x []float32, features int, n int, sel *Selection, counts []int64, workers int) {
+	if classes := c.countClasses(); len(counts) < classes {
+		panic(fmt.Sprintf("kernel: PredictAggregate counts length %d < classes %d", len(counts), classes))
+	}
+	if sel != nil {
+		n = sel.Len()
+	}
+	c.score(x, features, n, sel, nil, counts, workers)
+}
+
+// countClasses is the histogram width PredictAggregate tallies into: a
+// boosted ensemble predicts 0 or 1 whatever its declared class count.
+func (c *Compiled) countClasses() int {
+	if c.boosted && c.classes < 2 {
+		return 2
+	}
+	return c.classes
+}
+
+// score is the one fan-out under all three entry points. It splits the n
+// rows x covers into contiguous runs of whole 64-row blocks, one per worker
+// (workers clamped to GOMAXPROCS and to the block count), runs scoreRange on
+// each and waits. With counts non-nil every worker tallies into a private
+// histogram and the histograms are summed at the barrier; otherwise workers
+// write disjoint ranges of out. One worker runs on the caller's goroutine
+// and allocates nothing.
+func (c *Compiled) score(x []float32, features, n int, sel *Selection, out []int, counts []int64, workers int) {
 	maxProcs := runtime.GOMAXPROCS(0)
 	if workers <= 0 || workers > maxProcs {
 		workers = maxProcs
@@ -189,144 +265,154 @@ func (c *Compiled) Predict(x []float32, features int, out []int, workers int) {
 		workers = numBlocks
 	}
 	if workers <= 1 {
-		c.predictRange(x, features, out, 0, n)
+		c.scoreRange(x, features, sel, out, counts, 0, n)
 		return
 	}
 	blocksPerWorker := (numBlocks + workers - 1) / workers
+	var locals []int64
+	classes := c.countClasses()
+	if counts != nil {
+		locals = make([]int64, workers*classes)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * blocksPerWorker * rowBlockSize
-		hi := lo + blocksPerWorker*rowBlockSize
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+blocksPerWorker*rowBlockSize, n)
 		if lo >= hi {
 			break
 		}
+		var local []int64
+		if counts != nil {
+			local = locals[w*classes : (w+1)*classes]
+		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			c.predictRange(x, features, out, lo, hi)
-		}(lo, hi)
+			c.scoreRange(x, features, sel, out, local, lo, hi)
+		}()
 	}
 	wg.Wait()
+	for i, v := range locals {
+		counts[i%classes] += v
+	}
 }
 
-// predictRange scores rows [lo, hi) with the blocked loop. The node arrays
-// are hoisted into locals and the per-(tree,row) walk is written inline:
-// walk's loop keeps it from being compiler-inlined, and the call plus the
-// repeated loads through the receiver cost ~40% of traversal time on the
-// hot path.
-func (c *Compiled) predictRange(x []float32, features int, out []int, lo, hi int) {
-	trees := c.NumTrees()
-	feat, thr := c.featureIdx, c.threshold
-	left, right := c.leftChild, c.rightChild
-	if c.boosted {
-		val := c.value
-		var margins [rowBlockSize]float64
-		for base := lo; base < hi; base += rowBlockSize {
-			end := base + rowBlockSize
-			if end > hi {
-				end = hi
-			}
-			nb := end - base
-			for r := 0; r < nb; r++ {
-				margins[r] = c.base
-			}
-			for tb := 0; tb < trees; tb += treeBlockSize {
-				te := tb + treeBlockSize
-				if te > trees {
-					te = trees
-				}
-				for t := tb; t < te; t++ {
-					root := c.treeStart[t]
-					for r := 0; r < nb; r++ {
-						row := x[(base+r)*features : (base+r+1)*features]
-						idx := root
-						for {
-							rc := right[idx]
-							if rc < 0 {
-								break
-							}
-							if row[feat[idx]] < thr[idx] {
-								idx = left[idx]
-							} else {
-								idx = rc
-							}
-						}
-						margins[r] += val[idx]
-					}
-				}
-			}
-			for r := 0; r < nb; r++ {
-				if margins[r] > 0 {
-					out[base+r] = 1
-				} else {
-					out[base+r] = 0
-				}
-			}
-		}
-		return
+// scoreRange is the one loop every query runs: for each 64-row block of
+// [lo, hi) (lo block-aligned) it lists the rows to score — every row of the
+// block when sel is nil, the block's survivors otherwise, a block with none
+// skipped before any tree node loads — scores them with scoreBlock, and
+// either tallies the predicted classes into counts (when non-nil, so at most
+// 64 predictions ever exist at once) or writes them into out at the block's
+// dense rank, which without a selection is the row index itself.
+func (c *Compiled) scoreRange(x []float32, features int, sel *Selection, out []int, counts []int64, lo, hi int) {
+	var rows [rowBlockSize]int32
+	var scratch [rowBlockSize]int
+	vp := getVotes(rowBlockSize * c.classes)
+	outPos := lo
+	if sel != nil {
+		outPos = sel.Rank(lo)
 	}
-
-	class := c.class
-	classes := c.classes
-	vp := getVotes(rowBlockSize * classes)
-	votes := *vp
 	for base := lo; base < hi; base += rowBlockSize {
-		end := base + rowBlockSize
-		if end > hi {
-			end = hi
-		}
-		nb := end - base
-		for i := range votes[:nb*classes] {
-			votes[i] = 0
-		}
-		for tb := 0; tb < trees; tb += treeBlockSize {
-			te := tb + treeBlockSize
-			if te > trees {
-				te = trees
+		var nb int
+		if sel == nil {
+			nb = min(rowBlockSize, hi-base)
+			for r := 0; r < nb; r++ {
+				rows[r] = int32(base + r)
 			}
-			for t := tb; t < te; t++ {
-				root := c.treeStart[t]
-				for r := 0; r < nb; r++ {
-					row := x[(base+r)*features : (base+r+1)*features]
-					idx := root
-					for {
-						rc := right[idx]
-						if rc < 0 {
-							break
-						}
-						if row[feat[idx]] < thr[idx] {
-							idx = left[idx]
-						} else {
-							idx = rc
-						}
-					}
-					votes[r*classes+int(class[idx])]++
-				}
-			}
+		} else if nb = gatherBlock(sel.words[base/selWordBits], base, &rows); nb == 0 {
+			continue
 		}
-		for r := 0; r < nb; r++ {
-			out[base+r] = argmax32(votes[r*classes : (r+1)*classes])
+		dst := scratch[:nb]
+		if counts == nil {
+			dst = out[outPos : outPos+nb]
+			outPos += nb
+		}
+		c.scoreBlock(x, features, rows[:nb], dst, *vp)
+		if counts != nil {
+			for _, cls := range dst {
+				counts[cls]++
+			}
 		}
 	}
 	putVotes(vp)
 }
 
-// argmax returns the index of the maximum count, lowest index winning ties —
-// the tie convention shared by every backend.
-func argmax(counts []int) int {
-	best := 0
-	for i, v := range counts {
-		if v > counts[best] {
-			best = i
+// scoreBlock walks every tree for the rows of x listed in rows (at most one
+// block) and writes their predicted classes into out[:len(rows)]. votes is
+// scratch of at least len(rows)*classes entries (unused for boosted
+// ensembles). This is the traversal: the order rows and trees are visited
+// in is decided here, the node layout here and in descend, and nowhere else.
+// Trees are streamed over the block so a tree's nodes are reused by every
+// row while the block's features and vote counters stay cache-resident. The
+// node arrays are hoisted into locals: repeated loads through the receiver
+// cost ~40% of traversal time on the hot path.
+func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int, votes []int32) {
+	nb, trees := len(rows), c.NumTrees()
+	feat, thr := c.featureIdx, c.threshold
+	left, right := c.leftChild, c.rightChild
+	// A row's offset into x is the same for every tree: compute it once.
+	var offs [rowBlockSize]int
+	for r, row := range rows {
+		offs[r] = int(row) * features
+	}
+	if c.boosted {
+		val := c.value
+		var margins [rowBlockSize]float64
+		for r := 0; r < nb; r++ {
+			margins[r] = c.base
+		}
+		for t := 0; t < trees; t++ {
+			root := c.treeStart[t]
+			for r := 0; r < nb; r++ {
+				margins[r] += val[descend(feat, thr, left, right, x[offs[r]:offs[r]+features], root)]
+			}
+		}
+		for r := 0; r < nb; r++ {
+			out[r] = 0
+			if margins[r] > 0 {
+				out[r] = 1
+			}
+		}
+		return
+	}
+	class, classes := c.class, c.classes
+	votes = votes[:nb*classes]
+	for i := range votes {
+		votes[i] = 0
+	}
+	for t := 0; t < trees; t++ {
+		root := c.treeStart[t]
+		for r := 0; r < nb; r++ {
+			votes[r*classes+int(class[descend(feat, thr, left, right, x[offs[r]:offs[r]+features], root)])]++
 		}
 	}
-	return best
+	for r := 0; r < nb; r++ {
+		out[r] = argmax(votes[r*classes : (r+1)*classes])
+	}
 }
 
-func argmax32(counts []int32) int {
+// descend is the (row, tree) walk: from root, follow child links until
+// rightChild < 0 marks a leaf, and return the leaf's index. It is written
+// once and takes the node arrays as arguments so the compiler inlines it
+// (cost 32 of a budget of 80) into scoreBlock's loops with the arrays in
+// registers; BenchmarkKernelPredict is the guard on that.
+func descend(feat []int32, thr []float32, left, right []int32, row []float32, idx int32) int32 {
+	for {
+		rc := right[idx]
+		if rc < 0 {
+			return idx
+		}
+		if row[feat[idx]] < thr[idx] {
+			idx = left[idx]
+		} else {
+			idx = rc
+		}
+	}
+}
+
+// argmax returns the index of the maximum count, lowest index winning ties —
+// the tie convention shared by every backend.
+func argmax[T int | int32](counts []T) int {
 	best := 0
 	for i, v := range counts {
 		if v > counts[best] {

@@ -1,8 +1,7 @@
-// Row-selection bitmaps and the fused (filter → traverse → aggregate)
-// scoring entry points. The fused query path evaluates pushed-down
-// predicates block-wise, records survivors in a Selection whose words line
-// up 1:1 with the kernel's 64-row traversal blocks, and then scores only
-// the surviving rows: a block whose word is zero is skipped before any tree
+// Row-selection bitmaps. The fused query path evaluates pushed-down
+// predicates block-wise and records survivors in a Selection whose words
+// line up 1:1 with the kernel's 64-row traversal blocks, so scoreRange reads
+// one word per block and skips a block whose word is zero before any tree
 // node is touched.
 package kernel
 
@@ -10,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
 )
 
 // PredOp enumerates the comparison operators a pushed-down predicate may
@@ -263,112 +260,6 @@ func (s *Selection) ForEach(fn func(row, rank int)) {
 	}
 }
 
-// votePool recycles the per-block vote counters so steady-state Predict
-// calls allocate nothing; buffers grow to the widest class count seen and
-// then stick.
-var votePool = sync.Pool{
-	New: func() any {
-		s := make([]int32, 0, 8*rowBlockSize)
-		return &s
-	},
-}
-
-func getVotes(n int) *[]int32 {
-	p := votePool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putVotes(p *[]int32) { votePool.Put(p) }
-
-// scoreBlock walks every tree for the nb rows whose absolute indices are
-// listed in rows, writing predicted classes into out[:nb]. votes is scratch
-// of at least nb*classes entries (unused for boosted ensembles). The tree
-// loop is blocked exactly like predictRange so both paths share cache
-// behavior and tie-break rules.
-func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, nb int, out []int, votes []int32) {
-	trees := c.NumTrees()
-	feat, thr := c.featureIdx, c.threshold
-	left, right := c.leftChild, c.rightChild
-	if c.boosted {
-		val := c.value
-		var margins [rowBlockSize]float64
-		for r := 0; r < nb; r++ {
-			margins[r] = c.base
-		}
-		for tb := 0; tb < trees; tb += treeBlockSize {
-			te := tb + treeBlockSize
-			if te > trees {
-				te = trees
-			}
-			for t := tb; t < te; t++ {
-				root := c.treeStart[t]
-				for r := 0; r < nb; r++ {
-					row := x[int(rows[r])*features : (int(rows[r])+1)*features]
-					idx := root
-					for {
-						rc := right[idx]
-						if rc < 0 {
-							break
-						}
-						if row[feat[idx]] < thr[idx] {
-							idx = left[idx]
-						} else {
-							idx = rc
-						}
-					}
-					margins[r] += val[idx]
-				}
-			}
-		}
-		for r := 0; r < nb; r++ {
-			if margins[r] > 0 {
-				out[r] = 1
-			} else {
-				out[r] = 0
-			}
-		}
-		return
-	}
-
-	class := c.class
-	classes := c.classes
-	for i := range votes[:nb*classes] {
-		votes[i] = 0
-	}
-	for tb := 0; tb < trees; tb += treeBlockSize {
-		te := tb + treeBlockSize
-		if te > trees {
-			te = trees
-		}
-		for t := tb; t < te; t++ {
-			root := c.treeStart[t]
-			for r := 0; r < nb; r++ {
-				row := x[int(rows[r])*features : (int(rows[r])+1)*features]
-				idx := root
-				for {
-					rc := right[idx]
-					if rc < 0 {
-						break
-					}
-					if row[feat[idx]] < thr[idx] {
-						idx = left[idx]
-					} else {
-						idx = rc
-					}
-				}
-				votes[r*classes+int(class[idx])]++
-			}
-		}
-	}
-	for r := 0; r < nb; r++ {
-		out[r] = argmax32(votes[r*classes : (r+1)*classes])
-	}
-}
-
 // gatherBlock extracts the selected row indices of the 64-row block
 // starting at base into rows, returning the survivor count.
 func gatherBlock(w uint64, base int, rows *[rowBlockSize]int32) int {
@@ -378,165 +269,4 @@ func gatherBlock(w uint64, base int, rows *[rowBlockSize]int32) int {
 		nb++
 	}
 	return nb
-}
-
-// PredictSel scores only the rows selected by sel, writing their
-// predictions densely (ascending row order) into out, which must have
-// sel.Count() entries. x is the full row-major matrix covering sel.Len()
-// rows; unselected rows are never touched — a 64-row block with no
-// survivors is skipped before any tree node loads. workers as in Predict.
-func (c *Compiled) PredictSel(x []float32, features int, sel *Selection, out []int, workers int) {
-	if sel == nil {
-		c.Predict(x, features, out, workers)
-		return
-	}
-	n := sel.Len()
-	if n == 0 || sel.Count() == 0 {
-		return
-	}
-	maxProcs := runtime.GOMAXPROCS(0)
-	if workers <= 0 || workers > maxProcs {
-		workers = maxProcs
-	}
-	numBlocks := (n + rowBlockSize - 1) / rowBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	if workers <= 1 {
-		c.predictRangeSel(x, features, sel, out, 0, n)
-		return
-	}
-	blocksPerWorker := (numBlocks + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * blocksPerWorker * rowBlockSize
-		hi := lo + blocksPerWorker*rowBlockSize
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			c.predictRangeSel(x, features, sel, out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// predictRangeSel scores the selected rows of [lo, hi): each 64-row block's
-// survivors are gathered once into a compact index list, scored with the
-// shared blocked traversal, and written at the block's dense rank offset.
-// lo must be block-aligned.
-func (c *Compiled) predictRangeSel(x []float32, features int, sel *Selection, out []int, lo, hi int) {
-	outPos := sel.Rank(lo)
-	var rows [rowBlockSize]int32
-	vp := getVotes(rowBlockSize * c.classes)
-	votes := *vp
-	for base := lo; base < hi; base += rowBlockSize {
-		w := sel.words[base/selWordBits]
-		if w == 0 {
-			continue
-		}
-		nb := gatherBlock(w, base, &rows)
-		c.scoreBlock(x, features, rows[:], nb, out[outPos:outPos+nb], votes)
-		outPos += nb
-	}
-	putVotes(vp)
-}
-
-// PredictAggregate fuses scoring with a per-class count: selected rows are
-// scored block-wise and their predicted classes tallied into counts
-// (length >= NumClasses(), or >= 2 for boosted ensembles) without ever
-// materializing a per-row prediction vector. sel may be nil to aggregate
-// over every row (n rows of x). Each worker tallies into a private
-// histogram; the histograms are summed at the barrier.
-func (c *Compiled) PredictAggregate(x []float32, features int, n int, sel *Selection, counts []int64, workers int) {
-	classes := c.classes
-	if c.boosted && classes < 2 {
-		classes = 2
-	}
-	if len(counts) < classes {
-		panic(fmt.Sprintf("kernel: PredictAggregate counts length %d < classes %d", len(counts), classes))
-	}
-	if sel != nil {
-		n = sel.Len()
-	}
-	if n == 0 {
-		return
-	}
-	maxProcs := runtime.GOMAXPROCS(0)
-	if workers <= 0 || workers > maxProcs {
-		workers = maxProcs
-	}
-	numBlocks := (n + rowBlockSize - 1) / rowBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	if workers <= 1 {
-		c.aggRange(x, features, sel, counts, 0, n)
-		return
-	}
-	blocksPerWorker := (numBlocks + workers - 1) / workers
-	locals := make([][]int64, 0, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * blocksPerWorker * rowBlockSize
-		hi := lo + blocksPerWorker*rowBlockSize
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		local := make([]int64, classes)
-		locals = append(locals, local)
-		wg.Add(1)
-		go func(lo, hi int, local []int64) {
-			defer wg.Done()
-			c.aggRange(x, features, sel, local, lo, hi)
-		}(lo, hi, local)
-	}
-	wg.Wait()
-	for _, local := range locals {
-		for i, v := range local {
-			counts[i] += v
-		}
-	}
-}
-
-// aggRange scores blocks of [lo, hi) (restricted to sel when non-nil) into
-// a per-block scratch and tallies the predicted classes, so at most 64
-// predictions ever exist at once. lo must be block-aligned.
-func (c *Compiled) aggRange(x []float32, features int, sel *Selection, counts []int64, lo, hi int) {
-	var rows [rowBlockSize]int32
-	var scratch [rowBlockSize]int
-	vp := getVotes(rowBlockSize * c.classes)
-	votes := *vp
-	for base := lo; base < hi; base += rowBlockSize {
-		end := base + rowBlockSize
-		if end > hi {
-			end = hi
-		}
-		var nb int
-		if sel != nil {
-			w := sel.words[base/selWordBits]
-			if w == 0 {
-				continue
-			}
-			nb = gatherBlock(w, base, &rows)
-		} else {
-			nb = end - base
-			for r := 0; r < nb; r++ {
-				rows[r] = int32(base + r)
-			}
-		}
-		c.scoreBlock(x, features, rows[:], nb, scratch[:nb], votes)
-		for _, cls := range scratch[:nb] {
-			counts[cls]++
-		}
-	}
-	putVotes(vp)
 }

@@ -194,8 +194,9 @@ func TestPredictAggregateMatchesBincount(t *testing.T) {
 	}
 }
 
-// TestPredictNoAllocsWarm asserts the vote-buffer pool removed the per-call
-// allocation in the single-worker batch path.
+// TestPredictNoAllocsWarm asserts the single-worker path of all three entry
+// points allocates nothing once the vote-buffer pool is warm: the row list,
+// the offsets and the aggregate's 64-prediction scratch live on the stack.
 func TestPredictNoAllocsWarm(t *testing.T) {
 	f := trainIris(t, 8, 8)
 	c, err := f.Compile()
@@ -204,13 +205,18 @@ func TestPredictNoAllocsWarm(t *testing.T) {
 	}
 	d := dataset.Iris().Replicate(200)
 	features := d.NumFeatures()
+	sel := kernel.SelectionFromFunc(200, func(r int) bool { return r%3 != 0 })
 	out := make([]int, 200)
-	c.Predict(d.X, features, out, 1) // warm the pool
-	allocs := testing.AllocsPerRun(20, func() {
-		c.Predict(d.X, features, out, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Predict allocates %.1f objects/op, want 0", allocs)
+	counts := make([]int64, c.NumClasses())
+	for name, call := range map[string]func(){
+		"Predict":          func() { c.Predict(d.X, features, out, 1) },
+		"PredictSel":       func() { c.PredictSel(d.X, features, sel, out[:sel.Count()], 1) },
+		"PredictAggregate": func() { c.PredictAggregate(d.X, features, 200, sel, counts, 1) },
+	} {
+		call() // warm the pool
+		if allocs := testing.AllocsPerRun(20, call); allocs != 0 {
+			t.Errorf("warm %s allocates %.1f objects/op, want 0", name, allocs)
+		}
 	}
 }
 

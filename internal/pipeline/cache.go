@@ -101,28 +101,9 @@ func cacheKey(name string, blob []byte) string {
 	return fmt.Sprintf("%s|%08x|%d", name, crc32.ChecksumIEEE(blob), len(blob))
 }
 
-// lookup returns the entry for key, promoting it to most recently used.
-func (c *ModelCache) lookup(key string) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.index[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cacheEntry), true
-	}
-	c.misses++
-	return nil, false
-}
-
-// store inserts (or refreshes) an entry and evicts beyond capacity,
+// storeLocked inserts (or refreshes) an entry and evicts beyond capacity,
 // returning how many entries were evicted so callers can publish the events.
-func (c *ModelCache) store(e *cacheEntry) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.storeLocked(e)
-}
-
-// storeLocked is store with c.mu already held.
+// c.mu must be held.
 func (c *ModelCache) storeLocked(e *cacheEntry) int {
 	if el, ok := c.index[e.key]; ok {
 		// A racing query compiled the same model; keep the existing entry.

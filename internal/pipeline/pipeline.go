@@ -707,11 +707,10 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 	fused := len(plan.where) > 0 || plan.agg != AggNone
 
 	// Resource attribution brackets the three measured stages with cost
-	// samples. Thread-CPU deltas are only meaningful while the goroutine is
-	// pinned to one OS thread, so the stage loop locks itself for the
-	// duration when attribution is on.
+	// samples (see stage). Thread-CPU deltas are only meaningful while the
+	// goroutine is pinned to one OS thread, so the stage loop locks itself
+	// for the duration when attribution is on.
 	attribOn := p.Obs.AttributionOn()
-	var costPreproc, costScoring, costPost obs.StageCost
 	if attribOn {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
@@ -750,24 +749,14 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 	// fused exec path resolves before data fetch because the feature names
 	// drive projection pruning.
 	rm := plan.resolved
-	var sample obs.CostSample
-	if attribOn {
-		sample = obs.ReadCostSample()
-	}
-	endPreproc := p.startSpanAll(trs, StageModelPreproc)
-	if rm == nil {
-		rm, err = p.resolveModel(plan.modelName, plan.blob)
-		if err != nil {
-			endPreproc()
-			return nil, fmt.Errorf("pipeline: model pre-processing: %w", err)
+	costPreproc, err := p.stage(trs, StageModelPreproc, attribOn, func() (err error) {
+		if rm == nil {
+			rm, err = p.resolveModel(plan.modelName, plan.blob)
 		}
-	}
-	endPreproc()
-	if attribOn {
-		next := obs.ReadCostSample()
-		costPreproc = next.Sub(sample)
-		costPreproc.Stage = StageModelPreproc
-		sample = next
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: model pre-processing: %w", err)
 	}
 	f, compiled, stats, status := rm.f, rm.compiled, rm.stats, rm.status
 	// "hit" and "coalesced" both mean the compiled model was already
@@ -791,21 +780,15 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 	if err = ctx.Err(); err != nil {
 		return nil, err
 	}
-	if attribOn {
-		sample = obs.ReadCostSample()
-	}
-	endScoring := p.startSpanAll(trs, StageModelScoring)
-	scored, err := eng.Score(&backend.Request{
-		Forest: f, Data: merged, Compiled: compiled, Stats: &stats,
-		Ctx: ctx, Inject: p.Faults,
-		Sel: plan.sel, WantCounts: wantCounts(plan.agg, n),
+	var scored *backend.Result
+	costScoring, err := p.stage(trs, StageModelScoring, attribOn, func() (err error) {
+		scored, err = eng.Score(&backend.Request{
+			Forest: f, Data: merged, Compiled: compiled, Stats: &stats,
+			Ctx: ctx, Inject: p.Faults,
+			Sel: plan.sel, WantCounts: wantCounts(plan.agg, n),
+		})
+		return err
 	})
-	endScoring()
-	if attribOn {
-		next := obs.ReadCostSample()
-		costScoring = next.Sub(sample)
-		costScoring.Stage = StageModelScoring
-	}
 	if err != nil {
 		p.noteScoringError(trs, eng.Name(), err)
 		return nil, fmt.Errorf("pipeline: scoring on %s: %w", eng.Name(), err)
@@ -828,64 +811,11 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 		}
 	}
 
-	// Post-processing: land each sub-query's slice of the output in its own
-	// result table — the prediction column in one bulk append, or, for a
-	// fused aggregate, the class histogram without ever materializing
-	// predictions.
-	if attribOn {
-		sample = obs.ReadCostSample()
-	}
-	endPost := p.startSpanAll(trs, StagePostprocessing)
-	// Dense rank -> merged row ordinal, materialized once so each sub-query
-	// can report which scan ordinals its predictions belong to.
-	var selRows []int
-	if plan.sel != nil && plan.agg == AggNone {
-		selRows = make([]int, plan.sel.Count())
-		plan.sel.ForEach(func(row, rank int) { selRows[rank] = row })
-	}
-	offset := 0
-	for i, d := range datas {
-		nr := d.NumRecords()
-		outLo, scoredN := fusedPartition(plan.sel, offset, nr)
-		var preds []int
-		if scored.Predictions != nil {
-			preds = scored.Predictions[outLo : outLo+scoredN]
-		}
-		subs[i].RowsScanned = nr
-		subs[i].RowsScored = scoredN
-		if selRows != nil {
-			rows := make([]int, scoredN)
-			for j, r := range selRows[outLo : outLo+scoredN] {
-				rows[j] = r - offset
-			}
-			subs[i].ScoredRows = rows
-		}
-		offset += nr
-		subs[i].Backend = eng.Name()
-		var out *db.Table
-		var terr error
-		if plan.agg == AggNone {
-			out, terr = db.NewTable("predictions", []db.Column{{Name: "prediction", Type: db.Int64Col}})
-			if terr == nil {
-				terr = out.AppendIntRows(preds)
-			}
-			subs[i].Predictions = preds
-		} else {
-			// scored.ClassCounts is only produced for single-request
-			// batches, so using it for request i is exact.
-			out, terr = aggResult(plan.agg, preds, scored.ClassCounts)
-		}
-		if terr != nil {
-			endPost()
-			err = terr
-			return nil, err
-		}
-		subs[i].Table = out
-	}
-	endPost()
-	if attribOn {
-		costPost = obs.ReadCostSample().Sub(sample)
-		costPost.Stage = StagePostprocessing
+	costPost, err := p.stage(trs, StagePostprocessing, attribOn, func() error {
+		return landResults(plan, scored, eng.Name(), subs)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Simulated Fig. 11 breakdown of the whole batch, in canonical stage
@@ -955,6 +885,79 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 	}
 	results = subs
 	return results, nil
+}
+
+// landResults is the post-processing stage: it lands each sub-query's slice
+// of the batch's output in its own result table — the prediction column in
+// one bulk append, or, for a fused aggregate, the class histogram without
+// ever materializing predictions.
+func landResults(plan *batchPlan, scored *backend.Result, engine string, subs []*QueryResult) error {
+	// Dense rank -> merged row ordinal, materialized once so each sub-query
+	// can report which scan ordinals its predictions belong to.
+	var selRows []int
+	if plan.sel != nil && plan.agg == AggNone {
+		selRows = make([]int, plan.sel.Count())
+		plan.sel.ForEach(func(row, rank int) { selRows[rank] = row })
+	}
+	offset := 0
+	for i, d := range plan.datas {
+		nr := d.NumRecords()
+		outLo, scoredN := fusedPartition(plan.sel, offset, nr)
+		var preds []int
+		if scored.Predictions != nil {
+			preds = scored.Predictions[outLo : outLo+scoredN]
+		}
+		subs[i].RowsScanned = nr
+		subs[i].RowsScored = scoredN
+		if selRows != nil {
+			rows := make([]int, scoredN)
+			for j, r := range selRows[outLo : outLo+scoredN] {
+				rows[j] = r - offset
+			}
+			subs[i].ScoredRows = rows
+		}
+		offset += nr
+		subs[i].Backend = engine
+		var out *db.Table
+		var err error
+		if plan.agg == AggNone {
+			out, err = db.NewTable("predictions", []db.Column{{Name: "prediction", Type: db.Int64Col}})
+			if err == nil {
+				err = out.AppendIntRows(preds)
+			}
+			subs[i].Predictions = preds
+		} else {
+			// scored.ClassCounts is only produced for single-request
+			// batches, so using it for request i is exact.
+			out, err = aggResult(plan.agg, preds, scored.ClassCounts)
+		}
+		if err != nil {
+			return err
+		}
+		subs[i].Table = out
+	}
+	return nil
+}
+
+// stage runs body as one measured stage of the batch: under the named
+// wall-clock span on every trace and, with attribution on, between two cost
+// samples whose thread-CPU and allocation delta is returned as the stage's
+// cost row (the zero StageCost otherwise). The span closes and the bracket
+// is read whether or not body fails.
+func (p *Pipeline) stage(trs []*obs.Trace, name string, attribOn bool, body func() error) (obs.StageCost, error) {
+	var sample obs.CostSample
+	if attribOn {
+		sample = obs.ReadCostSample()
+	}
+	end := p.startSpanAll(trs, name)
+	err := body()
+	end()
+	var cost obs.StageCost
+	if attribOn {
+		cost = obs.ReadCostSample().Sub(sample)
+		cost.Stage = name
+	}
+	return cost, err
 }
 
 // startSpanAll opens the named wall-clock span on every trace in the batch,

@@ -5,7 +5,8 @@
 // lose capacity first as the tier fills), and (3) deadline-aware shedding
 // (a query whose remaining deadline is below the EWMA-predicted service
 // time would only burn capacity to time out, so it is refused immediately
-// with a Retry-After hint). Per-shard in-flight and queue bounds guard the
+// with a Retry-After hint; inactive until the first query has been
+// measured). Per-shard in-flight and queue bounds guard the
 // scatter itself: a saturated shard refuses the sub-query so the dispatcher
 // reroutes instead of queueing without bound.
 package router
@@ -38,9 +39,6 @@ type AdmissionConfig struct {
 	// in-flight < MaxInFlight*(R-r)/R, so low-priority load sheds first.
 	// Unknown or empty classes get the lowest priority.
 	Classes []obs.Objective
-	// EWMASeed seeds the predicted query latency before the first
-	// observation (default 0: deadline shedding inactive until measured).
-	EWMASeed time.Duration
 }
 
 // Shed reasons.
@@ -130,9 +128,6 @@ func newAdmission(cfg *AdmissionConfig, shards int, onShed func(class string)) *
 	for i, o := range a.classes {
 		a.rank[o.Class] = i
 	}
-	if c.EWMASeed > 0 {
-		a.ewmaNS.Store(int64(c.EWMASeed))
-	}
 	if c.ShardInFlight > 0 {
 		a.shardSlots = make([]chan struct{}, shards)
 		a.shardWait = make([]atomic.Int64, shards)
@@ -198,30 +193,34 @@ func (a *admission) Admit(ctx context.Context, class string) (release func(ok bo
 	}
 
 	predicted := a.predicted()
-	cur := a.inFlight.Load()
-	if cur >= int64(a.cfg.MaxInFlight) {
-		return nil, shed(ShedCapacity, predicted)
-	}
+	// limit is the in-flight count at which this class stops being
+	// admitted: rank r of R keeps only the top (R-r)/R of capacity, so the
+	// loosest class sheds first and the tightest keeps the full budget.
+	limit := int64(a.cfg.MaxInFlight)
 	if n := len(a.classes); n > 0 {
-		r := a.classRank(class)
-		// Rank r of R keeps only the top (R-r)/R of capacity: the loosest
-		// class sheds first, the tightest keeps the full budget.
-		threshold := int64(a.cfg.MaxInFlight * (n - r) / n)
-		if threshold < 1 {
-			threshold = 1
-		}
-		if cur >= threshold {
-			return nil, shed(ShedPriority, predicted)
-		}
+		limit = max(1, int64(a.cfg.MaxInFlight*(n-a.classRank(class))/n))
 	}
+	var late time.Duration
 	if dl, ok := ctx.Deadline(); ok && predicted > 0 {
-		remaining := time.Until(dl)
-		if remaining < predicted {
-			return nil, shed(ShedDeadline, predicted-remaining)
+		late = predicted - time.Until(dl)
+	}
+	// The slot is taken by compare-and-swap against the value the checks
+	// read, so no interleaving of admissions can pass limit; a lost race
+	// re-decides against the count it lost to.
+	for {
+		cur := a.inFlight.Load()
+		switch {
+		case cur >= int64(a.cfg.MaxInFlight):
+			return nil, shed(ShedCapacity, predicted)
+		case cur >= limit:
+			return nil, shed(ShedPriority, predicted)
+		case late > 0:
+			return nil, shed(ShedDeadline, late)
+		}
+		if a.inFlight.CompareAndSwap(cur, cur+1) {
+			break
 		}
 	}
-
-	a.inFlight.Add(1)
 	cc.accepted.Add(1)
 	return func(ok bool, latency time.Duration) {
 		a.inFlight.Add(-1)

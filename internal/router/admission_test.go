@@ -3,7 +3,9 @@ package router
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,11 +96,16 @@ func TestAdmissionPrioritySheds(t *testing.T) {
 // whose remaining deadline is under the prediction is refused immediately
 // with a Retry-After hint, while a roomy deadline is admitted.
 func TestAdmissionDeadlineSheds(t *testing.T) {
-	a := newAdmission(&AdmissionConfig{MaxInFlight: 8, EWMASeed: 100 * time.Millisecond}, 1, nil)
+	a := newAdmission(&AdmissionConfig{MaxInFlight: 8}, 1, nil)
+	seed, err := a.Admit(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(true, 100*time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := a.Admit(ctx, "")
+	_, err = a.Admit(ctx, "")
 	var se *ShedError
 	if !errors.As(err, &se) || se.Reason != ShedDeadline {
 		t.Fatalf("10ms deadline vs 100ms prediction returned %v, want deadline shed", err)
@@ -114,6 +121,52 @@ func TestAdmissionDeadlineSheds(t *testing.T) {
 	// EWMA moved toward the observation: (3*100ms + 50ms)/4 = 87.5ms.
 	if got := a.predicted(); got != 87500*time.Microsecond {
 		t.Fatalf("EWMA %v, want 87.5ms", got)
+	}
+}
+
+// TestAdmissionNeverExceedsBound races many admissions at one free slot:
+// in-flight, sampled by every winner while it holds its slot, must never
+// pass the bound — the router-wide one, and a loose class's lower threshold.
+func TestAdmissionNeverExceedsBound(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   AdmissionConfig
+		class string
+		bound int64
+	}{
+		{"capacity", AdmissionConfig{MaxInFlight: 1}, "", 1},
+		// batch is rank 1 of 2: 4*(2-1)/2 = 2 in-flight.
+		{"priority", AdmissionConfig{MaxInFlight: 4, Classes: testClasses(t)}, "batch", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newAdmission(&tc.cfg, 1, nil)
+			var peak atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < 32; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						rel, err := a.Admit(context.Background(), tc.class)
+						if err != nil {
+							continue
+						}
+						cur := a.inFlight.Load()
+						for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+						}
+						runtime.Gosched() // hold the slot across a reschedule
+						rel(false, 0)
+					}
+				}()
+			}
+			wg.Wait()
+			if got := peak.Load(); got > tc.bound || got < 1 {
+				t.Fatalf("peak in-flight %d, want 1..%d", got, tc.bound)
+			}
+			if got := a.inFlight.Load(); got != 0 {
+				t.Fatalf("in-flight %d after releases, want 0", got)
+			}
+		})
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 
 // Backend is one shard replica the router can scatter to. Implementations
 // classify query-level failures (ones that would fail identically on every
-// replica) by wrapping them with NoReroute; every other error is
-// treated as the shard's fault: the partition reroutes and the shard's
-// health takes a failure signal.
+// replica) by wrapping them with NoReroute; every other error reroutes the
+// partition, and counts against the shard's health unless it is the shard's
+// own back-pressure (a *ShardError with CodeRejected).
 type Backend interface {
 	// ID names the shard for logs, metrics and merged results.
 	ID() string

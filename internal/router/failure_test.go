@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/router"
 )
@@ -45,6 +46,16 @@ func (a *announcingBackend) Score(ctx context.Context, req router.Request) (*rou
 	return a.Backend.Score(ctx, req)
 }
 
+// tenantOnShard0 names a tenant whose queries a two-shard tier homes on
+// shard 0: tenant-affine queries are one sub-query each.
+func tenantOnShard0() string {
+	for i := 0; ; i++ {
+		if tenant := fmt.Sprintf("tenant-%d", i); pipeline.TenantShard(tenant, 2) == 0 {
+			return tenant
+		}
+	}
+}
+
 // TestRouterBackPressureIsNotShardFailure saturates shard 0's sub-query slot
 // and queue: the overflow is the ROUTER's bound, so the sub-query moves to
 // shard 1 without shard 0's health hearing of it. With one strike enough to
@@ -73,11 +84,7 @@ func TestRouterBackPressureIsNotShardFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tenant-affine queries are one sub-query each, all homed on shard 0.
-	tenant := "tenant-0"
-	for i := 1; pipeline.TenantShard(tenant, 2) != 0; i++ {
-		tenant = fmt.Sprintf("tenant-%d", i)
-	}
+	tenant := tenantOnShard0()
 	done := make(chan error, 3)
 	query := func() {
 		got, err := r.Query(context.Background(), plainSQL, router.QueryOptions{Tenant: tenant})
@@ -116,6 +123,64 @@ func TestRouterBackPressureIsNotShardFailure(t *testing.T) {
 		if snap := r.Health().Snapshot(i); snap.State != router.ShardHealthy || snap.Transitions != 0 || snap.InFlight != 0 {
 			t.Fatalf("router back-pressure was charged to shard %d: %+v", i, snap)
 		}
+	}
+}
+
+// TestShardBackPressureIsNotShardFailure: a shard whose executor queue is
+// full answers /score 503 "rejected". It is healthy and busy, so each
+// refusal reroutes the sub-query (and is counted as a reroute) without its
+// health hearing of it; an "internal" reply is the shard's fault and still
+// degrades it.
+func TestShardBackPressureIsNotShardFailure(t *testing.T) {
+	const rows, queries = 200, 10
+	want, err := newShardPipeline(t, rows).ExecQuery(plainSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant := tenantOnShard0()
+	for _, code := range []string{router.CodeRejected, router.CodeInternal} {
+		busy := &scriptedBackend{err: &router.ShardError{Shard: "scripted", Code: code, Msg: "shard says no"}}
+		o := obs.NewObserver()
+		r, err := router.New(router.Config{
+			Backends: []router.Backend{
+				servedShard(t, busy, nil),
+				&router.Local{Name: "shard-1", Pipe: newShardPipeline(t, rows)},
+			},
+			Obs: o,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < queries; i++ {
+			got, err := r.Query(context.Background(), plainSQL, router.QueryOptions{Tenant: tenant})
+			if err != nil {
+				t.Fatalf("%s: query %d: %v", code, i, err)
+			}
+			if !reflect.DeepEqual(got.Predictions, want.Predictions) {
+				t.Fatalf("%s: query %d: predictions differ from single-node", code, i)
+			}
+		}
+		snap := r.Health().Snapshot(0)
+		var scrape strings.Builder
+		if err := o.Metrics().WritePrometheus(&scrape); err != nil {
+			t.Fatal(err)
+		}
+		switch code {
+		case router.CodeRejected:
+			if snap.State != router.ShardHealthy || snap.Transitions != 0 || busy.calls.Load() != queries {
+				t.Errorf("shard back-pressure was charged to its health: %+v after %d refusals", snap, busy.calls.Load())
+			}
+			if line := fmt.Sprintf(`accelscore_router_reroutes_total{shard="0"} %d`, queries); !strings.Contains(scrape.String(), line) {
+				t.Errorf("refusals not counted as reroutes: no %q on /metrics", line)
+			}
+		default:
+			// Two failures degrade, three more quarantine; after that the
+			// router stops asking.
+			if snap.State != router.ShardQuarantined || busy.calls.Load() != 5 {
+				t.Errorf("internal failures: %+v after %d calls, want quarantined after 5", snap, busy.calls.Load())
+			}
+		}
+		r.Close()
 	}
 }
 

@@ -295,7 +295,8 @@ type signal int
 
 const (
 	// signalNone: the attempt never meaningfully ran (the caller gave up, a
-	// hedge-race loser was reaped, the shard had no free slot).
+	// hedge-race loser was reaped, the shard had no free slot or refused
+	// the sub-query because its own queue was full).
 	signalNone signal = iota
 	// signalPass: the shard answered correctly.
 	signalPass

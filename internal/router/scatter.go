@@ -131,7 +131,12 @@ func (d *dispatcher) acquire(ctx context.Context, shard int, hedge bool) error {
 // series (the hedge ring and the /metrics histogram, the same sample); a
 // query-level error means the shard answered correctly; a failure the
 // shard is not to blame for — the caller's budget expired, or reaped marks
-// a hedge-race loser we cancelled — is no signal at all.
+// a hedge-race loser we cancelled — is no signal at all. Nor is the shard's
+// own back-pressure (a "rejected" reply: its executor queue is full, or it
+// is draining): the partition is rerouted and counted as a reroute, but a
+// replica that is healthy and busy must not be degraded for saying so, or
+// its partitions pile onto the others and they overflow in turn — the same
+// ruling acquire makes for the router's own full sub-query queue.
 func (d *dispatcher) settle(ctx context.Context, a attempt, reaped bool) {
 	d.adm.releaseShard(a.shard)
 	switch {
@@ -145,7 +150,12 @@ func (d *dispatcher) settle(ctx context.Context, a attempt, reaped bool) {
 		d.health.release(a.shard, signalNone, a.lat)
 	default:
 		d.metrics.ObserveShard(a.shard, a.lat, 1)
-		d.health.release(a.shard, signalFail, a.lat)
+		sig := signalFail
+		var se *ShardError
+		if errors.As(a.err, &se) && se.Code == CodeRejected {
+			sig = signalNone
+		}
+		d.health.release(a.shard, sig, a.lat)
 	}
 }
 
