@@ -2,6 +2,7 @@ package accelscore_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"accelscore/internal/backend"
@@ -11,6 +12,7 @@ import (
 	"accelscore/internal/experiments"
 	"accelscore/internal/forest"
 	"accelscore/internal/hw"
+	"accelscore/internal/kernel"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/platform"
@@ -376,38 +378,53 @@ func BenchmarkPipelineHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelPredict compares the shared flat kernel's blocked batch
-// loop against the scalar pointer walk it replaced, single-threaded so the
-// layout effect is isolated from parallelism.
+// BenchmarkKernelPredict measures the shared flat kernel in the regimes the
+// serving benchmark's workloads put it in (bench/README.md), one unit of work
+// per iteration, single-threaded unless the name says otherwise so the layout
+// and visiting order are isolated from parallelism:
+//
+//   - flat-kernel-*: dense HIGGS 20k rows, 32 trees × depth 10, against the
+//     scalar pointer walk the kernel replaced;
+//   - fused-64x10-sel25-*: scan_fused's per-shard call — PredictAggregate
+//     over 20k HIGGS rows and the 64 × depth-10 model, under the selection the
+//     shard builds (lepton_eta > 0 and one of two hash partitions, about a
+//     quarter of the rows), with one worker and with GOMAXPROCS;
+//   - small-8x6: ingest_then_score's model, dense over 10k rows;
+//   - skewed-16x24: one-sided depth-24 chains, where most rows leave a tree
+//     long before its depth — the guard on the lock-step walk's early stop.
 func BenchmarkKernelPredict(b *testing.B) {
 	data := dataset.Higgs(20000, 1)
-	f, err := forest.Train(dataset.Higgs(1500, 9), forest.ForestConfig{
-		NumTrees:  32,
-		Tree:      forest.TrainConfig{MaxDepth: 10},
-		Seed:      1,
-		Bootstrap: true,
-	})
-	if err != nil {
-		b.Fatal(err)
+	n, features := data.NumRecords(), data.NumFeatures()
+	train := func(trees, depth int) (*forest.Forest, *kernel.Compiled) {
+		f, err := forest.Train(dataset.Higgs(1500, 9), forest.ForestConfig{
+			NumTrees:  trees,
+			Tree:      forest.TrainConfig{MaxDepth: depth},
+			Seed:      1,
+			Bootstrap: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		compiled, err := f.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f, compiled
 	}
-	compiled, err := f.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := data.NumRecords()
 	out := make([]int, n)
-	b.Run("flat-kernel-1th", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			compiled.Predict(data.X, data.NumFeatures(), out, 1)
+	dense := func(c *kernel.Compiled, rows, workers int) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Predict(data.X, features, out[:rows], workers)
+			}
+			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 		}
-		b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
-	})
-	b.Run("flat-kernel-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			compiled.Predict(data.X, data.NumFeatures(), out, 0)
-		}
-		b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
-	})
+	}
+
+	f, flat := train(32, 10)
+	b.Run("flat-kernel-1th", dense(flat, n, 1))
+	b.Run("flat-kernel-parallel", dense(flat, n, 0))
 	b.Run("pointer-walk-1th", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < n; r++ {
@@ -416,6 +433,48 @@ func BenchmarkKernelPredict(b *testing.B) {
 		}
 		b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 	})
+
+	_, fused := train(64, 10)
+	eta := slices.Index(data.FeatureNames, "lepton_eta")
+	where := kernel.BuildSelection(n, []kernel.Predicate{{Feature: eta, Op: kernel.PredGT}}, data.X, features)
+	part := pipeline.Partition{Index: 0, Count: 2}
+	sel := kernel.SelectionFromFunc(n, func(row int) bool { return where.Selected(row) && part.Keep(row) })
+	counts := make([]int64, fused.NumClasses())
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"fused-64x10-sel25-1th", 1}, {"fused-64x10-sel25-parallel", 0}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fused.PredictAggregate(data.X, features, n, sel, counts, w.workers)
+			}
+			b.ReportMetric(float64(sel.Count()*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+		})
+	}
+
+	_, small := train(8, 6)
+	b.Run("small-8x6", dense(small, 10000, 1))
+
+	// Each tree is a chain: every split sends x[k%features] < -1.5 (about one
+	// HIGGS value in fifteen) on down the chain and everything else to a leaf.
+	skewed := kernel.New(2, false, 0)
+	for t := 0; t < 16; t++ {
+		skewed.BeginTree()
+		parent := int32(-1)
+		for k := 0; k < 24; k++ {
+			split := skewed.EmitSplit(int32((t+k)%features), -1.5)
+			if parent >= 0 {
+				skewed.SetChildren(parent, split, skewed.EmitLeaf(int32(k%2), 0))
+			}
+			parent = split
+		}
+		skewed.SetChildren(parent, skewed.EmitLeaf(0, 0), skewed.EmitLeaf(1, 0))
+	}
+	if err := skewed.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("skewed-16x24", dense(skewed, n, 1))
 }
 
 // BenchmarkKernelCompile measures the per-model lowering cost the cache

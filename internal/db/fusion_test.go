@@ -1,6 +1,8 @@
 package db
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"accelscore/internal/dataset"
@@ -90,28 +92,135 @@ func TestDatasetSnapshotForProjection(t *testing.T) {
 	}
 }
 
+// TestDatasetSnapshotForLimitBoundsConversion pins the prefix snapshot: a
+// bounded conversion is published like a full one, serves every later call
+// it covers, and within one version only ever gives way to an entry that
+// covers more rows; any mutation strands it.
 func TestDatasetSnapshotForLimitBoundsConversion(t *testing.T) {
 	tbl := wideTable(t, 2)
 	features := dataset.Iris().FeatureNames
+	d := New()
+	if err := d.CreateTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	// get runs one call and checks the rows it returns against an uncached
+	// conversion of the table as it stands.
+	get := func(what string, limit int, wantHit bool) *dataset.Dataset {
+		t.Helper()
+		got, hit, err := tbl.DatasetSnapshotFor(features, limit)
+		if err != nil || hit != wantHit {
+			t.Fatalf("%s: hit=%v (want %v) err=%v", what, hit, wantHit, err)
+		}
+		want, err := tbl.DatasetFor(features, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.X, want.X) {
+			t.Fatalf("%s: returned cells differ from rows [0, %d) of the table", what, want.NumRecords())
+		}
+		return got
+	}
 
-	// Cold limited conversion: only limit rows converted, nothing cached.
-	d, hit, err := tbl.DatasetSnapshotFor(features, 10)
-	if err != nil || hit {
-		t.Fatalf("cold limited: hit=%v err=%v", hit, err)
+	// Cold: only limit rows convert, and they are published.
+	p10 := get("cold limit 10", 10, false)
+	if p10.NumRecords() != 10 {
+		t.Fatalf("limited snapshot has %d rows", p10.NumRecords())
 	}
-	if d.NumRecords() != 10 {
-		t.Fatalf("limited snapshot has %d rows", d.NumRecords())
+	if again := get("second limit 10", 10, true); again != p10 {
+		t.Fatal("a bounded call the cached prefix covers exactly must return the cached dataset")
 	}
-	// Limit beyond the row count clamps.
-	d, _, err = tbl.DatasetSnapshotFor(features, 1_000_000)
-	if err != nil || d.NumRecords() != tbl.NumRows() {
-		t.Fatalf("clamped: rows=%d err=%v", d.NumRecords(), err)
+	// Fewer rows: a hit, served as a copy of the prefix's head.
+	if head := get("limit 7 under a 10-row prefix", 7, true); &head.X[0] == &p10.X[0] {
+		t.Fatal("Head of the cached prefix must be a copy")
 	}
-	// With the full conversion now cached, a limited call is a hit served
-	// via Head.
-	d, hit, err = tbl.DatasetSnapshotFor(features, 7)
-	if err != nil || !hit || d.NumRecords() != 7 {
-		t.Fatalf("warm limited: hit=%v rows=%d err=%v", hit, d.NumRecords(), err)
+	// More rows: a miss that re-converts and replaces the entry.
+	p40 := get("limit 40 over a 10-row prefix", 40, false)
+	get("limit 40 again", 40, true)
+	if again := get("limit 10 under the 40-row prefix", 10, true); again == p10 {
+		t.Fatal("the 10-row prefix should have been replaced by the 40-row one")
+	}
+	// The whole table, asked for three ways: limit 0 converts and publishes
+	// a full entry; limit >= rows and limit == rows are then hits on it.
+	full := get("limit 0 over a prefix", 0, false)
+	if full.NumRecords() != tbl.NumRows() {
+		t.Fatalf("full snapshot has %d rows", full.NumRecords())
+	}
+	for _, limit := range []int{0, tbl.NumRows(), 1_000_000} {
+		if again := get(fmt.Sprintf("limit %d under the full entry", limit), limit, true); again != full {
+			t.Fatalf("limit %d: the full entry must be returned itself", limit)
+		}
+	}
+	get("limit 40 under the full entry", 40, true)
+	// A prefix never replaces a full entry of the same version: after the
+	// bounded hits above the full entry is still what a full call gets.
+	if again := get("limit 0 after bounded hits", 0, true); again != full || p40 == full {
+		t.Fatal("a bounded call displaced the full entry")
+	}
+
+	// Every kind of mutation strands whatever is cached, prefix or full: the
+	// next call of any shape misses and sees the new rows (get compares with
+	// the table as it stands).
+	for _, stmt := range []string{
+		"INSERT INTO wide VALUES (9, 9, 9, 9, 9, 9, 9)",
+		"UPDATE wide SET junk_a = 5 WHERE label = 1",
+		"DELETE FROM wide WHERE label = 2",
+	} {
+		if _, _, err := d.Query(stmt); err != nil {
+			t.Fatal(err)
+		}
+		get("limit 60 after "+stmt, 60, false)
+		get("limit 60 again after "+stmt, 60, true)
+		get("limit 20 after "+stmt, 20, true)
+		if err := tbl.Insert(make([]Value, len(tbl.Columns))); err != nil {
+			t.Fatal(err)
+		}
+		get("limit 20 over a stranded 60-row prefix, "+stmt, 20, false)
+		// limit >= rows on a cold cache converts everything and publishes a
+		// full entry.
+		clamped := get("limit >= rows after "+stmt, 1_000_000, false)
+		if again := get("limit 0 after "+stmt, 0, true); again != clamped {
+			t.Fatalf("%s: a clamped conversion must be published as the full entry", stmt)
+		}
+	}
+}
+
+// TestSubsetCacheIsBounded: maxSubSnapshots bounds the cache when every entry
+// is current too — distinct projections of a table nobody writes to.
+func TestSubsetCacheIsBounded(t *testing.T) {
+	tbl := wideTable(t, 6)
+	var names []string
+	for _, c := range tbl.Columns {
+		if c.Type == Float32Col {
+			names = append(names, c.Name)
+		}
+	}
+	projections := 0
+	for i := 0; i < len(names) && projections < 20; i++ {
+		for j := i + 1; j < len(names) && projections < 20; j++ {
+			projections++
+			features := []string{names[j], names[i]}
+			for _, limit := range []int{0, 25} {
+				got, _, err := tbl.DatasetSnapshotFor(features, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := tbl.DatasetFor(features, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.X, want.X) {
+					t.Fatalf("projection %v limit %d: wrong cells", features, limit)
+				}
+			}
+			if n := len(tbl.subSnaps); n > maxSubSnapshots {
+				t.Fatalf("%d projections of an unmodified table left %d entries resident, bound is %d",
+					projections, n, maxSubSnapshots)
+			}
+		}
+	}
+	if projections != 20 || len(tbl.subSnaps) != maxSubSnapshots {
+		t.Fatalf("ran %d projections, %d resident; want 20 and a full cache of %d",
+			projections, len(tbl.subSnaps), maxSubSnapshots)
 	}
 }
 
@@ -228,5 +337,45 @@ func TestParseConditionList(t *testing.T) {
 	round, err := ParseConditionList(FormatConditions(conds))
 	if err != nil || len(round) != 2 {
 		t.Fatalf("roundtrip: %v %v", round, err)
+	}
+}
+
+// BenchmarkDatasetSnapshotFor measures scan_fused's fetch — 20 000 of 50 000
+// HIGGS rows × 28 columns — on the three paths a call can take: bounded-cold
+// converts the prefix (the table version moves between iterations, as after
+// an INSERT), bounded-warm is served the published prefix, full-warm the
+// published full table.
+func BenchmarkDatasetSnapshotFor(b *testing.B) {
+	const rows, limit = 50000, 20000
+	data := dataset.Higgs(rows, 1)
+	tbl, err := TableFromDataset("higgs", data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fetch := func(b *testing.B, limit int) {
+		d, _, err := tbl.DatasetSnapshotFor(data.FeatureNames, limit)
+		if err != nil || d.NumRecords() != limit {
+			b.Fatalf("limit %d: rows=%d err=%v", limit, d.NumRecords(), err)
+		}
+	}
+	b.Run("bounded-cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tbl.version.Add(1)
+			fetch(b, limit)
+		}
+	})
+	for _, warm := range []struct {
+		name  string
+		limit int
+	}{{"bounded-warm", limit}, {"full-warm", rows}} {
+		b.Run(warm.name, func(b *testing.B) {
+			fetch(b, warm.limit)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fetch(b, warm.limit)
+			}
+		})
 	}
 }

@@ -2,8 +2,12 @@
 // path of the fused scoring pipeline. Where DatasetSnapshot converts every
 // REAL column of every row, DatasetSnapshotFor converts only the projected
 // feature columns (projection pruning) and at most limit rows (@limit
-// pushdown), and caches full-table conversions per column subset keyed on
-// the table version.
+// pushdown), and publishes every conversion in one cache per table, keyed on
+// the column subset and valid for the table version it observed. A bounded
+// conversion is the prefix [0, limit) of a table state, so it is a snapshot
+// too: its entry just covers fewer rows. Within a version an entry is only
+// replaced by one that covers more rows, so a prefix never displaces a full
+// entry; a mutation strands them all through the version, nothing more.
 package db
 
 import (
@@ -13,27 +17,28 @@ import (
 	"accelscore/internal/dataset"
 )
 
-// maxSubSnapshots bounds the per-table subset cache; stale-version entries
-// are evicted on publish once the map grows past it.
+// maxSubSnapshots bounds the per-table subset cache: a publish that finds it
+// full first drops entries of older versions, then current ones.
 const maxSubSnapshots = 8
 
 // DatasetSnapshotFor converts the named REAL columns of the table into a
-// row-major dataset, reading at most limit rows when limit > 0.
+// row-major dataset of the first limit rows, or of every row when limit <= 0
+// or limit >= the row count.
 //
 //   - features nil falls back to every REAL column in schema order — the
 //     legacy (unpruned) projection.
-//   - A full-table conversion (limit <= 0, or limit >= the row count) is
-//     cached per column subset until the table's next mutation, exactly like
-//     DatasetSnapshot's single-snapshot cache.
-//   - limit > 0 serves Head(limit) of a current cached full conversion when
-//     one exists (a copy of limit rows — no cell conversion at all);
-//     otherwise it converts only the first limit rows, so a small @limit on
-//     a large table never pays the full-table conversion.
+//   - The conversion is cached per column subset until the table's next
+//     mutation. A call the cached rows cover is a hit: it returns the cached
+//     dataset itself when it wants exactly those rows, and Head(limit) of it
+//     — a copy of limit rows, no cell conversion — when it wants fewer.
+//   - A call that wants more rows than are cached converts only those rows
+//     (a small @limit on a large table never pays the full-table conversion)
+//     and publishes the result in the entry's place.
 //
 // hit reports whether the cell-by-cell conversion was skipped. The returned
-// dataset carries no labels — it feeds scoring, which never reads them.
-// Full-table results are shared with other callers and must be treated as
-// read-only.
+// dataset carries no labels — it feeds scoring, which never reads them. It
+// may be the cached dataset, shared with every other caller at this version,
+// whether the call was bounded or not: treat it as read-only.
 func (t *Table) DatasetSnapshotFor(features []string, limit int) (d *dataset.Dataset, hit bool, err error) {
 	names, cols, err := t.resolveFeatureCols(features)
 	if err != nil {
@@ -46,42 +51,41 @@ func (t *Table) DatasetSnapshotFor(features []string, limit int) (d *dataset.Dat
 	cached := t.subSnaps[key]
 	t.subSnapMu.Unlock()
 	if cached != nil && cached.version == v {
-		if limit > 0 && limit < cached.data.NumRecords() {
+		switch covered := cached.data.NumRecords(); {
+		case limit > 0 && limit < covered:
 			return cached.data.Head(limit), true, nil
+		case cached.full || limit == covered:
+			return cached.data, true, nil
 		}
-		return cached.data, true, nil
 	}
 
-	// Bounded conversion: only the first limit rows leave the column store.
-	// The result is not published (it is a partial view keyed on a row
-	// bound, not a table state), but the scan it saves is the point.
-	if limit > 0 && limit < t.NumRows() {
-		d, _, err := t.convertSubset(names, cols, limit)
-		return d, false, err
-	}
-
-	d, dv, err := t.convertSubset(names, cols, 0)
+	d, dv, full, err := t.convertSubset(names, cols, limit)
 	if err != nil {
 		return nil, false, err
 	}
 	t.subSnapMu.Lock()
-	if cur := t.subSnaps[key]; cur == nil || dv >= cur.version {
+	if cur := t.subSnaps[key]; cur == nil || dv > cur.version ||
+		dv == cur.version && d.NumRecords() > cur.data.NumRecords() {
 		if t.subSnaps == nil {
 			t.subSnaps = make(map[string]*subSnapshot)
 		}
-		if len(t.subSnaps) >= maxSubSnapshots {
+		if cur == nil && len(t.subSnaps) >= maxSubSnapshots {
 			for k, s := range t.subSnaps {
 				if s.version != dv {
 					delete(t.subSnaps, k)
 				}
 			}
+			// The rest are all current: map order picks which go.
+			for k := range t.subSnaps {
+				if len(t.subSnaps) < maxSubSnapshots {
+					break
+				}
+				delete(t.subSnaps, k)
+			}
 		}
-		t.subSnaps[key] = &subSnapshot{version: dv, data: d}
+		t.subSnaps[key] = &subSnapshot{version: dv, data: d, full: full}
 	}
 	t.subSnapMu.Unlock()
-	if limit > 0 && limit < d.NumRecords() {
-		return d.Head(limit), false, nil
-	}
 	return d, false, nil
 }
 
@@ -94,7 +98,7 @@ func (t *Table) DatasetFor(features []string, limit int) (*dataset.Dataset, erro
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := t.convertSubset(names, cols, limit)
+	d, _, _, err := t.convertSubset(names, cols, limit)
 	return d, err
 }
 
@@ -137,13 +141,15 @@ func (t *Table) resolveFeatureCols(features []string) ([]string, []int, error) {
 
 // convertSubset gathers the given columns (limited to the first limit rows
 // when limit > 0) into a row-major dataset under the table's read lock,
-// returning the exact version observed.
-func (t *Table) convertSubset(names []string, cols []int, limit int) (*dataset.Dataset, uint64, error) {
+// returning the exact version observed and whether the dataset covers every
+// row the table held at it.
+func (t *Table) convertSubset(names []string, cols []int, limit int) (*dataset.Dataset, uint64, bool, error) {
 	t.rowsMu.RLock()
 	defer t.rowsMu.RUnlock()
 	v := t.version.Load()
 	n := t.numRowsLocked()
-	if limit > 0 && limit < n {
+	full := limit <= 0 || limit >= n
+	if !full {
 		n = limit
 	}
 	f := len(cols)
@@ -161,9 +167,9 @@ func (t *Table) convertSubset(names []string, cols []int, limit int) (*dataset.D
 		}
 	}
 	if err := d.Validate(); err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
-	return d, v, nil
+	return d, v, full, nil
 }
 
 // NumericColumnPrefix extracts the first limit values (every row when limit

@@ -108,10 +108,12 @@ type Table struct {
 	subSnaps  map[string]*subSnapshot
 }
 
-// subSnapshot is one cached column-subset conversion.
+// subSnapshot is one cached column-subset conversion: data holds the first
+// data.NumRecords() rows of the table as of version, every row when full.
 type subSnapshot struct {
 	version uint64
 	data    *dataset.Dataset
+	full    bool
 }
 
 // NewTable creates an empty table with the given schema.

@@ -1,7 +1,9 @@
 package kernel_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"accelscore/internal/dataset"
@@ -130,4 +132,106 @@ func TestEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Predict(nil, f.NumFeatures, nil, 4)
+}
+
+// TestSealRefusesLinksThatAreNotTrees hand-builds link graphs through the
+// builder API. Seal must refuse the ones that are not one tree per extent,
+// naming the tree — before this check a cyclic graph made Predict spin and a
+// cross-tree link scored another tree's nodes — and whatever it accepts must
+// score, and score like PredictRow.
+func TestSealRefusesLinksThatAreNotTrees(t *testing.T) {
+	// Every case's ensemble starts with a good stump, so the bad tree is
+	// tree 1, and gets a good stump after it to link into.
+	stump := func(c *kernel.Compiled) {
+		c.BeginTree()
+		root := c.EmitSplit(0, 0.5)
+		c.SetChildren(root, c.EmitLeaf(0, -1), c.EmitLeaf(1, 1))
+	}
+	for _, tc := range []struct {
+		name    string
+		build   func(c *kernel.Compiled)
+		wantErr string
+	}{
+		{"single-leaf", func(c *kernel.Compiled) { c.EmitLeaf(1, 2) }, ""},
+		{"stump", func(c *kernel.Compiled) {
+			root := c.EmitSplit(0, 0.25)
+			c.SetChildren(root, c.EmitLeaf(1, 2), c.EmitLeaf(0, -2))
+		}, ""},
+		{"self-link", func(c *kernel.Compiled) {
+			root := c.EmitSplit(0, 0.25)
+			c.SetChildren(root, root, c.EmitLeaf(0, 0))
+		}, "reached twice"},
+		{"two-node-cycle", func(c *kernel.Compiled) {
+			a, b := c.EmitSplit(0, 0.5), c.EmitSplit(0, 0.25)
+			c.SetChildren(a, b, c.EmitLeaf(0, 0))
+			c.SetChildren(b, c.EmitLeaf(1, 0), a) // x = 0.3 goes a -> b -> a
+		}, "reached twice"},
+		{"link-into-next-tree", func(c *kernel.Compiled) {
+			root := c.EmitSplit(0, 0.25)
+			leaf := c.EmitLeaf(0, 0)
+			c.SetChildren(root, leaf, leaf+1) // leaf+1 is the next tree's root
+		}, "outside the tree's extent"},
+		{"link-into-previous-tree", func(c *kernel.Compiled) {
+			root := c.EmitSplit(0, 0.25)
+			c.SetChildren(root, 0, c.EmitLeaf(0, 0))
+		}, "outside the tree's extent"},
+		{"shared-subtree", func(c *kernel.Compiled) {
+			root, a, b := c.EmitSplit(0, 0.5), c.EmitSplit(0, 0.25), c.EmitSplit(0, 0.75)
+			shared := c.EmitLeaf(1, 0)
+			c.SetChildren(root, a, b)
+			c.SetChildren(a, c.EmitLeaf(0, 0), shared)
+			c.SetChildren(b, shared, c.EmitLeaf(0, 0))
+		}, "reached twice"},
+		{"children-never-set", func(c *kernel.Compiled) {
+			root := c.EmitSplit(0, 0.25)
+			c.SetChildren(root, c.EmitSplit(0, 0.75), c.EmitLeaf(0, 0))
+		}, "outside the tree's extent"},
+		{"orphan", func(c *kernel.Compiled) {
+			c.EmitLeaf(0, 0)
+			c.EmitLeaf(1, 0)
+		}, "unreachable"},
+		{"no-nodes", func(*kernel.Compiled) {}, "no nodes"},
+		// A boosted leaf's class is never read, so there these two must score.
+		{"class-out-of-range", func(c *kernel.Compiled) { c.EmitLeaf(2, 0) }, "class 2"},
+		{"class-negative", func(c *kernel.Compiled) { c.EmitLeaf(-1, 0) }, "class -1"},
+		{"negative-feature", func(c *kernel.Compiled) {
+			root := c.EmitSplit(-1, 0.25)
+			c.SetChildren(root, c.EmitLeaf(0, 0), c.EmitLeaf(1, 0))
+		}, "feature -1"},
+	} {
+		for _, boosted := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/boosted=%v", tc.name, boosted), func(t *testing.T) {
+				if boosted && strings.HasPrefix(tc.name, "class-") {
+					tc.wantErr = ""
+				}
+				c := kernel.New(2, boosted, 0)
+				stump(c)
+				c.BeginTree()
+				tc.build(c)
+				stump(c)
+				err := c.Seal()
+				if tc.wantErr != "" {
+					if err == nil {
+						// Score anyway: what Seal lets through must at least
+						// terminate (the cyclic shapes did not, before).
+						t.Errorf("Seal accepted a %s", tc.name)
+					} else if !strings.Contains(err.Error(), "tree 1") || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("Seal error %q should name tree 1 and say %q", err, tc.wantErr)
+					} else {
+						return
+					}
+				} else if err != nil {
+					t.Fatalf("Seal refused a %s: %v", tc.name, err)
+				}
+				x := []float32{0.1, 0.3, 0.6, 0.9, 0.1, 0.3, 0.6, 0.9, 0.5, 0.25, 0.75}
+				out := make([]int, len(x))
+				c.Predict(x, 1, out, 1)
+				for i := range x {
+					if want := c.PredictRow(x[i:i+1], nil); out[i] != want {
+						t.Fatalf("row %d (x=%v): Predict %d != PredictRow %d", i, x[i], out[i], want)
+					}
+				}
+			})
+		}
+	}
 }

@@ -1,8 +1,7 @@
 // Row-selection bitmaps. The fused query path evaluates pushed-down
-// predicates block-wise and records survivors in a Selection whose words
-// line up 1:1 with the kernel's 64-row traversal blocks, so scoreRange reads
-// one word per block and skips a block whose word is zero before any tree
-// node is touched.
+// predicates block-wise and records survivors in a Selection. scoreRange
+// reads it a 64-bit word at a time, gathering survivors into blocks of rows
+// to score: a zero word costs one load and no tree node is touched for it.
 package kernel
 
 import (
@@ -112,18 +111,17 @@ func (p Predicate) Eval(r int, row []float32) bool {
 	return evalPred(a, p.Op, p.Value)
 }
 
-// Selection is an immutable row bitmap whose 64-bit words are aligned to
-// the kernel's row blocks (rowBlockSize == 64, so word b covers exactly
-// traversal block b). prefix[b] counts selected rows before word b, which
-// lets parallel workers compute dense output offsets without coordination.
+// Selection is an immutable row bitmap of 64-bit words (word b covers rows
+// [64b, 64b+64)). prefix[b] counts selected rows before word b, which lets
+// parallel workers compute dense output offsets without coordination.
 type Selection struct {
 	words  []uint64
 	prefix []int32 // len == len(words)+1
 	n      int
 }
 
-// selWordBits is the bitmap word width; it must equal rowBlockSize so the
-// fused loop can test one word per traversal block.
+// selWordBits is the bitmap word width; rowBlockSize must be a multiple of
+// it so that a worker's row range never starts inside a word.
 const selWordBits = 64
 
 // SelectionAlign is the row alignment Selection.Slice requires: callers
@@ -258,15 +256,4 @@ func (s *Selection) ForEach(fn func(row, rank int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// gatherBlock extracts the selected row indices of the 64-row block
-// starting at base into rows, returning the survivor count.
-func gatherBlock(w uint64, base int, rows *[rowBlockSize]int32) int {
-	nb := 0
-	for ; w != 0; w &= w - 1 {
-		rows[nb] = int32(base + bits.TrailingZeros64(w))
-		nb++
-	}
-	return nb
 }

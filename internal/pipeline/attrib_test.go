@@ -22,7 +22,11 @@ var attribStages = []string{
 // a seeded query reports per-stage CPU/alloc/bytes-moved costs on the
 // result, on the retained trace, and in the stage metrics.
 func TestAttributionOnSeededQuery(t *testing.T) {
-	p, _, _ := newPipeline(t, 8, 8, 200)
+	// 8192 rows make the scoring stage's output buffer a large (> 32 KiB)
+	// allocation, which the runtime's allocation counter sees at once; a
+	// small one only shows when its P next refills a span, and at 200 rows
+	// the "scoring allocates" check below failed about one run in fifty.
+	p, _, _ := newPipeline(t, 8, 8, 8192)
 	o := obs.NewObserver()
 	o.Attribution = true
 	p.Obs = o

@@ -2,13 +2,18 @@ package pipeline_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"accelscore/internal/dataset"
+	"accelscore/internal/db"
 	"accelscore/internal/forest"
+	"accelscore/internal/hw"
+	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
+	"accelscore/internal/platform"
 )
 
 // TestConcurrentPipeline hammers one shared Pipeline from N goroutines with
@@ -110,5 +115,90 @@ func TestConcurrentPipeline(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Fatalf("eviction path never exercised: %v", st)
+	}
+}
+
+// TestBoundedQueriesShareThePrefixReadOnly: with the hot path on, an @limit
+// query scores the table's published prefix snapshot itself, not a private
+// copy, so every engine has to treat its input as read-only. The same
+// @limit + @where query runs twice on each of the six engines, all twelve at
+// once (under -race a write to the shared cells is a report), every result
+// is checked against score-then-filter, and afterwards the cached prefix is
+// still the published dataset, byte for byte.
+func TestBoundedQueriesShareThePrefixReadOnly(t *testing.T) {
+	const rows, limit = 900, 700
+	data := dataset.Higgs(rows, 5) // binary, so GPU_RAPIDS takes it too
+	tbl, err := db.TableFromDataset("higgs", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := forest.Train(dataset.Higgs(600, 9), forest.ForestConfig{
+		NumTrees: 8, Tree: forest.TrainConfig{MaxDepth: 6}, Seed: 1, Bootstrap: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := platform.New()
+	o := obs.NewObserver()
+	p := &pipeline.Pipeline{DB: db.New(), Runtime: hw.DefaultRuntime(), Registry: tb.Registry,
+		Advisor: tb.Advisor, Cache: pipeline.NewModelCache(4), Obs: o}
+	if err := p.DB.CreateTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DB.StoreModel("higgs_rf", f); err != nil {
+		t.Fatal(err)
+	}
+
+	eta := slices.Index(data.FeatureNames, "lepton_eta")
+	var want []int
+	for i := 0; i < limit; i++ {
+		if data.Row(i)[eta] > 0 {
+			want = append(want, f.PredictClass(data.Row(i)))
+		}
+	}
+	prefix, _, err := tbl.DatasetSnapshotFor(data.FeatureNames, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := slices.Clone(prefix.X)
+
+	engines := tb.Registry.Names()
+	if len(engines) != 6 {
+		t.Fatalf("registry has %d engines, the test means to cover six: %v", len(engines), engines)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(engines))
+	for _, be := range append(engines, engines...) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.ExecQuery(fmt.Sprintf("EXEC sp_score_model @model='higgs_rf', @data='higgs', "+
+				"@backend='%s', @limit=%d, @where='lepton_eta > 0'", be, limit))
+			if err != nil {
+				errs <- fmt.Errorf("%s: %w", be, err)
+			} else if !slices.Equal(res.Predictions, want) {
+				errs <- fmt.Errorf("%s: predictions differ from score-then-filter over the first %d rows", be, limit)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	var sb strings.Builder
+	if err := o.Registry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if allHit := fmt.Sprintf(`%s{event="hit"} %d`, pipeline.MetricSnapshotCacheEventsTotal, 2*len(engines)); !strings.Contains(sb.String(), allHit) {
+		t.Errorf("not every query was served from the published prefix: want %s", allHit)
+	}
+	again, hit, err := tbl.DatasetSnapshotFor(data.FeatureNames, limit)
+	if err != nil || !hit || again != prefix {
+		t.Fatalf("the published prefix was replaced (hit=%v same=%v err=%v)", hit, again == prefix, err)
+	}
+	if !slices.Equal(again.X, published) {
+		t.Fatal("an engine wrote to the shared prefix snapshot")
 	}
 }
