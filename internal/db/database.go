@@ -138,7 +138,7 @@ func (d *Database) StoreModelBlob(name string, blob []byte) error {
 			return fmt.Errorf("%w model %q: %w", ErrJournal, name, err)
 		}
 	}
-	t.insertLocked([]Value{Text(name), Blob(blob)})
+	t.appendLocked([][]Value{{Text(name), Blob(blob)}})
 	return nil
 }
 
@@ -164,10 +164,7 @@ func (d *Database) DeleteModel(name string) error {
 					return fmt.Errorf("%w model delete %q: %w", ErrJournal, name, err)
 				}
 			}
-			for ci := range t.Columns {
-				t.cols[ci] = append(t.cols[ci][:r], t.cols[ci][r+1:]...)
-			}
-			t.bumpVersion()
+			t.dropRowsLocked([]int{r})
 			return nil
 		}
 	}

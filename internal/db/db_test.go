@@ -669,54 +669,3 @@ func TestDeleteModel(t *testing.T) {
 		t.Fatalf("ModelNames after replace = %v", names)
 	}
 }
-
-// TestDatasetSnapshotCachedReportsHits pins the hit flag the pipeline's
-// snapshot-cache counters are built on: miss on first conversion, hit while
-// the table is unchanged, miss again after a mutation.
-func TestDatasetSnapshotCachedReportsHits(t *testing.T) {
-	tbl, err := TableFromDataset("iris", dataset.Iris())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, hit, err := tbl.DatasetSnapshotCached()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("first conversion reported a hit")
-	}
-	d2, hit, err := tbl.DatasetSnapshotCached()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit || d2 != d1 {
-		t.Fatalf("unchanged table: hit=%v, same=%v", hit, d2 == d1)
-	}
-	// DatasetSnapshot delegates to the same cache.
-	d3, err := tbl.DatasetSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 != d1 {
-		t.Fatal("DatasetSnapshot did not serve the cached conversion")
-	}
-	row := make([]Value, len(tbl.Columns))
-	for i, c := range tbl.Columns {
-		switch c.Type {
-		case Float32Col:
-			row[i] = Float(1)
-		case Int64Col:
-			row[i] = Int(0)
-		}
-	}
-	if err := tbl.Insert(row); err != nil {
-		t.Fatal(err)
-	}
-	d4, hit, err := tbl.DatasetSnapshotCached()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit || d4 == d1 {
-		t.Fatal("mutated table served the stale snapshot")
-	}
-}

@@ -172,7 +172,8 @@ func (d *Database) Create(st *CreateStmt) error {
 
 // InsertRows executes an INSERT statement, coercing literals to the column
 // types. All rows are coerced before any is applied or journaled, so a bad
-// statement changes nothing and never reaches the WAL.
+// statement changes nothing and never reaches the WAL; the statement is one
+// mutation (one version step), exactly as its WAL record replays.
 func (d *Database) InsertRows(st *InsertStmt) (int, error) {
 	t, err := d.Table(st.Table)
 	if err != nil {
@@ -206,9 +207,7 @@ func (d *Database) InsertRows(st *InsertStmt) (int, error) {
 			return 0, fmt.Errorf("%w INSERT into %q: %w", ErrJournal, st.Table, err)
 		}
 	}
-	for _, row := range rows {
-		t.insertLocked(row)
-	}
+	t.appendLocked(rows)
 	return len(rows), nil
 }
 
@@ -496,21 +495,7 @@ func (d *Database) Delete(st *DeleteStmt) (int, error) {
 			return 0, fmt.Errorf("%w DELETE from %q: %w", ErrJournal, st.Table, err)
 		}
 	}
-	drop := make(map[int]bool, len(victims))
-	for _, r := range victims {
-		drop[r] = true
-	}
-	n := t.numRowsLocked()
-	for ci := range t.Columns {
-		kept := t.cols[ci][:0]
-		for r := 0; r < n; r++ {
-			if !drop[r] {
-				kept = append(kept, t.cols[ci][r])
-			}
-		}
-		t.cols[ci] = kept
-	}
-	t.bumpVersion()
+	t.dropRowsLocked(victims)
 	return len(victims), nil
 }
 
@@ -528,11 +513,7 @@ func (d *Database) Update(st *UpdateStmt) (int, error) {
 	}
 	t.rowsMu.Lock()
 	defer t.rowsMu.Unlock()
-	type setter struct {
-		col int
-		val Value
-	}
-	var setters []setter
+	set := make(map[int]Value, len(st.Set))
 	for col, lit := range st.Set {
 		ci := t.ColumnIndex(col)
 		if ci < 0 {
@@ -542,7 +523,7 @@ func (d *Database) Update(st *UpdateStmt) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("db: SET %s: %w", col, err)
 		}
-		setters = append(setters, setter{col: ci, val: v})
+		set[ci] = v
 	}
 	rows, err := d.matchRows(t, st.Where)
 	if err != nil {
@@ -557,11 +538,6 @@ func (d *Database) Update(st *UpdateStmt) (int, error) {
 			return 0, fmt.Errorf("%w UPDATE %q: %w", ErrJournal, st.Table, err)
 		}
 	}
-	for _, r := range rows {
-		for _, s := range setters {
-			t.cols[s.col][r] = s.val
-		}
-	}
-	t.bumpVersion()
+	t.assignLocked(rows, set)
 	return len(rows), nil
 }

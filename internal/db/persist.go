@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"accelscore/internal/storage/pagefmt"
@@ -21,13 +22,13 @@ import (
 //	  per column, in schema order: checksummed pages until rows are covered
 //	frame{ "ACSNEND" }
 //
-// Pages stream straight out of the column store — Save never materializes a
-// copy of the data. Every frame and page carries a CRC, so truncation or bit rot
-// anywhere in the file surfaces as a typed error on load, never as a
-// silently wrong table. Pages of one column are contiguous and
-// self-describing (column index, row range), which is what lets a reader
-// recover only a feature subset's pages — the on-disk mirror of
-// DatasetSnapshotFor's projection pruning.
+// Pages stream straight out of the table's vectors — a REAL column by
+// striding the row-major block — so Save never materializes a copy of the
+// data, and Load scatters them back into the block. Every frame and page
+// carries a CRC, so truncation or bit rot anywhere in the file surfaces as a
+// typed error on load, never as a silently wrong table. Pages of one column
+// are contiguous and self-describing (column index, row range), which is
+// what lets a reader recover only a feature subset's pages.
 var snapshotMagic = [8]byte{'A', 'C', 'S', 'N', 'A', 'P', '0', '1'}
 
 const (
@@ -132,20 +133,21 @@ func (t *Table) savePages(w io.Writer, b *pagefmt.Builder, pageBuf *[]byte) erro
 		_, err := w.Write(*pageBuf)
 		return err
 	}
+	width := len(t.realNames)
 	for ci, col := range t.Columns {
 		b.Reset(colType(col.Type), uint32(ci), version, pagefmt.DefaultPayload, emit)
-		src := t.cols[ci]
+		c := &t.cols[ci]
 		var err error
 		for r := 0; r < rows && err == nil; r++ {
 			switch col.Type {
 			case Float32Col:
-				err = b.AddFloat32(src[r].F)
+				err = b.AddFloat32(t.block[r*width+c.pos])
 			case Int64Col:
-				err = b.AddInt64(src[r].I)
+				err = b.AddInt64(c.ints[r])
 			case TextCol:
-				err = b.AddString(src[r].S)
+				err = b.AddString(c.texts[r])
 			default:
-				err = b.AddBytes(src[r].B)
+				err = b.AddBytes(c.blobs[r])
 			}
 		}
 		if err == nil {
@@ -277,63 +279,79 @@ func loadTable(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	for ci, col := range cols {
-		vals, err := loadColumnPages(r, colType(col.Type), uint32(ci), rows)
-		if err != nil {
+		if err := t.loadColumnPages(r, ci, rows); err != nil {
 			return nil, fmt.Errorf("%w: table %q column %q: %v", ErrSnapshotCorrupt, name, col.Name, err)
 		}
-		t.cols[ci] = vals
 	}
+	t.rows = int(rows)
+	t.version.Store(binary.LittleEndian.Uint64(rest[sz:]))
 	return t, nil
 }
 
-// loadColumnPages reads pages for one column until rows cells are decoded.
-func loadColumnPages(r io.Reader, typ pagefmt.ColType, colIndex uint32, rows uint64) ([]Value, error) {
-	vals := make([]Value, 0, min(rows, 1<<20))
+// loadColumnPages reads pages for column ci until rows cells are decoded into
+// its storage. A header's row count sizes at most the first 1<<20 rows; past
+// that, vectors grow as pages really arrive. The block grows by whole rows
+// under the first REAL column's pages; later REAL columns scatter into it.
+func (t *Table) loadColumnPages(r io.Reader, ci int, rows uint64) error {
+	typ, c, w := colType(t.Columns[ci].Type), &t.cols[ci], len(t.realNames)
+	hint := int(min(rows, 1<<20))
+	switch typ {
+	case pagefmt.Float32:
+		t.block = slices.Grow(t.block, max(0, hint*w-len(t.block)))
+	case pagefmt.Int64:
+		c.ints = make([]int64, 0, hint)
+	case pagefmt.Text:
+		c.texts = make([]string, 0, hint)
+	default:
+		c.blobs = make([][]byte, 0, hint)
+	}
 	var got uint64
 	for got < rows {
 		p, err := pagefmt.ReadPage(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if p.Type != typ || p.ColIndex != colIndex {
-			return nil, fmt.Errorf("page for column %d type %d, want column %d type %d",
-				p.ColIndex, p.Type, colIndex, typ)
+		if p.Type != typ || p.ColIndex != uint32(ci) {
+			return fmt.Errorf("page for column %d type %d, want column %d type %d",
+				p.ColIndex, p.Type, ci, typ)
 		}
 		if p.StartRow != got {
-			return nil, fmt.Errorf("page starts at row %d, want %d", p.StartRow, got)
+			return fmt.Errorf("page starts at row %d, want %d", p.StartRow, got)
 		}
 		if got+uint64(p.Rows) > rows {
-			return nil, fmt.Errorf("pages overflow declared row count %d", rows)
+			return fmt.Errorf("pages overflow declared row count %d", rows)
+		}
+		if need := int(got+uint64(p.Rows)) * w; typ == pagefmt.Float32 && need > len(t.block) {
+			t.block = append(t.block, make([]float32, need-len(t.block))...)
 		}
 		cr := pagefmt.NewCellReader(p.Payload)
-		for i := uint32(0); i < p.Rows; i++ {
-			var v Value
+		for end := got + uint64(p.Rows); got < end; got++ {
 			var cellErr error
 			switch typ {
 			case pagefmt.Float32:
-				v.F, cellErr = cr.Float32()
+				t.block[int(got)*w+c.pos], cellErr = cr.Float32()
 			case pagefmt.Int64:
-				v.I, cellErr = cr.Int64()
+				var v int64
+				v, cellErr = cr.Int64()
+				c.ints = append(c.ints, v)
 			case pagefmt.Text:
-				v.S, cellErr = cr.String()
+				var v string
+				v, cellErr = cr.String()
+				c.texts = append(c.texts, v)
 			default:
-				var b []byte
-				b, cellErr = cr.Bytes()
-				if cellErr == nil {
-					v.B = append([]byte(nil), b...)
-				}
+				var v []byte
+				v, cellErr = cr.Bytes()
+				c.blobs = append(c.blobs, slices.Clone(v))
 			}
 			if cellErr != nil {
-				return nil, cellErr
+				return cellErr
 			}
-			vals = append(vals, v)
 		}
 		if cr.Remaining() != 0 {
-			return nil, fmt.Errorf("%d trailing payload bytes", cr.Remaining())
+			return fmt.Errorf("%d trailing payload bytes", cr.Remaining())
 		}
-		got += uint64(p.Rows)
 	}
-	return vals, nil
+	return nil
 }
 
 // SaveFile writes the database to a file.

@@ -12,89 +12,6 @@ import (
 	"accelscore/internal/db"
 )
 
-// TestSnapshotCacheUnderConcurrentWrites hammers DatasetSnapshotCached from
-// reader goroutines while writers insert rows: every snapshot must be
-// internally consistent (the conversion happens outside the snapshot lock,
-// so a torn read would show up as a row-count/version mismatch or a -race
-// report), and after quiescing the cache must serve the final row count.
-func TestSnapshotCacheUnderConcurrentWrites(t *testing.T) {
-	d := db.New()
-	tbl, err := db.NewTable("obs", []db.Column{
-		{Name: "x", Type: db.Float32Col},
-		{Name: "label", Type: db.Int64Col},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert([]db.Value{db.Float(1), db.Int(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CreateTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-
-	const writers, readers, rowsPerWriter = 4, 4, 50
-	var wg sync.WaitGroup
-	errCh := make(chan error, writers+readers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rowsPerWriter; i++ {
-				if err := tbl.Insert([]db.Value{db.Float(float32(w)), db.Int(int64(i % 2))}); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				ds, _, err := tbl.DatasetSnapshotCached()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				// A consistent conversion has exactly one label per row and
-				// every row fully copied.
-				if len(ds.Y) != ds.NumRecords() {
-					errCh <- fmt.Errorf("torn snapshot: %d labels for %d rows", len(ds.Y), ds.NumRecords())
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	wantRows := 1 + writers*rowsPerWriter
-	if got := tbl.NumRows(); got != wantRows {
-		t.Fatalf("table has %d rows, want %d", got, wantRows)
-	}
-	// Quiesced: the next snapshot must see every insert, and the one after
-	// must be the cached copy of the same version.
-	ds, _, err := tbl.DatasetSnapshotCached()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.NumRecords() != wantRows {
-		t.Fatalf("final snapshot has %d rows, want %d", ds.NumRecords(), wantRows)
-	}
-	ds2, hit, err := tbl.DatasetSnapshotCached()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit || ds2 != ds {
-		t.Fatalf("settled snapshot not cached (hit=%v)", hit)
-	}
-}
-
 // TestSelectConsistentUnderMutation runs SELECT scans concurrently with
 // row-mutating UPDATE/DELETE statements: each scan holds the table's read
 // lock for its whole duration, so the match+copy can never observe a
@@ -159,26 +76,45 @@ func TestSelectConsistentUnderMutation(t *testing.T) {
 	}
 }
 
-// TestSubsetSnapshotIsOneVersionUnderWrites: DatasetSnapshotFor with mixed
-// limits — so full entries, prefixes, Head copies and replacements all occur
-// — against concurrent INSERT / UPDATE / DELETE writers. Every dataset a
-// reader gets must be rows [0, limit) of ONE table state, never a mix of
-// two, and must never change after it was returned, although bounded results
-// may now be the cached slice other readers share.
+// TestSubsetSnapshotIsOneVersionUnderWrites: DatasetSnapshotFor against
+// concurrent INSERT / UPDATE / DELETE writers, on both of its paths — the
+// table's own columns, by nil and by name (a view of the live block), and a
+// reordered projection (a gathered copy). Every dataset a reader gets must be
+// rows [0, limit) of ONE table state, never a mix of two, with no spare
+// capacity, and must still hold the same cells once the writers are done:
+// a view shares the table's memory, so an UPDATE or DELETE applied in place
+// would show up here (and as a -race report).
 func TestSubsetSnapshotIsOneVersionUnderWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		features []string
+		cols     []int // the projection as schema indices, for the reference
+		view     bool
+	}{
+		{"view-nil", nil, []int{0, 2}, true},
+		{"view-named", []string{"id", "stamp"}, []int{0, 2}, true},
+		{"gather-reordered", []string{"stamp", "id"}, []int{2, 0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			viewUnderWrites(t, tc.features, tc.cols, tc.view)
+		})
+	}
+}
+
+func viewUnderWrites(t *testing.T, features []string, cols []int, view bool) {
 	const baseRows, writers, readers, stmtsPerWriter, readsPerReader = 200, 2, 4, 60, 150
-	features := []string{"stamp", "id"}
 	d := db.New()
+	// The REAL columns are not adjacent in the schema; they are in the block.
 	tbl, err := db.NewTable("obs", []db.Column{
 		{Name: "id", Type: db.Float32Col},
-		{Name: "stamp", Type: db.Float32Col},
 		{Name: "label", Type: db.Int64Col},
+		{Name: "stamp", Type: db.Float32Col},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < baseRows; i++ {
-		if err := tbl.Insert([]db.Value{db.Float(float32(i)), db.Float(0), db.Int(0)}); err != nil {
+		if err := tbl.Insert([]db.Value{db.Float(float32(i)), db.Int(0), db.Float(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,21 +122,22 @@ func TestSubsetSnapshotIsOneVersionUnderWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// states holds the cells of every table state a reader could have seen:
-	// writers take stateMu around each statement and record the state it
-	// left, so none goes unrecorded (a statement is atomic to readers).
+	// states holds the projected cells of every table state a reader could
+	// have seen, read cell by cell: writers take stateMu around each statement
+	// and record the state it left, so none goes unrecorded (a statement is
+	// atomic to readers).
 	var stateMu sync.Mutex
 	var states [][]float32
-	record := func() error {
-		ref, err := tbl.DatasetFor(features, 0)
-		if err == nil {
-			states = append(states, ref.X)
+	record := func() {
+		var x []float32
+		for _, row := range tbl.Rows() {
+			for _, c := range cols {
+				x = append(x, row[c].F)
+			}
 		}
-		return err
+		states = append(states, x)
 	}
-	if err := record(); err != nil {
-		t.Fatal(err)
-	}
+	record()
 
 	type result struct {
 		limit int
@@ -228,15 +165,15 @@ func TestSubsetSnapshotIsOneVersionUnderWrites(t *testing.T) {
 				stmt := fmt.Sprintf("UPDATE obs SET stamp = %d WHERE id >= %d", stamp, i%7)
 				switch i % 3 {
 				case 1:
-					stmt = fmt.Sprintf("INSERT INTO obs VALUES (%d, %d, 1)", baseRows+stamp, stamp)
+					stmt = fmt.Sprintf("INSERT INTO obs VALUES (%d, 1, %d), (%d, 1, %d)",
+						baseRows+stamp, stamp, baseRows+stamp, -stamp)
 				case 2:
-					stmt = fmt.Sprintf("DELETE FROM obs WHERE id = %d", baseRows+stamp-1)
+					// A base row, so every row behind it moves up.
+					stmt = fmt.Sprintf("DELETE FROM obs WHERE id = %d", stamp)
 				}
 				stateMu.Lock()
 				_, _, err := d.Query(stmt)
-				if err == nil {
-					err = record()
-				}
+				record()
 				stateMu.Unlock()
 				if err != nil {
 					errCh <- fmt.Errorf("%s: %w", stmt, err)
@@ -246,7 +183,6 @@ func TestSubsetSnapshotIsOneVersionUnderWrites(t *testing.T) {
 		}()
 	}
 	results := make([][]result, readers)
-	hits := make([]int, readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
@@ -255,12 +191,10 @@ func TestSubsetSnapshotIsOneVersionUnderWrites(t *testing.T) {
 			for i := 0; i < readsPerReader; i++ {
 				limit := limits[(i+r)%len(limits)]
 				ds, hit, err := tbl.DatasetSnapshotFor(features, limit)
-				if err != nil {
-					errCh <- err
+				if err != nil || hit != view || cap(ds.X) != len(ds.X) {
+					errCh <- fmt.Errorf("limit %d: hit=%v (want %v) len=%d cap=%d err=%v",
+						limit, hit, view, len(ds.X), cap(ds.X), err)
 					return
-				}
-				if hit {
-					hits[r]++
 				}
 				results[r] = append(results[r], result{limit, ds.X, checksum(ds.X)})
 			}
@@ -272,27 +206,40 @@ func TestSubsetSnapshotIsOneVersionUnderWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	totalHits := 0
 	for r, rs := range results {
-		totalHits += hits[r]
 		for i, res := range rs {
 			if checksum(res.x) != res.sum {
 				t.Fatalf("reader %d call %d (limit %d): the dataset changed after it was returned", r, i, res.limit)
 			}
 			matched := slices.ContainsFunc(states, func(state []float32) bool {
 				want := state
-				if res.limit > 0 && res.limit*len(features) < len(state) {
-					want = state[:res.limit*len(features)]
+				if res.limit > 0 && res.limit*len(cols) < len(state) {
+					want = state[:res.limit*len(cols)]
 				}
 				return slices.Equal(res.x, want)
 			})
 			if !matched {
 				t.Fatalf("reader %d call %d (limit %d, %d rows): not rows [0, limit) of any single table state",
-					r, i, res.limit, len(res.x)/len(features))
+					r, i, res.limit, len(res.x)/len(cols))
 			}
 		}
 	}
-	if totalHits == 0 {
-		t.Error("no reader ever hit the cache: the shared-slice path went unexercised")
+
+	// Quiesced: the next call sees every statement, and two calls with no
+	// mutation between them share the block when they are views — the
+	// zero-copy pin — and nothing when they are gathers.
+	a, _, err := tbl.DatasetSnapshotFor(features, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := tbl.DatasetSnapshotFor(features, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.X, states[len(states)-1]) {
+		t.Fatal("the settled table does not read as its final state")
+	}
+	if shared := &a.X[0] == &b.X[0]; shared != view {
+		t.Fatalf("two calls on an unchanged table share memory: %v, want %v", shared, view)
 	}
 }

@@ -1,14 +1,25 @@
 // Package db implements the mini-DBMS substrate that stands in for
 // Microsoft SQL Server in the reproduction (DESIGN.md §2): in-memory tables
-// with a typed columnar schema, a catalog, a model store holding serialized
-// RFX blobs (the paper stores models "in serialized binary form" in database
-// tables, §II), and a T-SQL-subset lexer/parser/executor covering the query
-// shapes the paper's pipeline needs — SELECT projections/filters and
-// EXEC stored-procedure invocations like Fig. 3's model-scoring call.
+// with a typed schema, a catalog, a model store holding serialized RFX blobs
+// (the paper stores models "in serialized binary form" in database tables,
+// §II), and a T-SQL-subset lexer/parser/executor covering the query shapes
+// the paper's pipeline needs — SELECT projections/filters and EXEC
+// stored-procedure invocations like Fig. 3's model-scoring call.
+//
+// Storage. A cell is stored once, typed, in the form its reader wants. Every
+// REAL column of a table lives in ONE row-major []float32 block of width W =
+// the table's REAL columns in schema order — cell (r, c) is
+// block[r*W + pos(c)] — which is exactly the matrix the scoring kernel
+// traverses, so a scoring query reads a view of the block, not a conversion
+// of it (snapshot.go). BIGINT, NVARCHAR and VARBINARY columns are []int64,
+// []string and [][]byte vectors. Value is the cell type of the API boundary
+// (Insert, AppendRows, Cell, Rows, the WAL, the parser); it is built there
+// and never stored.
 package db
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,9 +83,9 @@ func Text(s string) Value { return Value{S: s} }
 // Blob returns a binary cell.
 func Blob(b []byte) Value { return Value{B: b} }
 
-// Table is an in-memory columnar table. It is safe for concurrent use:
-// row access is guarded by a reader/writer lock so parallel scoring queries
-// and SELECTs proceed concurrently while INSERT/DELETE/UPDATE serialize.
+// Table is an in-memory table. It is safe for concurrent use: row access is
+// guarded by a reader/writer lock so parallel scoring queries and SELECTs
+// proceed concurrently while INSERT/DELETE/UPDATE serialize.
 //
 // Locking discipline for package-internal code: exported accessors (Cell,
 // NumRows, Rows, ...) take rowsMu themselves; code that already holds rowsMu
@@ -82,38 +93,42 @@ func Blob(b []byte) Value { return Value{B: b} }
 // never the exported ones, since a nested RLock can deadlock against a
 // queued writer. The schema (Name, Columns) is immutable after NewTable and
 // needs no lock.
+//
+// The never-rewritten invariant: an element of an installed vector (block, or
+// a column's ints/texts/blobs) is written once, when a row is appended, and
+// never again. DatasetSnapshotFor hands out slices of the block that outlive
+// the lock, and this is what makes them snapshots. Appends uphold it by
+// construction — an in-place append writes only beyond every outstanding
+// slice's length, a growing one leaves the old array to its readers — and
+// the two mutations that are not appends, assignLocked (UPDATE) and
+// dropRowsLocked (DELETE, DeleteModel), write into fresh vectors and install
+// those: a copy per statement, on no measured path.
 type Table struct {
 	Name    string
 	Columns []Column
-	// rowsMu guards cols. version is written only while rowsMu is held for
-	// writing, so readers holding the read lock see an exact version.
+	// rowsMu guards rows, block and cols. version is written only while
+	// rowsMu is held for writing, so readers holding the read lock see an
+	// exact version.
 	rowsMu sync.RWMutex
-	// cols[i] holds column i's cells; all columns have equal length.
-	cols [][]Value
-	// version counts mutations; the dataset snapshot cache keys on it.
+	rows   int
+	// block holds the REAL columns, row-major: rows × len(realNames) cells.
+	block []float32
+	// realNames names the REAL columns in schema order (immutable).
+	realNames []string
+	// cols[i] locates column i's cells.
+	cols []column
+	// version counts mutations.
 	version atomic.Uint64
-	// Dataset snapshot cache (DatasetSnapshot): the last conversion of this
-	// table to a dataset, valid while version is unchanged. snapMu guards
-	// only the published pointer — conversion itself runs outside it (see
-	// DatasetSnapshotCached) so a slow conversion never blocks readers that
-	// hit the cache.
-	snapMu      sync.Mutex
-	snap        *dataset.Dataset
-	snapVersion uint64
-	// Column-subset snapshot cache (DatasetSnapshotFor): converted feature
-	// subsets keyed on the projected column list, each valid for the exact
-	// version it observed. This is what lets a 50-column table scored by a
-	// 4-feature model convert (and cache) 4 columns, not 50.
-	subSnapMu sync.Mutex
-	subSnaps  map[string]*subSnapshot
 }
 
-// subSnapshot is one cached column-subset conversion: data holds the first
-// data.NumRecords() rows of the table as of version, every row when full.
-type subSnapshot struct {
-	version uint64
-	data    *dataset.Dataset
-	full    bool
+// column is one schema column's storage. A REAL column has no vector of its
+// own: its cells are at offset pos of each block row. Any other column uses
+// the one vector of its type.
+type column struct {
+	pos   int
+	ints  []int64
+	texts []string
+	blobs [][]byte
 }
 
 // NewTable creates an empty table with the given schema.
@@ -124,8 +139,13 @@ func NewTable(name string, columns []Column) (*Table, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("db: table %q needs at least one column", name)
 	}
+	t := &Table{
+		Name:    name,
+		Columns: append([]Column(nil), columns...),
+		cols:    make([]column, len(columns)),
+	}
 	seen := map[string]bool{}
-	for _, c := range columns {
+	for i, c := range columns {
 		if c.Name == "" {
 			return nil, fmt.Errorf("db: table %q has an unnamed column", name)
 		}
@@ -133,28 +153,24 @@ func NewTable(name string, columns []Column) (*Table, error) {
 			return nil, fmt.Errorf("db: table %q has duplicate column %q", name, c.Name)
 		}
 		seen[c.Name] = true
+		if c.Type == Float32Col {
+			t.cols[i].pos = len(t.realNames)
+			t.realNames = append(t.realNames, c.Name)
+		}
 	}
-	return &Table{
-		Name:    name,
-		Columns: append([]Column(nil), columns...),
-		cols:    make([][]Value, len(columns)),
-	}, nil
+	t.realNames = slices.Clip(t.realNames)
+	return t, nil
 }
 
 // NumRows returns the row count.
 func (t *Table) NumRows() int {
 	t.rowsMu.RLock()
 	defer t.rowsMu.RUnlock()
-	return t.numRowsLocked()
+	return t.rows
 }
 
 // numRowsLocked is NumRows for callers already holding rowsMu.
-func (t *Table) numRowsLocked() int {
-	if len(t.cols) == 0 {
-		return 0
-	}
-	return len(t.cols[0])
-}
+func (t *Table) numRowsLocked() int { return t.rows }
 
 // ColumnIndex returns the index of the named column, or -1.
 func (t *Table) ColumnIndex(name string) int {
@@ -166,9 +182,9 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// Version returns the table's mutation counter. Every Insert, bulk append,
-// DELETE or UPDATE bumps it; caches keyed on it (DatasetSnapshot, and the
-// pipeline's hot path) invalidate automatically.
+// Version returns the table's mutation counter: every statement that changes
+// the table — an Insert, a bulk append of any size, a DELETE or an UPDATE —
+// steps it once, live and on WAL replay alike.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // bumpVersion records a mutation; callers hold rowsMu for writing.
@@ -176,22 +192,50 @@ func (t *Table) bumpVersion() { t.version.Add(1) }
 
 // Insert appends one row. The row length must match the schema.
 func (t *Table) Insert(row []Value) error {
-	if len(row) != len(t.Columns) {
-		return fmt.Errorf("db: table %q: row has %d values, schema has %d columns",
-			t.Name, len(row), len(t.Columns))
+	return t.AppendRows([][]Value{row})
+}
+
+// AppendRows bulk-appends rows (INSERT, WAL replay, bulk loads). All rows
+// are validated against the schema before any is applied, so a bad batch
+// changes nothing, and the whole batch is one mutation: one lock hold, one
+// version step.
+func (t *Table) AppendRows(rows [][]Value) error {
+	for i, row := range rows {
+		if len(row) != len(t.Columns) {
+			return fmt.Errorf("db: table %q: row %d has %d values, schema has %d columns",
+				t.Name, i, len(row), len(t.Columns))
+		}
 	}
 	t.rowsMu.Lock()
 	defer t.rowsMu.Unlock()
-	t.insertLocked(row)
+	t.appendLocked(rows)
 	return nil
 }
 
-// insertLocked appends a schema-length row; callers hold rowsMu for writing
-// and have validated the length.
-func (t *Table) insertLocked(row []Value) {
-	for i, v := range row {
-		t.cols[i] = append(t.cols[i], v)
+// appendLocked appends schema-width rows as one mutation; callers hold rowsMu
+// for writing. The block is row-major over the REAL columns in schema order,
+// so walking a row in schema order lays its REAL cells down in place.
+func (t *Table) appendLocked(rows [][]Value) {
+	if len(rows) == 0 {
+		return
 	}
+	t.block = slices.Grow(t.block, len(rows)*len(t.realNames))
+	for _, row := range rows {
+		for ci := range t.cols {
+			c := &t.cols[ci]
+			switch t.Columns[ci].Type {
+			case Float32Col:
+				t.block = append(t.block, row[ci].F)
+			case Int64Col:
+				c.ints = append(c.ints, row[ci].I)
+			case TextCol:
+				c.texts = append(c.texts, row[ci].S)
+			default:
+				c.blobs = append(c.blobs, row[ci].B)
+			}
+		}
+	}
+	t.rows += len(rows)
 	t.bumpVersion()
 }
 
@@ -208,55 +252,101 @@ func (t *Table) AppendIntRows(vals []int) error {
 	}
 	t.rowsMu.Lock()
 	defer t.rowsMu.Unlock()
-	base := len(t.cols[0])
-	t.cols[0] = append(t.cols[0], make([]Value, len(vals))...)
-	dst := t.cols[0][base:]
-	// The appended cells are zeroed: setting the one field skips copying
-	// (and write-barriering) the whole pointer-carrying Value per row.
-	for i, v := range vals {
-		dst[i].I = int64(v)
+	ints := slices.Grow(t.cols[0].ints, len(vals))
+	for _, v := range vals {
+		ints = append(ints, int64(v))
 	}
+	t.cols[0].ints = ints
+	t.rows += len(vals)
 	t.bumpVersion()
 	return nil
 }
 
-// AppendRows bulk-appends rows (used by WAL replay and bulk loads). All rows
-// are validated against the schema before any is applied, so a bad batch
-// changes nothing, and the whole batch costs a single version bump.
-func (t *Table) AppendRows(rows [][]Value) error {
-	for i, row := range rows {
-		if len(row) != len(t.Columns) {
-			return fmt.Errorf("db: table %q: row %d has %d values, schema has %d columns",
-				t.Name, i, len(row), len(t.Columns))
-		}
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	t.rowsMu.Lock()
-	defer t.rowsMu.Unlock()
-	for ci := range t.cols {
-		base := len(t.cols[ci])
-		t.cols[ci] = append(t.cols[ci], make([]Value, len(rows))...)
-		dst := t.cols[ci][base:]
-		for ri, row := range rows {
-			dst[ri] = row[ci]
+// assignLocked sets column ci to set[ci] in every one of rows — an UPDATE —
+// and steps the version; callers hold rowsMu for writing. Each vector it
+// touches is cloned first and the clone installed (the never-rewritten
+// invariant, see Table).
+func (t *Table) assignLocked(rows []int, set map[int]Value) {
+	w, blockCloned := len(t.realNames), false
+	for ci, v := range set {
+		c := &t.cols[ci]
+		switch t.Columns[ci].Type {
+		case Float32Col:
+			if !blockCloned {
+				t.block, blockCloned = slices.Clone(t.block), true
+			}
+			for _, r := range rows {
+				t.block[r*w+c.pos] = v.F
+			}
+		case Int64Col:
+			c.ints = slices.Clone(c.ints)
+			for _, r := range rows {
+				c.ints[r] = v.I
+			}
+		case TextCol:
+			c.texts = slices.Clone(c.texts)
+			for _, r := range rows {
+				c.texts[r] = v.S
+			}
 		}
 	}
 	t.bumpVersion()
-	return nil
+}
+
+// dropRowsLocked removes the given rows (ascending, distinct) — a DELETE —
+// and steps the version; callers hold rowsMu for writing. Every vector is
+// rebuilt without them and the rebuilt one installed (the never-rewritten
+// invariant, see Table), which also lets go of whatever the dropped cells
+// referenced.
+func (t *Table) dropRowsLocked(drop []int) {
+	t.block = without(t.block, drop, len(t.realNames))
+	for ci := range t.cols {
+		c := &t.cols[ci]
+		switch t.Columns[ci].Type {
+		case Int64Col:
+			c.ints = without(c.ints, drop, 1)
+		case TextCol:
+			c.texts = without(c.texts, drop, 1)
+		case BlobCol:
+			c.blobs = without(c.blobs, drop, 1)
+		}
+	}
+	t.rows -= len(drop)
+	t.bumpVersion()
+}
+
+// without returns a fresh vector holding v minus the rows in drop (ascending,
+// distinct), a row being width consecutive elements.
+func without[T any](v []T, drop []int, width int) []T {
+	out := make([]T, 0, len(v)-len(drop)*width)
+	from := 0
+	for _, r := range drop {
+		out = append(out, v[from*width:r*width]...)
+		from = r + 1
+	}
+	return append(out, v[from*width:]...)
 }
 
 // Cell returns the value at (row, col).
 func (t *Table) Cell(row, col int) Value {
 	t.rowsMu.RLock()
 	defer t.rowsMu.RUnlock()
-	return t.cols[col][row]
+	return t.cellLocked(row, col)
 }
 
 // cellLocked is Cell for callers already holding rowsMu.
 func (t *Table) cellLocked(row, col int) Value {
-	return t.cols[col][row]
+	c := &t.cols[col]
+	switch t.Columns[col].Type {
+	case Float32Col:
+		return Value{F: t.block[row*len(t.realNames)+c.pos]}
+	case Int64Col:
+		return Value{I: c.ints[row]}
+	case TextCol:
+		return Value{S: c.texts[row]}
+	default:
+		return Value{B: c.blobs[row]}
+	}
 }
 
 // Rows materializes all rows (copies).
@@ -268,13 +358,14 @@ func (t *Table) Rows() [][]Value {
 
 // rowsLocked is Rows for callers already holding rowsMu.
 func (t *Table) rowsLocked() [][]Value {
-	out := make([][]Value, t.numRowsLocked())
+	nc := len(t.Columns)
+	out := make([][]Value, t.rows)
+	cells := make([]Value, t.rows*nc)
 	for r := range out {
-		row := make([]Value, len(t.Columns))
-		for c := range t.Columns {
-			row[c] = t.cols[c][r]
+		out[r] = cells[r*nc : (r+1)*nc : (r+1)*nc]
+		for c := range out[r] {
+			out[r][c] = t.cellLocked(r, c)
 		}
-		out[r] = row
 	}
 	return out
 }
@@ -284,28 +375,23 @@ func (t *Table) rowsLocked() [][]Value {
 func (t *Table) SizeBytes() int64 {
 	t.rowsMu.RLock()
 	defer t.rowsMu.RUnlock()
-	var total int64
-	for ci, col := range t.Columns {
-		switch col.Type {
-		case Float32Col:
-			total += int64(len(t.cols[ci])) * 4
-		case Int64Col:
-			total += int64(len(t.cols[ci])) * 8
-		case TextCol:
-			for _, v := range t.cols[ci] {
-				total += int64(len(v.S))
-			}
-		case BlobCol:
-			for _, v := range t.cols[ci] {
-				total += int64(len(v.B))
-			}
+	total := int64(len(t.block)) * 4
+	for ci := range t.cols {
+		c := &t.cols[ci]
+		total += int64(len(c.ints)) * 8
+		for _, s := range c.texts {
+			total += int64(len(s))
+		}
+		for _, b := range c.blobs {
+			total += int64(len(b))
 		}
 	}
 	return total
 }
 
 // TableFromDataset converts a dataset into a table: one REAL column per
-// feature, plus a BIGINT "label" column when labels are present.
+// feature, plus a BIGINT "label" column when labels are present. The feature
+// matrix is already in block layout, so it is copied in bulk.
 func TableFromDataset(name string, d *dataset.Dataset) (*Table, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -314,128 +400,49 @@ func TableFromDataset(name string, d *dataset.Dataset) (*Table, error) {
 	for _, f := range d.FeatureNames {
 		cols = append(cols, Column{Name: f, Type: Float32Col})
 	}
-	hasLabels := len(d.Y) > 0
-	if hasLabels {
+	if len(d.Y) > 0 {
 		cols = append(cols, Column{Name: "label", Type: Int64Col})
 	}
 	t, err := NewTable(name, cols)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < d.NumRecords(); i++ {
-		row := make([]Value, 0, len(cols))
-		for _, f := range d.Row(i) {
-			row = append(row, Float(f))
-		}
-		if hasLabels {
-			row = append(row, Int(int64(d.Y[i])))
-		}
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
+	if d.NumRecords() == 0 {
+		return t, nil
 	}
+	// One mutation, as the CREATE TABLE record it is journaled as replays.
+	t.rows, t.block = d.NumRecords(), slices.Clone(d.X)
+	if len(d.Y) > 0 {
+		labels := make([]int64, len(d.Y))
+		for i, y := range d.Y {
+			labels[i] = int64(y)
+		}
+		t.cols[len(cols)-1].ints = labels
+	}
+	t.bumpVersion()
 	return t, nil
 }
 
-// DatasetSnapshot returns the table converted to a dataset, cached until
-// the table's next mutation: repeated scoring queries over an unchanged
-// table skip the O(rows x cols) cell-by-cell conversion entirely (the
-// paper's data pre-processing overhead, §IV-E). The returned dataset is
-// shared — callers must treat it as read-only. Safe for concurrent use.
-func (t *Table) DatasetSnapshot() (*dataset.Dataset, error) {
-	d, _, err := t.DatasetSnapshotCached()
-	return d, err
-}
-
-// DatasetSnapshotCached is DatasetSnapshot plus a hit report: hit is true
-// when the cached conversion was served unchanged, false when the table had
-// to be re-converted.
-//
-// The conversion runs outside snapMu (double-checked publish): holding the
-// lock across the whole table→dataset conversion would serialize every
-// concurrent reader of the table behind one converter. Instead the cached
-// pointer is checked under the lock, the conversion runs under only the
-// table's read lock (so concurrent cache hits and other readers proceed),
-// and the result is re-published under snapMu keyed by the exact version the
-// conversion observed — a stale converter can never overwrite a newer
-// snapshot because publication requires its version to be >= the resident
-// one.
-func (t *Table) DatasetSnapshotCached() (*dataset.Dataset, bool, error) {
-	v := t.Version()
-	t.snapMu.Lock()
-	if t.snap != nil && t.snapVersion == v {
-		d := t.snap
-		t.snapMu.Unlock()
-		return d, true, nil
-	}
-	t.snapMu.Unlock()
-
-	d, dv, err := t.convertDataset()
-	if err != nil {
-		return nil, false, err
-	}
-
-	t.snapMu.Lock()
-	if t.snap == nil || dv >= t.snapVersion {
-		t.snap, t.snapVersion = d, dv
-	}
-	t.snapMu.Unlock()
-	return d, false, nil
-}
-
-// convertDataset converts the table under its read lock, returning the
-// exact version the conversion observed (version writes happen only under
-// the write lock, so the pair is consistent).
-func (t *Table) convertDataset() (*dataset.Dataset, uint64, error) {
-	t.rowsMu.RLock()
-	defer t.rowsMu.RUnlock()
-	v := t.version.Load()
-	d, err := t.datasetLocked()
-	return d, v, err
-}
-
-// DatasetFromTable converts a table's REAL columns back into a dataset; a
-// BIGINT column named "label" becomes the labels.
+// DatasetFromTable converts a table's REAL columns back into a dataset the
+// caller owns; a BIGINT column named "label" becomes the labels. Scoring
+// does not come through here — it reads a view (DatasetSnapshotFor).
 func DatasetFromTable(t *Table) (*dataset.Dataset, error) {
 	t.rowsMu.RLock()
 	defer t.rowsMu.RUnlock()
-	return t.datasetLocked()
-}
-
-// datasetLocked is the conversion body; callers hold rowsMu.
-func (t *Table) datasetLocked() (*dataset.Dataset, error) {
-	d := &dataset.Dataset{Name: t.Name}
-	var featureCols []int
-	labelCol := -1
-	for i, c := range t.Columns {
-		switch {
-		case c.Type == Float32Col:
-			featureCols = append(featureCols, i)
-			d.FeatureNames = append(d.FeatureNames, c.Name)
-		case c.Type == Int64Col && c.Name == "label":
-			labelCol = i
-		}
-	}
-	if len(featureCols) == 0 {
+	if len(t.realNames) == 0 {
 		return nil, fmt.Errorf("db: table %q has no REAL feature columns", t.Name)
 	}
-	n := t.numRowsLocked()
-	d.X = make([]float32, 0, n*len(featureCols))
-	maxLabel := -1
-	for r := 0; r < n; r++ {
-		for _, ci := range featureCols {
-			d.X = append(d.X, t.cellLocked(r, ci).F)
+	d := &dataset.Dataset{Name: t.Name, FeatureNames: slices.Clone(t.realNames), X: slices.Clone(t.block)}
+	if ci := t.ColumnIndex("label"); ci >= 0 && t.Columns[ci].Type == Int64Col {
+		maxLabel := -1
+		d.Y = make([]int, t.rows)
+		for r, y := range t.cols[ci].ints {
+			d.Y[r] = int(y)
+			maxLabel = max(maxLabel, int(y))
 		}
-		if labelCol >= 0 {
-			y := int(t.cellLocked(r, labelCol).I)
-			d.Y = append(d.Y, y)
-			if y > maxLabel {
-				maxLabel = y
-			}
+		for c := 0; c <= maxLabel; c++ {
+			d.ClassNames = append(d.ClassNames, fmt.Sprintf("class_%d", c))
 		}
-	}
-	for c := 0; c <= maxLabel; c++ {
-		d.ClassNames = append(d.ClassNames, fmt.Sprintf("class_%d", c))
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

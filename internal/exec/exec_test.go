@@ -589,8 +589,8 @@ func TestHammerMixedWorkload(t *testing.T) {
 		t.Fatalf("not drained: queued=%d running=%d", e.Queued(), e.Running())
 	}
 
-	// Snapshot invalidation: a new row must be visible to the next scoring
-	// query (version-keyed snapshot cache can't serve the stale dataset).
+	// A new row must be visible to the next scoring query, which reads a
+	// view of the table as it stands.
 	if _, err := e.ExecQuery("INSERT INTO iris VALUES (5.1, 3.5, 1.4, 0.2, 0)"); err != nil {
 		t.Fatal(err)
 	}

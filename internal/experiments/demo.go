@@ -123,6 +123,6 @@ func (d *Demo) HotPathReport() (string, error) {
 	sb.WriteString("\ncache counters: " + d.Pipe.Cache.Stats().String() + "\n")
 	sb.WriteString("\nOn a hit the query skips blob deserialization, stats computation and\n" +
 		"kernel lowering; model pre-processing collapses to a checksum check and\n" +
-		"the input table is served from the version-keyed dataset snapshot.\n")
+		"the input table is scored in place, as a view of its row-major block.\n")
 	return sb.String(), nil
 }

@@ -1,5 +1,5 @@
 // Fusion benchmark: fused scoring (WHERE pushed into the kernel, projected
-// snapshots) against the pre-fusion client flow (score every row, filter the
+// inputs) against the pre-fusion client flow (score every row, filter the
 // materialized predictions afterwards) over a selectivity x table-width
 // matrix.
 //
@@ -11,10 +11,11 @@
 // harness, exactly as a pre-fusion client had to.
 //
 // Projection pruning is measured separately, as a conversion microbenchmark
-// per table: the legacy full-width snapshot cannot even feed the engines when
-// the table carries non-feature REAL columns (they validate the feature
-// count), so its cost is compared to the pruned conversion directly rather
-// than through a query that would be rejected.
+// per table (db.Table.DatasetFor: a copy of the row-major block full-width, a
+// gather of the feature columns pruned): the full-width dataset cannot even
+// feed the engines when the table carries non-feature REAL columns (they
+// validate the feature count), so its cost is compared to the pruned
+// conversion directly rather than through a query that would be rejected.
 package harness
 
 import (
@@ -76,7 +77,7 @@ type FusionTableStat struct {
 	Table       string `json:"table"`
 	RealColumns int    `json:"real_columns"`
 	FeatureCols int    `json:"feature_columns"`
-	// Median conversion time of a full-width vs a feature-pruned snapshot.
+	// Median time to copy out every REAL column vs only the model's features.
 	ConvertFullNS   int64   `json:"convert_full_ns"`
 	ConvertPrunedNS int64   `json:"convert_pruned_ns"`
 	ConvertSpeedup  float64 `json:"convert_speedup"`
@@ -178,7 +179,7 @@ func RunFusionBench(cfg FusionBenchConfig) (*FusionBenchReport, error) {
 	return rep, nil
 }
 
-// convertStat measures full-width vs feature-pruned snapshot conversion on
+// convertStat measures full-width vs feature-pruned dataset conversion on
 // one table — the projection-pruning win, isolated from scoring.
 func convertStat(cfg FusionBenchConfig, d *db.Database, spec fusionTableSpec, features []string) (*FusionTableStat, error) {
 	tbl, err := d.Table(spec.name)

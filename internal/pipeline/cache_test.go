@@ -251,7 +251,8 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // TestSnapshotCacheInvalidatedByInsert: appending rows to the scored table
-// must be visible to the next query (the snapshot is version-keyed).
+// must be visible to the next query (which views the table's live block; the
+// name dates from the version-keyed snapshot cache).
 func TestSnapshotCacheInvalidatedByInsert(t *testing.T) {
 	p, _, _ := newCachedPipeline(t, 2, 6, 50)
 	q := "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='CPU_SKLearn'"
@@ -270,7 +271,7 @@ func TestSnapshotCacheInvalidatedByInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Predictions) != 51 {
-		t.Fatalf("post-insert rows = %d, snapshot cache stale", len(res.Predictions))
+		t.Fatalf("post-insert rows = %d, the query scored a stale table", len(res.Predictions))
 	}
 }
 

@@ -47,8 +47,8 @@ func TestObserverPublishesQueryMetrics(t *testing.T) {
 		pipeline.MetricBackendSelectedTotal + `{backend="CPU_SKLearn",source="param"} 3`,
 		pipeline.MetricModelCacheEventsTotal + `{event="miss"} 1`,
 		pipeline.MetricModelCacheEventsTotal + `{event="hit"} 2`,
-		pipeline.MetricSnapshotCacheEventsTotal + `{event="hit"} 2`,
-		pipeline.MetricSnapshotCacheEventsTotal + `{event="miss"} 1`,
+		// The iris table is the model's own columns: all three are views.
+		pipeline.MetricSnapshotCacheEventsTotal + `{event="hit"} 3`,
 		pipeline.MetricModelCacheEntries + " 1",
 		pipeline.MetricQueryWallSeconds + "_count 3",
 	} {

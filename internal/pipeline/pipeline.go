@@ -76,8 +76,10 @@ const (
 	MetricModelCacheEventsTotal = "accelscore_model_cache_events_total"
 	// MetricModelCacheEntries gauges the resident compiled models.
 	MetricModelCacheEntries = "accelscore_model_cache_entries"
-	// MetricSnapshotCacheEventsTotal counts dataset snapshot-cache activity
-	// {event="hit"|"miss"}.
+	// MetricSnapshotCacheEventsTotal counts how scoring inputs left the table
+	// {event="hit"|"miss"}: hit is a view of the table's own block, miss a
+	// gathered copy (db.Table.DatasetSnapshotFor). The name predates the
+	// block layout, when hit meant a cached conversion.
 	MetricSnapshotCacheEventsTotal = "accelscore_snapshot_cache_events_total"
 	// MetricEstimatesTotal counts Estimate calls {backend=<engine name>}.
 	MetricEstimatesTotal = "accelscore_estimates_total"
@@ -132,9 +134,10 @@ type Pipeline struct {
 	DefaultBackend string
 	// Cache, when set, enables the hot path: compiled models (deserialized
 	// forest + flat kernel form + stats) are reused across queries keyed by
-	// model name and blob checksum, and input tables are converted to
-	// datasets through their version-keyed snapshot cache. Nil reproduces
-	// the paper's baseline, which redoes all pre-processing per query.
+	// model name and blob checksum, and input tables are scored in place —
+	// the dataset is a view of the table's block, not a conversion. Nil
+	// reproduces the paper's baseline, which redoes all pre-processing
+	// (model and a copying data conversion) per query.
 	Cache *ModelCache
 	// Obs, when set, publishes per-query telemetry: stage/backend latency
 	// histograms, query/error/cache/advisor counters into Obs.Registry, and
@@ -483,9 +486,9 @@ func (p *Pipeline) ExecScoreBatchCtx(ctx context.Context, reqs []*ScoreRequest) 
 
 	// DBMS side: fetch the model blob once, resolve the model BEFORE any row
 	// leaves the column store — its feature names drive projection pruning —
-	// then fetch each request's input rows. With the hot path enabled, the
-	// (pruned) table->dataset conversion comes from the table's
-	// version-keyed subset-snapshot cache instead of being redone per query.
+	// then fetch each request's input rows. With the hot path enabled the
+	// dataset is a view of the table's own block whenever the model reads the
+	// table's REAL columns as they stand, and a gathered copy otherwise.
 	blob, err := p.DB.LoadModelBlob(first.Model)
 	if err != nil {
 		return nil, err
@@ -501,7 +504,7 @@ func (p *Pipeline) ExecScoreBatchCtx(ctx context.Context, reqs []*ScoreRequest) 
 			return nil, err
 		}
 		// Projection pruning + @limit pushdown: only the model's feature
-		// columns convert, and only the first @limit rows are ever read.
+		// columns, and only the first @limit rows, ever leave the table.
 		features := projectionFor(tbl, rm.f.FeatureNames)
 		var data *dataset.Dataset
 		if p.Cache != nil {
@@ -513,7 +516,7 @@ func (p *Pipeline) ExecScoreBatchCtx(ctx context.Context, reqs []*ScoreRequest) 
 					ev = "hit"
 				}
 				reg.Counter(MetricSnapshotCacheEventsTotal,
-					"Dataset snapshot cache activity on the scoring-query input path.",
+					"Scoring inputs served as a view of the table's block (hit) or as a gathered copy (miss).",
 					"event", ev).Inc()
 			}
 		} else {
