@@ -1,6 +1,7 @@
 // Command router is the scatter-gather front of the scale-out serving tier.
-// It hash-partitions each scoring query's rows across N serve shards (FNV
-// over the stable row ordinal; ?tenant= switches to tenant-affine routing),
+// It hash-partitions each scoring query's rows across up to N serve shards
+// (FNV over the stable row ordinal; a statement whose @limit is too small to
+// repay a scatter, and every ?tenant= query, goes to one shard whole),
 // scatters one sub-query per partition to the shards the health state
 // machine lets take traffic, and merges the shard results into a single
 // answer bit-identical to a single-node run. A dead shard's partition

@@ -47,9 +47,10 @@ func (s wiredShard) Score(ctx context.Context, req router.Request) (*router.Resu
 // case: a router over three in-process (router.Local) shards, each a full
 // replica of the case's data, must produce results bit-identical to a
 // single-node pipeline run of the same statement — for every engine, for a
-// full scan, for tenant-affine routing, for a pushed-down @where whose
-// selection bitmap is split across the hash partitions, and for the fused
-// GROUP BY aggregate whose per-shard histograms are summed at the gather.
+// full scan, for tenant-affine routing, for a bounded scan too small to
+// scatter, for a pushed-down @where whose selection bitmap is split across
+// the hash partitions, and for the fused GROUP BY aggregate whose per-shard
+// histograms are summed at the gather.
 // Any divergence here means the hash partitioning, the sub-query scatter or
 // the k-way ordinal merge reordered, dropped or double-counted rows.
 func (r *Runner) scaleoutChecks(rep *Report, c Case, ref *Reference) {
@@ -159,39 +160,46 @@ func (r *Runner) scaleoutChecks(rep *Report, c Case, ref *Reference) {
 			rep.pass(c.Name, name, "scaleout-tenant")
 		}
 
+		// leg runs one statement on the single node and through the router;
+		// diff returns "" when the two results are identical.
+		leg := func(check, sql string, diff func(*router.Merged, *pipeline.QueryResult) string) {
+			base, err := single.ExecQuery(sql)
+			if err != nil {
+				rep.skip(c.Name, name, check, err.Error())
+			} else if m, err := rt.Query(ctx, sql, router.QueryOptions{}); err != nil {
+				rep.fail(c.Name, name, check, err.Error())
+			} else if detail := diff(m, base); detail != "" {
+				rep.fail(c.Name, name, check, detail)
+			} else {
+				rep.pass(c.Name, name, check)
+			}
+		}
+
+		// Bounded scan: an @limit worth less than one partition is not
+		// scattered at all. The one unpartitioned sub-query still crosses a
+		// wire, on whichever shard the rotation homes it, and must equal the
+		// single-node run of the same prefix.
+		leg("scaleout-bounded", fmt.Sprintf("%s, @limit = %d", scanSQL, c.Data.NumRecords()/2),
+			func(m *router.Merged, base *pipeline.QueryResult) string {
+				if m.Shards != 1 {
+					return fmt.Sprintf("%d rows scattered %d wide, the plan says 1", base.RowsScanned, m.Shards)
+				}
+				return scatterMismatch(m, base)
+			})
+
 		// Pushed-down @where: each shard evaluates the filter over its own
 		// partition, so the selection bitmap is split three ways and the
 		// gather must stitch the surviving ordinals back into single-node
 		// order.
-		whereSQL := fmt.Sprintf(
+		leg("scaleout-where", fmt.Sprintf(
 			"EXEC sp_score_model @model = 'm', @data = 'scoring_input', @backend = '%s', @where = '%s < %g'",
-			name, col, cut)
-		wbase, err := single.ExecQuery(whereSQL)
-		if err != nil {
-			rep.skip(c.Name, name, "scaleout-where", err.Error())
-		} else if wm, err := rt.Query(ctx, whereSQL, router.QueryOptions{}); err != nil {
-			rep.fail(c.Name, name, "scaleout-where", err.Error())
-		} else if detail := scatterMismatch(wm, wbase); detail != "" {
-			rep.fail(c.Name, name, "scaleout-where", detail)
-		} else {
-			rep.pass(c.Name, name, "scaleout-where")
-		}
+			name, col, cut), scatterMismatch)
 
 		// Fused aggregate: per-shard class histograms summed at the gather
 		// must equal the single-node GROUP BY table cell for cell.
-		aggSQL := fmt.Sprintf(
+		leg("scaleout-aggregate", fmt.Sprintf(
 			"SELECT prediction, COUNT(*) FROM PREDICT(@model = 'm', @data = 'scoring_input', @backend = '%s') GROUP BY prediction",
-			name)
-		abase, err := single.ExecQuery(aggSQL)
-		if err != nil {
-			rep.skip(c.Name, name, "scaleout-aggregate", err.Error())
-		} else if am, err := rt.Query(ctx, aggSQL, router.QueryOptions{}); err != nil {
-			rep.fail(c.Name, name, "scaleout-aggregate", err.Error())
-		} else if detail := tableDiff(am.Table, abase.Table); detail != "" {
-			rep.fail(c.Name, name, "scaleout-aggregate", detail)
-		} else {
-			rep.pass(c.Name, name, "scaleout-aggregate")
-		}
+			name), func(m *router.Merged, base *pipeline.QueryResult) string { return tableDiff(m.Table, base.Table) })
 	}
 }
 

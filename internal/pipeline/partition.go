@@ -2,9 +2,10 @@
 // a @partition = 'k/n' parameter that restricts scoring to the k-th of n
 // hash partitions of the scanned rows. Every shard in a scatter-gather
 // deployment holds the same (replicated) table, so the partition is purely a
-// parallelism device: the router fans one query out as n sub-queries, one
+// parallelism device: the router fans one query out as w sub-queries, one
 // partition each, and the union of the partitions is exactly the
-// unpartitioned row set. The assignment hashes the stable row ordinal (the
+// unpartitioned row set. The router picks w per query; width 1 is always
+// the unpartitioned request (no @partition parameter), never '0/1'. The assignment hashes the stable row ordinal (the
 // scan position after @limit pushdown, identical on every replica), so the
 // router can recompute it locally and any shard can serve any partition.
 package pipeline
@@ -32,9 +33,9 @@ type Partition struct {
 }
 
 // Active reports whether the request is restricted to one partition.
-// Count == 1 still counts as active: '0/1' selects every row but keeps the
-// request from coalescing with unpartitioned queries, so a router running
-// with one shard behaves exactly like a router running with many.
+// Count == 1 still counts as active ('0/1' is a spec a caller may send; it
+// selects every row and pays the partition pass), but the router never sends
+// it: a sub-query that is the whole query goes out with the zero Partition.
 func (p Partition) Active() bool { return p.Count > 0 }
 
 // String renders the canonical 'k/n' spec ("" when unpartitioned).

@@ -2,6 +2,7 @@ package router_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -117,6 +118,40 @@ func BenchmarkMerge(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m, err := router.Merge(pipeline.AggNone, parts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchMerged = m
+			}
+		})
+	}
+}
+
+// BenchmarkRouterQuery is the router hop's own layer benchmark: one routed
+// query per iteration through a Router over two loopback shards (HTTPShard →
+// ShardHandler → Local, frames on the wire), on either side of the plan's
+// crossover: @limit 64 is one sub-query, @limit 4096 and an unbounded scan of
+// the 5 000-row table are two.
+func BenchmarkRouterQuery(b *testing.B) {
+	pipe := newShardPipeline(b, 5000)
+	backends := make([]router.Backend, 2)
+	for i := range backends {
+		backends[i] = servedShard(b, &router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: pipe}, nil)
+	}
+	r, err := router.New(router.Config{Backends: backends, WarmModels: []string{"iris_rf"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	for _, q := range []struct{ name, sql string }{
+		{"limit64", boundedSQL},
+		{"limit4096", plainSQL + ", @limit=4096"},
+		{"unbounded", plainSQL},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := r.Query(context.Background(), q.sql, router.QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -133,7 +133,7 @@ func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 						time.AfterFunc(time.Millisecond, cancel) // or leaves mid-flight
 					}
 					width := 1 + int(mix(uint64(id))%uint64(n))
-					results := d.scatter(ctx, parts(n)[:width], behave(id))
+					results := d.scatter(ctx, parts(n)[:width], id%n, behave(id))
 					cancel()
 					routed.Add(int64(width))
 					for _, r := range results {

@@ -46,11 +46,11 @@ func (a *announcingBackend) Score(ctx context.Context, req router.Request) (*rou
 	return a.Backend.Score(ctx, req)
 }
 
-// tenantOnShard0 names a tenant whose queries a two-shard tier homes on
-// shard 0: tenant-affine queries are one sub-query each.
-func tenantOnShard0() string {
+// tenantOn names a tenant whose queries an n-shard tier homes on shard:
+// tenant-affine queries are one sub-query each.
+func tenantOn(shard, n int) string {
 	for i := 0; ; i++ {
-		if tenant := fmt.Sprintf("tenant-%d", i); pipeline.TenantShard(tenant, 2) == 0 {
+		if tenant := fmt.Sprintf("tenant-%d", i); pipeline.TenantShard(tenant, n) == shard {
 			return tenant
 		}
 	}
@@ -84,7 +84,7 @@ func TestRouterBackPressureIsNotShardFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenant := tenantOnShard0()
+	tenant := tenantOn(0, 2)
 	done := make(chan error, 3)
 	query := func() {
 		got, err := r.Query(context.Background(), plainSQL, router.QueryOptions{Tenant: tenant})
@@ -137,7 +137,7 @@ func TestShardBackPressureIsNotShardFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenant := tenantOnShard0()
+	tenant := tenantOn(0, 2)
 	for _, code := range []string{router.CodeRejected, router.CodeInternal} {
 		busy := &scriptedBackend{err: &router.ShardError{Shard: "scripted", Code: code, Msg: "shard says no"}}
 		o := obs.NewObserver()

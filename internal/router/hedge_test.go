@@ -40,7 +40,7 @@ func hedgeCount(reg *obs.Registry, outcome string) float64 {
 // value intact, no error.
 func TestHedgeWinBitIdentical(t *testing.T) {
 	d, reg := hedgeDispatcher(2, 5*time.Millisecond, newHedgeBudget(1, 4))
-	results := d.scatter(context.Background(), parts(1),
+	results := d.scatter(context.Background(), parts(1), 0,
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard == 0 { // primary stalls past the trigger
 				select {
@@ -81,7 +81,7 @@ func TestHedgeWinBitIdentical(t *testing.T) {
 // silently pick one side.
 func TestHedgeMismatchFailsLoudly(t *testing.T) {
 	d, reg := hedgeDispatcher(2, 5*time.Millisecond, newHedgeBudget(1, 4))
-	results := d.scatter(context.Background(), parts(1),
+	results := d.scatter(context.Background(), parts(1), 0,
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard == 0 {
 				// Outlive the trigger, ignore the cancel, answer divergently.
@@ -115,7 +115,7 @@ func TestHedgeBudgetExhaustion(t *testing.T) {
 	}
 	d, reg := hedgeDispatcher(2, time.Millisecond, budget)
 	var hedgeCalls sync.Map
-	results := d.scatter(context.Background(), parts(1),
+	results := d.scatter(context.Background(), parts(1), 0,
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if isHedgeAttempt(ctx) {
 				hedgeCalls.Store(shard, true)
@@ -167,7 +167,7 @@ func TestHedgeSkipsUnhealthyTarget(t *testing.T) {
 	d, reg := hedgeDispatcher(3, time.Millisecond, budget)
 	fail(d.health, 1, 1)
 	fail(d.health, 2, 1)
-	results := d.scatter(context.Background(), parts(1),
+	results := d.scatter(context.Background(), parts(1), 0,
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard != 0 {
 				t.Errorf("hedge reached unhealthy shard %d", shard)
@@ -193,7 +193,7 @@ func TestHedgeSkipsUnhealthyTarget(t *testing.T) {
 func TestRouteErrorLeadsWithPreferredShard(t *testing.T) {
 	d := testDispatcher(3, HealthConfig{}, nil)
 	preferredErr := errors.New("disk on fire")
-	results := d.scatter(context.Background(), parts(3)[1:2], // partition 1 only
+	results := d.scatter(context.Background(), parts(3)[1:2], 1, // partition 1, homed on shard 1
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard == 1 {
 				return nil, preferredErr
@@ -232,13 +232,13 @@ func TestRouteErrorAllQuarantined(t *testing.T) {
 	down := func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 		return nil, errors.New("down")
 	}
-	d.scatter(context.Background(), parts(2), down) // two failures each: both quarantined
+	d.scatter(context.Background(), parts(2), 0, down) // two failures each: both quarantined
 	for i := 0; i < 2; i++ {
 		if s := d.health.State(i); s != ShardQuarantined {
 			t.Fatalf("shard %d is %s, want quarantined", i, s)
 		}
 	}
-	for _, r := range d.scatter(context.Background(), parts(2), down) {
+	for _, r := range d.scatter(context.Background(), parts(2), 0, down) {
 		var re *RouteError
 		if !errors.As(r.Err, &re) || !errors.Is(r.Err, ErrNoShardAvailable) {
 			t.Fatalf("want ErrNoShardAvailable via RouteError, got %v", r.Err)

@@ -19,7 +19,7 @@ import (
 // loopback listener, an HTTPShard pointed at it. wrap (may be nil) sits
 // between the wire and the handler, so a test can pin or damage the
 // representation on the wire.
-func servedShard(t *testing.T, b router.Backend, wrap func(http.Handler) http.Handler) *router.HTTPShard {
+func servedShard(t testing.TB, b router.Backend, wrap func(http.Handler) http.Handler) *router.HTTPShard {
 	t.Helper()
 	h := router.ShardHandler(b)
 	if wrap != nil {

@@ -15,12 +15,12 @@ import (
 type Merged struct {
 	// Predictions holds one class per scored row, ordered by scan ordinal.
 	Predictions []int
-	// ScoredRows lists the global scan ordinals behind Predictions when a
-	// filter or a partial gather restricted them; nil when every scanned
-	// row is present (matching the single-node shape).
+	// ScoredRows lists the global scan ordinals behind Predictions when the
+	// statement filtered or a partial gather lost rows; nil otherwise
+	// (matching the single-node shape).
 	ScoredRows []int
-	// Table is the merged result table ("prediction" column, or the fused
-	// aggregate).
+	// Table is the fused aggregate's result table; nil for a non-aggregate
+	// query, whose result is Predictions.
 	Table *db.Table
 	// ClassCounts is the summed fused-aggregate histogram (nil for
 	// non-aggregate queries).
@@ -156,8 +156,10 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 	// repaired. A result without ScoredRows scored every scanned row
 	// (single-shard or tenant routing): row i is ordinal i.
 	heads := make([]mergeHead, 0, len(present))
-	dense, total, last := true, 0, -1
+	dense, filtered, total, last := true, false, 0, -1
 	for _, r := range present {
+		// Without an aggregate, Fused means a pushed-down WHERE.
+		filtered = filtered || r.Fused
 		h := mergeHead{r: r, rows: r.ScoredRows}
 		if len(r.ScoredRows) == 0 && len(r.Predictions) > 0 && r.RowsScored == r.RowsScanned {
 			h.rows = nil
@@ -177,9 +179,10 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 		}
 	}
 	m.Predictions = make([]int, total)
-	// The ordinals are kept unless they are exactly 0..total-1 (the merge
-	// below proves last is the largest, or fails).
-	if !dense && (m.Partial || total != m.RowsScanned || last != total-1) {
+	// The ordinals are kept when the statement filtered (a single node lists
+	// them even if every row passed), and otherwise unless they are exactly
+	// 0..total-1 (the merge below proves last is the largest, or fails).
+	if !dense && (filtered || m.Partial || total != m.RowsScanned || last != total-1) {
 		m.ScoredRows = make([]int, total)
 	}
 	prev, prevRes := -1, (*Result)(nil)
@@ -208,13 +211,5 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 			heads = heads[:len(heads)-1]
 		}
 	}
-	tbl, err := db.NewTable("predictions", []db.Column{{Name: "prediction", Type: db.Int64Col}})
-	if err != nil {
-		return nil, err
-	}
-	if err := tbl.AppendIntRows(m.Predictions); err != nil {
-		return nil, err
-	}
-	m.Table = tbl
 	return m, nil
 }

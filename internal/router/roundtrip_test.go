@@ -28,8 +28,11 @@ type scriptedBackend struct {
 
 func (b *scriptedBackend) ID() string { return "scripted" }
 
-func (b *scriptedBackend) Score(context.Context, router.Request) (*router.Result, error) {
+func (b *scriptedBackend) Score(ctx context.Context, req router.Request) (*router.Result, error) {
 	b.calls.Add(1)
+	if b.res == nil && b.err == nil {
+		return b.Backend.Score(ctx, req)
+	}
 	return b.res, b.err
 }
 

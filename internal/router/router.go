@@ -59,6 +59,8 @@ type Router struct {
 	// reroutes counts partitions routed away from each preferred shard
 	// (the /healthz per-shard ledger).
 	reroutes []atomic.Uint64
+	// nextHome rotates the home shard of queries narrower than the tier.
+	nextHome atomic.Uint64
 }
 
 // New builds a router over cfg.Backends and, when cfg.WarmModels is set,
@@ -147,8 +149,48 @@ func (r *Router) RerouteCount(i int) uint64 { return r.reroutes[i].Load() }
 // admission control is disabled).
 func (r *Router) AdmissionStats() []AdmissionStats { return r.adm.Stats() }
 
-// Shards returns the scatter width.
+// Shards returns the number of shard replicas, the widest a query scatters.
 func (r *Router) Shards() int { return len(r.cfg.Backends) }
+
+// minPartitionRows is the fewest rows worth a sub-query of their own. A
+// sub-query's fixed cost (a /score round trip, a request decode, a frame
+// encode, the hash-partition pass, its share of the gather barrier) is about
+// 0.3 ms of CPU, and the CPU kernel scores about one row per microsecond on a
+// 64-tree model, so a partition carrying fewer rows costs the tier more than
+// it saves. A constant, not a setting: it stands for a measured crossover
+// (ROADMAP 9(b)), and nothing that runs this tier wants a second value.
+const minPartitionRows = 1024
+
+// plan is the one scatter decision a query gets: its partitions and the home
+// shard, partition k preferring shard (home+k) mod shards. The width is what
+// the rows the statement can touch are worth, ceil(rowBound /
+// minPartitionRows) clamped to [1, shards]; rowBound is the statement's
+// @limit, the only bound the router has without asking a shard, and 0
+// (unbounded) keeps the full width with partition k on shard k. Width 1 is
+// always the unpartitioned sub-query (the zero Partition: the shard skips the
+// hash-partition pass). A tenant is width 1 homed on its own shard; any other
+// query narrower than the tier takes the next home in rotation, so narrow
+// queries load the shards evenly.
+func (r *Router) plan(rowBound int, tenant string) (parts []pipeline.Partition, home int) {
+	n := r.Shards()
+	width := n
+	if rowBound > 0 {
+		width = min(n, (rowBound-1)/minPartitionRows+1)
+	}
+	switch {
+	case tenant != "":
+		width, home = 1, pipeline.TenantShard(tenant, n)
+	case width < n:
+		home = int((r.nextHome.Add(1) - 1) % uint64(n))
+	}
+	parts = make([]pipeline.Partition, width)
+	if width > 1 {
+		for k := range parts {
+			parts[k] = pipeline.Partition{Index: k, Count: width}
+		}
+	}
+	return parts, home
+}
 
 // WarmStatus is one shard's outcome of a warm fan-out.
 type WarmStatus struct {
@@ -186,9 +228,9 @@ func (r *Router) Warm(ctx context.Context, model string) []WarmStatus {
 // QueryOptions modifies one routed query.
 type QueryOptions struct {
 	// Tenant, when non-empty, engages tenant affinity: the whole query
-	// (unpartitioned) routes to the tenant's home shard — FNV over the
-	// tenant key — keeping that tenant's model cache on one replica.
-	// Failures still reroute to other shards.
+	// (width 1) is homed on the tenant's shard — FNV over the tenant key —
+	// keeping that tenant's model cache on one replica. Failures still
+	// reroute to other shards.
 	Tenant string
 	// Class is the query's SLO priority class for admission control
 	// (see AdmissionConfig.Classes; unknown or empty classes get the
@@ -196,9 +238,9 @@ type QueryOptions struct {
 	Class string
 }
 
-// Query parses sql ONCE, scatters it as one sub-query per hash partition
-// (or one tenant-affine sub-query), and merges the shard results into a
-// single result bit-identical to a single-node run of the same statement.
+// Query parses sql ONCE, scatters it as the sub-queries its plan names, and
+// merges the shard results into a single result bit-identical to a
+// single-node run of the same statement.
 // Only the two scoring forms are accepted: the router is a scoring tier, not
 // a general SQL proxy. A statement it refuses is the caller's error
 // (NoReroute), like one every shard would refuse.
@@ -233,34 +275,21 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 	}
 	defer func() { release(err == nil, time.Since(qStart)) }()
 
-	n := r.Shards()
-	var parts []pipeline.Partition
-	switch {
-	case opts.Tenant != "":
-		// Tenant affinity: one unpartitioned sub-query preferring the
-		// tenant's home shard (Partition.Count=0 scores every row; the
-		// dispatcher's preferred shard is Index % n).
-		parts = []pipeline.Partition{{Index: pipeline.TenantShard(opts.Tenant, n)}}
-	case n == 1:
-		parts = []pipeline.Partition{{}}
-	default:
-		parts = make([]pipeline.Partition, n)
-		for k := range parts {
-			parts[k] = pipeline.Partition{Index: k, Count: n}
-		}
-	}
+	parts, home := r.plan(req.Limit, opts.Tenant)
 
 	tr := r.tracer.Start("router " + req.Model)
 	defer tr.Finish()
 	tr.SetAttr("model", req.Model)
-	tr.SetAttr("shards", fmt.Sprint(n))
+	tr.SetAttr("shards", fmt.Sprint(r.Shards()))
 	tr.SetAttr("scatter_width", fmt.Sprint(len(parts)))
+	tr.SetAttr("row_bound", fmt.Sprint(req.Limit))
+	tr.SetAttr("home", fmt.Sprint(home))
 	if opts.Tenant != "" {
 		tr.SetAttr("tenant", opts.Tenant)
 	}
 
 	base := WireRequest(req)
-	dres := r.disp.scatter(ctx, parts, func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
+	dres := r.disp.scatter(ctx, parts, home, func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 		lane := fmt.Sprintf("shard %d", shard)
 		name := "sub-query"
 		if isHedgeAttempt(ctx) {
@@ -284,7 +313,7 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 	for _, d := range dres {
 		reroutes += d.Reroutes
 		if d.Reroutes > 0 {
-			r.reroutes[d.Part.Index%n].Add(uint64(d.Reroutes))
+			r.reroutes[d.Preferred].Add(uint64(d.Reroutes))
 		}
 		if d.Hedged {
 			hedges++

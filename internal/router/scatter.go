@@ -66,8 +66,11 @@ func IsNoReroute(err error) bool { return err != nil && !rerouteable(err) }
 type dispatchResult struct {
 	// Part is the partition this result covers.
 	Part pipeline.Partition
+	// Preferred is the shard the plan sent the partition to first; Reroutes
+	// are charged to it.
+	Preferred int
 	// Shard is the shard that produced Value (or, when every route failed,
-	// the partition's preferred shard — the original fault).
+	// Preferred — the original fault).
 	Shard int
 	// Reroutes is how many shards failed the partition before Shard.
 	Reroutes int
@@ -167,18 +170,18 @@ func runAttempt(ctx context.Context, shard int, part pipeline.Partition, do Shar
 }
 
 // scatter runs do once per partition, concurrently, and returns one
-// dispatchResult per partition in input order. Partition k prefers shard
-// k mod shards; a failure or a shard not taking traffic routes it onward
-// through the remaining replicas. scatter never fabricates data: a
+// dispatchResult per partition in input order. The k-th partition prefers
+// shard (home+k) mod shards; a failure or a shard not taking traffic routes
+// it onward through the remaining replicas. scatter never fabricates data: a
 // partition with no surviving route carries Err.
-func (d *dispatcher) scatter(ctx context.Context, parts []pipeline.Partition, do ShardFunc) []dispatchResult {
+func (d *dispatcher) scatter(ctx context.Context, parts []pipeline.Partition, home int, do ShardFunc) []dispatchResult {
 	out := make([]dispatchResult, len(parts))
 	var wg sync.WaitGroup
 	for i, part := range parts {
 		wg.Add(1)
 		go func(i int, part pipeline.Partition) {
 			defer wg.Done()
-			out[i] = d.route(ctx, part, do)
+			out[i] = d.route(ctx, part, (home+i)%d.shards, do)
 		}(i, part)
 	}
 	wg.Wait()
@@ -186,10 +189,9 @@ func (d *dispatcher) scatter(ctx context.Context, parts []pipeline.Partition, do
 }
 
 // route tries one partition on its preferred shard and reroutes on failure.
-func (d *dispatcher) route(ctx context.Context, part pipeline.Partition, do ShardFunc) dispatchResult {
+func (d *dispatcher) route(ctx context.Context, part pipeline.Partition, preferred int, do ShardFunc) dispatchResult {
 	n := d.shards
-	preferred := part.Index % n
-	res := dispatchResult{Part: part, Shard: preferred}
+	res := dispatchResult{Part: part, Preferred: preferred, Shard: preferred}
 	start := time.Now()
 	d.budget.earn()
 
@@ -253,7 +255,7 @@ func (d *dispatcher) route(ctx context.Context, part pipeline.Partition, do Shar
 // Unwrap exposes every per-shard attempt error so errors.Is/As keep
 // working across the whole chain.
 type RouteError struct {
-	// Preferred is the partition's home shard (part.Index % shards).
+	// Preferred is the shard the partition was sent to first.
 	Preferred int
 	// Attempts holds each route's failure in attempt order: the preferred
 	// shard's error first, reroute targets after it.

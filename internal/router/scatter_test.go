@@ -40,7 +40,7 @@ func answer(tag string) *Result { return &Result{ShardID: tag, Predictions: []in
 
 func TestScatterHappyPath(t *testing.T) {
 	d := testDispatcher(4, HealthConfig{}, nil)
-	results := d.scatter(context.Background(), parts(4),
+	results := d.scatter(context.Background(), parts(4), 0,
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			return answer(fmt.Sprintf("s%d:p%d", shard, part.Index)), nil
 		})
@@ -67,7 +67,7 @@ func TestScatterHappyPath(t *testing.T) {
 // lands, correct and exactly once, on a healthy replica.
 func TestScatterReroutesDeadShard(t *testing.T) {
 	d := testDispatcher(3, HealthConfig{}, nil)
-	results := d.scatter(context.Background(), parts(3),
+	results := d.scatter(context.Background(), parts(3), 0,
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if shard == 1 {
 				return nil, errors.New("connection refused")
@@ -108,7 +108,7 @@ func TestScatterQuarantinesAndSkipsShard(t *testing.T) {
 	}
 	// Two scatters of partition 0 (preferred shard 0) quarantine it.
 	for i := 0; i < 2; i++ {
-		rs := d.scatter(context.Background(), parts(2)[:1], do)
+		rs := d.scatter(context.Background(), parts(2)[:1], 0, do)
 		if rs[0].Err != nil {
 			t.Fatalf("scatter %d: %v", i, rs[0].Err)
 		}
@@ -117,7 +117,7 @@ func TestScatterQuarantinesAndSkipsShard(t *testing.T) {
 		t.Fatalf("shard 0 is %s, want quarantined", s)
 	}
 	callsBefore := deadCalls
-	rs := d.scatter(context.Background(), parts(2)[:1], do)
+	rs := d.scatter(context.Background(), parts(2)[:1], 0, do)
 	if rs[0].Err != nil || rs[0].Shard != 1 {
 		t.Fatalf("scatter past a quarantined shard: shard=%d err=%v", rs[0].Shard, rs[0].Err)
 	}
@@ -138,7 +138,7 @@ func TestScatterQuarantinesAndSkipsShard(t *testing.T) {
 // fabricated values, every missing partition listed with its error.
 func TestScatterPartialWhenAllRoutesFail(t *testing.T) {
 	d := testDispatcher(2, HealthConfig{}, nil)
-	results := d.scatter(context.Background(), parts(2),
+	results := d.scatter(context.Background(), parts(2), 0,
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			if part.Index == 1 {
 				return nil, errors.New("disk on fire")
@@ -173,7 +173,7 @@ func TestScatterNoRerouteStopsImmediately(t *testing.T) {
 	d := testDispatcher(3, oneStrike(), nil)
 	calls := 0
 	bad := errors.New("unknown model")
-	results := d.scatter(context.Background(), parts(3)[:1],
+	results := d.scatter(context.Background(), parts(3)[:1], 0,
 		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 			calls++
 			return nil, NoReroute(bad)
@@ -198,10 +198,10 @@ func TestScatterAllQuarantined(t *testing.T) {
 		calls++
 		return nil, errors.New("down")
 	}
-	d.scatter(context.Background(), parts(2)[:1], fail) // one failure each: both degraded
-	d.scatter(context.Background(), parts(2)[:1], fail) // a second each: both quarantined
+	d.scatter(context.Background(), parts(2)[:1], 0, fail) // one failure each: both degraded
+	d.scatter(context.Background(), parts(2)[:1], 0, fail) // a second each: both quarantined
 	calls = 0
-	results := d.scatter(context.Background(), parts(2)[:1], fail)
+	results := d.scatter(context.Background(), parts(2)[:1], 0, fail)
 	if !errors.Is(results[0].Err, ErrNoShardAvailable) {
 		t.Fatalf("err = %v, want ErrNoShardAvailable", results[0].Err)
 	}

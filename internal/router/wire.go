@@ -1,7 +1,9 @@
 // Package router implements the sharded scatter-gather serving tier: a
-// front that hash-partitions a scoring query's rows across N data-symmetric
-// shard replicas (every shard holds the full table; FNV over the stable row
-// ordinal assigns each row to exactly one partition), scatters one
+// front over N data-symmetric shard replicas (every shard holds the full
+// table) that picks each scoring query's scatter width from the rows the
+// statement can touch (Router.plan), hash-partitions the rows that many
+// ways (FNV over the stable row ordinal assigns each row to exactly one
+// partition; width 1 is always the unpartitioned sub-query), scatters one
 // sub-query per partition to the shards its health state machine lets take
 // traffic, and merges the shard results — predictions keyed by scan
 // ordinal, class-count histograms summed, simulated O/L/C timelines folded
@@ -15,8 +17,9 @@
 // The paper's question ("is acceleration worth the overheads?") recurs at
 // tier scale: the scatter buys parallel scoring but pays router overheads
 // (serialization, HTTP, the gather barrier's straggler gap) that do not
-// amortize with width. The router measures exactly those costs via
-// accelscore_router_* metrics and per-shard trace tracks.
+// amortize with width, so a query too small to repay them is not scattered.
+// The router measures exactly those costs via accelscore_router_* metrics
+// and per-shard trace tracks.
 package router
 
 import (
