@@ -8,8 +8,8 @@
 //
 //   - default: one scoring stream through the serialized global-mutex
 //     baseline and through the concurrent executor, next to the scheduling
-//     simulator's prediction; -bench runs the executor at 1/4/8 workers with
-//     and without coalescing (BENCH_throughput.json, throughput_bench.md).
+//     simulator's prediction; -bench runs the executor at 1/4/8 workers
+//     (BENCH_throughput.json, throughput_bench.md).
 //   - -chaos: the stream healthy and under a fault plan; faults may cost
 //     latency and availability, never a prediction (CHAOS_report.json).
 //   - -bench-fusion: WHERE pushed into the kernel against
@@ -28,7 +28,7 @@
 //
 //	loadgen [-bench] [-queries 200] [-rows 2048] [-backend CPU_SKLearn]
 //	        [-trees 8,32,128] [-depths 6,10] [-clients 8] [-open] [-slo spec]
-//	        [-workers 0] [-queue 64] [-coalesce 1ms] [-maxbatch 8]
+//	        [-workers 0] [-queue 64]
 //	loadgen -chaos [-faults plan] [-fault-seed 1] [-deadline 2s] [-retries 3]
 //	loadgen -bench-fusion [-selectivities 0.01,0.1,0.5,1] [-repeats 5] [-junk 46]
 //	loadgen -chaos-restart [-serve-bin path] [-kills 3] [-write-for 1s] [-fsync always]
@@ -60,8 +60,6 @@ func main() {
 	flag.StringVar(&o.depths, "depths", "6,10", "comma-separated tree depths for the model zoo")
 	flag.IntVar(&o.workers, "workers", 0, "executor workers (0 = GOMAXPROCS)")
 	flag.IntVar(&o.queueDepth, "queue", 64, "executor admission queue depth")
-	flag.DurationVar(&o.coalesce, "coalesce", time.Millisecond, "longest a batch forming behind a busy model may wait (0 disables)")
-	flag.IntVar(&o.maxBatch, "maxbatch", 8, "max queries merged into one coalesced run")
 	flag.IntVar(&o.clients, "clients", 8, "closed-loop client count")
 	flag.BoolVar(&o.openLoop, "open", false, "replay at generated arrival times instead of closed-loop")
 	flag.StringVar(&o.slo, "slo", "",
@@ -152,14 +150,11 @@ func main() {
 		preset("json", "CHAOS_report.json", "backend", "FPGA", "queries", "120", "rows", "256")
 		run = runChaos
 	case o.bench:
-		// The overhead-dominated regime the paper's Fig. 11 analysis
-		// highlights — big forests scoring a handful of records, where
-		// per-query fixed costs dwarf the inference itself. The objectives
-		// are loose enough that a healthy run on modest hardware meets them,
-		// tight enough that the serialized baseline's queueing shows up as
-		// burned budget.
-		preset("json", "BENCH_throughput.json", "queries", "240", "rows", "4", "trees", "2048",
-			"depths", "8,10", "maxbatch", "4", "slo", "interactive=100ms,batch=1s")
+		// The default stream over the default table. The objectives are loose
+		// enough that a healthy run on modest hardware meets them, tight
+		// enough that the serialized baseline's queueing shows up as burned
+		// budget.
+		preset("json", "BENCH_throughput.json", "slo", "interactive=100ms,batch=1s")
 	}
 	if err := run(&o); err != nil {
 		log.Fatal(err)
@@ -174,11 +169,10 @@ type options struct {
 	serveBin string
 
 	// The generated stream and the executor under it: default, -bench, -chaos.
-	bench, openLoop               bool
-	queries, rows, clients        int
-	backend, trees, depths, slo   string
-	workers, queueDepth, maxBatch int
-	coalesce                      time.Duration
+	bench, openLoop             bool
+	queries, rows, clients      int
+	backend, trees, depths, slo string
+	workers, queueDepth         int
 
 	chaos                    bool
 	faultSpec                string
@@ -224,12 +218,7 @@ func (o *options) loadConfig() harness.LoadConfig {
 
 // execConfig is the executor the flags describe.
 func (o *options) execConfig() exec.Config {
-	return exec.Config{
-		Workers:        o.workers,
-		QueueDepth:     o.queueDepth,
-		CoalesceWindow: o.coalesce,
-		MaxBatch:       o.maxBatch,
-	}
+	return exec.Config{Workers: o.workers, QueueDepth: o.queueDepth}
 }
 
 // parseList parses a comma-separated flag value, e.g. "8,32,128".
@@ -258,9 +247,8 @@ func floatList(s string) []float64 {
 // executor, each against a fresh environment so the model cache and snapshot
 // cache start cold and no run warms another's state. The default mode runs
 // the executor once as configured and prints the simulator's prediction for
-// the same stream; bench runs it at 1/4/8 workers with and without
-// coalescing and writes the markdown table and JSON artifact the repo's
-// benchmark docs reference.
+// the same stream; bench runs it at 1/4/8 workers and writes the markdown
+// table and JSON artifact the repo's benchmark docs reference.
 func runThroughput(o *options) error {
 	cfg, ecfg := o.loadConfig(), o.execConfig()
 	objectives, err := obs.ParseSLOSpec(o.slo)
@@ -272,9 +260,8 @@ func runThroughput(o *options) error {
 	if opt.OpenLoop {
 		mode = "open-loop (generated arrival times)"
 	}
-	log.Printf("loadgen: %d queries, backend %s, %d-row table, models %v x %v, %s, window %v, maxbatch %d",
-		cfg.Queries, cfg.Backend, cfg.TableRows, cfg.TreeChoices, cfg.DepthChoices, mode,
-		ecfg.CoalesceWindow, ecfg.MaxBatch)
+	log.Printf("loadgen: %d queries, backend %s, %d-row table, models %v x %v, %s",
+		cfg.Queries, cfg.Backend, cfg.TableRows, cfg.TreeChoices, cfg.DepthChoices, mode)
 
 	// A nil config is the serialized baseline.
 	type row struct {
@@ -287,11 +274,6 @@ func runThroughput(o *options) error {
 		for _, workers := range []int{1, 4, 8} {
 			rows = append(rows, row{fmt.Sprintf("executor w%d", workers),
 				&exec.Config{Workers: workers, QueueDepth: ecfg.QueueDepth}})
-		}
-		for _, workers := range []int{4, 8} {
-			c := ecfg
-			c.Workers = workers
-			rows = append(rows, row{fmt.Sprintf("executor w%d +coalesce", workers), &c})
 		}
 	}
 	var reports []*harness.LoadReport
@@ -492,13 +474,8 @@ func throughputMarkdown(cfg harness.LoadConfig, opt harness.RunOptions, reports 
 			}
 		}
 	}
-	sb.WriteString("\nEach configuration runs against a fresh environment (cold model cache). ")
-	sb.WriteString("The +coalesce rows run the executor with group-commit coalescing: a query whose " +
-		"(model, backend) is idle runs at once, and the same-model queries that arrive while it runs " +
-		"merge into one pipeline run that starts when it ends, so the per-run model-blob load/checksum, " +
-		"cache probe and invocation charge — the cross-query overheads the paper's Fig. 11 breakdown " +
-		"bills to every invocation — are paid once per batch. The first query of each lock-step wave " +
-		"runs alone. Structural model validation is paid once per cache entry in every row, the " +
-		"serialized baseline included.\n")
+	sb.WriteString("\nEach configuration runs against a fresh environment (cold model cache). " +
+		"One query is one pipeline run in every row; structural model validation is paid once per " +
+		"cache entry, the serialized baseline included.\n")
 	return &sb
 }

@@ -10,14 +10,12 @@
 // chrome://tracing or Perfetto) and /debug/pprof/*.
 //
 // Scoring queries on /query run through the concurrent executor: a bounded
-// admission queue (full queue → 503), a worker pool, and group-commit request
-// coalescing: a query whose model is idle runs at once, and the same-model
-// queries that arrive while it runs merge into one pipeline run that starts
-// when it ends (or after -coalesce, whichever is first).
+// admission queue (full queue → 503), a worker pool, per-device limits and
+// the retry / breaker / fallback policy. One query is one pipeline run.
 //
 // Usage:
 //
-//	serve [-addr :8080] [-workers N] [-queue N] [-coalesce 2ms] [-maxbatch 8]
+//	serve [-addr :8080] [-workers N] [-queue N] [-deadline 0]
 package main
 
 import (
@@ -43,7 +41,7 @@ import (
 
 // server runs live queries against a persistent demo environment. Scoring
 // queries go through the concurrent executor (admission control, worker
-// pool, request coalescing) and hold NO server lock. The obs.Observer is
+// pool, resilience) and hold NO server lock. The obs.Observer is
 // concurrency-safe and shared with the dashboard's pipelines, so /metrics
 // and /debug read it without any lock.
 type server struct {
@@ -184,9 +182,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent query workers (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 64, "admission queue depth; beyond it queries get 503")
-	coalesce := flag.Duration("coalesce", 2*time.Millisecond,
-		"longest a batch forming behind a busy model may wait; 0 disables")
-	maxBatch := flag.Int("maxbatch", 8, "max queries merged into one coalesced scoring run")
 	deadline := flag.Duration("deadline", 0,
 		"default per-query deadline (0 = none); an @timeout in the SQL or ?timeout= on /query overrides it")
 	faultSpec := flag.String("faults", "",
@@ -210,7 +205,7 @@ func main() {
 	shardID := flag.String("shard-id", "",
 		"shard name in a scale-out tier; tags /score results and /healthz")
 	paceScale := flag.Float64("pace-scale", 0,
-		"pace scoring batches to this multiple of their simulated total (0 disables); "+
+		"pace scoring queries to this multiple of their simulated total (0 disables); "+
 			"with -workers 1 each shard behaves like one simulated device")
 	flag.Parse()
 
@@ -231,8 +226,6 @@ func main() {
 	s, handler, err := newServer(*demoRecords, exec.Config{
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
-		CoalesceWindow:  *coalesce,
-		MaxBatch:        *maxBatch,
 		DefaultDeadline: *deadline,
 		PaceScale:       *paceScale,
 	}, *faultSpec, *faultSeed, storeCfg, obsConfig{
@@ -245,8 +238,8 @@ func main() {
 		log.Fatal(err)
 	}
 	// Once the HTTP server has stopped accepting requests, drain the executor
-	// — stop admission, seal the batches still forming, wait for in-flight
-	// scoring (the remaining shutdown budget aborts stragglers). With it
+	// — stop admission, wait for in-flight scoring (the remaining shutdown
+	// budget aborts stragglers). With it
 	// drained no query can reach the database, so the durable store can flush
 	// its final fsync and release the WAL.
 	err = httpapi.Serve(*addr, handler, 60*time.Second, s.exec.Close,
@@ -260,8 +253,7 @@ func main() {
 // executor — no server lock — under the REQUEST's context: the client
 // disconnecting cancels queued work, a ?timeout= duration becomes the
 // query's @timeout, and a full admission queue sheds the request — canceled,
-// timeout and rejected in router.StatusOf's table. Concurrent requests for
-// the same model may coalesce into one pipeline run.
+// timeout and rejected in router.StatusOf's table.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sql := experiments.DemoQuery
 	if to := r.URL.Query().Get("timeout"); to != "" {
@@ -295,7 +287,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(&sb, "records scored   %d\n", len(res.Predictions))
 	fmt.Fprintf(&sb, "model cache      hit=%v\n", res.CacheHit)
-	fmt.Fprintf(&sb, "coalesced batch  %d\n", res.BatchSize)
 	fmt.Fprintf(&sb, "simulated total  %v\n", res.Timeline.Total().Round(time.Microsecond))
 	if s.slo != nil {
 		verdict := "bad (over objective)"

@@ -31,7 +31,7 @@ func startTestServer(t *testing.T) *httptest.Server {
 // pipeline and returns the server state for executor assertions.
 func startTestServerFaults(t *testing.T, faultSpec string) (*httptest.Server, *server) {
 	t.Helper()
-	s, handler, err := newServer(50, exec.Config{CoalesceWindow: 2 * time.Millisecond, MaxBatch: 8}, faultSpec, 7, nil,
+	s, handler, err := newServer(50, exec.Config{}, faultSpec, 7, nil,
 		obsConfig{Attribution: true, SLOSpec: "default=30s"})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func startTestServerFaults(t *testing.T, faultSpec string) (*httptest.Server, *s
 // so tests can kill and reopen the same data directory.
 func startDurableServer(t *testing.T, dir string) (*httptest.Server, *server) {
 	t.Helper()
-	s, handler, err := newServer(50, exec.Config{CoalesceWindow: 2 * time.Millisecond, MaxBatch: 8},
+	s, handler, err := newServer(50, exec.Config{},
 		"", 7, &storage.Config{Dir: dir, Sync: storage.SyncAlways, CompactBytes: -1}, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +214,7 @@ func TestConcurrentQueries(t *testing.T) {
 					t.Errorf("/query = %d", resp.StatusCode)
 					continue
 				}
-				// Even when queries coalesce into one pipeline run, every
-				// response carries its own trace.
+				// Every response carries its own trace.
 				_, after, ok := strings.Cut(string(body), "trace            ")
 				if !ok {
 					t.Error("response missing trace line")

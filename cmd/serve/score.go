@@ -5,7 +5,7 @@
 // protocol itself — both ends — lives in internal/router; this file only
 // supplies the router.Backend that router.ShardHandler serves: structured
 // requests go straight through the concurrent executor, keeping admission
-// control and coalescing on the shard-local scoring path.
+// control and the resilience policy on the shard-local scoring path.
 package main
 
 import (

@@ -9,8 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"accelscore/internal/exec"
 	"accelscore/internal/router"
@@ -25,7 +25,7 @@ func startShardServer(t *testing.T, shardID string) *httptest.Server {
 // shard's pipeline.
 func startFaultyShardServer(t *testing.T, shardID, faultSpec string) *httptest.Server {
 	t.Helper()
-	_, handler, err := newServer(50, exec.Config{CoalesceWindow: 2 * time.Millisecond, MaxBatch: 8},
+	_, handler, err := newServer(50, exec.Config{},
 		faultSpec, 7, nil, obsConfig{ShardID: shardID})
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +102,46 @@ func TestScoreEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body = %d", resp.StatusCode)
+	}
+}
+
+// TestBadQueriesLeaveTheShardServing: a burst of /score requests naming an
+// unknown model is five 400s and nothing else — the CPU device's breaker does
+// not move, so the valid query behind them is a 200, not a 500 that would
+// make the router reroute and charge a healthy shard.
+func TestBadQueriesLeaveTheShardServing(t *testing.T) {
+	ts := startShardServer(t, "shard-0")
+	transitions := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, line := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(line, exec.MetricBreakerTransitionsTotal) {
+				lines = append(lines, line)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	before := transitions()
+	for i := 0; i < 5; i++ {
+		code, res := postScore(t, ts.URL, router.Request{Model: "nope", Data: "iris"})
+		if code != http.StatusBadRequest || res.Code != router.CodeBadRequest {
+			t.Fatalf("bad query %d = %d code %q, want 400 %q", i, code, res.Code, router.CodeBadRequest)
+		}
+	}
+	code, res := postScore(t, ts.URL, router.Request{Model: "iris_rf", Data: "iris"})
+	if code != http.StatusOK || res.Error != "" {
+		t.Fatalf("valid query after the burst = %d, error %q", code, res.Error)
+	}
+	if after := transitions(); after != before {
+		t.Fatalf("breaker transitions moved:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
 

@@ -117,37 +117,6 @@ func (d *Dataset) Replicate(n int) *Dataset {
 	return out
 }
 
-// Concat merges several datasets with identical feature counts into one, in
-// order — the row-merge behind request coalescing: concurrent scoring queries
-// against the same model are scored as a single concatenated batch and the
-// prediction slices fanned back out. Labels are dropped (scoring inputs do
-// not need them) and feature names are taken from the first part.
-func Concat(parts []*Dataset) (*Dataset, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("dataset: Concat of zero datasets")
-	}
-	first := parts[0]
-	f := first.NumFeatures()
-	total := 0
-	for _, p := range parts {
-		if p.NumFeatures() != f {
-			return nil, fmt.Errorf("dataset: Concat feature mismatch: %q has %d features, %q has %d",
-				first.Name, f, p.Name, p.NumFeatures())
-		}
-		total += p.NumRecords()
-	}
-	out := &Dataset{
-		Name:         first.Name,
-		FeatureNames: append([]string(nil), first.FeatureNames...),
-		ClassNames:   append([]string(nil), first.ClassNames...),
-		X:            make([]float32, 0, total*f),
-	}
-	for _, p := range parts {
-		out.X = append(out.X, p.X...)
-	}
-	return out, nil
-}
-
 // Head returns a dataset view of the first n rows (copied). If n exceeds the
 // record count the whole dataset is copied.
 func (d *Dataset) Head(n int) *Dataset {

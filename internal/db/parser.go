@@ -362,8 +362,8 @@ func ParseConditionList(s string) ([]Condition, error) {
 }
 
 // FormatConditions renders conditions canonically ("col <op> value AND ...")
-// so equal predicates format identically — the executor's coalescer keys
-// batches on this string.
+// so equal predicates format identically: the spelling of @where on the
+// router's wire and in trace attributes.
 func FormatConditions(conds []Condition) string {
 	if len(conds) == 0 {
 		return ""

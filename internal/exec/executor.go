@@ -3,20 +3,11 @@
 // ExecQuery" serving with a bounded admission queue (backpressure instead of
 // unbounded pileup), a worker pool, per-device concurrency limits that reuse
 // the scheduling model's device taxonomy (all CPU engines share the host
-// CPU; the GPU and the FPGA each serialize), and request coalescing by group
-// commit: a sp_score_model query whose (model, backend) is idle runs at
-// once, and the queries that arrive while that run is executing are merged
-// into ONE pipeline run that starts when it ends — one Python-invocation
-// charge, one model pre-processing, one backend call over the concatenated
-// rows — with the predictions fanned back out and per-query timelines
-// showing the amortized overhead.
-//
-// This is the serving-side version of the paper's core observation: fixed
-// per-query overheads (O and L in the Fig. 6 taxonomy, process invocation
-// and model pre-processing in Fig. 11) dominate small-batch scoring, so the
-// way to make a stream of small queries fast is to pay those overheads once
-// per batch, not once per query — and never to add one: a batch forms only
-// out of queries that would have queued anyway (see pendingBatch).
+// CPU; the GPU and the FPGA each serialize), and the resilience policy of
+// resilience.go. One query is one pipeline run, as in the paper, which bills
+// its fixed costs (Fig. 11) to the query that incurred them: cross-query
+// request coalescing was measured and retired (DESIGN §7), so a reply —
+// its simulated timeline included — never depends on who it arrived with.
 package exec
 
 import (
@@ -43,19 +34,12 @@ var ErrClosed = errors.New("exec: executor is closed")
 // Metric names the executor publishes into the pipeline's observer.
 const (
 	// MetricQueueDepth gauges queries admitted but not yet executing
-	// (waiting for a worker, a device, or the run their batch forms behind).
+	// (waiting for a worker or a device).
 	MetricQueueDepth = "accelscore_exec_queue_depth"
 	// MetricInflight gauges queries currently executing in the pipeline.
 	MetricInflight = "accelscore_exec_inflight_queries"
 	// MetricRejectedTotal counts queries shed at admission.
 	MetricRejectedTotal = "accelscore_exec_rejected_total"
-	// MetricBatchSize is the histogram of scoring-batch sizes actually
-	// executed (1 = no coalescing happened for that run).
-	MetricBatchSize = "accelscore_exec_coalesced_batch_size"
-	// MetricCoalesceWait is the histogram of what coalescing cost each
-	// query: arrival to its batch sealing (0 for a query that found its key
-	// idle); empty when coalescing is off.
-	MetricCoalesceWait = "accelscore_exec_coalesce_wait_seconds"
 	// MetricRetriesTotal counts re-attempts after retryable faults
 	// {backend}.
 	MetricRetriesTotal = "accelscore_exec_retries_total"
@@ -82,9 +66,6 @@ const (
 	MetricFaultsInjectedTotal = "accelscore_faults_injected_total"
 )
 
-// batchSizeBuckets resolves power-of-two batch sizes up to typical MaxBatch.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32}
-
 // Config tunes the executor. The zero value gets sensible defaults from New.
 type Config struct {
 	// Workers bounds concurrently executing queries (default
@@ -93,12 +74,12 @@ type Config struct {
 	// QueueDepth bounds queries in the system — waiting plus executing.
 	// Beyond it, ExecQuery fails fast with ErrRejected (default 64).
 	QueueDepth int
-	// CoalesceWindow is the longest a batch forming behind a busy
-	// (model, backend) key may wait for that run to end; a query that finds
-	// its key idle never waits. 0 disables coalescing.
+	// CoalesceWindow is ignored: request coalescing is gone. The field stays
+	// only because the frozen benchmark (bench/layers.go) sets it; ROADMAP
+	// 2(b) deletes it at the benchmark's next re-freeze.
 	CoalesceWindow time.Duration
-	// MaxBatch seals a forming batch early when this many queries have
-	// joined (default 16).
+	// MaxBatch is ignored, and stays for the same reason (bench/layers.go,
+	// ROADMAP 2(b)).
 	MaxBatch int
 	// MaxRetries bounds extra attempts after a retryable fault (default 2;
 	// negative disables retry entirely).
@@ -123,9 +104,9 @@ type Config struct {
 	// DefaultDeadline bounds queries that carry neither an @timeout
 	// parameter nor a caller deadline (0 = unbounded).
 	DefaultDeadline time.Duration
-	// PaceScale, when positive, paces successful scoring batches to their
+	// PaceScale, when positive, paces successful scoring queries to their
 	// simulated timeline: after the real computation finishes, the device
-	// token is held until PaceScale x the batch's simulated total has
+	// token is held until PaceScale x the query's simulated total has
 	// elapsed since the attempt started. This makes a shard's wall-clock
 	// behave like the calibrated device it models — the scale-out bench
 	// uses it so measured multi-shard scaling reflects the simulated
@@ -145,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
 	}
 	switch {
 	case c.MaxRetries == 0:
@@ -179,10 +157,6 @@ type Executor struct {
 	workers   chan struct{}                  // executing token, cap Workers
 	devices   map[sched.Device]chan struct{} // per-device scoring tokens
 
-	mu           sync.Mutex
-	pending      map[string]*pendingBatch // batches forming behind a busy key
-	inflightKeys map[string]int           // sealed batches per key whose run has not returned
-
 	admitted atomic.Int64 // queries holding an admission token
 	running  atomic.Int64 // queries currently executing
 
@@ -204,15 +178,14 @@ type Executor struct {
 	rng   *xrand.Rand // retry jitter; fixed seed, so deterministic
 
 	estMu sync.Mutex
-	est   map[sched.Device]time.Duration // EWMA of successful batch wall time
+	est   map[sched.Device]time.Duration // EWMA of successful run wall time
 }
 
 // execMetrics holds the instruments every query touches, resolved once in
 // New so the hot path skips the registry's name check, label
 // canonicalization and mutex.
 type execMetrics struct {
-	queueDepth, inflight    *obs.Gauge
-	batchSize, coalesceWait *obs.Histogram
+	queueDepth, inflight *obs.Gauge
 }
 
 // New builds an executor over the pipeline, publishing telemetry into the
@@ -232,13 +205,11 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 			sched.DeviceGPU:  make(chan struct{}, 1),
 			sched.DeviceFPGA: make(chan struct{}, 1),
 		},
-		pending:      make(map[string]*pendingBatch),
-		inflightKeys: make(map[string]int),
-		rootCtx:      rootCtx,
-		rootCancel:   rootCancel,
-		breakers:     make(map[sched.Device]*breaker),
-		rng:          xrand.New(1),
-		est:          make(map[sched.Device]time.Duration),
+		rootCtx:    rootCtx,
+		rootCancel: rootCancel,
+		breakers:   make(map[sched.Device]*breaker),
+		rng:        xrand.New(1),
+		est:        make(map[sched.Device]time.Duration),
 	}
 	if pipe.Obs != nil {
 		e.tracer = pipe.Obs.Tracer
@@ -247,10 +218,6 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 		e.met = &execMetrics{
 			queueDepth: reg.Gauge(MetricQueueDepth, "Queries admitted but not yet executing."),
 			inflight:   reg.Gauge(MetricInflight, "Queries currently executing."),
-			batchSize: reg.Histogram(MetricBatchSize, "Executed scoring-batch sizes (1 = uncoalesced).",
-				batchSizeBuckets),
-			coalesceWait: reg.Histogram(MetricCoalesceWait,
-				"Time from a query's arrival to its coalescing batch sealing.", obs.DefBuckets),
 		}
 	}
 	if cfg.BreakerThreshold > 0 {
@@ -269,13 +236,12 @@ func (e *Executor) ExecQuery(sql string) (*pipeline.QueryResult, error) {
 }
 
 // Submit parses and runs one T-SQL statement through the concurrent hot
-// path under the caller's context. Scoring queries may be coalesced with
-// concurrent queries for the same (model, backend); everything else takes a
-// worker slot and executes directly. A ScoreRequest's @timeout (or the
-// configured DefaultDeadline) becomes a context deadline covering queueing,
-// coalescing, retries and fallback. Returns ErrRejected when the admission
-// queue is full, ErrClosed after Close, and the context's error when the
-// caller cancels or the deadline expires.
+// path under the caller's context. Scoring queries run under the resilience
+// policy (score); everything else takes a worker slot and executes directly.
+// A ScoreRequest's @timeout (or the configured DefaultDeadline) becomes a
+// context deadline covering queueing, retries and fallback. Returns
+// ErrRejected when the admission queue is full, ErrClosed after Close, and
+// the context's error when the caller cancels or the deadline expires.
 func (e *Executor) Submit(ctx context.Context, sql string) (res *pipeline.QueryResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -291,9 +257,8 @@ func (e *Executor) Submit(ctx context.Context, sql string) (res *pipeline.QueryR
 	if err != nil {
 		return nil, err
 	}
-	// Scoring statements — EXEC sp_score_model and the fused
-	// SELECT ... FROM PREDICT(...) — share the coalescing/runBatch path;
-	// their coalesce key includes the fused-query shape.
+	// Scoring statements: EXEC sp_score_model and the fused
+	// SELECT ... FROM PREDICT(...).
 	req, err := pipeline.ScoreRequestOf(e.pipe.Obs, st)
 	if err != nil {
 		return nil, err
@@ -354,7 +319,7 @@ func (e *Executor) admit(ctx context.Context) (func(), error) {
 	// Deadline-aware admission: work whose budget is already gone is shed
 	// before it costs a worker or a device token.
 	if cerr := ctx.Err(); cerr != nil {
-		e.noteExpiredShed(1)
+		e.noteExpiredShed()
 		release()
 		return nil, cerr
 	}
@@ -362,11 +327,9 @@ func (e *Executor) admit(ctx context.Context) (func(), error) {
 }
 
 // SubmitScore runs one pre-validated scoring request through the concurrent
-// hot path: the same admission, coalescing, device-token, retry, breaker and
-// fallback machinery as Submit, minus the SQL parse. The scale-out shard
-// endpoint uses it to serve router sub-queries, whose partition rides in
-// req.Partition (and in the coalescing key, so distinct partitions never
-// merge into one batch).
+// hot path: the same admission, device-token, retry, breaker and fallback
+// machinery as Submit, minus the SQL parse. The scale-out shard endpoint uses
+// it to serve router sub-queries, whose partition rides in req.Partition.
 func (e *Executor) SubmitScore(ctx context.Context, req *pipeline.ScoreRequest) (res *pipeline.QueryResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -380,19 +343,21 @@ func (e *Executor) SubmitScore(ctx context.Context, req *pipeline.ScoreRequest) 
 	return e.score(ctx, req)
 }
 
-// score runs one admitted scoring request: coalesced with concurrent
-// same-shape requests when a window is configured, alone otherwise.
+// score runs one admitted scoring request under its deadline and a worker
+// slot; device tokens, retry, breaker accounting and fallback happen inside
+// runResilient.
 func (e *Executor) score(ctx context.Context, req *pipeline.ScoreRequest) (*pipeline.QueryResult, error) {
 	qctx, cancel := e.queryContext(ctx, req.Timeout)
 	defer cancel()
-	if e.cfg.CoalesceWindow > 0 && e.cfg.MaxBatch > 1 {
-		return e.coalesce(qctx, req)
+	select {
+	case e.workers <- struct{}{}:
+	case <-qctx.Done():
+		return nil, qctx.Err()
 	}
-	results, err := e.runBatch(qctx, []*pipeline.ScoreRequest{req})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
+	defer func() { <-e.workers }()
+	e.noteRunning(1)
+	defer e.noteRunning(-1)
+	return e.runResilient(qctx, req)
 }
 
 // queryContext layers the query's own @timeout (or the configured default
@@ -435,36 +400,15 @@ func (e *Executor) noteTerminal(err error) {
 	}
 }
 
-// noteExpiredShed counts queries dropped because their deadline had already
-// expired before any work was done on their behalf.
-func (e *Executor) noteExpiredShed(n int) {
+// noteExpiredShed counts a query dropped because its deadline had already
+// expired before any work was done on its behalf.
+func (e *Executor) noteExpiredShed() {
 	if reg := e.pipe.Obs.Metrics(); reg != nil {
-		reg.Counter(MetricExpiredShedTotal, "Queries shed with an already-expired deadline.").
-			Add(float64(n))
+		reg.Counter(MetricExpiredShedTotal, "Queries shed with an already-expired deadline.").Inc()
 	}
 }
 
-// runBatch executes one scoring batch under a worker slot, recording the
-// executed batch size; device tokens, retry, breaker accounting and
-// fallback happen inside runResilient.
-func (e *Executor) runBatch(ctx context.Context, reqs []*pipeline.ScoreRequest) ([]*pipeline.QueryResult, error) {
-	select {
-	case e.workers <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-e.workers }()
-
-	e.noteRunning(int64(len(reqs)))
-	defer e.noteRunning(int64(-len(reqs)))
-	if e.met != nil {
-		e.met.batchSize.Observe(float64(len(reqs)))
-	}
-	return e.runResilient(ctx, reqs)
-}
-
-// Close stops admission (Submit returns ErrClosed), seals the batches still
-// forming so their leaders run immediately, and waits for in-flight
+// Close stops admission (Submit returns ErrClosed) and waits for in-flight
 // queries to drain. If ctx expires first the executor root is canceled —
 // aborting remaining work at its next boundary — and Close still waits for
 // the (now unblocked) stragglers before returning the context error.
@@ -474,17 +418,8 @@ func (e *Executor) Close(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	e.closeMu.Lock()
-	alreadyClosed := e.closed
 	e.closed = true
 	e.closeMu.Unlock()
-
-	if !alreadyClosed {
-		e.mu.Lock()
-		for _, b := range e.pending {
-			e.sealLocked(b)
-		}
-		e.mu.Unlock()
-	}
 
 	done := make(chan struct{})
 	go func() {

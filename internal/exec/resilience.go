@@ -205,11 +205,11 @@ func (e *Executor) fallbackFor(target string) string {
 	return fb
 }
 
-// runResilient resolves where the batch actually runs — honoring the
+// runResilient resolves where the query actually runs — honoring the
 // device's circuit breaker and the remaining deadline budget — and degrades
 // to the CPU fallback engine when the requested backend cannot serve it.
-func (e *Executor) runResilient(ctx context.Context, reqs []*pipeline.ScoreRequest) ([]*pipeline.QueryResult, error) {
-	target := reqs[0].Backend
+func (e *Executor) runResilient(ctx context.Context, req *pipeline.ScoreRequest) (*pipeline.QueryResult, error) {
+	target := req.Backend
 	dev := sched.DeviceOf(target)
 	fb := e.fallbackFor(target)
 
@@ -217,34 +217,38 @@ func (e *Executor) runResilient(ctx context.Context, reqs []*pipeline.ScoreReque
 	// cannot meet. Checked before the breaker so the decision never
 	// consumes a half-open probe slot.
 	if fb != "" && dev != sched.DeviceCPU && e.deadlineTooTight(ctx, dev) {
-		e.noteFallback(target, fb, "deadline", len(reqs))
-		return e.runOn(ctx, reqs, fb, target, "deadline", nil)
+		e.noteFallback(target, fb, "deadline")
+		return e.runOn(ctx, req, fb, target, "deadline", nil)
 	}
 	br := e.breakers[dev]
 	if !br.allow() {
 		if fb == "" {
 			return nil, fmt.Errorf("exec: %s rejected: %w", target, ErrBreakerOpen)
 		}
-		e.noteFallback(target, fb, "breaker_open", len(reqs))
-		return e.runOn(ctx, reqs, fb, target, "breaker_open", nil)
+		e.noteFallback(target, fb, "breaker_open")
+		return e.runOn(ctx, req, fb, target, "breaker_open", nil)
 	}
 
-	results, err := e.runOn(ctx, reqs, target, "", "", br)
+	res, err := e.runOn(ctx, req, target, "", "", br)
 	if err == nil || fb == "" || ctx.Err() != nil || !faults.Injected(err) {
 		// Logical errors (bad model, unsupported class count) would fail on
 		// the fallback engine too — only device faults and hangs degrade.
-		return results, err
+		return res, err
 	}
-	e.noteFallback(target, fb, "fault", len(reqs))
-	return e.runOn(ctx, reqs, fb, target, "fault", nil)
+	e.noteFallback(target, fb, "fault")
+	return e.runOn(ctx, req, fb, target, "fault", nil)
 }
 
-// runOn executes the batch on one backend under its device token, retrying
+// runOn executes the query on one backend under its device token, retrying
 // retryable faults with jittered backoff up to MaxRetries. When fbFrom is
-// non-empty the batch is a degraded copy and results are annotated with the
-// original backend and the reason. br (nil for fallback runs) receives
-// success/failure accounting for the device's circuit.
-func (e *Executor) runOn(ctx context.Context, reqs []*pipeline.ScoreRequest, target, fbFrom, fbReason string, br *breaker) ([]*pipeline.QueryResult, error) {
+// non-empty the run is a degraded copy and the result is annotated with the
+// original backend and the reason. br (nil for fallback runs) receives the
+// device's circuit accounting: a run that completes is a success, a device
+// fault (injected, or the attempt-timeout hang) a failure, and anything else
+// — an unknown model or table, a bad parameter, the caller's own deadline —
+// says nothing about the device and only releases the probe slot, the same
+// ruling the router's dispatcher.settle makes one tier up.
+func (e *Executor) runOn(ctx context.Context, req *pipeline.ScoreRequest, target, fbFrom, fbReason string, br *breaker) (*pipeline.QueryResult, error) {
 	dev := sched.DeviceOf(target)
 	sem, ok := e.devices[dev]
 	if !ok {
@@ -259,14 +263,10 @@ func (e *Executor) runOn(ctx context.Context, reqs []*pipeline.ScoreRequest, tar
 	}
 	defer func() { <-sem }()
 
-	run := reqs
 	if fbFrom != "" {
-		run = make([]*pipeline.ScoreRequest, len(reqs))
-		for i, r := range reqs {
-			c := *r
-			c.Backend = target
-			run[i] = &c
-		}
+		c := *req
+		c.Backend = target
+		req = &c
 	}
 
 	for attempt := 0; ; attempt++ {
@@ -275,21 +275,16 @@ func (e *Executor) runOn(ctx context.Context, reqs []*pipeline.ScoreRequest, tar
 			actx, acancel = context.WithTimeout(ctx, e.cfg.AttemptTimeout)
 		}
 		start := time.Now()
-		results, err := e.pipe.ExecScoreBatchCtx(actx, run)
+		res, err := e.pipe.ExecScoreCtx(actx, req)
 		acancel()
 		if err == nil {
 			br.success()
-			e.pace(ctx, start, results)
+			e.pace(ctx, start, res)
 			e.observeRunTime(dev, time.Since(start))
-			for _, r := range results {
-				if r == nil {
-					continue
-				}
-				r.Retries = attempt
-				r.FallbackFrom = fbFrom
-				r.FallbackReason = fbReason
-			}
-			return results, nil
+			res.Retries = attempt
+			res.FallbackFrom = fbFrom
+			res.FallbackReason = fbReason
+			return res, nil
 		}
 		if actx.Err() != nil && ctx.Err() == nil && !faults.Injected(err) {
 			// The per-attempt timer fired while the query deadline still has
@@ -298,7 +293,11 @@ func (e *Executor) runOn(ctx context.Context, reqs []*pipeline.ScoreRequest, tar
 			err = fmt.Errorf("exec: attempt %d on %s timed out after %v: %w",
 				attempt+1, target, e.cfg.AttemptTimeout, faults.ErrDeviceHang)
 		}
-		br.failure()
+		if faults.Injected(err) {
+			br.failure()
+		} else {
+			br.abandon()
+		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("exec: %s failed and the query budget expired: %w",
 				target, errors.Join(err, cerr))
@@ -313,23 +312,17 @@ func (e *Executor) runOn(ctx context.Context, reqs []*pipeline.ScoreRequest, tar
 	}
 }
 
-// pace holds the batch (and its device token) until PaceScale x the batch's
+// pace holds the query (and its device token) until PaceScale x its
 // simulated end-to-end time has elapsed since start, so a paced shard's
 // wall-clock tracks the calibrated device model it simulates. The sleep is
 // skipped when the real run already took at least that long, and cut short
 // by the query context. Device utilization stays honest: the token is held
 // for the paced duration, exactly as a real device would be busy.
-func (e *Executor) pace(ctx context.Context, start time.Time, results []*pipeline.QueryResult) {
+func (e *Executor) pace(ctx context.Context, start time.Time, res *pipeline.QueryResult) {
 	if e.cfg.PaceScale <= 0 {
 		return
 	}
-	var sim time.Duration
-	for _, r := range results {
-		if r != nil {
-			sim += r.Timeline.Total()
-		}
-	}
-	wait := time.Duration(float64(sim)*e.cfg.PaceScale) - time.Since(start)
+	wait := time.Duration(float64(res.Timeline.Total())*e.cfg.PaceScale) - time.Since(start)
 	if wait <= 0 {
 		return
 	}
@@ -362,7 +355,7 @@ func (e *Executor) backoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-// observeRunTime maintains a per-device EWMA of successful batch wall time:
+// observeRunTime maintains a per-device EWMA of successful run wall time:
 // the estimate behind deadline-aware degradation.
 func (e *Executor) observeRunTime(dev sched.Device, d time.Duration) {
 	e.estMu.Lock()
@@ -404,11 +397,11 @@ func (e *Executor) noteRetry(backend string) {
 	}
 }
 
-// noteFallback counts a graceful degradation decision for n queries.
-func (e *Executor) noteFallback(from, to, reason string, n int) {
+// noteFallback counts a graceful degradation decision.
+func (e *Executor) noteFallback(from, to, reason string) {
 	if reg := e.pipe.Obs.Metrics(); reg != nil {
 		reg.Counter(MetricFallbacksTotal, "Queries degraded to the fallback engine.",
-			"from", from, "to", to, "reason", reason).Add(float64(n))
+			"from", from, "to", to, "reason", reason).Inc()
 	}
 }
 

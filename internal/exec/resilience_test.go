@@ -170,6 +170,70 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 	}
 }
 
+// TestQueryErrorsDoNotTripBreaker: a query that names an unknown model or
+// table fails before it reaches a device, so it says nothing about the
+// device — a client's typo must not open the CPU circuit and take the shard's
+// valid queries down with it. A bad query that arrives as the half-open probe
+// releases the slot without closing or re-opening the circuit.
+func TestQueryErrorsDoNotTripBreaker(t *testing.T) {
+	p, _, _ := newEnv(t, 4, 6, 80)
+	p.Faults = mustInjector(t, 7, "CPU_SKLearn:invoke:crash:first=3")
+	e := exec.New(p, exec.Config{
+		Workers: 2, QueueDepth: 8,
+		MaxRetries:       -1,
+		BreakerThreshold: 3,
+		BreakerCooldown:  time.Nanosecond, // an open circuit is due its probe at once
+		FallbackBackend:  "none",
+	})
+	badModel := "EXEC sp_score_model @model='no_such_model', @data='iris', @backend='CPU_SKLearn'"
+	badTable := "EXEC sp_score_model @model='iris_rf', @data='no_such_table', @backend='CPU_SKLearn'"
+	transitions := func(to string) string {
+		return `accelscore_exec_breaker_transitions_total{device="cpu",to="` + to + `"}`
+	}
+
+	for _, sql := range []string{badModel, badTable} {
+		for i := 0; i < 5; i++ {
+			if _, err := e.ExecQuery(sql); err == nil || errors.Is(err, exec.ErrBreakerOpen) {
+				t.Fatalf("bad query %d: err = %v, want the query's own error", i, err)
+			}
+		}
+	}
+	if st := e.BreakerState(sched.DeviceCPU); st != 0 {
+		t.Fatalf("breaker state after ten bad queries = %d, want 0 (closed)", st)
+	}
+	if out := exposition(t, p); strings.Contains(out, transitions("open")) {
+		t.Fatalf("bad queries moved the CPU breaker:\n%s", out)
+	}
+
+	// Three real device faults open it; the next query is the probe.
+	for i := 0; i < 3; i++ {
+		if _, err := e.ExecQuery(scoreSQL); !errors.Is(err, faults.ErrInvokeCrash) {
+			t.Fatalf("crash %d: err = %v, want ErrInvokeCrash", i, err)
+		}
+	}
+	if st := e.BreakerState(sched.DeviceCPU); st != 2 {
+		t.Fatalf("breaker state after three crashes = %d, want 2 (open)", st)
+	}
+	if _, err := e.ExecQuery(badModel); err == nil || errors.Is(err, exec.ErrBreakerOpen) {
+		t.Fatalf("bad probe: err = %v, want the query's own error", err)
+	}
+	if st := e.BreakerState(sched.DeviceCPU); st != 1 {
+		t.Fatalf("breaker state after a bad probe = %d, want 1 (still half-open)", st)
+	}
+	if _, err := e.ExecQuery(scoreSQL); err != nil {
+		t.Fatalf("valid probe: %v", err)
+	}
+	if st := e.BreakerState(sched.DeviceCPU); st != 0 {
+		t.Fatalf("breaker state after a valid probe = %d, want 0 (closed)", st)
+	}
+	out := exposition(t, p)
+	for _, want := range []string{transitions("open") + " 1", transitions("half_open") + " 1", transitions("closed") + " 1"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestHangDetectionRetriesWithinDeadline: an injected device hang is cut
 // short by the per-attempt timeout while the query deadline still has
 // budget, classified retryable, and the second attempt succeeds — the
@@ -223,14 +287,12 @@ func TestDeadlineExpiryIsTerminal(t *testing.T) {
 	}
 }
 
-// TestCoalescedMemberReasonSurvives: a coalesced run is bounded both by the
-// latest member deadline and by "every member gave up"; for a batch of one
-// the two fire together. Whichever wins, the member must read its own
-// reason — a timeout as DeadlineExceeded (never Canceled, which serve maps to
-// 499 instead of 504), a client hang-up as Canceled — and the matching
-// counter must be the only one bumped. Run with -count=50: the race this
-// pins lost about one run in three.
-func TestCoalescedMemberReasonSurvives(t *testing.T) {
+// TestQueryReasonSurvives: a query that dies inside the engine must read its
+// own reason back through every layer that wraps it — a timeout as
+// DeadlineExceeded (never Canceled, which serve maps to 499 instead of 504), a
+// client hang-up as Canceled — and the matching counter must be the only one
+// bumped.
+func TestQueryReasonSurvives(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		sql     string
@@ -250,7 +312,7 @@ func TestCoalescedMemberReasonSurvives(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, _, _ := newEnv(t, 4, 6, 80)
 			p.Faults = mustInjector(t, 7, "CPU_SKLearn:compute:hang=2s")
-			e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8, CoalesceWindow: time.Millisecond, MaxBatch: 8})
+			e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			if tc.hangUp > 0 {
@@ -293,52 +355,12 @@ func TestCanceledSubmissionIsShed(t *testing.T) {
 	}
 }
 
-// TestCoalescedErrorFansOutToAllMembers pins the error path of request
-// coalescing under -race: when the shared batch fails and degradation is
-// disabled, EVERY member — leader and followers alike — receives the error,
-// and nobody gets zero-value predictions.
-func TestCoalescedErrorFansOutToAllMembers(t *testing.T) {
-	p, _, _ := newEnv(t, 4, 6, 80)
-	p.Faults = mustInjector(t, 7, "FPGA:invoke:crash")
-	bb := newBlocking(t, p, "FPGA") // the gate opens onto the crashing engine
-	const k = 4
-	e := exec.New(p, exec.Config{
-		Workers: 2, QueueDepth: 16,
-		CoalesceWindow:  time.Minute,
-		MaxBatch:        2 * k,
-		MaxRetries:      -1,
-		FallbackBackend: "none",
-	})
-
-	_, _, firstDone := submitAll(e, blockSQL, 1)
-	bb.awaitEntered(t)
-	results, errs, done := submitAll(e, blockSQL, k)
-	waitFor(t, "the batch to form", func() bool { return e.Forming() == k })
-	close(bb.release)
-	firstDone()
-	done()
-	for i := 0; i < k; i++ {
-		if errs[i] == nil {
-			t.Fatalf("member %d: got nil error from a failed batch", i)
-		}
-		if !errors.Is(errs[i], faults.ErrInvokeCrash) {
-			t.Fatalf("member %d: err = %v, want wrapped ErrInvokeCrash", i, errs[i])
-		}
-		if results[i] != nil {
-			t.Fatalf("member %d: received a result from a failed batch", i)
-		}
-	}
-	if got := promValue(t, exposition(t, p), exec.MetricBatchSize+`_bucket{le="4"}`); got != 2 {
-		t.Fatalf("want two runs (1 + %d), batch-size histogram counts %g", k, got)
-	}
-}
-
 // TestCloseDrainsInflightAndStopsAdmission: Close waits for executing
 // queries, new submissions fail fast with ErrClosed, and a second Close is
 // a no-op.
 func TestCloseDrainsInflightAndStopsAdmission(t *testing.T) {
 	p, _, _ := newEnv(t, 4, 6, 60)
-	bb := newBlocking(t, p, "")
+	bb := newBlocking(t, p)
 	e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8})
 
 	var inflightErr error

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"testing"
-	"time"
 
 	"accelscore/internal/exec"
 	"accelscore/internal/obs"
@@ -10,18 +9,18 @@ import (
 
 // BenchmarkServeThroughput replays one generated scoring stream through the
 // serialized global-mutex baseline and the concurrent executor at several
-// worker counts, with and without request coalescing. Each iteration runs
-// against a fresh environment so the model cache starts cold, matching how
-// cmd/loadgen -bench measures. The qps metric is what results/
-// throughput_bench.md tabulates (that file is produced by the loadgen run,
-// which uses heavier models than this test-sized stream).
+// worker counts. Each iteration runs against a fresh environment so the
+// model cache starts cold, matching how cmd/loadgen -bench measures. The qps
+// metric is what results/throughput_bench.md tabulates (that file is produced
+// by the loadgen run, which uses a larger table and heavier models than this
+// test-sized stream).
 func BenchmarkServeThroughput(b *testing.B) {
 	cfg := LoadConfig{
 		Queries:      120,
 		Seed:         1,
-		TableRows:    4,
-		TreeChoices:  []int{512},
-		DepthChoices: []int{8, 10},
+		TableRows:    256,
+		TreeChoices:  []int{8, 32},
+		DepthChoices: []int{6, 10},
 	}
 	opt := RunOptions{Clients: 8}
 	cases := []struct {
@@ -39,12 +38,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}},
 		{"executor-w8", func(env *LoadEnv) QueryRunner {
 			return exec.New(env.Pipe, exec.Config{Workers: 8})
-		}},
-		{"executor-w4-coalesce", func(env *LoadEnv) QueryRunner {
-			return exec.New(env.Pipe, exec.Config{Workers: 4, CoalesceWindow: time.Millisecond, MaxBatch: 4})
-		}},
-		{"executor-w8-coalesce", func(env *LoadEnv) QueryRunner {
-			return exec.New(env.Pipe, exec.Config{Workers: 8, CoalesceWindow: time.Millisecond, MaxBatch: 4})
 		}},
 	}
 	for _, tc := range cases {

@@ -155,8 +155,8 @@ type Fleet struct {
 
 // StartShards boots n serve shards over a records-row demo table. -workers 1
 // plus -pace-scale paceOf(k) makes shard k serve like a single simulated
-// device at that multiple of its simulated time; coalescing, attribution and
-// runtime sampling are off so the measurement is the scoring path itself.
+// device at that multiple of its simulated time; attribution and runtime
+// sampling are off so the measurement is the scoring path itself.
 func StartShards(bin string, n, records int, paceOf func(k int) float64) (*Fleet, error) {
 	f := &Fleet{}
 	client := Client(120 * time.Second)
@@ -167,7 +167,6 @@ func StartShards(bin string, n, records int, paceOf func(k int) float64) (*Fleet
 			"-demo-records", fmt.Sprint(records),
 			"-workers", "1",
 			"-pace-scale", fmt.Sprint(paceOf(k)),
-			"-coalesce", "0",
 			"-attrib=false",
 			"-runtime-sample", "0")
 		if err != nil {

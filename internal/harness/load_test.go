@@ -118,10 +118,7 @@ func TestLoadHarnessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := exec.New(env.Pipe, exec.Config{
-		Workers: 2, QueueDepth: 64,
-		CoalesceWindow: time.Millisecond, MaxBatch: 8,
-	})
+	e := exec.New(env.Pipe, exec.Config{Workers: 2, QueueDepth: 64})
 	got, err := harness.RunLoad(env, e, "executor", harness.RunOptions{Clients: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -216,11 +216,6 @@ func (s *Selection) Rank(i int) int {
 	return int(s.prefix[w]) + bits.OnesCount64(s.words[w]&mask)
 }
 
-// CountRange returns the number of selected rows in [lo, hi).
-func (s *Selection) CountRange(lo, hi int) int {
-	return s.Rank(hi) - s.Rank(lo)
-}
-
 // Slice returns the selection restricted to rows [lo, hi), re-based to row
 // zero. lo must be a multiple of 64 (the FPGA cluster aligns its shard
 // boundaries to traversal blocks so slicing stays pure word arithmetic).

@@ -14,9 +14,8 @@ import (
 // the paper's overhead argument is really about: CPU time burned on the
 // host, bytes and objects allocated on the heap, and bytes moved across the
 // offload boundary. The measurements ride on the stage brackets the tracer
-// already owns, are amortized across coalesced batches exactly like the
-// simulated timelines, and surface in QueryResult, /debug/queries and the
-// Chrome trace export — so a single trace answers both "where did the time
+// already owns and surface in QueryResult, /debug/queries and the Chrome
+// trace export — so a single trace answers both "where did the time
 // go" and "what did it consume".
 //
 // Measurement model: CPU time is the executing OS thread's rusage delta
@@ -94,40 +93,6 @@ type StageCost struct {
 	// (inbound rows+blob or outbound predictions); zero for pure-compute
 	// stages.
 	BytesMoved int64 `json:"bytes_moved,omitempty"`
-}
-
-// Scale returns the cost scaled by share (used for row-proportional
-// amortization across a coalesced batch).
-func (c StageCost) Scale(share float64) StageCost {
-	if share >= 1 {
-		return c
-	}
-	if share < 0 {
-		share = 0
-	}
-	return StageCost{
-		Stage:        c.Stage,
-		CPUTime:      time.Duration(float64(c.CPUTime) * share),
-		AllocBytes:   uint64(float64(c.AllocBytes) * share),
-		AllocObjects: uint64(float64(c.AllocObjects) * share),
-		BytesMoved:   int64(float64(c.BytesMoved) * share),
-	}
-}
-
-// Divide returns the cost divided evenly across n batch members (used for
-// fixed per-invocation stages).
-func (c StageCost) Divide(n int) StageCost {
-	if n <= 1 {
-		return c
-	}
-	un := uint64(n)
-	return StageCost{
-		Stage:        c.Stage,
-		CPUTime:      c.CPUTime / time.Duration(n),
-		AllocBytes:   c.AllocBytes / un,
-		AllocObjects: c.AllocObjects / un,
-		BytesMoved:   c.BytesMoved / int64(n),
-	}
 }
 
 // Attribution is a query's full per-stage resource breakdown, in pipeline

@@ -44,24 +44,6 @@ func TestCostSampleSubClampsWrap(t *testing.T) {
 	}
 }
 
-func TestStageCostScaleAndDivide(t *testing.T) {
-	c := StageCost{Stage: "s", CPUTime: 100 * time.Millisecond, AllocBytes: 1000, AllocObjects: 100, BytesMoved: 4000}
-	half := c.Scale(0.5)
-	if half.CPUTime != 50*time.Millisecond || half.AllocBytes != 500 || half.AllocObjects != 50 || half.BytesMoved != 2000 {
-		t.Errorf("Scale(0.5) = %+v", half)
-	}
-	if got := c.Scale(1.5); got != c {
-		t.Errorf("Scale(>=1) should be identity, got %+v", got)
-	}
-	q := c.Divide(4)
-	if q.CPUTime != 25*time.Millisecond || q.AllocBytes != 250 || q.AllocObjects != 25 || q.BytesMoved != 1000 {
-		t.Errorf("Divide(4) = %+v", q)
-	}
-	if got := c.Divide(1); got != c {
-		t.Errorf("Divide(1) should be identity, got %+v", got)
-	}
-}
-
 func TestAttributionTotal(t *testing.T) {
 	a := Attribution{
 		{Stage: "a", CPUTime: time.Millisecond, AllocBytes: 10, AllocObjects: 1, BytesMoved: 100},

@@ -1,7 +1,6 @@
 package pipeline_test
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -141,50 +140,5 @@ func TestAttributionPredictionsBitIdentical(t *testing.T) {
 		if on.Predictions[i] != off.Predictions[i] {
 			t.Fatalf("prediction %d: %d with attribution, %d without", i, on.Predictions[i], off.Predictions[i])
 		}
-	}
-}
-
-// TestBatchAttributionApportions checks the coalesced-batch split: fixed
-// stages divide evenly across the batch, row-proportional stages scale by
-// row share — mirroring the simulated-timeline amortization arithmetic.
-func TestBatchAttributionApportions(t *testing.T) {
-	p, _, _ := newPipeline(t, 8, 10, 300)
-	p.Cache = pipeline.NewModelCache(4)
-	o := obs.NewObserver()
-	o.Attribution = true
-	p.Obs = o
-
-	limits := []int{50, 100, 150}
-	reqs := make([]*pipeline.ScoreRequest, len(limits))
-	for i, n := range limits {
-		reqs[i] = &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn", Limit: n}
-	}
-	results, err := p.ExecScoreBatchCtx(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inSum int64
-	for i, res := range results {
-		if len(res.Attribution) != len(attribStages) {
-			t.Fatalf("result %d: attribution %+v", i, res.Attribution)
-		}
-		// Fixed stage: every sub-query gets the same 1/n slice.
-		if got, first := res.Attribution[1], results[0].Attribution[1]; got != first {
-			t.Errorf("result %d: pre-processing slice %+v != %+v", i, got, first)
-		}
-		// Row-proportional stage: inbound bytes track the row share.
-		inSum += res.Attribution[0].BytesMoved
-		if i > 0 {
-			ratio := float64(res.Attribution[0].BytesMoved) / float64(results[0].Attribution[0].BytesMoved)
-			wantRatio := float64(limits[i]) / float64(limits[0])
-			if ratio < wantRatio*0.95 || ratio > wantRatio*1.05 {
-				t.Errorf("result %d: transfer-in share ratio %.3f, want ~%.2f", i, ratio, wantRatio)
-			}
-		}
-	}
-	// The shares cover the batch total (within integer truncation).
-	batchIn := results[0].Attribution[0].BytesMoved * 6 // 50-row share x 6 = 300 rows
-	if inSum < batchIn-int64(len(limits)) || inSum > batchIn+int64(len(limits)) {
-		t.Errorf("transfer-in shares sum to %d, want ~%d", inSum, batchIn)
 	}
 }

@@ -9,6 +9,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"accelscore/internal/dataset"
@@ -39,20 +40,6 @@ func (m AggMode) String() string {
 	default:
 		return "none"
 	}
-}
-
-// FusionKey canonicalizes the request's fused-query shape — the WHERE
-// conjuncts (rendered in canonical form), the aggregation mode, and the
-// hash partition. Requests are only coalescible into one backend call when,
-// besides model and backend, this key matches: the pushed-down filter, the
-// result shape and the scored partition are shared batch state. Distinct
-// partitions of the same query must never coalesce — their selections
-// differ row by row.
-func (r *ScoreRequest) FusionKey() string {
-	if len(r.Where) == 0 && r.Agg == AggNone && !r.Partition.Active() {
-		return ""
-	}
-	return db.FormatConditions(r.Where) + "\x00" + r.Agg.String() + "\x00" + r.Partition.String()
 }
 
 // Fused reports whether the request engages any fusion (filter or
@@ -132,17 +119,13 @@ func projectionFor(tbl *db.Table, featureNames []string) []string {
 	return featureNames
 }
 
-// buildPredicates lowers the batch's shared WHERE conjuncts onto the merged
-// dataset. A conjunct over a model feature streams straight from the row
-// during traversal (no separate column pass at all); a conjunct over any
-// other numeric column gathers that column per request — bounded by the same
-// row count as the scoring input — and concatenates across the batch.
-func (p *Pipeline) buildPredicates(reqs []*ScoreRequest, datas []*dataset.Dataset, where []db.Condition) ([]kernel.Predicate, error) {
-	total := 0
-	for _, d := range datas {
-		total += d.NumRecords()
-	}
-	featNames := datas[0].FeatureNames
+// buildPredicates lowers the query's WHERE conjuncts onto its dataset. A
+// conjunct over a model feature streams straight from the row during
+// traversal (no separate column pass at all); a conjunct over any other
+// numeric column of tbl gathers that column, bounded by the same row count as
+// the scoring input.
+func buildPredicates(tbl *db.Table, data *dataset.Dataset, where []db.Condition) ([]kernel.Predicate, error) {
+	want := data.NumRecords()
 	preds := make([]kernel.Predicate, 0, len(where))
 	for _, c := range where {
 		op, err := kernel.ParsePredOp(c.Op)
@@ -152,42 +135,26 @@ func (p *Pipeline) buildPredicates(reqs []*ScoreRequest, datas []*dataset.Datase
 		if c.Value.IsString {
 			return nil, fmt.Errorf("pipeline: fused WHERE on %q: only numeric comparisons can be pushed into scoring", c.Column)
 		}
-		feat := -1
-		for j, name := range featNames {
-			if name == c.Column {
-				feat = j
-				break
-			}
-		}
-		if feat >= 0 {
+		if feat := slices.Index(data.FeatureNames, c.Column); feat >= 0 {
 			preds = append(preds, kernel.Predicate{Feature: feat, Op: op, Value: c.Value.N})
 			continue
 		}
-		col := make([]float64, 0, total)
-		for i, r := range reqs {
-			want := datas[i].NumRecords()
-			tbl, err := p.DB.Table(r.Data)
-			if err != nil {
-				return nil, err
-			}
-			part, err := tbl.NumericColumnPrefix(c.Column, want)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: fused WHERE: %v", err)
-			}
-			if len(part) != want {
-				return nil, fmt.Errorf("pipeline: fused WHERE on %q: table %q shrank during the scan", c.Column, r.Data)
-			}
-			col = append(col, part...)
+		col, err := tbl.NumericColumnPrefix(c.Column, want)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: fused WHERE: %v", err)
+		}
+		if len(col) != want {
+			return nil, fmt.Errorf("pipeline: fused WHERE on %q: table %q shrank during the scan", c.Column, tbl.Name)
 		}
 		preds = append(preds, kernel.Predicate{Feature: -1, Col: col, Op: op, Value: c.Value.N})
 	}
 	return preds, nil
 }
 
-// aggResult assembles one request's fused-aggregate result table. counts is
-// the engine's fused class histogram when it produced one (WantCounts path);
-// otherwise preds is the request's materialized prediction slice and the
-// histogram is computed here with the batch primitive.
+// aggResult assembles a fused-aggregate result table. counts is the engine's
+// fused class histogram when it produced one (WantCounts path); otherwise
+// preds is the materialized prediction slice and the histogram is computed
+// here with the batch primitive.
 func aggResult(mode AggMode, preds []int, counts []int64) (*db.Table, error) {
 	if counts == nil {
 		counts = tensor.Bincount(preds, 0)
@@ -231,23 +198,4 @@ func aggResult(mode AggMode, preds []int, counts []int64) (*db.Table, error) {
 // per-shard pieces.
 func AggTable(mode AggMode, preds []int, counts []int64) (*db.Table, error) {
 	return aggResult(mode, preds, counts)
-}
-
-// wantCounts reports whether the fused score-then-aggregate request should
-// ask the engine for class counts instead of predictions. Only a
-// single-request batch can skip materialization: a coalesced batch must fan
-// predictions back out per request. Engines that ignore WantCounts still
-// return predictions and the caller aggregates those instead.
-func wantCounts(agg AggMode, batchSize int) bool {
-	return agg != AggNone && batchSize == 1
-}
-
-// fusedPartition locates one request's slice of the merged scoring output:
-// its scanned row range [off, off+nr) maps through the selection to the
-// dense output range [outLo, outLo+scoredN).
-func fusedPartition(sel *kernel.Selection, off, nr int) (outLo, scoredN int) {
-	if sel == nil {
-		return off, nr
-	}
-	return sel.Rank(off), sel.CountRange(off, off+nr)
 }

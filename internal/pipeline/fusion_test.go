@@ -1,7 +1,6 @@
 package pipeline_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -227,29 +226,6 @@ func TestFusedAggregateConsistentAcrossEngines(t *testing.T) {
 				t.Fatalf("%s: class %d count %d != ref %d", be, class, got[class], count)
 			}
 		}
-	}
-}
-
-func TestFusedBatchKeyValidation(t *testing.T) {
-	p, _, _ := newFusionPipeline(t, 100)
-	where, err := db.ParseConditionList("petal_width < 1.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn", Where: where}
-	b := &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn"}
-	if _, err := p.ExecScoreBatchCtx(context.Background(), []*pipeline.ScoreRequest{a, b}); err == nil {
-		t.Fatal("batch mixing fused shapes must fail")
-	}
-	// Same fusion key coalesces fine and fans out per request.
-	c := &pipeline.ScoreRequest{Model: "iris_rf", Data: "iris_wide", Backend: "CPU_SKLearn", Where: where}
-	results, err := p.ExecScoreBatchCtx(context.Background(), []*pipeline.ScoreRequest{a, c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || len(results[0].Predictions) != len(results[1].Predictions) {
-		t.Fatalf("coalesced fused batch fan-out wrong: %d vs %d",
-			len(results[0].Predictions), len(results[1].Predictions))
 	}
 }
 

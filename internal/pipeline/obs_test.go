@@ -31,6 +31,10 @@ func TestObserverPublishesQueryMetrics(t *testing.T) {
 	if _, err := p.ExecQuery("EXEC sp_score_model @model='missing', @data='iris'"); err == nil {
 		t.Fatal("query against missing model succeeded")
 	}
+	// The query that failed before any stage ran has a trace like the rest.
+	if got := o.Tracer.Len(); got != 4 {
+		t.Errorf("tracer holds %d traces, want 4", got)
+	}
 
 	var sb strings.Builder
 	if err := o.Registry.WritePrometheus(&sb); err != nil {

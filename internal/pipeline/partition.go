@@ -5,18 +5,17 @@
 // parallelism device: the router fans one query out as w sub-queries, one
 // partition each, and the union of the partitions is exactly the
 // unpartitioned row set. The router picks w per query; width 1 is always
-// the unpartitioned request (no @partition parameter), never '0/1'. The assignment hashes the stable row ordinal (the
-// scan position after @limit pushdown, identical on every replica), so the
-// router can recompute it locally and any shard can serve any partition.
+// the unpartitioned request (no @partition parameter), never '0/1'. The
+// assignment hashes the stable row ordinal (the scan position after @limit
+// pushdown, identical on every replica), so the router can recompute it
+// locally and any shard can serve any partition.
 package pipeline
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
-	"accelscore/internal/dataset"
 	"accelscore/internal/kernel"
 )
 
@@ -107,26 +106,9 @@ func (p Partition) Keep(row int) bool {
 }
 
 // partitionSelection narrows base (the pushed-down WHERE selection, nil =
-// all rows) to the rows of one hash partition. Ordinals are per request:
-// merged row r inside request i's block maps to the local scan ordinal
-// r - offset(i), so a coalesced batch partitions each sub-query's rows
-// exactly as the same sub-query would partition alone.
-func partitionSelection(base *kernel.Selection, part Partition, datas []*dataset.Dataset) *kernel.Selection {
-	total := 0
-	ends := make([]int, len(datas))
-	for i, d := range datas {
-		total += d.NumRecords()
-		ends[i] = total
-	}
-	return kernel.SelectionFromFunc(total, func(row int) bool {
-		if base != nil && !base.Selected(row) {
-			return false
-		}
-		i := sort.SearchInts(ends, row+1)
-		off := 0
-		if i > 0 {
-			off = ends[i-1]
-		}
-		return part.Keep(row - off)
+// all rows) to the rows of one hash partition of the query's scan ordinals.
+func partitionSelection(base *kernel.Selection, part Partition, rows int) *kernel.Selection {
+	return kernel.SelectionFromFunc(rows, func(row int) bool {
+		return (base == nil || base.Selected(row)) && part.Keep(row)
 	})
 }

@@ -173,11 +173,10 @@ func TestPartitionClassCountsSumToWhole(t *testing.T) {
 			Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX",
 			Agg: pipeline.AggGroupCount, Partition: pipeline.Partition{Index: k, Count: n},
 		}
-		results, err := p.ExecScoreBatchCtx(context.Background(), []*pipeline.ScoreRequest{req})
+		res, err := p.ExecScoreCtx(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := results[0]
 		for i := 0; i < res.Table.NumRows(); i++ {
 			cls := res.Table.Rows()[i][0].I
 			cnt := res.Table.Rows()[i][1].I
@@ -190,28 +189,5 @@ func TestPartitionClassCountsSumToWhole(t *testing.T) {
 		if sum[cls] != cnt {
 			t.Fatalf("class %d: partitions sum to %d, single-node %d", cls, sum[cls], cnt)
 		}
-	}
-}
-
-// TestPartitionFusionKeySeparation guards the coalescing invariant: two
-// partitions of the same query must have different fusion keys, and the
-// same partition twice must share one.
-func TestPartitionFusionKeySeparation(t *testing.T) {
-	base := pipeline.ScoreRequest{Model: "m", Data: "t"}
-	a, b, c := base, base, base
-	a.Partition = pipeline.Partition{Index: 0, Count: 2}
-	b.Partition = pipeline.Partition{Index: 1, Count: 2}
-	c.Partition = pipeline.Partition{Index: 0, Count: 2}
-	if a.FusionKey() == b.FusionKey() {
-		t.Fatal("distinct partitions share a fusion key")
-	}
-	if a.FusionKey() != c.FusionKey() {
-		t.Fatal("identical partitions have different fusion keys")
-	}
-	if base.FusionKey() != "" {
-		t.Fatalf("unpartitioned key = %q", base.FusionKey())
-	}
-	if a.FusionKey() == base.FusionKey() {
-		t.Fatal("partitioned query coalescible with unpartitioned")
 	}
 }

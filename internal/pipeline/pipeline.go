@@ -173,9 +173,6 @@ type QueryResult struct {
 	// TraceID identifies the query's trace in the pipeline's observer
 	// (empty when no observer with a tracer is attached).
 	TraceID string
-	// BatchSize is the number of queries scored in the same coalesced
-	// pipeline run (1 when the query ran alone).
-	BatchSize int
 	// FallbackFrom names the originally requested backend when the executor
 	// degraded the query to another engine ("" = no fallback).
 	FallbackFrom string
@@ -203,10 +200,7 @@ type QueryResult struct {
 	Fused bool
 	// Attribution is the query's measured per-stage resource cost (thread
 	// CPU time, heap allocations, transfer bytes), populated when the
-	// pipeline's observer has Attribution enabled. Coalesced batches
-	// amortize the leader's measured cost the same way timelines are:
-	// fixed per-invocation stages divide by the batch size,
-	// row-proportional stages scale by row share.
+	// pipeline's observer has Attribution enabled.
 	Attribution obs.Attribution
 }
 
@@ -256,11 +250,7 @@ func (p *Pipeline) ExecStatementCtx(ctx context.Context, st db.Statement) (*Quer
 			ctx, cancel = context.WithTimeout(ctx, req.Timeout)
 			defer cancel()
 		}
-		results, err := p.ExecScoreBatchCtx(ctx, []*ScoreRequest{req})
-		if err != nil {
-			return nil, err
-		}
-		return results[0], nil
+		return p.ExecScoreCtx(ctx, req)
 	}
 	switch s := st.(type) {
 	case *db.SelectStmt:
@@ -299,7 +289,7 @@ func (p *Pipeline) ExecStatementCtx(ctx context.Context, st db.Statement) (*Quer
 //
 // — and (nil, nil) for every other statement. With an observer it counts the
 // scoring statement by kind, and a parameter error as a failed query:
-// parameter failures never reach the batch path's accounting.
+// parameter failures never reach observeQuery.
 func ScoreRequestOf(o *obs.Observer, st db.Statement) (req *ScoreRequest, err error) {
 	switch s := st.(type) {
 	case *db.ExecStmt:
@@ -323,7 +313,7 @@ func ScoreRequestOf(o *obs.Observer, st db.Statement) (req *ScoreRequest, err er
 
 // ScoreRequest is a validated sp_score_model invocation: which model to run
 // over which table on which backend. It is the unit the concurrent executor
-// coalesces on.
+// admits and runs.
 type ScoreRequest struct {
 	// Model names the stored model to score with.
 	Model string
@@ -335,8 +325,8 @@ type ScoreRequest struct {
 	// Limit caps the scored rows (0 = all rows).
 	Limit int
 	// Timeout is the query's own deadline from @timeout (0 = none). The
-	// executor turns it into a context deadline covering queueing,
-	// coalescing, retries and fallback.
+	// executor turns it into a context deadline covering queueing, retries
+	// and fallback.
 	Timeout time.Duration
 	// Where holds pushed-down filter conjuncts (from @where or a PREDICT
 	// statement's WHERE clause): rows failing them are skipped inside the
@@ -444,141 +434,32 @@ func scoreParamsFromMap(params map[string]db.Literal, allowWhere bool) (*ScoreRe
 	return req, nil
 }
 
-// ExecScoreBatchCtx runs a coalesced batch of scoring requests as ONE
-// pipeline execution: the model blob is loaded and pre-processed once, the
-// input rows are concatenated and scored in a single backend call, and the
-// predictions are fanned back out per request. Every request must name the
-// same model and backend (that is the coalescing key); input tables may
-// differ. A shared-stage failure fails the whole batch. The context's
-// deadline and cancellation cover the DBMS fetches and every pipeline stage,
-// and reach the engine through the backend request. An already-expired
-// context is shed before any work happens.
-func (p *Pipeline) ExecScoreBatchCtx(ctx context.Context, reqs []*ScoreRequest) (results []*QueryResult, err error) {
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("pipeline: empty scoring batch")
-	}
+// ExecScoreCtx runs one scoring request end to end under the caller's
+// context: the model blob and the input rows come out of the DBMS and the
+// stage loop (score) does the rest. The context's deadline and cancellation
+// cover the DBMS fetches and every pipeline stage, and reach the engine
+// through the backend request. An already-expired context is shed before any
+// work happens.
+func (p *Pipeline) ExecScoreCtx(ctx context.Context, req *ScoreRequest) (*QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Failures before the stage loop (missing model or table) never reach
-	// the batch accounting; every request in the batch fails together.
-	reachedRun := false
-	defer func() {
-		if err != nil && !reachedRun {
-			if reg := p.Obs.Metrics(); reg != nil {
-				reg.Counter(MetricQueriesTotal, "Scoring queries by terminal status.",
-					"status", "error").Add(float64(len(reqs)))
-			}
-		}
-	}()
-	first := reqs[0]
-	fkey := first.FusionKey()
-	for _, r := range reqs[1:] {
-		if r.Model != first.Model || r.Backend != first.Backend {
-			return nil, fmt.Errorf("pipeline: coalesced batch mixes (model=%q backend=%q) with (model=%q backend=%q)",
-				first.Model, first.Backend, r.Model, r.Backend)
-		}
-		if r.FusionKey() != fkey {
-			return nil, fmt.Errorf("pipeline: coalesced batch mixes fused-query shapes (%q vs %q)",
-				fkey, r.FusionKey())
-		}
-	}
-
-	// DBMS side: fetch the model blob once, resolve the model BEFORE any row
-	// leaves the column store — its feature names drive projection pruning —
-	// then fetch each request's input rows. With the hot path enabled the
-	// dataset is a view of the table's own block whenever the model reads the
-	// table's REAL columns as they stand, and a gathered copy otherwise.
-	blob, err := p.DB.LoadModelBlob(first.Model)
-	if err != nil {
-		return nil, err
-	}
-	rm, err := p.resolveModel(first.Model, blob)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: model pre-processing: %w", err)
-	}
-	datas := make([]*dataset.Dataset, len(reqs))
-	for i, r := range reqs {
-		tbl, err := p.DB.Table(r.Data)
-		if err != nil {
-			return nil, err
-		}
-		// Projection pruning + @limit pushdown: only the model's feature
-		// columns, and only the first @limit rows, ever leave the table.
-		features := projectionFor(tbl, rm.f.FeatureNames)
-		var data *dataset.Dataset
-		if p.Cache != nil {
-			var snapHit bool
-			data, snapHit, err = tbl.DatasetSnapshotFor(features, r.Limit)
-			if reg := p.Obs.Metrics(); reg != nil && err == nil {
-				ev := "miss"
-				if snapHit {
-					ev = "hit"
-				}
-				reg.Counter(MetricSnapshotCacheEventsTotal,
-					"Scoring inputs served as a view of the table's block (hit) or as a gathered copy (miss).",
-					"event", ev).Inc()
-			}
-		} else {
-			// The baseline deliberately redoes the conversion per query, but
-			// still prunes columns and bounds rows.
-			data, err = tbl.DatasetFor(features, r.Limit)
-		}
-		if err != nil {
-			return nil, err
-		}
-		datas[i] = data
-	}
-	plan := &batchPlan{
-		modelName: first.Model, blob: blob, backend: first.Backend,
-		datas: datas, resolved: rm, where: first.Where, agg: first.Agg,
-	}
-	if len(datas) > 1 {
-		if plan.merged, err = dataset.Concat(datas); err != nil {
-			return nil, err
-		}
-	} else {
-		plan.merged = datas[0]
-	}
-	if len(first.Where) > 0 {
-		preds, err := p.buildPredicates(reqs, datas, first.Where)
-		if err != nil {
-			return nil, err
-		}
-		plan.sel = kernel.BuildSelection(plan.merged.NumRecords(), preds,
-			plan.merged.X, plan.merged.NumFeatures())
-	}
-	if first.Partition.Active() {
-		plan.part = first.Partition
-		plan.sel = partitionSelection(plan.sel, first.Partition, datas)
-	}
-	reachedRun = true
-	return p.scoreBatch(ctx, plan)
+	return p.score(ctx, req, nil, nil)
 }
 
-// batchPlan is everything scoreBatch needs for one fused pipeline run. The
-// zero fusion state (nil sel, AggNone) reproduces pre-fusion behavior
-// bit-for-bit.
-type batchPlan struct {
-	modelName string
-	blob      []byte
-	backend   string
-	// datas holds each request's (pruned, bounded) input rows; merged is
-	// their concatenation (== datas[0] for a batch of one).
-	datas  []*dataset.Dataset
-	merged *dataset.Dataset
-	// resolved carries a pre-resolved model from ExecScoreBatchCtx (which
-	// needs the feature names before data fetch); nil makes scoreBatch
-	// resolve it inside the model pre-processing stage (the Run path).
-	resolved *resolvedModel
-	// sel marks the rows surviving the pushed-down WHERE (nil = all rows);
-	// where retains the conjuncts for trace attributes.
-	sel   *kernel.Selection
-	where []db.Condition
-	agg   AggMode
-	// part records the hash partition already folded into sel, for trace
-	// attributes and the fused-shape decision.
-	part Partition
+// ExecScoreBatchCtx scores each request on its own, in order: nothing here
+// batches any more. The name survives only because the frozen benchmark
+// (bench/layers.go) calls it; ROADMAP 2(b) deletes it at the benchmark's next
+// re-freeze.
+func (p *Pipeline) ExecScoreBatchCtx(ctx context.Context, reqs []*ScoreRequest) ([]*QueryResult, error) {
+	results := make([]*QueryResult, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if results[i], err = p.ExecScoreCtx(ctx, req); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // resolvedModel is the model in executable form plus how it was obtained
@@ -653,61 +534,40 @@ func (p *Pipeline) WarmModel(name string) (string, error) {
 // Run executes the pipeline stages over a model blob and a dataset,
 // returning real predictions and the simulated end-to-end breakdown.
 func (p *Pipeline) Run(blob []byte, data *dataset.Dataset, backendName string) (*QueryResult, error) {
-	return p.run(context.Background(), "", blob, data, backendName)
+	return p.score(context.Background(), &ScoreRequest{Backend: backendName}, blob, data)
 }
 
-// run is the single-query stage loop behind Run. modelName (may be empty
-// for direct Run calls) only contributes to the cache key; the blob checksum
-// does the real identification.
-func (p *Pipeline) run(ctx context.Context, modelName string, blob []byte, data *dataset.Dataset, backendName string) (*QueryResult, error) {
-	results, err := p.scoreBatch(ctx, &batchPlan{
-		modelName: modelName, blob: blob, backend: backendName,
-		datas: []*dataset.Dataset{data}, merged: data,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// scoreBatch is the stage loop behind Run, ScoreProc and ExecScoreBatch. It
-// executes ONE pipeline run over the concatenation of the batch's datasets
-// and fans the predictions back out: one Python invocation, one model
-// pre-processing, one backend call over all rows. Each sub-query's simulated
-// timeline charges an amortized share — fixed per-invocation stages divide
-// by the batch size, row-proportional stages scale by row share — which is
-// the cross-query version of the paper's overhead-amortization argument. A
-// batch of one with no fusion reproduces the old per-query behavior exactly.
+// score is the stage loop behind ExecScoreCtx and Run: ONE trace and ONE
+// observeQuery per query, opened before anything can fail, then model
+// pre-processing, the input fetch, scoring and post-processing — each a
+// function under its own span. Run hands in the blob and the rows; with data
+// nil (ExecScoreCtx) both come out of the DBMS, the blob first: the model's
+// feature names drive projection pruning, so the model is resolved BEFORE any
+// row leaves the column store.
 //
-// With fusion engaged, the plan's selection rides into the backend request
-// so dead rows are skipped inside the kernel's block loop, and a fused
-// aggregate asks the engine for class counts so the prediction column is
-// never materialized (falling back to counting predictions for engines that
-// ignore WantCounts).
-func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*QueryResult, err error) {
-	datas := plan.datas
-	n := len(datas)
-	if n == 0 {
-		return nil, fmt.Errorf("pipeline: empty scoring batch")
+// With fusion engaged the selection rides into the backend request so dead
+// rows are skipped inside the kernel's block loop, and a fused aggregate asks
+// the engine for class counts so the prediction column is never materialized
+// (falling back to counting predictions for engines that ignore WantCounts).
+// The zero fusion state (no WHERE, AggNone, no partition) reproduces
+// pre-fusion behavior bit-for-bit.
+func (p *Pipeline) score(ctx context.Context, req *ScoreRequest, blob []byte, data *dataset.Dataset) (res *QueryResult, err error) {
+	tr := p.Obs.StartTrace(ScoreProcName)
+	tr.SetAttr("model", req.Model)
+	if len(req.Where) > 0 {
+		tr.SetAttr("where", db.FormatConditions(req.Where))
 	}
-	merged := plan.merged
-	if merged == nil {
-		merged = datas[0]
-		if n > 1 {
-			if merged, err = dataset.Concat(datas); err != nil {
-				return nil, err
-			}
-		}
+	if req.Agg != AggNone {
+		tr.SetAttr("agg", req.Agg.String())
 	}
-	records := int64(merged.NumRecords())
-	features := int64(merged.NumFeatures())
-	scoredRows := records
-	if plan.sel != nil {
-		scoredRows = int64(plan.sel.Count())
+	if req.Partition.Active() {
+		tr.SetAttr("partition", req.Partition.String())
 	}
 	// A partition-only selection is a parallelism device, not user-visible
 	// query fusion, so it does not flip the Fused flag or the fusion metrics.
-	fused := len(plan.where) > 0 || plan.agg != AggNone
+	res = &QueryResult{TraceID: tr.ID(), Fused: req.Fused()}
+	start := time.Now()
+	defer func() { p.observeQuery(tr, start, res, err) }()
 
 	// Resource attribution brackets the three measured stages with cost
 	// samples (see stage). Thread-CPU deltas are only meaningful while the
@@ -719,43 +579,17 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 		defer runtime.UnlockOSThread()
 	}
 
-	subs := make([]*QueryResult, n)
-	trs := make([]*obs.Trace, n)
-	for i, d := range datas {
-		tr := p.Obs.StartTrace(ScoreProcName)
-		tr.SetAttr("model", plan.modelName)
-		tr.SetAttr("records", strconv.Itoa(d.NumRecords()))
-		if n > 1 {
-			tr.SetAttr("coalesced_batch", strconv.Itoa(n))
+	// Model pre-processing: cache probe, blob deserialization, kernel
+	// lowering.
+	fromDB := data == nil
+	if fromDB {
+		if blob, err = p.DB.LoadModelBlob(req.Model); err != nil {
+			return nil, err
 		}
-		if len(plan.where) > 0 {
-			tr.SetAttr("where", db.FormatConditions(plan.where))
-		}
-		if plan.agg != AggNone {
-			tr.SetAttr("agg", plan.agg.String())
-		}
-		if plan.part.Active() {
-			tr.SetAttr("partition", plan.part.String())
-		}
-		trs[i] = tr
-		subs[i] = &QueryResult{TraceID: tr.ID(), BatchSize: n, Fused: fused}
 	}
-	start := time.Now()
-	defer func() {
-		for i := range subs {
-			p.observeQuery(trs[i], start, subs[i], err)
-		}
-	}()
-
-	// Model pre-processing: resolve the compiled form (cache probe, blob
-	// deserialization, kernel lowering) unless the caller already did — the
-	// fused exec path resolves before data fetch because the feature names
-	// drive projection pruning.
-	rm := plan.resolved
-	costPreproc, err := p.stage(trs, StageModelPreproc, attribOn, func() (err error) {
-		if rm == nil {
-			rm, err = p.resolveModel(plan.modelName, plan.blob)
-		}
+	var rm *resolvedModel
+	costPreproc, err := p.stage(tr, StageModelPreproc, attribOn, func() (err error) {
+		rm, err = p.resolveModel(req.Model, blob)
 		return err
 	})
 	if err != nil {
@@ -767,11 +601,29 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 	// deserialization charge.
 	resident := status == "hit" || status == "coalesced"
 
-	// Model scoring on the selected backend, over the merged rows. The
-	// pre-compiled kernel form rides along so CPU engines skip their
-	// per-query lowering; the selection rides along so every engine skips
-	// filtered-out rows.
-	eng, source, err := p.resolveBackend(plan.backend, stats, records)
+	// sel marks the rows the kernel scores: those surviving the pushed-down
+	// WHERE, narrowed to the request's hash partition (nil = all rows).
+	var sel *kernel.Selection
+	if fromDB {
+		end := tr.StartSpan("input fetch")
+		data, sel, err = p.fetchInput(req, f.FeatureNames)
+		end()
+		if err != nil {
+			return nil, err
+		}
+	}
+	tr.SetAttr("records", strconv.Itoa(data.NumRecords()))
+	records := int64(data.NumRecords())
+	features := int64(data.NumFeatures())
+	scoredRows := records
+	if sel != nil {
+		scoredRows = int64(sel.Count())
+	}
+
+	// Model scoring on the selected backend. The pre-compiled kernel form
+	// rides along so CPU engines skip their per-query lowering; the selection
+	// rides along so every engine skips filtered-out rows.
+	eng, source, err := p.resolveBackend(req.Backend, stats, records)
 	if err != nil {
 		return nil, err
 	}
@@ -784,16 +636,16 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 		return nil, err
 	}
 	var scored *backend.Result
-	costScoring, err := p.stage(trs, StageModelScoring, attribOn, func() (err error) {
+	costScoring, err := p.stage(tr, StageModelScoring, attribOn, func() (err error) {
 		scored, err = eng.Score(&backend.Request{
-			Forest: f, Data: merged, Compiled: compiled, Stats: &stats,
+			Forest: f, Data: data, Compiled: compiled, Stats: &stats,
 			Ctx: ctx, Inject: p.Faults,
-			Sel: plan.sel, WantCounts: wantCounts(plan.agg, n),
+			Sel: sel, WantCounts: req.Agg != AggNone,
 		})
 		return err
 	})
 	if err != nil {
-		p.noteScoringError(trs, eng.Name(), err)
+		p.noteScoringError(tr, eng.Name(), err)
 		return nil, fmt.Errorf("pipeline: scoring on %s: %w", eng.Name(), err)
 	}
 	if reg := p.Obs.Metrics(); reg != nil {
@@ -801,62 +653,62 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 			"Rows read from the column store by scoring queries.").Add(float64(records))
 		reg.Counter(MetricRowsScoredTotal,
 			"Rows that survived pushed-down filters and were scored.").Add(float64(scoredRows))
-		if fused {
+		if res.Fused {
 			mode := "aggregate"
 			switch {
-			case len(plan.where) > 0 && plan.agg != AggNone:
+			case len(req.Where) > 0 && req.Agg != AggNone:
 				mode = "filter_aggregate"
-			case len(plan.where) > 0:
+			case len(req.Where) > 0:
 				mode = "filter"
 			}
 			reg.Counter(MetricFusedQueriesTotal,
-				"Fused scoring queries by shape.", "mode", mode).Add(float64(n))
+				"Fused scoring queries by shape.", "mode", mode).Inc()
 		}
 	}
 
-	costPost, err := p.stage(trs, StagePostprocessing, attribOn, func() error {
-		return landResults(plan, scored, eng.Name(), subs)
+	res.Backend, res.RowsScanned, res.RowsScored = eng.Name(), int(records), int(scoredRows)
+	costPost, err := p.stage(tr, StagePostprocessing, attribOn, func() error {
+		return landResults(req.Agg, sel, scored, res)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Simulated Fig. 11 breakdown of the whole batch, in canonical stage
-	// order: invocation, inbound transfer (rows always; the blob only when
-	// the compiled model is not resident), model pre-processing (checksum
-	// verification on hit, full deserialization otherwise), data
-	// pre-processing, scoring, post-processing, outbound transfer. Inbound
-	// stages charge for every scanned row (the filter runs inside scoring);
-	// post-processing and the outbound transfer charge only for rows that
-	// were scored, and a fused aggregate returns a histogram instead of a
-	// prediction column.
-	var batch sim.Timeline
-	batch.Add(StagePythonInvocation, sim.KindPipeline, p.Runtime.ProcessInvoke)
+	// Simulated Fig. 11 breakdown, in canonical stage order: invocation,
+	// inbound transfer (rows always; the blob only when the compiled model is
+	// not resident), model pre-processing (checksum verification on hit, full
+	// deserialization otherwise), data pre-processing, scoring,
+	// post-processing, outbound transfer. Inbound stages charge for every
+	// scanned row (the filter runs inside scoring); post-processing and the
+	// outbound transfer charge only for rows that were scored, and a fused
+	// aggregate returns a histogram instead of a prediction column.
+	tl := &res.Timeline
+	tl.Add(StagePythonInvocation, sim.KindPipeline, p.Runtime.ProcessInvoke)
 	inBytes := records * features * dataset.BytesPerValue
 	if !resident {
-		inBytes += int64(len(plan.blob))
+		inBytes += int64(len(blob))
 	}
-	batch.Add(StageDataTransfer, sim.KindPipeline, p.Runtime.IPCTime(inBytes))
+	tl.Add(StageDataTransfer, sim.KindPipeline, p.Runtime.IPCTime(inBytes))
 	if resident {
-		batch.Add(StageModelPreproc, sim.KindPipeline, p.Runtime.ModelCacheHitTime(int64(len(plan.blob))))
+		tl.Add(StageModelPreproc, sim.KindPipeline, p.Runtime.ModelCacheHitTime(int64(len(blob))))
 	} else {
-		batch.Add(StageModelPreproc, sim.KindPipeline, p.Runtime.ModelDeserializeTime(int64(len(plan.blob))))
+		tl.Add(StageModelPreproc, sim.KindPipeline, p.Runtime.ModelDeserializeTime(int64(len(blob))))
 	}
-	batch.Add(StageDataPreproc, sim.KindPipeline, p.Runtime.DataPreprocTime(records, features))
-	batch.Add(StageModelScoring, sim.KindCompute, scored.Timeline.Total())
-	batch.Add(StagePostprocessing, sim.KindPipeline, p.Runtime.PostprocTime(scoredRows))
+	tl.Add(StageDataPreproc, sim.KindPipeline, p.Runtime.DataPreprocTime(records, features))
+	tl.Add(StageModelScoring, sim.KindCompute, scored.Timeline.Total())
+	tl.Add(StagePostprocessing, sim.KindPipeline, p.Runtime.PostprocTime(scoredRows))
 	outBytes := scoredRows * 4
-	if plan.agg != AggNone {
+	if req.Agg != AggNone {
 		outBytes = int64(stats.Classes+1) * 16
 	}
-	batch.Add(StageDataTransfer, sim.KindPipeline, p.Runtime.IPCTime(outBytes))
+	tl.Add(StageDataTransfer, sim.KindPipeline, p.Runtime.IPCTime(outBytes))
+	res.ScoringDetail = scored.Timeline
 
-	// Batch-level attribution in canonical order: the two transfer legs carry
-	// the (simulated) byte volumes that crossed the runtime boundary, the
-	// three measured stages carry real thread-CPU and allocation deltas.
-	var batchAttrib obs.Attribution
+	// Attribution in canonical order: the two transfer legs carry the
+	// (simulated) byte volumes that crossed the runtime boundary, the three
+	// measured stages carry real thread-CPU and allocation deltas.
 	if attribOn {
-		batchAttrib = obs.Attribution{
+		res.Attribution = obs.Attribution{
 			{Stage: StageTransferIn, BytesMoved: inBytes},
 			costPreproc,
 			costScoring,
@@ -864,95 +716,91 @@ func (p *Pipeline) scoreBatch(ctx context.Context, plan *batchPlan) (results []*
 			{Stage: StageTransferOut, BytesMoved: outBytes},
 		}
 	}
-
-	for i, d := range datas {
-		if n == 1 {
-			subs[i].Timeline = batch
-			subs[i].ScoringDetail = scored.Timeline
-			subs[i].Attribution = batchAttrib
-		} else {
-			share := 1.0 / float64(n)
-			if records > 0 {
-				share = float64(d.NumRecords()) / float64(records)
-			}
-			subs[i].Timeline = apportionTimeline(&batch, n, share)
-			subs[i].ScoringDetail = scaleTimeline(&scored.Timeline, share)
-			if attribOn {
-				subs[i].Attribution = apportionAttribution(batchAttrib, n, share)
-			}
-		}
-		subs[i].CacheHit = status == "hit"
-		if p.Cache != nil {
-			subs[i].CacheStats = p.Cache.Stats()
-		}
+	res.CacheHit = status == "hit"
+	if p.Cache != nil {
+		res.CacheStats = p.Cache.Stats()
 	}
-	results = subs
-	return results, nil
+	return res, nil
 }
 
-// landResults is the post-processing stage: it lands each sub-query's slice
-// of the batch's output in its own result table — the prediction column in
-// one bulk append, or, for a fused aggregate, the class histogram without
-// ever materializing predictions.
-func landResults(plan *batchPlan, scored *backend.Result, engine string, subs []*QueryResult) error {
-	// Dense rank -> merged row ordinal, materialized once so each sub-query
-	// can report which scan ordinals its predictions belong to.
-	var selRows []int
-	if plan.sel != nil && plan.agg == AggNone {
-		selRows = make([]int, plan.sel.Count())
-		plan.sel.ForEach(func(row, rank int) { selRows[rank] = row })
+// fetchInput reads the request's rows out of the DBMS and builds its
+// selection. Projection pruning + @limit pushdown: only the model's feature
+// columns, and only the first @limit rows, ever leave the table. With the hot
+// path enabled the dataset is a view of the table's own block whenever the
+// model reads the table's REAL columns as they stand, and a gathered copy
+// otherwise; the baseline deliberately redoes the conversion per query, but
+// still prunes columns and bounds rows.
+func (p *Pipeline) fetchInput(req *ScoreRequest, featureNames []string) (*dataset.Dataset, *kernel.Selection, error) {
+	tbl, err := p.DB.Table(req.Data)
+	if err != nil {
+		return nil, nil, err
 	}
-	offset := 0
-	for i, d := range plan.datas {
-		nr := d.NumRecords()
-		outLo, scoredN := fusedPartition(plan.sel, offset, nr)
-		var preds []int
-		if scored.Predictions != nil {
-			preds = scored.Predictions[outLo : outLo+scoredN]
-		}
-		subs[i].RowsScanned = nr
-		subs[i].RowsScored = scoredN
-		if selRows != nil {
-			rows := make([]int, scoredN)
-			for j, r := range selRows[outLo : outLo+scoredN] {
-				rows[j] = r - offset
+	features := projectionFor(tbl, featureNames)
+	var data *dataset.Dataset
+	if p.Cache != nil {
+		var view bool
+		data, view, err = tbl.DatasetSnapshotFor(features, req.Limit)
+		if reg := p.Obs.Metrics(); reg != nil && err == nil {
+			ev := "miss"
+			if view {
+				ev = "hit"
 			}
-			subs[i].ScoredRows = rows
+			reg.Counter(MetricSnapshotCacheEventsTotal,
+				"Scoring inputs served as a view of the table's block (hit) or as a gathered copy (miss).",
+				"event", ev).Inc()
 		}
-		offset += nr
-		subs[i].Backend = engine
-		var out *db.Table
-		var err error
-		if plan.agg == AggNone {
-			out, err = db.NewTable("predictions", []db.Column{{Name: "prediction", Type: db.Int64Col}})
-			if err == nil {
-				err = out.AppendIntRows(preds)
-			}
-			subs[i].Predictions = preds
-		} else {
-			// scored.ClassCounts is only produced for single-request
-			// batches, so using it for request i is exact.
-			out, err = aggResult(plan.agg, preds, scored.ClassCounts)
-		}
+	} else {
+		data, err = tbl.DatasetFor(features, req.Limit)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	var sel *kernel.Selection
+	if len(req.Where) > 0 {
+		preds, err := buildPredicates(tbl, data, req.Where)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		subs[i].Table = out
+		sel = kernel.BuildSelection(data.NumRecords(), preds, data.X, data.NumFeatures())
 	}
-	return nil
+	if req.Partition.Active() {
+		sel = partitionSelection(sel, req.Partition, data.NumRecords())
+	}
+	return data, sel, nil
 }
 
-// stage runs body as one measured stage of the batch: under the named
-// wall-clock span on every trace and, with attribution on, between two cost
+// landResults is the post-processing stage: it lands the engine's output in
+// the query's result table — the prediction column in one bulk append (with
+// the scan ordinals behind it when a selection restricted scoring), or, for a
+// fused aggregate, the class histogram without ever materializing
+// predictions.
+func landResults(agg AggMode, sel *kernel.Selection, scored *backend.Result, res *QueryResult) (err error) {
+	if agg != AggNone {
+		res.Table, err = aggResult(agg, scored.Predictions, scored.ClassCounts)
+		return err
+	}
+	if sel != nil {
+		res.ScoredRows = make([]int, sel.Count())
+		sel.ForEach(func(row, rank int) { res.ScoredRows[rank] = row })
+	}
+	res.Predictions = scored.Predictions
+	if res.Table, err = db.NewTable("predictions", []db.Column{{Name: "prediction", Type: db.Int64Col}}); err == nil {
+		err = res.Table.AppendIntRows(res.Predictions)
+	}
+	return err
+}
+
+// stage runs body as one measured stage of the query: under the named
+// wall-clock span on its trace and, with attribution on, between two cost
 // samples whose thread-CPU and allocation delta is returned as the stage's
 // cost row (the zero StageCost otherwise). The span closes and the bracket
 // is read whether or not body fails.
-func (p *Pipeline) stage(trs []*obs.Trace, name string, attribOn bool, body func() error) (obs.StageCost, error) {
+func (p *Pipeline) stage(tr *obs.Trace, name string, attribOn bool, body func() error) (obs.StageCost, error) {
 	var sample obs.CostSample
 	if attribOn {
 		sample = obs.ReadCostSample()
 	}
-	end := p.startSpanAll(trs, name)
+	end := tr.StartSpan(name)
 	err := body()
 	end()
 	var cost obs.StageCost
@@ -961,66 +809,6 @@ func (p *Pipeline) stage(trs []*obs.Trace, name string, attribOn bool, body func
 		cost.Stage = name
 	}
 	return cost, err
-}
-
-// startSpanAll opens the named wall-clock span on every trace in the batch,
-// returning a closer that ends them all.
-func (p *Pipeline) startSpanAll(trs []*obs.Trace, name string) func() {
-	ends := make([]func(), len(trs))
-	for i, tr := range trs {
-		ends[i] = tr.StartSpan(name)
-	}
-	return func() {
-		for _, end := range ends {
-			end()
-		}
-	}
-}
-
-// apportionTimeline computes one sub-query's amortized share of a coalesced
-// batch timeline: fixed per-invocation stages (Python invocation, model
-// pre-processing) divide evenly across the batch — the amortization win —
-// while row-proportional stages scale by the sub-query's row share.
-func apportionTimeline(batch *sim.Timeline, n int, share float64) sim.Timeline {
-	var out sim.Timeline
-	for _, s := range batch.Spans() {
-		d := s.Duration
-		switch s.Name {
-		case StagePythonInvocation, StageModelPreproc:
-			d /= time.Duration(n)
-		default:
-			d = time.Duration(float64(d) * share)
-		}
-		out.AddSpan(sim.Span{Name: s.Name, Kind: s.Kind, Duration: d})
-	}
-	return out
-}
-
-// apportionAttribution is apportionTimeline for measured costs: fixed
-// per-invocation stages (model pre-processing happens once per batch) divide
-// evenly across the batch, row-proportional stages scale by the sub-query's
-// row share.
-func apportionAttribution(batch obs.Attribution, n int, share float64) obs.Attribution {
-	out := make(obs.Attribution, 0, len(batch))
-	for _, c := range batch {
-		switch c.Stage {
-		case StagePythonInvocation, StageModelPreproc:
-			out = append(out, c.Divide(n))
-		default:
-			out = append(out, c.Scale(share))
-		}
-	}
-	return out
-}
-
-// scaleTimeline scales every span duration by share, preserving names and
-// kinds.
-func scaleTimeline(t *sim.Timeline, share float64) sim.Timeline {
-	var out sim.Timeline
-	for _, s := range t.Spans() {
-		out.AddSpan(sim.Span{Name: s.Name, Kind: s.Kind, Duration: time.Duration(float64(s.Duration) * share)})
-	}
-	return out
 }
 
 const helpModelCacheEvents = "Compiled-model cache hits, misses and evictions."
@@ -1046,19 +834,17 @@ func ErrorClass(err error) string {
 	}
 }
 
-// noteScoringError marks each trace in the batch with the failed engine and
-// error class, and counts the failure, so injected faults and deadline hits
-// are visible on /metrics and /debug/queries.
-func (p *Pipeline) noteScoringError(trs []*obs.Trace, engine string, err error) {
+// noteScoringError marks the query's trace with the failed engine and error
+// class, and counts the failure, so injected faults and deadline hits are
+// visible on /metrics and /debug/queries.
+func (p *Pipeline) noteScoringError(tr *obs.Trace, engine string, err error) {
 	class := ErrorClass(err)
 	if reg := p.Obs.Metrics(); reg != nil {
 		reg.Counter(MetricScoringErrorsTotal, "Failed engine scoring calls by error class.",
-			"backend", engine, "class", class).Add(float64(len(trs)))
+			"backend", engine, "class", class).Inc()
 	}
-	for _, tr := range trs {
-		tr.SetAttr("scoring_error_class", class)
-		tr.SetAttr("scoring_engine", engine)
-	}
+	tr.SetAttr("scoring_error_class", class)
+	tr.SetAttr("scoring_engine", engine)
 }
 
 // countStatement bumps the statement-kind counter when an observer is

@@ -55,7 +55,7 @@ func (l *Local) Score(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, NoReroute(err)
 	}
-	results, err := l.Pipe.ExecScoreBatchCtx(ctx, []*pipeline.ScoreRequest{sreq})
+	res, err := l.Pipe.ExecScoreCtx(ctx, sreq)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, err
@@ -64,7 +64,7 @@ func (l *Local) Score(ctx context.Context, req Request) (*Result, error) {
 		// filter): identical on every data-symmetric replica.
 		return nil, NoReroute(err)
 	}
-	return WireResult(l.Name, sreq.Agg, results[0])
+	return WireResult(l.Name, sreq.Agg, res)
 }
 
 // Warm implements Backend.
