@@ -1,15 +1,8 @@
-// Command repro regenerates every table and figure of the paper's
-// evaluation section and writes the renderings to stdout or a directory.
-//
-// Usage:
-//
-//	repro [-fig 1|7|8|9|10|11|headline|ext|report|all] [-out DIR] [-csv]
-//	      [-trace out.json]
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,76 +11,54 @@ import (
 	"accelscore/internal/obs"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 1, 7, 8, 9, 10, 11, headline, ext, report, or all")
-	out := flag.String("out", "", "directory to write per-figure .txt files (default: stdout)")
-	csvOut := flag.Bool("csv", false, "also write machine-readable .csv files (requires -out)")
-	tracePath := flag.String("trace", "", "write Chrome trace-event JSON of the pipeline queries run while building figures")
-	flag.Parse()
-
+// runRepro regenerates the tables and figures of the paper's evaluation
+// section and writes the renderings to stdout or a directory. -trace records
+// the pipeline queries run while building them: the Fig. 11 estimates route
+// through pipeline.Estimate, so -fig 11 (or all) yields one trace per
+// table/backend pair.
+func runRepro(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("repro", stderr)
+	fig := fs.String("fig", "all", "which figure to regenerate: 1, 7, 8, 9, 10, 11, headline, ext, report, or all")
+	out := fs.String("out", "", "directory to write per-figure .txt files (default: stdout)")
+	csvOut := fs.Bool("csv", false, "also write machine-readable .csv files (requires -out)")
+	tracePath := fs.String("trace", "", "write Chrome trace-event JSON of the pipeline queries run while building figures")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *csvOut && *out == "" {
-		fmt.Fprintln(os.Stderr, "repro: -csv requires -out")
-		os.Exit(1)
+		return fmt.Errorf("-csv requires -out")
 	}
 	s := experiments.NewSuite()
-	var o *obs.Observer
 	if *tracePath != "" {
-		o = obs.NewObserver()
-		s.Pipe.Obs = o
+		s.Pipe.Obs = obs.NewObserver()
 	}
 	sections, err := build(s, *fig, *csvOut)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
+		return err
 	}
 	if *tracePath != "" {
-		if err := writeTrace(o, *tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+		if err := writeTrace(s.Pipe.Obs, *tracePath, stdout, stderr); err != nil {
+			return err
 		}
 	}
 	if *out == "" {
 		for _, sec := range sections {
 			if !sec.csv {
-				fmt.Println(sec.body)
+				fmt.Fprintln(stdout, sec.body)
 			}
 		}
-		return
+		return nil
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
+		return err
 	}
 	for _, sec := range sections {
 		path := filepath.Join(*out, sec.file)
 		if err := os.WriteFile(path, []byte(sec.body), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println("wrote", path)
+		fmt.Fprintln(stdout, "wrote", path)
 	}
-}
-
-// writeTrace dumps every trace the suite's pipeline retained — the Fig. 11
-// estimates route through pipeline.Estimate, so -fig 11 (or all) records one
-// trace per table/backend pair.
-func writeTrace(o *obs.Observer, path string) error {
-	n := o.Tracer.Len()
-	if n == 0 {
-		fmt.Fprintln(os.Stderr, "repro: warning: no pipeline queries ran for this figure; trace will be empty")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := o.Tracer.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d traces to %s (open in chrome://tracing or Perfetto)\n", n, path)
 	return nil
 }
 
@@ -100,6 +71,17 @@ type section struct {
 func build(s *experiments.Suite, fig string, withCSV bool) ([]section, error) {
 	var out []section
 	want := func(name string) bool { return fig == "all" || fig == name }
+	addCSV := func(file string, write func(io.Writer) error) error {
+		if !withCSV {
+			return nil
+		}
+		var buf strings.Builder
+		if err := write(&buf); err != nil {
+			return err
+		}
+		out = append(out, section{file: file, body: buf.String(), csv: true})
+		return nil
+	}
 
 	if want("1") {
 		r, err := s.Fig1()
@@ -122,12 +104,8 @@ func build(s *experiments.Suite, fig string, withCSV bool) ([]section, error) {
 				return nil, err
 			}
 			out = append(out, section{file: fmt.Sprintf("fig8_%s.txt", shape.Name), body: experiments.RenderFig8(r)})
-			if withCSV {
-				var buf strings.Builder
-				if err := experiments.WriteFig8CSV(&buf, r); err != nil {
-					return nil, err
-				}
-				out = append(out, section{file: fmt.Sprintf("fig8_%s.csv", shape.Name), body: buf.String(), csv: true})
+			if err := addCSV(fmt.Sprintf("fig8_%s.csv", shape.Name), func(w io.Writer) error { return experiments.WriteFig8CSV(w, r) }); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -137,12 +115,8 @@ func build(s *experiments.Suite, fig string, withCSV bool) ([]section, error) {
 			return nil, err
 		}
 		out = append(out, section{file: "fig9.txt", body: experiments.RenderFig9(panels)})
-		if withCSV {
-			var buf strings.Builder
-			if err := experiments.WriteFig9CSV(&buf, panels); err != nil {
-				return nil, err
-			}
-			out = append(out, section{file: "fig9.csv", body: buf.String(), csv: true})
+		if err := addCSV("fig9.csv", func(w io.Writer) error { return experiments.WriteFig9CSV(w, panels) }); err != nil {
+			return nil, err
 		}
 	}
 	if want("10") {
@@ -151,12 +125,8 @@ func build(s *experiments.Suite, fig string, withCSV bool) ([]section, error) {
 			return nil, err
 		}
 		out = append(out, section{file: "fig10.txt", body: experiments.RenderFig10(panels)})
-		if withCSV {
-			var buf strings.Builder
-			if err := experiments.WriteFig10CSV(&buf, panels); err != nil {
-				return nil, err
-			}
-			out = append(out, section{file: "fig10.csv", body: buf.String(), csv: true})
+		if err := addCSV("fig10.csv", func(w io.Writer) error { return experiments.WriteFig10CSV(w, panels) }); err != nil {
+			return nil, err
 		}
 	}
 	if want("11") {
@@ -165,12 +135,8 @@ func build(s *experiments.Suite, fig string, withCSV bool) ([]section, error) {
 			return nil, err
 		}
 		out = append(out, section{file: "fig11.txt", body: experiments.RenderFig11(rows)})
-		if withCSV {
-			var buf strings.Builder
-			if err := experiments.WriteFig11CSV(&buf, rows); err != nil {
-				return nil, err
-			}
-			out = append(out, section{file: "fig11.csv", body: buf.String(), csv: true})
+		if err := addCSV("fig11.csv", func(w io.Writer) error { return experiments.WriteFig11CSV(w, rows) }); err != nil {
+			return nil, err
 		}
 	}
 	if want("headline") {

@@ -8,5 +8,5 @@
 // See README.md for the layout, DESIGN.md for the system inventory and the
 // hardware-substitution rationale, and EXPERIMENTS.md for paper-vs-measured
 // results. The root-level benchmarks in bench_test.go regenerate each
-// figure; cmd/repro renders them as text.
+// figure; `accelscore repro` renders them as text.
 package accelscore

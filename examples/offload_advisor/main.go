@@ -15,7 +15,6 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"accelscore/internal/backend"
 	"accelscore/internal/core"
 	"accelscore/internal/platform"
 	"accelscore/internal/sim"
@@ -74,22 +73,4 @@ func main() {
 			n, sim.FormatDuration(olc.O), sim.FormatDuration(olc.L),
 			sim.FormatDuration(olc.C), sim.FormatDuration(olc.Total()))
 	}
-
-	// Data-parallel extension: for a very large batch, split the records
-	// across all three devices at once instead of picking one.
-	const bigBatch = 20_000_000
-	plan, err := core.PlanSplit(
-		[]backend.Backend{tb.SKLearn, tb.HB, tb.FPGA},
-		shape.Stats(), bigBatch)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nsplitting %d records across devices (vs %s alone at %s):\n",
-		int64(bigBatch), plan.SingleBestName, sim.FormatDuration(plan.SingleBest))
-	for _, a := range plan.Assignments {
-		fmt.Printf("  %-12s %9d records  finishes in %s\n",
-			a.Backend, a.Records, sim.FormatDuration(a.Time))
-	}
-	fmt.Printf("  makespan %s — %.2fx over the single best device\n",
-		sim.FormatDuration(plan.Makespan), plan.Speedup())
 }

@@ -228,16 +228,6 @@ func (r *Result) Throughput() float64 {
 	return sim.Throughput(r.NumScored(), r.Latency())
 }
 
-// OLC decomposes the scoring timeline into the paper's Fig. 6 taxonomy:
-// host offload overhead O, data-transfer overhead L and scoring compute C.
-// Engine timelines contain only these three kinds, so the three components
-// sum to Latency; the observability layer publishes them per backend.
-func (r *Result) OLC() (overhead, transfer, compute time.Duration) {
-	return r.Timeline.TotalKind(sim.KindOverhead),
-		r.Timeline.TotalKind(sim.KindTransfer),
-		r.Timeline.TotalKind(sim.KindCompute)
-}
-
 // Backend is a scoring engine.
 type Backend interface {
 	// Name is the display name used in figures ("CPU_SKLearn", "FPGA", ...).
@@ -298,16 +288,4 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// All returns the backends sorted by name.
-func (r *Registry) All() []Backend {
-	names := r.Names()
-	out := make([]Backend, 0, len(names))
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, n := range names {
-		out = append(out, r.backends[n])
-	}
-	return out
 }

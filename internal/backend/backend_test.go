@@ -176,8 +176,8 @@ func TestRegistry(t *testing.T) {
 	if err := reg.Register(nil); err == nil {
 		t.Fatal("nil registration accepted")
 	}
-	if got := len(reg.All()); got != 6 {
-		t.Fatalf("All() = %d backends", got)
+	if got := len(reg.Names()); got != 6 {
+		t.Fatalf("Names() = %d backends", got)
 	}
 }
 

@@ -81,7 +81,7 @@ func (r *Report) Failures() []Finding {
 func (r *Report) OK() bool { return len(r.Failures()) == 0 }
 
 // Summary renders a per-engine pass/skip/fail table followed by the detail
-// of every failure — the cmd/conformance output.
+// of every failure — the accelscore conformance output.
 func (r *Report) Summary() string {
 	type tally struct{ pass, skip, fail int }
 	tallies := make(map[string]*tally)

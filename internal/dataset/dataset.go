@@ -2,8 +2,8 @@
 // evaluation: the UCI IRIS multi-class dataset (embedded verbatim and
 // replicated to 1M rows exactly as the paper does, §IV-A) and a synthetic
 // stand-in for the UCI HIGGS binary dataset (28 features), plus the generic
-// dataset plumbing every other package shares: replication, splitting, CSV
-// I/O and size accounting.
+// dataset plumbing every other package shares: replication, splitting and
+// size accounting.
 package dataset
 
 import (
@@ -168,15 +168,4 @@ func (d *Dataset) Split(testFrac float64, rng *xrand.Rand) (train, test *Dataset
 		return out
 	}
 	return build(perm[nTest:]), build(perm[:nTest])
-}
-
-// ClassCounts returns the number of rows per class label.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses())
-	for _, y := range d.Y {
-		if y >= 0 && y < len(counts) {
-			counts[y]++
-		}
-	}
-	return counts
 }

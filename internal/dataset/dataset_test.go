@@ -1,13 +1,19 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"accelscore/internal/xrand"
 )
+
+func classCounts(d *Dataset) []int {
+	counts := make([]int, d.NumClasses())
+	for _, y := range d.Y {
+		counts[y]++
+	}
+	return counts
+}
 
 func TestIrisShape(t *testing.T) {
 	d := Iris()
@@ -17,8 +23,7 @@ func TestIrisShape(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	counts := d.ClassCounts()
-	for c, n := range counts {
+	for c, n := range classCounts(d) {
 		if n != 50 {
 			t.Fatalf("class %d has %d samples, want 50", c, n)
 		}
@@ -72,7 +77,7 @@ func TestHiggsDeterministic(t *testing.T) {
 
 func TestHiggsClassBalance(t *testing.T) {
 	d := Higgs(20000, 1)
-	counts := d.ClassCounts()
+	counts := classCounts(d)
 	frac := float64(counts[1]) / 20000
 	if frac < 0.50 || frac > 0.56 {
 		t.Fatalf("signal fraction = %v, want ~0.53", frac)
@@ -194,70 +199,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	d.Y = d.Y[:10]
 	if d.Validate() == nil {
 		t.Fatal("label-count mismatch not caught")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	d := Iris()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, "IRIS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRecords() != 150 || got.NumFeatures() != 4 || got.NumClasses() != 3 {
-		t.Fatalf("round-trip shape %dx%d classes=%d", got.NumRecords(), got.NumFeatures(), got.NumClasses())
-	}
-	for i := range d.X {
-		if d.X[i] != got.X[i] {
-			t.Fatalf("round-trip value %d: %v != %v", i, d.X[i], got.X[i])
-		}
-	}
-	for i := range d.Y {
-		if d.Y[i] != got.Y[i] {
-			t.Fatalf("round-trip label %d: %v != %v", i, d.Y[i], got.Y[i])
-		}
-	}
-}
-
-func TestCSVRoundTripProperty(t *testing.T) {
-	f := func(seed uint16, nRaw uint8) bool {
-		n := int(nRaw)%50 + 1
-		d := Higgs(n, uint64(seed))
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, d); err != nil {
-			return false
-		}
-		got, err := ReadCSV(&buf, "HIGGS")
-		if err != nil {
-			return false
-		}
-		if got.NumRecords() != n {
-			return false
-		}
-		for i := range d.X {
-			if d.X[i] != got.X[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString(""), "x"); err == nil {
-		t.Fatal("empty CSV accepted")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("a,b,label\n1,notanumber,c\n"), "x"); err == nil {
-		t.Fatal("bad float accepted")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("label\nc\n"), "x"); err == nil {
-		t.Fatal("CSV with no features accepted")
 	}
 }
 

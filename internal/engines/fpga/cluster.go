@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"accelscore/internal/backend"
-	"accelscore/internal/dataset"
 	"accelscore/internal/forest"
-	"accelscore/internal/kernel"
 	"accelscore/internal/sim"
 )
 
@@ -31,7 +28,7 @@ func NewCluster(e *Engine, devices int) (*Cluster, error) {
 	return &Cluster{engine: e, devices: devices}, nil
 }
 
-// Name implements backend.Backend.
+// Name is the label the scale-out table prints.
 func (c *Cluster) Name() string {
 	if c.devices == 1 {
 		return "FPGA"
@@ -39,59 +36,8 @@ func (c *Cluster) Name() string {
 	return fmt.Sprintf("FPGAx%d", c.devices)
 }
 
-// Devices returns the cluster size.
-func (c *Cluster) Devices() int { return c.devices }
-
-// Score implements backend.Backend: shards the records across devices,
-// scores each shard on the engine's functional simulator, and reassembles
-// predictions in order.
-func (c *Cluster) Score(req *backend.Request) (*backend.Result, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	n := req.Data.NumRecords()
-	scored := req.NumScored()
-	preds := make([]int, scored)
-	shard := (n + c.devices - 1) / c.devices
-	if req.Sel != nil {
-		// Align shard cuts to the selection's word/block size so each
-		// device's sub-bitmap is sliced with pure word arithmetic.
-		shard = (shard + kernel.SelectionAlign - 1) / kernel.SelectionAlign * kernel.SelectionAlign
-	}
-	for d := 0; d < c.devices; d++ {
-		lo := d * shard
-		hi := lo + shard
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		sub := shardDataset(req.Data, lo, hi)
-		subReq := &backend.Request{Forest: req.Forest, Data: sub}
-		outLo, outHi := lo, hi
-		if req.Sel != nil {
-			subReq.Sel = req.Sel.Slice(lo, hi)
-			outLo = req.Sel.Rank(lo)
-			outHi = outLo + subReq.Sel.Count()
-		}
-		res, err := c.engine.Score(subReq)
-		if err != nil {
-			return nil, fmt.Errorf("fpga: cluster device %d: %w", d, err)
-		}
-		copy(preds[outLo:outHi], res.Predictions)
-	}
-	tl, err := c.Estimate(req.ModelStats(), int64(scored))
-	if err != nil {
-		return nil, err
-	}
-	out := &backend.Result{Predictions: preds}
-	out.Timeline.Extend(tl)
-	return out, nil
-}
-
-// Estimate implements backend.Backend: the makespan of the largest shard
-// plus a per-device host merge cost.
+// Estimate returns the makespan of the largest shard plus a per-device host
+// merge cost.
 func (c *Cluster) Estimate(stats forest.Stats, records int64) (*sim.Timeline, error) {
 	largest := (records + int64(c.devices) - 1) / int64(c.devices)
 	tl, err := c.engine.Estimate(stats, largest)
@@ -107,19 +53,4 @@ func (c *Cluster) Estimate(stats forest.Stats, records int64) (*sim.Timeline, er
 		out.Add("cluster result merge", sim.KindOverhead, gather)
 	}
 	return &out, nil
-}
-
-// shardDataset returns a view-copy of rows [lo, hi).
-func shardDataset(d *dataset.Dataset, lo, hi int) *dataset.Dataset {
-	f := d.NumFeatures()
-	out := &dataset.Dataset{
-		Name:         d.Name,
-		FeatureNames: d.FeatureNames,
-		ClassNames:   d.ClassNames,
-		X:            d.X[lo*f : hi*f],
-	}
-	if len(d.Y) >= hi {
-		out.Y = d.Y[lo:hi]
-	}
-	return out
 }

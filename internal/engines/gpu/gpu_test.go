@@ -10,6 +10,7 @@ import (
 	"accelscore/internal/dataset"
 	"accelscore/internal/forest"
 	"accelscore/internal/hw"
+	"accelscore/internal/sim"
 )
 
 func train(t testing.TB, d *dataset.Dataset, trees, depth int, seed uint64) *forest.Forest {
@@ -207,8 +208,12 @@ func TestKernelStrategyNames(t *testing.T) {
 	hb := NewHummingbird(hw.DefaultGPU())
 	shallow, _ := hb.Estimate(forest.SyntheticStats(4, 3, 4, 3), 100)
 	deep, _ := hb.Estimate(forest.SyntheticStats(4, 10, 4, 3), 100)
-	names := func(tl interface{ ComponentNames() []string }) string {
-		return strings.Join(tl.ComponentNames(), ",")
+	names := func(tl *sim.Timeline) string {
+		var b strings.Builder
+		for _, sp := range tl.Spans() {
+			b.WriteString(sp.Name + ",")
+		}
+		return b.String()
 	}
 	if !strings.Contains(names(shallow), "GEMM") {
 		t.Fatalf("shallow model should use GEMM kernels: %s", names(shallow))

@@ -183,7 +183,7 @@ func (s *Suite) CompareGoldenDir(dir string) ([]GoldenDiff, error) {
 	for _, name := range sortedKeys(files) {
 		blessed, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			diffs = append(diffs, GoldenDiff{File: name, Detail: fmt.Sprintf("missing blessed file: %v (re-bless with cmd/conformance -bless)", err)})
+			diffs = append(diffs, GoldenDiff{File: name, Detail: fmt.Sprintf("missing blessed file: %v (re-bless with accelscore conformance -bless)", err)})
 			continue
 		}
 		diffs = append(diffs, diffCSV(name, files[name], blessed)...)

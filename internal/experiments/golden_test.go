@@ -118,11 +118,11 @@ func mutateLastField(t *testing.T, blob []byte, f func(string) string) []byte {
 
 // TestGoldenAgainstBlessed is the regression gate: the committed goldens
 // under results/golden must match a fresh regeneration. A legitimate model
-// change is re-blessed with `go run ./cmd/conformance -bless` (see
+// change is re-blessed with `go run ./cmd/accelscore conformance -bless` (see
 // EXPERIMENTS.md).
 func TestGoldenAgainstBlessed(t *testing.T) {
 	if _, err := os.Stat(repoGoldenDir); err != nil {
-		t.Fatalf("blessed golden directory missing: %v (bless with `go run ./cmd/conformance -bless`)", err)
+		t.Fatalf("blessed golden directory missing: %v (bless with `go run ./cmd/accelscore conformance -bless`)", err)
 	}
 	diffs, err := NewSuite().CompareGoldenDir(repoGoldenDir)
 	if err != nil {

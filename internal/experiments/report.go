@@ -17,7 +17,7 @@ type ReportRow struct {
 
 // Report computes every headline comparison live and renders a markdown
 // verification report — the machine-checked version of EXPERIMENTS.md's
-// summary table. cmd/repro writes it as report.md.
+// summary table. accelscore repro writes it as report.md.
 func (s *Suite) Report() (string, []ReportRow, error) {
 	hs, err := s.Headlines()
 	if err != nil {
@@ -68,7 +68,7 @@ func (s *Suite) Report() (string, []ReportRow, error) {
 
 	var sb strings.Builder
 	sb.WriteString("# Reproduction verification report\n\n")
-	sb.WriteString("Generated live by `cmd/repro -fig report`. Every row is recomputed from\n")
+	sb.WriteString("Generated live by `accelscore repro -fig report`. Every row is recomputed from\n")
 	sb.WriteString("the calibrated simulators; the band column states whether the measured\n")
 	sb.WriteString("value lies within the reproduction tolerance asserted by the test suite.\n\n")
 	sb.WriteString("| Quantity | Paper | Measured | In band |\n|---|---|---|---|\n")

@@ -2,8 +2,8 @@
 // section (§IV): the Fig. 1/Fig. 8 optimal-backend shmoos, the Fig. 7 FPGA
 // time breakdowns, the Fig. 9 latency and Fig. 10 throughput sweeps, the
 // Fig. 11 end-to-end query breakdowns, and the §IV-C headline ratios. Each
-// experiment returns structured rows plus a text rendering; cmd/repro writes
-// them all, and EXPERIMENTS.md records paper-vs-measured.
+// experiment returns structured rows plus a text rendering; accelscore repro
+// writes them all, and EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (

@@ -310,13 +310,3 @@ func (in *Injector) Events() []Event {
 	defer in.mu.Unlock()
 	return append([]Event(nil), in.log...)
 }
-
-// Fired returns the total number of faults fired so far.
-func (in *Injector) Fired() int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.seq
-}

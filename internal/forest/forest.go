@@ -147,15 +147,6 @@ func (f *Forest) Margin(row []float32) float64 {
 	return s
 }
 
-// PredictValue returns the mean regression prediction for one row.
-func (f *Forest) PredictValue(row []float32) float64 {
-	var sum float64
-	for _, t := range f.Trees {
-		sum += t.PredictValue(row)
-	}
-	return sum / float64(len(f.Trees))
-}
-
 // PredictBatch classifies every row of d through the shared flat traversal
 // kernel (compiled on the fly; forests that fail to compile — e.g. partially
 // constructed ones — fall back to the pointer walk so behavior is
@@ -282,44 +273,4 @@ func SyntheticStats(trees, depth, features, classes int) Stats {
 // records x trees x average path length.
 func (s Stats) Visits(records int64) int64 {
 	return int64(float64(records) * float64(s.Trees) * s.AvgPathLength)
-}
-
-// PredictProba returns the per-class probability estimate for one row: vote
-// fractions for classifiers (matching Scikit-learn's predict_proba) or the
-// calibrated sigmoid of the margin for boosted ensembles.
-func (f *Forest) PredictProba(row []float32) []float64 {
-	if f.Kind == Boosted {
-		p := sigmoid(f.Margin(row))
-		return []float64{1 - p, p}
-	}
-	votes := make([]int, maxInt(f.NumClasses, 1))
-	for _, t := range f.Trees {
-		votes[t.PredictClass(row)]++
-	}
-	out := make([]float64, len(votes))
-	if len(f.Trees) == 0 {
-		return out
-	}
-	for i, v := range votes {
-		out[i] = float64(v) / float64(len(f.Trees))
-	}
-	return out
-}
-
-// ConfusionMatrix returns counts[actual][predicted] over the labeled rows
-// of d.
-func (f *Forest) ConfusionMatrix(d *dataset.Dataset) [][]int {
-	n := maxInt(f.NumClasses, 1)
-	m := make([][]int, n)
-	for i := range m {
-		m[i] = make([]int, n)
-	}
-	preds := f.PredictBatch(d)
-	for i := 0; i < len(preds) && i < len(d.Y); i++ {
-		actual, pred := d.Y[i], preds[i]
-		if actual >= 0 && actual < n && pred >= 0 && pred < n {
-			m[actual][pred]++
-		}
-	}
-	return m
 }

@@ -150,23 +150,6 @@ func TestVoteConsistency(t *testing.T) {
 	}
 }
 
-func TestPredictToDepth(t *testing.T) {
-	f := trainIris(t, 1, 10)
-	root := f.Trees[0].Root
-	d := dataset.Iris()
-	for i := 0; i < d.NumRecords(); i++ {
-		row := d.Row(i)
-		// Depth 0 stays at the root.
-		if got := root.PredictToDepth(row, 0); got != root {
-			t.Fatal("PredictToDepth(0) left the root")
-		}
-		// Full depth matches Predict.
-		if got, want := root.PredictToDepth(row, 64), root.Predict(row); got != want {
-			t.Fatalf("row %d: deep PredictToDepth != Predict", i)
-		}
-	}
-}
-
 func TestStats(t *testing.T) {
 	f := trainIris(t, 8, 6)
 	s := f.ComputeStats()
@@ -211,7 +194,11 @@ func TestRegressorAveragesVotes(t *testing.T) {
 	d := dataset.Iris()
 	var se float64
 	for i := 0; i < d.NumRecords(); i++ {
-		v := f.PredictValue(d.Row(i))
+		var v float64
+		for _, tr := range f.Trees {
+			v += tr.PredictValue(d.Row(i))
+		}
+		v /= float64(len(f.Trees))
 		if v < 0 || v > 2 {
 			t.Fatalf("regression value %v out of label range", v)
 		}
@@ -330,55 +317,5 @@ func BenchmarkPredictBatchIris(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.PredictBatch(d)
-	}
-}
-
-func TestPredictProba(t *testing.T) {
-	f := trainIris(t, 15, 6)
-	d := dataset.Iris()
-	for i := 0; i < d.NumRecords(); i += 5 {
-		row := d.Row(i)
-		p := f.PredictProba(row)
-		var sum float64
-		best, bestIdx := -1.0, 0
-		for c, v := range p {
-			if v < 0 || v > 1 {
-				t.Fatalf("probability %v out of range", v)
-			}
-			sum += v
-			if v > best {
-				best, bestIdx = v, c
-			}
-		}
-		if sum < 0.999 || sum > 1.001 {
-			t.Fatalf("probabilities sum to %v", sum)
-		}
-		if bestIdx != f.PredictClass(row) {
-			t.Fatalf("argmax proba %d != PredictClass %d", bestIdx, f.PredictClass(row))
-		}
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	f := trainIris(t, 8, 10)
-	d := dataset.Iris()
-	m := f.ConfusionMatrix(d)
-	if len(m) != 3 {
-		t.Fatalf("matrix size %d", len(m))
-	}
-	total, diag := 0, 0
-	for a := range m {
-		for p := range m[a] {
-			total += m[a][p]
-			if a == p {
-				diag += m[a][p]
-			}
-		}
-	}
-	if total != 150 {
-		t.Fatalf("confusion total = %d", total)
-	}
-	if acc := float64(diag) / float64(total); acc != f.Accuracy(d) {
-		t.Fatalf("diagonal accuracy %v != Accuracy %v", acc, f.Accuracy(d))
 	}
 }

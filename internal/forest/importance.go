@@ -3,9 +3,6 @@ package forest
 import (
 	"fmt"
 	"sort"
-
-	"accelscore/internal/dataset"
-	"accelscore/internal/xrand"
 )
 
 // FeatureImportance returns the mean-decrease-in-impurity importance of each
@@ -90,92 +87,4 @@ func (f *Forest) RankedImportance() []RankedFeature {
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Importance > out[b].Importance })
 	return out
-}
-
-// TrainWithOOB fits a forest with bootstrap sampling and returns both the
-// forest and its out-of-bag accuracy estimate: each row is scored only by
-// the trees whose bootstrap sample excluded it, the standard OOB
-// generalization estimate for bagged ensembles.
-func TrainWithOOB(d *dataset.Dataset, cfg ForestConfig) (*Forest, float64, error) {
-	if cfg.NumTrees <= 0 {
-		return nil, 0, fmt.Errorf("forest: NumTrees must be positive, got %d", cfg.NumTrees)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if len(d.Y) == 0 {
-		return nil, 0, fmt.Errorf("forest: training requires labels")
-	}
-	cfg.Bootstrap = true
-
-	treeCfg := cfg.Tree
-	if treeCfg.MaxFeatures == 0 && cfg.NumTrees > 1 {
-		treeCfg.MaxFeatures = sqrtCeil(d.NumFeatures())
-	}
-	if cfg.Kind == Regressor {
-		treeCfg.Criterion = MSE
-	}
-	rng := xrand.New(cfg.Seed)
-	n := d.NumRecords()
-	f := &Forest{
-		Kind:         cfg.Kind,
-		NumFeatures:  d.NumFeatures(),
-		NumClasses:   d.NumClasses(),
-		FeatureNames: append([]string(nil), d.FeatureNames...),
-		ClassNames:   append([]string(nil), d.ClassNames...),
-	}
-	// oobVotes[row][class] accumulates votes from trees that did not train
-	// on the row.
-	oobVotes := make([][]int, n)
-	for i := range oobVotes {
-		oobVotes[i] = make([]int, maxInt(d.NumClasses(), 1))
-	}
-	for t := 0; t < cfg.NumTrees; t++ {
-		treeRng := rng.Split()
-		indices := make([]int, n)
-		inBag := make([]bool, n)
-		for i := range indices {
-			j := treeRng.Intn(n)
-			indices[i] = j
-			inBag[j] = true
-		}
-		tree, err := TrainTree(d, indices, treeCfg, treeRng)
-		if err != nil {
-			return nil, 0, fmt.Errorf("forest: training tree %d: %w", t, err)
-		}
-		f.Trees = append(f.Trees, tree)
-		for i := 0; i < n; i++ {
-			if !inBag[i] {
-				oobVotes[i][tree.PredictClass(d.Row(i))]++
-			}
-		}
-	}
-	// Score the rows that received at least one OOB vote.
-	correct, counted := 0, 0
-	for i := 0; i < n; i++ {
-		total := 0
-		for _, v := range oobVotes[i] {
-			total += v
-		}
-		if total == 0 {
-			continue
-		}
-		counted++
-		if Argmax(oobVotes[i]) == d.Y[i] {
-			correct++
-		}
-	}
-	oob := 0.0
-	if counted > 0 {
-		oob = float64(correct) / float64(counted)
-	}
-	return f, oob, nil
-}
-
-func sqrtCeil(n int) int {
-	for i := 1; ; i++ {
-		if i*i >= n {
-			return i
-		}
-	}
 }

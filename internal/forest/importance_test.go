@@ -63,45 +63,3 @@ func TestMBBDominatesHiggs(t *testing.T) {
 	}
 	t.Fatalf("m_bb not in top-3 features: %v", top3)
 }
-
-func TestTrainWithOOB(t *testing.T) {
-	f, oob, err := TrainWithOOB(dataset.Iris(), ForestConfig{
-		NumTrees: 16,
-		Tree:     TrainConfig{MaxDepth: 10},
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Trees) != 16 {
-		t.Fatalf("%d trees", len(f.Trees))
-	}
-	// OOB accuracy on IRIS should be high but below training accuracy.
-	if oob < 0.85 || oob > 1.0 {
-		t.Fatalf("OOB accuracy = %v", oob)
-	}
-	train := f.Accuracy(dataset.Iris())
-	if oob > train+1e-9 {
-		t.Fatalf("OOB %v exceeds training accuracy %v", oob, train)
-	}
-}
-
-func TestTrainWithOOBErrors(t *testing.T) {
-	if _, _, err := TrainWithOOB(dataset.Iris(), ForestConfig{NumTrees: 0}); err == nil {
-		t.Fatal("zero trees accepted")
-	}
-	unlabeled := dataset.Iris()
-	unlabeled.Y = nil
-	if _, _, err := TrainWithOOB(unlabeled, ForestConfig{NumTrees: 2}); err == nil {
-		t.Fatal("unlabeled accepted")
-	}
-}
-
-func TestSqrtCeil(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 4: 2, 5: 3, 9: 3, 10: 4, 28: 6}
-	for n, want := range cases {
-		if got := sqrtCeil(n); got != want {
-			t.Errorf("sqrtCeil(%d) = %d, want %d", n, got, want)
-		}
-	}
-}

@@ -47,21 +47,6 @@ func (n *Node) Predict(row []float32) *Node {
 	return cur
 }
 
-// PredictToDepth walks at most maxDepth levels and returns the node reached
-// (which may be internal). This is the contract of the FPGA's depth-limited
-// PE with the CPU finishing deeper levels (§III-B extension).
-func (n *Node) PredictToDepth(row []float32, maxDepth int) *Node {
-	cur := n
-	for d := 0; d < maxDepth && !cur.IsLeaf(); d++ {
-		if row[cur.Feature] < cur.Threshold {
-			cur = cur.Left
-		} else {
-			cur = cur.Right
-		}
-	}
-	return cur
-}
-
 // Tree is a single trained decision tree.
 type Tree struct {
 	Root *Node

@@ -124,11 +124,6 @@ type Selection struct {
 // it so that a worker's row range never starts inside a word.
 const selWordBits = 64
 
-// SelectionAlign is the row alignment Selection.Slice requires: callers
-// that shard a selected batch (the FPGA cluster fan-out) must cut on
-// multiples of this so slicing stays pure word arithmetic.
-const SelectionAlign = selWordBits
-
 // BuildSelection evaluates the conjunction of preds over n rows of the
 // row-major matrix x (features values per row) block-wise and returns the
 // surviving-row bitmap. With no predicates every row is selected. x may be
@@ -214,28 +209,6 @@ func (s *Selection) Rank(i int) int {
 	w := i / selWordBits
 	mask := uint64(1)<<uint(i%selWordBits) - 1
 	return int(s.prefix[w]) + bits.OnesCount64(s.words[w]&mask)
-}
-
-// Slice returns the selection restricted to rows [lo, hi), re-based to row
-// zero. lo must be a multiple of 64 (the FPGA cluster aligns its shard
-// boundaries to traversal blocks so slicing stays pure word arithmetic).
-func (s *Selection) Slice(lo, hi int) *Selection {
-	if lo%selWordBits != 0 {
-		panic(fmt.Sprintf("kernel: Selection.Slice lo %d not block-aligned", lo))
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if hi < lo {
-		hi = lo
-	}
-	out := newSelection(hi - lo)
-	copy(out.words, s.words[lo/selWordBits:])
-	if tail := (hi - lo) % selWordBits; tail != 0 && len(out.words) > 0 {
-		out.words[len(out.words)-1] &= uint64(1)<<uint(tail) - 1
-	}
-	out.finalize()
-	return out
 }
 
 // ForEach calls fn for every selected row in ascending order, passing the

@@ -24,6 +24,8 @@ func filterExpected(c *kernel.Compiled, x []float32, features, n int, sel *kerne
 	return out
 }
 
+// The name predates the removal of Selection.Slice (PR 24); it is kept so
+// the suite's test IDs stay put.
 func TestSelectionRankCountSlice(t *testing.T) {
 	n := 300
 	sel := kernel.SelectionFromFunc(n, func(r int) bool { return r%3 == 0 })
@@ -44,15 +46,6 @@ func TestSelectionRankCountSlice(t *testing.T) {
 	}
 	if sel.Count() != want || sel.Rank(n) != want {
 		t.Fatalf("Count = %d, Rank(n) = %d, want %d", sel.Count(), sel.Rank(n), want)
-	}
-	sub := sel.Slice(64, 200)
-	if want := sel.Rank(200) - sel.Rank(64); sub.Len() != 136 || sub.Count() != want {
-		t.Fatalf("Slice: len=%d count=%d want count %d", sub.Len(), sub.Count(), want)
-	}
-	for i := 0; i < sub.Len(); i++ {
-		if sub.Selected(i) != sel.Selected(64+i) {
-			t.Fatalf("Slice bit %d disagrees", i)
-		}
 	}
 	rank := 0
 	sel.ForEach(func(row, r int) {

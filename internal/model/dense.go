@@ -27,10 +27,6 @@ type DenseNode struct {
 	Threshold float32
 }
 
-// DenseNodeBytes is the storage of one node word: four 32-bit fields,
-// matching hw.FPGASpec.NodeWordBytes.
-const DenseNodeBytes = 16
-
 // EncodeLeafRef encodes a class id as a negative node reference.
 func EncodeLeafRef(class int) int32 { return -int32(class) - 1 }
 
@@ -124,13 +120,6 @@ func (d *Dense) place(n *forest.Node, base, idx, depth, levels int) error {
 	return d.place(n.Right, base, rightIdx, depth+1, levels)
 }
 
-// TreePredict evaluates tree t on one row and returns the class id, walking
-// the node words exactly as an FPGA PE does.
-func (d *Dense) TreePredict(t int, row []float32) int {
-	base := t * d.WordsPerTree
-	return WalkNodes(d.Nodes[base:base+d.WordsPerTree], row)
-}
-
 // WalkNodes evaluates one tree's node-word memory (as loaded into a PE tree
 // memory) for a single input row and returns the class id.
 func WalkNodes(nodes []DenseNode, row []float32) int {
@@ -154,21 +143,6 @@ func WalkNodes(nodes []DenseNode, row []float32) int {
 		}
 		node = nodes[next]
 	}
-}
-
-// Predict evaluates all trees on one row and majority-votes the result.
-func (d *Dense) Predict(row []float32) int {
-	votes := make([]int, d.NumClasses)
-	for t := 0; t < d.Trees; t++ {
-		votes[d.TreePredict(t, row)]++
-	}
-	return forest.Argmax(votes)
-}
-
-// SizeBytes is the total tree-memory footprint, the quantity transferred to
-// the FPGA and checked against its BRAM budget.
-func (d *Dense) SizeBytes() int64 {
-	return int64(len(d.Nodes)) * DenseNodeBytes
 }
 
 // TreeSlice returns the node words of tree t.

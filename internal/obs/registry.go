@@ -124,11 +124,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Buckets returns the configured upper bounds (without +Inf).
-func (h *Histogram) Buckets() []float64 {
-	return append([]float64(nil), h.upper...)
-}
-
 // CumulativeCounts returns one cumulative count per bound plus the +Inf
 // bucket (which equals Count up to concurrent-update skew).
 func (h *Histogram) CumulativeCounts() []uint64 {

@@ -177,18 +177,6 @@ func (tr *Trace) StartSpanOn(track, name string) func() {
 	}
 }
 
-// AddSpan records a wall-clock span the caller measured itself — a wait that
-// was over before the trace began (its offset is then negative), or one
-// learned of only afterwards. Spans may be added to a finished trace.
-func (tr *Trace) AddSpan(name string, start time.Time, d time.Duration) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.wall = append(tr.wall, wallSpan{name: name, offset: start.Sub(tr.start), dur: d})
-}
-
 // SetAttr records a string attribute shown in the trace viewer and the
 // /debug/queries listing.
 func (tr *Trace) SetAttr(k, v string) {

@@ -132,19 +132,6 @@ func (t *Timeline) Component(name string) time.Duration {
 	return sum
 }
 
-// ComponentNames returns the distinct span names in first-appearance order.
-func (t *Timeline) ComponentNames() []string {
-	seen := make(map[string]bool, len(t.spans))
-	var names []string
-	for _, s := range t.spans {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			names = append(names, s.Name)
-		}
-	}
-	return names
-}
-
 // Overlapped records two phases that run concurrently (e.g. the FPGA's
 // record streaming overlapping with scoring, §IV-B item 1). The longer phase
 // is charged in full; the shorter appears with zero incremental cost but is
@@ -185,7 +172,7 @@ func (t *Timeline) Aggregate() Breakdown {
 }
 
 // String renders an aligned textual breakdown, largest components first,
-// with percentages — the format used by cmd/repro for Fig. 7 and Fig. 11.
+// with percentages — the format used by accelscore repro for Fig. 7 and Fig. 11.
 func (b Breakdown) String() string {
 	rows := make([]Span, len(b.Rows))
 	copy(rows, b.Rows)

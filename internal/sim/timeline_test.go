@@ -75,17 +75,6 @@ func TestComponentAggregation(t *testing.T) {
 	}
 }
 
-func TestComponentNamesOrder(t *testing.T) {
-	var tl Timeline
-	tl.Add("b", KindCompute, 1)
-	tl.Add("a", KindCompute, 1)
-	tl.Add("b", KindCompute, 1)
-	names := tl.ComponentNames()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Fatalf("ComponentNames = %v", names)
-	}
-}
-
 func TestExtend(t *testing.T) {
 	var a, b Timeline
 	a.Add("x", KindCompute, time.Second)
