@@ -108,7 +108,7 @@ func overloadRouter(backends []router.Backend, o *options) (*router.Router, erro
 			QuarantineBackoff:   300 * time.Millisecond,
 			MaxBackoff:          2 * time.Second,
 		},
-		Hedge: &router.HedgeConfig{},
+		Hedge: true,
 		Admission: &router.AdmissionConfig{
 			MaxInFlight: maxInFlight,
 			Classes:     classes,
@@ -171,8 +171,8 @@ func bootOverloadTier(bin string, o *options) (*harness.Fleet, *router.Router, e
 }
 
 // calibrate measures closed-loop saturation throughput through the full
-// router stack (also seeding the hedge trigger's latency rings and the
-// admission controller's EWMA latency predictor). Clients stay below the
+// router stack (also seeding the latency windows behind the hedge trigger
+// and the admission controller's deadline shed). Clients stay below the
 // tier width so the calibration itself doesn't stack a deep queue on the
 // straggler shard and poison the latency predictor. Warm-up failures are
 // tolerated; a wrong answer is not.

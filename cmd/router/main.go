@@ -13,18 +13,19 @@
 //
 //	router -shards http://localhost:8081,http://localhost:8082 \
 //	    [-addr :8090] [-warm iris_rf] [-partial] \
-//	    [-conns-per-shard 32] [-probe-interval 2s] [-slow-after 0] \
-//	    [-hedge] [-hedge-fraction 0.05] \
+//	    [-conns-per-shard 32] [-probe-interval 2s] [-hedge] \
 //	    [-max-inflight 64] [-shard-inflight 16] [-classes interactive=25ms,batch=500ms]
 //
 // The shard health state machine (healthy -> degraded -> quarantined ->
 // rejoining) is the router's one notion of shard health. It always runs on
 // passive per-request signals; -probe-interval adds active /healthz probing
 // so a quarantined shard can rejoin without traffic. -hedge enables
-// tail-latency hedging (adaptive per-shard P95 trigger, bounded budget,
-// bit-identical result verification). -max-inflight turns on admission
-// control: capacity, priority-class, and deadline-aware shedding answer 503
-// with Retry-After instead of queueing without bound.
+// tail-latency hedging (adaptive per-shard P95 trigger, a budget of ~5% of
+// sub-queries, bit-identical result verification). Any of -max-inflight,
+// -shard-inflight or -classes turns on admission control (the router-wide
+// bound is 4 x shards unless -max-inflight sets it): capacity,
+// priority-class, and deadline-aware shedding answer 503 with Retry-After
+// instead of queueing without bound.
 //
 // Endpoints: /query (?sql= or POST body, ?tenant=), /warm?model=, /healthz,
 // and the ops surface shared with cmd/serve (internal/httpapi): /metrics,
@@ -61,16 +62,12 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 2*time.Second,
 		"active /healthz probe interval for the shard health state machine (0 disables probing)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe timeout (0 = default 1s)")
-	slowAfter := flag.Duration("slow-after", 0,
-		"sub-query latency counted as a slow (degrading) pass by the health state machine (0 disables)")
 	hedge := flag.Bool("hedge", false, "enable tail-latency request hedging")
-	hedgeFraction := flag.Float64("hedge-fraction", 0,
-		"hedge budget as a fraction of sub-queries (0 = default 0.05)")
-	hedgeBurst := flag.Int("hedge-burst", 0, "hedge token-bucket burst depth (0 = default 4)")
 	maxInFlight := flag.Int("max-inflight", 0,
-		"router-wide concurrent query bound; enables admission control (0 disables)")
+		"router-wide concurrent query bound; enables admission control"+
+			" (0 = off, or 4 x shards when -shard-inflight or -classes enables it)")
 	shardInFlight := flag.Int("shard-inflight", 0,
-		"per-shard concurrent sub-query bound (0 disables; needs -max-inflight)")
+		"per-shard concurrent sub-query bound; enables admission control (0 disables)")
 	shardQueue := flag.Int("shard-queue", 0,
 		"per-shard sub-query wait queue beyond -shard-inflight before fast-fail reroute (0 = 2x)")
 	classes := flag.String("classes", "",
@@ -107,11 +104,8 @@ func main() {
 		Health: &router.HealthConfig{
 			ProbeInterval: *probeInterval,
 			ProbeTimeout:  *probeTimeout,
-			SlowAfter:     *slowAfter,
 		},
-	}
-	if *hedge {
-		cfg.Hedge = &router.HedgeConfig{MaxFraction: *hedgeFraction, Burst: *hedgeBurst}
+		Hedge: *hedge,
 	}
 	if *maxInFlight > 0 || *shardInFlight > 0 || *classes != "" {
 		objs, err := obs.ParseSLOSpec(*classes)

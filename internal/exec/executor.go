@@ -64,6 +64,10 @@ const (
 	// MetricFaultsInjectedTotal counts injector firings
 	// {backend, boundary, kind} (wired by WireFaultMetrics).
 	MetricFaultsInjectedTotal = "accelscore_faults_injected_total"
+	// MetricPredictedRunSeconds gauges the run time the deadline fallback
+	// last predicted for {device}: the mean of its recent successful runs,
+	// seconds; 0 before the first one.
+	MetricPredictedRunSeconds = "accelscore_exec_predicted_run_seconds"
 )
 
 // Config tunes the executor. The zero value gets sensible defaults from New.
@@ -173,12 +177,12 @@ type Executor struct {
 	wg      sync.WaitGroup // one count per query inside Submit
 
 	breakers map[sched.Device]*breaker
+	// runTime holds each device's recent successful run times: what the
+	// deadline fallback predicts from. Built in New, read-only after.
+	runTime map[sched.Device]*obs.LatencyWindow
 
 	rngMu sync.Mutex
 	rng   *xrand.Rand // retry jitter; fixed seed, so deterministic
-
-	estMu sync.Mutex
-	est   map[sched.Device]time.Duration // EWMA of successful run wall time
 }
 
 // execMetrics holds the instruments every query touches, resolved once in
@@ -208,8 +212,11 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
 		breakers:   make(map[sched.Device]*breaker),
+		runTime:    make(map[sched.Device]*obs.LatencyWindow),
 		rng:        xrand.New(1),
-		est:        make(map[sched.Device]time.Duration),
+	}
+	for d := range e.devices {
+		e.runTime[d] = new(obs.LatencyWindow)
 	}
 	if pipe.Obs != nil {
 		e.tracer = pipe.Obs.Tracer

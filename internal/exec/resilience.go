@@ -280,7 +280,7 @@ func (e *Executor) runOn(ctx context.Context, req *pipeline.ScoreRequest, target
 		if err == nil {
 			br.success()
 			e.pace(ctx, start, res)
-			e.observeRunTime(dev, time.Since(start))
+			e.runTime[dev].Observe(time.Since(start))
 			res.Retries = attempt
 			res.FallbackFrom = fbFrom
 			res.FallbackReason = fbReason
@@ -355,30 +355,22 @@ func (e *Executor) backoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-// observeRunTime maintains a per-device EWMA of successful run wall time:
-// the estimate behind deadline-aware degradation.
-func (e *Executor) observeRunTime(dev sched.Device, d time.Duration) {
-	e.estMu.Lock()
-	if prev := e.est[dev]; prev == 0 {
-		e.est[dev] = d
-	} else {
-		e.est[dev] = (3*prev + d) / 4
-	}
-	e.estMu.Unlock()
-}
-
 // deadlineTooTight predicts whether the device can finish inside the
-// remaining budget: the EWMA of recent runs — doubled when the device is
-// saturated, to cover the run we would queue behind — must fit before the
-// deadline. With no history the device gets the benefit of the doubt.
+// remaining budget: the mean of its recent successful runs — doubled when
+// the device is saturated, to cover the run we would queue behind — must
+// fit before the deadline. With no history the device gets the benefit of
+// the doubt. The mean it decides with is published as the device's
+// predicted-run gauge.
 func (e *Executor) deadlineTooTight(ctx context.Context, dev sched.Device) bool {
 	dl, ok := ctx.Deadline()
 	if !ok {
 		return false
 	}
-	e.estMu.Lock()
-	est := e.est[dev]
-	e.estMu.Unlock()
+	est := e.runTime[dev].Mean(1)
+	if reg := e.pipe.Obs.Metrics(); reg != nil {
+		reg.Gauge(MetricPredictedRunSeconds, "Run time the deadline fallback predicts per device (recent mean), seconds; 0 = no run yet.",
+			"device", string(dev)).Set(est.Seconds())
+	}
 	if est == 0 {
 		return false
 	}

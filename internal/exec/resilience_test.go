@@ -108,6 +108,55 @@ func TestFatalFaultFallsBackToCPU(t *testing.T) {
 	}
 }
 
+// TestDeadlineTooTightFallsBackToCPU: the FPGA's recent runs, which the
+// executor records itself, each survive an injected 80 ms hang; a query whose
+// @timeout is below their mean is degraded to the CPU engine before it
+// touches the device, with reason "deadline", and answers exactly as the
+// serial pipeline does. The mean the decision used is the device's gauge.
+func TestDeadlineTooTightFallsBackToCPU(t *testing.T) {
+	p, _, _ := newEnv(t, 4, 6, 80)
+	p.Faults = mustInjector(t, 7, "FPGA:compute:hang=80ms:first=3")
+	e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8})
+	fpgaSQL := "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='FPGA'"
+
+	for i := 0; i < 3; i++ {
+		res, err := e.ExecQuery(fpgaSQL)
+		if err != nil {
+			t.Fatalf("seeding run %d: %v", i, err)
+		}
+		if res.Backend != "FPGA" || res.FallbackFrom != "" {
+			t.Fatalf("seeding run %d ran on %q (fallback from %q), want FPGA", i, res.Backend, res.FallbackFrom)
+		}
+	}
+	res, err := e.ExecQuery(fpgaSQL + ", @timeout='40ms'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Backend != "CPU_SKLearn" || res.FallbackFrom != "FPGA" || res.FallbackReason != "deadline" {
+		t.Fatalf("40ms query ran on %q, fallback (%q, %q); want CPU_SKLearn, (FPGA, deadline)",
+			res.Backend, res.FallbackFrom, res.FallbackReason)
+	}
+	want, err := p.ExecQuery(scoreSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Predictions) != len(want.Predictions) {
+		t.Fatalf("%d predictions, serial path %d", len(res.Predictions), len(want.Predictions))
+	}
+	for j := range want.Predictions {
+		if res.Predictions[j] != want.Predictions[j] {
+			t.Fatalf("prediction %d differs from the serial path after the deadline fallback", j)
+		}
+	}
+	if out := exposition(t, p); !strings.Contains(out,
+		`accelscore_exec_fallbacks_total{from="FPGA",reason="deadline",to="CPU_SKLearn"} 1`) {
+		t.Fatalf("deadline fallback not counted:\n%s", out)
+	}
+	if got := p.Obs.Registry.Gauge(exec.MetricPredictedRunSeconds, "", "device", "fpga").Value(); got < 0.08 {
+		t.Fatalf("predicted FPGA run %v s, want the >= 0.08 s mean of the hung runs", got)
+	}
+}
+
 // TestBreakerOpensThenRecovers drives the FPGA circuit through the full
 // closed → open → half-open → closed cycle with a three-crash burst:
 // queries during the burst degrade with reason "fault", queries during the

@@ -82,29 +82,25 @@ func TestStartWaitsForHealthyThenKillReaps(t *testing.T) {
 }
 
 func TestPercentileIsNearestRank(t *testing.T) {
-	// sample(n) is 1ms..n ms, so the k-th smallest sample is k ms.
+	// sample(n) is n ms..1ms, descending, so Summarize must sort it, and the
+	// k-th smallest sample is k ms.
 	sample := func(n int) []time.Duration {
 		s := make([]time.Duration, n)
 		for i := range s {
-			s[i] = time.Duration(i+1) * time.Millisecond
+			s[i] = time.Duration(n-i) * time.Millisecond
 		}
 		return s
 	}
-	for _, tc := range []struct{ n, p, rank int }{
-		{1, 50, 1}, {1, 95, 1}, {1, 99, 1},
-		{8, 50, 4}, {8, 95, 8}, {8, 99, 8},
-		{10, 50, 5}, {10, 95, 10}, {10, 99, 10},
-		{100, 50, 50}, {100, 95, 95}, {100, 99, 99},
+	for _, tc := range []struct{ n, p50, p95, p99 time.Duration }{
+		{1, 1, 1, 1}, {8, 4, 8, 8}, {10, 5, 10, 10}, {100, 50, 95, 99},
 	} {
-		want := time.Duration(tc.rank) * time.Millisecond
-		if got := Percentile(sample(tc.n), tc.p); got != want {
-			t.Errorf("P%d of %d samples = %v, want the rank-%d sample %v", tc.p, tc.n, got, tc.rank, want)
+		got := Summarize(sample(int(tc.n)))
+		want := Summary{P50: tc.p50 * time.Millisecond, P95: tc.p95 * time.Millisecond, P99: tc.p99 * time.Millisecond}
+		if got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
+			t.Errorf("%d samples: P50/P95/P99 = %v/%v/%v, want the nearest-rank samples %v/%v/%v",
+				tc.n, got.P50, got.P95, got.P99, want.P50, want.P95, want.P99)
 		}
 	}
-	if got := Percentile(nil, 99); got != 0 {
-		t.Errorf("P99 of nothing = %v, want 0", got)
-	}
-	// Summarize sorts for itself and agrees with Percentile.
 	sum := Summarize([]time.Duration{5, 1, 4, 2, 3})
 	if sum.Mean != 3 || sum.P50 != 3 || sum.P95 != 5 || sum.P99 != 5 {
 		t.Errorf("Summarize = %+v", sum)

@@ -3,27 +3,17 @@ package harness
 import (
 	"sort"
 	"time"
-)
 
-// Percentile returns the nearest-rank p-th percentile (0 < p <= 100) of
-// sorted, which is ascending: the smallest sample with at least p% of the
-// sample at or below it, index ceil(n*p/100)-1. An empty sample is 0. Every
-// BENCH_*.json and CHAOS_report.json figure is taken by this rule — the one
-// the router's hedge trigger uses for its P95.
-func Percentile(sorted []time.Duration, p int) time.Duration {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	return sorted[min(max((n*p+99)/100-1, 0), n-1)]
-}
+	"accelscore/internal/obs"
+)
 
 // Summary is the latency shape of one sample.
 type Summary struct {
 	Mean, P50, P95, P99 time.Duration
 }
 
-// Summarize sorts a copy of lats and takes its mean and percentiles.
+// Summarize sorts a copy of lats and takes its mean and its nearest-rank
+// percentiles (obs.Percentile, the rule the router's hedge trigger uses).
 func Summarize(lats []time.Duration) Summary {
 	if len(lats) == 0 {
 		return Summary{}
@@ -36,8 +26,8 @@ func Summarize(lats []time.Duration) Summary {
 	}
 	return Summary{
 		Mean: sum / time.Duration(len(sorted)),
-		P50:  Percentile(sorted, 50),
-		P95:  Percentile(sorted, 95),
-		P99:  Percentile(sorted, 99),
+		P50:  obs.Percentile(sorted, 50),
+		P95:  obs.Percentile(sorted, 95),
+		P99:  obs.Percentile(sorted, 99),
 	}
 }

@@ -40,6 +40,10 @@ const (
 	// used for a primary on {shard}: the shard's recent P95 after the
 	// floor, seconds; 0 while the shard has too few samples to hedge.
 	MetricRouterHedgeTrigger = "accelscore_router_hedge_trigger_seconds"
+	// MetricRouterPredictedQuery gauges the query latency admission last
+	// predicted for its deadline shed: the mean of the router's recent
+	// successful queries, seconds; 0 before the first one.
+	MetricRouterPredictedQuery = "accelscore_router_predicted_query_seconds"
 	// MetricRouterShardState gauges each shard's health state {shard}:
 	// 0 healthy, 1 degraded, 2 quarantined, 3 rejoining.
 	MetricRouterShardState = "accelscore_router_shard_state"
@@ -141,6 +145,16 @@ func (m *RouterMetrics) SetHedgeTrigger(shard int, trigger time.Duration) {
 	m.reg.Gauge(MetricRouterHedgeTrigger,
 		"Hedge trigger in use per shard (recent P95 after the floor), seconds; 0 = too few samples.",
 		"shard", strconv.Itoa(shard)).Set(trigger.Seconds())
+}
+
+// SetPredictedQuery gauges the query latency admission just decided with.
+func (m *RouterMetrics) SetPredictedQuery(predicted time.Duration) {
+	if m == nil || m.reg == nil {
+		return
+	}
+	m.reg.Gauge(MetricRouterPredictedQuery,
+		"Predicted query latency admission sheds deadlines against (recent mean), seconds; 0 = no sample yet.").
+		Set(predicted.Seconds())
 }
 
 // SetShardState gauges a shard's health state (0 healthy, 1 degraded,

@@ -78,6 +78,7 @@ func TestRouterMetrics(t *testing.T) {
 	m.ObserveShard(2, 10*time.Millisecond, 0)
 	m.ObserveShard(0, 25*time.Millisecond, 1)
 	m.SetHedgeTrigger(1, 12*time.Millisecond)
+	m.SetPredictedQuery(75 * time.Millisecond)
 	m.NoteWarm("hit")
 	m.NoteHedge("win")
 	m.NoteHedge("win")
@@ -101,6 +102,7 @@ func TestRouterMetrics(t *testing.T) {
 		`accelscore_router_shard_latency_seconds_count{shard="0"} 1`,
 		`accelscore_router_reroutes_total{shard="0"} 1`,
 		`accelscore_router_hedge_trigger_seconds{shard="1"} 0.012`,
+		`accelscore_router_predicted_query_seconds 0.075`,
 		`accelscore_router_warm_total{status="hit"} 1`,
 		`accelscore_router_hedges_total{outcome="win"} 2`,
 		`accelscore_router_hedges_total{outcome="denied"} 1`,
@@ -127,6 +129,7 @@ func TestRouterMetrics(t *testing.T) {
 	nilM.ObserveQuery("ok", 1, 0)
 	nilM.ObserveShard(0, 0, 0)
 	nilM.SetHedgeTrigger(0, 0)
+	nilM.SetPredictedQuery(0)
 	nilM.NoteWarm("hit")
 	nilM.NoteHedge("win")
 	nilM.SetShardState(0, 0)

@@ -3,12 +3,13 @@
 // query — (1) a router-wide in-flight bound, (2) priority-class shedding
 // (classes reuse the SLO objective machinery; looser-objective classes
 // lose capacity first as the tier fills), and (3) deadline-aware shedding
-// (a query whose remaining deadline is below the EWMA-predicted service
-// time would only burn capacity to time out, so it is refused immediately
-// with a Retry-After hint; inactive until the first query has been
-// measured). Per-shard in-flight and queue bounds guard the
-// scatter itself: a saturated shard refuses the sub-query so the dispatcher
-// reroutes instead of queueing without bound.
+// (a query whose remaining deadline is below the predicted service time —
+// the mean of the router's recent successful queries — would only burn
+// capacity to time out, so it is refused immediately with a Retry-After
+// hint; inactive until the first query has been measured). Per-shard
+// in-flight and queue bounds guard the scatter itself: a saturated shard
+// refuses the sub-query so the dispatcher reroutes instead of queueing
+// without bound.
 package router
 
 import (
@@ -23,10 +24,11 @@ import (
 )
 
 // AdmissionConfig tunes the router's admission control. A nil config (on
-// router Config) disables admission entirely.
+// router Config) disables admission entirely; a non-nil one always bounds
+// the router-wide in-flight count.
 type AdmissionConfig struct {
-	// MaxInFlight is the router-wide concurrent-query bound (required,
-	// >= 1). The priority thresholds scale off it.
+	// MaxInFlight is the router-wide concurrent-query bound (0 = 4 x the
+	// shard count). The priority thresholds scale off it.
 	MaxInFlight int
 	// ShardInFlight bounds concurrent sub-queries per shard (0 = no
 	// per-shard bound); ShardQueue bounds waiters beyond that before a
@@ -88,7 +90,7 @@ type AdmissionStats struct {
 type admission struct {
 	cfg      AdmissionConfig
 	inFlight atomic.Int64
-	ewmaNS   atomic.Int64
+	lat      obs.LatencyWindow // successful queries; feeds the deadline shed
 	// classes sorted by objective latency ascending: index == priority
 	// rank (0 = highest).
 	classes []obs.Objective
@@ -101,12 +103,12 @@ type admission struct {
 	shardSlots []chan struct{}
 	shardWait  []atomic.Int64
 
-	onShed func(class string)
+	metrics *obs.RouterMetrics // nil-safe
 }
 
 // newAdmission builds the controller (nil cfg => nil controller; every
 // method is nil-safe).
-func newAdmission(cfg *AdmissionConfig, shards int, onShed func(class string)) *admission {
+func newAdmission(cfg *AdmissionConfig, shards int, metrics *obs.RouterMetrics) *admission {
 	if cfg == nil {
 		return nil
 	}
@@ -118,10 +120,10 @@ func newAdmission(cfg *AdmissionConfig, shards int, onShed func(class string)) *
 		c.ShardQueue = 2 * c.ShardInFlight
 	}
 	a := &admission{
-		cfg:    c,
-		rank:   make(map[string]int),
-		ledger: make(map[string]*classCounters),
-		onShed: onShed,
+		cfg:     c,
+		rank:    make(map[string]int),
+		ledger:  make(map[string]*classCounters),
+		metrics: metrics,
 	}
 	a.classes = append([]obs.Objective(nil), c.Classes...)
 	sort.Slice(a.classes, func(i, j int) bool { return a.classes[i].Latency < a.classes[j].Latency })
@@ -162,18 +164,10 @@ func (a *admission) counters(class string) *classCounters {
 	return c
 }
 
-// predicted returns the EWMA-predicted query latency (0 = unknown).
-func (a *admission) predicted() time.Duration {
-	if a == nil {
-		return 0
-	}
-	return time.Duration(a.ewmaNS.Load())
-}
-
 // Admit decides one query at admission. On acceptance it returns a release
-// closure the caller MUST invoke when the query finishes (ok=true feeds
-// the latency into the EWMA predictor). On rejection it returns a typed
-// *ShedError.
+// closure the caller MUST invoke when the query finishes (ok=true feeds the
+// latency into the window the deadline shed predicts from). On rejection it
+// returns a typed *ShedError.
 func (a *admission) Admit(ctx context.Context, class string) (release func(ok bool, latency time.Duration), err error) {
 	if a == nil {
 		return func(bool, time.Duration) {}, nil
@@ -183,16 +177,15 @@ func (a *admission) Admit(ctx context.Context, class string) (release func(ok bo
 
 	shed := func(reason string, retryAfter time.Duration) error {
 		cc.shed.Add(1)
-		if a.onShed != nil {
-			a.onShed(class)
-		}
+		a.metrics.NoteAdmissionShed(class)
 		if retryAfter < time.Second {
 			retryAfter = time.Second
 		}
 		return &ShedError{Class: class, Reason: reason, RetryAfter: retryAfter}
 	}
 
-	predicted := a.predicted()
+	predicted := a.lat.Mean(1)
+	a.metrics.SetPredictedQuery(predicted)
 	// limit is the in-flight count at which this class stops being
 	// admitted: rank r of R keeps only the top (R-r)/R of capacity, so the
 	// loosest class sheds first and the tightest keeps the full budget.
@@ -224,19 +217,8 @@ func (a *admission) Admit(ctx context.Context, class string) (release func(ok bo
 	cc.accepted.Add(1)
 	return func(ok bool, latency time.Duration) {
 		a.inFlight.Add(-1)
-		if !ok || latency <= 0 {
-			return
-		}
-		// ewma = (3*prev + observed) / 4, seeded by the first observation.
-		for {
-			prev := a.ewmaNS.Load()
-			next := int64(latency)
-			if prev > 0 {
-				next = (3*prev + int64(latency)) / 4
-			}
-			if a.ewmaNS.CompareAndSwap(prev, next) {
-				return
-			}
+		if ok && latency > 0 {
+			a.lat.Observe(latency)
 		}
 	}, nil
 }

@@ -92,14 +92,20 @@ func TestAdmissionPrioritySheds(t *testing.T) {
 	}
 }
 
-// TestAdmissionDeadlineSheds seeds the latency predictor and checks a query
-// whose remaining deadline is under the prediction is refused immediately
-// with a Retry-After hint, while a roomy deadline is admitted.
+// TestAdmissionDeadlineSheds feeds the latency window through the release
+// closure and checks a query whose remaining deadline is under the
+// prediction is refused immediately with a Retry-After hint, while a roomy
+// deadline is admitted; the prediction each decision used is the gauge.
 func TestAdmissionDeadlineSheds(t *testing.T) {
-	a := newAdmission(&AdmissionConfig{MaxInFlight: 8}, 1, nil)
+	reg := obs.NewRegistry()
+	a := newAdmission(&AdmissionConfig{MaxInFlight: 8}, 1, obs.NewRouterMetrics(reg))
+	predicted := func() float64 { return reg.Gauge(obs.MetricRouterPredictedQuery, "").Value() }
 	seed, err := a.Admit(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := predicted(); got != 0 {
+		t.Fatalf("predicted %v s before any query finished, want 0", got)
 	}
 	seed(true, 100*time.Millisecond)
 
@@ -110,6 +116,9 @@ func TestAdmissionDeadlineSheds(t *testing.T) {
 	if !errors.As(err, &se) || se.Reason != ShedDeadline {
 		t.Fatalf("10ms deadline vs 100ms prediction returned %v, want deadline shed", err)
 	}
+	if got := predicted(); got != 0.1 {
+		t.Fatalf("shed decided with a published %v s, want 0.1", got)
+	}
 
 	roomy, cancel2 := context.WithTimeout(context.Background(), time.Second)
 	defer cancel2()
@@ -118,9 +127,13 @@ func TestAdmissionDeadlineSheds(t *testing.T) {
 		t.Fatalf("roomy deadline refused: %v", err)
 	}
 	rel(true, 50*time.Millisecond)
-	// EWMA moved toward the observation: (3*100ms + 50ms)/4 = 87.5ms.
-	if got := a.predicted(); got != 87500*time.Microsecond {
-		t.Fatalf("EWMA %v, want 87.5ms", got)
+	// The prediction is the window's mean: (100ms + 50ms)/2 = 75ms.
+	if rel, err = a.Admit(roomy, ""); err != nil {
+		t.Fatalf("roomy deadline refused: %v", err)
+	}
+	rel(false, 0)
+	if got := predicted(); got != 0.075 {
+		t.Fatalf("predicted %v s, want the 0.075 s mean", got)
 	}
 }
 
@@ -261,7 +274,7 @@ func TestAdmissionNilIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.releaseShard(0)
-	if a.Stats() != nil || a.predicted() != 0 {
+	if a.Stats() != nil {
 		t.Fatal("nil admission should report empty stats")
 	}
 }

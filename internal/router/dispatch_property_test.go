@@ -56,12 +56,12 @@ func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 		})
 		adm := newAdmission(&AdmissionConfig{MaxInFlight: 1 << 20, ShardInFlight: 2, ShardQueue: 2}, n, nil)
 		d := &dispatcher{
-			shards: n, health: health, adm: adm, lat: newLatencyTracker(n),
+			shards: n, health: health, adm: adm, lat: make([]obs.LatencyWindow, n),
 			budget: newHedgeBudget(fraction, burst), metrics: obs.NewRouterMetrics(outcomes),
 		}
 		for shard := 0; shard < n; shard++ {
 			for i := 0; i < hedgeMinSamples; i++ {
-				d.lat.note(shard, time.Millisecond) // trigger = the hedgeMinDelay floor
+				d.lat[shard].Observe(time.Millisecond) // trigger = the hedgeMinDelay floor
 			}
 		}
 

@@ -6,9 +6,10 @@
 //
 //	healthy → degraded → quarantined → rejoining → healthy
 //
-// driven by BOTH active /healthz probing and passive per-request
-// error/latency signals, with hysteresis (consecutive-signal thresholds) so
-// alternating pass/fail never oscillates the state, and a controlled
+// driven by BOTH active /healthz probing and passive per-request outcome
+// signals (latency is not one: hedging answers a straggler), with
+// hysteresis (consecutive-signal thresholds) so alternating pass/fail
+// never oscillates the state, and a controlled
 // half-open rejoin: a quarantined shard must pass consecutive probes after
 // a backoff dwell, is then re-warmed (model cache first, via /warm), and
 // only graduates back to healthy after a trickle of real traffic succeeds.
@@ -82,10 +83,6 @@ type HealthConfig struct {
 	// to MaxBackoff (default 8s).
 	QuarantineBackoff time.Duration
 	MaxBackoff        time.Duration
-	// SlowAfter, when > 0, treats a successful attempt slower than this
-	// as a degradation signal while the shard is healthy (passive latency
-	// signal). Slowness never quarantines: a straggler still serves.
-	SlowAfter time.Duration
 
 	// now is a test hook (default time.Now).
 	now func() time.Time
@@ -253,7 +250,7 @@ func (m *HealthManager) NoteProbe(i int, err error) {
 		f.lastProbeErr = ""
 	}
 	f.mu.Unlock()
-	m.note(i, err == nil, true, false)
+	m.note(i, err == nil, true)
 }
 
 // State returns shard i's current state.
@@ -325,35 +322,29 @@ func (m *HealthManager) acquire(shard int, healthyOnly bool) bool {
 
 // release pairs an acquire, feeding the attempt's outcome back as a passive
 // health signal.
-func (m *HealthManager) release(shard int, s signal, latency time.Duration) {
+func (m *HealthManager) release(shard int, s signal) {
 	f := m.shards[shard]
 	f.mu.Lock()
 	if f.inFlight > 0 {
 		f.inFlight--
 	}
 	f.mu.Unlock()
-	switch s {
-	case signalPass:
-		slow := m.cfg.SlowAfter > 0 && latency > m.cfg.SlowAfter
-		m.note(shard, true, false, slow)
-	case signalFail:
-		m.note(shard, false, false, false)
+	if s != signalNone {
+		m.note(shard, s == signalPass, false)
 	}
 }
 
 // note runs one signal through shard i's state machine. fromProbe marks
 // active probe signals (the only ones that can rehabilitate a quarantined
-// shard, and ones that never count toward the rejoin trickle). slow marks
-// a successful-but-slow attempt: a degradation signal while healthy, never
-// worse.
-func (m *HealthManager) note(i int, ok, fromProbe, slow bool) {
+// shard, and ones that never count toward the rejoin trickle).
+func (m *HealthManager) note(i int, ok, fromProbe bool) {
 	f := m.shards[i]
 	f.mu.Lock()
 	prev := f.state
 	needWarm := false
 	switch f.state {
 	case ShardHealthy:
-		if ok && !slow {
+		if ok {
 			f.fails = 0
 		} else {
 			f.fails++
@@ -364,8 +355,6 @@ func (m *HealthManager) note(i int, ok, fromProbe, slow bool) {
 		}
 	case ShardDegraded:
 		if ok {
-			// A slow success while already degraded still counts as a
-			// pass: slowness alone must never quarantine a serving shard.
 			f.passes++
 			f.fails = 0
 			if f.passes >= m.cfg.PassThreshold {

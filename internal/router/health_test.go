@@ -49,14 +49,14 @@ func healthManager(warm func(ctx context.Context, shard int)) (*HealthManager, *
 // fail feeds n consecutive passive failures into shard i.
 func fail(m *HealthManager, i, n int) {
 	for ; n > 0; n-- {
-		m.note(i, false, false, false)
+		m.note(i, false, false)
 	}
 }
 
 // pass feeds n consecutive passive successes into shard i.
 func pass(m *HealthManager, i, n int) {
 	for ; n > 0; n-- {
-		m.note(i, true, false, false)
+		m.note(i, true, false)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestHealthFSMLegalTransitions(t *testing.T) {
 	if !m.acquire(0, false) {
 		t.Fatal("degraded shard must still take traffic")
 	}
-	m.release(0, signalNone, 0)
+	m.release(0, signalNone)
 
 	// Degraded recovers through consecutive passes.
 	pass(m, 0, 2)
@@ -127,7 +127,7 @@ func TestHealthFSMLegalTransitions(t *testing.T) {
 		if !m.acquire(0, false) {
 			t.Fatalf("trickle slot %d refused", i)
 		}
-		m.release(0, signalPass, time.Millisecond)
+		m.release(0, signalPass)
 	}
 	if s := m.State(0); s != ShardHealthy {
 		t.Fatalf("state %v after rejoin trickle, want healthy", s)
@@ -183,7 +183,7 @@ func TestHealthWarmFirstRejoin(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	m.release(0, signalPass, time.Millisecond)
+	m.release(0, signalPass)
 	m.Close()
 }
 
@@ -201,11 +201,11 @@ func TestHealthTrickleConcurrencyBound(t *testing.T) {
 	if m.acquire(0, false) {
 		t.Fatal("second concurrent trickle slot admitted; bound is 1")
 	}
-	m.release(0, signalPass, time.Millisecond)
+	m.release(0, signalPass)
 	if !m.acquire(0, false) {
 		t.Fatal("slot should free after release")
 	}
-	m.release(0, signalPass, time.Millisecond)
+	m.release(0, signalPass)
 }
 
 // TestHealthRequarantineDoublesBackoff fails a rejoining shard and checks it
@@ -225,7 +225,7 @@ func TestHealthRequarantineDoublesBackoff(t *testing.T) {
 		t.Fatalf("first backoff %v, want 1s", b)
 	}
 	rejoin()
-	m.note(0, false, false, false) // one trickle failure
+	m.note(0, false, false) // one trickle failure
 	if s := m.State(0); s != ShardQuarantined {
 		t.Fatalf("state %v after rejoin failure, want quarantined", s)
 	}
@@ -233,49 +233,14 @@ func TestHealthRequarantineDoublesBackoff(t *testing.T) {
 		t.Fatalf("backoff %v after one flap, want 2s", b)
 	}
 	rejoin()
-	m.note(0, false, false, false)
+	m.note(0, false, false)
 	if b := m.Snapshot(0).Backoff; b != 4*time.Second {
 		t.Fatalf("backoff %v after two flaps, want 4s", b)
 	}
 	rejoin()
-	m.note(0, false, false, false)
+	m.note(0, false, false)
 	if b := m.Snapshot(0).Backoff; b != 4*time.Second {
 		t.Fatalf("backoff %v should cap at MaxBackoff 4s", b)
-	}
-}
-
-// TestHealthSlowPassDegradesNeverQuarantines feeds successful-but-slow
-// attempts: they may degrade a healthy shard but must never quarantine it —
-// a straggler still serves.
-func TestHealthSlowPassDegradesNeverQuarantines(t *testing.T) {
-	clock := newTestClock()
-	cfg := HealthConfig{
-		FailThreshold:       2,
-		QuarantineThreshold: 2,
-		PassThreshold:       2,
-		SlowAfter:           10 * time.Millisecond,
-		now:                 clock.now,
-	}
-	m := NewHealthManager(1, cfg, nil, nil, nil)
-	slow := func() { m.release(0, signalPass, 50*time.Millisecond) }
-	m.acquire(0, false)
-	m.acquire(0, false)
-	slow()
-	slow()
-	if s := m.State(0); s != ShardDegraded {
-		t.Fatalf("state %v after slow passes, want degraded", s)
-	}
-	// While degraded, slow successes count as passes: the shard answers
-	// correctly, so it recovers rather than sinking to quarantine.
-	for i := 0; i < 10; i++ {
-		m.acquire(0, false)
-		slow()
-		if s := m.State(0); s == ShardQuarantined {
-			t.Fatal("slowness alone quarantined a serving shard")
-		}
-	}
-	if s := m.State(0); s != ShardHealthy {
-		t.Fatalf("state %v after recovering passes, want healthy", s)
 	}
 }
 
@@ -293,9 +258,9 @@ func TestHealthConcurrentSignals(t *testing.T) {
 				shard := i % 2
 				if m.acquire(shard, false) {
 					if i%3 == 0 {
-						m.release(shard, signalFail, time.Millisecond)
+						m.release(shard, signalFail)
 					} else {
-						m.release(shard, signalPass, time.Millisecond)
+						m.release(shard, signalPass)
 					}
 				}
 				if i%7 == 0 {

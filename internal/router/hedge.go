@@ -2,9 +2,12 @@
 // attempt outlives the shard's own recent P95, the dispatcher launches the
 // same sub-query on a healthy replica and takes the first finisher — but
 // only within a strict hedge budget, so hedging can never amplify an
-// overload into a request storm. Correctness bar: when both attempts
-// complete, their results MUST be bit-identical; a divergent pair fails the
-// whole query loudly (NoReroute) instead of silently picking one answer.
+// overload into a request storm. The trigger is measured and shard-local
+// (Fan, Sen et al.: tune from latency distributions, not static knobs), so a
+// uniformly slow tier does not hedge at all while a single straggler hedges
+// at once. Correctness bar: when both attempts complete, their results MUST
+// be bit-identical; a divergent pair fails the whole query loudly
+// (NoReroute) instead of silently picking one answer.
 package router
 
 import (
@@ -38,6 +41,10 @@ const (
 	// hedgeMinSamples is how many latency observations a shard needs
 	// before hedging engages for it.
 	hedgeMinSamples = 8
+	// hedgeFraction caps hedges at ~5% of dispatched sub-queries, and
+	// hedgeBurst is the token bucket's depth.
+	hedgeFraction = 0.05
+	hedgeBurst    = 4
 )
 
 // hedgeBudget rations hedge launches to a fraction of dispatched
@@ -54,18 +61,9 @@ type hedgeBudget struct {
 }
 
 // newHedgeBudget builds a budget allowing ~fraction hedges per dispatched
-// partition (default 0.05, i.e. <=5% of requests; at most 1) with the given
-// burst depth (default 4). The bucket starts full.
+// partition with the given burst depth; the bucket starts full. The router
+// always asks for (hedgeFraction, hedgeBurst); tests ask for others.
 func newHedgeBudget(fraction float64, burst int) *hedgeBudget {
-	if fraction <= 0 {
-		fraction = 0.05
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	if burst <= 0 {
-		burst = 4
-	}
 	return &hedgeBudget{fraction: fraction, burst: float64(burst), tokens: float64(burst)}
 }
 
@@ -109,11 +107,12 @@ func isHedgeAttempt(ctx context.Context) bool {
 }
 
 // hedgeTrigger is how long a primary on shard may run before a hedge
-// launches: the shard's OWN recent P95, floored at hedgeMinDelay, and 0 (no
-// hedging) until the shard has hedgeMinSamples observations. The value the
-// dispatcher decides with is the value /metrics shows.
+// launches: the P95 of the shard's OWN latency window, floored at
+// hedgeMinDelay, and 0 (no hedging) until the shard has hedgeMinSamples
+// observations. The value the dispatcher decides with is the value /metrics
+// shows.
 func (d *dispatcher) hedgeTrigger(shard int) time.Duration {
-	p := d.lat.p95(shard, hedgeMinSamples)
+	p := d.lat[shard].Quantile(95, hedgeMinSamples)
 	if p > 0 && p < hedgeMinDelay {
 		p = hedgeMinDelay
 	}
@@ -253,4 +252,43 @@ func (d *dispatcher) hedgedAttempt(ctx context.Context, primary int, part pipeli
 	}
 	d.metrics.NoteHedge(note)
 	return out
+}
+
+// compareResults is the hedge pair verifier: when a primary and its hedge
+// BOTH complete, their results must be bit-identical — predictions,
+// ordinals, class counts, and row accounting. Any divergence is a
+// correctness event that fails the query loudly (the dispatcher wraps it
+// NoReroute), never a silent pick-one.
+func compareResults(a, b *Result) error {
+	if a == nil || b == nil {
+		return fmt.Errorf("hedge pair with a missing result")
+	}
+	if len(a.Predictions) != len(b.Predictions) {
+		return fmt.Errorf("prediction count %d vs %d", len(a.Predictions), len(b.Predictions))
+	}
+	for i := range a.Predictions {
+		if a.Predictions[i] != b.Predictions[i] {
+			return fmt.Errorf("row %d: prediction %d vs %d", i, a.Predictions[i], b.Predictions[i])
+		}
+	}
+	if len(a.ScoredRows) != len(b.ScoredRows) {
+		return fmt.Errorf("ordinal count %d vs %d", len(a.ScoredRows), len(b.ScoredRows))
+	}
+	for i := range a.ScoredRows {
+		if a.ScoredRows[i] != b.ScoredRows[i] {
+			return fmt.Errorf("ordinal %d: row %d vs %d", i, a.ScoredRows[i], b.ScoredRows[i])
+		}
+	}
+	if len(a.ClassCounts) != len(b.ClassCounts) {
+		return fmt.Errorf("class-count length %d vs %d", len(a.ClassCounts), len(b.ClassCounts))
+	}
+	for i := range a.ClassCounts {
+		if a.ClassCounts[i] != b.ClassCounts[i] {
+			return fmt.Errorf("class %d: count %d vs %d", i, a.ClassCounts[i], b.ClassCounts[i])
+		}
+	}
+	if a.RowsScored != b.RowsScored {
+		return fmt.Errorf("rows scored %d vs %d", a.RowsScored, b.RowsScored)
+	}
+	return nil
 }

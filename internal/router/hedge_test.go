@@ -15,7 +15,7 @@ import (
 )
 
 // hedgeDispatcher builds a hedging dispatcher over n shards whose latency
-// rings already hold enough samples of `trigger` to hedge at exactly that
+// windows already hold enough samples of `trigger` to hedge at exactly that
 // delay, with metrics on so tests can read the hedge outcomes.
 func hedgeDispatcher(n int, trigger time.Duration, budget *hedgeBudget) (*dispatcher, *obs.Registry) {
 	reg := obs.NewRegistry()
@@ -24,7 +24,7 @@ func hedgeDispatcher(n int, trigger time.Duration, budget *hedgeBudget) (*dispat
 	d.metrics = obs.NewRouterMetrics(reg)
 	for shard := 0; shard < n; shard++ {
 		for i := 0; i < hedgeMinSamples; i++ {
-			d.lat.note(shard, trigger)
+			d.lat[shard].Observe(trigger)
 		}
 	}
 	return d, reg
@@ -72,6 +72,36 @@ func TestHedgeWinBitIdentical(t *testing.T) {
 	got := reg.Gauge(obs.MetricRouterHedgeTrigger, "", "shard", "0").Value()
 	if got != (5 * time.Millisecond).Seconds() {
 		t.Fatalf("published hedge trigger %v s, want 0.005", got)
+	}
+}
+
+// TestHedgeTriggerLearnsFromSettledAttempts starts from empty windows: the
+// trigger stays 0 (no hedging) until settle has fed a shard hedgeMinSamples
+// successful sub-queries, then reads the shard's P95 — here the 2 ms floor,
+// since a fake shard answers in microseconds. Failures feed nothing.
+func TestHedgeTriggerLearnsFromSettledAttempts(t *testing.T) {
+	d := testDispatcher(2, HealthConfig{}, nil)
+	ok := func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
+		return answer("answer"), nil
+	}
+	bad := func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
+		return nil, NoReroute(errors.New("bad query"))
+	}
+	for i := 0; i < hedgeMinSamples; i++ {
+		d.scatter(context.Background(), parts(1), 0, bad)
+	}
+	for i := 0; i < hedgeMinSamples-1; i++ {
+		d.scatter(context.Background(), parts(1), 0, ok)
+	}
+	if got := d.hedgeTrigger(0); got != 0 {
+		t.Fatalf("trigger %v after %d successes, want 0 (too few samples)", got, hedgeMinSamples-1)
+	}
+	d.scatter(context.Background(), parts(1), 0, ok)
+	if got := d.hedgeTrigger(0); got != hedgeMinDelay {
+		t.Fatalf("trigger %v after %d successes, want the %v floor", got, hedgeMinSamples, hedgeMinDelay)
+	}
+	if got := d.hedgeTrigger(1); got != 0 {
+		t.Fatalf("shard 1 served nothing but has trigger %v", got)
 	}
 }
 

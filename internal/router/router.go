@@ -31,20 +31,10 @@ type Config struct {
 	// The state machine always runs on passive per-request signals;
 	// active /healthz probing engages only when Health.ProbeInterval > 0.
 	Health *HealthConfig
-	// Hedge enables tail-latency hedging (nil disables; a non-nil zero
-	// value takes the defaults).
-	Hedge *HedgeConfig
+	// Hedge enables tail-latency hedging, at most ~5% of sub-queries.
+	Hedge bool
 	// Admission enables router admission control (nil disables).
 	Admission *AdmissionConfig
-}
-
-// HedgeConfig tunes the hedge budget. Zero values take the noted defaults.
-type HedgeConfig struct {
-	// MaxFraction caps hedges as a fraction of dispatched sub-queries
-	// (default 0.05 — at most ~5% of requests hedge).
-	MaxFraction float64
-	// Burst is the hedge token-bucket depth (default 4).
-	Burst int
 }
 
 // Router scatters scoring queries across shard replicas and gathers the
@@ -93,16 +83,16 @@ func New(cfg Config) (*Router, error) {
 		func(i int, s ShardState) { r.metrics.SetShardState(i, int(s)) },
 	)
 
-	r.adm = newAdmission(cfg.Admission, n, func(class string) { r.metrics.NoteAdmissionShed(class) })
+	r.adm = newAdmission(cfg.Admission, n, r.metrics)
 	r.disp = &dispatcher{
 		shards:  n,
 		health:  r.health,
 		adm:     r.adm,
-		lat:     newLatencyTracker(n),
+		lat:     make([]obs.LatencyWindow, n),
 		metrics: r.metrics,
 	}
-	if cfg.Hedge != nil {
-		r.disp.budget = newHedgeBudget(cfg.Hedge.MaxFraction, cfg.Hedge.Burst)
+	if cfg.Hedge {
+		r.disp.budget = newHedgeBudget(hedgeFraction, hedgeBurst)
 	}
 
 	if len(cfg.WarmModels) > 0 {

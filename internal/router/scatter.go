@@ -89,15 +89,15 @@ type dispatchResult struct {
 
 // dispatcher scatters partitions across shard replicas, rerouting on
 // failure. It decides from the router's own state directly: the health
-// state machine, the per-shard sub-query slots, the latency ring and the
-// hedge budget.
+// state machine, the per-shard sub-query slots, the per-shard latency
+// windows and the hedge budget.
 type dispatcher struct {
 	shards  int
 	health  *HealthManager
-	adm     *admission         // nil without admission control
-	lat     *latencyTracker    // feeds the hedge trigger
-	budget  *hedgeBudget       // nil disables hedging
-	metrics *obs.RouterMetrics // nil-safe
+	adm     *admission          // nil without admission control
+	lat     []obs.LatencyWindow // per shard; feeds the hedge trigger
+	budget  *hedgeBudget        // nil disables hedging
+	metrics *obs.RouterMetrics  // nil-safe
 }
 
 // attempt is one shard call's outcome.
@@ -123,7 +123,7 @@ func (d *dispatcher) acquire(ctx context.Context, shard int, hedge bool) error {
 		return fmt.Errorf("shard %d: %s, not taking traffic", shard, d.health.State(shard))
 	}
 	if err := d.adm.acquireShard(ctx, shard, !hedge); err != nil {
-		d.health.release(shard, signalNone, 0)
+		d.health.release(shard, signalNone)
 		return err
 	}
 	return nil
@@ -131,7 +131,8 @@ func (d *dispatcher) acquire(ctx context.Context, shard int, hedge bool) error {
 
 // settle ends an acquired attempt: it frees the shard's slot and tells the
 // state machine how the attempt went. A result feeds the shard's latency
-// series (the hedge ring and the /metrics histogram, the same sample); a
+// series (its window, which the hedge trigger reads, and the /metrics
+// histogram: the same sample); a
 // query-level error means the shard answered correctly; a failure the
 // shard is not to blame for — the caller's budget expired, or reaped marks
 // a hedge-race loser we cancelled — is no signal at all. Nor is the shard's
@@ -144,13 +145,13 @@ func (d *dispatcher) settle(ctx context.Context, a attempt, reaped bool) {
 	d.adm.releaseShard(a.shard)
 	switch {
 	case a.err == nil:
-		d.lat.note(a.shard, a.lat)
+		d.lat[a.shard].Observe(a.lat)
 		d.metrics.ObserveShard(a.shard, a.lat, 0)
-		d.health.release(a.shard, signalPass, a.lat)
+		d.health.release(a.shard, signalPass)
 	case !rerouteable(a.err):
-		d.health.release(a.shard, signalPass, a.lat)
+		d.health.release(a.shard, signalPass)
 	case reaped, ctx.Err() != nil:
-		d.health.release(a.shard, signalNone, a.lat)
+		d.health.release(a.shard, signalNone)
 	default:
 		d.metrics.ObserveShard(a.shard, a.lat, 1)
 		sig := signalFail
@@ -158,7 +159,7 @@ func (d *dispatcher) settle(ctx context.Context, a attempt, reaped bool) {
 		if errors.As(a.err, &se) && se.Code == CodeRejected {
 			sig = signalNone
 		}
-		d.health.release(a.shard, sig, a.lat)
+		d.health.release(a.shard, sig)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 )
 
@@ -25,7 +26,7 @@ func testDispatcher(n int, hc HealthConfig, onState func(shard int, s ShardState
 	return &dispatcher{
 		shards: n,
 		health: NewHealthManager(n, hc, nil, nil, onState),
-		lat:    newLatencyTracker(n),
+		lat:    make([]obs.LatencyWindow, n),
 	}
 }
 
