@@ -387,9 +387,11 @@ func BenchmarkPipelineHotPath(b *testing.B) {
 //     scalar pointer walk the kernel replaced;
 //   - fused-64x10-sel25-*: scan_fused's per-shard call — PredictAggregate
 //     over 20k HIGGS rows and the 64 × depth-10 model, under the selection the
-//     shard builds (lepton_eta > 0 and one of two hash partitions, about a
-//     quarter of the rows), with one worker and with GOMAXPROCS;
+//     shard builds (lepton_eta > 0 within stripe 0 of 2, about a quarter of
+//     the rows), with one worker and with GOMAXPROCS;
 //   - small-8x6: ingest_then_score's model, dense over 10k rows;
+//   - plain-iris-32x10-stripe: scan_plain's per-shard call — PredictSel over
+//     stripe 0 of 2 of 25k IRIS rows and the 32 × depth-10 demo model;
 //   - skewed-16x24: one-sided depth-24 chains, where most rows leave a tree
 //     long before its depth — the guard on the lock-step walk's early stop.
 func BenchmarkKernelPredict(b *testing.B) {
@@ -437,8 +439,7 @@ func BenchmarkKernelPredict(b *testing.B) {
 	_, fused := train(64, 10)
 	eta := slices.Index(data.FeatureNames, "lepton_eta")
 	where := kernel.BuildSelection(n, []kernel.Predicate{{Feature: eta, Op: kernel.PredGT}}, data.X, features)
-	part := pipeline.Partition{Index: 0, Count: 2}
-	sel := kernel.SelectionFromFunc(n, func(row int) bool { return where.Selected(row) && part.Keep(row) })
+	sel := kernel.StripeSelection(where, n, 0, 2)
 	counts := make([]int64, fused.NumClasses())
 	for _, w := range []struct {
 		name    string
@@ -455,6 +456,25 @@ func BenchmarkKernelPredict(b *testing.B) {
 
 	_, small := train(8, 6)
 	b.Run("small-8x6", dense(small, 10000, 1))
+
+	iris := dataset.Iris().Replicate(25000)
+	irisForest, err := forest.Train(dataset.Iris(), experiments.DemoForestConfig)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plain, err := irisForest.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("plain-iris-32x10-stripe", func(b *testing.B) {
+		stripe := kernel.StripeSelection(nil, iris.NumRecords(), 0, 2)
+		preds := make([]int, stripe.Count())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			plain.PredictSel(iris.X, iris.NumFeatures(), stripe, preds, 1)
+		}
+		b.ReportMetric(float64(stripe.Count()*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+	})
 
 	// Each tree is a chain: every split sends x[k%features] < -1.5 (about one
 	// HIGGS value in fifteen) on down the chain and everything else to a leaf.

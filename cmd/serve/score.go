@@ -1,6 +1,6 @@
 // The shard side of the scale-out serving tier. A serve process acts as one
 // data-symmetric shard: the router POSTs pre-validated wire requests (with a
-// hash partition assigned) to /score, warms the model cache through /warm,
+// stripe assigned) to /score, warms the model cache through /warm,
 // and probes /healthz. SQL is parsed exactly once, at the router. The
 // protocol itself — both ends — lives in internal/router; this file only
 // supplies the router.Backend that router.ShardHandler serves: structured

@@ -54,12 +54,13 @@ func postScore(t *testing.T, url string, req router.Request) (int, *router.Resul
 }
 
 // TestScoreEndpoint drives the shard-side wire contract: a partitioned
-// sub-query scores only its partition's rows, results carry the shard id,
-// and query-level failures come back with the bad_request code so the
-// router never reroutes them.
+// sub-query scores only its stripe's rows and lists no ordinals, results
+// carry the shard id, and query-level failures come back with the
+// bad_request code so the router never reroutes them.
 func TestScoreEndpoint(t *testing.T) {
 	ts := startShardServer(t, "shard-7")
 
+	// The 50-row table is one short word: all of it is stripe 0 of 2.
 	code, res := postScore(t, ts.URL, router.Request{
 		Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "0/2",
 	})
@@ -69,23 +70,20 @@ func TestScoreEndpoint(t *testing.T) {
 	if res.ShardID != "shard-7" {
 		t.Fatalf("shard id %q, want shard-7", res.ShardID)
 	}
-	if res.RowsScored == 0 || res.RowsScored >= res.RowsScanned {
-		t.Fatalf("partition 0/2 scored %d of %d rows", res.RowsScored, res.RowsScanned)
-	}
-	if len(res.ScoredRows) != len(res.Predictions) {
-		t.Fatalf("%d ordinals for %d predictions", len(res.ScoredRows), len(res.Predictions))
+	if res.RowsScanned != 50 || res.RowsScored != 50 || len(res.Predictions) != 50 || res.ScoredRows != nil {
+		t.Fatalf("partition 0/2 scored %d of %d rows: %d predictions, %d ordinals",
+			res.RowsScored, res.RowsScanned, len(res.Predictions), len(res.ScoredRows))
 	}
 
-	// The complementary partition covers the remaining rows exactly.
+	// The complementary stripe is empty.
 	code2, res2 := postScore(t, ts.URL, router.Request{
 		Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "1/2",
 	})
 	if code2 != http.StatusOK || res2.Error != "" {
 		t.Fatalf("/score 1/2 = %d, error %q", code2, res2.Error)
 	}
-	if res.RowsScored+res2.RowsScored != res.RowsScanned {
-		t.Fatalf("partitions cover %d+%d of %d rows",
-			res.RowsScored, res2.RowsScored, res.RowsScanned)
+	if res2.RowsScanned != 50 || res2.RowsScored != 0 || res2.Predictions != nil {
+		t.Fatalf("partition 1/2 scored %d of %d rows", res2.RowsScored, res2.RowsScanned)
 	}
 
 	// Unknown model: query-level, never rerouteable.
@@ -299,7 +297,7 @@ func TestScoreNegotiation(t *testing.T) {
 		t.Fatalf("frame reply: Content-Type %q, Content-Length %d for %d bytes", ct, resp.ContentLength, len(frame))
 	}
 	res, err := router.DecodeFrame(frame)
-	if err != nil || res.ShardID != "shard-0" || len(res.Predictions) == 0 || len(res.ScoredRows) != len(res.Predictions) {
+	if err != nil || res.ShardID != "shard-0" || len(res.Predictions) != 50 || res.ScoredRows != nil {
 		t.Fatalf("frame reply decodes to %+v, %v", res, err)
 	}
 

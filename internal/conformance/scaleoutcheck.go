@@ -12,8 +12,8 @@ import (
 )
 
 // scaleoutShards is the scatter width of the conformance scale-out topology:
-// three in-process shards is the smallest width where a middle partition has
-// non-trivial neighbors on both sides of the hash split.
+// three in-process shards is the smallest width where a middle stripe has
+// non-trivial neighbors on both sides.
 const scaleoutShards = 3
 
 // wiredShard is an in-process shard whose results are encoded and decoded
@@ -49,10 +49,10 @@ func (s wiredShard) Score(ctx context.Context, req router.Request) (*router.Resu
 // single-node pipeline run of the same statement — for every engine, for a
 // full scan, for tenant-affine routing, for a bounded scan too small to
 // scatter, for a pushed-down @where whose selection bitmap is split across
-// the hash partitions, and for the fused GROUP BY aggregate whose per-shard
+// the stripes, and for the fused GROUP BY aggregate whose per-shard
 // histograms are summed at the gather.
-// Any divergence here means the hash partitioning, the sub-query scatter or
-// the k-way ordinal merge reordered, dropped or double-counted rows.
+// Any divergence here means the striping, the sub-query scatter or the k-way
+// ordinal merge reordered, dropped or double-counted rows.
 func (r *Runner) scaleoutChecks(rep *Report, c Case, ref *Reference) {
 	database := db.New()
 	tbl, err := db.TableFromDataset("scoring_input", c.Data)
@@ -85,7 +85,7 @@ func (r *Runner) scaleoutChecks(rep *Report, c Case, ref *Reference) {
 	}
 
 	// Data-symmetric replicas: every shard sees the full table and scores
-	// only its hash partition — the serving tier's topology in miniature.
+	// only its stripe — the serving tier's topology in miniature.
 	single := newPipe()
 	shards := make([]router.Backend, scaleoutShards)
 	for i := range shards {

@@ -54,12 +54,6 @@ func (d *Dataset) Row(i int) []float32 {
 	return d.X[i*f : (i+1)*f]
 }
 
-// SizeBytes returns the payload size of the feature matrix — the quantity
-// every backend's transfer model charges for.
-func (d *Dataset) SizeBytes() int64 {
-	return int64(len(d.X)) * BytesPerValue
-}
-
 // Validate checks structural invariants and returns a descriptive error for
 // the first violation found.
 func (d *Dataset) Validate() error {

@@ -177,13 +177,6 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
-func TestSizeBytes(t *testing.T) {
-	d := Iris()
-	if got := d.SizeBytes(); got != 150*4*4 {
-		t.Fatalf("SizeBytes = %d, want 2400", got)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	d := Iris()
 	d.X = d.X[:len(d.X)-1]

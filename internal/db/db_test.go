@@ -72,19 +72,6 @@ func TestTableDatasetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSizeBytes(t *testing.T) {
-	tbl, _ := NewTable("t", []Column{
-		{Name: "f", Type: Float32Col},
-		{Name: "i", Type: Int64Col},
-		{Name: "s", Type: TextCol},
-		{Name: "b", Type: BlobCol},
-	})
-	tbl.Insert([]Value{Float(1), Int(2), Text("abc"), Blob(make([]byte, 10))})
-	if got := tbl.SizeBytes(); got != 4+8+3+10 {
-		t.Fatalf("SizeBytes = %d", got)
-	}
-}
-
 func TestModelStore(t *testing.T) {
 	d := New()
 	f, err := forest.Train(dataset.Iris(), forest.ForestConfig{

@@ -370,25 +370,6 @@ func (t *Table) rowsLocked() [][]Value {
 	return out
 }
 
-// SizeBytes approximates the table payload size, used by the pipeline's
-// transfer model.
-func (t *Table) SizeBytes() int64 {
-	t.rowsMu.RLock()
-	defer t.rowsMu.RUnlock()
-	total := int64(len(t.block)) * 4
-	for ci := range t.cols {
-		c := &t.cols[ci]
-		total += int64(len(c.ints)) * 8
-		for _, s := range c.texts {
-			total += int64(len(s))
-		}
-		for _, b := range c.blobs {
-			total += int64(len(b))
-		}
-	}
-	return total
-}
-
 // TableFromDataset converts a dataset into a table: one REAL column per
 // feature, plus a BIGINT "label" column when labels are present. The feature
 // matrix is already in block layout, so it is copied in bulk.

@@ -124,6 +124,9 @@ type Selection struct {
 // it so that a worker's row range never starts inside a word.
 const selWordBits = 64
 
+// StripeRows is the rows one selection word covers, a partition stripe's unit.
+const StripeRows = selWordBits
+
 // BuildSelection evaluates the conjunction of preds over n rows of the
 // row-major matrix x (features values per row) block-wise and returns the
 // surviving-row bitmap. With no predicates every row is selected. x may be
@@ -161,6 +164,20 @@ func SelectionFromFunc(n int, keep func(row int) bool) *Selection {
 			}
 		}
 		s.words[b] = w
+	}
+	s.finalize()
+	return s
+}
+
+// StripeSelection narrows base (nil = every row) over rows rows to stripe k
+// of n: the words b with b % n == k, set whole and masked by base's.
+func StripeSelection(base *Selection, rows, k, n int) *Selection {
+	s := newSelection(rows)
+	for b := k; b < len(s.words); b += n {
+		s.words[b] = ^uint64(0) >> max(0, (b+1)*selWordBits-rows)
+		if base != nil {
+			s.words[b] &= base.words[b]
+		}
 	}
 	s.finalize()
 	return s

@@ -59,6 +59,40 @@ func TestSelectionRankCountSlice(t *testing.T) {
 	}
 }
 
+// TestStripeSelectionIsItsWords: stripe k of n keeps exactly the rows of
+// words b with b % n == k that base keeps, whatever the tail, and the n
+// stripes count to base.
+func TestStripeSelectionIsItsWords(t *testing.T) {
+	for _, rows := range []int{0, 1, 63, 64, 65, 200, 1003} {
+		base := kernel.SelectionFromFunc(rows, func(r int) bool { return r%7 != 3 })
+		for _, b := range []*kernel.Selection{nil, base} {
+			for n := 1; n <= 5; n++ {
+				total := 0
+				for k := 0; k < n; k++ {
+					s := kernel.StripeSelection(b, rows, k, n)
+					for r := 0; r < rows; r++ {
+						want := r/kernel.StripeRows%n == k && (b == nil || b.Selected(r))
+						if s.Selected(r) != want {
+							t.Fatalf("rows=%d base=%v stripe %d/%d: row %d selected %v", rows, b != nil, k, n, r, s.Selected(r))
+						}
+					}
+					if s.Len() != rows {
+						t.Fatalf("stripe %d/%d covers %d rows, want %d", k, n, s.Len(), rows)
+					}
+					total += s.Count()
+				}
+				want := rows
+				if b != nil {
+					want = b.Count()
+				}
+				if total != want {
+					t.Fatalf("rows=%d base=%v: %d stripes count %d rows, want %d", rows, b != nil, n, total, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBuildSelectionMatchesSQLSemantics(t *testing.T) {
 	x := []float32{1, 2, 1.5, 4, float32(math.NaN()), 6, 3, 8}
 	aux := []float64{10, 20, 30, 40}

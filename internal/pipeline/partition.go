@@ -1,14 +1,15 @@
 // Row partitioning for the scale-out serving tier: a scoring query may carry
 // a @partition = 'k/n' parameter that restricts scoring to the k-th of n
-// hash partitions of the scanned rows. Every shard in a scatter-gather
-// deployment holds the same (replicated) table, so the partition is purely a
+// stripes of the scanned rows. Every shard in a scatter-gather deployment
+// holds the same (replicated) table, so the partition is purely a
 // parallelism device: the router fans one query out as w sub-queries, one
 // partition each, and the union of the partitions is exactly the
 // unpartitioned row set. The router picks w per query; width 1 is always
-// the unpartitioned request (no @partition parameter), never '0/1'. The
-// assignment hashes the stable row ordinal (the scan position after @limit
-// pushdown, identical on every replica), so the router can recompute it
-// locally and any shard can serve any partition.
+// the unpartitioned request (no @partition parameter), never '0/1'.
+// Partition k of n owns the 64-row words b with b % n == k of the stable row
+// ordinals (the scan position after @limit pushdown, identical on every
+// replica), so any shard can serve any partition, the partition pass is a
+// word mask, and the router recomputes a stripe's ordinals (Row) locally.
 package pipeline
 
 import (
@@ -22,7 +23,7 @@ import (
 // MaxPartitions bounds the fan-out width a single query may request.
 const MaxPartitions = 4096
 
-// Partition identifies one hash partition of a query's scanned rows.
+// Partition identifies one stripe of a query's scanned rows.
 // The zero value means "no partitioning": every row is scored.
 type Partition struct {
 	// Index is the partition ordinal in [0, Count).
@@ -68,25 +69,33 @@ func ParsePartition(s string) (Partition, error) {
 	return Partition{Index: idx, Count: cnt}, nil
 }
 
+// RowShard maps a stable row ordinal to its partition index under an n-way
+// split: the stripe of its 64-row word, (row/64) mod n.
+func RowShard(row, n int) int { return row / kernel.StripeRows % n }
+
+// Keep reports whether the given stable row ordinal belongs to partition p.
+func (p Partition) Keep(row int) bool { return RowShard(row, p.Count) == p.Index }
+
+// Rows is how many of scanned rows partition p (Count >= 1) holds.
+func (p Partition) Rows(scanned int) int {
+	words, tail := scanned/kernel.StripeRows, scanned%kernel.StripeRows
+	rows := (words - p.Index + p.Count - 1) / p.Count * kernel.StripeRows
+	if tail > 0 && words%p.Count == p.Index {
+		rows += tail
+	}
+	return rows
+}
+
+// Row is the scan ordinal of the i-th row partition p (Count >= 1) holds.
+func (p Partition) Row(i int) int {
+	return (i/kernel.StripeRows*p.Count+p.Index)*kernel.StripeRows + i%kernel.StripeRows
+}
+
 // FNV-1a 64-bit constants.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
-
-// RowShard maps a stable row ordinal to its partition index under an n-way
-// split: FNV-1a over the little-endian ordinal bytes, mod n. Exported so the
-// router (and tests) can recompute the assignment without a selection.
-func RowShard(row, n int) int {
-	h := uint64(fnvOffset64)
-	v := uint64(row)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return int(h % uint64(n))
-}
 
 // TenantShard maps a tenant key to a shard index: FNV-1a over the key bytes.
 // Tenant-affinity routing sends the whole query to one shard instead of
@@ -98,17 +107,4 @@ func TenantShard(tenant string, n int) int {
 		h *= fnvPrime64
 	}
 	return int(h % uint64(n))
-}
-
-// Keep reports whether the given stable row ordinal belongs to partition p.
-func (p Partition) Keep(row int) bool {
-	return RowShard(row, p.Count) == p.Index
-}
-
-// partitionSelection narrows base (the pushed-down WHERE selection, nil =
-// all rows) to the rows of one hash partition of the query's scan ordinals.
-func partitionSelection(base *kernel.Selection, part Partition, rows int) *kernel.Selection {
-	return kernel.SelectionFromFunc(rows, func(row int) bool {
-		return (base == nil || base.Selected(row)) && part.Keep(row)
-	})
 }

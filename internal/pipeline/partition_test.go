@@ -37,32 +37,40 @@ func TestParsePartition(t *testing.T) {
 	}
 }
 
-// TestRowShardTilesAllRows checks the assignment is total, stable, and not
-// degenerate: every row lands in exactly one partition and no partition is
-// starved on a realistic row count.
+// TestRowShardTilesAllRows checks the assignment is total and balanced, and
+// that Partition.Rows and Partition.Row agree with it: every row lands in
+// exactly one stripe, no stripe holds a word more than another, and a
+// stripe's i-th row is the i-th row RowShard gives it.
 func TestRowShardTilesAllRows(t *testing.T) {
-	const rows, n = 10000, 4
-	counts := make([]int, n)
-	for r := 0; r < rows; r++ {
-		s := pipeline.RowShard(r, n)
-		if s < 0 || s >= n {
-			t.Fatalf("RowShard(%d, %d) = %d", r, n, s)
-		}
-		if s != pipeline.RowShard(r, n) {
-			t.Fatalf("RowShard(%d, %d) not deterministic", r, n)
-		}
-		counts[s]++
-	}
-	for i, c := range counts {
-		if c < rows/n/2 || c > rows/n*2 {
-			t.Fatalf("partition %d holds %d of %d rows; skewed hash", i, c, rows)
+	for _, rows := range []int{0, 1, 63, 64, 65, 1000, 10000} {
+		for n := 1; n <= 5; n++ {
+			members := make([][]int, n)
+			for r := 0; r < rows; r++ {
+				s := pipeline.RowShard(r, n)
+				if s < 0 || s >= n {
+					t.Fatalf("RowShard(%d, %d) = %d", r, n, s)
+				}
+				members[s] = append(members[s], r)
+			}
+			for k, m := range members {
+				p := pipeline.Partition{Index: k, Count: n}
+				if got := p.Rows(rows); got != len(m) || got > (rows/n/64+1)*64 {
+					t.Fatalf("%d rows: stripe %s holds %d, Rows says %d", rows, p, len(m), got)
+				}
+				for i, row := range m {
+					if p.Row(i) != row {
+						t.Fatalf("%d rows: stripe %s row %d is %d, Row says %d", rows, p, i, row, p.Row(i))
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestPartitionsUnionToSingleNode scores each of n partitions separately and
-// checks that merging by scan ordinal reproduces the unpartitioned result
-// bit for bit — the invariant the scale-out router's gather depends on.
+// checks that placing each prediction at its stripe's ordinal reproduces the
+// unpartitioned result bit for bit — the invariant the scale-out router's
+// gather depends on. An unfiltered partition lists no ordinals.
 func TestPartitionsUnionToSingleNode(t *testing.T) {
 	p, _, data := newPipeline(t, 8, 10, 500)
 	whole, err := p.ExecQuery("EXEC sp_score_model @model='iris_rf', @data='iris', @backend='CPU_ONNX'")
@@ -84,18 +92,13 @@ func TestPartitionsUnionToSingleNode(t *testing.T) {
 		if res.RowsScanned != data.NumRecords() {
 			t.Fatalf("partition %d scanned %d rows, want %d", k, res.RowsScanned, data.NumRecords())
 		}
-		if len(res.ScoredRows) != len(res.Predictions) {
-			t.Fatalf("partition %d: %d scored rows vs %d predictions",
-				k, len(res.ScoredRows), len(res.Predictions))
+		part := pipeline.Partition{Index: k, Count: n}
+		if res.ScoredRows != nil || len(res.Predictions) != part.Rows(res.RowsScanned) || res.RowsScored != len(res.Predictions) {
+			t.Fatalf("partition %d: %d ordinals, %d predictions, %d scored; its stripe holds %d rows",
+				k, len(res.ScoredRows), len(res.Predictions), res.RowsScored, part.Rows(res.RowsScanned))
 		}
-		if !sort.IntsAreSorted(res.ScoredRows) {
-			t.Fatalf("partition %d: scored rows not ascending", k)
-		}
-		for i, row := range res.ScoredRows {
-			if pipeline.RowShard(row, n) != k {
-				t.Fatalf("row %d landed in partition %d, RowShard says %d",
-					row, k, pipeline.RowShard(row, n))
-			}
+		for i := range res.Predictions {
+			row := part.Row(i)
 			if seen[row] {
 				t.Fatalf("row %d scored by two partitions", row)
 			}

@@ -189,11 +189,10 @@ type QueryResult struct {
 	// actually scored (== RowsScanned without a filter).
 	RowsScored int
 	// ScoredRows lists the scan ordinals (0-based, post-@limit) of the rows
-	// behind Predictions, in ascending order, when a selection (pushed-down
-	// WHERE and/or partition) restricted scoring; nil when every scanned row
-	// was scored. The scale-out router merges shard results by these
-	// ordinals, so the merged prediction order is bit-identical to a
-	// single-node run.
+	// behind Predictions, in ascending order, when a pushed-down WHERE
+	// restricted scoring; nil otherwise (a stripe's follow from Partition.Row).
+	// The scale-out router merges shard results by these ordinals, so the
+	// merged prediction order is bit-identical to a single-node run.
 	ScoredRows []int
 	// Fused reports whether the query engaged operator fusion (a pushed-down
 	// WHERE and/or a fused aggregate).
@@ -335,7 +334,7 @@ type ScoreRequest struct {
 	// Agg is the fused aggregation over the predictions (COUNT(*) /
 	// GROUP BY prediction); AggNone returns the prediction column.
 	Agg AggMode
-	// Partition restricts scoring to one hash partition of the scanned rows
+	// Partition restricts scoring to one stripe of the scanned rows
 	// (from @partition = 'k/n'); the zero value scores every row. The
 	// scale-out router fans a query out as one sub-query per partition.
 	Partition Partition
@@ -602,7 +601,7 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest, blob []byte, da
 	resident := status == "hit" || status == "coalesced"
 
 	// sel marks the rows the kernel scores: those surviving the pushed-down
-	// WHERE, narrowed to the request's hash partition (nil = all rows).
+	// WHERE, narrowed to the request's stripe (nil = all rows).
 	var sel *kernel.Selection
 	if fromDB {
 		end := tr.StartSpan("input fetch")
@@ -764,22 +763,22 @@ func (p *Pipeline) fetchInput(req *ScoreRequest, featureNames []string) (*datase
 		sel = kernel.BuildSelection(data.NumRecords(), preds, data.X, data.NumFeatures())
 	}
 	if req.Partition.Active() {
-		sel = partitionSelection(sel, req.Partition, data.NumRecords())
+		sel = kernel.StripeSelection(sel, data.NumRecords(), req.Partition.Index, req.Partition.Count)
 	}
 	return data, sel, nil
 }
 
 // landResults is the post-processing stage: it lands the engine's output in
 // the query's result table — the prediction column in one bulk append (with
-// the scan ordinals behind it when a selection restricted scoring), or, for a
-// fused aggregate, the class histogram without ever materializing
+// the scan ordinals behind it when a WHERE, i.e. Fused, restricted scoring),
+// or, for a fused aggregate, the class histogram without ever materializing
 // predictions.
 func landResults(agg AggMode, sel *kernel.Selection, scored *backend.Result, res *QueryResult) (err error) {
 	if agg != AggNone {
 		res.Table, err = aggResult(agg, scored.Predictions, scored.ClassCounts)
 		return err
 	}
-	if sel != nil {
+	if sel != nil && res.Fused {
 		res.ScoredRows = make([]int, sel.Count())
 		sel.ForEach(func(row, rank int) { res.ScoredRows[rank] = row })
 	}

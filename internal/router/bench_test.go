@@ -12,8 +12,8 @@ import (
 )
 
 // scanPartitions builds what the shards of a k-wide tier return for a full
-// scan of `rows` rows: partition p holds the ordinals RowShard assigns it,
-// three classes, the timeline a CPU engine reports.
+// scan of `rows` rows: partition p holds a prediction for each row of its
+// stripe and no ordinals, three classes, the timeline a CPU engine reports.
 func scanPartitions(k, rows int) []*router.Result {
 	out := make([]*router.Result, k)
 	for p := range out {
@@ -31,7 +31,6 @@ func scanPartitions(k, rows int) []*router.Result {
 	}
 	for row := 0; row < rows; row++ {
 		r := out[pipeline.RowShard(row, k)]
-		r.ScoredRows = append(r.ScoredRows, row)
 		r.Predictions = append(r.Predictions, row%3)
 		r.RowsScored++
 	}

@@ -39,7 +39,9 @@ const (
 	// MaxFrameBytes caps the payload a router accepts from one shard.
 	MaxFrameBytes = 64 << 20
 
-	frameVersion = 1
+	// Version 2 lists no ordinals for an unfiltered stripe, where 1 listed a
+	// hash partition's: a tier mixing the two fails at decode, not at merge.
+	frameVersion = 2
 
 	flagCacheHit     = 1 << 0
 	flagFused        = 1 << 1

@@ -20,7 +20,7 @@ func frameCases() map[string]*Result {
 		{Name: "scoring", Kind: 2, NS: 131_274_379},
 	}
 	detail := []WireSpan{{Name: "tree traversal", Kind: 2, NS: 131_000_000}}
-	// Partition 1 of 2 over 25k rows: every other ordinal, roughly.
+	// A filtered partition of 25k rows: every other ordinal, roughly.
 	var rows, preds []int
 	for row := 1; row < 25000; row += 1 + row%3 {
 		rows = append(rows, row)
@@ -37,7 +37,7 @@ func frameCases() map[string]*Result {
 	return map[string]*Result{
 		"partitioned": {
 			ShardID: "shard-1", Backend: "CPU_SKLearn", Predictions: preds, ScoredRows: rows,
-			RowsScanned: 25000, RowsScored: len(rows), CacheHit: true, TraceID: "q-000042",
+			RowsScanned: 25000, RowsScored: len(rows), CacheHit: true, Fused: true, TraceID: "q-000042",
 			Timeline: timeline, ScoringDetail: detail,
 		},
 		"filtered": {
@@ -256,8 +256,8 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// TestFrameSmallerThanJSON pins the point of the format on the shape that
-// motivated it: one partition's share of a full scan.
+// TestFrameSmallerThanJSON pins the point of the format on its largest
+// shape: a partition's share of a scan, with its ordinals.
 func TestFrameSmallerThanJSON(t *testing.T) {
 	r := frameCases()["partitioned"]
 	text, err := json.Marshal(r)

@@ -25,7 +25,7 @@ type QueryResponse struct {
 	RowsScored  int     `json:"rows_scored,omitempty"`
 	CacheHit    bool    `json:"cache_hit"`
 	// Partial marks an explicit partial result; MissingPartitions lists
-	// the hash partitions whose rows are absent (never zero-filled).
+	// the stripes whose rows are absent (never zero-filled).
 	Partial           bool  `json:"partial"`
 	MissingPartitions []int `json:"missing_partitions,omitempty"`
 	Shards            int   `json:"shards"`

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"accelscore/internal/obs"
+	"accelscore/internal/pipeline"
 	"accelscore/internal/router"
 )
 
@@ -80,8 +81,9 @@ func TestHTTPShardDecodesByContentType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(viaFrame.ScoredRows) == 0 || len(viaFrame.ScoredRows) != len(viaFrame.Predictions) {
-		t.Fatalf("partition 1/2 came back with %d ordinals, %d predictions", len(viaFrame.ScoredRows), len(viaFrame.Predictions))
+	if stripe := (pipeline.Partition{Index: 1, Count: 2}).Rows(200); viaFrame.ScoredRows != nil || len(viaFrame.Predictions) != stripe {
+		t.Fatalf("partition 1/2 came back with %d ordinals, %d predictions; its stripe holds %d rows and lists none",
+			len(viaFrame.ScoredRows), len(viaFrame.Predictions), stripe)
 	}
 	viaJSON.ShardID, viaFrame.ShardID = "", ""
 	if !reflect.DeepEqual(viaJSON, viaFrame) {

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"accelscore/internal/db"
@@ -38,8 +39,8 @@ type Merged struct {
 	// CacheHit reports whether EVERY shard served from its model cache.
 	CacheHit bool
 	// Partial marks an explicit partial result: MissingPartitions lists
-	// the hash partitions with no surviving route; their rows are absent
-	// from Predictions/ScoredRows, never zero-filled.
+	// the stripes with no surviving route; their rows are absent from
+	// Predictions/ScoredRows, never zero-filled.
 	Partial           bool
 	MissingPartitions []int
 	// Shards is the scatter width; Reroutes counts partitions that moved
@@ -89,26 +90,28 @@ func mergeTimelines(results []*Result) sim.Timeline {
 // mergeHead is one partition's read position in the k-way merge.
 type mergeHead struct {
 	r    *Result
-	rows []int // nil for a dense result: prediction i is ordinal i
+	rows []int // the listed ordinals; nil for a stripe result
+	part pipeline.Partition
 	i    int
 }
 
 // row is the scan ordinal of the partition's i-th prediction.
 func (h *mergeHead) row(i int) int {
 	if h.rows == nil {
-		return i
+		return h.part.Row(i)
 	}
 	return h.rows[i]
 }
 
 // Merge gathers per-partition shard results into one Merged. results is
-// indexed by partition; a nil entry is a missing partition (the caller
-// already classified it partial). mode is the query's aggregation. Each
-// result's ScoredRows must ascend strictly and no ordinal may appear in two
-// results; Merge verifies both and fails otherwise. It does not modify the
-// results.
+// indexed by partition, results[k] answering stripe k of len(results); a nil
+// entry is a missing partition (the caller already classified it partial).
+// mode is the query's aggregation. A filtered (Fused) result's ScoredRows
+// must ascend strictly and no ordinal may appear in two results; any other
+// result lists none and holds exactly its stripe's rows. Merge verifies all
+// of it and fails otherwise. It does not modify the results.
 func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
-	m := &Merged{Shards: len(results)}
+	m := &Merged{Shards: len(results), CacheHit: true}
 	present := make([]*Result, 0, len(results))
 	for k, r := range results {
 		if r == nil {
@@ -117,19 +120,14 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 			continue
 		}
 		present = append(present, r)
+		m.RowsScanned = max(m.RowsScanned, r.RowsScanned)
+		m.RowsScored += r.RowsScored
+		m.CacheHit = m.CacheHit && r.CacheHit
 	}
 	if len(present) == 0 {
 		return nil, fmt.Errorf("router: no shard results to merge")
 	}
 	m.Backend = present[0].Backend
-	m.CacheHit = true
-	for _, r := range present {
-		if r.RowsScanned > m.RowsScanned {
-			m.RowsScanned = r.RowsScanned
-		}
-		m.RowsScored += r.RowsScored
-		m.CacheHit = m.CacheHit && r.CacheHit
-	}
 	m.Timeline = mergeTimelines(present)
 
 	if mode != pipeline.AggNone {
@@ -153,22 +151,24 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 	// every partition's ordinals ascend, so the merge is linear and checks
 	// as it goes that they do, within and across partitions; it never sorts,
 	// so a result that breaks the order fails the query instead of being
-	// repaired. A result without ScoredRows scored every scanned row
-	// (single-shard or tenant routing): row i is ordinal i.
+	// repaired.
 	heads := make([]mergeHead, 0, len(present))
-	dense, filtered, total, last := true, false, 0, -1
-	for _, r := range present {
+	filtered, total, last := false, 0, -1
+	for k, r := range results {
+		if r == nil {
+			continue
+		}
+		h := mergeHead{r: r, rows: r.ScoredRows, part: pipeline.Partition{Index: k, Count: len(results)}}
 		// Without an aggregate, Fused means a pushed-down WHERE.
-		filtered = filtered || r.Fused
-		h := mergeHead{r: r, rows: r.ScoredRows}
-		if len(r.ScoredRows) == 0 && len(r.Predictions) > 0 && r.RowsScored == r.RowsScanned {
-			h.rows = nil
-		} else {
-			dense = false
+		if r.Fused {
+			filtered = true
 			if len(r.ScoredRows) != len(r.Predictions) {
 				return nil, fmt.Errorf("router: shard %s returned %d ordinals for %d predictions",
 					r.ShardID, len(r.ScoredRows), len(r.Predictions))
 			}
+		} else if want := h.part.Rows(r.RowsScanned); len(r.ScoredRows) > 0 || len(r.Predictions) != want || r.RowsScored != want {
+			return nil, fmt.Errorf("router: shard %s returned %d predictions (%d scored, %d ordinals) for stripe %s of %d rows, which holds %d",
+				r.ShardID, len(r.Predictions), r.RowsScored, len(r.ScoredRows), h.part, r.RowsScanned, want)
 		}
 		if n := len(r.Predictions); n > 0 {
 			heads = append(heads, h)
@@ -182,33 +182,44 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 	// The ordinals are kept when the statement filtered (a single node lists
 	// them even if every row passed), and otherwise unless they are exactly
 	// 0..total-1 (the merge below proves last is the largest, or fails).
-	if !dense && (filtered || m.Partial || total != m.RowsScanned || last != total-1) {
+	if filtered || m.Partial || total != m.RowsScanned || last != total-1 {
 		m.ScoredRows = make([]int, total)
 	}
+	// Each turn the head with the smallest next row emits a run: its rows
+	// below every other head's next row (bound), a stripe's whole word.
 	prev, prevRes := -1, (*Result)(nil)
-	for n := 0; n < total; n++ {
-		best, row := 0, heads[0].row(heads[0].i)
+	for n := 0; n < total; {
+		best, row, bound := 0, heads[0].row(heads[0].i), math.MaxInt
 		for k := 1; k < len(heads); k++ {
 			if r := heads[k].row(heads[k].i); r < row {
-				best, row = k, r
+				best, row, bound = k, r, row
+			} else if r < bound {
+				bound = r
 			}
 		}
 		h := &heads[best]
-		switch {
-		case row == prev && prevRes != h.r:
-			return nil, fmt.Errorf("router: row %d scored by two partitions (shards %s and %s)",
-				row, prevRes.ShardID, h.r.ShardID)
-		case row <= prev:
-			return nil, fmt.Errorf("router: shard %s: row %d out of order after row %d", h.r.ShardID, row, prev)
-		}
-		prev, prevRes = row, h.r
-		m.Predictions[n] = h.r.Predictions[h.i]
-		if m.ScoredRows != nil {
-			m.ScoredRows[n] = row
-		}
-		if h.i++; h.i == len(h.r.Predictions) {
-			heads[best] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
+		for {
+			switch {
+			case row == prev && prevRes != h.r:
+				return nil, fmt.Errorf("router: row %d scored by two partitions (shards %s and %s)",
+					row, prevRes.ShardID, h.r.ShardID)
+			case row <= prev:
+				return nil, fmt.Errorf("router: shard %s: row %d out of order after row %d", h.r.ShardID, row, prev)
+			}
+			prev, prevRes = row, h.r
+			m.Predictions[n] = h.r.Predictions[h.i]
+			if m.ScoredRows != nil {
+				m.ScoredRows[n] = row
+			}
+			n++
+			if h.i++; h.i == len(h.r.Predictions) {
+				heads[best] = heads[len(heads)-1]
+				heads = heads[:len(heads)-1]
+				break
+			}
+			if row = h.row(h.i); row >= bound {
+				break
+			}
 		}
 	}
 	return m, nil

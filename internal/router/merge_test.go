@@ -1,25 +1,31 @@
 package router_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"accelscore/internal/dataset"
+	"accelscore/internal/db"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/router"
 	"accelscore/internal/xrand"
 )
 
 // referenceMerge is the gather Merge replaced, kept as its oracle: collect
-// every (row, class) pair, sort by row, scan for duplicates, and keep the
-// ordinals unless they are exactly 0..n-1.
+// every (row, class) pair — a filtered result's from its ordinals, a stripe
+// result's from the rows RowShard assigns its stripe — sort by row, scan for
+// duplicates, and keep the ordinals when the statement filtered or unless
+// they are exactly 0..n-1.
 func referenceMerge(results []*router.Result) (preds, rows []int, err error) {
 	type pred struct{ row, class int }
 	var all []pred
-	dense, partial, scanned := true, false, 0
-	for _, r := range results {
+	filtered, partial, scanned := false, false, 0
+	for k, r := range results {
 		if r == nil {
 			partial = true
 			continue
@@ -27,13 +33,17 @@ func referenceMerge(results []*router.Result) (preds, rows []int, err error) {
 		if r.RowsScanned > scanned {
 			scanned = r.RowsScanned
 		}
-		if len(r.ScoredRows) == 0 && len(r.Predictions) > 0 && r.RowsScored == r.RowsScanned {
-			for i, p := range r.Predictions {
-				all = append(all, pred{i, p})
+		if !r.Fused {
+			i := 0
+			for row := 0; row < r.RowsScanned; row++ {
+				if pipeline.RowShard(row, len(results)) == k {
+					all = append(all, pred{row, r.Predictions[i]})
+					i++
+				}
 			}
 			continue
 		}
-		dense = false
+		filtered = true
 		for i, row := range r.ScoredRows {
 			all = append(all, pred{row, r.Predictions[i]})
 		}
@@ -45,7 +55,7 @@ func referenceMerge(results []*router.Result) (preds, rows []int, err error) {
 		}
 	}
 	preds = make([]int, len(all))
-	keep := !dense && (partial || len(all) != scanned || (len(all) > 0 && all[len(all)-1].row != len(all)-1))
+	keep := filtered || partial || len(all) != scanned || (len(all) > 0 && all[len(all)-1].row != len(all)-1)
 	if keep {
 		rows = make([]int, len(all))
 	}
@@ -58,39 +68,36 @@ func referenceMerge(results []*router.Result) (preds, rows []int, err error) {
 	return preds, rows, nil
 }
 
-// randomScatter draws one gather's input: a table of up to 400 rows, a
-// random subset of it scored (everything, now and then), hash-partitioned
-// k ways, with some partitions missing. k = 1 with every row scored takes
-// the dense single-shard shape (no ordinals on the wire).
+// randomScatter draws one gather's input: a table of up to 400 rows striped
+// k ways, and either every row scored (stripe results, no ordinals on the
+// wire) or a filtered subset (everything, now and then) listed by ordinal,
+// with some partitions missing but never all.
 func randomScatter(rng *xrand.Rand) []*router.Result {
 	k, n := 1+rng.Intn(5), rng.Intn(400)
-	selectivity := rng.Float64()
+	filtered, selectivity := rng.Intn(2) == 0, rng.Float64()
 	if rng.Intn(3) == 0 {
 		selectivity = 1
 	}
 	results := make([]*router.Result, k)
 	for p := range results {
-		results[p] = &router.Result{ShardID: fmt.Sprintf("shard-%d", p), Backend: "CPU_SKLearn", RowsScanned: n, CacheHit: true}
+		results[p] = &router.Result{ShardID: fmt.Sprintf("shard-%d", p), Backend: "CPU_SKLearn", RowsScanned: n, CacheHit: true, Fused: filtered}
 	}
 	for row := 0; row < n; row++ {
-		if selectivity < 1 && rng.Float64() >= selectivity {
+		if filtered && rng.Float64() >= selectivity {
 			continue
 		}
 		r := results[pipeline.RowShard(row, k)]
-		r.ScoredRows = append(r.ScoredRows, row)
+		if filtered {
+			r.ScoredRows = append(r.ScoredRows, row)
+		}
 		r.Predictions = append(r.Predictions, rng.Intn(3))
 		r.RowsScored++
 	}
-	if k == 1 && results[0].RowsScored == n && rng.Intn(2) == 0 {
-		results[0].ScoredRows = nil
-	}
+	live := rng.Intn(k) // Merge needs one survivor
 	for p := range results {
-		if k > 1 && rng.Intn(6) == 0 {
+		if p != live && rng.Intn(6) == 0 {
 			results[p] = nil
 		}
-	}
-	if live := rng.Intn(k); results[live] == nil { // Merge needs one survivor
-		results[live] = &router.Result{ShardID: "survivor", RowsScanned: n}
 	}
 	return results
 }
@@ -135,15 +142,15 @@ func TestMergeMatchesSortReference(t *testing.T) {
 		switch {
 		case m.Partial:
 			shapes["partial"]++
-		case len(results) == 1 && results[0].ScoredRows == nil:
-			shapes["dense"]++
+		case len(results) == 1 && !results[0].Fused:
+			shapes["one stripe"]++
 		case m.ScoredRows == nil:
 			shapes["full scan, ordinals dropped"]++
 		default:
 			shapes["ordinals kept"]++
 		}
 	}
-	for _, shape := range []string{"partial", "dense", "full scan, ordinals dropped", "ordinals kept"} {
+	for _, shape := range []string{"partial", "one stripe", "full scan, ordinals dropped", "ordinals kept"} {
 		if shapes[shape] < 50 {
 			t.Errorf("only %d trials of shape %q: the generator no longer covers it", shapes[shape], shape)
 		}
@@ -162,11 +169,16 @@ func derefAll(results []*router.Result) []router.Result {
 
 // TestMergeRejectsBrokenOrder: the sort used to repair descending ordinals
 // silently and to find duplicates only after the fact; the linear merge
-// must fail on both, naming the shard at fault.
+// must fail on both, naming the shard at fault. A result without ordinals
+// must be exactly its stripe — a shard answering another stripe, or an
+// older shard listing a hash partition's ordinals, fails the query too.
 func TestMergeRejectsBrokenOrder(t *testing.T) {
 	part := func(id string, rows ...int) *router.Result {
 		return &router.Result{ShardID: id, ScoredRows: rows, Predictions: make([]int, len(rows)),
-			RowsScanned: 10, RowsScored: len(rows)}
+			RowsScanned: 10, RowsScored: len(rows), Fused: true}
+	}
+	stripe := func(id string, preds, scanned int) *router.Result {
+		return &router.Result{ShardID: id, Predictions: make([]int, preds), RowsScanned: scanned, RowsScored: preds}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -186,13 +198,23 @@ func TestMergeRejectsBrokenOrder(t *testing.T) {
 			[]*router.Result{part("shard-0", 0, 2, 4), nil, part("shard-2", 1, 2)},
 			[]string{"row 2 scored by two partitions", "shard-0", "shard-2"}},
 		{"two dense results",
-			[]*router.Result{
-				{ShardID: "shard-0", Predictions: []int{1, 1}, RowsScanned: 2, RowsScored: 2},
-				{ShardID: "shard-1", Predictions: []int{1, 1}, RowsScanned: 2, RowsScored: 2}},
-			[]string{"row 0 scored by two partitions"}},
+			[]*router.Result{stripe("shard-0", 2, 2), stripe("shard-1", 2, 2)},
+			[]string{"shard-1", "2 predictions", "stripe 1/2 of 2 rows, which holds 0"}},
 		{"ordinals without predictions",
-			[]*router.Result{{ShardID: "shard-0", ScoredRows: []int{1, 2}, Predictions: []int{0}, RowsScanned: 4, RowsScored: 1}},
+			[]*router.Result{{ShardID: "shard-0", ScoredRows: []int{1, 2}, Predictions: []int{0}, RowsScanned: 4, RowsScored: 1, Fused: true}},
 			[]string{"shard-0", "2 ordinals for 1 predictions"}},
+		{"stripe a row short",
+			[]*router.Result{stripe("shard-0", 64, 130), stripe("shard-1", 65, 130)},
+			[]string{"shard-0", "64 predictions", "stripe 0/2 of 130 rows, which holds 66"}},
+		{"empty stripe that holds rows",
+			[]*router.Result{stripe("shard-0", 64, 128), stripe("shard-1", 0, 128)},
+			[]string{"shard-1", "0 predictions", "which holds 64"}},
+		{"rows scored disagree with predictions",
+			[]*router.Result{{ShardID: "shard-0", Predictions: []int{0, 1}, RowsScanned: 2, RowsScored: 1}},
+			[]string{"shard-0", "(1 scored, 0 ordinals)", "which holds 2"}},
+		{"hash-partition ordinals on an unfiltered result",
+			[]*router.Result{{ShardID: "shard-0", ScoredRows: []int{0, 1}, Predictions: []int{0, 1}, RowsScanned: 2, RowsScored: 2}},
+			[]string{"shard-0", "2 ordinals"}},
 	} {
 		m, err := router.Merge(pipeline.AggNone, tc.results)
 		if err == nil {
@@ -203,6 +225,116 @@ func TestMergeRejectsBrokenOrder(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
 			}
+		}
+	}
+}
+
+// stripeRefuser refuses one stripe on every replica the way a full queue
+// does: the router reroutes it, and charges no shard's health for it.
+type stripeRefuser struct {
+	router.Backend
+	part string
+}
+
+func (s stripeRefuser) Score(ctx context.Context, req router.Request) (*router.Result, error) {
+	if req.Partition == s.part {
+		return nil, &router.ShardError{Shard: s.ID(), Code: router.CodeRejected, Msg: "stripe refused"}
+	}
+	return s.Backend.Score(ctx, req)
+}
+
+// TestStripeMergeIsBitIdentical: over random tables of 0–1 000 rows (most
+// not a multiple of 64, some short of a stripe per shard), widths 1–8, with
+// and without a WHERE, a router over router.Local shards answers what a
+// single node answers, field for field; with one stripe unreachable under
+// AllowPartial it answers exactly the single node's rows outside that
+// stripe, listed by ordinal. The stripes' row counts always sum to the table.
+func TestStripeMergeIsBitIdentical(t *testing.T) {
+	pipe := newShardPipeline(t, 1)
+	rng := xrand.New(26)
+	shapes := map[string]int{}
+	for trial := 0; trial < 150; trial++ {
+		rows, width := rng.Intn(1001), 1+rng.Intn(8)
+		table := fmt.Sprintf("t%d", rows)
+		if _, err := pipe.DB.Table(table); err != nil {
+			tbl, err := db.TableFromDataset(table, dataset.Iris().Replicate(rows))
+			if err == nil {
+				err = pipe.DB.CreateTable(tbl)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		sql := fmt.Sprintf("EXEC sp_score_model @model='iris_rf', @data='%s', @backend='CPU_ONNX'", table)
+		if rng.Intn(2) == 0 {
+			sql += ", @where='petal_width < 1.5'"
+		}
+		sum := 0
+		for k := 0; k < width; k++ {
+			sum += pipeline.Partition{Index: k, Count: width}.Rows(rows)
+		}
+		if sum != rows {
+			t.Fatalf("%d rows striped %d ways: the stripes hold %d", rows, width, sum)
+		}
+
+		backends := make([]router.Backend, width)
+		missing := -1
+		if width > 1 && rng.Intn(3) == 0 {
+			missing = rng.Intn(width)
+		}
+		for i := range backends {
+			backends[i] = stripeRefuser{&router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: pipe}, fmt.Sprintf("%d/%d", missing, width)}
+		}
+		r, err := router.New(router.Config{Backends: backends, AllowPartial: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Query(context.Background(), sql, router.QueryOptions{})
+		r.Close()
+		if err != nil {
+			t.Fatalf("trial %d (%s, width %d, stripe %d missing): %v", trial, sql, width, missing, err)
+		}
+		want, err := pipe.ExecQuery(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("trial %d (%d rows, width %d, stripe %d missing, %q): %s", trial, rows, width, missing, sql, fmt.Sprintf(format, args...))
+		}
+		if got.Shards != width || got.RowsScanned != want.RowsScanned {
+			fail("%d wide over %d rows, single node %d rows", got.Shards, got.RowsScanned, want.RowsScanned)
+		}
+		if missing < 0 {
+			shapes[fmt.Sprintf("whole, filtered %v", want.ScoredRows != nil)]++
+			if got.Partial || !slices.Equal(got.Predictions, want.Predictions) || got.RowsScored != want.RowsScored ||
+				!slices.Equal(got.ScoredRows, want.ScoredRows) || (got.ScoredRows == nil) != (want.ScoredRows == nil) {
+				fail("merged %d predictions @ %d ordinals (nil %v, partial %v), single node %d @ %d (nil %v)",
+					len(got.Predictions), len(got.ScoredRows), got.ScoredRows == nil, got.Partial,
+					len(want.Predictions), len(want.ScoredRows), want.ScoredRows == nil)
+			}
+			continue
+		}
+		shapes["partial"]++
+		var preds, ords []int
+		for i, p := range want.Predictions {
+			row := i
+			if want.ScoredRows != nil {
+				row = want.ScoredRows[i]
+			}
+			if pipeline.RowShard(row, width) != missing {
+				preds, ords = append(preds, p), append(ords, row)
+			}
+		}
+		if !got.Partial || !slices.Equal(got.MissingPartitions, []int{missing}) || got.RowsScored != len(preds) ||
+			!slices.Equal(got.Predictions, preds) || !slices.Equal(got.ScoredRows, ords) || got.ScoredRows == nil {
+			fail("partial %v missing %v: %d predictions @ %d ordinals, want %d present rows",
+				got.Partial, got.MissingPartitions, len(got.Predictions), len(got.ScoredRows), len(preds))
+		}
+	}
+	for _, shape := range []string{"whole, filtered false", "whole, filtered true", "partial"} {
+		if shapes[shape] < 20 {
+			t.Errorf("only %d trials of shape %q", shapes[shape], shape)
 		}
 	}
 }

@@ -173,7 +173,7 @@ func innermost(err error) string {
 // TestShardProtocolOverConformanceCases runs the same property over real
 // sub-queries: for every conformance scale-out case, an in-process replica
 // and the same replica behind ShardHandler + HTTPShard return deep-equal
-// Results for a scan, a hash partition, a pushed-down filter and the fused
+// Results for a scan, a stripe, a pushed-down filter and the fused
 // aggregate, under both representations.
 func TestShardProtocolOverConformanceCases(t *testing.T) {
 	cases, err := conformance.Cases(true)

@@ -144,8 +144,8 @@ func (r *Router) Shards() int { return len(r.cfg.Backends) }
 
 // minPartitionRows is the fewest rows worth a sub-query of their own. A
 // sub-query's fixed cost (a /score round trip, a request decode, a frame
-// encode, the hash-partition pass, its share of the gather barrier) is about
-// 0.3 ms of CPU, and the CPU kernel scores about one row per microsecond on a
+// encode, the stripe mask, its share of the gather barrier) is about 0.3 ms
+// of CPU, and the CPU kernel scores about one row per microsecond on a
 // 64-tree model, so a partition carrying fewer rows costs the tier more than
 // it saves. A constant, not a setting: it stands for a measured crossover
 // (ROADMAP 9(b)), and nothing that runs this tier wants a second value.
@@ -158,7 +158,7 @@ const minPartitionRows = 1024
 // @limit, the only bound the router has without asking a shard, and 0
 // (unbounded) keeps the full width with partition k on shard k. Width 1 is
 // always the unpartitioned sub-query (the zero Partition: the shard skips the
-// hash-partition pass). A tenant is width 1 homed on its own shard; any other
+// stripe mask). A tenant is width 1 homed on its own shard; any other
 // query narrower than the tier takes the next home in rotation, so narrow
 // queries load the shards evenly.
 func (r *Router) plan(rowBound int, tenant string) (parts []pipeline.Partition, home int) {

@@ -1,9 +1,9 @@
 // Package router implements the sharded scatter-gather serving tier: a
 // front over N data-symmetric shard replicas (every shard holds the full
 // table) that picks each scoring query's scatter width from the rows the
-// statement can touch (Router.plan), hash-partitions the rows that many
-// ways (FNV over the stable row ordinal assigns each row to exactly one
-// partition; width 1 is always the unpartitioned sub-query), scatters one
+// statement can touch (Router.plan), stripes the rows that many ways (64-row
+// word b of the stable row ordinals goes to partition b mod width; width 1
+// is always the unpartitioned sub-query), scatters one
 // sub-query per partition to the shards its health state machine lets take
 // traffic, and merges the shard results — predictions keyed by scan
 // ordinal, class-count histograms summed, simulated O/L/C timelines folded
@@ -48,7 +48,7 @@ type Request struct {
 	Where string `json:"where,omitempty"`
 	// Agg is the fused aggregation mode: "none", "count" or "group_count".
 	Agg string `json:"agg,omitempty"`
-	// Partition is the shard's hash partition as "k/n" ("" = all rows).
+	// Partition is the shard's stripe as "k/n" ("" = all rows).
 	Partition string `json:"partition,omitempty"`
 }
 
@@ -213,8 +213,8 @@ type Result struct {
 	ShardID string `json:"shard_id,omitempty"`
 	Backend string `json:"backend,omitempty"`
 	// Predictions holds one class per scored row; ScoredRows holds the
-	// matching scan ordinals (global, post-@limit) when a selection or
-	// partition restricted scoring.
+	// matching scan ordinals (global, post-@limit) when a pushed-down WHERE
+	// restricted scoring (Fused); an unfiltered result's are its stripe's.
 	Predictions []int `json:"predictions,omitempty"`
 	ScoredRows  []int `json:"scored_rows,omitempty"`
 	// ClassCounts carries fused-aggregate results: indexed by class for

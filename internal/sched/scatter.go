@@ -8,7 +8,7 @@ import (
 
 // ScatterConfig parameterizes a scatter-gather scale-out simulation: a
 // closed-loop client population issuing queries through a router that
-// splits each query into one hash partition per shard, with per-shard FIFO
+// splits each query into one partition per shard, with per-shard FIFO
 // service and a gather barrier. It predicts the scaling the serving tier
 // should achieve if the only costs were the calibrated per-shard service
 // times plus a fixed router overhead — the curve `loadgen -bench-scaleout`
@@ -23,8 +23,8 @@ type ScatterConfig struct {
 	// queries); 0 defaults to Shards, enough to saturate every shard.
 	Concurrency int
 	// Records is each query's total record count; partitions split it
-	// evenly with the remainder spread over the low partitions (the
-	// expectation of the FNV hash split).
+	// evenly with the remainder spread over the low partitions (the tier's
+	// 64-row stripes match that to within one stripe).
 	Records int64
 	// Service returns the simulated service time for a sub-query scoring
 	// records rows on one shard (typically pipeline.Estimate over the
@@ -57,7 +57,7 @@ type ScatterMetrics struct {
 }
 
 // PartitionRecords returns how many of total records land in partition k of
-// n under an even hash split: the base share plus one for the low
+// n under an even split: the base share plus one for the low
 // partitions that absorb the remainder.
 func PartitionRecords(k, n int, total int64) int64 {
 	base := total / int64(n)
