@@ -389,11 +389,17 @@ func BenchmarkPipelineHotPath(b *testing.B) {
 //     over 20k HIGGS rows and the 64 × depth-10 model, under the selection the
 //     shard builds (lepton_eta > 0 within stripe 0 of 2, about a quarter of
 //     the rows), with one worker and with GOMAXPROCS;
+//   - point-64x10-256: small_point's largest call — Predict over 256 dense
+//     HIGGS rows and the same model with GOMAXPROCS workers: the small end of
+//     the vote early exit, which engages here on at most four blocks;
 //   - small-8x6: ingest_then_score's model, dense over 10k rows;
 //   - plain-iris-32x10-stripe: scan_plain's per-shard call — PredictSel over
 //     stripe 0 of 2 of 25k IRIS rows and the 32 × depth-10 demo model;
 //   - skewed-16x24: one-sided depth-24 chains, where most rows leave a tree
 //     long before its depth — the guard on the lock-step walk's early stop.
+//
+// The early exit engages on every model here of 32 trees or more; small-8x6
+// and skewed-16x24 sit under its gate and guard that it costs them nothing.
 func BenchmarkKernelPredict(b *testing.B) {
 	data := dataset.Higgs(20000, 1)
 	n, features := data.NumRecords(), data.NumFeatures()
@@ -453,6 +459,7 @@ func BenchmarkKernelPredict(b *testing.B) {
 			b.ReportMetric(float64(sel.Count()*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 		})
 	}
+	b.Run("point-64x10-256", dense(fused, 256, 0))
 
 	_, small := train(8, 6)
 	b.Run("small-8x6", dense(small, 10000, 1))

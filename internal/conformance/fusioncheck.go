@@ -25,7 +25,7 @@ import (
 //     engine honors WantCounts in the kernel or the caller tallies.
 func (r *Runner) fusedChecks(rep *Report, c Case, eng backend.Backend) {
 	name := eng.Name()
-	data := withNonFiniteRows(c.Data.Head(minInt(metaRows, c.Data.NumRecords())))
+	data := withNonFiniteRows(c.Data.Head(min(metaRows, c.Data.NumRecords())))
 	n := data.NumRecords()
 
 	base, err := eng.Score(&backend.Request{Forest: c.Forest, Data: data})

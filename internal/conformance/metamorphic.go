@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 
 	"accelscore/internal/backend"
 	"accelscore/internal/dataset"
@@ -26,7 +27,7 @@ const metaRows = 96
 //     per-tree results reproduces the full-forest predictions (classifiers).
 func (r *Runner) metamorphicChecks(rep *Report, c Case, eng backend.Backend) {
 	name := eng.Name()
-	data := c.Data.Head(minInt(metaRows, c.Data.NumRecords()))
+	data := c.Data.Head(min(metaRows, c.Data.NumRecords()))
 	n := data.NumRecords()
 
 	base, err := eng.Score(&backend.Request{Forest: c.Forest, Data: data})
@@ -90,7 +91,7 @@ func (r *Runner) metamorphicChecks(rep *Report, c Case, eng backend.Backend) {
 	// vote-exposing API.
 	if c.Forest.Kind == forest.Classifier && len(c.Forest.Trees) > 1 && len(c.Forest.Trees) <= 16 {
 		votes := make([][]int, n)
-		classes := maxInt(c.Forest.NumClasses, 1)
+		classes := max(c.Forest.NumClasses, 1)
 		for i := range votes {
 			votes[i] = make([]int, classes)
 		}
@@ -180,23 +181,7 @@ func widenedForest(f *forest.Forest) *forest.Forest {
 // reversedTrees clones the forest with the ensemble order reversed.
 func reversedTrees(f *forest.Forest) *forest.Forest {
 	out := *f
-	out.Trees = make([]*forest.Tree, len(f.Trees))
-	for i, t := range f.Trees {
-		out.Trees[len(f.Trees)-1-i] = t
-	}
+	out.Trees = slices.Clone(f.Trees)
+	slices.Reverse(out.Trees)
 	return &out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,15 +2,11 @@
 // evaluation: the UCI IRIS multi-class dataset (embedded verbatim and
 // replicated to 1M rows exactly as the paper does, §IV-A) and a synthetic
 // stand-in for the UCI HIGGS binary dataset (28 features), plus the generic
-// dataset plumbing every other package shares: replication, splitting and
-// size accounting.
+// dataset plumbing every other package shares: validation, replication and
+// head views.
 package dataset
 
-import (
-	"fmt"
-
-	"accelscore/internal/xrand"
-)
+import "fmt"
 
 // BytesPerValue is the storage width of one feature value (float32),
 // matching the FPGA node layout and the transfer-size arithmetic used by
@@ -128,38 +124,4 @@ func (d *Dataset) Head(n int) *Dataset {
 		out.Y = append([]int(nil), d.Y[:n]...)
 	}
 	return out
-}
-
-// Split partitions the dataset into train and test subsets, shuffling rows
-// with the given generator. testFrac must be in (0, 1).
-func (d *Dataset) Split(testFrac float64, rng *xrand.Rand) (train, test *Dataset) {
-	if testFrac <= 0 || testFrac >= 1 {
-		panic(fmt.Sprintf("dataset: testFrac %v out of (0,1)", testFrac))
-	}
-	n := d.NumRecords()
-	perm := rng.Perm(n)
-	nTest := int(float64(n) * testFrac)
-	if nTest == 0 {
-		nTest = 1
-	}
-	build := func(idx []int) *Dataset {
-		f := d.NumFeatures()
-		out := &Dataset{
-			Name:         d.Name,
-			FeatureNames: append([]string(nil), d.FeatureNames...),
-			ClassNames:   append([]string(nil), d.ClassNames...),
-			X:            make([]float32, len(idx)*f),
-		}
-		if len(d.Y) > 0 {
-			out.Y = make([]int, len(idx))
-		}
-		for i, j := range idx {
-			copy(out.X[i*f:(i+1)*f], d.Row(j))
-			if out.Y != nil {
-				out.Y[i] = d.Y[j]
-			}
-		}
-		return out
-	}
-	return build(perm[nTest:]), build(perm[:nTest])
 }

@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"accelscore/internal/xrand"
@@ -149,31 +151,64 @@ func TestHead(t *testing.T) {
 	}
 }
 
+// split holds out a testFrac share (at least one row) of d's rows, shuffled
+// with rng, appending rows to Head(0) copies of d's schema — the way the
+// forest tests and the quickstart example split a dataset.
+func split(d *Dataset, testFrac float64, rng *xrand.Rand) (train, test *Dataset) {
+	perm := rng.Perm(d.NumRecords())
+	nTest := max(1, int(float64(len(perm))*testFrac))
+	train, test = d.Head(0), d.Head(0)
+	for i, j := range perm {
+		part := train
+		if i < nTest {
+			part = test
+		}
+		part.X, part.Y = append(part.X, d.Row(j)...), append(part.Y, d.Y[j])
+	}
+	return train, test
+}
+
+// TestSplit: the held-out rows and the rest are the dataset's rows, each
+// once, in valid datasets of the asked-for sizes, and filling the Head(0)
+// copies leaves the source untouched.
 func TestSplit(t *testing.T) {
 	d := Iris()
-	train, test := d.Split(0.2, xrand.New(1))
-	if train.NumRecords()+test.NumRecords() != 150 {
-		t.Fatalf("split sizes %d+%d != 150", train.NumRecords(), test.NumRecords())
+	train, test := split(d, 0.2, xrand.New(1))
+	if train.NumRecords() != 120 || test.NumRecords() != 30 {
+		t.Fatalf("split sizes %d+%d, want 120+30", train.NumRecords(), test.NumRecords())
 	}
-	if test.NumRecords() != 30 {
-		t.Fatalf("test size = %d, want 30", test.NumRecords())
+	for _, part := range []*Dataset{train, test} {
+		if err := part.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := train.Validate(); err != nil {
-		t.Fatal(err)
+	// IRIS repeats a few rows, so the rows are compared as multisets.
+	surplus := map[string]int{}
+	for _, part := range []*Dataset{d, train, test} {
+		for i := 0; i < part.NumRecords(); i++ {
+			if part == d {
+				surplus[fmt.Sprint(part.Row(i), part.Y[i])]++
+			} else {
+				surplus[fmt.Sprint(part.Row(i), part.Y[i])]--
+			}
+		}
 	}
-	if err := test.Validate(); err != nil {
-		t.Fatal(err)
+	for row, n := range surplus {
+		if n != 0 {
+			t.Fatalf("row %s: %d more in the dataset than in its two parts", row, n)
+		}
+	}
+	if fresh := Iris(); !slices.Equal(d.X, fresh.X) || !slices.Equal(d.Y, fresh.Y) {
+		t.Fatal("splitting changed the source dataset")
 	}
 }
 
 func TestSplitDeterministic(t *testing.T) {
 	d := Iris()
-	a, _ := d.Split(0.3, xrand.New(5))
-	b, _ := d.Split(0.3, xrand.New(5))
-	for i := range a.X {
-		if a.X[i] != b.X[i] {
-			t.Fatal("split not deterministic")
-		}
+	a, _ := split(d, 0.3, xrand.New(5))
+	b, _ := split(d, 0.3, xrand.New(5))
+	if !slices.Equal(a.X, b.X) || !slices.Equal(a.Y, b.Y) {
+		t.Fatal("split not deterministic")
 	}
 }
 

@@ -15,7 +15,7 @@ func (f *Forest) Compile() (*kernel.Compiled, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	c := kernel.New(maxInt(f.NumClasses, 1), f.Kind == Boosted, f.BaseScore)
+	c := kernel.New(max(f.NumClasses, 1), f.Kind == Boosted, f.BaseScore)
 	for i, t := range f.Trees {
 		c.BeginTree()
 		if err := emitNode(c, t.Root); err != nil {

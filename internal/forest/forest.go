@@ -130,7 +130,7 @@ func (f *Forest) PredictClass(row []float32) int {
 		}
 		return 0
 	}
-	votes := make([]int, maxInt(f.NumClasses, 1))
+	votes := make([]int, max(f.NumClasses, 1))
 	for _, t := range f.Trees {
 		votes[t.PredictClass(row)]++
 	}

@@ -22,6 +22,23 @@ func trainIris(t *testing.T, trees, depth int) *Forest {
 	return f
 }
 
+// shuffleSplit holds out a testFrac share (at least one row) of d's rows,
+// shuffled with rng, and returns the rest for training. It is the split the
+// dataset package's TestSplit checks.
+func shuffleSplit(d *dataset.Dataset, testFrac float64, rng *xrand.Rand) (train, test *dataset.Dataset) {
+	perm := rng.Perm(d.NumRecords())
+	nTest := max(1, int(float64(len(perm))*testFrac))
+	train, test = d.Head(0), d.Head(0)
+	for i, j := range perm {
+		part := train
+		if i < nTest {
+			part = test
+		}
+		part.X, part.Y = append(part.X, d.Row(j)...), append(part.Y, d.Y[j])
+	}
+	return train, test
+}
+
 func TestSingleTreeFitsIris(t *testing.T) {
 	f := trainIris(t, 1, 10)
 	acc := f.Accuracy(dataset.Iris())
@@ -34,7 +51,7 @@ func TestSingleTreeFitsIris(t *testing.T) {
 }
 
 func TestForestGeneralizesIris(t *testing.T) {
-	train, test := dataset.Iris().Split(0.3, xrand.New(2))
+	train, test := shuffleSplit(dataset.Iris(), 0.3, xrand.New(2))
 	f, err := Train(train, ForestConfig{
 		NumTrees:  16,
 		Tree:      TrainConfig{MaxDepth: 10},
@@ -51,7 +68,7 @@ func TestForestGeneralizesIris(t *testing.T) {
 
 func TestForestLearnsHiggs(t *testing.T) {
 	full := dataset.Higgs(4000, 11)
-	train, test := full.Split(0.25, xrand.New(4))
+	train, test := shuffleSplit(full, 0.25, xrand.New(4))
 	f, err := Train(train, ForestConfig{
 		NumTrees:  12,
 		Tree:      TrainConfig{MaxDepth: 8},

@@ -10,7 +10,7 @@ import (
 func trainBoostedHiggs(t testing.TB, trees, depth int) (*Forest, *dataset.Dataset, *dataset.Dataset) {
 	t.Helper()
 	full := dataset.Higgs(4000, 21)
-	train, test := full.Split(0.25, xrand.New(6))
+	train, test := shuffleSplit(full, 0.25, xrand.New(6))
 	f, err := TrainBoosted(train, BoostConfig{
 		NumTrees: trees,
 		MaxDepth: depth,
@@ -41,7 +41,7 @@ func TestBoostedBeatsShallowForest(t *testing.T) {
 	// At a matched budget of shallow trees, boosting should beat bagging —
 	// the standard bias-reduction advantage.
 	full := dataset.Higgs(4000, 22)
-	train, test := full.Split(0.25, xrand.New(7))
+	train, test := shuffleSplit(full, 0.25, xrand.New(7))
 	gbt, err := TrainBoosted(train, BoostConfig{NumTrees: 30, MaxDepth: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)

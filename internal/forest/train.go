@@ -115,7 +115,7 @@ func (b *builder) build(rows []int, depth int) *Node {
 
 // summary returns the majority class and mean target of the rows.
 func (b *builder) summary(rows []int) (class int, value float64) {
-	counts := make([]int, maxInt(b.d.NumClasses(), 1))
+	counts := make([]int, max(b.d.NumClasses(), 1))
 	var sum float64
 	for _, r := range rows {
 		y := b.d.Y[r]
@@ -230,7 +230,7 @@ func (b *builder) scanSplits(vals []rowVal, boundary func(int) bool, outThreshol
 			}
 		}
 	default:
-		classes := maxInt(b.d.NumClasses(), 1)
+		classes := max(b.d.NumClasses(), 1)
 		leftCounts := make([]int, classes)
 		rightCounts := make([]int, classes)
 		for _, rv := range vals {
@@ -319,11 +319,4 @@ func (b *builder) partition(rows []int, feature int, threshold float32) (left, r
 		}
 	}
 	return left, right
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

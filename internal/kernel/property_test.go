@@ -40,15 +40,31 @@ func awkwardOr(rng *rand.Rand) float32 {
 // reach a leaf long before the tree's depth, so the early stop decides).
 var treeShapes = []string{"random", "leaf", "stump", "chain"}
 
+// tilt skews randomCompiled's draws: leaves extra chances for a tree to be a
+// single leaf, votes extra chances for a leaf to vote for class favourite.
+// The zero tilt draws uniformly.
+type tilt struct{ leaves, votes, favourite int }
+
+// draw returns a uniform index below n, or fixed for any of extra further
+// slots; with extra 0 it is rng.Intn(n).
+func draw(rng *rand.Rand, n, extra, fixed int) int {
+	if i := rng.Intn(n + extra); i < n {
+		return i
+	}
+	return fixed
+}
+
 // randomCompiled emits a random ensemble straight through the builder API,
 // each tree one of treeShapes, thresholds from awkwardOr, leaves with a
-// random class and a random margin contribution. It returns the thresholds
-// it used and counts the shapes it emitted into shapes.
-func randomCompiled(t *testing.T, rng *rand.Rand, classes int, boosted bool, trees, features, maxDepth int, shapes map[string]int) (*kernel.Compiled, []float32) {
+// random class and a random margin contribution, all drawn under mix. It
+// returns the thresholds it used and counts the shapes it emitted into shapes.
+func randomCompiled(t *testing.T, rng *rand.Rand, classes int, boosted bool, trees, features, maxDepth int, mix tilt, shapes map[string]int) (*kernel.Compiled, []float32) {
 	t.Helper()
 	c := kernel.New(classes, boosted, rng.NormFloat64()/4)
 	var thresholds []float32
-	leaf := func() int32 { return c.EmitLeaf(int32(rng.Intn(classes)), rng.NormFloat64()) }
+	leaf := func() int32 {
+		return c.EmitLeaf(int32(draw(rng, classes, mix.votes, mix.favourite)), rng.NormFloat64())
+	}
 	split := func() int32 {
 		thresholds = append(thresholds, awkwardOr(rng))
 		return c.EmitSplit(int32(rng.Intn(features)), thresholds[len(thresholds)-1])
@@ -65,7 +81,7 @@ func randomCompiled(t *testing.T, rng *rand.Rand, classes int, boosted bool, tre
 	}
 	for i := 0; i < trees; i++ {
 		c.BeginTree()
-		shape := treeShapes[rng.Intn(len(treeShapes))]
+		shape := treeShapes[draw(rng, len(treeShapes), mix.leaves, slices.Index(treeShapes, "leaf"))]
 		shapes[shape]++
 		switch shape {
 		case "random":
@@ -143,7 +159,10 @@ var selShapes = []struct {
 // counts-or-predictions), and that function is the row-at-a-time oracle
 // PredictRow applied to the selected rows. Random vote forests (2–7 classes,
 // few enough trees that vote ties are common) and boosted ensembles mixing
-// every tree shape; awkward floats on both sides of every comparison; batch
+// every tree shape; vote forests of 33 and 64 trees in 2 and 3 classes, heavy
+// in single leaves and, in four of them, tilted toward the first or the last
+// class, so that the early exit decides rows early as well as late and meets
+// ties at the bound; awkward floats on both sides of every comparison; batch
 // sizes covering every remainder of the 8-row group and the 64-row block;
 // every worker count; every selection shape.
 func TestEntryPointsAreOneFunction(t *testing.T) {
@@ -160,14 +179,22 @@ func TestEntryPointsAreOneFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	ran, shapes := map[string]int{}, map[string]int{}
 	ties, parallelAgg, equalCells, nanCells := 0, 0, 0, 0
-	for trial := 0; trial < 12; trial++ {
+	exitTies, landslides := 0, 0
+	for trial := 0; trial < 20; trial++ {
 		kind, classes, boosted := "vote", 2+trial/2%6, false
 		if trial%2 == 1 {
 			kind, classes, boosted = "boosted", 1+trial%4/2, true
 		}
 		trees := []int{1, 2, 4, 17}[trial/2%4]
-		c, thresholds := randomCompiled(t, rng, classes, boosted, trees, features, 1+rng.Intn(7), shapes)
-
+		var mix tilt
+		if trial >= 12 {
+			kind, classes, boosted, trees = "vote", 2+trial/2%2, false, []int{33, 64}[trial%2]
+			mix = tilt{leaves: 4}
+			if trial >= 16 {
+				mix.votes, mix.favourite = classes, trial/2%2*(classes-1)
+			}
+		}
+		c, thresholds := randomCompiled(t, rng, classes, boosted, trees, features, 1+rng.Intn(7), mix, shapes)
 		for _, n := range sizes {
 			x := make([]float32, n*features)
 			for i := range x {
@@ -193,7 +220,15 @@ func TestEntryPointsAreOneFunction(t *testing.T) {
 							t.Fatalf("PredictRow broke a tie upward: votes %v -> %d", votes, want[i])
 						}
 						ties++
+						if trees >= 32 {
+							exitTies++
+						}
 					}
+				}
+				// Three quarters of the votes is a lead of half the trees,
+				// which decides the row a quarter of them before the end.
+				if !boosted && trees >= 32 && 4*votes[want[i]] >= 3*trees {
+					landslides++
 				}
 			}
 			for _, shape := range selShapes {
@@ -246,7 +281,8 @@ func TestEntryPointsAreOneFunction(t *testing.T) {
 	// The test's own coverage: every selection shape met both ensemble kinds
 	// at every worker count on a non-empty batch, every tree shape was
 	// emitted, comparisons really met NaN and equality, ties were really
-	// forced, and the per-worker histograms were really merged.
+	// forced (also where the early exit engages, beside rows it stops long
+	// before the end), and the per-worker histograms were really merged.
 	for _, kind := range []string{"vote", "boosted"} {
 		for _, shape := range selShapes {
 			for label := range workerCounts {
@@ -266,6 +302,9 @@ func TestEntryPointsAreOneFunction(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Error("no vote tie in any trial: the lowest-index rule went untested")
+	}
+	if exitTies == 0 || landslides == 0 {
+		t.Errorf("%d ties and %d landslides in forests of 32 trees or more: the early exit went untested", exitTies, landslides)
 	}
 	if parallelAgg == 0 {
 		t.Error("no multi-worker aggregate ran")

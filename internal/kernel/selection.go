@@ -99,18 +99,6 @@ type Predicate struct {
 	Value   float64
 }
 
-// Eval reports whether row r (with feature slice row) satisfies the
-// predicate.
-func (p Predicate) Eval(r int, row []float32) bool {
-	var a float64
-	if p.Feature >= 0 {
-		a = float64(row[p.Feature])
-	} else {
-		a = p.Col[r]
-	}
-	return evalPred(a, p.Op, p.Value)
-}
-
 // Selection is an immutable row bitmap of 64-bit words (word b covers rows
 // [64b, 64b+64)). prefix[b] counts selected rows before word b, which lets
 // parallel workers compute dense output offsets without coordination.
@@ -128,42 +116,50 @@ const selWordBits = 64
 const StripeRows = selWordBits
 
 // BuildSelection evaluates the conjunction of preds over n rows of the
-// row-major matrix x (features values per row) block-wise and returns the
-// surviving-row bitmap. With no predicates every row is selected. x may be
-// nil when every predicate reads an aux column.
+// row-major matrix x (features values per row): FilterSelection of all rows.
 func BuildSelection(n int, preds []Predicate, x []float32, features int) *Selection {
-	return SelectionFromFunc(n, func(r int) bool {
-		var row []float32
-		if x != nil {
-			row = x[r*features : (r+1)*features]
-		}
-		for i := range preds {
-			if !preds[i].Eval(r, row) {
-				return false
-			}
-		}
-		return true
-	})
+	return FilterSelection(nil, n, preds, x, features)
 }
 
-// SelectionFromFunc builds a bitmap from an arbitrary keep function;
-// conformance checks use it to exercise selections the predicate builder
-// would not produce.
-func SelectionFromFunc(n int, keep func(row int) bool) *Selection {
+// FilterSelection narrows base (nil = all n rows of x) to the rows meeting
+// every predicate, evaluated over base's rows only, a word at a time, each
+// predicate on the bits the ones before it kept. With no predicates it keeps
+// base's rows; x may be nil when every predicate reads an aux column.
+func FilterSelection(base *Selection, n int, preds []Predicate, x []float32, features int) *Selection {
 	s := newSelection(n)
 	for b := range s.words {
-		base := b * selWordBits
-		end := base + selWordBits
-		if end > n {
-			end = n
+		w := ^uint64(0) >> max(0, (b+1)*selWordBits-n)
+		if base != nil {
+			w = base.words[b]
 		}
-		var w uint64
-		for r := base; r < end; r++ {
-			if keep(r) {
-				w |= 1 << uint(r-base)
+		for _, p := range preds {
+			for m := w; m != 0; m &= m - 1 {
+				r := b*selWordBits + bits.TrailingZeros64(m)
+				var a float64
+				if p.Feature >= 0 {
+					a = float64(x[r*features+p.Feature])
+				} else {
+					a = p.Col[r]
+				}
+				if !evalPred(a, p.Op, p.Value) {
+					w &^= m & -m // row r's bit, m's lowest
+				}
 			}
 		}
 		s.words[b] = w
+	}
+	s.finalize()
+	return s
+}
+
+// SelectionFromFunc builds a bitmap from an arbitrary keep function, for
+// selections the predicate builder would not produce.
+func SelectionFromFunc(n int, keep func(row int) bool) *Selection {
+	s := newSelection(n)
+	for r := 0; r < n; r++ {
+		if keep(r) {
+			s.words[r/selWordBits] |= 1 << (r % selWordBits)
+		}
 	}
 	s.finalize()
 	return s

@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -87,6 +88,56 @@ func TestStripeSelectionIsItsWords(t *testing.T) {
 				}
 				if total != want {
 					t.Fatalf("rows=%d base=%v: %d stripes count %d rows, want %d", rows, b != nil, n, total, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStripeFirstWhereIsStripeOfWhere: evaluating the WHERE over stripe k of
+// n only, as a shard does, selects exactly the rows of the WHERE over every
+// row masked to the stripe — for random conjunctions of feature and column
+// predicates (NaN cells and values at the constant included), row counts
+// around the word width and every k of n up to 5.
+func TestStripeFirstWhereIsStripeOfWhere(t *testing.T) {
+	const features = 3
+	rng := rand.New(rand.NewSource(26))
+	ops := []kernel.PredOp{kernel.PredEQ, kernel.PredNE, kernel.PredLT, kernel.PredLE, kernel.PredGT, kernel.PredGE}
+	cell := func() float32 {
+		if rng.Intn(10) == 0 {
+			return float32(math.NaN())
+		}
+		return float32(rng.Intn(8)) / 4
+	}
+	for trial := 0; trial < 60; trial++ {
+		rows := []int{0, 1, 63, 64, 65, 200, 1003}[trial%7]
+		x := make([]float32, rows*features)
+		for i := range x {
+			x[i] = cell()
+		}
+		preds := make([]kernel.Predicate, trial%4)
+		for i := range preds {
+			preds[i] = kernel.Predicate{Feature: rng.Intn(features+1) - 1, Op: ops[rng.Intn(len(ops))], Value: float64(rng.Intn(8)) / 4}
+			if preds[i].Feature < 0 {
+				preds[i].Col = make([]float64, rows)
+				for r := range preds[i].Col {
+					preds[i].Col[r] = float64(cell())
+				}
+			}
+		}
+		where := kernel.BuildSelection(rows, preds, x, features)
+		for n := 1; n <= 5; n++ {
+			for k := 0; k < n; k++ {
+				got := kernel.FilterSelection(kernel.StripeSelection(nil, rows, k, n), rows, preds, x, features)
+				want := kernel.StripeSelection(where, rows, k, n)
+				if got.Len() != rows || got.Count() != want.Count() {
+					t.Fatalf("trial %d, %d rows, stripe %d/%d: %d of %d rows selected, want %d of %d",
+						trial, rows, k, n, got.Count(), got.Len(), want.Count(), rows)
+				}
+				for r := 0; r < rows; r++ {
+					if got.Selected(r) != want.Selected(r) {
+						t.Fatalf("trial %d, %d rows, stripe %d/%d: row %d selected %v, want %v", trial, rows, k, n, r, got.Selected(r), want.Selected(r))
+					}
 				}
 			}
 		}

@@ -755,15 +755,15 @@ func (p *Pipeline) fetchInput(req *ScoreRequest, featureNames []string) (*datase
 		return nil, nil, err
 	}
 	var sel *kernel.Selection
+	if req.Partition.Active() {
+		sel = kernel.StripeSelection(nil, data.NumRecords(), req.Partition.Index, req.Partition.Count)
+	}
 	if len(req.Where) > 0 {
 		preds, err := buildPredicates(tbl, data, req.Where)
 		if err != nil {
 			return nil, nil, err
 		}
-		sel = kernel.BuildSelection(data.NumRecords(), preds, data.X, data.NumFeatures())
-	}
-	if req.Partition.Active() {
-		sel = kernel.StripeSelection(sel, data.NumRecords(), req.Partition.Index, req.Partition.Count)
+		sel = kernel.FilterSelection(sel, data.NumRecords(), preds, data.X, data.NumFeatures())
 	}
 	return data, sel, nil
 }
