@@ -191,8 +191,6 @@ func main() {
 		"durable data directory (snapshot + WAL); empty runs fully in memory")
 	fsync := flag.String("fsync", "always",
 		"WAL sync policy: always (fsync per commit), batch (group commit), none (benchmarks only)")
-	fsyncWindow := flag.Duration("fsync-window", 2*time.Millisecond,
-		"group-commit window for -fsync=batch")
 	compactBytes := flag.Int64("compact-bytes", 0,
 		"WAL size triggering snapshot compaction (0 = default 64MiB, negative disables)")
 	demoRecords := flag.Int("demo-records", 0, "demo table rows (0 = default 2000)")
@@ -218,7 +216,6 @@ func main() {
 		storeCfg = &storage.Config{
 			Dir:          *dataDir,
 			Sync:         policy,
-			SyncWindow:   *fsyncWindow,
 			CompactBytes: *compactBytes,
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"accelscore/internal/db"
 	"accelscore/internal/obs"
@@ -66,8 +65,6 @@ type Config struct {
 	Dir string
 	// Sync selects the WAL fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncWindow is the SyncBatch group-commit window (default 2ms).
-	SyncWindow time.Duration
 	// CompactBytes triggers compaction when the WAL exceeds it; 0 means
 	// DefaultCompactBytes, negative disables auto-compaction (tests that
 	// need stable WAL offsets rely on this).
@@ -109,8 +106,8 @@ type Store struct {
 	// d.mu / rowsMu.
 	gate sync.RWMutex
 
-	// logMu orders LSN assignment with WAL appends so file order equals
-	// LSN order.
+	// logMu orders LSN assignment with WAL writes so file order equals
+	// LSN order. The durability wait runs after it is released.
 	logMu   sync.Mutex
 	nextLSN uint64
 
@@ -165,7 +162,7 @@ func Open(cfg Config) (*Store, *db.Database, error) {
 		lastLSNGauge = cfg.Metrics.Gauge(MetricLastLSN, "Highest LSN assigned by the store.")
 	}
 
-	w, records, dropped, err := openWAL(filepath.Join(cfg.Dir, walFile), cfg.Sync, cfg.SyncWindow, m)
+	w, records, dropped, err := openWAL(filepath.Join(cfg.Dir, walFile), cfg.Sync, m)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -305,18 +302,23 @@ func (s *Store) EndOp() {
 	}
 }
 
-// log assigns the next LSN, encodes the record, and appends it.
+// log assigns the next LSN, encodes the record and writes it, then — outside
+// logMu, so other writers' records can join its fsync — waits until the
+// record is durable under the sync policy.
 func (s *Store) log(encode func(lsn uint64) []byte) error {
 	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if err := s.wal.Append(encode(s.nextLSN)); err != nil {
+	end, err := s.wal.write(encode(s.nextLSN))
+	if err == nil {
+		if s.lastLSN != nil {
+			s.lastLSN.Set(float64(s.nextLSN))
+		}
+		s.nextLSN++
+	}
+	s.logMu.Unlock()
+	if err != nil {
 		return err
 	}
-	if s.lastLSN != nil {
-		s.lastLSN.Set(float64(s.nextLSN))
-	}
-	s.nextLSN++
-	return nil
+	return s.wal.waitDurable(end)
 }
 
 // LogCreateTable implements db.Journal.

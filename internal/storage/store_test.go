@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"accelscore/internal/db"
 	"accelscore/internal/obs"
@@ -242,10 +241,10 @@ func TestTornTailDroppedAndCounted(t *testing.T) {
 
 // TestGroupCommitConcurrentWriters drives SyncBatch from many goroutines;
 // every acknowledged insert must survive a clean reopen. Run under -race
-// this also exercises the flusher's synchronization.
+// this also exercises the leader hand-off's synchronization.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	s, d, err := Open(Config{Dir: dir, Sync: SyncBatch, SyncWindow: time.Millisecond, CompactBytes: -1})
+	s, d, err := Open(Config{Dir: dir, Sync: SyncBatch, CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
