@@ -9,25 +9,28 @@ import (
 	"accelscore/internal/harness"
 )
 
+// bench is the matrix a fusion preset describes: WHERE pass fractions from
+// 1% to all rows, on the CPU engine.
+func (p fusionConfig) bench() harness.FusionBenchConfig {
+	return harness.FusionBenchConfig{
+		Rows:          p.Rows,
+		Trees:         p.Trees,
+		Depth:         p.Depth,
+		Seed:          seed,
+		Repeats:       p.Repeats,
+		Selectivities: []float64{0.01, 0.1, 0.5, 1},
+		JunkCols:      p.JunkCols,
+		Backend:       "CPU_SKLearn",
+	}
+}
+
 // runFusionBench executes the fused-vs-unfused selectivity matrix and writes
 // results/fusion_bench.md plus the machine-readable BENCH_fusion.json. The
 // harness itself verifies, on every repetition, that fused answers equal
 // post-filtering the unfused ones — a divergence aborts with an error before
 // any artifact is written, so a published number is always a verified one.
-func runFusionBench(o *options) error {
-	cfg := harness.FusionBenchConfig{
-		Rows:          o.rows,
-		Trees:         intList(o.trees)[0],
-		Depth:         intList(o.depths)[0],
-		Seed:          o.seed,
-		Repeats:       o.repeats,
-		Selectivities: floatList(o.selectivities),
-		JunkCols:      o.junkCols,
-		Backend:       o.backend,
-	}
-	log.Printf("fusion bench: %d rows, %d trees x depth %d, backend %s, %d junk cols, selectivities %v, %d repeats",
-		cfg.Rows, cfg.Trees, cfg.Depth, cfg.Backend, cfg.JunkCols, cfg.Selectivities, cfg.Repeats)
-	rep, err := harness.RunFusionBench(cfg)
+func runFusionBench(p fusionConfig, j *job) error {
+	rep, err := harness.RunFusionBench(p.bench())
 	if err != nil {
 		return err
 	}
@@ -43,21 +46,21 @@ func runFusionBench(o *options) error {
 			time.Duration(c.FusedNS).Round(time.Microsecond), c.Speedup)
 	}
 
-	return harness.WriteReport(o.jsonOut, fusionDoc(rep), "fusion_bench.md", fusionMarkdown(rep))
+	return harness.WriteReport(j.json, fusionDoc(j, rep), "fusion_bench.md", fusionMarkdown(j, rep))
 }
 
 // fusionDoc assembles the fusion JSON artifact on the common envelope.
-func fusionDoc(rep *harness.FusionBenchReport) map[string]any {
-	doc := harness.Envelope("fusion")
+func fusionDoc(j *job, rep *harness.FusionBenchReport) map[string]any {
+	doc := j.envelope("fusion")
 	doc["report"] = rep
 	return doc
 }
 
 // fusionMarkdown renders the matrix for results/.
-func fusionMarkdown(rep *harness.FusionBenchReport) *strings.Builder {
+func fusionMarkdown(j *job, rep *harness.FusionBenchReport) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Operator fusion: pushed-down WHERE vs score-all-then-filter\n\n")
-	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -bench-fusion` on %s.\n\n", harness.Host())
+	fmt.Fprintf(&sb, "Measured by %s on %s.\n\n", j.ran(), harness.Host())
 	fmt.Fprintf(&sb, "Workload: %d-row tables, %d trees x depth %d on %s, caches off "+
 		"(every query pays its own table-to-dataset copy and model deserialization), "+
 		"median of %d repetitions. The unfused baseline scores every row and filters "+

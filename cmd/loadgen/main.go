@@ -6,41 +6,43 @@
 // verdict gates; booting processes, driving clients, checking answers,
 // percentiles and report rendering are internal/harness. Six modes:
 //
-//   - default: one scoring stream through the serialized global-mutex
-//     baseline and through the concurrent executor, next to the scheduling
-//     simulator's prediction; -bench runs the executor at 1/4/8 workers
+//   - throughput: one scoring stream through the serialized global-mutex
+//     baseline and through the concurrent executor at each of the preset's
+//     worker counts, next to the scheduling simulator's prediction
 //     (BENCH_throughput.json, throughput_bench.md).
-//   - -chaos: the stream healthy and under a fault plan; faults may cost
+//   - chaos: the stream healthy and under a fault plan; faults may cost
 //     latency and availability, never a prediction (CHAOS_report.json).
-//   - -bench-fusion: WHERE pushed into the kernel against
-//     score-all-then-filter, selectivity x table width (BENCH_fusion.json).
-//   - -chaos-restart: SIGKILL a serve process under write load and restart
-//     it; no acknowledged write lost, no phantom or corrupt row, predictions
+//   - fusion: WHERE pushed into the kernel against score-all-then-filter,
+//     selectivity x table width (BENCH_fusion.json).
+//   - restart: SIGKILL a serve process under write load and restart it; no
+//     acknowledged write lost, no phantom or corrupt row, predictions
 //     bit-identical across recoveries (restart_chaos in CHAOS_report.json).
-//   - -bench-scaleout: shards x records over real serve shards behind the
-//     router against the scatter simulator's curve, then SIGKILL one shard
-//     mid-run (BENCH_scaleout.json).
-//   - -bench-overload: open-loop Poisson and burst arrivals past calibrated
+//   - scaleout: shards x records over real serve shards behind the router
+//     against the scatter simulator's curve, then SIGKILL one shard mid-run
+//     (BENCH_scaleout.json).
+//   - overload: open-loop Poisson and burst arrivals past calibrated
 //     saturation, then SIGKILL one shard and SIGSTOP/SIGCONT another under
 //     load (BENCH_overload.json).
 //
-// Usage (-h lists every flag; -json and -seed apply to all modes):
+// Every run is one named preset of one mode (presets.go), and the artifact
+// records the preset it came from. Usage (-h lists every mode's presets):
 //
-//	loadgen [-bench] [-queries 200] [-rows 2048] [-backend CPU_SKLearn]
-//	        [-trees 8,32,128] [-depths 6,10] [-clients 8] [-open] [-slo spec]
-//	        [-workers 0] [-queue 64]
-//	loadgen -chaos [-faults plan] [-fault-seed 1] [-deadline 2s] [-retries 3]
-//	loadgen -bench-fusion [-selectivities 0.01,0.1,0.5,1] [-repeats 5] [-junk 46]
-//	loadgen -chaos-restart [-serve-bin path] [-kills 3] [-write-for 1s] [-fsync always]
-//	loadgen -bench-scaleout [-serve-bin path] [-scale-shards 1,2,4] [-scale-records ...]
-//	loadgen -bench-overload [-serve-bin path] [-overload-shards 3] [-overload-mults 0.5,1,2]
+//	loadgen -mode M -preset P [-json path] [-serve-bin path]
 package main
 
 import (
+	"cmp"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"strconv"
+	"maps"
+	"os"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -50,260 +52,174 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	var o options
-	flag.IntVar(&o.queries, "queries", 200, "number of queries in the generated stream")
-	flag.Uint64Var(&o.seed, "seed", 1, "workload generator seed")
-	flag.StringVar(&o.backend, "backend", "CPU_SKLearn", "backend every query requests ('auto' routes through the advisor)")
-	flag.IntVar(&o.rows, "rows", 2048, "rows in the scoring input table (per-query @limit is drawn from [1, rows])")
-	flag.StringVar(&o.trees, "trees", "8,32,128", "comma-separated tree counts for the model zoo")
-	flag.StringVar(&o.depths, "depths", "6,10", "comma-separated tree depths for the model zoo")
-	flag.IntVar(&o.workers, "workers", 0, "executor workers (0 = GOMAXPROCS)")
-	flag.IntVar(&o.queueDepth, "queue", 64, "executor admission queue depth")
-	flag.IntVar(&o.clients, "clients", 8, "closed-loop client count")
-	flag.BoolVar(&o.openLoop, "open", false, "replay at generated arrival times instead of closed-loop")
-	flag.StringVar(&o.slo, "slo", "",
-		"per-class latency objectives, e.g. 'interactive=25ms,batch=500ms'; queries are classified "+
-			"by record count (geometric bands over [1, rows], smallest records -> tightest objective) "+
-			"and reports gain per-class goodput")
-	flag.StringVar(&o.jsonOut, "json", "", "write the reports as JSON to this path")
-	flag.BoolVar(&o.bench, "bench", false, "run the serialized-vs-executor matrix and write results/throughput_bench.md + BENCH_throughput.json")
-	flag.BoolVar(&o.benchFusion, "bench-fusion", false, "run the fused-vs-unfused selectivity matrix and write results/fusion_bench.md + BENCH_fusion.json")
-	flag.StringVar(&o.selectivities, "selectivities", "0.01,0.1,0.5,1", "WHERE pass fractions for -bench-fusion")
-	flag.IntVar(&o.repeats, "repeats", 5, "measured repetitions per -bench-fusion cell (median reported)")
-	flag.IntVar(&o.junkCols, "junk", 46, "non-feature REAL columns padding the -bench-fusion wide table")
-	flag.BoolVar(&o.chaos, "chaos", false, "run the healthy-vs-chaos comparison and write results/chaos_report.md + CHAOS_report.json")
-	flag.StringVar(&o.faultSpec, "faults", harness.DefaultChaosPlan, "fault plan for -chaos (backend:boundary:kind[:trigger];...)")
-	flag.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault injector seed for -chaos")
-	flag.DurationVar(&o.deadline, "deadline", 2*time.Second, "per-query deadline for -chaos (0 = none)")
-	flag.IntVar(&o.retries, "retries", 3, "max retries per query for -chaos")
-	flag.DurationVar(&o.attemptTimeout, "attempt-timeout", 150*time.Millisecond, "per-attempt hang-detection timeout for -chaos (0 = off)")
-	flag.BoolVar(&o.chaosRestart, "chaos-restart", false,
-		"SIGKILL a real serve process under write load, restart it, and verify no acked write is lost and predictions stay bit-identical")
-	flag.StringVar(&o.serveBin, "serve-bin", "", "prebuilt serve binary for -chaos-restart (empty builds one)")
-	flag.IntVar(&o.kills, "kills", 3, "kill/restart cycles for -chaos-restart")
-	flag.DurationVar(&o.writeFor, "write-for", time.Second, "write-load window per -chaos-restart cycle")
-	flag.StringVar(&o.fsync, "fsync", "always", "serve WAL sync policy for -chaos-restart (always|batch|none)")
-	flag.BoolVar(&o.benchScaleout, "bench-scaleout", false,
-		"boot real serve shards behind the router, sweep shards x records, verify bit-identical merges, "+
-			"and write results/scaleout_bench.md + BENCH_scaleout.json")
-	flag.StringVar(&o.scaleShards, "scale-shards", "1,2,4", "shard counts for -bench-scaleout (1 anchors speedups)")
-	flag.StringVar(&o.scaleRecords, "scale-records", "2000,50000,400000", "demo table sizes for -bench-scaleout")
-	flag.IntVar(&o.scaleQueries, "scale-queries", 8, "closed-loop queries per -bench-scaleout cell")
-	flag.StringVar(&o.scaleBackend, "scale-backend", "CPU_ONNX", "engine every -bench-scaleout query requests")
-	flag.Float64Var(&o.paceScale, "pace-scale", 1,
-		"shard pacing multiple of the simulated total for -bench-scaleout (each shard = one simulated device)")
-	flag.BoolVar(&o.scaleChaos, "scale-chaos", true, "run the SIGKILL-one-shard leg of -bench-scaleout")
-	flag.Float64Var(&o.scaleMinSpeedup, "scale-min-speedup", 0,
-		"fail -bench-scaleout unless the widest scatter reaches this measured speedup (0 = report only)")
-	flag.BoolVar(&o.benchOverload, "bench-overload", false,
-		"run the open-loop overload + chaos survival bench and write results/overload_bench.md + BENCH_overload.json")
-	flag.IntVar(&o.overloadShards, "overload-shards", 3,
-		"tier width for -bench-overload (>= 3: straggler + kill victim + flap victim)")
-	flag.IntVar(&o.overloadRecords, "overload-records", 500, "demo table size per -bench-overload shard")
-	flag.DurationVar(&o.overloadCell, "overload-cell", 2*time.Second, "open-loop window per -bench-overload sweep cell")
-	flag.StringVar(&o.overloadMults, "overload-mults", "0.5,1,2",
-		"offered load points for -bench-overload, as multiples of calibrated saturation")
-	flag.DurationVar(&o.overloadDeadline, "overload-deadline", 2*time.Second,
-		"per-query deadline carried by -bench-overload arrivals")
-	flag.Float64Var(&o.overloadSlowFactor, "overload-slow-factor", 2,
-		"pace multiplier for the -bench-overload straggler shard")
-	flag.IntVar(&o.overloadInFlight, "overload-inflight", 0,
-		"router MaxInFlight for -bench-overload (0 = 2x shards)")
-	flag.BoolVar(&o.overloadChaos, "overload-chaos", true,
-		"run the SIGKILL + SIGSTOP/SIGCONT flap cell of -bench-overload")
-	flag.DurationVar(&o.routerOverhead, "router-overhead", 5*time.Millisecond,
-		"fixed per-sub-query overhead fed to the predicted scaling curve")
-	flag.Parse()
-
-	// A mode presets its own regime for flags the user did not pin.
-	pinned := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { pinned[f.Name] = true })
-	preset := func(defaults ...string) {
-		for i := 0; i < len(defaults); i += 2 {
-			if !pinned[defaults[i]] {
-				if err := flag.Set(defaults[i], defaults[i+1]); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-	}
-	run := runThroughput
-	switch {
-	case o.benchOverload:
-		preset("json", "BENCH_overload.json")
-		run = runOverloadBench
-	case o.benchScaleout:
-		preset("json", "BENCH_scaleout.json")
-		run = runScaleoutBench
-	case o.chaosRestart:
-		preset("json", "CHAOS_report.json")
-		run = runRestartChaos
-	case o.benchFusion:
-		// A scoring-dominated regime (big forest, big table) where skipped
-		// rows are visible wins.
-		preset("json", "BENCH_fusion.json", "rows", "8192", "trees", "256", "depths", "10")
-		run = runFusionBench
-	case o.chaos:
-		// An accelerator-targeted stream (the plan injects FPGA faults) sized
-		// to finish quickly.
-		preset("json", "CHAOS_report.json", "backend", "FPGA", "queries", "120", "rows", "256")
-		run = runChaos
-	case o.bench:
-		// The default stream over the default table. The objectives are loose
-		// enough that a healthy run on modest hardware meets them, tight
-		// enough that the serialized baseline's queueing shows up as burned
-		// budget.
-		preset("json", "BENCH_throughput.json", "slo", "interactive=100ms,batch=1s")
-	}
-	if err := run(&o); err != nil {
-		log.Fatal(err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
+		os.Exit(1)
 	}
 }
 
-// options is every loadgen flag, as parsed (list flags stay text until the
-// mode that reads them parses them); main's help strings document each.
-type options struct {
-	seed     uint64
-	jsonOut  string
-	serveBin string
-
-	// The generated stream and the executor under it: default, -bench, -chaos.
-	bench, openLoop             bool
-	queries, rows, clients      int
-	backend, trees, depths, slo string
-	workers, queueDepth         int
-
-	chaos                    bool
-	faultSpec                string
-	faultSeed                uint64
-	retries                  int
-	deadline, attemptTimeout time.Duration
-
-	benchFusion       bool
-	selectivities     string
-	repeats, junkCols int
-
-	chaosRestart bool
-	kills        int
-	writeFor     time.Duration
-	fsync        string
-
-	// -scale-backend and -pace-scale also shape the -bench-overload tier.
-	benchScaleout, scaleChaos  bool
-	scaleShards, scaleRecords  string
-	scaleBackend               string
-	scaleQueries               int
-	paceScale, scaleMinSpeedup float64
-	routerOverhead             time.Duration
-
-	benchOverload, overloadChaos                      bool
-	overloadShards, overloadRecords, overloadInFlight int
-	overloadMults                                     string
-	overloadSlowFactor                                float64
-	overloadCell, overloadDeadline                    time.Duration
+// job is one run: the mode and preset it executes, the preset's values (an
+// artifact records them), where the JSON artifact goes, and the serve binary
+// the process-level modes boot (empty builds one).
+type job struct {
+	mode, preset   string
+	config         any
+	json, serveBin string
 }
 
-// loadConfig is the stream the flags describe.
-func (o *options) loadConfig() harness.LoadConfig {
-	return harness.LoadConfig{
-		Queries:      o.queries,
-		Seed:         o.seed,
-		Backend:      o.backend,
-		TableRows:    o.rows,
-		TreeChoices:  intList(o.trees),
-		DepthChoices: intList(o.depths),
+// A mode is one measurement: its preset names and the JSON artifact it
+// writes unless -json names another path.
+type mode struct {
+	json    string
+	presets []string
+	run     func(j *job) error
+}
+
+// newMode binds a mode's typed preset table to its run function.
+func newMode[C any](json string, presets map[string]C, measure func(C, *job) error) mode {
+	return mode{json: json, presets: names(presets), run: func(j *job) error {
+		j.config = presets[j.preset]
+		log.Printf("loadgen -mode %s -preset %s: %+v", j.mode, j.preset, j.config)
+		return measure(presets[j.preset], j)
+	}}
+}
+
+var modes = map[string]mode{
+	"throughput": newMode("BENCH_throughput.json", throughputPresets, runThroughput),
+	"chaos":      newMode("CHAOS_report.json", chaosPresets, runChaos),
+	"fusion":     newMode("BENCH_fusion.json", fusionPresets, runFusionBench),
+	"restart":    newMode("CHAOS_report.json", restartPresets, runRestartChaos),
+	"scaleout":   newMode("BENCH_scaleout.json", scaleoutPresets, runScaleoutBench),
+	"overload":   newMode("BENCH_overload.json", overloadPresets, runOverloadBench),
+}
+
+// names lists a table's names in order.
+func names[V any](table map[string]V) []string {
+	out := make([]string, 0, len(table))
+	for name := range table {
+		out = append(out, name)
 	}
-}
-
-// execConfig is the executor the flags describe.
-func (o *options) execConfig() exec.Config {
-	return exec.Config{Workers: o.workers, QueueDepth: o.queueDepth}
-}
-
-// parseList parses a comma-separated flag value, e.g. "8,32,128".
-func parseList[T any](s string, parse func(string) (T, error)) []T {
-	var out []T
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part == "" {
-			continue
-		}
-		v, err := parse(part)
-		if err != nil {
-			log.Fatalf("bad list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
+	sort.Strings(out)
 	return out
 }
 
-func intList(s string) []int { return parseList(s, strconv.Atoi) }
-
-func floatList(s string) []float64 {
-	return parseList(s, func(part string) (float64, error) { return strconv.ParseFloat(part, 64) })
+// flags registers loadgen's whole command line.
+func flags(fs *flag.FlagSet, j *job) {
+	fs.StringVar(&j.mode, "mode", "", "measurement to run (loadgen -h lists each with its presets)")
+	fs.StringVar(&j.preset, "preset", "", "named configuration of the mode, from presets.go")
+	fs.StringVar(&j.json, "json", "", "JSON artifact path (default: the mode's committed artifact)")
+	fs.StringVar(&j.serveBin, "serve-bin", "", "prebuilt serve binary for restart, scaleout and overload (empty builds one)")
 }
 
-// runThroughput replays the stream through the serialized baseline and the
-// executor, each against a fresh environment so the model cache and snapshot
-// cache start cold and no run warms another's state. The default mode runs
-// the executor once as configured and prints the simulator's prediction for
-// the same stream; bench runs it at 1/4/8 workers and writes the markdown
-// table and JSON artifact the repo's benchmark docs reference.
-func runThroughput(o *options) error {
-	cfg, ecfg := o.loadConfig(), o.execConfig()
-	objectives, err := obs.ParseSLOSpec(o.slo)
+// run parses args, runs the named preset, and returns the first failed
+// verdict. -h prints the modes and their presets to stdout; progress is
+// logged to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	log.SetFlags(0)
+	log.SetOutput(stderr)
+	var j job
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a parse error is returned, not printed twice
+	flags(fs, &j)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stdout)
+			fmt.Fprintln(stdout, "usage: loadgen -mode M -preset P [-json path] [-serve-bin path]")
+			fs.PrintDefaults()
+			for _, name := range names(modes) {
+				fmt.Fprintf(stdout, "-mode %-10s -preset %-26s (-json %s)\n",
+					name, strings.Join(modes[name].presets, "|"), modes[name].json)
+			}
+			return nil
+		}
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	m, ok := modes[j.mode]
+	if !ok {
+		return fmt.Errorf("unknown -mode %q: want one of %s", j.mode, strings.Join(names(modes), ", "))
+	}
+	if !slices.Contains(m.presets, j.preset) {
+		return fmt.Errorf("-mode %s: unknown -preset %q: want one of %s", j.mode, j.preset, strings.Join(m.presets, ", "))
+	}
+	if j.json == "" {
+		j.json = m.json
+	}
+	return m.run(&j)
+}
+
+// record notes the job's preset in doc's "presets" map, keyed by mode, so
+// a file two modes write (CHAOS_report.json) keeps both.
+func (j *job) record(doc map[string]any) {
+	presets, ok := doc["presets"].(map[string]any)
+	if !ok {
+		presets = map[string]any{}
+		doc["presets"] = presets
+	}
+	presets[j.mode] = map[string]any{"name": j.preset, "config": j.config}
+}
+
+// envelope is the shared artifact envelope plus the preset that produced
+// the artifact.
+func (j *job) envelope(kind string) map[string]any {
+	doc := harness.Envelope(kind)
+	j.record(doc)
+	return doc
+}
+
+// ran is the markdown reports' "Measured by" command.
+func (j *job) ran() string {
+	return fmt.Sprintf("`go run ./cmd/loadgen -mode %s -preset %s`", j.mode, j.preset)
+}
+
+// load is the generated stream a throughput preset describes.
+func (p throughputConfig) load() harness.LoadConfig {
+	return harness.LoadConfig{
+		Queries:      p.Queries,
+		Seed:         seed,
+		Backend:      "CPU_SKLearn",
+		TableRows:    p.Rows,
+		TreeChoices:  p.Trees,
+		DepthChoices: p.Depths,
+	}
+}
+
+// runThroughput replays the stream through the serialized baseline and then
+// through the executor at each preset worker count, each against a fresh
+// environment so the model cache and snapshot cache start cold and no run
+// warms another's state, and logs the scheduling simulator's prediction for
+// the same stream next to them.
+func runThroughput(p throughputConfig, j *job) error {
+	cfg := p.load()
+	objectives, err := obs.ParseSLOSpec(p.SLO)
 	if err != nil {
 		return err
 	}
-	opt := harness.RunOptions{Clients: o.clients, OpenLoop: o.openLoop, SLO: objectives}
-	mode := fmt.Sprintf("closed-loop, %d clients", opt.Clients)
-	if opt.OpenLoop {
-		mode = "open-loop (generated arrival times)"
-	}
-	log.Printf("loadgen: %d queries, backend %s, %d-row table, models %v x %v, %s",
-		cfg.Queries, cfg.Backend, cfg.TableRows, cfg.TreeChoices, cfg.DepthChoices, mode)
-
-	// A nil config is the serialized baseline.
-	type row struct {
-		label string
-		exec  *exec.Config
-	}
-	rows := []row{{"serialized", nil}, {"executor", &ecfg}}
-	if o.bench {
-		rows = rows[:1]
-		for _, workers := range []int{1, 4, 8} {
-			rows = append(rows, row{fmt.Sprintf("executor w%d", workers),
-				&exec.Config{Workers: workers, QueueDepth: ecfg.QueueDepth}})
-		}
+	opt := harness.RunOptions{Clients: clients, SLO: objectives}
+	// The nil config is the serialized baseline.
+	configs := []*exec.Config{nil}
+	for _, w := range p.Workers {
+		configs = append(configs, &exec.Config{Workers: w, QueueDepth: queueDepth})
 	}
 	var reports []*harness.LoadReport
-	for _, row := range rows {
-		env, err := harness.BuildLoadEnv(cfg, obs.NewObserver())
-		if err != nil {
+	var env *harness.LoadEnv
+	for _, ec := range configs {
+		if env, err = harness.BuildLoadEnv(cfg, obs.NewObserver()); err != nil {
 			return err
 		}
+		label := "serialized"
 		var runner harness.QueryRunner = &harness.SerializedRunner{Pipe: env.Pipe}
-		if row.exec != nil {
-			runner = exec.New(env.Pipe, *row.exec)
+		if ec != nil {
+			label, runner = executorLabel(ec.Workers), exec.New(env.Pipe, *ec)
 		}
-		rep, err := harness.RunLoad(env, runner, row.label, opt)
+		rep, err := harness.RunLoad(env, runner, label, opt)
 		if err != nil {
 			return err
 		}
 		log.Println(rep)
 		reports = append(reports, rep)
-	}
-	doc := benchDoc(cfg, opt, reports)
-	if o.bench {
-		return harness.WriteReport(o.jsonOut, doc, "throughput_bench.md", throughputMarkdown(cfg, opt, reports))
-	}
-
-	if reports[0].ThroughputQPS > 0 {
-		log.Printf("speedup: %.2fx", reports[1].ThroughputQPS/reports[0].ThroughputQPS)
-	}
-	env, err := harness.BuildLoadEnv(cfg, nil)
-	if err != nil {
-		return err
 	}
 	m, err := env.Simulate()
 	if err != nil {
@@ -312,35 +228,50 @@ func runThroughput(o *options) error {
 	log.Printf("simulator (static %s): makespan %v  mean %v  p50 %v  p99 %v",
 		cfg.Backend, m.Makespan.Round(time.Millisecond), m.MeanLatency.Round(time.Microsecond),
 		m.P50.Round(time.Microsecond), m.P99.Round(time.Microsecond))
-	if o.jsonOut != "" {
-		return harness.WriteJSON(o.jsonOut, doc)
+	return harness.WriteReport(j.json, benchDoc(j, cfg, opt, reports), "throughput_bench.md",
+		throughputMarkdown(j, cfg, opt, reports))
+}
+
+// executorLabel names the executor row at a preset worker count (0 =
+// GOMAXPROCS).
+func executorLabel(workers int) string {
+	return fmt.Sprintf("executor w%d", cmp.Or(workers, runtime.GOMAXPROCS(0)))
+}
+
+// chaos is the healthy-vs-chaos run a chaos preset describes: an
+// accelerator-targeted stream (the plans inject FPGA faults) under retries,
+// hang detection and a per-query deadline.
+func (p chaosConfig) chaos() harness.ChaosConfig {
+	return harness.ChaosConfig{
+		Load: harness.LoadConfig{
+			Queries:      p.Queries,
+			Seed:         seed,
+			Backend:      "FPGA",
+			TableRows:    p.Rows,
+			TreeChoices:  zooTrees,
+			DepthChoices: zooDepths,
+		},
+		Exec:      exec.Config{QueueDepth: queueDepth, MaxRetries: 3, AttemptTimeout: 150 * time.Millisecond},
+		Clients:   clients,
+		FaultSpec: p.Faults,
+		FaultSeed: p.FaultSeed,
+		Deadline:  2 * time.Second,
 	}
-	return nil
 }
 
 // runChaos runs the healthy-vs-chaos comparison, writes the artifacts and
 // fails hard if chaos ever changed a returned prediction — the one invariant
 // graceful degradation must keep.
-func runChaos(o *options) error {
-	cfg := harness.ChaosConfig{
-		Load:      o.loadConfig(),
-		Exec:      o.execConfig(),
-		Clients:   o.clients,
-		FaultSpec: o.faultSpec,
-		FaultSeed: o.faultSeed,
-		Deadline:  o.deadline,
-	}
-	cfg.Exec.MaxRetries, cfg.Exec.AttemptTimeout = o.retries, o.attemptTimeout
-	log.Printf("chaos: %d queries, backend %s, plan %q, seed %d, deadline %v, retries %d, attempt-timeout %v",
-		cfg.Load.Queries, cfg.Load.Backend, cfg.FaultSpec, cfg.FaultSeed, cfg.Deadline,
-		cfg.Exec.MaxRetries, cfg.Exec.AttemptTimeout)
+func runChaos(p chaosConfig, j *job) error {
+	cfg := p.chaos()
 	rep, err := harness.RunChaos(cfg)
 	if err != nil {
 		return err
 	}
 	log.Println(rep.Healthy)
 	log.Println(rep.Chaos)
-	if err := harness.WriteReport(o.jsonOut, chaosDoc(cfg, rep), "chaos_report.md", chaosMarkdown(cfg, rep)); err != nil {
+	if err := harness.WriteReport(j.json, mergedChaosDoc(j, chaosSections(cfg, rep)), "chaos_report.md",
+		chaosMarkdown(j, cfg, rep)); err != nil {
 		return err
 	}
 	if rep.Healthy.Wrong > 0 || rep.Chaos.Wrong > 0 {
@@ -354,29 +285,49 @@ func runChaos(o *options) error {
 	return nil
 }
 
-// chaosDoc assembles the chaos JSON artifact on the common envelope.
-func chaosDoc(cfg harness.ChaosConfig, rep *harness.ChaosReport) map[string]any {
-	doc := harness.Envelope("chaos")
-	doc["plan"] = rep.Plan
-	doc["fault_seed"] = rep.Seed
-	doc["deadline"] = cfg.Deadline.String()
-	doc["workload"] = map[string]any{
-		"queries": cfg.Load.Queries,
-		"seed":    cfg.Load.Seed,
-		"backend": cfg.Load.Backend,
-		"rows":    cfg.Load.TableRows,
-		"clients": cfg.Clients,
+// chaosSections is the chaos mode's part of the chaos JSON artifact.
+func chaosSections(cfg harness.ChaosConfig, rep *harness.ChaosReport) map[string]any {
+	return map[string]any{
+		"plan":       rep.Plan,
+		"fault_seed": rep.Seed,
+		"deadline":   cfg.Deadline.String(),
+		"workload": map[string]any{
+			"queries": cfg.Load.Queries,
+			"seed":    cfg.Load.Seed,
+			"backend": cfg.Load.Backend,
+			"rows":    cfg.Load.TableRows,
+			"clients": cfg.Clients,
+		},
+		"healthy": rep.Healthy,
+		"chaos":   rep.Chaos,
 	}
-	doc["healthy"] = rep.Healthy
-	doc["chaos"] = rep.Chaos
+}
+
+// mergedChaosDoc is the chaos JSON artifact at j.json with the job's
+// sections written over it. The chaos and restart modes share that file,
+// so each keeps the other's sections, whichever ran first. A fresh file
+// gets the full envelope; an existing one keeps its own (it dates the
+// numbers first written there).
+func mergedChaosDoc(j *job, sections map[string]any) map[string]any {
+	doc := map[string]any{}
+	if data, err := os.ReadFile(j.json); err == nil {
+		_ = json.Unmarshal(data, &doc) // an unreadable report is replaced
+	}
+	maps.Copy(doc, sections)
+	for k, v := range harness.Envelope("chaos") {
+		if _, ok := doc[k]; !ok {
+			doc[k] = v
+		}
+	}
+	j.record(doc)
 	return doc
 }
 
 // chaosMarkdown renders the comparison for results/.
-func chaosMarkdown(cfg harness.ChaosConfig, rep *harness.ChaosReport) *strings.Builder {
+func chaosMarkdown(j *job, cfg harness.ChaosConfig, rep *harness.ChaosReport) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Chaos run: availability and tail latency under injected faults\n\n")
-	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -chaos` on %s.\n\n", harness.Host())
+	fmt.Fprintf(&sb, "Measured by %s on %s.\n\n", j.ran(), harness.Host())
 	fmt.Fprintf(&sb, "Workload: %d scoring queries, backend %s, %d clients, per-query deadline %v.\n\n",
 		cfg.Load.Queries, cfg.Load.Backend, cfg.Clients, cfg.Deadline)
 	fmt.Fprintf(&sb, "Fault plan (seed %d): `%s`\n\n", rep.Seed, rep.Plan)
@@ -400,7 +351,7 @@ func chaosMarkdown(cfg harness.ChaosConfig, rep *harness.ChaosReport) *strings.B
 }
 
 // benchDoc assembles the JSON artifact on the common envelope.
-func benchDoc(cfg harness.LoadConfig, opt harness.RunOptions, reports []*harness.LoadReport) map[string]any {
+func benchDoc(j *job, cfg harness.LoadConfig, opt harness.RunOptions, reports []*harness.LoadReport) map[string]any {
 	speedups := map[string]float64{}
 	base := reports[0]
 	for _, r := range reports[1:] {
@@ -408,17 +359,16 @@ func benchDoc(cfg harness.LoadConfig, opt harness.RunOptions, reports []*harness
 			speedups[r.Label] = r.ThroughputQPS / base.ThroughputQPS
 		}
 	}
-	doc := harness.Envelope("throughput")
+	doc := j.envelope("throughput")
 	doc["workload"] = map[string]any{
-		"queries":   cfg.Queries,
-		"seed":      cfg.Seed,
-		"backend":   cfg.Backend,
-		"rows":      cfg.TableRows,
-		"trees":     cfg.TreeChoices,
-		"depths":    cfg.DepthChoices,
-		"clients":   opt.Clients,
-		"open_loop": opt.OpenLoop,
-		"slo":       obs.FormatSLOSpec(opt.SLO),
+		"queries": cfg.Queries,
+		"seed":    cfg.Seed,
+		"backend": cfg.Backend,
+		"rows":    cfg.TableRows,
+		"trees":   cfg.TreeChoices,
+		"depths":  cfg.DepthChoices,
+		"clients": opt.Clients,
+		"slo":     obs.FormatSLOSpec(opt.SLO),
 	}
 	doc["reports"] = reports
 	doc["speedup_vs_serialized"] = speedups
@@ -426,17 +376,13 @@ func benchDoc(cfg harness.LoadConfig, opt harness.RunOptions, reports []*harness
 }
 
 // throughputMarkdown renders the matrix as a table for results/.
-func throughputMarkdown(cfg harness.LoadConfig, opt harness.RunOptions, reports []*harness.LoadReport) *strings.Builder {
+func throughputMarkdown(j *job, cfg harness.LoadConfig, opt harness.RunOptions, reports []*harness.LoadReport) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Serving throughput: serialized mutex vs concurrent executor\n\n")
-	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -bench` on %s.\n\n", harness.Host())
-	fmt.Fprintf(&sb, "Workload: %d scoring queries over a %d-row table, models %v trees x %v depth, backend %s, ",
-		cfg.Queries, cfg.TableRows, cfg.TreeChoices, cfg.DepthChoices, cfg.Backend)
-	if opt.OpenLoop {
-		sb.WriteString("open-loop replay at generated arrival times.\n\n")
-	} else {
-		fmt.Fprintf(&sb, "closed-loop with %d concurrent clients.\n\n", opt.Clients)
-	}
+	fmt.Fprintf(&sb, "Measured by %s on %s.\n\n", j.ran(), harness.Host())
+	fmt.Fprintf(&sb, "Workload: %d scoring queries over a %d-row table, models %v trees x %v depth, backend %s, "+
+		"closed-loop with %d concurrent clients.\n\n",
+		cfg.Queries, cfg.TableRows, cfg.TreeChoices, cfg.DepthChoices, cfg.Backend, opt.Clients)
 	cols := []harness.Col{
 		{"configuration", "%s"}, {"ok:", "%d"}, {"rejected:", "%d"}, {"throughput (qps):", "%.1f"},
 		{"mean:", "%v"}, {"p50:", "%v"}, {"p99:", "%v"},

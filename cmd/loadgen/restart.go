@@ -96,16 +96,16 @@ func postSQL(client *http.Client, url, sql string) (*sqlResult, error) {
 	return &out, nil
 }
 
-// runWriters hammers /sql with INSERTs from -clients closed-loop writers for
-// -write-for. A writer records an attempt before sending and an ack
+// runWriters hammers /sql with INSERTs from p.Writers closed-loop writers
+// for p.WriteFor. A writer records an attempt before sending and an ack
 // only after a 200 — a request cut off by the kill stays in-doubt
 // (attempted, not acked), exactly like a real client. The first failed
 // write means the server is (being) killed, and ends the cycle's load.
-func runWriters(url string, o *options, firstID int, attempted, acked *sync.Map) (next int) {
+func runWriters(url string, p restartConfig, firstID int, attempted, acked *sync.Map) (next int) {
 	client := harness.Client(5 * time.Second)
-	ctx, cancel := context.WithTimeout(context.Background(), o.writeFor)
+	ctx, cancel := context.WithTimeout(context.Background(), p.WriteFor)
 	defer cancel()
-	run := harness.Closed(ctx, o.clients, 0, 0, func(_ context.Context, i int) error {
+	run := harness.Closed(ctx, p.Writers, 0, 0, func(_ context.Context, i int) error {
 		id := firstID + i
 		row := syntheticRow(id)
 		attempted.Store(id, true)
@@ -202,8 +202,8 @@ func score(rows [][]float64) ([]int, error) {
 // chaos JSON artifact plus results/restart_chaos.md. It returns an error —
 // failing the run — on any lost acked write, phantom or corrupt row, or
 // prediction divergence.
-func runRestartChaos(o *options) error {
-	bin, cleanup, err := harness.ServeBinary(o.serveBin)
+func runRestartChaos(p restartConfig, j *job) error {
+	bin, cleanup, err := harness.ServeBinary(j.serveBin)
 	if err != nil {
 		return err
 	}
@@ -215,37 +215,37 @@ func runRestartChaos(o *options) error {
 	defer os.RemoveAll(dataDir)
 
 	start := func() (*harness.Proc, error) {
-		return harness.Start(bin, "-data-dir", dataDir, "-fsync", o.fsync,
+		return harness.Start(bin, "-data-dir", dataDir, "-fsync", p.Fsync,
 			"-demo-records", fmt.Sprint(restartDemoRecords))
 	}
 
 	nextID := 1
 	var attempted, acked sync.Map
-	for cycle := 0; cycle < o.kills; cycle++ {
-		p, err := start()
+	for cycle := 0; cycle < p.Kills; cycle++ {
+		proc, err := start()
 		if err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
 		// SIGKILL lands while writers are mid-request: the timer below
 		// pulls the trigger partway through the write window.
 		killed := make(chan struct{})
-		time.AfterFunc(time.Duration(float64(o.writeFor)*0.6), func() {
-			p.Kill()
+		time.AfterFunc(time.Duration(float64(p.WriteFor)*0.6), func() {
+			proc.Kill()
 			close(killed)
 		})
-		nextID = runWriters(p.URL, o, nextID, &attempted, &acked)
+		nextID = runWriters(proc.URL, p, nextID, &attempted, &acked)
 		<-killed
-		log.Printf("restart-chaos: cycle %d killed serve mid-load", cycle+1)
+		log.Printf("restart: cycle %d killed serve mid-load", cycle+1)
 	}
 
 	// Final boot: recovery must hold everything acked across all kills.
-	p, err := start()
+	proc, err := start()
 	if err != nil {
 		return fmt.Errorf("final boot: %w", err)
 	}
-	replayed, walBytes := healthzRecovery(p.URL)
-	all1, syn1, err := fetchIris(p.URL)
-	p.Kill()
+	replayed, walBytes := healthzRecovery(proc.URL)
+	all1, syn1, err := fetchIris(proc.URL)
+	proc.Kill()
 	if err != nil {
 		return err
 	}
@@ -263,9 +263,9 @@ func runRestartChaos(o *options) error {
 	}
 
 	rep := restartReport{
-		Kills:           o.kills,
-		Writers:         o.clients,
-		Fsync:           o.fsync,
+		Kills:           p.Kills,
+		Writers:         p.Writers,
+		Fsync:           p.Fsync,
 		Recovered:       len(syn1),
 		ReplayedRecords: replayed,
 		WALBytes:        walBytes,
@@ -297,59 +297,39 @@ func runRestartChaos(o *options) error {
 	}
 	rep.PredictionsSame = reflect.DeepEqual(all1, all2) && harness.Verify(preds1, preds2) == nil
 
-	log.Printf("restart-chaos: %d attempted, %d acked, %d recovered synthetic rows, "+
+	log.Printf("restart: %d attempted, %d acked, %d recovered synthetic rows, "+
 		"%d lost, %d phantom, %d corrupt, predictions identical: %v",
 		rep.Attempted, rep.Acked, rep.Recovered, rep.LostAcked, rep.PhantomRows,
 		rep.CorruptRows, rep.PredictionsSame)
 
-	if err := harness.WriteReport(o.jsonOut, mergedChaosDoc(o.jsonOut, rep), "restart_chaos.md",
-		restartMarkdown(rep)); err != nil {
+	if err := harness.WriteReport(j.json, mergedChaosDoc(j, map[string]any{"restart_chaos": rep}),
+		"restart_chaos.md", restartMarkdown(j, rep)); err != nil {
 		return err
 	}
 
 	// Both fsyncing policies guarantee acked durability ("batch" blocks the
 	// ack until the group fsync covers it); only "none" is loss-permitting.
-	if o.fsync != "none" && rep.LostAcked > 0 {
-		return fmt.Errorf("restart-chaos: %d acknowledged writes lost", rep.LostAcked)
+	if p.Fsync != "none" && rep.LostAcked > 0 {
+		return fmt.Errorf("restart: %d acknowledged writes lost", rep.LostAcked)
 	}
 	if rep.PhantomRows > 0 || rep.CorruptRows > 0 {
-		return fmt.Errorf("restart-chaos: %d phantom, %d corrupt rows recovered",
+		return fmt.Errorf("restart: %d phantom, %d corrupt rows recovered",
 			rep.PhantomRows, rep.CorruptRows)
 	}
 	if !rep.PredictionsSame {
-		return fmt.Errorf("restart-chaos: predictions diverged between recoveries")
+		return fmt.Errorf("restart: predictions diverged between recoveries")
 	}
 	if rep.Acked == 0 {
-		return fmt.Errorf("restart-chaos: no write was ever acknowledged — the load never landed")
+		return fmt.Errorf("restart: no write was ever acknowledged — the load never landed")
 	}
 	return nil
 }
 
-// mergedChaosDoc adds/overwrites the "restart_chaos" key in the chaos JSON
-// artifact at path, preserving an existing fault-injection report in the
-// same file.
-func mergedChaosDoc(path string, rep restartReport) map[string]any {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(data, &doc) // an unreadable report is replaced
-	}
-	doc["restart_chaos"] = rep
-	// A fresh file gets the full artifact envelope; merging into an existing
-	// fault-injection report keeps its envelope (the restart run happened on
-	// the same host, and "generated" should date the original numbers).
-	for k, v := range harness.Envelope("chaos") {
-		if _, ok := doc[k]; !ok {
-			doc[k] = v
-		}
-	}
-	return doc
-}
-
-func restartMarkdown(rep restartReport) *strings.Builder {
+func restartMarkdown(j *job, rep restartReport) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Restart chaos: SIGKILL under write load\n\n")
-	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -chaos-restart`: %d kill/restart cycles, "+
-		"%d concurrent writers against /sql, WAL policy `%s`.\n\n", rep.Kills, rep.Writers, rep.Fsync)
+	fmt.Fprintf(&sb, "Measured by %s: %d kill/restart cycles, "+
+		"%d concurrent writers against /sql, WAL policy `%s`.\n\n", j.ran(), rep.Kills, rep.Writers, rep.Fsync)
 	tbl := harness.NewTable(&sb, []harness.Col{{"metric", "%s"}, {"value:", "%v"}})
 	tbl.Row("writes attempted", rep.Attempted)
 	tbl.Row("writes acknowledged", rep.Acked)

@@ -64,6 +64,10 @@ type scaleChaos struct {
 	Verdict          string `json:"verdict"`
 }
 
+// routerOverhead is the fixed per-sub-query cost fed to the predicted
+// scaling curve.
+const routerOverhead = 5 * time.Millisecond
+
 // demoRouter fronts backends with a default-configured router, demo model
 // warmed.
 func demoRouter(backends []router.Backend) (*router.Router, error) {
@@ -105,9 +109,9 @@ func runScaleCell(backends []router.Backend, queries int, oracle *harness.DemoOr
 // runScaleChaos is the degradation leg: SIGKILL one shard while queries
 // flow, then verify every successful answer stayed bit-identical and that
 // the tier kept answering through reroutes after the kill.
-func runScaleChaos(bin string, o *options, records int, oracle *harness.DemoOracle) (*scaleChaos, error) {
+func runScaleChaos(bin string, p scaleoutConfig, records int, oracle *harness.DemoOracle) (*scaleChaos, error) {
 	const shards, killedShard = 3, 1
-	fleet, err := harness.StartShards(bin, shards, records, func(int) float64 { return o.paceScale })
+	fleet, err := harness.StartShards(bin, shards, records, func(int) float64 { return paceScale })
 	if err != nil {
 		return nil, err
 	}
@@ -116,13 +120,13 @@ func runScaleChaos(bin string, o *options, records int, oracle *harness.DemoOrac
 	if err != nil {
 		return nil, err
 	}
-	queries := max(o.scaleQueries*3, 12)
+	queries := max(p.Queries*3, 12)
 	killAfter := queries / 3
 	var routing harness.Routing
 	query := oracle.QueryOp(r, nil, &routing)
 	t := harness.Closed(context.Background(), shards, queries, 0, func(ctx context.Context, q int) error {
 		if q == killAfter {
-			log.Printf("bench-scaleout: chaos SIGKILL shard %d mid-run", killedShard)
+			log.Printf("scaleout: chaos SIGKILL shard %d mid-run", killedShard)
 			routing.Mark()
 			fleet.Procs[killedShard].Kill()
 		}
@@ -140,25 +144,20 @@ func runScaleChaos(bin string, o *options, records int, oracle *harness.DemoOrac
 	}
 	if rep.WrongPredictions > 0 {
 		rep.Verdict = "FAIL: wrong predictions"
-		return rep, fmt.Errorf("bench-scaleout chaos: %d queries returned wrong or partial predictions",
+		return rep, fmt.Errorf("scaleout chaos: %d queries returned wrong or partial predictions",
 			rep.WrongPredictions)
 	}
 	if rep.OKAfterKill == 0 {
 		rep.Verdict = "FAIL: no successful query after the kill"
-		return rep, fmt.Errorf("bench-scaleout chaos: tier never recovered after SIGKILL")
+		return rep, fmt.Errorf("scaleout chaos: tier never recovered after SIGKILL")
 	}
 	return rep, nil
 }
 
 // runScaleoutBench drives the full sweep and writes
 // results/scaleout_bench.md + BENCH_scaleout.json.
-func runScaleoutBench(o *options) error {
-	shardCounts := intList(o.scaleShards)
-	if len(shardCounts) == 0 {
-		return fmt.Errorf("bench-scaleout: empty shard sweep")
-	}
-	maxShards := slices.Max(shardCounts)
-	bin, cleanup, err := harness.ServeBinary(o.serveBin)
+func runScaleoutBench(p scaleoutConfig, j *job) error {
+	bin, cleanup, err := harness.ServeBinary(j.serveBin)
 	if err != nil {
 		return err
 	}
@@ -166,85 +165,76 @@ func runScaleoutBench(o *options) error {
 
 	var cells []scaleCell
 	var chaosRep *scaleChaos
-	for _, records := range intList(o.scaleRecords) {
-		log.Printf("bench-scaleout: records=%d building single-node oracle", records)
-		oracle, err := harness.NewDemoOracle(records, o.scaleBackend)
+	for _, records := range p.Records {
+		log.Printf("scaleout: records=%d building single-node oracle", records)
+		oracle, err := harness.NewDemoOracle(records, tierBackend)
 		if err != nil {
 			return err
 		}
 		predicted, err := sched.ScatterCurve(sched.ScatterConfig{
-			Queries:  o.scaleQueries,
+			Queries:  p.Queries,
 			Records:  int64(records),
 			Service:  oracle.Service,
-			Overhead: o.routerOverhead,
-		}, shardCounts)
+			Overhead: routerOverhead,
+		}, p.Shards)
 		if err != nil {
 			return err
 		}
-		swept, err := sweepShards(bin, o, shardCounts, records, oracle, predicted)
+		swept, err := sweepShards(bin, p, records, oracle, predicted)
 		if err != nil {
 			return err
 		}
 		cells = append(cells, swept...)
 
-		if o.scaleChaos && chaosRep == nil {
-			chaosRep, err = runScaleChaos(bin, o, records, oracle)
+		if chaosRep == nil { // the SIGKILL leg runs once, at the first record count
+			chaosRep, err = runScaleChaos(bin, p, records, oracle)
 			if err != nil {
 				return err
 			}
-			log.Printf("bench-scaleout: chaos: %d ok (%d after kill), %d failed, %d reroutes, %d wrong",
+			log.Printf("scaleout: chaos: %d ok (%d after kill), %d failed, %d reroutes, %d wrong",
 				chaosRep.QueriesOK, chaosRep.OKAfterKill, chaosRep.QueriesFailed,
 				chaosRep.Reroutes, chaosRep.WrongPredictions)
 		}
 	}
 
-	doc, best := scaleoutDoc(o, maxShards, cells, chaosRep)
-	if err := harness.WriteReport(o.jsonOut, doc, "scaleout_bench.md",
-		scaleoutMarkdown(o, cells, chaosRep, best)); err != nil {
-		return err
-	}
-	if o.scaleMinSpeedup > 0 && best < o.scaleMinSpeedup {
-		return fmt.Errorf("bench-scaleout: best speedup at %d shards is %.2fx, below the %.2fx gate",
-			maxShards, best, o.scaleMinSpeedup)
-	}
-	return nil
+	doc, best := scaleoutDoc(j, p, cells, chaosRep)
+	return harness.WriteReport(j.json, doc, "scaleout_bench.md", scaleoutMarkdown(j, p, cells, chaosRep, best))
 }
 
 // scaleoutDoc assembles the scale-out JSON artifact on the common envelope
 // and returns the best measured speedup at the widest scatter with it.
-func scaleoutDoc(o *options, maxShards int, cells []scaleCell, chaosRep *scaleChaos) (doc map[string]any, best float64) {
+func scaleoutDoc(j *job, p scaleoutConfig, cells []scaleCell, chaosRep *scaleChaos) (doc map[string]any, best float64) {
+	maxShards := slices.Max(p.Shards)
 	for _, c := range cells {
 		if c.Shards == maxShards {
 			best = max(best, c.Speedup)
 		}
 	}
-	doc = harness.Envelope("scaleout")
-	doc["backend"] = o.scaleBackend
-	doc["pace_scale"] = o.paceScale
-	doc["queries_per_cell"] = o.scaleQueries
-	doc["router_overhead_ns"] = int64(o.routerOverhead)
+	doc = j.envelope("scaleout")
+	doc["backend"] = tierBackend
+	doc["pace_scale"] = paceScale
+	doc["queries_per_cell"] = p.Queries
+	doc["router_overhead_ns"] = int64(routerOverhead)
 	doc["cells"] = cells
 	doc["best_speedup_at_max_shards"] = best
-	if chaosRep != nil {
-		doc["chaos"] = chaosRep
-	}
+	doc["chaos"] = chaosRep
 	return doc, best
 }
 
 // sweepShards boots the widest tier once for one record count and measures
 // every scatter width over a prefix of it; the first width anchors the
 // speedups.
-func sweepShards(bin string, o *options, shardCounts []int, records int,
+func sweepShards(bin string, p scaleoutConfig, records int,
 	oracle *harness.DemoOracle, predicted []sched.ScatterPoint) ([]scaleCell, error) {
-	fleet, err := harness.StartShards(bin, slices.Max(shardCounts), records, func(int) float64 { return o.paceScale })
+	fleet, err := harness.StartShards(bin, slices.Max(p.Shards), records, func(int) float64 { return paceScale })
 	if err != nil {
 		return nil, err
 	}
 	defer fleet.Kill()
 	var cells []scaleCell
-	for _, n := range shardCounts {
-		log.Printf("bench-scaleout: records=%d shards=%d: %d queries", records, n, o.scaleQueries)
-		cell, err := runScaleCell(fleet.Backends[:n], o.scaleQueries, oracle)
+	for _, n := range p.Shards {
+		log.Printf("scaleout: records=%d shards=%d: %d queries", records, n, p.Queries)
+		cell, err := runScaleCell(fleet.Backends[:n], p.Queries, oracle)
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +251,7 @@ func sweepShards(bin string, o *options, shardCounts []int, records int,
 				cell.PredictedLatNS = int64(p.MeanLatency)
 			}
 		}
-		log.Printf("bench-scaleout: records=%d shards=%d: %.2f q/s (speedup %.2fx, predicted %.2fx), "+
+		log.Printf("scaleout: records=%d shards=%d: %.2f q/s (speedup %.2fx, predicted %.2fx), "+
 			"straggler gap %v, bit-identical",
 			records, n, cell.QueriesPerSec, cell.Speedup, cell.PredictedSpeedup,
 			time.Duration(cell.MeanStragglerNS).Round(time.Millisecond))
@@ -270,15 +260,15 @@ func sweepShards(bin string, o *options, shardCounts []int, records int,
 	return cells, nil
 }
 
-func scaleoutMarkdown(o *options, cells []scaleCell, chaosRep *scaleChaos, best float64) *strings.Builder {
+func scaleoutMarkdown(j *job, p scaleoutConfig, cells []scaleCell, chaosRep *scaleChaos, best float64) *strings.Builder {
 	var sb strings.Builder
 	sb.WriteString("# Scale-out serving: sharded scatter-gather vs single node\n\n")
-	fmt.Fprintf(&sb, "Measured by `go run ./cmd/loadgen -bench-scaleout`: real serve processes "+
+	fmt.Fprintf(&sb, "Measured by %s: real serve processes "+
 		"(one per shard, `-workers 1 -pace-scale %g` so each shard serves like one simulated "+
 		"scoring device), fronted by the router, backend %s, %d closed-loop queries per cell. "+
 		"Every repetition's merged predictions are verified bit-identical against an "+
 		"in-process single-node oracle before its timing counts.\n\n",
-		o.paceScale, o.scaleBackend, o.scaleQueries)
+		j.ran(), paceScale, tierBackend, p.Queries)
 	tbl := harness.NewTable(&sb, []harness.Col{
 		{"records:", "%d"}, {"shards:", "%d"}, {"queries/s:", "%.2f"}, {"rows/s:", "%.0f"},
 		{"speedup:", "%.2fx"}, {"predicted speedup:", "%.2fx"}, {"mean latency:", "%v"},
@@ -297,15 +287,13 @@ func scaleoutMarkdown(o *options, cells []scaleCell, chaosRep *scaleChaos, best 
 		"Small record counts stay overhead-bound (the paper's unamortized-invocation regime " +
 		"at tier scale): the fixed per-sub-query invocation cost is paid once per shard per " +
 		"query, so widening the scatter cannot help until per-partition compute dominates.\n")
-	if chaosRep != nil {
-		sb.WriteString("\n## Chaos: SIGKILL one shard mid-run\n\n")
-		fmt.Fprintf(&sb, "With %d shards serving, shard %d was SIGKILLed mid-run: %d queries "+
-			"succeeded (%d after the kill, via %d reroutes), %d failed, and **%d** returned "+
-			"wrong or silently partial predictions — the degradation contract is reroute or "+
-			"fail loudly, never fabricate.\n",
-			chaosRep.Shards, chaosRep.KilledShard, chaosRep.QueriesOK, chaosRep.OKAfterKill,
-			chaosRep.Reroutes, chaosRep.QueriesFailed, chaosRep.WrongPredictions)
-		fmt.Fprintf(&sb, "\nVerdict: %s.\n", chaosRep.Verdict)
-	}
+	sb.WriteString("\n## Chaos: SIGKILL one shard mid-run\n\n")
+	fmt.Fprintf(&sb, "With %d shards serving, shard %d was SIGKILLed mid-run: %d queries "+
+		"succeeded (%d after the kill, via %d reroutes), %d failed, and **%d** returned "+
+		"wrong or silently partial predictions — the degradation contract is reroute or "+
+		"fail loudly, never fabricate.\n",
+		chaosRep.Shards, chaosRep.KilledShard, chaosRep.QueriesOK, chaosRep.OKAfterKill,
+		chaosRep.Reroutes, chaosRep.QueriesFailed, chaosRep.WrongPredictions)
+	fmt.Fprintf(&sb, "\nVerdict: %s.\n", chaosRep.Verdict)
 	return &sb
 }

@@ -10,7 +10,7 @@ import (
 // BenchmarkServeThroughput replays one generated scoring stream through the
 // serialized global-mutex baseline and the concurrent executor at several
 // worker counts. Each iteration runs against a fresh environment so the
-// model cache starts cold, matching how cmd/loadgen -bench measures. The qps
+// model cache starts cold, matching how loadgen -mode throughput measures. The qps
 // metric is what results/throughput_bench.md tabulates (that file is produced
 // by the loadgen run, which uses a larger table and heavier models than this
 // test-sized stream).
@@ -18,6 +18,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	cfg := LoadConfig{
 		Queries:      120,
 		Seed:         1,
+		Backend:      "CPU_SKLearn",
 		TableRows:    256,
 		TreeChoices:  []int{8, 32},
 		DepthChoices: []int{6, 10},

@@ -13,14 +13,6 @@ import (
 	"accelscore/internal/obs"
 )
 
-// DefaultChaosPlan is the acceptance scenario for the resilience layer: 20%
-// retryable invocation faults on the accelerator backend plus one forced
-// device hang mid-stream. With retries, hang detection and CPU fallback
-// armed, every query must still complete. (The FPGA engine stands in for
-// the accelerator because the RAPIDS FIL engine cannot score the 3-class
-// IRIS models the load harness trains.)
-const DefaultChaosPlan = "FPGA:invoke:busy:p=0.2;FPGA:compute:hang=2s:once=5"
-
 // ChaosConfig parameterizes one healthy-vs-chaos comparison run.
 type ChaosConfig struct {
 	// Load shapes the workload; both runs replay the identical stream.
@@ -28,11 +20,11 @@ type ChaosConfig struct {
 	// Exec configures the executor (retries, breaker, fallback, attempt
 	// timeout). The same config drives both runs; only the injector differs.
 	Exec exec.Config
-	// Clients is the closed-loop concurrency (default 8).
+	// Clients is the closed-loop concurrency.
 	Clients int
-	// FaultSpec is the chaos run's fault plan (default DefaultChaosPlan).
+	// FaultSpec is the chaos run's fault plan.
 	FaultSpec string
-	// FaultSeed seeds the injector's RNG streams (default 1).
+	// FaultSeed seeds the injector's RNG streams.
 	FaultSeed uint64
 	// Deadline bounds each query via its submission context (0 = none).
 	Deadline time.Duration
@@ -86,15 +78,6 @@ type ChaosReport struct {
 // faults may cost latency and (past the deadline) availability, but they
 // must never change a prediction that is returned.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 8
-	}
-	if cfg.FaultSpec == "" {
-		cfg.FaultSpec = DefaultChaosPlan
-	}
-	if cfg.FaultSeed == 0 {
-		cfg.FaultSeed = 1
-	}
 	plan, err := faults.Parse(cfg.FaultSpec)
 	if err != nil {
 		return nil, fmt.Errorf("harness: chaos plan: %w", err)

@@ -34,23 +34,21 @@ import (
 // FusionBenchConfig parameterizes the matrix. The zero value gets defaults
 // from RunFusionBench.
 type FusionBenchConfig struct {
-	// Rows sizes the scoring input tables (default 8192).
+	// Rows sizes the scoring input tables.
 	Rows int `json:"rows"`
-	// Trees and Depth shape the model (defaults 256 trees, depth 10) — large
-	// enough that traversal dominates, so skipped rows are visible wins.
+	// Trees and Depth shape the model.
 	Trees int `json:"trees"`
 	Depth int `json:"depth"`
-	// Seed makes training deterministic (default 1).
+	// Seed makes training deterministic.
 	Seed uint64 `json:"seed"`
 	// Repeats is the measured repetitions per cell; the nearest-rank median
-	// is reported (default 5).
+	// is reported.
 	Repeats int `json:"repeats"`
-	// Selectivities are the WHERE pass fractions (default 1%, 10%, 50%, 100%).
+	// Selectivities are the WHERE pass fractions.
 	Selectivities []float64 `json:"selectivities"`
-	// JunkCols is how many non-feature REAL columns pad the wide table
-	// (default 46, for a ~50-column table over a 4-feature model).
+	// JunkCols is how many non-feature REAL columns pad the wide table.
 	JunkCols int `json:"junk_cols"`
-	// Backend is the engine under test (default CPU_SKLearn).
+	// Backend is the engine under test.
 	Backend string `json:"backend"`
 }
 
@@ -104,31 +102,6 @@ type fusionTableSpec struct {
 // error — the benchmark numbers are only worth reporting if the fused path
 // returns the same answers.
 func RunFusionBench(cfg FusionBenchConfig) (*FusionBenchReport, error) {
-	if cfg.Rows <= 0 {
-		cfg.Rows = 8192
-	}
-	if cfg.Trees <= 0 {
-		cfg.Trees = 256
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 10
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Repeats <= 0 {
-		cfg.Repeats = 5
-	}
-	if len(cfg.Selectivities) == 0 {
-		cfg.Selectivities = []float64{0.01, 0.10, 0.50, 1.00}
-	}
-	if cfg.JunkCols <= 0 {
-		cfg.JunkCols = 46
-	}
-	if cfg.Backend == "" {
-		cfg.Backend = "CPU_SKLearn"
-	}
-
 	data := dataset.Iris().Replicate(cfg.Rows)
 	f, err := forest.Train(data, forest.ForestConfig{
 		NumTrees:  cfg.Trees,

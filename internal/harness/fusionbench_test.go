@@ -14,9 +14,11 @@ func TestRunFusionBenchSmall(t *testing.T) {
 		Rows:          256,
 		Trees:         8,
 		Depth:         6,
+		Seed:          1,
 		Repeats:       1,
 		Selectivities: []float64{0.1, 1.0},
 		JunkCols:      6,
+		Backend:       "CPU_SKLearn",
 	}
 	rep, err := harness.RunFusionBench(cfg)
 	if err != nil {

@@ -18,28 +18,25 @@ import (
 	"accelscore/internal/sched"
 )
 
-// LoadConfig parameterizes the load-generation environment. The zero value
-// gets defaults from BuildLoadEnv.
+// LoadConfig parameterizes the load-generation environment.
 type LoadConfig struct {
-	// Queries is the stream length (default 200).
+	// Queries is the stream length.
 	Queries int
-	// Seed makes the stream deterministic (default 1).
+	// Seed makes the stream deterministic.
 	Seed uint64
-	// Backend is the engine every query requests (default "CPU_SKLearn";
-	// "auto" routes through the offload advisor).
+	// Backend is the engine every query requests ("auto" routes through the
+	// offload advisor).
 	Backend string
 	// TableRows sizes the scoring input table; per-query record counts are
-	// drawn log-uniformly in [1, TableRows] and applied via @limit
-	// (default 2048).
+	// drawn log-uniformly in [1, TableRows] and applied via @limit.
 	TableRows int
 	// TreeChoices and DepthChoices span the model-complexity axis; one
-	// model is trained and stored per (trees, depth) pair (defaults
-	// {8, 32, 128} x {6, 10}).
+	// model is trained and stored per (trees, depth) pair.
 	TreeChoices  []int
 	DepthChoices []int
 }
 
-// meanInterarrival paces the open-loop stream.
+// meanInterarrival spaces the generated arrival times the simulator replays.
 const meanInterarrival = 5 * time.Millisecond
 
 // LoadEnv is a self-contained serving environment for load generation: an
@@ -57,25 +54,6 @@ type LoadEnv struct {
 // BuildLoadEnv trains the model zoo, loads the stream table and generates
 // the query stream. The observer may be nil.
 func BuildLoadEnv(cfg LoadConfig, observer *obs.Observer) (*LoadEnv, error) {
-	if cfg.Queries <= 0 {
-		cfg.Queries = 200
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Backend == "" {
-		cfg.Backend = "CPU_SKLearn"
-	}
-	if cfg.TableRows <= 0 {
-		cfg.TableRows = 2048
-	}
-	if len(cfg.TreeChoices) == 0 {
-		cfg.TreeChoices = []int{8, 32, 128}
-	}
-	if len(cfg.DepthChoices) == 0 {
-		cfg.DepthChoices = []int{6, 10}
-	}
-
 	iris := dataset.Iris()
 	d := db.New()
 	tbl, err := db.TableFromDataset("stream", iris.Replicate(cfg.TableRows))
@@ -172,14 +150,10 @@ func (s *SerializedRunner) ExecQuery(sql string) (*pipeline.QueryResult, error) 
 	return s.Pipe.ExecQuery(sql)
 }
 
-// RunOptions selects the load-generation mode.
+// RunOptions shapes one closed-loop load run.
 type RunOptions struct {
-	// Clients is the closed-loop concurrency (default 8). 0 < OpenLoop
-	// ignores it.
+	// Clients is the closed-loop concurrency.
 	Clients int
-	// OpenLoop replays the stream at its generated arrival times instead
-	// of closed-loop; latency then includes queueing behind slow queries.
-	OpenLoop bool
 	// SLO holds per-class latency objectives; when non-empty every query
 	// is classified by record count (see ClassForRecords) and the report
 	// gains per-class goodput. Rejected and errored queries burn budget.
@@ -247,23 +221,11 @@ func (r *LoadReport) String() string {
 // measures real end-to-end serving performance. Anything but an answer or an
 // admission rejection fails the run.
 func RunLoad(env *LoadEnv, r QueryRunner, label string, opt RunOptions) (*LoadReport, error) {
-	if opt.Clients <= 0 {
-		opt.Clients = 8
-	}
 	op := func(_ context.Context, i int) error {
 		_, err := r.ExecQuery(env.SQLFor(env.Queries[i]))
 		return err
 	}
-	var run *Run
-	if opt.OpenLoop {
-		schedule := make([]time.Duration, len(env.Queries))
-		for i, q := range env.Queries {
-			schedule[i] = q.Arrival
-		}
-		run = Open(context.Background(), schedule, 0, op)
-	} else {
-		run = Closed(context.Background(), opt.Clients, len(env.Queries), 0, op)
-	}
+	run := Closed(context.Background(), opt.Clients, len(env.Queries), 0, op)
 
 	for _, s := range run.Samples {
 		if c := Classify(s.Err); c != OK && c != Rejected {

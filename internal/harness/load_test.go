@@ -53,6 +53,8 @@ func TestClassForRecords(t *testing.T) {
 func TestRunLoadGoodput(t *testing.T) {
 	env, err := harness.BuildLoadEnv(harness.LoadConfig{
 		Queries:     16,
+		Seed:        1,
+		Backend:     "CPU_SKLearn",
 		TableRows:   256,
 		TreeChoices: []int{4}, DepthChoices: []int{6},
 	}, obs.NewObserver())
@@ -112,6 +114,8 @@ func TestRunLoadGoodput(t *testing.T) {
 func TestLoadHarnessSmoke(t *testing.T) {
 	env, err := harness.BuildLoadEnv(harness.LoadConfig{
 		Queries:     24,
+		Seed:        1,
+		Backend:     "CPU_SKLearn",
 		TableRows:   256,
 		TreeChoices: []int{4, 8}, DepthChoices: []int{6},
 	}, obs.NewObserver())
