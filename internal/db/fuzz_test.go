@@ -1,7 +1,11 @@
 package db
 
 import (
+	"bytes"
+	"errors"
 	"testing"
+
+	"accelscore/internal/storage/pagefmt"
 )
 
 // FuzzParse exercises the T-SQL-subset lexer and parser with arbitrary
@@ -77,4 +81,38 @@ func newFuzzDB(t *testing.T) *Database {
 	}
 	fuzzDBCache = d
 	return d
+}
+
+// FuzzSnapshotLoad feeds arbitrary bytes to Load. It must never panic, every
+// error must be one of the two typed snapshot errors, and a database that
+// loads must save and reload to the same tables.
+func FuzzSnapshotLoad(f *testing.F) {
+	var valid bytes.Buffer
+	if err := buildPersistFixture(f, 5).Save(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-5]) // torn tail
+	flipped := bytes.Clone(valid.Bytes())
+	flipped[len(snapshotMagic)+pagefmt.FrameOverhead] ^= 0x10 // the file header's version
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Load(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotFormat) && !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+			return
+		}
+		var saved bytes.Buffer
+		if err := d.Save(&saved); err != nil {
+			t.Fatalf("loaded database does not save: %v", err)
+		}
+		again, err := Load(&saved)
+		if err != nil {
+			t.Fatalf("saved database does not reload: %v", err)
+		}
+		assertSameTables(t, d, again)
+	})
 }

@@ -193,14 +193,16 @@ func loadBinary(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: file header: %v", ErrSnapshotCorrupt, err)
 	}
-	if len(hdr) < 2 {
-		return nil, fmt.Errorf("%w: short file header", ErrSnapshotCorrupt)
+	cr := pagefmt.NewCellReader(hdr)
+	version, err := cr.Uint16()
+	if err != nil {
+		return nil, fmt.Errorf("%w: file header: %v", ErrSnapshotCorrupt, err)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[:2]); v != snapshotVersion {
-		return nil, fmt.Errorf("%w: unsupported snapshot version %d", ErrSnapshotCorrupt, v)
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("%w: unsupported snapshot version %d", ErrSnapshotCorrupt, version)
 	}
-	tableCount, sz := binary.Uvarint(hdr[2:])
-	if sz <= 0 || tableCount > 1<<20 {
+	tableCount, err := cr.Uvarint()
+	if err != nil || tableCount > 1<<20 {
 		return nil, fmt.Errorf("%w: bad table count", ErrSnapshotCorrupt)
 	}
 
@@ -245,33 +247,34 @@ func loadTable(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: table name: %v", ErrSnapshotCorrupt, err)
 	}
-	rest := hdr[len(hdr)-cr.Remaining():]
-	ncols, sz := binary.Uvarint(rest)
-	if sz <= 0 || ncols == 0 || ncols > maxSnapshotCols {
+	ncols, err := cr.Uvarint()
+	if err != nil || ncols == 0 || ncols > maxSnapshotCols {
 		return nil, fmt.Errorf("%w: table %q: bad column count", ErrSnapshotCorrupt, name)
 	}
-	rest = rest[sz:]
-	cols := make([]Column, 0, ncols)
-	for c := uint64(0); c < ncols; c++ {
-		ccr := pagefmt.NewCellReader(rest)
-		cname, err := ccr.String()
-		if err != nil || ccr.Remaining() < 1 {
+	cols := make([]Column, ncols)
+	for c := range cols {
+		col := &cols[c]
+		if col.Name, err = cr.String(); err != nil {
 			return nil, fmt.Errorf("%w: table %q: bad column header", ErrSnapshotCorrupt, name)
 		}
-		rest = rest[len(rest)-ccr.Remaining():]
-		typ := ColumnType(rest[0])
-		rest = rest[1:]
-		if typ < Float32Col || typ > BlobCol {
-			return nil, fmt.Errorf("%w: table %q column %q: unknown type %d", ErrSnapshotCorrupt, name, cname, typ)
+		typ, err := cr.Byte()
+		if err != nil {
+			return nil, fmt.Errorf("%w: table %q: bad column header", ErrSnapshotCorrupt, name)
 		}
-		cols = append(cols, Column{Name: cname, Type: typ})
+		if col.Type = ColumnType(typ); col.Type < Float32Col || col.Type > BlobCol {
+			return nil, fmt.Errorf("%w: table %q column %q: unknown type %d", ErrSnapshotCorrupt, name, col.Name, typ)
+		}
 	}
-	rows, sz := binary.Uvarint(rest)
-	if sz <= 0 || len(rest[sz:]) < 8 {
+	rows, err := cr.Uvarint()
+	if err != nil {
 		return nil, fmt.Errorf("%w: table %q: bad row count", ErrSnapshotCorrupt, name)
 	}
 	if rows*4 > maxSnapshotBytes {
 		return nil, fmt.Errorf("%w: table %q: implausible row count %d", ErrSnapshotCorrupt, name, rows)
+	}
+	version, err := cr.Uint64()
+	if err != nil {
+		return nil, fmt.Errorf("%w: table %q: bad table version", ErrSnapshotCorrupt, name)
 	}
 
 	t, err := NewTable(name, cols)
@@ -284,7 +287,7 @@ func loadTable(r io.Reader) (*Table, error) {
 		}
 	}
 	t.rows = int(rows)
-	t.version.Store(binary.LittleEndian.Uint64(rest[sz:]))
+	t.version.Store(version)
 	return t, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 )
 
@@ -73,7 +74,7 @@ func assertSameTables(t *testing.T, want, got *Database) {
 		for r := range wr {
 			for c := range wr[r] {
 				wv, gv := wr[r][c], gr[r][c]
-				if wv.F != gv.F || wv.I != gv.I || wv.S != gv.S || !bytes.Equal(wv.B, gv.B) {
+				if math.Float32bits(wv.F) != math.Float32bits(gv.F) || wv.I != gv.I || wv.S != gv.S || !bytes.Equal(wv.B, gv.B) {
 					t.Fatalf("table %q cell (%d,%d): %+v, want %+v", name, r, c, gv, wv)
 				}
 			}

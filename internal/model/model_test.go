@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -127,9 +129,7 @@ func TestUnmarshalRejectsStructuralCorruption(t *testing.T) {
 	if _, err := Unmarshal(blob); err != nil {
 		t.Fatal(err)
 	}
-	var thr bytes.Buffer
-	writeF32(&thr, mark)
-	at := bytes.Index(blob, thr.Bytes())
+	at := bytes.Index(blob, binary.LittleEndian.AppendUint32(nil, math.Float32bits(mark)))
 	if at < 4 {
 		t.Fatal("threshold not found in the blob")
 	}
@@ -138,6 +138,31 @@ func TestUnmarshalRejectsStructuralCorruption(t *testing.T) {
 	binary.LittleEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
 	if _, err := Unmarshal(blob); err == nil || !strings.Contains(err.Error(), "split feature 9 out of range") {
 		t.Fatalf("err = %v, want the structural check to refuse the blob", err)
+	}
+}
+
+// TestUnmarshalRefusesForgedNameCount: a name count the blob's remaining
+// bytes cannot hold (each name costs at least its 2 length bytes) is refused
+// before anything is sized from it. The forged blob is 35 bytes with a valid
+// checksum and claims 1<<20 feature names.
+func TestUnmarshalRefusesForgedNameCount(t *testing.T) {
+	blob := append([]byte(nil), Magic[:]...)
+	blob = binary.LittleEndian.AppendUint16(blob, Version)
+	blob = append(blob, byte(forest.Classifier))
+	blob = binary.LittleEndian.AppendUint64(blob, 0) // base score
+	for _, v := range []uint32{1, 1, 1, 1 << 20} {   // features, classes, trees, names
+		blob = binary.LittleEndian.AppendUint32(blob, v)
+	}
+	blob = binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasPrefix(err.Error(), "model: ") {
+		t.Fatalf("err = %v, want a model: error for the forged name count", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a %d-byte blob allocated %d bytes", len(blob), grew)
 	}
 }
 

@@ -13,13 +13,13 @@
 package model
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 
 	"accelscore/internal/forest"
+	"accelscore/internal/storage/pagefmt"
 )
 
 // Magic identifies RFX blobs.
@@ -37,42 +37,55 @@ func Marshal(f *forest.Forest) ([]byte, error) {
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("model: refusing to marshal invalid forest: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	writeU16(&buf, Version)
-	buf.WriteByte(byte(f.Kind))
-	writeF64(&buf, f.BaseScore)
-	writeU32(&buf, uint32(f.NumFeatures))
-	writeU32(&buf, uint32(f.NumClasses))
-	writeU32(&buf, uint32(len(f.Trees)))
-	writeStrings(&buf, f.FeatureNames)
-	writeStrings(&buf, f.ClassNames)
+	nodes := 0
 	for _, t := range f.Trees {
-		writeU32(&buf, uint32(t.NodeCount()))
-		writeNode(&buf, t.Root)
+		nodes += t.NodeCount()
 	}
-	sum := crc32.ChecksumIEEE(buf.Bytes())
-	writeU32(&buf, sum)
-	return buf.Bytes(), nil
+	buf := append(make([]byte, 0, 64+nodes*ApproxNodeBytes), Magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
+	buf = append(buf, byte(f.Kind))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.BaseScore))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.NumFeatures))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.NumClasses))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Trees)))
+	buf = appendStrings(buf, f.FeatureNames)
+	buf = appendStrings(buf, f.ClassNames)
+	for _, t := range f.Trees {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.NodeCount()))
+		buf = appendNode(buf, t.Root)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
-func writeNode(buf *bytes.Buffer, n *forest.Node) {
+// appendStrings writes a u32 count, then each string as a u16 length and
+// its bytes.
+func appendStrings(buf []byte, ss []string) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ss)))
+	for _, s := range ss {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
+		buf = append(buf, s...)
+	}
+	return buf
+}
+
+func appendNode(buf []byte, n *forest.Node) []byte {
 	var flags byte
 	if n.IsLeaf() {
 		flags |= flagLeaf
 	}
-	buf.WriteByte(flags)
+	buf = append(buf, flags)
 	if !n.IsLeaf() {
-		writeU32(buf, uint32(n.Feature))
-		writeF32(buf, n.Threshold)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n.Feature))
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(n.Threshold))
 	}
-	writeU32(buf, uint32(n.Class))
-	writeF64(buf, n.Value)
-	writeU32(buf, uint32(n.Samples))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.Class))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Value))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.Samples))
 	if !n.IsLeaf() {
-		writeNode(buf, n.Left)
-		writeNode(buf, n.Right)
+		buf = appendNode(buf, n.Left)
+		buf = appendNode(buf, n.Right)
 	}
+	return buf
 }
 
 // Unmarshal parses an RFX blob back into a forest, verifying the checksum
@@ -85,62 +98,13 @@ func Unmarshal(blob []byte) (*forest.Forest, error) {
 	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("model: checksum mismatch: stored %08x, computed %08x", got, want)
 	}
-	r := &reader{data: body}
-	var magic [4]byte
-	r.bytes(magic[:])
-	if magic != Magic {
-		return nil, fmt.Errorf("model: bad magic %q", magic)
-	}
-	if v := r.u16(); v != Version {
-		return nil, fmt.Errorf("model: unsupported version %d", v)
-	}
-	kind := forest.Kind(r.byte())
-	if kind != forest.Classifier && kind != forest.Regressor && kind != forest.Boosted {
-		return nil, fmt.Errorf("model: unknown kind %d", kind)
-	}
-	baseScore := r.f64()
-	nFeatures := int(r.u32())
-	nClasses := int(r.u32())
-	nTrees := int(r.u32())
-	const maxSane = 1 << 24
-	if nFeatures <= 0 || nFeatures > maxSane || nClasses < 0 || nClasses > maxSane || nTrees <= 0 || nTrees > maxSane {
-		return nil, fmt.Errorf("model: implausible header: features=%d classes=%d trees=%d", nFeatures, nClasses, nTrees)
-	}
-	featureNames, err := r.strings()
+	c := pagefmt.NewCellReader(body)
+	f, err := readForest(c)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("model: %w", err)
 	}
-	classNames, err := r.strings()
-	if err != nil {
-		return nil, err
-	}
-	f := &forest.Forest{
-		Kind:         kind,
-		NumFeatures:  nFeatures,
-		NumClasses:   nClasses,
-		FeatureNames: featureNames,
-		ClassNames:   classNames,
-		BaseScore:    baseScore,
-	}
-	for t := 0; t < nTrees; t++ {
-		count := int(r.u32())
-		if count <= 0 || count > maxSane {
-			return nil, fmt.Errorf("model: tree %d has implausible node count %d", t, count)
-		}
-		root, err := readNode(r, &count)
-		if err != nil {
-			return nil, fmt.Errorf("model: tree %d: %w", t, err)
-		}
-		if count != 0 {
-			return nil, fmt.Errorf("model: tree %d: %d trailing node records", t, count)
-		}
-		f.Trees = append(f.Trees, &forest.Tree{Root: root, NumFeatures: nFeatures, NumClasses: nClasses})
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("model: %d trailing bytes", len(r.data)-r.pos)
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("model: %d trailing bytes", c.Remaining())
 	}
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("model: deserialized forest invalid: %w", err)
@@ -148,144 +112,138 @@ func Unmarshal(blob []byte) (*forest.Forest, error) {
 	return f, nil
 }
 
-func readNode(r *reader, budget *int) (*forest.Node, error) {
+func readForest(c *pagefmt.CellReader) (*forest.Forest, error) {
+	magic, err := c.Next(len(Magic))
+	if err != nil {
+		return nil, err
+	}
+	if [4]byte(magic) != Magic {
+		return nil, fmt.Errorf("bad magic %q", magic)
+	}
+	version, err := c.Uint16()
+	if err != nil {
+		return nil, err
+	}
+	if version != Version {
+		return nil, fmt.Errorf("unsupported version %d", version)
+	}
+	kind, err := c.Byte()
+	if err != nil {
+		return nil, err
+	}
+	f := &forest.Forest{Kind: forest.Kind(kind)}
+	if f.Kind != forest.Classifier && f.Kind != forest.Regressor && f.Kind != forest.Boosted {
+		return nil, fmt.Errorf("unknown kind %d", kind)
+	}
+	if f.BaseScore, err = c.Float64(); err != nil {
+		return nil, err
+	}
+	var counts [3]uint32 // features, classes, trees
+	for i := range counts {
+		if counts[i], err = c.Uint32(); err != nil {
+			return nil, err
+		}
+	}
+	const maxSane = 1 << 24
+	if counts[0] == 0 || counts[0] > maxSane || counts[1] > maxSane || counts[2] == 0 || counts[2] > maxSane {
+		return nil, fmt.Errorf("implausible header: features=%d classes=%d trees=%d", counts[0], counts[1], counts[2])
+	}
+	f.NumFeatures, f.NumClasses = int(counts[0]), int(counts[1])
+	if f.FeatureNames, err = readStrings(c); err != nil {
+		return nil, err
+	}
+	if f.ClassNames, err = readStrings(c); err != nil {
+		return nil, err
+	}
+	for t := range int(counts[2]) {
+		count, err := c.Uint32()
+		if err != nil {
+			return nil, err
+		}
+		if count == 0 || count > maxSane {
+			return nil, fmt.Errorf("tree %d has implausible node count %d", t, count)
+		}
+		budget := int(count)
+		root, err := readNode(c, &budget)
+		if err != nil {
+			return nil, fmt.Errorf("tree %d: %w", t, err)
+		}
+		if budget != 0 {
+			return nil, fmt.Errorf("tree %d: %d trailing node records", t, budget)
+		}
+		f.Trees = append(f.Trees, &forest.Tree{Root: root, NumFeatures: f.NumFeatures, NumClasses: f.NumClasses})
+	}
+	return f, nil
+}
+
+// readStrings reads appendStrings' encoding. A count the remaining bytes
+// cannot hold, at 2 length bytes per string, is refused before the slice is
+// sized from it.
+func readStrings(c *pagefmt.CellReader) ([]string, error) {
+	n, err := c.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	if uint64(n) > uint64(c.Remaining()/2) {
+		return nil, fmt.Errorf("implausible string count %d in %d bytes", n, c.Remaining())
+	}
+	out := make([]string, n)
+	for i := range out {
+		l, err := c.Uint16()
+		if err != nil {
+			return nil, err
+		}
+		b, err := c.Next(int(l))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = string(b)
+	}
+	return out, nil
+}
+
+func readNode(c *pagefmt.CellReader, budget *int) (*forest.Node, error) {
 	if *budget <= 0 {
 		return nil, fmt.Errorf("node budget exhausted")
 	}
 	*budget--
-	flags := r.byte()
+	flags, err := c.Byte()
+	if err != nil {
+		return nil, err
+	}
 	n := &forest.Node{}
 	leaf := flags&flagLeaf != 0
 	if !leaf {
-		n.Feature = int(r.u32())
-		n.Threshold = r.f32()
-	}
-	n.Class = int(r.u32())
-	n.Value = r.f64()
-	n.Samples = int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if !leaf {
-		var err error
-		if n.Left, err = readNode(r, budget); err != nil {
+		feature, err := c.Uint32()
+		if err != nil {
 			return nil, err
 		}
-		if n.Right, err = readNode(r, budget); err != nil {
+		n.Feature = int(feature)
+		if n.Threshold, err = c.Float32(); err != nil {
+			return nil, err
+		}
+	}
+	class, err := c.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	if n.Value, err = c.Float64(); err != nil {
+		return nil, err
+	}
+	samples, err := c.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	n.Class, n.Samples = int(class), int(samples)
+	if !leaf {
+		if n.Left, err = readNode(c, budget); err != nil {
+			return nil, err
+		}
+		if n.Right, err = readNode(c, budget); err != nil {
 			return nil, err
 		}
 	}
 	return n, nil
-}
-
-// --- primitive encoding helpers ---
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeF32(buf *bytes.Buffer, v float32) {
-	writeU32(buf, math.Float32bits(v))
-}
-
-func writeF64(buf *bytes.Buffer, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	buf.Write(b[:])
-}
-
-func writeStrings(buf *bytes.Buffer, ss []string) {
-	writeU32(buf, uint32(len(ss)))
-	for _, s := range ss {
-		writeU16(buf, uint16(len(s)))
-		buf.WriteString(s)
-	}
-}
-
-// reader is a bounds-checked little-endian cursor; the first failure sticks.
-type reader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.pos+n > len(r.data) {
-		r.err = fmt.Errorf("model: truncated blob at offset %d (need %d bytes)", r.pos, n)
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *reader) bytes(dst []byte) {
-	if b := r.take(len(dst)); b != nil {
-		copy(dst, b)
-	}
-}
-
-func (r *reader) byte() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *reader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (r *reader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *reader) f32() float32 {
-	return math.Float32frombits(r.u32())
-}
-
-func (r *reader) f64() float64 {
-	if b := r.take(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	return 0
-}
-
-func (r *reader) strings() ([]string, error) {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("model: implausible string count %d", n)
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		l := int(r.u16())
-		b := r.take(l)
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, string(b))
-	}
-	return out, nil
 }
 
 // ApproxNodeBytes is the approximate per-node footprint of the RFX encoding

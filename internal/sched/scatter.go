@@ -11,9 +11,9 @@ import (
 // splits each query into one partition per shard, with per-shard FIFO
 // service and a gather barrier. It predicts the scaling the serving tier
 // should achieve if the only costs were the calibrated per-shard service
-// times plus a fixed router overhead — the curve `loadgen -bench-scaleout`
-// prints next to its measurements so the gap (stragglers, HTTP, merge) is
-// visible.
+// times plus a fixed router overhead — the curve `loadgen -mode scaleout
+// -preset artifact` prints next to its measurements so the gap (stragglers,
+// HTTP, merge) is visible.
 type ScatterConfig struct {
 	// Shards is the replica count (>= 1).
 	Shards int

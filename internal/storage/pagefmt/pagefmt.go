@@ -1,5 +1,11 @@
-// Package pagefmt defines the binary on-disk column-page format shared by
-// the database snapshot files and the write-ahead log (internal/storage).
+// Package pagefmt defines the binary column-page format of the database
+// snapshot files, the CRC frame, and CellReader, the one byte cursor every
+// binary decoder in the module reads through: the router's /score frame, the
+// write-ahead log's records (internal/storage), the RFX model blobs
+// (internal/model) and the snapshot's file and table headers (internal/db).
+// The decoding policy — a bounds check before every read, little-endian
+// fixed-width cells, only the shortest uvarint spelling, a typed error — is
+// decided here and nowhere else.
 //
 // A page is one contiguous run of cells from a single column:
 //
@@ -25,8 +31,7 @@
 // Every page carries its own checksum: a torn or bit-flipped page is
 // detected at decode time and surfaces as a typed error, never as silently
 // wrong data. The package is a leaf — it depends only on the standard
-// library — so both internal/db (snapshot serialization) and
-// internal/storage (WAL records) can share it without an import cycle.
+// library — so every package above can share it without an import cycle.
 package pagefmt
 
 import (
@@ -36,6 +41,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Format constants.
@@ -195,9 +201,8 @@ func ReadPage(r io.Reader) (*Page, error) {
 	if payloadLen > MaxPayload {
 		return nil, fmt.Errorf("%w: payload length %d exceeds cap", ErrHeader, payloadLen)
 	}
-	buf := make([]byte, HeaderSize+int(payloadLen))
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
+	buf, err := readAfter(r, hdr[:], int(payloadLen))
+	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, ErrTruncated
 		}
@@ -205,6 +210,28 @@ func ReadPage(r io.Reader) (*Page, error) {
 	}
 	p, _, err := Decode(buf)
 	return p, err
+}
+
+// readChunk is how much readAfter allocates before any bytes have arrived.
+const readChunk = 1 << 20
+
+// readAfter returns head followed by the next n bytes of r. The buffer grows
+// as the bytes arrive, at most doubling, so a corrupt length field costs
+// memory in proportion to what r really holds, not to what the length claims.
+func readAfter(r io.Reader, head []byte, n int) ([]byte, error) {
+	total := len(head) + n
+	buf := append(make([]byte, 0, len(head)+min(n, readChunk)), head...)
+	for len(buf) < total {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(total, 2*len(buf))-len(buf))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(total, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // --- Cell codecs ---
@@ -232,7 +259,10 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// CellReader decodes a page payload sequentially.
+// CellReader decodes a payload sequentially: a page's cells, a frame's
+// fields, a WAL record or an RFX blob. Every read checks bounds before it
+// touches a byte, fixed-width cells are little-endian, and every failure
+// wraps ErrPayload.
 type CellReader struct {
 	data []byte
 	off  int
@@ -244,24 +274,66 @@ func NewCellReader(payload []byte) *CellReader { return &CellReader{data: payloa
 // Remaining returns the number of undecoded bytes.
 func (c *CellReader) Remaining() int { return len(c.data) - c.off }
 
-// Float32 decodes the next fixed-width float32 cell.
-func (c *CellReader) Float32() (float32, error) {
-	if c.Remaining() < 4 {
-		return 0, fmt.Errorf("%w: short float32 cell", ErrPayload)
+// errShort reports a fixed-width read past the end of the payload. It is
+// built once, not per read, which keeps the fixed-width reads small enough
+// to inline into decode loops.
+var errShort = fmt.Errorf("%w: short fixed-width cell", ErrPayload)
+
+// Byte decodes the next single-byte cell.
+func (c *CellReader) Byte() (byte, error) {
+	if c.Remaining() < 1 {
+		return 0, errShort
 	}
-	v := math.Float32frombits(binary.LittleEndian.Uint32(c.data[c.off:]))
+	c.off++
+	return c.data[c.off-1], nil
+}
+
+// Uint16 decodes the next fixed-width little-endian uint16 cell.
+func (c *CellReader) Uint16() (uint16, error) {
+	if c.Remaining() < 2 {
+		return 0, errShort
+	}
+	v := binary.LittleEndian.Uint16(c.data[c.off:])
+	c.off += 2
+	return v, nil
+}
+
+// Uint32 decodes the next fixed-width little-endian uint32 cell.
+func (c *CellReader) Uint32() (uint32, error) {
+	if c.Remaining() < 4 {
+		return 0, errShort
+	}
+	v := binary.LittleEndian.Uint32(c.data[c.off:])
 	c.off += 4
 	return v, nil
 }
 
-// Int64 decodes the next fixed-width int64 cell.
-func (c *CellReader) Int64() (int64, error) {
+// Uint64 decodes the next fixed-width little-endian uint64 cell.
+func (c *CellReader) Uint64() (uint64, error) {
 	if c.Remaining() < 8 {
-		return 0, fmt.Errorf("%w: short int64 cell", ErrPayload)
+		return 0, errShort
 	}
-	v := int64(binary.LittleEndian.Uint64(c.data[c.off:]))
+	v := binary.LittleEndian.Uint64(c.data[c.off:])
 	c.off += 8
 	return v, nil
+}
+
+// Float32 decodes the next fixed-width float32 cell.
+func (c *CellReader) Float32() (float32, error) {
+	v, err := c.Uint32()
+	return math.Float32frombits(v), err
+}
+
+// Float64 decodes the next fixed-width float64 cell.
+func (c *CellReader) Float64() (float64, error) {
+	v, err := c.Uint64()
+	return math.Float64frombits(v), err
+}
+
+// Int64 decodes the next fixed-width int64 cell.
+func (c *CellReader) Int64() (int64, error) {
+	v, err := c.Uint64()
+	return int64(v), err
 }
 
 // Uvarint decodes the next uvarint cell. Only the shortest spelling of a
@@ -365,8 +437,8 @@ func ReadFrame(r io.Reader, maxLen uint32) ([]byte, error) {
 	if n > maxLen {
 		return nil, fmt.Errorf("%w: payload length %d exceeds cap %d", ErrFrame, n, maxLen)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readAfter(r, nil, int(n))
+	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, ErrFrameTruncated
 		}

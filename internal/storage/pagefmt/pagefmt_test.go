@@ -2,9 +2,11 @@ package pagefmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -133,6 +135,68 @@ func TestReadPageFromStream(t *testing.T) {
 	// A stream cut mid-page reports a torn page.
 	if _, err := ReadPage(bytes.NewReader(stream[:HeaderSize+2])); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("torn stream: %v", err)
+	}
+}
+
+// TestReadAllocatesWhatArrives: a length field claiming hundreds of MiB over
+// a stream that holds a few bytes costs a bounded allocation, and a frame
+// bigger than the first read chunk still arrives whole.
+func TestReadAllocatesWhatArrives(t *testing.T) {
+	frame := binary.LittleEndian.AppendUint32(nil, 200<<20)
+	frame = append(frame, make([]byte, 4+10)...)
+	page := buildPage(t, 4)
+	binary.LittleEndian.PutUint32(page[16:20], 200<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, frameErr := ReadFrame(bytes.NewReader(frame), MaxPayload)
+	_, pageErr := ReadPage(bytes.NewReader(page))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(frameErr, ErrFrameTruncated) || !errors.Is(pageErr, ErrTruncated) {
+		t.Fatalf("frame err = %v, page err = %v, want truncation", frameErr, pageErr)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("reading two short streams that claim 200 MiB each allocated %d bytes", grew)
+	}
+
+	big := bytes.Repeat([]byte("0123456789abcdef"), 3*readChunk/16+1)
+	got, err := ReadFrame(bytes.NewReader(AppendFrame(nil, big)), MaxPayload)
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("%d-byte frame: %v, %d bytes back", len(big), err, len(got))
+	}
+}
+
+// TestCellReaderFixedWidth: each fixed-width read returns what the
+// little-endian encoding holds and refuses to run past the payload.
+func TestCellReaderFixedWidth(t *testing.T) {
+	payload := []byte{0xAB}
+	payload = binary.LittleEndian.AppendUint16(payload, 0xBEEF)
+	payload = binary.LittleEndian.AppendUint32(payload, 0xDEADBEEF)
+	payload = binary.LittleEndian.AppendUint64(payload, 1<<63|7)
+	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(-2.5))
+	payload = AppendInt64(payload, -9)
+	c := NewCellReader(payload)
+	b, err1 := c.Byte()
+	u16, err2 := c.Uint16()
+	u32, err3 := c.Uint32()
+	u64, err4 := c.Uint64()
+	f64, err5 := c.Float64()
+	i64, err6 := c.Int64()
+	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
+		t.Fatal(err)
+	}
+	if b != 0xAB || u16 != 0xBEEF || u32 != 0xDEADBEEF || u64 != 1<<63|7 || f64 != -2.5 || i64 != -9 || c.Remaining() != 0 {
+		t.Fatalf("read %#x %#x %#x %#x %v %d, %d bytes left", b, u16, u32, u64, f64, i64, c.Remaining())
+	}
+	for width, read := range map[int]func(*CellReader) error{
+		1: func(c *CellReader) error { _, err := c.Byte(); return err },
+		2: func(c *CellReader) error { _, err := c.Uint16(); return err },
+		4: func(c *CellReader) error { _, err := c.Uint32(); return err },
+		8: func(c *CellReader) error { _, err := c.Uint64(); return err },
+	} {
+		c := NewCellReader(make([]byte, width-1))
+		if err := read(c); !errors.Is(err, ErrPayload) || c.Remaining() != width-1 {
+			t.Fatalf("%d-byte read from %d bytes: err = %v, %d bytes left", width, width-1, err, c.Remaining())
+		}
 	}
 }
 

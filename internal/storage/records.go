@@ -153,107 +153,35 @@ func encodeModelDelete(lsn uint64, name string) []byte {
 	return pagefmt.AppendString(dst, name)
 }
 
-// recReader decodes record bodies with bounds checking on every read.
-type recReader struct{ b []byte }
-
-func (r *recReader) u8() (byte, error) {
-	if len(r.b) < 1 {
-		return 0, ErrRecord
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v, nil
-}
-
-func (r *recReader) u32() (uint32, error) {
-	if len(r.b) < 4 {
-		return 0, ErrRecord
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v, nil
-}
-
-func (r *recReader) u64() (uint64, error) {
-	if len(r.b) < 8 {
-		return 0, ErrRecord
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v, nil
-}
-
-func (r *recReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, ErrRecord
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *recReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
+func readValue(c *pagefmt.CellReader) (db.Value, error) {
+	kind, err := c.Byte()
 	if err != nil {
-		return nil, err
+		return db.Value{}, err
 	}
-	if n > uint64(len(r.b)) {
-		return nil, ErrRecord
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *recReader) str() (string, error) {
-	b, err := r.bytes()
-	return string(b), err
-}
-
-func (r *recReader) value() (db.Value, db.ColumnType, error) {
-	kind, err := r.u8()
-	if err != nil {
-		return db.Value{}, 0, err
-	}
-	typ := db.ColumnType(kind)
 	var v db.Value
-	switch typ {
+	switch db.ColumnType(kind) {
 	case db.Float32Col:
-		bits, err := r.u32()
-		if err != nil {
-			return db.Value{}, 0, err
-		}
-		v.F = math.Float32frombits(bits)
+		v.F, err = c.Float32()
 	case db.Int64Col:
-		u, err := r.u64()
-		if err != nil {
-			return db.Value{}, 0, err
-		}
-		v.I = int64(u)
+		v.I, err = c.Int64()
 	case db.TextCol:
-		s, err := r.str()
-		if err != nil {
-			return db.Value{}, 0, err
-		}
-		v.S = s
+		v.S, err = c.String()
 	case db.BlobCol:
-		b, err := r.bytes()
-		if err != nil {
-			return db.Value{}, 0, err
-		}
+		var b []byte
+		b, err = c.Bytes()
 		v.B = append([]byte(nil), b...)
 	default:
-		return db.Value{}, 0, fmt.Errorf("%w: unknown cell kind %d", ErrRecord, kind)
+		err = fmt.Errorf("unknown cell kind %d", kind)
 	}
-	return v, typ, nil
+	return v, err
 }
 
-func (r *recReader) rows() ([][]db.Value, error) {
-	nrows, err := r.uvarint()
+func readRows(c *pagefmt.CellReader) ([][]db.Value, error) {
+	nrows, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	ncols, err := r.uvarint()
+	ncols, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -263,64 +191,60 @@ func (r *recReader) rows() ([][]db.Value, error) {
 	// Every cell costs at least one kind byte, so the bounds below reject
 	// fabricated counts before any large allocation happens. nrows is capped
 	// first so the product cannot overflow.
-	if ncols == 0 || ncols > 1<<16 || nrows > uint64(len(r.b)) || nrows*ncols > uint64(len(r.b)) {
-		return nil, fmt.Errorf("%w: implausible row block %dx%d in %d bytes", ErrRecord, nrows, ncols, len(r.b))
+	left := uint64(c.Remaining())
+	if ncols == 0 || ncols > 1<<16 || nrows > left || nrows*ncols > left {
+		return nil, fmt.Errorf("implausible row block %dx%d in %d bytes", nrows, ncols, left)
 	}
 	rows := make([][]db.Value, nrows)
 	for ri := range rows {
 		row := make([]db.Value, ncols)
 		for ci := range row {
-			v, _, err := r.value()
-			if err != nil {
+			if row[ci], err = readValue(c); err != nil {
 				return nil, err
 			}
-			row[ci] = v
 		}
 		rows[ri] = row
 	}
 	return rows, nil
 }
 
-func (r *recReader) literal() (db.Literal, error) {
-	flag, err := r.u8()
+func readLiteral(c *pagefmt.CellReader) (db.Literal, error) {
+	flag, err := c.Byte()
 	if err != nil {
 		return db.Literal{}, err
 	}
 	switch flag {
 	case 1:
-		s, err := r.str()
+		s, err := c.String()
 		return db.Literal{IsString: true, S: s}, err
 	case 0:
-		bits, err := r.u64()
-		return db.Literal{N: math.Float64frombits(bits)}, err
+		n, err := c.Float64()
+		return db.Literal{N: n}, err
 	default:
-		return db.Literal{}, fmt.Errorf("%w: bad literal flag %d", ErrRecord, flag)
+		return db.Literal{}, fmt.Errorf("bad literal flag %d", flag)
 	}
 }
 
-func (r *recReader) conditions() ([]db.Condition, error) {
-	n, err := r.uvarint()
+func readConditions(c *pagefmt.CellReader) ([]db.Condition, error) {
+	n, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(r.b)) {
-		return nil, fmt.Errorf("%w: implausible condition count %d", ErrRecord, n)
+	if n > uint64(c.Remaining()) {
+		return nil, fmt.Errorf("implausible condition count %d", n)
 	}
-	out := make([]db.Condition, 0, n)
-	for i := uint64(0); i < n; i++ {
-		col, err := r.str()
-		if err != nil {
+	out := make([]db.Condition, n)
+	for i := range out {
+		cond := &out[i]
+		if cond.Column, err = c.String(); err != nil {
 			return nil, err
 		}
-		op, err := r.str()
-		if err != nil {
+		if cond.Op, err = c.String(); err != nil {
 			return nil, err
 		}
-		lit, err := r.literal()
-		if err != nil {
+		if cond.Value, err = readLiteral(c); err != nil {
 			return nil, err
 		}
-		out = append(out, db.Condition{Column: col, Op: op, Value: lit})
 	}
 	return out, nil
 }
@@ -329,113 +253,116 @@ func (r *recReader) conditions() ([]db.Condition, error) {
 // returns an error wrapping ErrRecord; the function never panics on
 // arbitrary input (FuzzWALReplay's contract).
 func decodeRecord(payload []byte) (*record, error) {
-	r := &recReader{b: payload}
-	lsn, err := r.u64()
+	rec, err := readRecord(pagefmt.NewCellReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrRecord, err)
+	}
+	return rec, nil
+}
+
+func readRecord(c *pagefmt.CellReader) (*record, error) {
+	lsn, err := c.Uint64()
 	if err != nil {
 		return nil, err
 	}
-	kind, err := r.u8()
+	kind, err := c.Byte()
 	if err != nil {
 		return nil, err
 	}
 	rec := &record{lsn: lsn, kind: kind}
 	switch kind {
 	case opCreateTable:
-		if rec.table, err = r.str(); err != nil {
+		if rec.table, err = c.String(); err != nil {
 			return nil, err
 		}
-		ncols, err := r.uvarint()
+		ncols, err := c.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if ncols == 0 || ncols > 1<<16 || ncols*2 > uint64(len(r.b)) {
-			return nil, fmt.Errorf("%w: implausible column count %d", ErrRecord, ncols)
+		if ncols == 0 || ncols > 1<<16 || ncols*2 > uint64(c.Remaining()) {
+			return nil, fmt.Errorf("implausible column count %d", ncols)
 		}
-		rec.cols = make([]db.Column, 0, ncols)
-		for i := uint64(0); i < ncols; i++ {
-			name, err := r.str()
+		rec.cols = make([]db.Column, ncols)
+		for i := range rec.cols {
+			col := &rec.cols[i]
+			if col.Name, err = c.String(); err != nil {
+				return nil, err
+			}
+			typ, err := c.Byte()
 			if err != nil {
 				return nil, err
 			}
-			kindByte, err := r.u8()
-			if err != nil {
-				return nil, err
+			if col.Type = db.ColumnType(typ); col.Type < db.Float32Col || col.Type > db.BlobCol {
+				return nil, fmt.Errorf("unknown column type %d", typ)
 			}
-			typ := db.ColumnType(kindByte)
-			if typ < db.Float32Col || typ > db.BlobCol {
-				return nil, fmt.Errorf("%w: unknown column type %d", ErrRecord, kindByte)
-			}
-			rec.cols = append(rec.cols, db.Column{Name: name, Type: typ})
 		}
-		if rec.rows, err = r.rows(); err != nil {
+		if rec.rows, err = readRows(c); err != nil {
 			return nil, err
 		}
 		for _, row := range rec.rows {
 			if len(row) != len(rec.cols) {
-				return nil, fmt.Errorf("%w: row width %d for %d columns", ErrRecord, len(row), len(rec.cols))
+				return nil, fmt.Errorf("row width %d for %d columns", len(row), len(rec.cols))
 			}
 		}
 	case opInsert:
-		if rec.table, err = r.str(); err != nil {
+		if rec.table, err = c.String(); err != nil {
 			return nil, err
 		}
-		if rec.rows, err = r.rows(); err != nil {
+		if rec.rows, err = readRows(c); err != nil {
 			return nil, err
 		}
 	case opUpdate:
 		st := &db.UpdateStmt{Set: map[string]db.Literal{}}
-		if st.Table, err = r.str(); err != nil {
+		if st.Table, err = c.String(); err != nil {
 			return nil, err
 		}
-		nset, err := r.uvarint()
+		nset, err := c.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if nset > uint64(len(r.b)) {
-			return nil, fmt.Errorf("%w: implausible SET count %d", ErrRecord, nset)
+		if nset > uint64(c.Remaining()) {
+			return nil, fmt.Errorf("implausible SET count %d", nset)
 		}
 		for i := uint64(0); i < nset; i++ {
-			col, err := r.str()
+			col, err := c.String()
 			if err != nil {
 				return nil, err
 			}
-			lit, err := r.literal()
-			if err != nil {
+			if st.Set[col], err = readLiteral(c); err != nil {
 				return nil, err
 			}
-			st.Set[col] = lit
 		}
-		if st.Where, err = r.conditions(); err != nil {
+		if st.Where, err = readConditions(c); err != nil {
 			return nil, err
 		}
 		rec.update = st
 	case opDelete:
 		st := &db.DeleteStmt{}
-		if st.Table, err = r.str(); err != nil {
+		if st.Table, err = c.String(); err != nil {
 			return nil, err
 		}
-		if st.Where, err = r.conditions(); err != nil {
+		if st.Where, err = readConditions(c); err != nil {
 			return nil, err
 		}
 		rec.del = st
 	case opModelStore:
-		if rec.model, err = r.str(); err != nil {
+		if rec.model, err = c.String(); err != nil {
 			return nil, err
 		}
-		blob, err := r.bytes()
+		blob, err := c.Bytes()
 		if err != nil {
 			return nil, err
 		}
 		rec.blob = append([]byte(nil), blob...)
 	case opModelDelete:
-		if rec.model, err = r.str(); err != nil {
+		if rec.model, err = c.String(); err != nil {
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrRecord, kind)
+		return nil, fmt.Errorf("unknown op %d", kind)
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrRecord, len(r.b))
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", c.Remaining())
 	}
 	return rec, nil
 }
