@@ -22,7 +22,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -333,17 +332,9 @@ type sqlResponse struct {
 // admission control lives on /query.
 func (s *server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	fail := func(code int, msg string) { httpapi.WriteJSON(w, code, sqlResponse{Error: msg}) }
-	sql := r.URL.Query().Get("q")
-	if sql == "" && r.Body != nil {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			fail(http.StatusBadRequest, "reading body: "+err.Error())
-			return
-		}
-		sql = strings.TrimSpace(string(body))
-	}
-	if sql == "" {
-		fail(http.StatusBadRequest, "no statement: pass ?q= or a POST body")
+	sql, code, err := httpapi.Statement(w, r, "q")
+	if err != nil {
+		fail(code, err.Error())
 		return
 	}
 	st, err := s.demo.Pipe.Parse(sql)

@@ -351,6 +351,32 @@ func TestSQLEndpoint(t *testing.T) {
 	}
 }
 
+// TestSQLRefusesOverLimitBody: a body over the limit is refused with 413 and
+// nothing of it runs — not even the whole tuples its first MiB happens to end
+// on.
+func TestSQLRefusesOverLimitBody(t *testing.T) {
+	ts, s := startTestServerFaults(t, "")
+	tbl, err := s.demo.Pipe.DB.Table("iris")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tbl.NumRows()
+	const head, tuple = "INSERT INTO iris VALUES ", "(1.0, 2.0, 3.0, 4.0, 1)"
+	fill := httpapi.MaxStatementBytes - len(head) - len(tuple)
+	first := "(1.0" + strings.Repeat("0", fill%len(", "+tuple)) + tuple[4:]
+	sql := head + first + strings.Repeat(", "+tuple, fill/len(", "+tuple))
+	if len(sql) != httpapi.MaxStatementBytes || !strings.HasSuffix(sql, ")") {
+		t.Fatalf("the first %d bytes must be a whole INSERT, got %d bytes", httpapi.MaxStatementBytes, len(sql))
+	}
+	code, sr := postSQL(t, ts.URL, sql+strings.Repeat(", "+tuple, 2))
+	if code != http.StatusRequestEntityTooLarge || sr.OK {
+		t.Fatalf("over-limit INSERT = %d: %+v, want 413", code, sr)
+	}
+	if after := tbl.NumRows(); after != before {
+		t.Fatalf("iris holds %d rows after the refused INSERT, %d before", after, before)
+	}
+}
+
 // TestQueryReportsAttribution: with attribution on, the /query page carries
 // the measured per-stage resource breakdown and the SLO verdict, and the
 // trace download attaches the costs as span args.

@@ -33,10 +33,10 @@ const ModelsTable = "models"
 type Database struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	// js holds the optional durability journal (see journal.go). Guarded by
-	// its own lock, not d.mu, so reading it never interacts with catalog
-	// locking.
-	js journalState
+	// jmu guards the optional durability journal (see journal.go), apart
+	// from mu so that reading it never interacts with catalog locking.
+	jmu     sync.RWMutex
+	journal Journal
 }
 
 // New returns an empty database with the reserved models table created.
@@ -54,25 +54,18 @@ func New() *Database {
 }
 
 // CreateTable registers a new table. Tables arrive pre-populated (e.g. via
-// TableFromDataset), so the journal record carries the initial rows too.
+// TableFromDataset), so the journal record carries the initial rows too,
+// read from the table's typed storage (TableView), not copied into cells.
 func (d *Database) CreateTable(t *Table) error {
-	j := d.journalRef()
-	if j != nil {
-		j.BeginOp()
-		defer j.EndOp()
-	}
+	j := d.beginOp()
+	defer j.EndOp()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, dup := d.tables[t.Name]; dup {
 		return fmt.Errorf("db: table %q already exists", t.Name)
 	}
-	if j != nil {
-		t.rowsMu.RLock()
-		rows := t.rowsLocked()
-		t.rowsMu.RUnlock()
-		if err := j.LogCreateTable(t.Name, t.Columns, rows); err != nil {
-			return fmt.Errorf("%w CREATE TABLE %q: %w", ErrJournal, t.Name, err)
-		}
+	if err := j.LogCreateTable(t.View()); err != nil {
+		return fmt.Errorf("%w CREATE TABLE %q: %w", ErrJournal, t.Name, err)
 	}
 	d.tables[t.Name] = t
 	return nil
@@ -116,11 +109,8 @@ func (d *Database) StoreModelBlob(name string, blob []byte) error {
 	if name == "" {
 		return fmt.Errorf("db: model needs a name")
 	}
-	j := d.journalRef()
-	if j != nil {
-		j.BeginOp()
-		defer j.EndOp()
-	}
+	j := d.beginOp()
+	defer j.EndOp()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t := d.tables[ModelsTable]
@@ -133,10 +123,8 @@ func (d *Database) StoreModelBlob(name string, blob []byte) error {
 			}
 		}
 	}
-	if j != nil {
-		if err := j.LogModelStore(name, blob); err != nil {
-			return fmt.Errorf("%w model %q: %w", ErrJournal, name, err)
-		}
+	if err := j.LogModelStore(name, blob); err != nil {
+		return fmt.Errorf("%w model %q: %w", ErrJournal, name, err)
 	}
 	t.appendLocked([][]Value{{Text(name), Blob(blob)}})
 	return nil
@@ -146,11 +134,8 @@ func (d *Database) StoreModelBlob(name string, blob []byte) error {
 // under the same name) changes the blob checksum, which is what downstream
 // compiled-model caches key invalidation on.
 func (d *Database) DeleteModel(name string) error {
-	j := d.journalRef()
-	if j != nil {
-		j.BeginOp()
-		defer j.EndOp()
-	}
+	j := d.beginOp()
+	defer j.EndOp()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t := d.tables[ModelsTable]
@@ -159,10 +144,8 @@ func (d *Database) DeleteModel(name string) error {
 	nameIdx := t.ColumnIndex("name")
 	for r := 0; r < t.numRowsLocked(); r++ {
 		if t.cellLocked(r, nameIdx).S == name {
-			if j != nil {
-				if err := j.LogModelDelete(name); err != nil {
-					return fmt.Errorf("%w model delete %q: %w", ErrJournal, name, err)
-				}
+			if err := j.LogModelDelete(name); err != nil {
+				return fmt.Errorf("%w model delete %q: %w", ErrJournal, name, err)
 			}
 			t.dropRowsLocked([]int{r})
 			return nil

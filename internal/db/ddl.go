@@ -195,17 +195,12 @@ func (d *Database) InsertRows(st *InsertStmt) (int, error) {
 		}
 		rows[ri] = row
 	}
-	j := d.journalRef()
-	if j != nil {
-		j.BeginOp()
-		defer j.EndOp()
-	}
+	j := d.beginOp()
+	defer j.EndOp()
 	t.rowsMu.Lock()
 	defer t.rowsMu.Unlock()
-	if j != nil {
-		if err := j.LogInsert(st.Table, t.Columns, rows); err != nil {
-			return 0, fmt.Errorf("%w INSERT into %q: %w", ErrJournal, st.Table, err)
-		}
+	if err := j.LogInsert(st.Table, t.Columns, rows); err != nil {
+		return 0, fmt.Errorf("%w INSERT into %q: %w", ErrJournal, st.Table, err)
 	}
 	t.appendLocked(rows)
 	return len(rows), nil
@@ -473,11 +468,8 @@ func (d *Database) Delete(st *DeleteStmt) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	j := d.journalRef()
-	if j != nil {
-		j.BeginOp()
-		defer j.EndOp()
-	}
+	j := d.beginOp()
+	defer j.EndOp()
 	t.rowsMu.Lock()
 	defer t.rowsMu.Unlock()
 	victims, err := d.matchRows(t, st.Where)
@@ -490,10 +482,8 @@ func (d *Database) Delete(st *DeleteStmt) (int, error) {
 	// Logical logging: replay re-runs the DELETE against the identical
 	// pre-state, so it removes exactly these rows. No-op deletes (above)
 	// never reach the WAL.
-	if j != nil {
-		if err := j.LogDelete(st); err != nil {
-			return 0, fmt.Errorf("%w DELETE from %q: %w", ErrJournal, st.Table, err)
-		}
+	if err := j.LogDelete(st); err != nil {
+		return 0, fmt.Errorf("%w DELETE from %q: %w", ErrJournal, st.Table, err)
 	}
 	t.dropRowsLocked(victims)
 	return len(victims), nil
@@ -506,11 +496,8 @@ func (d *Database) Update(st *UpdateStmt) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	j := d.journalRef()
-	if j != nil {
-		j.BeginOp()
-		defer j.EndOp()
-	}
+	j := d.beginOp()
+	defer j.EndOp()
 	t.rowsMu.Lock()
 	defer t.rowsMu.Unlock()
 	set := make(map[int]Value, len(st.Set))
@@ -533,10 +520,8 @@ func (d *Database) Update(st *UpdateStmt) (int, error) {
 		return 0, nil
 	}
 	// Logical logging, same contract as Delete.
-	if j != nil {
-		if err := j.LogUpdate(st); err != nil {
-			return 0, fmt.Errorf("%w UPDATE %q: %w", ErrJournal, st.Table, err)
-		}
+	if err := j.LogUpdate(st); err != nil {
+		return 0, fmt.Errorf("%w UPDATE %q: %w", ErrJournal, st.Table, err)
 	}
 	t.assignLocked(rows, set)
 	return len(rows), nil

@@ -1,7 +1,5 @@
 package db
 
-import "sync"
-
 // Journal receives every catalog/data mutation before it is applied, so a
 // storage engine can make the database durable without the db package
 // importing it (internal/storage implements Journal and imports db, not the
@@ -16,14 +14,14 @@ import "sync"
 // while writing a compaction snapshot); they must be cheap and may block.
 //
 // Log methods receive plain data (names, schemas, row values, logical
-// statements), never live *Table internals, so implementations need no
-// knowledge of db locking.
+// statements, a TableView whose vectors no writer touches), never a live
+// *Table, so implementations need no knowledge of db locking.
 type Journal interface {
 	BeginOp()
 	EndOp()
 	// LogCreateTable records a new table with its initial rows (seeding via
 	// TableFromDataset registers pre-populated tables).
-	LogCreateTable(name string, cols []Column, rows [][]Value) error
+	LogCreateTable(v TableView) error
 	// LogInsert records rows appended to an existing table. The schema is
 	// passed along so the implementation never needs a catalog lookup (the
 	// caller holds the table's write lock; touching d.mu here could
@@ -41,27 +39,36 @@ type Journal interface {
 	LogModelDelete(name string) error
 }
 
-// journalState holds the attached journal behind its own small lock so
-// mutation paths can read it without involving d.mu.
-type journalState struct {
-	mu sync.RWMutex
-	j  Journal
-}
+// nopJournal stands in while no journal is attached: every Log succeeds.
+type nopJournal struct{}
 
-func (s *journalState) get() Journal {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.j
-}
+func (nopJournal) BeginOp()                                    {}
+func (nopJournal) EndOp()                                      {}
+func (nopJournal) LogCreateTable(TableView) error              { return nil }
+func (nopJournal) LogInsert(string, []Column, [][]Value) error { return nil }
+func (nopJournal) LogUpdate(*UpdateStmt) error                 { return nil }
+func (nopJournal) LogDelete(*DeleteStmt) error                 { return nil }
+func (nopJournal) LogModelStore(string, []byte) error          { return nil }
+func (nopJournal) LogModelDelete(string) error                 { return nil }
 
 // SetJournal attaches (or, with nil, detaches) the database's journal.
 // Attach before the database is reachable by writers: mutations in flight
 // during the swap may miss the new journal.
 func (d *Database) SetJournal(j Journal) {
-	d.js.mu.Lock()
-	d.js.j = j
-	d.js.mu.Unlock()
+	d.jmu.Lock()
+	d.journal = j
+	d.jmu.Unlock()
 }
 
-// journalRef returns the attached journal, or nil.
-func (d *Database) journalRef() Journal { return d.js.get() }
+// beginOp opens a mutation's bracket on the attached journal (a nopJournal
+// when there is none) and returns it for the mutation's Log call and EndOp.
+func (d *Database) beginOp() Journal {
+	d.jmu.RLock()
+	j := d.journal
+	d.jmu.RUnlock()
+	if j == nil {
+		j = nopJournal{}
+	}
+	j.BeginOp()
+	return j
+}

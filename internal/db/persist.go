@@ -50,20 +50,6 @@ var (
 	ErrSnapshotCorrupt = errors.New("db: corrupt snapshot")
 )
 
-// colType maps a schema column type to its page encoding.
-func colType(t ColumnType) pagefmt.ColType {
-	switch t {
-	case Float32Col:
-		return pagefmt.Float32
-	case Int64Col:
-		return pagefmt.Int64
-	case TextCol:
-		return pagefmt.Text
-	default:
-		return pagefmt.Blob
-	}
-}
-
 // Save writes the whole database (tables and stored models) to w in the
 // binary column-page format. Data streams page by page under each table's
 // read lock — memory use is bounded by one page buffer, not by the database
@@ -135,7 +121,7 @@ func (t *Table) savePages(w io.Writer, b *pagefmt.Builder, pageBuf *[]byte) erro
 	}
 	width := len(t.realNames)
 	for ci, col := range t.Columns {
-		b.Reset(colType(col.Type), uint32(ci), version, pagefmt.DefaultPayload, emit)
+		b.Reset(pagefmt.ColType(col.Type), uint32(ci), version, pagefmt.DefaultPayload, emit)
 		c := &t.cols[ci]
 		var err error
 		for r := 0; r < rows && err == nil; r++ {
@@ -143,11 +129,11 @@ func (t *Table) savePages(w io.Writer, b *pagefmt.Builder, pageBuf *[]byte) erro
 			case Float32Col:
 				err = b.AddFloat32(t.block[r*width+c.pos])
 			case Int64Col:
-				err = b.AddInt64(c.ints[r])
+				err = b.AddInt64(c.Ints[r])
 			case TextCol:
-				err = b.AddString(c.texts[r])
+				err = b.AddString(c.Texts[r])
 			default:
-				err = b.AddBytes(c.blobs[r])
+				err = b.AddBytes(c.Blobs[r])
 			}
 		}
 		if err == nil {
@@ -296,17 +282,17 @@ func loadTable(r io.Reader) (*Table, error) {
 // that, vectors grow as pages really arrive. The block grows by whole rows
 // under the first REAL column's pages; later REAL columns scatter into it.
 func (t *Table) loadColumnPages(r io.Reader, ci int, rows uint64) error {
-	typ, c, w := colType(t.Columns[ci].Type), &t.cols[ci], len(t.realNames)
+	typ, c, w := pagefmt.ColType(t.Columns[ci].Type), &t.cols[ci], len(t.realNames)
 	hint := int(min(rows, 1<<20))
 	switch typ {
 	case pagefmt.Float32:
 		t.block = slices.Grow(t.block, max(0, hint*w-len(t.block)))
 	case pagefmt.Int64:
-		c.ints = make([]int64, 0, hint)
+		c.Ints = make([]int64, 0, hint)
 	case pagefmt.Text:
-		c.texts = make([]string, 0, hint)
+		c.Texts = make([]string, 0, hint)
 	default:
-		c.blobs = make([][]byte, 0, hint)
+		c.Blobs = make([][]byte, 0, hint)
 	}
 	var got uint64
 	for got < rows {
@@ -336,15 +322,15 @@ func (t *Table) loadColumnPages(r io.Reader, ci int, rows uint64) error {
 			case pagefmt.Int64:
 				var v int64
 				v, cellErr = cr.Int64()
-				c.ints = append(c.ints, v)
+				c.Ints = append(c.Ints, v)
 			case pagefmt.Text:
 				var v string
 				v, cellErr = cr.String()
-				c.texts = append(c.texts, v)
+				c.Texts = append(c.Texts, v)
 			default:
 				var v []byte
 				v, cellErr = cr.Bytes()
-				c.blobs = append(c.blobs, slices.Clone(v))
+				c.Blobs = append(c.Blobs, slices.Clone(v))
 			}
 			if cellErr != nil {
 				return cellErr

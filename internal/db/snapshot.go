@@ -132,7 +132,7 @@ func (t *Table) NumericColumnPrefix(name string, limit int) ([]float64, error) {
 		if typ == Float32Col {
 			out[r] = float64(t.block[r*w+c.pos])
 		} else {
-			out[r] = float64(c.ints[r])
+			out[r] = float64(c.Ints[r])
 		}
 	}
 	return out, nil

@@ -243,3 +243,108 @@ func viewUnderWrites(t *testing.T, features []string, cols []int, view bool) {
 		t.Fatalf("two calls on an unchanged table share memory: %v, want %v", shared, view)
 	}
 }
+
+// TestViewIsOneStateUnderWrites: a TableView taken while INSERT, UPDATE and
+// DELETE run is rows [0, Rows) of one table state, and stays that state after
+// the writers finish — what lets CreateTable's journal encode it outside the
+// lock. Each state is recorded cell by cell through Rows.
+func TestViewIsOneStateUnderWrites(t *testing.T) {
+	const baseRows, stmts, views = 100, 90, 200
+	d := db.New()
+	tbl, err := db.NewTable("obs", []db.Column{
+		{Name: "id", Type: db.Float32Col},
+		{Name: "n", Type: db.Int64Col},
+		{Name: "tag", Type: db.TextCol},
+		{Name: "x", Type: db.Float32Col},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < baseRows; i++ {
+		if err := tbl.Insert([]db.Value{db.Float(float32(i)), db.Int(int64(i)), db.Text("b"), db.Float(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CreateTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	// cells flattens a view's rows in schema order.
+	cells := func(v db.TableView) []string {
+		var out []string
+		block := v.Block
+		for r := range v.Rows {
+			for ci, col := range v.Columns {
+				switch col.Type {
+				case db.Float32Col:
+					out = append(out, fmt.Sprint(math.Float32bits(block[0])))
+					block = block[1:]
+				case db.Int64Col:
+					out = append(out, fmt.Sprint(v.Cells[ci].Ints[r]))
+				default:
+					out = append(out, v.Cells[ci].Texts[r])
+				}
+			}
+		}
+		return out
+	}
+	var stateMu sync.Mutex
+	var states [][]string
+	record := func() {
+		var x []string
+		for _, row := range tbl.Rows() {
+			x = append(x, fmt.Sprint(math.Float32bits(row[0].F)), fmt.Sprint(row[1].I), row[2].S, fmt.Sprint(math.Float32bits(row[3].F)))
+		}
+		states = append(states, x)
+	}
+	record()
+
+	var wg sync.WaitGroup
+	errCh := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= stmts; i++ {
+			stmt := fmt.Sprintf("UPDATE obs SET x = %d, tag = 'u%d' WHERE id >= %d", i, i, i%5)
+			switch i % 3 {
+			case 1:
+				stmt = fmt.Sprintf("INSERT INTO obs VALUES (%d, %d, 'i%d', 0)", baseRows+i, i, i)
+			case 2:
+				stmt = fmt.Sprintf("DELETE FROM obs WHERE id = %d", i)
+			}
+			stateMu.Lock()
+			_, _, err := d.Query(stmt)
+			record()
+			stateMu.Unlock()
+			if err != nil {
+				errCh <- fmt.Errorf("%s: %w", stmt, err)
+				return
+			}
+		}
+	}()
+	type taken struct {
+		v     db.TableView
+		cells []string
+	}
+	var got []taken
+	for i := 0; i < views; i++ {
+		v := tbl.View()
+		if len(v.Block) != 2*v.Rows || len(v.Cells[1].Ints) != v.Rows || len(v.Cells[2].Texts) != v.Rows {
+			t.Fatalf("view %d: %d rows but a %d-float block, %d ints, %d texts",
+				i, v.Rows, len(v.Block), len(v.Cells[1].Ints), len(v.Cells[2].Texts))
+		}
+		got = append(got, taken{v, cells(v)})
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	for i, g := range got {
+		if !slices.Equal(cells(g.v), g.cells) {
+			t.Fatalf("view %d changed after it was taken", i)
+		}
+		if !slices.ContainsFunc(states, func(s []string) bool { return slices.Equal(s, g.cells) }) {
+			t.Fatalf("view %d (%d rows) is not any single table state", i, g.v.Rows)
+		}
+	}
+}

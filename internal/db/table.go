@@ -13,8 +13,9 @@
 // traverses, so a scoring query reads a view of the block, not a conversion
 // of it (snapshot.go). BIGINT, NVARCHAR and VARBINARY columns are []int64,
 // []string and [][]byte vectors. Value is the cell type of the API boundary
-// (Insert, AppendRows, Cell, Rows, the WAL, the parser); it is built there
-// and never stored.
+// (Insert, AppendRows, Cell, Rows, INSERT's WAL record, the parser); it is
+// built there and never stored. CREATE TABLE's WAL record is written from a
+// TableView of the vectors themselves.
 package db
 
 import (
@@ -95,9 +96,9 @@ func Blob(b []byte) Value { return Value{B: b} }
 // needs no lock.
 //
 // The never-rewritten invariant: an element of an installed vector (block, or
-// a column's ints/texts/blobs) is written once, when a row is appended, and
-// never again. DatasetSnapshotFor hands out slices of the block that outlive
-// the lock, and this is what makes them snapshots. Appends uphold it by
+// a column's Ints/Texts/Blobs) is written once, when a row is appended, and
+// never again. DatasetSnapshotFor and View hand out slices of the vectors that
+// outlive the lock, and this is what makes them snapshots. Appends uphold it by
 // construction — an in-place append writes only beyond every outstanding
 // slice's length, a growing one leaves the old array to its readers — and
 // the two mutations that are not appends, assignLocked (UPDATE) and
@@ -125,10 +126,37 @@ type Table struct {
 // own: its cells are at offset pos of each block row. Any other column uses
 // the one vector of its type.
 type column struct {
-	pos   int
-	ints  []int64
-	texts []string
-	blobs [][]byte
+	pos int
+	Cells
+}
+
+// Cells is a non-REAL column's vector: the one field of its type is set.
+type Cells struct {
+	Ints  []int64
+	Texts []string
+	Blobs [][]byte
+}
+
+// TableView is a table's typed storage at one instant, sliced under the read
+// lock. By the never-rewritten invariant its slices stay valid, unchanged,
+// after the lock is released. Readers must not write through them.
+type TableView struct {
+	Name    string
+	Columns []Column
+	Rows    int
+	Block   []float32 // the REAL cells, row-major, a row's in schema order
+	Cells   []Cells   // column i's vector, empty for a REAL column
+}
+
+// View returns the table's current TableView. It copies no cell.
+func (t *Table) View() TableView {
+	t.rowsMu.RLock()
+	defer t.rowsMu.RUnlock()
+	v := TableView{Name: t.Name, Columns: t.Columns, Rows: t.rows, Block: t.block, Cells: make([]Cells, len(t.cols))}
+	for i, c := range t.cols {
+		v.Cells[i] = c.Cells
+	}
+	return v
 }
 
 // NewTable creates an empty table with the given schema.
@@ -227,11 +255,11 @@ func (t *Table) appendLocked(rows [][]Value) {
 			case Float32Col:
 				t.block = append(t.block, row[ci].F)
 			case Int64Col:
-				c.ints = append(c.ints, row[ci].I)
+				c.Ints = append(c.Ints, row[ci].I)
 			case TextCol:
-				c.texts = append(c.texts, row[ci].S)
+				c.Texts = append(c.Texts, row[ci].S)
 			default:
-				c.blobs = append(c.blobs, row[ci].B)
+				c.Blobs = append(c.Blobs, row[ci].B)
 			}
 		}
 	}
@@ -252,11 +280,11 @@ func (t *Table) AppendIntRows(vals []int) error {
 	}
 	t.rowsMu.Lock()
 	defer t.rowsMu.Unlock()
-	ints := slices.Grow(t.cols[0].ints, len(vals))
+	ints := slices.Grow(t.cols[0].Ints, len(vals))
 	for _, v := range vals {
 		ints = append(ints, int64(v))
 	}
-	t.cols[0].ints = ints
+	t.cols[0].Ints = ints
 	t.rows += len(vals)
 	t.bumpVersion()
 	return nil
@@ -279,14 +307,14 @@ func (t *Table) assignLocked(rows []int, set map[int]Value) {
 				t.block[r*w+c.pos] = v.F
 			}
 		case Int64Col:
-			c.ints = slices.Clone(c.ints)
+			c.Ints = slices.Clone(c.Ints)
 			for _, r := range rows {
-				c.ints[r] = v.I
+				c.Ints[r] = v.I
 			}
 		case TextCol:
-			c.texts = slices.Clone(c.texts)
+			c.Texts = slices.Clone(c.Texts)
 			for _, r := range rows {
-				c.texts[r] = v.S
+				c.Texts[r] = v.S
 			}
 		}
 	}
@@ -304,11 +332,11 @@ func (t *Table) dropRowsLocked(drop []int) {
 		c := &t.cols[ci]
 		switch t.Columns[ci].Type {
 		case Int64Col:
-			c.ints = without(c.ints, drop, 1)
+			c.Ints = without(c.Ints, drop, 1)
 		case TextCol:
-			c.texts = without(c.texts, drop, 1)
+			c.Texts = without(c.Texts, drop, 1)
 		case BlobCol:
-			c.blobs = without(c.blobs, drop, 1)
+			c.Blobs = without(c.Blobs, drop, 1)
 		}
 	}
 	t.rows -= len(drop)
@@ -341,11 +369,11 @@ func (t *Table) cellLocked(row, col int) Value {
 	case Float32Col:
 		return Value{F: t.block[row*len(t.realNames)+c.pos]}
 	case Int64Col:
-		return Value{I: c.ints[row]}
+		return Value{I: c.Ints[row]}
 	case TextCol:
-		return Value{S: c.texts[row]}
+		return Value{S: c.Texts[row]}
 	default:
-		return Value{B: c.blobs[row]}
+		return Value{B: c.Blobs[row]}
 	}
 }
 
@@ -353,11 +381,6 @@ func (t *Table) cellLocked(row, col int) Value {
 func (t *Table) Rows() [][]Value {
 	t.rowsMu.RLock()
 	defer t.rowsMu.RUnlock()
-	return t.rowsLocked()
-}
-
-// rowsLocked is Rows for callers already holding rowsMu.
-func (t *Table) rowsLocked() [][]Value {
 	nc := len(t.Columns)
 	out := make([][]Value, t.rows)
 	cells := make([]Value, t.rows*nc)
@@ -398,7 +421,7 @@ func TableFromDataset(name string, d *dataset.Dataset) (*Table, error) {
 		for i, y := range d.Y {
 			labels[i] = int64(y)
 		}
-		t.cols[len(cols)-1].ints = labels
+		t.cols[len(cols)-1].Ints = labels
 	}
 	t.bumpVersion()
 	return t, nil
@@ -417,7 +440,7 @@ func DatasetFromTable(t *Table) (*dataset.Dataset, error) {
 	if ci := t.ColumnIndex("label"); ci >= 0 && t.Columns[ci].Type == Int64Col {
 		maxLabel := -1
 		d.Y = make([]int, t.rows)
-		for r, y := range t.cols[ci].ints {
+		for r, y := range t.cols[ci].Ints {
 			d.Y[r] = int(y)
 			maxLabel = max(maxLabel, int(y))
 		}

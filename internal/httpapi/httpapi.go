@@ -221,6 +221,31 @@ func renderQueries(t *obs.Tracer) string {
 	return sb.String()
 }
 
+// MaxStatementBytes bounds the body of a statement request (/sql, /query).
+const MaxStatementBytes = 1 << 20
+
+// Statement returns a statement request's text: the query parameter param,
+// else the trimmed body. On an error it also returns the status to answer:
+// 413 for a body over MaxStatementBytes, which is refused, never run cut
+// short; 400 for any other read error or no statement at all.
+func Statement(w http.ResponseWriter, r *http.Request, param string) (string, int, error) {
+	if sql := r.URL.Query().Get(param); sql != "" {
+		return sql, http.StatusOK, nil
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxStatementBytes))
+	var tooBig *http.MaxBytesError
+	switch sql := strings.TrimSpace(string(body)); {
+	case errors.As(err, &tooBig):
+		return "", http.StatusRequestEntityTooLarge, fmt.Errorf("reading body: %w", err)
+	case err != nil:
+		return "", http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
+	case sql == "":
+		return "", http.StatusBadRequest, fmt.Errorf("no statement: pass ?%s= or a POST body", param)
+	default:
+		return sql, http.StatusOK, nil
+	}
+}
+
 // WriteJSON answers with v as JSON under the given status.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -3,10 +3,8 @@ package router
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"accelscore/internal/httpapi"
@@ -63,17 +61,9 @@ type handler struct {
 // handleQuery routes one scoring statement from ?sql= (GET) or the request
 // body (POST). ?tenant= engages tenant-affine routing.
 func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sql := r.URL.Query().Get("sql")
-	if sql == "" && r.Body != nil {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			httpapi.WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "reading body: " + err.Error()})
-			return
-		}
-		sql = strings.TrimSpace(string(body))
-	}
-	if sql == "" {
-		httpapi.WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "no statement: pass ?sql= or a POST body"})
+	sql, code, err := httpapi.Statement(w, r, "sql")
+	if err != nil {
+		httpapi.WriteJSON(w, code, QueryResponse{Error: err.Error()})
 		return
 	}
 	ctx := r.Context()

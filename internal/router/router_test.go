@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"accelscore/internal/dataset"
 	"accelscore/internal/db"
 	"accelscore/internal/forest"
+	"accelscore/internal/httpapi"
 	"accelscore/internal/hw"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
@@ -366,6 +368,28 @@ func TestRouterWarmFanOut(t *testing.T) {
 	}
 	if !res.CacheHit {
 		t.Fatal("warmed shards missed the model cache")
+	}
+}
+
+// TestRouterHandlerRefusesOverLimitBody: a statement body over the limit is
+// refused with 413, not cut at the limit and run.
+func TestRouterHandlerRefusesOverLimitBody(t *testing.T) {
+	r, _ := newLocalRouter(t, 2, 200, router.Config{Obs: obs.NewObserver()})
+	srv := httptest.NewServer(router.Handler(r))
+	defer srv.Close()
+	// The first MiB is the statement and blanks, which would score if run.
+	body := plainSQL + strings.Repeat(" ", httpapi.MaxStatementBytes)
+	resp, err := srv.Client().Post(srv.URL+"/query", "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var qr router.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || qr.OK {
+		t.Fatalf("over-limit body: HTTP %d, ok=%v err=%q; want 413", resp.StatusCode, qr.OK, qr.Error)
 	}
 }
 

@@ -8,6 +8,19 @@ import (
 	"accelscore/internal/storage/pagefmt"
 )
 
+// tableView builds a table holding rows and returns its view, the input of
+// the CREATE TABLE encoder.
+func tableView(name string, cols []db.Column, rows [][]db.Value) db.TableView {
+	tbl, err := db.NewTable(name, cols)
+	if err == nil {
+		err = tbl.AppendRows(rows)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return tbl.View()
+}
+
 // validWALBytes builds a log containing every record kind, for fuzz seeds.
 func validWALBytes() []byte {
 	cols := []db.Column{
@@ -21,7 +34,7 @@ func validWALBytes() []byte {
 		{db.Float(2.5), db.Int(42), db.Text(""), db.Blob(nil)},
 	}
 	var out []byte
-	out = pagefmt.AppendFrame(out, encodeCreateTable(1, "t", cols, rows))
+	out = pagefmt.AppendFrame(out, encodeCreateTable(1, tableView("t", cols, rows)))
 	out = pagefmt.AppendFrame(out, encodeInsert(2, "t", cols, rows[:1]))
 	out = pagefmt.AppendFrame(out, encodeUpdate(3, &db.UpdateStmt{
 		Table: "t",

@@ -314,7 +314,7 @@ func walPayloads(t *testing.T, log []byte) [][]byte {
 func encodeRecord(rec *record, insertCols []db.Column) []byte {
 	switch rec.kind {
 	case opCreateTable:
-		return encodeCreateTable(rec.lsn, rec.table, rec.cols, rec.rows)
+		return encodeCreateTable(rec.lsn, tableView(rec.table, rec.cols, rec.rows))
 	case opInsert:
 		return encodeInsert(rec.lsn, rec.table, insertCols, rec.rows)
 	case opUpdate:

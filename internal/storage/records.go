@@ -57,19 +57,20 @@ func appendRecordHeader(dst []byte, lsn uint64, op byte) []byte {
 	return append(dst, op)
 }
 
-func appendValue(dst []byte, v db.Value, typ db.ColumnType) []byte {
-	dst = append(dst, byte(typ))
-	switch typ {
-	case db.Float32Col:
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v.F))
-	case db.Int64Col:
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
-	case db.TextCol:
-		dst = pagefmt.AppendString(dst, v.S)
-	default:
-		dst = pagefmt.AppendBytes(dst, v.B)
-	}
-	return dst
+// A cell is spelled as its kind byte (the column type), then the cell as a
+// column page stores it. INSERT's Value rows and CREATE TABLE's typed vectors
+// are both written through these four.
+func appendFloatCell(dst []byte, f float32) []byte {
+	return pagefmt.AppendFloat32(append(dst, byte(db.Float32Col)), f)
+}
+func appendIntCell(dst []byte, i int64) []byte {
+	return pagefmt.AppendInt64(append(dst, byte(db.Int64Col)), i)
+}
+func appendTextCell(dst []byte, s string) []byte {
+	return pagefmt.AppendString(append(dst, byte(db.TextCol)), s)
+}
+func appendBlobCell(dst, b []byte) []byte {
+	return pagefmt.AppendBytes(append(dst, byte(db.BlobCol)), b)
 }
 
 func appendRows(dst []byte, cols []db.Column, rows [][]db.Value) []byte {
@@ -77,7 +78,39 @@ func appendRows(dst []byte, cols []db.Column, rows [][]db.Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(cols)))
 	for _, row := range rows {
 		for ci, v := range row {
-			dst = appendValue(dst, v, cols[ci].Type)
+			switch cols[ci].Type {
+			case db.Float32Col:
+				dst = appendFloatCell(dst, v.F)
+			case db.Int64Col:
+				dst = appendIntCell(dst, v.I)
+			case db.TextCol:
+				dst = appendTextCell(dst, v.S)
+			default:
+				dst = appendBlobCell(dst, v.B)
+			}
+		}
+	}
+	return dst
+}
+
+// appendTableRows is appendRows read straight from a table's typed vectors:
+// a row's REAL cells are the next ones of the row-major block.
+func appendTableRows(dst []byte, v db.TableView) []byte {
+	dst = binary.AppendUvarint(dst, uint64(v.Rows))
+	dst = binary.AppendUvarint(dst, uint64(len(v.Columns)))
+	block := v.Block
+	for r := range v.Rows {
+		for ci, col := range v.Columns {
+			switch c := &v.Cells[ci]; col.Type {
+			case db.Float32Col:
+				dst, block = appendFloatCell(dst, block[0]), block[1:]
+			case db.Int64Col:
+				dst = appendIntCell(dst, c.Ints[r])
+			case db.TextCol:
+				dst = appendTextCell(dst, c.Texts[r])
+			default:
+				dst = appendBlobCell(dst, c.Blobs[r])
+			}
 		}
 	}
 	return dst
@@ -102,15 +135,18 @@ func appendConditions(dst []byte, conds []db.Condition) []byte {
 	return dst
 }
 
-func encodeCreateTable(lsn uint64, name string, cols []db.Column, rows [][]db.Value) []byte {
-	dst := appendRecordHeader(nil, lsn, opCreateTable)
-	dst = pagefmt.AppendString(dst, name)
-	dst = binary.AppendUvarint(dst, uint64(len(cols)))
-	for _, c := range cols {
-		dst = pagefmt.AppendString(dst, c.Name)
-		dst = append(dst, byte(c.Type))
+func encodeCreateTable(lsn uint64, v db.TableView) []byte {
+	hdr := appendRecordHeader(nil, lsn, opCreateTable)
+	hdr = pagefmt.AppendString(hdr, v.Name)
+	hdr = binary.AppendUvarint(hdr, uint64(len(v.Columns)))
+	for _, c := range v.Columns {
+		hdr = pagefmt.AppendString(hdr, c.Name)
+		hdr = append(hdr, byte(c.Type))
 	}
-	return appendRows(dst, cols, rows)
+	// One allocation: a REAL cell takes 5 bytes, a BIGINT one 9, and a TEXT
+	// or BLOB one is guessed at 9.
+	cells := 2*binary.MaxVarintLen64 + 5*len(v.Block) + 9*(v.Rows*len(v.Columns)-len(v.Block))
+	return appendTableRows(append(make([]byte, 0, len(hdr)+cells), hdr...), v)
 }
 
 func encodeInsert(lsn uint64, table string, cols []db.Column, rows [][]db.Value) []byte {

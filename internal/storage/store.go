@@ -142,34 +142,33 @@ func Open(cfg Config) (*Store, *db.Database, error) {
 	info.SnapshotLoaded = loaded
 	info.SnapshotLSN = snapLSN
 
-	var m walMetrics
-	var replayRecords, replaySkipped, replayDropped, compactions *obs.Counter
-	var snapBytes, lastLSNGauge *obs.Gauge
-	if cfg.Metrics != nil {
-		m = walMetrics{
-			appends:  cfg.Metrics.Counter(MetricWALAppendsTotal, "WAL records appended."),
-			bytes:    cfg.Metrics.Counter(MetricWALBytesTotal, "WAL bytes appended."),
-			fsyncs:   cfg.Metrics.Counter(MetricWALFsyncsTotal, "WAL fsync calls."),
-			fsyncDur: cfg.Metrics.Histogram(MetricWALFsyncSeconds, "WAL fsync duration.", fsyncBuckets),
-			size:     cfg.Metrics.Gauge(MetricWALSizeBytes, "Current WAL file size."),
-		}
-		replayRecords = cfg.Metrics.Counter(MetricReplayRecordsTotal, "WAL records replayed at boot.")
-		replaySkipped = cfg.Metrics.Counter(MetricReplaySkippedTotal,
-			"Valid WAL records skipped at boot because the snapshot already covered them.")
-		replayDropped = cfg.Metrics.Counter(MetricReplayDroppedBytes, "Torn-tail WAL bytes dropped at boot.")
-		compactions = cfg.Metrics.Counter(MetricCompactionsTotal, "Compaction snapshots written.")
-		snapBytes = cfg.Metrics.Gauge(MetricSnapshotBytes, "Size of the last compaction snapshot.")
-		lastLSNGauge = cfg.Metrics.Gauge(MetricLastLSN, "Highest LSN assigned by the store.")
+	// Without a caller's registry the store meters into a private one, so
+	// every metric below is always there to update.
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	m := walMetrics{
+		appends:  reg.Counter(MetricWALAppendsTotal, "WAL records appended."),
+		bytes:    reg.Counter(MetricWALBytesTotal, "WAL bytes appended."),
+		fsyncs:   reg.Counter(MetricWALFsyncsTotal, "WAL fsync calls."),
+		fsyncDur: reg.Histogram(MetricWALFsyncSeconds, "WAL fsync duration.", fsyncBuckets),
+		size:     reg.Gauge(MetricWALSizeBytes, "Current WAL file size."),
+	}
+	replayRecords := reg.Counter(MetricReplayRecordsTotal, "WAL records replayed at boot.")
+	replaySkipped := reg.Counter(MetricReplaySkippedTotal,
+		"Valid WAL records skipped at boot because the snapshot already covered them.")
+	replayDropped := reg.Counter(MetricReplayDroppedBytes, "Torn-tail WAL bytes dropped at boot.")
+	compactions := reg.Counter(MetricCompactionsTotal, "Compaction snapshots written.")
+	snapBytes := reg.Gauge(MetricSnapshotBytes, "Size of the last compaction snapshot.")
+	lastLSNGauge := reg.Gauge(MetricLastLSN, "Highest LSN assigned by the store.")
 
 	w, records, dropped, err := openWAL(filepath.Join(cfg.Dir, walFile), cfg.Sync, m)
 	if err != nil {
 		return nil, nil, err
 	}
 	info.DroppedWALBytes = dropped
-	if replayDropped != nil && dropped > 0 {
-		replayDropped.Add(float64(dropped))
-	}
+	replayDropped.Add(float64(dropped))
 
 	lastLSN := snapLSN
 	for _, rec := range records {
@@ -184,21 +183,10 @@ func Open(cfg Config) (*Store, *db.Database, error) {
 		info.ReplayedRecords++
 		lastLSN = rec.lsn
 	}
-	if len(records) > 0 {
-		if tail := records[len(records)-1].lsn; tail > lastLSN {
-			lastLSN = tail
-		}
-	}
 	info.LastLSN = lastLSN
-	if replayRecords != nil && info.ReplayedRecords > 0 {
-		replayRecords.Add(float64(info.ReplayedRecords))
-	}
-	if replaySkipped != nil && info.SkippedRecords > 0 {
-		replaySkipped.Add(float64(info.SkippedRecords))
-	}
-	if lastLSNGauge != nil {
-		lastLSNGauge.Set(float64(lastLSN))
-	}
+	replayRecords.Add(float64(info.ReplayedRecords))
+	replaySkipped.Add(float64(info.SkippedRecords))
+	lastLSNGauge.Set(float64(lastLSN))
 
 	s := &Store{
 		cfg:         cfg,
@@ -309,9 +297,7 @@ func (s *Store) log(encode func(lsn uint64) []byte) error {
 	s.logMu.Lock()
 	end, err := s.wal.write(encode(s.nextLSN))
 	if err == nil {
-		if s.lastLSN != nil {
-			s.lastLSN.Set(float64(s.nextLSN))
-		}
+		s.lastLSN.Set(float64(s.nextLSN))
 		s.nextLSN++
 	}
 	s.logMu.Unlock()
@@ -322,8 +308,8 @@ func (s *Store) log(encode func(lsn uint64) []byte) error {
 }
 
 // LogCreateTable implements db.Journal.
-func (s *Store) LogCreateTable(name string, cols []db.Column, rows [][]db.Value) error {
-	return s.log(func(lsn uint64) []byte { return encodeCreateTable(lsn, name, cols, rows) })
+func (s *Store) LogCreateTable(v db.TableView) error {
+	return s.log(func(lsn uint64) []byte { return encodeCreateTable(lsn, v) })
 }
 
 // LogInsert implements db.Journal.
@@ -405,13 +391,9 @@ func (s *Store) Compact() error {
 	if err := s.wal.reset(); err != nil {
 		return err
 	}
-	if s.compactions != nil {
-		s.compactions.Inc()
-	}
-	if s.snapBytes != nil {
-		if st, err := os.Stat(final); err == nil {
-			s.snapBytes.Set(float64(st.Size()))
-		}
+	s.compactions.Inc()
+	if st, err := os.Stat(final); err == nil {
+		s.snapBytes.Set(float64(st.Size()))
 	}
 	return nil
 }

@@ -67,7 +67,7 @@ var ErrWALClosed = errors.New("storage: WAL closed")
 // the table's initial rows, so the cap is generous).
 const maxWALRecord = 1 << 30
 
-// walMetrics are the observability hooks; any field may be nil.
+// walMetrics are the observability hooks.
 type walMetrics struct {
 	appends  *obs.Counter
 	bytes    *obs.Counter
@@ -142,9 +142,7 @@ func openWAL(path string, policy SyncPolicy, m walMetrics) (*wal, []*record, int
 		m:      m,
 	}
 	w.cond = sync.NewCond(&w.mu)
-	if m.size != nil {
-		m.size.Set(float64(valid))
-	}
+	m.size.Set(float64(valid))
 	return w, records, dropped, nil
 }
 
@@ -194,11 +192,9 @@ func (w *wal) write(payload []byte) (int64, error) {
 		w.cond.Broadcast()
 		return 0, w.err
 	}
-	if w.m.appends != nil {
-		w.m.appends.Inc()
-		w.m.bytes.Add(float64(n))
-		w.m.size.Set(float64(w.size))
-	}
+	w.m.appends.Inc()
+	w.m.bytes.Add(float64(n))
+	w.m.size.Set(float64(w.size))
 	if w.policy == SyncAlways {
 		if err := w.timedSync(); err != nil {
 			w.err = fmt.Errorf("storage: WAL fsync: %w", err)
@@ -254,10 +250,8 @@ func (w *wal) timedSync() error {
 	if err := w.sync(); err != nil {
 		return err
 	}
-	if w.m.fsyncs != nil {
-		w.m.fsyncs.Inc()
-		w.m.fsyncDur.Observe(time.Since(t0).Seconds())
-	}
+	w.m.fsyncs.Inc()
+	w.m.fsyncDur.Observe(time.Since(t0).Seconds())
 	return nil
 }
 
@@ -290,9 +284,7 @@ func (w *wal) reset() error {
 		return err
 	}
 	w.size, w.synced = 0, 0
-	if w.m.size != nil {
-		w.m.size.Set(0)
-	}
+	w.m.size.Set(0)
 	return nil
 }
 
