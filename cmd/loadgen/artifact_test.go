@@ -260,9 +260,9 @@ func TestArtifactShapes(t *testing.T) {
 		}
 		check(t, overloadDoc(smokeJob("overload", ""), p, 1, []overloadCell{cell}, r.AdmissionStats(), &overloadChaosReport{}),
 			"cells[].wrong", "cells[].offered", "cells[].accepted", "cells[].shed", "cells[].failed",
-			"cells[].hedges", "cells[].p95_ns", "saturation_qps", "admission[].class",
+			"cells[].p95_ns", "saturation_qps", "admission[].class",
 			"chaos.wrong", "chaos.drain_wrong", "chaos.ok_after_kill", "chaos.flap_rejoined",
-			"chaos.drain_errors", "chaos.verdict", "chaos.shed", "chaos.hedges", "chaos.accepted")
+			"chaos.drain_errors", "chaos.verdict", "chaos.shed", "chaos.accepted")
 	})
 }
 

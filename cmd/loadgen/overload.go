@@ -6,8 +6,8 @@
 //
 // The harness boots three serve shards (one intentionally paced slower — the
 // straggler), fronts them with a router running the full overload stack
-// (health state machine with active probing, tail-latency hedging,
-// admission control with priority classes), then:
+// (health state machine with active probing, admission control with
+// priority classes), then:
 //
 //  1. calibrates saturation throughput closed-loop;
 //  2. sweeps offered load past saturation with Poisson and bursty
@@ -64,8 +64,6 @@ type overloadCell struct {
 	P50NS      int64   `json:"p50_ns"`
 	P95NS      int64   `json:"p95_ns"`
 	P99NS      int64   `json:"p99_ns"`
-	Hedges     int     `json:"hedges"`
-	HedgeWins  int     `json:"hedge_wins"`
 	Reroutes   int     `json:"reroutes"`
 }
 
@@ -80,8 +78,6 @@ type overloadChaosReport struct {
 	Failed       int      `json:"failed"`
 	Wrong        int      `json:"wrong"`
 	OKAfterKill  int      `json:"ok_after_kill"`
-	Hedges       int      `json:"hedges"`
-	HedgeWins    int      `json:"hedge_wins"`
 	Reroutes     int      `json:"reroutes"`
 	FlapRejoined bool     `json:"flap_rejoined"`
 	DrainQueries int      `json:"drain_queries"`
@@ -92,8 +88,8 @@ type overloadChaosReport struct {
 	Verdict      string   `json:"verdict"`
 }
 
-// overloadRouter builds the harness router: health probing, hedging, and
-// admission (two in flight per shard) all on.
+// overloadRouter builds the harness router: health probing and admission
+// (two in flight per shard) both on.
 func overloadRouter(backends []router.Backend) (*router.Router, error) {
 	classes, err := obs.ParseSLOSpec(overloadClasses)
 	if err != nil {
@@ -113,7 +109,6 @@ func overloadRouter(backends []router.Backend) (*router.Router, error) {
 			QuarantineBackoff:   300 * time.Millisecond,
 			MaxBackoff:          2 * time.Second,
 		},
-		Hedge: true,
 		Admission: &router.AdmissionConfig{
 			MaxInFlight: 2 * len(backends),
 			Classes:     classes,
@@ -155,8 +150,8 @@ func alternateClasses(i int) string { return [2]string{"interactive", "batch"}[i
 func interactive(int) string { return "interactive" }
 
 // bootOverloadTier boots the shards (the last one paced slower — the static
-// straggler the hedge and straggler-gap machinery must absorb) and the
-// router over them; the caller closes the router and kills the fleet.
+// straggler the tier must absorb) and the router over them; the caller
+// closes the router and kills the fleet.
 func bootOverloadTier(bin string, p overloadConfig) (*harness.Fleet, *router.Router, error) {
 	fleet, err := harness.StartShards(bin, overloadShards, p.Records, func(k int) float64 {
 		if k == overloadShards-1 {
@@ -176,10 +171,10 @@ func bootOverloadTier(bin string, p overloadConfig) (*harness.Fleet, *router.Rou
 }
 
 // calibrate measures closed-loop saturation throughput through the full
-// router stack (also seeding the latency windows behind the hedge trigger
-// and the admission controller's deadline shed). Clients stay below the
-// tier width so the calibration itself doesn't stack a deep queue on the
-// straggler shard and poison the latency predictor. Warm-up failures are
+// router stack (also seeding the latency window behind the admission
+// controller's deadline shed). Clients stay below the tier width so the
+// calibration itself doesn't stack a deep queue on the straggler shard and
+// poison the latency predictor. Warm-up failures are
 // tolerated; a wrong answer is not.
 func calibrate(r *router.Router, oracle *harness.DemoOracle) (float64, error) {
 	const clients, queries = 2, 16
@@ -201,7 +196,7 @@ func runOverloadCell(cell overloadCell, r *router.Router, schedule []time.Durati
 	t, sum := run.Tally(), harness.Summarize(run.OKLatencies())
 	cell.Offered, cell.Accepted, cell.Shed, cell.Wrong = len(schedule), t[harness.OK], t[harness.Shed], t[harness.Wrong]
 	cell.Failed = cell.Offered - cell.Accepted - cell.Shed - cell.Wrong
-	cell.Hedges, cell.HedgeWins, cell.Reroutes = routing.Hedges, routing.HedgeWins, routing.Reroutes
+	cell.Reroutes = routing.Reroutes
 	cell.P50NS, cell.P95NS, cell.P99NS = int64(sum.P50), int64(sum.P95), int64(sum.P99)
 	cell.GoodputQPS = float64(cell.Accepted) / (float64(cell.DurationNS) / float64(time.Second))
 	if cell.Wrong > 0 {
@@ -247,7 +242,7 @@ func runOverloadChaos(r *router.Router, procs []*harness.Proc, satQPS float64,
 	<-faultsDone
 	rep.Offered, rep.Accepted, rep.Shed, rep.Wrong = len(schedule), t[harness.OK], t[harness.Shed], t[harness.Wrong]
 	rep.Failed = rep.Offered - rep.Accepted - rep.Shed - rep.Wrong
-	rep.Hedges, rep.HedgeWins, rep.Reroutes = routing.Hedges, routing.HedgeWins, routing.Reroutes
+	rep.Reroutes = routing.Reroutes
 	rep.OKAfterKill = routing.OKAfterMark
 
 	// Rejoin wait: the flapped shard must come back through quarantine ->
@@ -375,8 +370,8 @@ func runOverloadSweep(bin string, p overloadConfig, oracle *harness.DemoOracle,
 			if cell, err = runOverloadCell(cell, r, schedule, oracle); err != nil {
 				return 0, nil, nil, err
 			}
-			log.Printf("overload: %s x%.2g: offered %d, goodput %.1f q/s, shed %d, failed %d, hedges %d (%d won)",
-				arrival, mult, cell.Offered, cell.GoodputQPS, cell.Shed, cell.Failed, cell.Hedges, cell.HedgeWins)
+			log.Printf("overload: %s x%.2g: offered %d, goodput %.1f q/s, shed %d, failed %d, reroutes %d",
+				arrival, mult, cell.Offered, cell.GoodputQPS, cell.Shed, cell.Failed, cell.Reroutes)
 			cells = append(cells, cell)
 		}
 	}
@@ -401,16 +396,16 @@ func runOverloadChaosCell(bin string, p overloadConfig, satQPS float64,
 	}
 	defer fleet.Kill()
 	defer r.Close()
-	// Seed the hedge trigger and the latency predictor before faults.
+	// Seed the latency predictor before faults.
 	if _, err := calibrate(r, oracle); err != nil {
 		return nil, err
 	}
 	rep, err := runOverloadChaos(r, fleet.Procs, satQPS, oracle, rng)
 	if rep != nil {
 		log.Printf("overload: chaos: offered %d, ok %d (%d after kill), shed %d, failed %d, "+
-			"wrong %d, hedges %d, reroutes %d, rejoined=%v, drain %d/%d ok",
-			rep.Offered, rep.Accepted, rep.OKAfterKill, rep.Shed, rep.Failed, rep.Wrong, rep.Hedges,
-			rep.Reroutes, rep.FlapRejoined, rep.DrainQueries-rep.DrainErrors, rep.DrainQueries)
+			"wrong %d, reroutes %d, rejoined=%v, drain %d/%d ok",
+			rep.Offered, rep.Accepted, rep.OKAfterKill, rep.Shed, rep.Failed, rep.Wrong, rep.Reroutes,
+			rep.FlapRejoined, rep.DrainQueries-rep.DrainErrors, rep.DrainQueries)
 	}
 	return rep, err
 }
@@ -421,8 +416,7 @@ func overloadMarkdown(j *job, satQPS float64,
 	sb.WriteString("# Overload survival: the sharded tier past saturation\n\n")
 	fmt.Fprintf(&sb, "Measured by %s: %d serve shards "+
 		"(the last paced %gx slower — a static straggler), fronted by a router running "+
-		"the full overload stack: shard health state machine with active probing, "+
-		"tail-latency hedging (adaptive per-shard P95 trigger, budget-capped), and "+
+		"the full overload stack: shard health state machine with active probing and "+
 		"admission control (`%s`; capacity, priority, and deadline shedding). Open-loop "+
 		"arrivals carry a %v deadline; calibrated saturation is %.1f q/s. Every accepted "+
 		"answer is verified against a fault-free single-node oracle.\n\n",
@@ -430,14 +424,13 @@ func overloadMarkdown(j *job, satQPS float64,
 	tbl := harness.NewTable(&sb, []harness.Col{
 		{":arrival", "%s"}, {"load:", "%.2gx"}, {"offered:", "%d"}, {"goodput q/s:", "%.1f"},
 		{"shed:", "%d"}, {"failed:", "%d"}, {"wrong:", "%d"}, {"p50:", "%v"}, {"p95:", "%v"},
-		{"p99:", "%v"}, {"hedges (won):", "%s"}, {"reroutes:", "%d"},
+		{"p99:", "%v"}, {"reroutes:", "%d"},
 	})
 	for _, c := range cells {
 		tbl.Row(c.Arrival, c.LoadMult, c.Offered, c.GoodputQPS, c.Shed, c.Failed, c.Wrong,
 			time.Duration(c.P50NS).Round(time.Millisecond),
 			time.Duration(c.P95NS).Round(time.Millisecond),
-			time.Duration(c.P99NS).Round(time.Millisecond),
-			fmt.Sprintf("%d (%d)", c.Hedges, c.HedgeWins), c.Reroutes)
+			time.Duration(c.P99NS).Round(time.Millisecond), c.Reroutes)
 	}
 	sb.WriteString("\nPast saturation an open-loop arrival process keeps offering work the tier " +
 		"cannot absorb; without admission control the queue (and every latency percentile) " +
@@ -450,11 +443,9 @@ func overloadMarkdown(j *job, satQPS float64,
 		"shard %d frozen (SIGSTOP) then thawed (SIGCONT). Of %d offered: %d accepted "+
 		"(**%d after the kill** — goodput degraded, it did not cliff to zero), %d shed, "+
 		"%d failed loudly, and **%d wrong** (the only number that is never allowed to be "+
-		"non-zero). Hedges fired %d times (%d won — the stalled shard's sub-queries were "+
-		"beaten by a healthy replica's); %d partitions rerouted.\n\n",
+		"non-zero); %d partitions rerouted.\n\n",
 		chaosRep.KilledShard, chaosRep.FlappedShard, chaosRep.Offered, chaosRep.Accepted,
-		chaosRep.OKAfterKill, chaosRep.Shed, chaosRep.Failed, chaosRep.Wrong,
-		chaosRep.Hedges, chaosRep.HedgeWins, chaosRep.Reroutes)
+		chaosRep.OKAfterKill, chaosRep.Shed, chaosRep.Failed, chaosRep.Wrong, chaosRep.Reroutes)
 	fmt.Fprintf(&sb, "The flapped shard rejoined automatically (quarantine -> probe passes "+
 		"after backoff -> model re-warm -> trickle of real traffic): rejoined=%v, final "+
 		"states %v, %v transitions. Post-rejoin drain: %d/%d queries ok, %d wrong.\n\n",

@@ -13,15 +13,13 @@
 //
 //	router -shards http://localhost:8081,http://localhost:8082 \
 //	    [-addr :8090] [-warm iris_rf] [-partial] \
-//	    [-conns-per-shard 32] [-probe-interval 2s] [-hedge] \
+//	    [-conns-per-shard 32] [-probe-interval 2s] \
 //	    [-max-inflight 64] [-shard-inflight 16] [-classes interactive=25ms,batch=500ms]
 //
 // The shard health state machine (healthy -> degraded -> quarantined ->
 // rejoining) is the router's one notion of shard health. It always runs on
 // passive per-request signals; -probe-interval adds active /healthz probing
-// so a quarantined shard can rejoin without traffic. -hedge enables
-// tail-latency hedging (adaptive per-shard P95 trigger, a budget of ~5% of
-// sub-queries, bit-identical result verification). Any of -max-inflight,
+// so a quarantined shard can rejoin without traffic. Any of -max-inflight,
 // -shard-inflight or -classes turns on admission control (the router-wide
 // bound is 4 x shards unless -max-inflight sets it): capacity,
 // priority-class, and deadline-aware shedding answer 503 with Retry-After
@@ -62,7 +60,6 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 2*time.Second,
 		"active /healthz probe interval for the shard health state machine (0 disables probing)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe timeout (0 = default 1s)")
-	hedge := flag.Bool("hedge", false, "enable tail-latency request hedging")
 	maxInFlight := flag.Int("max-inflight", 0,
 		"router-wide concurrent query bound; enables admission control"+
 			" (0 = off, or 4 x shards when -shard-inflight or -classes enables it)")
@@ -105,7 +102,6 @@ func main() {
 			ProbeInterval: *probeInterval,
 			ProbeTimeout:  *probeTimeout,
 		},
-		Hedge: *hedge,
 	}
 	if *maxInFlight > 0 || *shardInFlight > 0 || *classes != "" {
 		objs, err := obs.ParseSLOSpec(*classes)

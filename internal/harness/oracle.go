@@ -92,8 +92,8 @@ func NewDemoOracle(records int, backend string) (*DemoOracle, error) {
 
 // Routing sums what the answers to one drive of QueryOp report.
 type Routing struct {
-	mu                                     sync.Mutex
-	Hedges, HedgeWins, Reroutes, CacheHits int
+	mu                  sync.Mutex
+	Reroutes, CacheHits int
 	// StragglerGap and SlowestShard are sums over the accepted answers.
 	StragglerGap, SlowestShard time.Duration
 	// OKAfterMark counts accepted answers to queries issued after Mark (a
@@ -131,8 +131,6 @@ func (o *DemoOracle) QueryOp(r *router.Router, classOf func(i int) string, acc *
 			}
 			return wrong
 		}
-		acc.Hedges += m.Hedges
-		acc.HedgeWins += m.HedgeWins
 		acc.Reroutes += m.Reroutes
 		if m.CacheHit {
 			acc.CacheHits++

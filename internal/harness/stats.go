@@ -13,7 +13,7 @@ type Summary struct {
 }
 
 // Summarize sorts a copy of lats and takes its mean and its nearest-rank
-// percentiles (obs.Percentile, the rule the router's hedge trigger uses).
+// percentiles (obs.Percentile).
 func Summarize(lats []time.Duration) Summary {
 	if len(lats) == 0 {
 		return Summary{}

@@ -30,16 +30,6 @@ const (
 	// MetricRouterWarmTotal counts model-cache warm calls fanned out to
 	// shards {status="hit"|"miss"|"nocache"|"error"}.
 	MetricRouterWarmTotal = "accelscore_router_warm_total"
-	// MetricRouterHedgesTotal counts tail-latency hedge outcomes
-	// {outcome="win"|"loss"|"mismatch"|"denied"}: "win" used the hedge's
-	// result, "loss" the primary's, "mismatch" is a divergent pair (fails
-	// the query loudly), "denied" a trigger with no budget or healthy
-	// replica.
-	MetricRouterHedgesTotal = "accelscore_router_hedges_total"
-	// MetricRouterHedgeTrigger gauges the hedge trigger the dispatcher last
-	// used for a primary on {shard}: the shard's recent P95 after the
-	// floor, seconds; 0 while the shard has too few samples to hedge.
-	MetricRouterHedgeTrigger = "accelscore_router_hedge_trigger_seconds"
 	// MetricRouterPredictedQuery gauges the query latency admission last
 	// predicted for its deadline shed: the mean of the router's recent
 	// successful queries, seconds; 0 before the first one.
@@ -126,25 +116,6 @@ func (m *RouterMetrics) NoteWarm(status string) {
 	}
 	m.reg.Counter(MetricRouterWarmTotal, "Model-cache warm calls by status.",
 		"status", status).Inc()
-}
-
-// NoteHedge counts one hedge outcome (win/loss/mismatch/denied).
-func (m *RouterMetrics) NoteHedge(outcome string) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.reg.Counter(MetricRouterHedgesTotal, "Tail-latency hedge outcomes.",
-		"outcome", outcome).Inc()
-}
-
-// SetHedgeTrigger gauges the hedge trigger just computed for shard.
-func (m *RouterMetrics) SetHedgeTrigger(shard int, trigger time.Duration) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.reg.Gauge(MetricRouterHedgeTrigger,
-		"Hedge trigger in use per shard (recent P95 after the floor), seconds; 0 = too few samples.",
-		"shard", strconv.Itoa(shard)).Set(trigger.Seconds())
 }
 
 // SetPredictedQuery gauges the query latency admission just decided with.

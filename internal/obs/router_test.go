@@ -77,12 +77,8 @@ func TestRouterMetrics(t *testing.T) {
 	m.ObserveQuery("partial", 4, 40*time.Millisecond)
 	m.ObserveShard(2, 10*time.Millisecond, 0)
 	m.ObserveShard(0, 25*time.Millisecond, 1)
-	m.SetHedgeTrigger(1, 12*time.Millisecond)
 	m.SetPredictedQuery(75 * time.Millisecond)
 	m.NoteWarm("hit")
-	m.NoteHedge("win")
-	m.NoteHedge("win")
-	m.NoteHedge("denied")
 	m.SetShardState(1, 2)
 	m.NoteAdmissionShed("batch")
 	m.NoteAdmissionShed("") // empty class normalizes to "default"
@@ -101,11 +97,8 @@ func TestRouterMetrics(t *testing.T) {
 		`accelscore_router_straggler_gap_seconds_count 2`,
 		`accelscore_router_shard_latency_seconds_count{shard="0"} 1`,
 		`accelscore_router_reroutes_total{shard="0"} 1`,
-		`accelscore_router_hedge_trigger_seconds{shard="1"} 0.012`,
 		`accelscore_router_predicted_query_seconds 0.075`,
 		`accelscore_router_warm_total{status="hit"} 1`,
-		`accelscore_router_hedges_total{outcome="win"} 2`,
-		`accelscore_router_hedges_total{outcome="denied"} 1`,
 		`accelscore_router_shard_state{shard="1"} 2`,
 		`accelscore_router_admission_shed_total{class="batch"} 1`,
 		`accelscore_router_admission_shed_total{class="default"} 1`,
@@ -128,10 +121,8 @@ func TestRouterMetrics(t *testing.T) {
 	var nilM *RouterMetrics
 	nilM.ObserveQuery("ok", 1, 0)
 	nilM.ObserveShard(0, 0, 0)
-	nilM.SetHedgeTrigger(0, 0)
 	nilM.SetPredictedQuery(0)
 	nilM.NoteWarm("hit")
-	nilM.NoteHedge("win")
 	nilM.SetShardState(0, 0)
 	nilM.NoteAdmissionShed("batch")
 	nilM.ObserveWire("frame", 1, 0)

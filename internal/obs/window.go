@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"slices"
 	"sync"
 	"time"
 )
@@ -10,11 +9,11 @@ import (
 const windowSize = 64
 
 // LatencyWindow is the one latency estimator the serving tier decides from:
-// the last windowSize successful latencies of one series (a shard's
-// sub-queries, the router's queries, a device's runs). Observe is O(1); the
-// mean and quantiles are computed on read. Each reader publishes the value
-// it decided with as a gauge, so /metrics shows what the decision saw. The
-// zero value is an empty window, safe for concurrent use.
+// the last windowSize successful latencies of one series (the router's
+// queries, a device's runs). Observe is O(1); the mean is computed on read.
+// Each reader publishes the value it decided with as a gauge, so /metrics
+// shows what the decision saw. The zero value is an empty window, safe for
+// concurrent use.
 type LatencyWindow struct {
 	mu   sync.Mutex
 	ring [windowSize]time.Duration
@@ -46,28 +45,10 @@ func (w *LatencyWindow) Mean(minSamples int) time.Duration {
 	return sum / time.Duration(w.n)
 }
 
-// Quantile returns the window's nearest-rank p-th percentile (see
-// Percentile), or 0 while it holds fewer than minSamples observations (or
-// none).
-func (w *LatencyWindow) Quantile(p, minSamples int) time.Duration {
-	var buf [windowSize]time.Duration
-	w.mu.Lock()
-	n := w.n
-	copy(buf[:], w.ring[:n])
-	w.mu.Unlock()
-	if n == 0 || n < minSamples {
-		return 0
-	}
-	s := buf[:n]
-	slices.Sort(s)
-	return Percentile(s, p)
-}
-
 // Percentile returns the nearest-rank p-th percentile (0 < p <= 100) of
 // sorted, which is ascending: the smallest sample with at least p% of the
-// sample at or below it, index ceil(n*p/100)-1. An empty sample is 0. The
-// hedge trigger's P95 and every BENCH_*.json and CHAOS_report.json figure
-// are taken by this rule.
+// sample at or below it, index ceil(n*p/100)-1. An empty sample is 0.
+// Every BENCH_*.json and CHAOS_report.json figure is taken by this rule.
 func Percentile(sorted []time.Duration, p int) time.Duration {
 	n := len(sorted)
 	if n == 0 {

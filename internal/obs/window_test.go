@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -31,33 +32,38 @@ func TestPercentileIsNearestRank(t *testing.T) {
 	}
 }
 
+// TestLatencyWindowNearestRankAndMean feeds a skewed sample, where the two
+// rules part: the window's Mean is the arithmetic mean, not the
+// nearest-rank median Percentile takes of the same sample.
 func TestLatencyWindowNearestRankAndMean(t *testing.T) {
+	sample := []time.Duration{16, 1, 1, 1, 1}
 	var w LatencyWindow
-	for _, d := range []time.Duration{5, 1, 4, 2, 3} {
+	for _, d := range sample {
 		w.Observe(d)
 	}
-	if p50, p95, p99 := w.Quantile(50, 1), w.Quantile(95, 1), w.Quantile(99, 1); p50 != 3 || p95 != 5 || p99 != 5 {
-		t.Errorf("P50/P95/P99 = %v/%v/%v, want 3/5/5", p50, p95, p99)
+	if m := w.Mean(1); m != 4 {
+		t.Errorf("Mean = %v, want 4", m)
 	}
-	if m := w.Mean(1); m != 3 {
-		t.Errorf("Mean = %v, want 3", m)
+	slices.Sort(sample)
+	if p50 := Percentile(sample, 50); p50 != 1 {
+		t.Errorf("P50 = %v, want 1", p50)
 	}
 }
 
 func TestLatencyWindowFloor(t *testing.T) {
 	var w LatencyWindow
-	if w.Mean(0) != 0 || w.Quantile(95, 0) != 0 {
+	if w.Mean(0) != 0 {
 		t.Fatal("an empty window must read 0 whatever the floor")
 	}
 	for i := 0; i < 7; i++ {
 		w.Observe(time.Millisecond)
 	}
-	if w.Mean(8) != 0 || w.Quantile(95, 8) != 0 {
+	if w.Mean(8) != 0 {
 		t.Fatal("7 samples under a floor of 8 must read 0")
 	}
 	w.Observe(time.Millisecond)
-	if w.Mean(8) != time.Millisecond || w.Quantile(95, 8) != time.Millisecond {
-		t.Fatalf("8 samples at the floor: mean %v, P95 %v, want 1ms", w.Mean(8), w.Quantile(95, 8))
+	if w.Mean(8) != time.Millisecond {
+		t.Fatalf("8 samples at the floor: mean %v, want 1ms", w.Mean(8))
 	}
 }
 
@@ -70,20 +76,15 @@ func TestLatencyWindowWrapsAround(t *testing.T) {
 	for i := 1; i <= windowSize; i++ {
 		w.Observe(time.Duration(i) * time.Millisecond)
 	}
-	if got := w.Quantile(100, windowSize); got != windowSize*time.Millisecond {
-		t.Errorf("max after wrap-around = %v, want %v (the evicted 1s samples are gone)", got, windowSize*time.Millisecond)
+	// Mean of 1..64 ms is 32.5 ms: one surviving 1s sample would add ~16 ms.
+	if got := w.Mean(windowSize); got != 32500*time.Microsecond {
+		t.Errorf("mean after wrap-around = %v, want 32.5ms (the evicted 1s samples are gone)", got)
 	}
-	if got := w.Quantile(50, 1); got != 32*time.Millisecond {
-		t.Errorf("P50 after wrap-around = %v, want 32ms", got)
-	}
-	// Mean of 1..64 ms is 32.5 ms.
-	if got := w.Mean(1); got != 32500*time.Microsecond {
-		t.Errorf("mean after wrap-around = %v, want 32.5ms", got)
-	}
-	// One more evicts the oldest survivor (1 ms).
+	// One more evicts the oldest survivor (1 ms): 2..64 ms and 100 ms sum to
+	// 2179 ms.
 	w.Observe(100 * time.Millisecond)
-	if got := w.Quantile(1, 1); got != 2*time.Millisecond {
-		t.Errorf("min after one more wrap = %v, want 2ms", got)
+	if got, want := w.Mean(windowSize), 2179*time.Millisecond/windowSize; got != want {
+		t.Errorf("mean after one more wrap = %v, want %v", got, want)
 	}
 }
 
@@ -96,10 +97,6 @@ func TestLatencyWindowConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				w.Observe(time.Duration(g+1) * time.Millisecond)
-				if q := w.Quantile(95, 1); q < time.Millisecond || q > 8*time.Millisecond {
-					t.Errorf("P95 %v outside the observed range", q)
-					return
-				}
 				if m := w.Mean(1); m < time.Millisecond || m > 8*time.Millisecond {
 					t.Errorf("mean %v outside the observed range", m)
 					return
@@ -108,7 +105,7 @@ func TestLatencyWindowConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := w.Quantile(50, windowSize); got == 0 {
+	if got := w.Mean(windowSize); got == 0 {
 		t.Fatal("a full window read as empty")
 	}
 }

@@ -224,22 +224,13 @@ func (a *admission) Admit(ctx context.Context, class string) (release func(ok bo
 }
 
 // acquireShard takes one of shard's sub-query slots, to be returned with
-// releaseShard. With queue set the caller waits its turn behind at most
-// ShardQueue others; without it only a slot that is free right now will do.
-// A full queue (or no free slot) is an error at once — the router's own
-// back-pressure, not the shard's fault — so the dispatcher moves the
-// partition to a less loaded replica instead of queueing without bound.
-func (a *admission) acquireShard(ctx context.Context, shard int, queue bool) error {
+// releaseShard: the caller waits its turn behind at most ShardQueue others.
+// A full queue is an error at once — the router's own back-pressure, not
+// the shard's fault — so the dispatcher moves the partition to a less
+// loaded replica instead of queueing without bound.
+func (a *admission) acquireShard(ctx context.Context, shard int) error {
 	if a == nil || a.cfg.ShardInFlight <= 0 {
 		return nil
-	}
-	if !queue {
-		select {
-		case a.shardSlots[shard] <- struct{}{}:
-			return nil
-		default:
-			return fmt.Errorf("shard %d: no free sub-query slot", shard)
-		}
 	}
 	if a.shardWait[shard].Add(1) > int64(a.cfg.ShardQueue) {
 		a.shardWait[shard].Add(-1)

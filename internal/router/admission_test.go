@@ -220,21 +220,17 @@ func TestAdmissionConcurrentLedger(t *testing.T) {
 }
 
 // TestAdmissionShardQueueFastFails fills a shard's slots and queue and
-// checks the next sub-query fast-fails (rerouteable) instead of waiting,
-// and that a caller who will not queue needs a slot that is free right now.
+// checks the next sub-query fast-fails (rerouteable) instead of waiting.
 func TestAdmissionShardQueueFastFails(t *testing.T) {
 	a := newAdmission(&AdmissionConfig{MaxInFlight: 64, ShardInFlight: 1, ShardQueue: 1}, 1, nil)
 	ctx := context.Background()
-	if err := a.acquireShard(ctx, 0, true); err != nil {
+	if err := a.acquireShard(ctx, 0); err != nil {
 		t.Fatal(err)
-	}
-	if err := a.acquireShard(ctx, 0, false); err == nil {
-		t.Fatal("a no-queue acquire took a slot that was not free")
 	}
 	// The one queue slot: a waiter parked on the semaphore.
 	waiting := make(chan error, 1)
 	go func() {
-		err := a.acquireShard(ctx, 0, true)
+		err := a.acquireShard(ctx, 0)
 		if err == nil {
 			a.releaseShard(0)
 		}
@@ -249,7 +245,7 @@ func TestAdmissionShardQueueFastFails(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Queue full: the next acquire must fail fast, not block.
-	if err := a.acquireShard(ctx, 0, true); err == nil {
+	if err := a.acquireShard(ctx, 0); err == nil {
 		t.Fatal("acquire with a full queue should fast-fail")
 	}
 	a.releaseShard(0)
@@ -270,7 +266,7 @@ func TestAdmissionNilIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel(true, time.Millisecond)
-	if err := a.acquireShard(context.Background(), 0, true); err != nil {
+	if err := a.acquireShard(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	a.releaseShard(0)

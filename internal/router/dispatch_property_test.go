@@ -13,7 +13,7 @@ import (
 )
 
 // mix is splitmix64: one reproducible draw per (seed, scatter, partition,
-// shard, attempt kind) without sharing a generator between goroutines.
+// shard) without sharing a generator between goroutines.
 func mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -24,22 +24,18 @@ func mix(x uint64) uint64 {
 // TestDispatcherPairsEveryAcquireWithOneSettle is the pairing property: a
 // few thousand seeded random scatters over 2-5 shards — successes,
 // rerouteable failures, whole-shard outages that quarantine and rejoin
-// through the trickle, query-level errors, caller cancellation, full
-// sub-query queues, and hedges that win, lose, diverge or are denied — must
-// leave nothing held: no shard in-flight count, no sub-query slot, no queue
-// position, and no more hedges launched than the budget ever had.
+// through the trickle, query-level errors, caller cancellation and full
+// sub-query queues — must leave nothing held: no shard in-flight count, no
+// sub-query slot, no queue position.
 func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 	const (
 		seed       = 20260930
 		scatters   = 750 // per shard count
 		workers    = 8
-		fraction   = 0.2
-		burst      = 2
 		epochLen   = 40 // scatters a shard outage lasts
 		probeEvery = 20
 	)
 	var rerouted, noShard, canceled atomic.Int64
-	outcomes := obs.NewRegistry()
 	entered := make(map[ShardState]int) // health transitions, by the state entered
 	for n := 2; n <= 5; n++ {
 		clock := newTestClock()
@@ -56,13 +52,7 @@ func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 		})
 		adm := newAdmission(&AdmissionConfig{MaxInFlight: 1 << 20, ShardInFlight: 2, ShardQueue: 2}, n, nil)
 		d := &dispatcher{
-			shards: n, health: health, adm: adm, lat: make([]obs.LatencyWindow, n),
-			budget: newHedgeBudget(fraction, burst), metrics: obs.NewRouterMetrics(outcomes),
-		}
-		for shard := 0; shard < n; shard++ {
-			for i := 0; i < hedgeMinSamples; i++ {
-				d.lat[shard].Observe(time.Millisecond) // trigger = the hedgeMinDelay floor
-			}
+			shards: n, health: health, adm: adm, metrics: obs.NewRouterMetrics(obs.NewRegistry()),
 		}
 
 		// behave decides one shard call from the draw alone.
@@ -71,33 +61,18 @@ func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 				if mix(uint64(seed+n)<<32|uint64(id/epochLen)<<8|uint64(shard))%8 == 0 {
 					return nil, errors.New("shard down this epoch")
 				}
-				kind := uint64(0)
-				if isHedgeAttempt(ctx) {
-					kind = 1
-				}
-				draw := mix(uint64(seed+n)<<40 | uint64(id)<<16 | uint64(part.Index)<<8 | uint64(shard)<<1 | kind)
-				if kind == 1 && draw%3 == 0 {
-					time.Sleep(6 * time.Millisecond) // a hedge that loses its race
-				}
+				draw := mix(uint64(seed+n)<<40 | uint64(id)<<16 | uint64(part.Index)<<8 | uint64(shard))
 				same := &Result{Predictions: []int{part.Index}}
-				// Stragglers stay under 5% of the answers, or the ring's P95
-				// (the hedge trigger) would climb to meet them.
-				switch r := draw / 3 % 1000; {
-				case r < 880:
+				switch r := draw % 1000; {
+				case r < 900:
 					return same, nil
-				case r < 890: // a straggler that honors its cancel
+				case r < 910: // a straggler that honors its cancel
 					select {
 					case <-time.After(8 * time.Millisecond):
 						return same, nil
 					case <-ctx.Done():
 						return nil, ctx.Err()
 					}
-				case r < 900: // a straggler that does not: the pair completes
-					time.Sleep(4 * time.Millisecond)
-					return same, nil
-				case r < 910: // and one that answers differently
-					time.Sleep(4 * time.Millisecond)
-					return &Result{Predictions: []int{-1 - shard}}, nil
 				case r < 980:
 					return nil, errors.New("shard fault")
 				default:
@@ -106,7 +81,7 @@ func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 			}
 		}
 
-		var next, routed, hedged atomic.Int64
+		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -135,11 +110,7 @@ func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 					width := 1 + int(mix(uint64(id))%uint64(n))
 					results := d.scatter(ctx, parts(n)[:width], id%n, behave(id))
 					cancel()
-					routed.Add(int64(width))
 					for _, r := range results {
-						if r.Hedged {
-							hedged.Add(1)
-						}
 						rerouted.Add(int64(r.Reroutes))
 						switch {
 						case r.Err == nil && r.Value == nil:
@@ -166,9 +137,6 @@ func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 				t.Errorf("%d shards: shard %d still has %d queued waiters", n, shard, got)
 			}
 		}
-		if most := burst + fraction*float64(routed.Load()); float64(hedged.Load()) > most+1e-9 {
-			t.Errorf("%d shards: %d hedges launched, budget allowed %.1f", n, hedged.Load(), most)
-		}
 	}
 
 	// The run must have reached the paths it claims to cover.
@@ -176,10 +144,5 @@ func TestDispatcherPairsEveryAcquireWithOneSettle(t *testing.T) {
 		entered[ShardQuarantined] == 0 || entered[ShardRejoining] == 0 {
 		t.Errorf("thin coverage: %d reroutes, %d no-shard partitions, %d canceled, transitions into %v",
 			rerouted.Load(), noShard.Load(), canceled.Load(), entered)
-	}
-	for _, o := range []string{hedgeWin, hedgeLoss, hedgeMismatch, hedgeDenied} {
-		if hedgeCount(outcomes, o) == 0 {
-			t.Errorf("no hedge ended %q", o)
-		}
 	}
 }

@@ -28,8 +28,6 @@ type QueryResponse struct {
 	MissingPartitions []int `json:"missing_partitions,omitempty"`
 	Shards            int   `json:"shards"`
 	Reroutes          int   `json:"reroutes,omitempty"`
-	Hedges            int   `json:"hedges,omitempty"`
-	HedgeWins         int   `json:"hedge_wins,omitempty"`
 	StragglerGapNS    int64 `json:"straggler_gap_ns"`
 	// SimTotalNS is the merged simulated timeline total (per-stage max
 	// across shards — the gather critical path).
@@ -108,8 +106,6 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		MissingPartitions: merged.MissingPartitions,
 		Shards:            merged.Shards,
 		Reroutes:          merged.Reroutes,
-		Hedges:            merged.Hedges,
-		HedgeWins:         merged.HedgeWins,
 		StragglerGapNS:    int64(merged.StragglerGap),
 		SimTotalNS:        int64(merged.Timeline.Total()),
 		Timeline:          wireSpans(&merged.Timeline),

@@ -7,7 +7,7 @@
 //	healthy → degraded → quarantined → rejoining → healthy
 //
 // driven by BOTH active /healthz probing and passive per-request outcome
-// signals (latency is not one: hedging answers a straggler), with
+// signals (latency is not one: a slow shard that answers is not sick), with
 // hysteresis (consecutive-signal thresholds) so alternating pass/fail
 // never oscillates the state, and a controlled
 // half-open rejoin: a quarantined shard must pass consecutive probes after
@@ -26,10 +26,11 @@ import (
 type ShardState int
 
 const (
-	// ShardHealthy: full traffic, eligible as a hedge target.
+	// ShardHealthy: full traffic.
 	ShardHealthy ShardState = 0
-	// ShardDegraded: still serving (its partitions would otherwise all
-	// reroute), but flagged and excluded from hedge targeting.
+	// ShardDegraded: still serving full traffic (its partitions would
+	// otherwise all reroute), but flagged: the hysteresis step before
+	// quarantine, which more consecutive failures take it to.
 	ShardDegraded ShardState = 1
 	// ShardQuarantined: no traffic at all; only probes may rehabilitate it.
 	ShardQuarantined ShardState = 2
@@ -291,9 +292,9 @@ func (m *HealthManager) Transitions(i int) int {
 type signal int
 
 const (
-	// signalNone: the attempt never meaningfully ran (the caller gave up, a
-	// hedge-race loser was reaped, the shard had no free slot or refused
-	// the sub-query because its own queue was full).
+	// signalNone: the attempt never meaningfully ran (the caller gave up,
+	// the router's sub-query queue for the shard was full, or the shard
+	// refused the sub-query because its own queue was full).
 	signalNone signal = iota
 	// signalPass: the shard answered correctly.
 	signalPass
@@ -302,16 +303,15 @@ const (
 )
 
 // acquire reports whether shard may take one sub-query now: quarantined
-// shards (and shards mid rejoin-warm) refuse traffic, rejoining shards admit
-// a bounded trickle, and with healthyOnly (hedge targeting) only a fully
-// healthy shard will do. A true return must be paired with exactly one
+// shards (and shards mid rejoin-warm) refuse traffic and rejoining shards
+// admit a bounded trickle. A true return must be paired with exactly one
 // release.
-func (m *HealthManager) acquire(shard int, healthyOnly bool) bool {
+func (m *HealthManager) acquire(shard int) bool {
 	f := m.shards[shard]
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch {
-	case healthyOnly && f.state != ShardHealthy, f.state == ShardQuarantined:
+	case f.state == ShardQuarantined:
 		return false
 	case f.state == ShardRejoining && (f.warming || f.inFlight >= m.cfg.TrickleConcurrency):
 		return false

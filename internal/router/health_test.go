@@ -84,7 +84,7 @@ func TestHealthFSMLegalTransitions(t *testing.T) {
 	if s := m.State(0); s != ShardDegraded {
 		t.Fatalf("state %v after FailThreshold failures, want degraded", s)
 	}
-	if !m.acquire(0, false) {
+	if !m.acquire(0) {
 		t.Fatal("degraded shard must still take traffic")
 	}
 	m.release(0, signalNone)
@@ -96,7 +96,7 @@ func TestHealthFSMLegalTransitions(t *testing.T) {
 	}
 
 	quarantine(t, m, 0)
-	if m.acquire(0, false) {
+	if m.acquire(0) {
 		t.Fatal("quarantined shard must refuse traffic")
 	}
 
@@ -124,7 +124,7 @@ func TestHealthFSMLegalTransitions(t *testing.T) {
 	// Trickle graduation: RejoinTrickle real successes (probes don't count).
 	m.NoteProbe(0, nil)
 	for i := 0; i < 3; i++ {
-		if !m.acquire(0, false) {
+		if !m.acquire(0) {
 			t.Fatalf("trickle slot %d refused", i)
 		}
 		m.release(0, signalPass)
@@ -171,13 +171,13 @@ func TestHealthWarmFirstRejoin(t *testing.T) {
 		t.Fatalf("state %v, want rejoining", s)
 	}
 	<-warmed // warm started
-	if m.acquire(0, false) {
+	if m.acquire(0) {
 		t.Fatal("trickle must stay gated while the shard re-warms")
 	}
 	close(warmGate)
 	// The warm goroutine clears the gate asynchronously; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
-	for !m.acquire(0, false) {
+	for !m.acquire(0) {
 		if time.Now().After(deadline) {
 			t.Fatal("trickle never opened after warming finished")
 		}
@@ -195,14 +195,14 @@ func TestHealthTrickleConcurrencyBound(t *testing.T) {
 	clock.advance(2 * time.Second)
 	m.NoteProbe(0, nil)
 	m.NoteProbe(0, nil)
-	if !m.acquire(0, false) {
+	if !m.acquire(0) {
 		t.Fatal("first trickle slot refused")
 	}
-	if m.acquire(0, false) {
+	if m.acquire(0) {
 		t.Fatal("second concurrent trickle slot admitted; bound is 1")
 	}
 	m.release(0, signalPass)
-	if !m.acquire(0, false) {
+	if !m.acquire(0) {
 		t.Fatal("slot should free after release")
 	}
 	m.release(0, signalPass)
@@ -256,7 +256,7 @@ func TestHealthConcurrentSignals(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				shard := i % 2
-				if m.acquire(shard, false) {
+				if m.acquire(shard) {
 					if i%3 == 0 {
 						m.release(shard, signalFail)
 					} else {

@@ -46,9 +46,6 @@ type Merged struct {
 	// Shards is the scatter width; Reroutes counts partitions that moved
 	// off their preferred shard.
 	Shards, Reroutes int
-	// Hedges counts sub-queries that fired a tail-latency hedge; HedgeWins
-	// counts hedges whose replica answered before the primary.
-	Hedges, HedgeWins int
 	// StragglerGap is slowest minus fastest sub-query latency; per-shard
 	// latencies are in ShardLatency, indexed by partition.
 	StragglerGap time.Duration

@@ -31,8 +31,6 @@ type Config struct {
 	// The state machine always runs on passive per-request signals;
 	// active /healthz probing engages only when Health.ProbeInterval > 0.
 	Health *HealthConfig
-	// Hedge enables tail-latency hedging, at most ~5% of sub-queries.
-	Hedge bool
 	// Admission enables router admission control (nil disables).
 	Admission *AdmissionConfig
 }
@@ -88,11 +86,7 @@ func New(cfg Config) (*Router, error) {
 		shards:  n,
 		health:  r.health,
 		adm:     r.adm,
-		lat:     make([]obs.LatencyWindow, n),
 		metrics: r.metrics,
-	}
-	if cfg.Hedge {
-		r.disp.budget = newHedgeBudget(hedgeFraction, hedgeBurst)
 	}
 
 	if len(cfg.WarmModels) > 0 {
@@ -282,9 +276,6 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 	dres := r.disp.scatter(ctx, parts, home, func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
 		lane := fmt.Sprintf("shard %d", shard)
 		name := "sub-query"
-		if isHedgeAttempt(ctx) {
-			name = "hedge"
-		}
 		if part.Active() {
 			name += " " + part.String()
 		}
@@ -296,20 +287,14 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 		return r.cfg.Backends[shard].Score(ctx, wreq)
 	})
 
-	// Telemetry: reroutes, hedges, and the straggler gap over the
-	// partitions that have a result.
+	// Telemetry: reroutes and the straggler gap over the partitions that
+	// have a result.
 	var minLat, maxLat time.Duration
-	reroutes, hedges, hedgeWins, answered := 0, 0, 0, 0
+	reroutes, answered := 0, 0
 	for _, d := range dres {
 		reroutes += d.Reroutes
 		if d.Reroutes > 0 {
 			r.reroutes[d.Preferred].Add(uint64(d.Reroutes))
-		}
-		if d.Hedged {
-			hedges++
-			if d.HedgeWon {
-				hedgeWins++
-			}
 		}
 		if d.Err == nil {
 			if answered == 0 || d.Latency < minLat {
@@ -371,8 +356,6 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 	merged.StragglerGap = gap
 	merged.ShardLatency = latencies
 	merged.Reroutes = reroutes
-	merged.Hedges = hedges
-	merged.HedgeWins = hedgeWins
 	merged.TraceID = tr.ID()
 	outcome := "ok"
 	if merged.Partial {

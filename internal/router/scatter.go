@@ -81,23 +81,16 @@ type dispatchResult struct {
 	// Latency is the wall time of the successful attempt (or of the whole
 	// failed route sequence).
 	Latency time.Duration
-	// Hedged reports a hedge launched for this partition; HedgeWon reports
-	// the hedge attempt's result was the one used.
-	Hedged   bool
-	HedgeWon bool
 }
 
 // dispatcher scatters partitions across shard replicas, rerouting on
 // failure. It decides from the router's own state directly: the health
-// state machine, the per-shard sub-query slots, the per-shard latency
-// windows and the hedge budget.
+// state machine and the per-shard sub-query slots.
 type dispatcher struct {
 	shards  int
 	health  *HealthManager
-	adm     *admission          // nil without admission control
-	lat     []obs.LatencyWindow // per shard; feeds the hedge trigger
-	budget  *hedgeBudget        // nil disables hedging
-	metrics *obs.RouterMetrics  // nil-safe
+	adm     *admission         // nil without admission control
+	metrics *obs.RouterMetrics // nil-safe
 }
 
 // attempt is one shard call's outcome.
@@ -110,19 +103,17 @@ type attempt struct {
 
 // acquire takes everything one attempt on shard needs: the health state
 // machine's leave (quarantined shards refuse, rejoining shards trickle) and,
-// when admission bounds them, one of the shard's sub-query slots. A hedge
-// asks for more — a fully healthy shard with a free slot right now —
-// because a hedge to a sick or saturated replica is worse than waiting. A
+// when admission bounds them, one of the shard's sub-query slots. A
 // refusal carries no health signal. A nil return must be paired with
 // exactly one settle.
-func (d *dispatcher) acquire(ctx context.Context, shard int, hedge bool) error {
+func (d *dispatcher) acquire(ctx context.Context, shard int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if !d.health.acquire(shard, hedge) {
+	if !d.health.acquire(shard) {
 		return fmt.Errorf("shard %d: %s, not taking traffic", shard, d.health.State(shard))
 	}
-	if err := d.adm.acquireShard(ctx, shard, !hedge); err != nil {
+	if err := d.adm.acquireShard(ctx, shard); err != nil {
 		d.health.release(shard, signalNone)
 		return err
 	}
@@ -130,27 +121,24 @@ func (d *dispatcher) acquire(ctx context.Context, shard int, hedge bool) error {
 }
 
 // settle ends an acquired attempt: it frees the shard's slot and tells the
-// state machine how the attempt went. A result feeds the shard's latency
-// series (its window, which the hedge trigger reads, and the /metrics
-// histogram: the same sample); a
-// query-level error means the shard answered correctly; a failure the
-// shard is not to blame for — the caller's budget expired, or reaped marks
-// a hedge-race loser we cancelled — is no signal at all. Nor is the shard's
-// own back-pressure (a "rejected" reply: its executor queue is full, or it
-// is draining): the partition is rerouted and counted as a reroute, but a
-// replica that is healthy and busy must not be degraded for saying so, or
-// its partitions pile onto the others and they overflow in turn — the same
-// ruling acquire makes for the router's own full sub-query queue.
-func (d *dispatcher) settle(ctx context.Context, a attempt, reaped bool) {
+// state machine how the attempt went. A result feeds the shard's /metrics
+// latency histogram; a query-level error means the shard answered
+// correctly; a failure the shard is not to blame for — the caller's budget
+// expired — is no signal at all. Nor is the shard's own back-pressure (a
+// "rejected" reply: its executor queue is full, or it is draining): the
+// partition is rerouted and counted as a reroute, but a replica that is
+// healthy and busy must not be degraded for saying so, or its partitions
+// pile onto the others and they overflow in turn — the same ruling acquire
+// makes for the router's own full sub-query queue.
+func (d *dispatcher) settle(ctx context.Context, a attempt) {
 	d.adm.releaseShard(a.shard)
 	switch {
 	case a.err == nil:
-		d.lat[a.shard].Observe(a.lat)
 		d.metrics.ObserveShard(a.shard, a.lat, 0)
 		d.health.release(a.shard, signalPass)
 	case !rerouteable(a.err):
 		d.health.release(a.shard, signalPass)
-	case reaped, ctx.Err() != nil:
+	case ctx.Err() != nil:
 		d.health.release(a.shard, signalNone)
 	default:
 		d.metrics.ObserveShard(a.shard, a.lat, 1)
@@ -194,13 +182,12 @@ func (d *dispatcher) route(ctx context.Context, part pipeline.Partition, preferr
 	n := d.shards
 	res := dispatchResult{Part: part, Preferred: preferred, Shard: preferred}
 	start := time.Now()
-	d.budget.earn()
 
 	var errs []error
 	attempted := false
 	for hop := 0; hop < n; hop++ {
 		shard := (preferred + hop) % n
-		if err := d.acquire(ctx, shard, false); err != nil {
+		if err := d.acquire(ctx, shard); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				res.Err = cerr
 				res.Latency = time.Since(start)
@@ -210,31 +197,23 @@ func (d *dispatcher) route(ctx context.Context, part pipeline.Partition, preferr
 			continue
 		}
 		attempted = true
-		attemptStart := time.Now()
-
-		var out hopOutcome
-		if hop == 0 && d.budget != nil && n > 1 {
-			out = d.hedgedAttempt(ctx, shard, part, do)
-		} else {
-			out = d.settled(ctx, runAttempt(ctx, shard, part, do))
-		}
-		res.Hedged = res.Hedged || out.hedged
+		a := runAttempt(ctx, shard, part, do)
+		d.settle(ctx, a)
 		switch {
-		case out.err == nil:
-			res.Shard = out.shard
-			res.Value = out.value
-			res.HedgeWon = out.hedgeWon
-			res.Latency = time.Since(attemptStart) // successful attempt only
+		case a.err == nil:
+			res.Shard = shard
+			res.Value = a.v
+			res.Latency = a.lat // successful attempt only
 			return res
-		case !rerouteable(out.err):
+		case !rerouteable(a.err):
 			// The query itself is bad; the shard answered correctly.
-			res.Shard, res.Err = out.shard, out.err
+			res.Shard, res.Err = shard, a.err
 		case ctx.Err() != nil:
 			// The caller's budget expired mid-call; don't blame the shard.
 			res.Shard, res.Err = shard, ctx.Err()
 		default:
 			res.Reroutes++
-			errs = append(errs, out.attemptErrs...)
+			errs = append(errs, fmt.Errorf("shard %d: %w", shard, a.err))
 			continue
 		}
 		res.Latency = time.Since(start)

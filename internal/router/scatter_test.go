@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
-	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 )
 
@@ -21,12 +21,11 @@ func parts(n int) []pipeline.Partition {
 }
 
 // testDispatcher builds a dispatcher over n shards with the given health
-// thresholds, no admission control and no hedging.
+// thresholds and no admission control.
 func testDispatcher(n int, hc HealthConfig, onState func(shard int, s ShardState)) *dispatcher {
 	return &dispatcher{
 		shards: n,
 		health: NewHealthManager(n, hc, nil, nil, onState),
-		lat:    make([]obs.LatencyWindow, n),
 	}
 }
 
@@ -211,5 +210,68 @@ func TestScatterAllQuarantined(t *testing.T) {
 	}
 	if code := statusFor(results[0].Err); code != http.StatusServiceUnavailable {
 		t.Fatalf("no shard available maps to HTTP %d, want 503", code)
+	}
+}
+
+// TestRouteErrorLeadsWithPreferredShard exhausts every route and checks the
+// terminal error names the preferred shard's own failure first, keeps every
+// attempt reachable via errors.Is, and reports the preferred shard in the
+// result.
+func TestRouteErrorLeadsWithPreferredShard(t *testing.T) {
+	d := testDispatcher(3, HealthConfig{}, nil)
+	preferredErr := errors.New("disk on fire")
+	results := d.scatter(context.Background(), parts(3)[1:2], 1, // partition 1, homed on shard 1
+		func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
+			if shard == 1 {
+				return nil, preferredErr
+			}
+			return nil, fmt.Errorf("shard %d flaky", shard)
+		})
+	r := results[0]
+	if r.Err == nil {
+		t.Fatal("want terminal error")
+	}
+	var re *RouteError
+	if !errors.As(r.Err, &re) {
+		t.Fatalf("want *RouteError, got %T: %v", r.Err, r.Err)
+	}
+	if re.Preferred != 1 || r.Shard != 1 {
+		t.Fatalf("preferred %d, result shard %d, want 1", re.Preferred, r.Shard)
+	}
+	if len(re.Attempts) == 0 || !errors.Is(re.Attempts[0], preferredErr) {
+		t.Fatalf("attempts %v should lead with the preferred shard's own failure", re.Attempts)
+	}
+	if !strings.HasPrefix(r.Err.Error(), "shard 1: disk on fire") {
+		t.Fatalf("message %q should lead with the preferred shard's failure", r.Err)
+	}
+	if !errors.Is(r.Err, preferredErr) {
+		t.Fatal("errors.Is must reach the preferred shard's error through Unwrap")
+	}
+	if !strings.Contains(r.Err.Error(), "reroutes also failed") {
+		t.Fatalf("message %q should list the reroute failures", r.Err)
+	}
+}
+
+// TestRouteErrorAllQuarantined preserves the ErrNoShardAvailable contract
+// through the RouteError wrapper, for every partition of a scatter.
+func TestRouteErrorAllQuarantined(t *testing.T) {
+	d := testDispatcher(2, oneStrike(), nil)
+	down := func(ctx context.Context, shard int, part pipeline.Partition) (*Result, error) {
+		return nil, errors.New("down")
+	}
+	d.scatter(context.Background(), parts(2), 0, down) // two failures each: both quarantined
+	for i := 0; i < 2; i++ {
+		if s := d.health.State(i); s != ShardQuarantined {
+			t.Fatalf("shard %d is %s, want quarantined", i, s)
+		}
+	}
+	for _, r := range d.scatter(context.Background(), parts(2), 0, down) {
+		var re *RouteError
+		if !errors.As(r.Err, &re) || !errors.Is(r.Err, ErrNoShardAvailable) {
+			t.Fatalf("want ErrNoShardAvailable via RouteError, got %v", r.Err)
+		}
+		if code := statusFor(r.Err); code != http.StatusServiceUnavailable {
+			t.Fatalf("maps to HTTP %d, want 503", code)
+		}
 	}
 }

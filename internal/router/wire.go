@@ -8,8 +8,8 @@
 // traffic, and merges the shard results — predictions keyed by scan
 // ordinal, class-count histograms summed, simulated O/L/C timelines folded
 // per stage — into a single result bit-identical to a single-node run. The
-// package owns the whole routing decision: scatter and reroute, hedging,
-// shard health and admission. It also owns both ends of the router→shard
+// package owns the whole routing decision: scatter and reroute, shard
+// health and admission. It also owns both ends of the router→shard
 // seam: HTTPShard is the client and ShardHandler the server of /score and
 // /warm, and StatusOf is the one failure-class → HTTP-status table either
 // tier answers from.
