@@ -14,16 +14,17 @@
 //	router -shards http://localhost:8081,http://localhost:8082 \
 //	    [-addr :8090] [-warm iris_rf] [-partial] \
 //	    [-conns-per-shard 32] [-probe-interval 2s] \
-//	    [-max-inflight 64] [-shard-inflight 16] [-classes interactive=25ms,batch=500ms]
+//	    [-max-inflight 64] [-classes interactive=25ms,batch=500ms]
 //
 // The shard health state machine (healthy -> degraded -> quarantined ->
 // rejoining) is the router's one notion of shard health. It always runs on
 // passive per-request signals; -probe-interval adds active /healthz probing
-// so a quarantined shard can rejoin without traffic. Any of -max-inflight,
-// -shard-inflight or -classes turns on admission control (the router-wide
-// bound is 4 x shards unless -max-inflight sets it): capacity,
-// priority-class, and deadline-aware shedding answer 503 with Retry-After
-// instead of queueing without bound.
+// so a quarantined shard can rejoin without traffic. Either -max-inflight or
+// -classes turns on admission control (the router-wide bound is 4 x shards
+// when -classes turns it on): capacity, priority-class, and deadline-aware
+// shedding answer 503 with Retry-After instead of queueing without bound.
+// A busy shard refuses a sub-query at its own executor queue, and the
+// router reroutes it.
 //
 // Endpoints: /query (?sql= or POST body, ?tenant=), /warm?model=, /healthz,
 // and the ops surface shared with cmd/serve (internal/httpapi): /metrics,
@@ -62,11 +63,7 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe timeout (0 = default 1s)")
 	maxInFlight := flag.Int("max-inflight", 0,
 		"router-wide concurrent query bound; enables admission control"+
-			" (0 = off, or 4 x shards when -shard-inflight or -classes enables it)")
-	shardInFlight := flag.Int("shard-inflight", 0,
-		"per-shard concurrent sub-query bound; enables admission control (0 disables)")
-	shardQueue := flag.Int("shard-queue", 0,
-		"per-shard sub-query wait queue beyond -shard-inflight before fast-fail reroute (0 = 2x)")
+			" (0 = off, or 4 x shards when -classes turns it on)")
 	classes := flag.String("classes", "",
 		"admission priority classes as SLO objectives, e.g. interactive=25ms,batch=500ms"+
 			" (tightest objective sheds last)")
@@ -103,16 +100,14 @@ func main() {
 			ProbeTimeout:  *probeTimeout,
 		},
 	}
-	if *maxInFlight > 0 || *shardInFlight > 0 || *classes != "" {
+	if *maxInFlight > 0 || *classes != "" {
 		objs, err := obs.ParseSLOSpec(*classes)
 		if err != nil {
 			log.Fatalf("router: -classes: %v", err)
 		}
 		cfg.Admission = &router.AdmissionConfig{
-			MaxInFlight:   *maxInFlight,
-			ShardInFlight: *shardInFlight,
-			ShardQueue:    *shardQueue,
-			Classes:       objs,
+			MaxInFlight: *maxInFlight,
+			Classes:     objs,
 		}
 	}
 	r, err := router.New(cfg)

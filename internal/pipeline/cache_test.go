@@ -298,12 +298,12 @@ func TestLimitValidation(t *testing.T) {
 // TestEstimateMatchesCachedMissRun: with a cache attached, a cold (miss)
 // query keeps the exact baseline timeline shape.
 func TestEstimateMatchesCachedMissRun(t *testing.T) {
-	p, f, data := newCachedPipeline(t, 8, 10, 400)
+	p, f, _ := newCachedPipeline(t, 8, 10, 400)
 	blob, err := p.DB.LoadModelBlob("iris_rf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := p.Run(blob, data, "FPGA")
+	run, err := p.ExecQuery("EXEC sp_score_model @model='iris_rf', @data='iris', @backend='FPGA'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestEstimateMatchesCachedMissRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if run.Timeline.Total() != est.Total() {
-		t.Fatalf("cold cached Run total %v != Estimate total %v", run.Timeline.Total(), est.Total())
+		t.Fatalf("cold cached query total %v != Estimate total %v", run.Timeline.Total(), est.Total())
 	}
 }
 

@@ -443,7 +443,7 @@ func (p *Pipeline) ExecScoreCtx(ctx context.Context, req *ScoreRequest) (*QueryR
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.score(ctx, req, nil, nil)
+	return p.score(ctx, req)
 }
 
 // ExecScoreBatchCtx scores each request on its own, in order: nothing here
@@ -530,19 +530,12 @@ func (p *Pipeline) WarmModel(name string) (string, error) {
 	return rm.status, nil
 }
 
-// Run executes the pipeline stages over a model blob and a dataset,
-// returning real predictions and the simulated end-to-end breakdown.
-func (p *Pipeline) Run(blob []byte, data *dataset.Dataset, backendName string) (*QueryResult, error) {
-	return p.score(context.Background(), &ScoreRequest{Backend: backendName}, blob, data)
-}
-
-// score is the stage loop behind ExecScoreCtx and Run: ONE trace and ONE
+// score is the stage loop behind ExecScoreCtx: ONE trace and ONE
 // observeQuery per query, opened before anything can fail, then model
 // pre-processing, the input fetch, scoring and post-processing — each a
-// function under its own span. Run hands in the blob and the rows; with data
-// nil (ExecScoreCtx) both come out of the DBMS, the blob first: the model's
-// feature names drive projection pruning, so the model is resolved BEFORE any
-// row leaves the column store.
+// function under its own span. The blob and the rows both come out of the
+// DBMS, the blob first: the model's feature names drive projection pruning,
+// so the model is resolved BEFORE any row leaves the column store.
 //
 // With fusion engaged the selection rides into the backend request so dead
 // rows are skipped inside the kernel's block loop, and a fused aggregate asks
@@ -550,7 +543,7 @@ func (p *Pipeline) Run(blob []byte, data *dataset.Dataset, backendName string) (
 // (falling back to counting predictions for engines that ignore WantCounts).
 // The zero fusion state (no WHERE, AggNone, no partition) reproduces
 // pre-fusion behavior bit-for-bit.
-func (p *Pipeline) score(ctx context.Context, req *ScoreRequest, blob []byte, data *dataset.Dataset) (res *QueryResult, err error) {
+func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResult, err error) {
 	tr := p.Obs.StartTrace(ScoreProcName)
 	tr.SetAttr("model", req.Model)
 	if len(req.Where) > 0 {
@@ -580,11 +573,9 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest, blob []byte, da
 
 	// Model pre-processing: cache probe, blob deserialization, kernel
 	// lowering.
-	fromDB := data == nil
-	if fromDB {
-		if blob, err = p.DB.LoadModelBlob(req.Model); err != nil {
-			return nil, err
-		}
+	blob, err := p.DB.LoadModelBlob(req.Model)
+	if err != nil {
+		return nil, err
 	}
 	var rm *resolvedModel
 	costPreproc, err := p.stage(tr, StageModelPreproc, attribOn, func() (err error) {
@@ -602,14 +593,11 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest, blob []byte, da
 
 	// sel marks the rows the kernel scores: those surviving the pushed-down
 	// WHERE, narrowed to the request's stripe (nil = all rows).
-	var sel *kernel.Selection
-	if fromDB {
-		end := tr.StartSpan("input fetch")
-		data, sel, err = p.fetchInput(req, f.FeatureNames)
-		end()
-		if err != nil {
-			return nil, err
-		}
+	end := tr.StartSpan("input fetch")
+	data, sel, err := p.fetchInput(req, f.FeatureNames)
+	end()
+	if err != nil {
+		return nil, err
 	}
 	tr.SetAttr("records", strconv.Itoa(data.NumRecords()))
 	records := int64(data.NumRecords())

@@ -8,7 +8,6 @@ import (
 	"accelscore/internal/db"
 	"accelscore/internal/forest"
 	"accelscore/internal/hw"
-	"accelscore/internal/model"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/platform"
 )
@@ -179,12 +178,12 @@ func TestRAPIDSRejectedViaPipeline(t *testing.T) {
 }
 
 func TestEstimateMatchesRunShape(t *testing.T) {
-	p, f, data := newPipeline(t, 8, 10, 400)
-	blob, err := model.Marshal(f)
+	p, f, _ := newPipeline(t, 8, 10, 400)
+	blob, err := p.DB.LoadModelBlob("iris_rf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := p.Run(blob, data, "FPGA")
+	run, err := p.ExecQuery("EXEC sp_score_model @model='iris_rf', @data='iris', @backend='FPGA'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestEstimateMatchesRunShape(t *testing.T) {
 		t.Fatalf("estimate backend = %s", name)
 	}
 	if run.Timeline.Total() != est.Total() {
-		t.Fatalf("Run total %v != Estimate total %v", run.Timeline.Total(), est.Total())
+		t.Fatalf("query total %v != Estimate total %v", run.Timeline.Total(), est.Total())
 	}
 }
 

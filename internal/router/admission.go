@@ -6,10 +6,9 @@
 // (a query whose remaining deadline is below the predicted service time —
 // the mean of the router's recent successful queries — would only burn
 // capacity to time out, so it is refused immediately with a Retry-After
-// hint; inactive until the first query has been measured). Per-shard
-// in-flight and queue bounds guard the scatter itself: a saturated shard
-// refuses the sub-query so the dispatcher reroutes instead of queueing
-// without bound.
+// hint; inactive until the first query has been measured). A saturated
+// shard refuses a sub-query itself, at its executor queue, and the
+// dispatcher reroutes it.
 package router
 
 import (
@@ -30,11 +29,6 @@ type AdmissionConfig struct {
 	// MaxInFlight is the router-wide concurrent-query bound (0 = 4 x the
 	// shard count). The priority thresholds scale off it.
 	MaxInFlight int
-	// ShardInFlight bounds concurrent sub-queries per shard (0 = no
-	// per-shard bound); ShardQueue bounds waiters beyond that before a
-	// sub-query fast-fails to reroute (default 2x ShardInFlight).
-	ShardInFlight int
-	ShardQueue    int
 	// Classes are the priority classes (the PR 8 SLO objective spelling:
 	// "interactive=25ms,batch=500ms"). The tightest objective is the
 	// highest priority; a class with rank r of R is admitted only while
@@ -99,10 +93,6 @@ type admission struct {
 	mu     sync.Mutex
 	ledger map[string]*classCounters
 
-	// Per-shard scatter bounds.
-	shardSlots []chan struct{}
-	shardWait  []atomic.Int64
-
 	metrics *obs.RouterMetrics // nil-safe
 }
 
@@ -116,9 +106,6 @@ func newAdmission(cfg *AdmissionConfig, shards int, metrics *obs.RouterMetrics) 
 	if c.MaxInFlight < 1 {
 		c.MaxInFlight = 4 * shards
 	}
-	if c.ShardInFlight > 0 && c.ShardQueue <= 0 {
-		c.ShardQueue = 2 * c.ShardInFlight
-	}
 	a := &admission{
 		cfg:     c,
 		rank:    make(map[string]int),
@@ -129,13 +116,6 @@ func newAdmission(cfg *AdmissionConfig, shards int, metrics *obs.RouterMetrics) 
 	sort.Slice(a.classes, func(i, j int) bool { return a.classes[i].Latency < a.classes[j].Latency })
 	for i, o := range a.classes {
 		a.rank[o.Class] = i
-	}
-	if c.ShardInFlight > 0 {
-		a.shardSlots = make([]chan struct{}, shards)
-		a.shardWait = make([]atomic.Int64, shards)
-		for i := range a.shardSlots {
-			a.shardSlots[i] = make(chan struct{}, c.ShardInFlight)
-		}
 	}
 	return a
 }
@@ -221,35 +201,6 @@ func (a *admission) Admit(ctx context.Context, class string) (release func(ok bo
 			a.lat.Observe(latency)
 		}
 	}, nil
-}
-
-// acquireShard takes one of shard's sub-query slots, to be returned with
-// releaseShard: the caller waits its turn behind at most ShardQueue others.
-// A full queue is an error at once — the router's own back-pressure, not
-// the shard's fault — so the dispatcher moves the partition to a less
-// loaded replica instead of queueing without bound.
-func (a *admission) acquireShard(ctx context.Context, shard int) error {
-	if a == nil || a.cfg.ShardInFlight <= 0 {
-		return nil
-	}
-	if a.shardWait[shard].Add(1) > int64(a.cfg.ShardQueue) {
-		a.shardWait[shard].Add(-1)
-		return fmt.Errorf("shard %d: sub-query queue full", shard)
-	}
-	defer a.shardWait[shard].Add(-1)
-	select {
-	case a.shardSlots[shard] <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// releaseShard returns the slot a successful acquireShard took.
-func (a *admission) releaseShard(shard int) {
-	if a != nil && a.cfg.ShardInFlight > 0 {
-		<-a.shardSlots[shard]
-	}
 }
 
 // Stats snapshots every class ledger, sorted by priority rank then name.

@@ -3,6 +3,7 @@ package router_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,39 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"accelscore/internal/harness"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/router"
 )
-
-// heldBackend parks every Score call until release is closed, announcing
-// each arrival on entered.
-type heldBackend struct {
-	router.Backend
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (h *heldBackend) Score(ctx context.Context, req router.Request) (*router.Result, error) {
-	h.entered <- struct{}{}
-	select {
-	case <-h.release:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return h.Backend.Score(ctx, req)
-}
-
-// announcingBackend announces every Score call that reaches it.
-type announcingBackend struct {
-	router.Backend
-	served chan struct{}
-}
-
-func (a *announcingBackend) Score(ctx context.Context, req router.Request) (*router.Result, error) {
-	a.served <- struct{}{}
-	return a.Backend.Score(ctx, req)
-}
 
 // tenantOn names a tenant whose queries an n-shard tier homes on shard:
 // tenant-affine queries are one sub-query each.
@@ -52,76 +25,6 @@ func tenantOn(shard, n int) string {
 	for i := 0; ; i++ {
 		if tenant := fmt.Sprintf("tenant-%d", i); pipeline.TenantShard(tenant, n) == shard {
 			return tenant
-		}
-	}
-}
-
-// TestRouterBackPressureIsNotShardFailure saturates shard 0's sub-query slot
-// and queue: the overflow is the ROUTER's bound, so the sub-query moves to
-// shard 1 without shard 0's health hearing of it. With one strike enough to
-// degrade, any failure signal would show as a transition.
-func TestRouterBackPressureIsNotShardFailure(t *testing.T) {
-	const rows = 200
-	held := &heldBackend{
-		Backend: &router.Local{Name: "shard-0", Pipe: newShardPipeline(t, rows)},
-		entered: make(chan struct{}, 3),
-		release: make(chan struct{}),
-	}
-	spare := &announcingBackend{
-		Backend: &router.Local{Name: "shard-1", Pipe: newShardPipeline(t, rows)},
-		served:  make(chan struct{}, 3),
-	}
-	r, err := router.New(router.Config{
-		Backends:  []router.Backend{held, spare},
-		Health:    &router.HealthConfig{FailThreshold: 1},
-		Admission: &router.AdmissionConfig{MaxInFlight: 16, ShardInFlight: 1, ShardQueue: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	want, err := newShardPipeline(t, rows).ExecQuery(plainSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tenant := tenantOn(0, 2)
-	done := make(chan error, 3)
-	query := func() {
-		got, err := r.Query(context.Background(), plainSQL, router.QueryOptions{Tenant: tenant})
-		if err == nil && !reflect.DeepEqual(got.Predictions, want.Predictions) {
-			err = fmt.Errorf("predictions differ from single-node")
-		}
-		done <- err
-	}
-	timeout := time.After(10 * time.Second)
-
-	go query() // takes shard 0's only slot and parks in the backend
-	select {
-	case <-held.entered:
-	case <-timeout:
-		t.Fatal("first query never reached shard 0")
-	}
-	go query() // of these two, one waits in shard 0's one-deep queue...
-	go query()
-	select {
-	case <-spare.served: // ...and the other overflows to shard 1
-	case <-timeout:
-		t.Fatal("overflow sub-query never rerouted to shard 1")
-	}
-	close(held.release)
-	for i := 0; i < 3; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-timeout:
-			t.Fatal("queries never finished")
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if snap := r.Health().Snapshot(i); snap.State != router.ShardHealthy || snap.Transitions != 0 || snap.InFlight != 0 {
-			t.Fatalf("router back-pressure was charged to shard %d: %+v", i, snap)
 		}
 	}
 }
@@ -283,6 +186,76 @@ func TestUnreachableTierIs503(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%q: HTTP %d, want 400", sql, resp.StatusCode)
+		}
+	}
+}
+
+// stallingBackend never answers a Score: it returns when the caller's
+// context ends, with that context's error.
+type stallingBackend struct{ router.Backend }
+
+func (stallingBackend) Score(ctx context.Context, _ router.Request) (*router.Result, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestLostToTheQueryContextKeepsItsClass: a query whose partitions were all
+// lost to its own context ending fails with that context's class — to
+// errors.Is, on the HTTP status and in the harness's tally — however many
+// sub-queries it scattered into. Partitions lost to shard faults are the
+// tier being unavailable on any width.
+func TestLostToTheQueryContextKeepsItsClass(t *testing.T) {
+	const budget = 20 * time.Millisecond
+	for _, c := range []struct {
+		name    string
+		end     func(context.Context) (context.Context, context.CancelFunc)
+		backend router.Backend
+		cause   error
+		status  int
+		outcome harness.Outcome
+	}{
+		{"deadline", func(ctx context.Context) (context.Context, context.CancelFunc) {
+			return context.WithTimeout(ctx, budget)
+		}, stallingBackend{}, context.DeadlineExceeded, http.StatusGatewayTimeout, harness.Deadline},
+		{"cancel", func(ctx context.Context) (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(ctx)
+			time.AfterFunc(budget, cancel)
+			return ctx, cancel
+		}, stallingBackend{}, context.Canceled, 499, harness.Canceled},
+		{"fault", context.WithCancel, &scriptedBackend{err: errors.New("shard fault")},
+			nil, http.StatusServiceUnavailable, harness.Failed},
+	} {
+		for _, shards := range []int{1, 2} {
+			name := fmt.Sprintf("%s on %d shard(s)", c.name, shards)
+			backends := make([]router.Backend, shards)
+			for i := range backends {
+				backends[i] = c.backend
+			}
+			rt, err := router.New(router.Config{Backends: backends})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := c.end(context.Background())
+			_, err = rt.Query(ctx, plainSQL, router.QueryOptions{})
+			cancel()
+			for _, cause := range []error{context.DeadlineExceeded, context.Canceled} {
+				if got := errors.Is(err, cause); got != (cause == c.cause) {
+					t.Errorf("%s: errors.Is(%v, %v) = %v", name, err, cause, got)
+				}
+			}
+			if got := harness.Classify(err); got != c.outcome {
+				t.Errorf("%s: Classify(%v) = %v, want %v", name, err, got, c.outcome)
+			}
+
+			ctx, cancel = c.end(context.Background())
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodGet, "/query?sql="+url.QueryEscape(plainSQL), nil)
+			router.Handler(rt).ServeHTTP(rec, req.WithContext(ctx))
+			cancel()
+			if rec.Code != c.status {
+				t.Errorf("%s: HTTP %d (%s), want %d", name, rec.Code, strings.TrimSpace(rec.Body.String()), c.status)
+			}
+			rt.Close()
 		}
 	}
 }

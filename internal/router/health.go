@@ -293,8 +293,8 @@ type signal int
 
 const (
 	// signalNone: the attempt never meaningfully ran (the caller gave up,
-	// the router's sub-query queue for the shard was full, or the shard
-	// refused the sub-query because its own queue was full).
+	// or the shard refused the sub-query because its executor queue was
+	// full).
 	signalNone signal = iota
 	// signalPass: the shard answered correctly.
 	signalPass

@@ -85,7 +85,6 @@ func New(cfg Config) (*Router, error) {
 	r.disp = &dispatcher{
 		shards:  n,
 		health:  r.health,
-		adm:     r.adm,
 		metrics: r.metrics,
 	}
 

@@ -25,8 +25,8 @@ import (
 )
 
 // ErrNoShardAvailable is the per-partition error when no shard that could
-// serve it was taking traffic (all quarantined, rejoining at their trickle
-// limit, or out of sub-query slots).
+// serve it was taking traffic (all quarantined, or rejoining at their
+// trickle limit).
 var ErrNoShardAvailable = errors.New("router: no shard available")
 
 // ShardFunc executes one partition of a query on one shard. Implementations
@@ -84,12 +84,11 @@ type dispatchResult struct {
 }
 
 // dispatcher scatters partitions across shard replicas, rerouting on
-// failure. It decides from the router's own state directly: the health
-// state machine and the per-shard sub-query slots.
+// failure. It decides from the health state machine alone; a shard that is
+// too busy says so itself, with a "rejected" reply.
 type dispatcher struct {
 	shards  int
 	health  *HealthManager
-	adm     *admission         // nil without admission control
 	metrics *obs.RouterMetrics // nil-safe
 }
 
@@ -101,11 +100,9 @@ type attempt struct {
 	lat   time.Duration
 }
 
-// acquire takes everything one attempt on shard needs: the health state
-// machine's leave (quarantined shards refuse, rejoining shards trickle) and,
-// when admission bounds them, one of the shard's sub-query slots. A
-// refusal carries no health signal. A nil return must be paired with
-// exactly one settle.
+// acquire takes the health state machine's leave for one attempt on shard:
+// quarantined shards refuse, rejoining shards trickle. A refusal carries no
+// health signal. A nil return must be paired with exactly one settle.
 func (d *dispatcher) acquire(ctx context.Context, shard int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -113,25 +110,18 @@ func (d *dispatcher) acquire(ctx context.Context, shard int) error {
 	if !d.health.acquire(shard) {
 		return fmt.Errorf("shard %d: %s, not taking traffic", shard, d.health.State(shard))
 	}
-	if err := d.adm.acquireShard(ctx, shard); err != nil {
-		d.health.release(shard, signalNone)
-		return err
-	}
 	return nil
 }
 
-// settle ends an acquired attempt: it frees the shard's slot and tells the
-// state machine how the attempt went. A result feeds the shard's /metrics
-// latency histogram; a query-level error means the shard answered
-// correctly; a failure the shard is not to blame for — the caller's budget
-// expired — is no signal at all. Nor is the shard's own back-pressure (a
+// settle ends an acquired attempt: it tells the state machine how the
+// attempt went. A result feeds the shard's /metrics latency histogram; a
+// query-level error means the shard answered correctly; a failure the shard
+// is not to blame for — the caller's budget expired — is no signal at all. Nor is the shard's own back-pressure (a
 // "rejected" reply: its executor queue is full, or it is draining): the
 // partition is rerouted and counted as a reroute, but a replica that is
 // healthy and busy must not be degraded for saying so, or its partitions
-// pile onto the others and they overflow in turn — the same ruling acquire
-// makes for the router's own full sub-query queue.
+// pile onto the others and they overflow in turn.
 func (d *dispatcher) settle(ctx context.Context, a attempt) {
-	d.adm.releaseShard(a.shard)
 	switch {
 	case a.err == nil:
 		d.metrics.ObserveShard(a.shard, a.lat, 0)
@@ -281,6 +271,22 @@ func (p *PartialError) Error() string {
 	}
 	return fmt.Sprintf("router: partial result, %d partition(s) missing [%s]",
 		len(p.Missing), strings.Join(parts, "; "))
+}
+
+// Unwrap is the query's own context error when that is what every missing
+// partition was lost to, so a scattered query past its deadline fails as a
+// timeout, as it would on one shard. route records that error bare, which
+// is what == tells apart from a shard's own timeout inside a RouteError. A
+// partition lost to a shard fault makes it nil: the gap is then the tier's.
+func (p *PartialError) Unwrap() error {
+	var cause error
+	for _, err := range p.Errs {
+		if err != context.DeadlineExceeded && err != context.Canceled {
+			return nil
+		}
+		cause = err
+	}
+	return cause
 }
 
 // partial inspects a scatter outcome and returns the typed PartialError when

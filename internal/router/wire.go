@@ -180,9 +180,11 @@ func StatusOf(code string) int {
 
 // codeOf classes a Backend's or the router's own failure. Only an error some
 // layer marked query-level (NoReroute: parse, validation, unknown model) is
-// the client's fault; a shard's refusal keeps the class it had on the wire;
-// a query no shard could be reached or found a slot for (PartialError,
-// RouteError, ShedError) is the tier being unavailable, not a bad request.
+// the client's fault; a query's own deadline or cancel keeps its class
+// through the gather; a shard's refusal keeps the class it had on the wire;
+// a query the router refused or no shard could serve (ShedError,
+// PartialError, RouteError) is the tier being unavailable, not a bad
+// request.
 func codeOf(err error) string {
 	var (
 		se   *ShardError
@@ -193,12 +195,12 @@ func codeOf(err error) string {
 	switch {
 	case IsNoReroute(err):
 		return CodeBadRequest
-	case errors.As(err, &pe), errors.As(err, &shed):
-		return CodeRejected
 	case errors.Is(err, context.DeadlineExceeded):
 		return CodeTimeout
 	case errors.Is(err, context.Canceled):
 		return CodeCanceled
+	case errors.As(err, &pe), errors.As(err, &shed):
+		return CodeRejected
 	case errors.As(err, &se):
 		return se.Code
 	case errors.As(err, &re):
