@@ -393,13 +393,16 @@ func BenchmarkPipelineHotPath(b *testing.B) {
 //     HIGGS rows and the same model with GOMAXPROCS workers: the small end of
 //     the vote early exit, which engages here on at most four blocks;
 //   - small-8x6: ingest_then_score's model, dense over 10k rows;
+//   - boosted-64x6: a 64-round, depth-6 gradient-boosted HIGGS model, dense
+//     over the 20k rows — the float margin sum two-class vote forests share;
 //   - plain-iris-32x10-stripe: scan_plain's per-shard call — PredictSel over
 //     stripe 0 of 2 of 25k IRIS rows and the 32 × depth-10 demo model;
 //   - skewed-16x24: one-sided depth-24 chains, where most rows leave a tree
 //     long before its depth — the guard on the lock-step walk's early stop.
 //
-// The early exit engages on every model here of 32 trees or more; small-8x6
-// and skewed-16x24 sit under its gate and guard that it costs them nothing.
+// The early exit engages on every vote forest here of 32 trees or more;
+// small-8x6 and skewed-16x24 sit under its gate and guard that it costs them
+// nothing, and boosted-64x6 walks every tree.
 func BenchmarkKernelPredict(b *testing.B) {
 	data := dataset.Higgs(20000, 1)
 	n, features := data.NumRecords(), data.NumFeatures()
@@ -463,6 +466,16 @@ func BenchmarkKernelPredict(b *testing.B) {
 
 	_, small := train(8, 6)
 	b.Run("small-8x6", dense(small, 10000, 1))
+
+	gbt, err := forest.TrainBoosted(dataset.Higgs(1500, 9), forest.BoostConfig{NumTrees: 64, MaxDepth: 6, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	boosted, err := gbt.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("boosted-64x6", dense(boosted, n, 1))
 
 	iris := dataset.Iris().Replicate(25000)
 	irisForest, err := forest.Train(dataset.Iris(), experiments.DemoForestConfig)

@@ -108,3 +108,17 @@ func TestFirstCheckIsTheEarliestDecidableTree(t *testing.T) {
 		}
 	}
 }
+
+// TestMarginGapIsVoteGap: the closed form a two-class forest checks its one
+// margin with is voteGap itself, for every two-class vote vector of at most
+// 64 votes and every rem from 0 to 64 — so a margin row is checked, exits
+// and pads a group exactly where its vote vector would.
+func TestMarginGapIsVoteGap(t *testing.T) {
+	forEachVote(2, 64, func(v []int32) {
+		for rem := 0; rem <= 64; rem++ {
+			if got, want := marginGap(int(v[1]-v[0]), rem), voteGap(v, rem); got != want {
+				t.Fatalf("votes %v, %d to cast: margin gap %d, vote gap %d", v, rem, got, want)
+			}
+		}
+	})
+}

@@ -11,7 +11,8 @@ import (
 
 // The fuzz input is a little program for the builder API followed by row
 // data. Byte 0: bit 0 boosted, bits 1-3 classes-2. Byte 1: tree count - 1
-// (mod 4). Byte 2: row count (mod 81, so up to one block, a group and a
+// (mod 4), or with its top bit set tree count - 32 (mod 32), so the vote
+// exit engages. Byte 2: row count (mod 81, so up to one block, a group and a
 // remainder). Then per tree a pre-order description — fuzzLeaf, class; or
 // fuzzSplit, feature, four threshold bytes, left subtree, right subtree —
 // and, after the trees, any number of fuzzLink records (parent, left, right:
@@ -59,6 +60,16 @@ func FuzzKernelPredict(f *testing.F) {
 		chain = split(byte(d), float32(d)/24, leaf(byte(d)), chain)
 	}
 	rows := []byte{0, 0, 0xC0, 0x7F, 0, 0, 0xC0, 0xFF, 0, 0, 0x80, 0x7F, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0x3F}
+	// 33 stumps over the three features, thresholds spread over [-0.5, 0.5):
+	// below goes to class 0, above to classes 1.. in turn, so some rows are
+	// decided early and some never.
+	stumps := func(classes int) []byte {
+		var b []byte
+		for t := 0; t < 33; t++ {
+			b = append(b, split(byte(t%fuzzFeatures), float32(t)/33-0.5, leaf(0), leaf(byte(1+t%(classes-1))))...)
+		}
+		return b
+	}
 	for _, seed := range [][]byte{
 		// Vote, 3 classes: a single leaf, a stump, a depth-24 chain.
 		slices.Concat([]byte{2, 2, 70}, leaf(2), split(0, 0.5, leaf(0), leaf(1)), chain, rows),
@@ -71,6 +82,9 @@ func FuzzKernelPredict(f *testing.F) {
 		slices.Concat([]byte{0, 0, 9}, split(0, 0.5, split(0, 0.25, leaf(0), leaf(1)), leaf(1)), []byte{fuzzLink, 1, 2, 0}, rows),
 		slices.Concat([]byte{0, 1, 9}, split(0, 0.5, leaf(0), leaf(1)), leaf(1), []byte{fuzzLink, 0, 1, 3}, rows),
 		slices.Concat([]byte{0, 0, 9}, split(0, 0.5, split(0, 0.25, leaf(0), leaf(1)), leaf(1)), []byte{fuzzLink, 0, 1, 3}, rows),
+		// Vote, 33 trees: two classes (the margin path) and three.
+		slices.Concat([]byte{0, 0x80 | 1, 80}, stumps(2), rows),
+		slices.Concat([]byte{2, 0x80 | 1, 80}, stumps(3), rows),
 	} {
 		f.Add(seed)
 	}
@@ -82,7 +96,11 @@ func FuzzKernelPredict(f *testing.F) {
 		in := &fuzzInput{data: data}
 		head := in.byte()
 		boosted, classes := head&1 == 1, 2+int(head>>1&7)%6
-		trees, n := 1+int(in.byte())%4, int(in.byte())%81
+		b := in.byte()
+		trees, n := 1+int(b)%4, int(in.byte())%81
+		if b&0x80 != 0 {
+			trees = 32 + int(b)%32
+		}
 
 		c := kernel.New(classes, boosted, 0)
 		// budget is how many more nodes the tree may commit to; a split

@@ -41,11 +41,11 @@
 // row once no casting of the votes still to come can change its argmax,
 // lowest index winning ties — exact integer arithmetic, so predictions stay
 // bit-identical; on scan_fused's 64 HIGGS trees the mean row is decided
-// after 40.9. Checks start once as many votes are cast as remain and then
-// wait ⌈gap/2⌉ trees, and decided rows pad the last group of 8. Below 32
-// trees the checks cost more than they save (engaged there, small-8x6 ran
-// +22–32 %, skewed-16x24 +12–14 %); a boosted ensemble walks every tree, as
-// no bound on a float margin sum is bit-exact.
+// after 40.9; a two-class row keeps one margin, v1 − v0. Checks start once
+// as many votes are cast as remain, then wait ⌈gap/2⌉ trees, and decided rows
+// pad the last group of 8. Below 32 trees the checks cost more than they save
+// (small-8x6 +22–32 %, skewed-16x24 +12–14 %); a boosted float margin walks
+// every tree, as no bound on a float sum is bit-exact.
 //
 // Measured and rejected (numbers in DESIGN.md §7): 4 lanes; a whole-block
 // level-synchronous loop over an index array; no early stop; left/right in
@@ -83,7 +83,7 @@ const maxNodes = 1 << 30
 // node is one packed tree node, the only thing the batch traversal reads.
 // A split's right child is nodes[child], its left child nodes[child+1] and
 // its class -1; a leaf has child == its own index, a NaN threshold and the
-// class it votes for (0 in a boosted ensemble, which reads margin instead).
+// class it votes for (0 in a boosted ensemble); two-class ensembles score margin.
 type node struct {
 	feature   int32
 	threshold float32
@@ -109,9 +109,9 @@ type Compiled struct {
 	value      []float64
 	class      []int32
 
-	// Packed form, built by Seal: the nodes breadth-first per tree, a boosted
-	// ensemble's leaf margins parallel to them, each tree's depth (the steps
-	// that take any row to a leaf) and the largest feature index read.
+	// Packed form, built by Seal: the nodes breadth-first per tree, a two-class
+	// ensemble's leaf margins (boosted values or ±1 votes) parallel to them,
+	// each tree's depth (steps to any leaf) and the largest feature read.
 	nodes      []node
 	margin     []float64
 	depth      []int32
@@ -125,10 +125,13 @@ type Compiled struct {
 
 // New returns an empty compiled form ready for tree emission. classes is the
 // vote-vector width (at least 1); boosted selects margin aggregation with
-// base as the initial log-odds.
+// base as the initial log-odds. A vote forest ignores base.
 func New(classes int, boosted bool, base float64) *Compiled {
 	if classes < 1 {
 		classes = 1
+	}
+	if !boosted {
+		base = 0
 	}
 	return &Compiled{classes: classes, boosted: boosted, base: base}
 }
@@ -180,7 +183,7 @@ func (c *Compiled) Seal() error {
 	}
 	c.treeStart = append(c.treeStart, int32(len(c.featureIdx)))
 	c.nodes = make([]node, len(c.featureIdx))
-	if c.boosted {
+	if c.boosted || c.classes == 2 {
 		c.margin = make([]float64, len(c.featureIdx))
 	}
 	c.depth = make([]int32, len(c.treeStart)-1)
@@ -220,6 +223,8 @@ func (c *Compiled) packTree(t int, placed []bool, queue []int32) error {
 				c.margin[p] = c.value[b]
 			} else if class < 0 || int(class) >= c.classes {
 				return fmt.Errorf("leaf %d votes for class %d of %d", b, class, c.classes)
+			} else if c.margin != nil {
+				c.margin[p] = float64(2*class - 1)
 			}
 			c.nodes[p] = node{threshold: float32(math.NaN()), child: p, class: class}
 			continue
@@ -478,30 +483,24 @@ func (c *Compiled) scoreRange(x []float32, features int, sel *Selection, out []i
 
 // scoreBlock walks every tree for the rows of x listed in rows (at most one
 // block) and writes their predicted classes into out[:len(rows)]. votes is
-// scratch of at least len(rows)*classes entries (unused for boosted
+// scratch of at least len(rows)*classes entries (unused by two-class
 // ensembles). This is the traversal: the order rows and trees are visited
 // in is decided here, the node layout in Seal and step, and nowhere else.
 // Trees are streamed over the block; within a tree the rows still walking go
 // down in groups of 8 (lockstep), the remainder one at a time through the
 // same step, and each row's leaf then adds its margin or its vote.
 func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int, votes []int32) {
-	nb, nodes, classes, trees := len(rows), c.nodes, c.classes, len(c.depth)
-	// Entry i of offs (offset into x), pos (place in the block) and votes is
-	// one row; the first live entries are the rows still walking.
+	nb, nodes, margin, classes, trees := len(rows), c.nodes, c.margin, c.classes, len(c.depth)
+	// Entry i of offs (offset into x), pos (place in the block), margins and
+	// votes is one row; the first live entries are the rows still walking.
 	var offs [rowBlockSize]int
 	var pos [rowBlockSize]uint8
-	for r, row := range rows {
-		offs[r], pos[r] = int(row)*features, uint8(r)
-	}
 	var margins [rowBlockSize]float64
-	if c.boosted {
-		for r := 0; r < nb; r++ {
-			margins[r] = c.base
-		}
-	} else {
-		votes = votes[:nb*classes]
-		clear(votes)
+	for r, row := range rows {
+		offs[r], pos[r], margins[r] = int(row)*features, uint8(r), c.base
 	}
+	votes = votes[:nb*classes]
+	clear(votes)
 	live, check := nb, c.firstCheck()
 	var leaf [rowBlockSize]int32
 	for t, steps := range c.depth {
@@ -519,14 +518,14 @@ func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int
 			}
 			leaf[r] = idx
 		}
-		if c.boosted {
-			for r, l := range leaf[:nb] {
-				margins[r] += c.margin[l]
+		if margin != nil {
+			for r, l := range leaf[:walk] {
+				margins[r] += margin[l]
 			}
-			continue
-		}
-		for r, l := range leaf[:walk] {
-			votes[r*classes+int(nodes[l].class)]++
+		} else {
+			for r, l := range leaf[:walk] {
+				votes[r*classes+int(nodes[l].class)]++
+			}
 		}
 		if t < check {
 			continue
@@ -535,12 +534,19 @@ func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int
 		// A tree closes a gap by at most 2, so the smallest sets the next check.
 		rem, minGap, undecided := trees-t-1, trees, 0
 		for i := 0; i < live; i++ {
-			v := votes[i*classes : (i+1)*classes]
-			if gap := voteGap(v, rem); gap > 0 {
+			gap := marginGap(int(margins[i]), rem)
+			if margin == nil {
+				gap = voteGap(votes[i*classes:(i+1)*classes], rem)
+			}
+			if gap > 0 {
 				minGap = min(minGap, gap)
-				for j, u := range votes[undecided*classes : (undecided+1)*classes] {
-					v[j], votes[undecided*classes+j] = u, v[j]
+				if margin == nil {
+					v := votes[i*classes : (i+1)*classes]
+					for j, u := range votes[undecided*classes : (undecided+1)*classes] {
+						v[j], votes[undecided*classes+j] = u, v[j]
+					}
 				}
+				margins[i], margins[undecided] = margins[undecided], margins[i]
 				offs[i], offs[undecided] = offs[undecided], offs[i]
 				pos[i], pos[undecided] = pos[undecided], pos[i]
 				undecided++
@@ -552,12 +558,12 @@ func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int
 	}
 	for r := 0; r < nb; r++ {
 		switch {
-		case !c.boosted:
+		case margin == nil:
 			out[pos[r]] = argmax(votes[r*classes : (r+1)*classes])
 		case margins[r] > 0:
-			out[r] = 1
+			out[pos[r]] = 1
 		default:
-			out[r] = 0
+			out[pos[r]] = 0
 		}
 	}
 }
@@ -573,6 +579,15 @@ func (c *Compiled) firstCheck() int {
 		return (trees - 1) / 2
 	}
 	return len(c.depth)
+}
+
+// marginGap is voteGap([v0, v1], rem) in closed form for m = v1 − v0: m + rem
+// while class 0 leads or ties, rem − m + 1 once class 1 leads.
+func marginGap(m, rem int) int {
+	if m > 0 {
+		m = 1 - m
+	}
+	return max(0, m+rem)
 }
 
 // voteGap is how far votes v, with rem still to cast, are from decided: 0

@@ -18,13 +18,13 @@ import (
 // trace export — so a single trace answers both "where did the time
 // go" and "what did it consume".
 //
-// Measurement model: CPU time is the executing OS thread's rusage delta
-// (the stage loop pins its goroutine with runtime.LockOSThread while
-// attribution is on), allocation counters are the runtime's monotonic
-// heap-alloc totals sampled via runtime/metrics. Allocation totals are
-// process-global, so concurrent queries bleed into each other's numbers —
-// the attribution is honest about being a sample, not a ledger, which is
-// all the advisor's regime detection needs.
+// Measurement model: CPU time is the process's rusage delta and the
+// allocation counters are the runtime's monotonic heap-alloc totals sampled
+// via runtime/metrics. Both are process-wide — a stage's kernel workers run
+// on other threads than the goroutine that brackets it, so a per-thread
+// reading would miss them — and concurrent queries bleed into each other's
+// numbers: the attribution is honest about being a sample, not a ledger,
+// which is all the advisor's regime detection needs.
 
 // Names of the runtime/metrics samples CostSample reads. Batched into one
 // metrics.Read call so a stage bracket costs two reads total.
@@ -36,7 +36,7 @@ var costSampleNames = []string{
 // CostSample is a point-in-time reading of the monotonic resource counters
 // attribution is derived from. Subtract two samples to get a StageCost.
 type CostSample struct {
-	// CPU is the executing OS thread's user+system CPU time.
+	// CPU is the process's cumulative user+system CPU time.
 	CPU time.Duration
 	// AllocBytes is the process's cumulative heap-allocated bytes.
 	AllocBytes uint64
@@ -52,7 +52,7 @@ func ReadCostSample() CostSample {
 		samples[i].Name = n
 	}
 	metrics.Read(samples)
-	s := CostSample{CPU: threadCPUTime()}
+	s := CostSample{CPU: processCPUTime()}
 	if samples[0].Value.Kind() == metrics.KindUint64 {
 		s.AllocBytes = samples[0].Value.Uint64()
 	}
@@ -83,7 +83,7 @@ func (s CostSample) Sub(prev CostSample) StageCost {
 type StageCost struct {
 	// Stage is the Fig. 11 stage name the cost belongs to.
 	Stage string `json:"stage"`
-	// CPUTime is OS-thread CPU time (user+system) consumed by the stage.
+	// CPUTime is the process's CPU time (user+system) during the stage.
 	CPUTime time.Duration `json:"cpu_ns"`
 	// AllocBytes / AllocObjects are heap allocations during the stage
 	// (process-global sample; concurrent queries share the counter).
@@ -123,8 +123,3 @@ func (c StageCost) args() map[string]string {
 	}
 	return m
 }
-
-// ThreadCPUSupported reports whether per-thread CPU-time attribution works
-// on this platform (Linux). Elsewhere CPUTime stays zero and allocation
-// attribution still functions.
-func ThreadCPUSupported() bool { return threadCPUSupported }

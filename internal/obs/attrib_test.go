@@ -1,15 +1,12 @@
 package obs
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestReadCostSampleProgresses(t *testing.T) {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	before := ReadCostSample()
 	// Allocate something measurable and burn a little CPU: twice the 1 MiB
 	// asserted below, because the runtime counts a span's allocations only
@@ -26,9 +23,6 @@ func TestReadCostSampleProgresses(t *testing.T) {
 	}
 	if cost.AllocObjects == 0 {
 		t.Errorf("AllocObjects = 0, want > 0")
-	}
-	if ThreadCPUSupported() && cost.CPUTime < 0 {
-		t.Errorf("CPUTime = %v, want >= 0", cost.CPUTime)
 	}
 }
 

@@ -7,16 +7,12 @@ import (
 	"time"
 )
 
-const threadCPUSupported = true
-
-// threadCPUTime returns the calling OS thread's consumed CPU time
-// (user + system) via getrusage(RUSAGE_THREAD). Meaningful across a
-// measured region only when the goroutine is pinned to its thread
-// (runtime.LockOSThread) for the duration, which the pipeline's
-// attribution bracket guarantees.
-func threadCPUTime() time.Duration {
+// processCPUTime returns the CPU time (user + system) all the process's
+// threads have used, via getrusage(RUSAGE_SELF): a stage's kernel workers
+// run on other threads than the caller's.
+func processCPUTime() time.Duration {
 	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_THREAD, &ru); err != nil {
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		return 0
 	}
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())

@@ -4,8 +4,6 @@ package obs
 
 import "time"
 
-const threadCPUSupported = false
-
-// threadCPUTime is unavailable off Linux: attribution still reports
+// processCPUTime is unavailable off Linux: attribution still reports
 // allocations and transfer bytes, with CPU time pinned at zero.
-func threadCPUTime() time.Duration { return 0 }
+func processCPUTime() time.Duration { return 0 }

@@ -24,7 +24,7 @@ type Observer struct {
 	Registry *Registry
 	// Tracer records one trace per query in a bounded ring.
 	Tracer *Tracer
-	// Attribution enables per-stage resource measurement (thread CPU time,
+	// Attribution enables per-stage resource measurement (process CPU time,
 	// heap allocations, transfer bytes) on the scoring path. Off by
 	// default: the samples cost two runtime/metrics reads and a getrusage
 	// per stage, which benchmark-grade paths may not want.

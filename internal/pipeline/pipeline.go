@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -95,7 +94,7 @@ const (
 	// MetricFusedStageSimSeconds is MetricStageSimSeconds restricted to fused
 	// queries {stage}, for before/after fusion comparisons.
 	MetricFusedStageSimSeconds = "accelscore_fused_stage_sim_seconds"
-	// MetricStageCPUSeconds is the MEASURED per-stage thread-CPU-time
+	// MetricStageCPUSeconds is the MEASURED per-stage process-CPU-time
 	// histogram {stage} (populated only with attribution enabled).
 	MetricStageCPUSeconds = "accelscore_stage_cpu_seconds"
 	// MetricStageAllocBytesTotal accumulates measured heap-allocated bytes
@@ -561,15 +560,8 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResu
 	start := time.Now()
 	defer func() { p.observeQuery(tr, start, res, err) }()
 
-	// Resource attribution brackets the three measured stages with cost
-	// samples (see stage). Thread-CPU deltas are only meaningful while the
-	// goroutine is pinned to one OS thread, so the stage loop locks itself
-	// for the duration when attribution is on.
+	// Resource attribution brackets the three measured stages (see stage).
 	attribOn := p.Obs.AttributionOn()
-	if attribOn {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 
 	// Model pre-processing: cache probe, blob deserialization, kernel
 	// lowering.
@@ -693,7 +685,7 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResu
 
 	// Attribution in canonical order: the two transfer legs carry the
 	// (simulated) byte volumes that crossed the runtime boundary, the three
-	// measured stages carry real thread-CPU and allocation deltas.
+	// measured stages carry real process-CPU and allocation deltas.
 	if attribOn {
 		res.Attribution = obs.Attribution{
 			{Stage: StageTransferIn, BytesMoved: inBytes},
@@ -779,7 +771,7 @@ func landResults(agg AggMode, sel *kernel.Selection, scored *backend.Result, res
 
 // stage runs body as one measured stage of the query: under the named
 // wall-clock span on its trace and, with attribution on, between two cost
-// samples whose thread-CPU and allocation delta is returned as the stage's
+// samples whose process-CPU and allocation delta is returned as the stage's
 // cost row (the zero StageCost otherwise). The span closes and the bracket
 // is read whether or not body fails.
 func (p *Pipeline) stage(tr *obs.Trace, name string, attribOn bool, body func() error) (obs.StageCost, error) {
@@ -898,7 +890,7 @@ func (p *Pipeline) observeQuery(tr *obs.Trace, start time.Time, res *QueryResult
 						"direction", "out").Add(float64(c.BytesMoved))
 				default:
 					reg.Histogram(MetricStageCPUSeconds,
-						"Measured per-stage thread CPU time (attribution).",
+						"Measured per-stage process CPU time (attribution).",
 						obs.DefBuckets, "stage", c.Stage).
 						ObserveExemplar(c.CPUTime.Seconds(), res.TraceID)
 					reg.Counter(MetricStageAllocBytesTotal,
