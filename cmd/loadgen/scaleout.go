@@ -139,7 +139,7 @@ func runScaleChaos(bin string, p scaleoutConfig, records int, oracle *harness.De
 		QueriesFailed:    queries - t[harness.OK] - t[harness.Wrong],
 		OKAfterKill:      routing.OKAfterMark,
 		Reroutes:         routing.Reroutes,
-		WrongPredictions: t[harness.Wrong], // partial mode is off: a partial counts as wrong
+		WrongPredictions: t[harness.Wrong], // a lost stripe fails its query: never counted here
 		Verdict:          "pass",
 	}
 	if rep.WrongPredictions > 0 {

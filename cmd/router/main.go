@@ -6,19 +6,18 @@
 // machine lets take traffic, and merges the shard results into a single
 // answer bit-identical to a single-node run. A dead shard's partition
 // reroutes to a healthy replica; when every route is exhausted the query
-// either fails with a typed partial error or (with -partial) degrades to an
-// explicit partial result — never silently wrong answers.
+// fails with a typed partial error — never a silently wrong or partial
+// answer. Shards answer each sub-query with one binary frame.
 //
 // Usage:
 //
 //	router -shards http://localhost:8081,http://localhost:8082 \
-//	    [-addr :8090] [-warm iris_rf] [-partial] \
-//	    [-conns-per-shard 32] [-probe-interval 2s] \
+//	    [-addr :8090] [-warm iris_rf] \
 //	    [-max-inflight 64] [-classes interactive=25ms,batch=500ms]
 //
 // The shard health state machine (healthy -> degraded -> quarantined ->
-// rejoining) is the router's one notion of shard health. It always runs on
-// passive per-request signals; -probe-interval adds active /healthz probing
+// rejoining) is the router's one notion of shard health. It runs on passive
+// per-request signals and on an active /healthz probe every 2 s,
 // so a quarantined shard can rejoin without traffic. Either -max-inflight or
 // -classes turns on admission control (the router-wide bound is 4 x shards
 // when -classes turns it on): capacity, priority-class, and deadline-aware
@@ -47,20 +46,20 @@ import (
 	"accelscore/internal/router"
 )
 
+// connsPerShard is the idle HTTP connections kept per shard, sized to the
+// client concurrency the tier is driven at; probeInterval paces the active
+// /healthz probes (each bounded by HealthConfig's default 1 s timeout).
+const (
+	connsPerShard = 32
+	probeInterval = 2 * time.Second
+)
+
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	shards := flag.String("shards", "",
 		"comma-separated shard base URLs, e.g. http://localhost:8081,http://localhost:8082")
 	warm := flag.String("warm", "",
 		"comma-separated models to warm on every shard at startup (replica-aware cache warming)")
-	partial := flag.Bool("partial", false,
-		"degrade queries with unreachable partitions to explicit partial results instead of failing")
-	connsPerShard := flag.Int("conns-per-shard", 32,
-		"idle HTTP connections kept per shard (size to the expected client concurrency)")
-	warmTimeout := flag.Duration("warm-timeout", 10*time.Second, "startup warm fan-out budget")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second,
-		"active /healthz probe interval for the shard health state machine (0 disables probing)")
-	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe timeout (0 = default 1s)")
 	maxInFlight := flag.Int("max-inflight", 0,
 		"router-wide concurrent query bound; enables admission control"+
 			" (0 = off, or 4 x shards when -classes turns it on)")
@@ -77,7 +76,7 @@ func main() {
 	// One shared client: the connection pool is reused across shards and
 	// queries, so a steady scatter load never thrashes TCP handshakes.
 	client := &http.Client{
-		Transport: router.SharedTransport(*connsPerShard),
+		Transport: router.SharedTransport(connsPerShard),
 		Timeout:   120 * time.Second,
 	}
 	backends := make([]router.Backend, len(urls))
@@ -90,15 +89,10 @@ func main() {
 	}
 
 	cfg := router.Config{
-		Backends:     backends,
-		AllowPartial: *partial,
-		Obs:          obs.NewObserver(),
-		WarmModels:   splitList(*warm),
-		WarmTimeout:  *warmTimeout,
-		Health: &router.HealthConfig{
-			ProbeInterval: *probeInterval,
-			ProbeTimeout:  *probeTimeout,
-		},
+		Backends:   backends,
+		Obs:        obs.NewObserver(),
+		WarmModels: splitList(*warm),
+		Health:     &router.HealthConfig{ProbeInterval: probeInterval},
 	}
 	if *maxInFlight > 0 || *classes != "" {
 		objs, err := obs.ParseSLOSpec(*classes)

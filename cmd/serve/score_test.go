@@ -35,6 +35,8 @@ func startFaultyShardServer(t *testing.T, shardID, faultSpec string) *httptest.S
 	return ts
 }
 
+// postScore POSTs req to /score with no Accept header and decodes the
+// frame it answers with.
 func postScore(t *testing.T, url string, req router.Request) (int, *router.Result) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -46,11 +48,15 @@ func postScore(t *testing.T, url string, req router.Request) (int, *router.Resul
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var res router.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	frame, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, &res
+	res, err := router.DecodeFrame(frame)
+	if err != nil {
+		t.Fatalf("/score reply (HTTP %d) is not a frame: %v", resp.StatusCode, err)
+	}
+	return resp.StatusCode, res
 }
 
 // TestScoreEndpoint drives the shard-side wire contract: a partitioned
@@ -233,8 +239,7 @@ func TestHTTPShardAgainstServe(t *testing.T) {
 		t.Fatalf("unknown model over HTTP should be NoReroute, got %v", err)
 	}
 
-	// Both representations of /score carry the same Result: HTTPShard asks
-	// for the binary frame, a bare POST gets JSON.
+	// A bare POST gets the Result HTTPShard gets, for every request shape.
 	for _, req := range []router.Request{
 		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX"},
 		{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "1/2"},
@@ -248,31 +253,28 @@ func TestHTTPShardAgainstServe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
-		code, viaJSON := postScore(t, ts.URL, req)
-		if code != http.StatusOK || viaJSON.Error != "" {
-			t.Fatalf("%+v: JSON /score = %d, error %q", req, code, viaJSON.Error)
+		code, viaPost := postScore(t, ts.URL, req)
+		if code != http.StatusOK || viaPost.Error != "" {
+			t.Fatalf("%+v: bare /score = %d, error %q", req, code, viaPost.Error)
 		}
-		if viaFrame.RowsScanned == 0 || viaFrame.TraceID == viaJSON.TraceID {
-			t.Fatalf("%+v: scanned %d rows, trace ids %q and %q", req, viaFrame.RowsScanned, viaFrame.TraceID, viaJSON.TraceID)
+		if viaFrame.RowsScanned == 0 || viaFrame.TraceID == viaPost.TraceID {
+			t.Fatalf("%+v: scanned %d rows, trace ids %q and %q", req, viaFrame.RowsScanned, viaFrame.TraceID, viaPost.TraceID)
 		}
-		viaFrame.TraceID, viaJSON.TraceID = "", "" // one per execution
-		if !reflect.DeepEqual(viaFrame, viaJSON) {
-			t.Fatalf("%+v: the encodings disagree:\nframe %+v\n json %+v", req, viaFrame, viaJSON)
+		viaFrame.TraceID, viaPost.TraceID = "", "" // one per execution
+		if !reflect.DeepEqual(viaFrame, viaPost) {
+			t.Fatalf("%+v: the replies disagree:\nHTTPShard %+v\n     POST %+v", req, viaFrame, viaPost)
 		}
 	}
 }
 
-// TestScoreNegotiation: the frame is sent only to a caller that asks for it,
-// with its length stated; a failure is the small JSON Result either way.
-func TestScoreNegotiation(t *testing.T) {
+// TestEveryScoreReplyIsAFrame: /score answers one frame with its length
+// stated whatever the Accept header says, and a failure of any class — a
+// query-level refusal, a malformed body, the wrong method — is a frame too.
+func TestEveryScoreReplyIsAFrame(t *testing.T) {
 	ts := startShardServer(t, "shard-0")
-	post := func(accept string, req router.Request) *http.Response {
+	send := func(method, accept, body string) (*http.Response, *router.Result) {
 		t.Helper()
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/score", bytes.NewReader(body))
+		hreq, err := http.NewRequest(method, ts.URL+"/score", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,37 +285,41 @@ func TestScoreNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	ok := router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "0/2"}
-
-	resp := post(router.FrameContentType, ok)
-	frame, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != router.FrameContentType || resp.ContentLength != int64(len(frame)) {
-		t.Fatalf("frame reply: Content-Type %q, Content-Length %d for %d bytes", ct, resp.ContentLength, len(frame))
-	}
-	res, err := router.DecodeFrame(frame)
-	if err != nil || res.ShardID != "shard-0" || len(res.Predictions) != 50 || res.ScoredRows != nil {
-		t.Fatalf("frame reply decodes to %+v, %v", res, err)
-	}
-
-	for _, accept := range []string{"", "*/*", "application/json"} {
-		if ct := post(accept, ok).Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("Accept %q answered with %q", accept, ct)
+		defer resp.Body.Close()
+		frame, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ct := resp.Header.Get("Content-Type"); ct != router.FrameContentType || resp.ContentLength != int64(len(frame)) {
+			t.Fatalf("%s Accept %q: Content-Type %q, Content-Length %d for %d bytes",
+				method, accept, ct, resp.ContentLength, len(frame))
+		}
+		res, err := router.DecodeFrame(frame)
+		if err != nil {
+			t.Fatalf("%s Accept %q: reply is not a frame: %v", method, accept, err)
+		}
+		return resp, res
 	}
-
-	resp = post(router.FrameContentType, router.Request{Model: "nope", Data: "iris"})
-	var failed router.Result
-	if err := json.NewDecoder(resp.Body).Decode(&failed); err != nil {
-		t.Fatalf("error reply is not JSON: %v", err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || failed.Code != router.CodeBadRequest || failed.Error == "" {
-		t.Fatalf("error reply = %d %+v", resp.StatusCode, failed)
+	ok := `{"model":"iris_rf","data":"iris","backend":"CPU_ONNX","partition":"0/2"}`
+	for _, accept := range []string{"", "application/json", router.FrameContentType} {
+		resp, res := send(http.MethodPost, accept, ok)
+		if resp.StatusCode != http.StatusOK || res.ShardID != "shard-0" || len(res.Predictions) != 50 || res.ScoredRows != nil {
+			t.Fatalf("Accept %q: HTTP %d, %+v", accept, resp.StatusCode, res)
+		}
+		for _, fail := range []struct {
+			method, body string
+			status       int
+		}{
+			{http.MethodPost, `{"model":"nope","data":"iris"}`, http.StatusBadRequest},
+			{http.MethodPost, "{", http.StatusBadRequest},
+			{http.MethodGet, "", http.StatusMethodNotAllowed},
+		} {
+			resp, res := send(fail.method, accept, fail.body)
+			if resp.StatusCode != fail.status || res.Code != router.CodeBadRequest || res.Error == "" {
+				t.Fatalf("%s %q Accept %q = HTTP %d %+v, want %d %q",
+					fail.method, fail.body, accept, resp.StatusCode, res, fail.status, router.CodeBadRequest)
+			}
+		}
 	}
 }
 
@@ -371,9 +377,9 @@ func TestRouterReroutesAroundFaultyShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("one sick replica failed the whole query: %v", err)
 	}
-	if got.Partial || got.Reroutes != 1 || !reflect.DeepEqual(got.Predictions, want.Predictions) {
-		t.Fatalf("partial %v, %d reroutes, %d predictions (healthy tier: %d), want a bit-identical answer over 1 reroute",
-			got.Partial, got.Reroutes, len(got.Predictions), len(want.Predictions))
+	if got.Reroutes != 1 || !reflect.DeepEqual(got.Predictions, want.Predictions) {
+		t.Fatalf("%d reroutes, %d predictions (healthy tier: %d), want a bit-identical answer over 1 reroute",
+			got.Reroutes, len(got.Predictions), len(want.Predictions))
 	}
 	if st := r.Health().State(0); st == router.ShardHealthy {
 		t.Fatalf("the faulty shard's health never heard about the failure: still %v", st)

@@ -124,7 +124,6 @@ func TestVerifyNamesTheFirstMismatch(t *testing.T) {
 	}{
 		"flipped":   {Verify(want, []int{0, 1, 2, 2, 0}), "row 3 predicted 2, oracle 1"},
 		"short":     {Verify(want, []int{0, 1, 2}), "3 predictions, oracle has 5"},
-		"partial":   {VerifyMerged(want, &router.Merged{Predictions: want, Partial: true, MissingPartitions: []int{1}}), "partial"},
 		"non-dense": {VerifyMerged(want, &router.Merged{Predictions: want, ScoredRows: []int{0, 1, 2, 3, 4}}), "not dense"},
 	} {
 		if !errors.Is(tc.err, ErrWrong) || !strings.Contains(tc.err.Error(), tc.reason) {
@@ -133,6 +132,12 @@ func TestVerifyNamesTheFirstMismatch(t *testing.T) {
 		if Classify(tc.err) != Wrong {
 			t.Errorf("%s: classified %v, want Wrong", name, Classify(tc.err))
 		}
+	}
+	// A partition with no surviving route never reaches VerifyMerged: the
+	// router fails the query with a *PartialError, a loud failure.
+	partial := &router.PartialError{Missing: []int{1}, Errs: map[int]error{1: errors.New("shard-1 down")}}
+	if got := Classify(partial); got != Failed {
+		t.Errorf("partial: classified %v, want Failed", got)
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 // one spelling, and so the router, loadgen, and conformance packages never
 // drift apart on label sets.
 const (
-	// MetricRouterQueriesTotal counts routed queries {outcome="ok"|
-	// "partial"|"error"}. A "partial" outcome means some partitions had no
-	// surviving route and the caller opted into explicit partial results.
+	// MetricRouterQueriesTotal counts routed queries {outcome="ok"|"error"}.
+	// A query some partition of which had no surviving route is an "error".
 	MetricRouterQueriesTotal = "accelscore_router_queries_total"
 	// MetricRouterScatterWidth is the histogram of scatter fan-out widths
 	// (sub-queries issued per routed query).
@@ -40,9 +39,8 @@ const (
 	// MetricRouterAdmissionShedTotal counts queries refused at admission
 	// {class} (capacity, priority, or deadline shedding).
 	MetricRouterAdmissionShedTotal = "accelscore_router_admission_shed_total"
-	// MetricRouterWireBytesTotal counts /score reply bytes the router read
-	// from its shards {format="json"|"frame"}: which representation the
-	// shards answer with, and what the gather moves.
+	// MetricRouterWireBytesTotal counts /score reply bytes (frames) the
+	// router read from its shards: what the gather moves.
 	MetricRouterWireBytesTotal = "accelscore_router_wire_bytes_total"
 	// MetricRouterWireDecode is the histogram of the time to turn one
 	// /score reply into a result (CRC and ordinal checks included), seconds.
@@ -60,7 +58,7 @@ var stragglerBuckets = []float64{
 }
 
 // wireDecodeBuckets resolves decodes from a 600-byte aggregate frame up to
-// a multi-megabyte JSON prediction list.
+// a multi-megabyte prediction list.
 var wireDecodeBuckets = []float64{
 	.00001, .000025, .00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25,
 }
@@ -152,14 +150,13 @@ func (m *RouterMetrics) NoteAdmissionShed(class string) {
 		"class", class).Inc()
 }
 
-// ObserveWire records one decoded /score reply: its representation, its
-// size on the wire, and how long the decode took.
-func (m *RouterMetrics) ObserveWire(format string, bytes int, decode time.Duration) {
+// ObserveWire records one decoded /score reply: its size on the wire, and
+// how long the decode took.
+func (m *RouterMetrics) ObserveWire(bytes int, decode time.Duration) {
 	if m == nil || m.reg == nil {
 		return
 	}
-	m.reg.Counter(MetricRouterWireBytesTotal, "Bytes of /score replies read from shards, by representation.",
-		"format", format).Add(float64(bytes))
+	m.reg.Counter(MetricRouterWireBytesTotal, "Bytes of /score replies read from shards.").Add(float64(bytes))
 	m.reg.Histogram(MetricRouterWireDecode, "Time to decode one /score reply, seconds.",
 		wireDecodeBuckets).Observe(decode.Seconds())
 }

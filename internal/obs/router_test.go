@@ -74,7 +74,7 @@ func TestRouterMetrics(t *testing.T) {
 	reg := NewRegistry()
 	m := NewRouterMetrics(reg)
 	m.ObserveQuery("ok", 4, 3*time.Millisecond)
-	m.ObserveQuery("partial", 4, 40*time.Millisecond)
+	m.ObserveQuery("error", 4, 40*time.Millisecond)
 	m.ObserveShard(2, 10*time.Millisecond, 0)
 	m.ObserveShard(0, 25*time.Millisecond, 1)
 	m.SetPredictedQuery(75 * time.Millisecond)
@@ -82,8 +82,8 @@ func TestRouterMetrics(t *testing.T) {
 	m.SetShardState(1, 2)
 	m.NoteAdmissionShed("batch")
 	m.NoteAdmissionShed("") // empty class normalizes to "default"
-	m.ObserveWire("frame", 25000, 200*time.Microsecond)
-	m.ObserveWire("json", 95000, 4*time.Millisecond)
+	m.ObserveWire(25000, 200*time.Microsecond)
+	m.ObserveWire(95000, 4*time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -92,7 +92,7 @@ func TestRouterMetrics(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		`accelscore_router_queries_total{outcome="ok"} 1`,
-		`accelscore_router_queries_total{outcome="partial"} 1`,
+		`accelscore_router_queries_total{outcome="error"} 1`,
 		`accelscore_router_scatter_width_count 2`,
 		`accelscore_router_straggler_gap_seconds_count 2`,
 		`accelscore_router_shard_latency_seconds_count{shard="0"} 1`,
@@ -102,8 +102,7 @@ func TestRouterMetrics(t *testing.T) {
 		`accelscore_router_shard_state{shard="1"} 2`,
 		`accelscore_router_admission_shed_total{class="batch"} 1`,
 		`accelscore_router_admission_shed_total{class="default"} 1`,
-		`accelscore_router_wire_bytes_total{format="frame"} 25000`,
-		`accelscore_router_wire_bytes_total{format="json"} 95000`,
+		"accelscore_router_wire_bytes_total 120000\n",
 		`accelscore_router_wire_decode_seconds_count 2`,
 	} {
 		if !strings.Contains(out, want) {
@@ -125,7 +124,7 @@ func TestRouterMetrics(t *testing.T) {
 	nilM.NoteWarm("hit")
 	nilM.SetShardState(0, 0)
 	nilM.NoteAdmissionShed("batch")
-	nilM.ObserveWire("frame", 1, 0)
+	nilM.ObserveWire(1, 0)
 	if NewRouterMetrics(nil) != nil {
 		t.Fatal("NewRouterMetrics(nil) not nil")
 	}

@@ -142,9 +142,8 @@ type wireTapKey struct{}
 // that shares no memory with it, so the bytes are dead once Score returns.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// Score implements Backend by POSTing the wire request to /score. It asks
-// for the binary frame and decodes whichever representation the shard
-// answered with, so a shard that only speaks JSON keeps working.
+// Score implements Backend by POSTing the wire request to /score and
+// decoding the frame the shard answers with.
 func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -155,7 +154,6 @@ func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 		return nil, NoReroute(err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("Accept", FrameContentType)
 	resp, err := s.client.Do(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("router: shard %s: %w", s.name, err)
@@ -178,18 +176,12 @@ func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 	tap, _ := ctx.Value(wireTapKey{}).(wireTap)
 	end := tap.trace.StartSpanOn(tap.lane, "wire decode")
 	start := time.Now()
-	format, res := "json", new(Result)
-	if resp.Header.Get("Content-Type") == FrameContentType {
-		format = "frame"
-		res, err = DecodeFrame(buf.Bytes())
-	} else {
-		err = json.Unmarshal(buf.Bytes(), res)
-	}
+	res, err := DecodeFrame(buf.Bytes())
 	end()
-	tap.metrics.ObserveWire(format, buf.Len(), time.Since(start))
+	tap.metrics.ObserveWire(buf.Len(), time.Since(start))
 	if err != nil {
-		return nil, fmt.Errorf("router: shard %s: decoding /score %s response (HTTP %d): %w",
-			s.name, format, resp.StatusCode, err)
+		return nil, fmt.Errorf("router: shard %s: decoding /score response (HTTP %d): %w",
+			s.name, resp.StatusCode, err)
 	}
 	if res.Error != "" {
 		err := &ShardError{Shard: s.name, Code: res.Code, Msg: res.Error}
@@ -218,15 +210,14 @@ func ShardHandler(b Backend) http.Handler {
 }
 
 // serveScore executes one routed sub-query. The body is a wire Request; the
-// response is a wire Result — one binary frame when the caller's Accept
-// header asks for FrameContentType, JSON otherwise (curl, an older router).
-// A failure is always the small JSON Result, with Error and a Code that
+// response is a wire Result as one binary frame, whatever the caller's
+// Accept header says. A failure is a frame too, with Error and a Code that
 // tells the router whether rerouting to another replica can help
 // (bad_request never reroutes; rejected/timeout/internal may).
 func serveScore(b Backend, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpapi.WriteJSON(w, http.StatusMethodNotAllowed,
-			&Result{Error: "POST a JSON score request", Code: CodeBadRequest})
+		// A Result with no predictions always encodes.
+		_ = writeFrame(w, http.StatusMethodNotAllowed, &Result{Error: "POST a JSON score request", Code: CodeBadRequest})
 		return
 	}
 	var req Request
@@ -235,24 +226,11 @@ func serveScore(b Backend, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := b.Score(r.Context(), req)
+	if err == nil {
+		err = writeFrame(w, http.StatusOK, res)
+	}
 	if err != nil {
 		writeScoreError(w, err)
-		return
-	}
-	if r.Header.Get("Accept") != FrameContentType {
-		httpapi.WriteJSON(w, http.StatusOK, res)
-		return
-	}
-	frame, err := EncodeFrame(res)
-	if err != nil {
-		writeScoreError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", FrameContentType)
-	// Stated, so the router sizes its read buffer once.
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	if _, err := w.Write(frame); err != nil {
-		log.Printf("score response: %v", err)
 	}
 }
 
@@ -265,7 +243,25 @@ func writeScoreError(w http.ResponseWriter, err error) {
 	if errors.As(err, &se) {
 		msg = se.Msg
 	}
-	httpapi.WriteJSON(w, StatusOf(code), &Result{Error: msg, Code: code})
+	// A Result with no predictions always encodes.
+	_ = writeFrame(w, StatusOf(code), &Result{Error: msg, Code: code})
+}
+
+// writeFrame answers a /score request with res as one frame. It fails, having
+// written nothing, only on a result the frame cannot carry.
+func writeFrame(w http.ResponseWriter, status int, res *Result) error {
+	frame, err := EncodeFrame(res)
+	if err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", FrameContentType)
+	// Stated, so the router sizes its read buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.WriteHeader(status)
+	if _, err := w.Write(frame); err != nil {
+		log.Printf("score response: %v", err)
+	}
+	return nil
 }
 
 // serveWarm pre-loads ?model= into the shard's compiled-model cache so the

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -260,39 +261,45 @@ func TestLostToTheQueryContextKeepsItsClass(t *testing.T) {
 	}
 }
 
-// TestRouterStragglerGapSkipsMissingPartition: with partition 0 lost, a
-// partial result's straggler gap is slowest minus fastest of the partitions
-// that answered, not slowest minus zero.
+// slowBackend answers every sub-query after a fixed stall.
+type slowBackend struct {
+	router.Backend
+	stall time.Duration
+}
+
+func (b *slowBackend) Score(ctx context.Context, req router.Request) (*router.Result, error) {
+	time.Sleep(b.stall)
+	return b.Backend.Score(ctx, req)
+}
+
+// TestRouterStragglerGapSkipsMissingPartition: with partition 0 lost the
+// query fails, and the straggler gap it observes is slowest minus fastest of
+// the partitions that answered (each after the same stall), not slowest
+// minus the lost partition's near-zero time.
 func TestRouterStragglerGapSkipsMissingPartition(t *testing.T) {
-	const n = 3
+	const n, stall = 3, 50 * time.Millisecond
 	live := newShardPipeline(t, 300)
 	backends := make([]router.Backend, n)
 	for i := range backends {
 		backends[i] = &partitionKiller{
-			Backend: &router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: live},
+			Backend: &slowBackend{Backend: &router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: live}, stall: stall},
 			part:    "0/3",
 		}
 	}
-	r, err := router.New(router.Config{Backends: backends, AllowPartial: true})
+	o := obs.NewObserver()
+	r, err := router.New(router.Config{Backends: backends, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	res, err := r.Query(context.Background(), plainSQL, router.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
+	_, err = r.Query(context.Background(), plainSQL, router.QueryOptions{})
+	var pe *router.PartialError
+	if !errors.As(err, &pe) || !slices.Equal(pe.Missing, []int{0}) {
+		t.Fatalf("err = %v, want a *router.PartialError naming partition 0", err)
 	}
-	if !res.Partial || !reflect.DeepEqual(res.MissingPartitions, []int{0}) {
-		t.Fatalf("partial=%v missing=%v, want partition 0 missing", res.Partial, res.MissingPartitions)
-	}
-	fastest, slowest := res.ShardLatency[1], res.ShardLatency[2]
-	if fastest > slowest {
-		fastest, slowest = slowest, fastest
-	}
-	if fastest <= 0 {
-		t.Fatalf("surviving latencies %v", res.ShardLatency)
-	}
-	if res.StragglerGap != slowest-fastest {
-		t.Fatalf("straggler gap %v over latencies %v, want %v", res.StragglerGap, res.ShardLatency[1:], slowest-fastest)
+	gap := o.Metrics().Histogram(obs.MetricRouterStragglerGap, "", nil)
+	if gap.Count() != 1 || gap.Sum() >= stall.Seconds() {
+		t.Fatalf("%d straggler gap observations summing to %gs; want one, below the %v stall both answers paid",
+			gap.Count(), gap.Sum(), stall)
 	}
 }

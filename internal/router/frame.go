@@ -9,11 +9,10 @@ import (
 	"accelscore/internal/storage/pagefmt"
 )
 
-// The binary representation of a /score reply. A router asks for it with
-// "Accept: application/x-accelscore-frame"; a shard that understands answers
-// with that Content-Type and one pagefmt frame (length | CRC32 | payload),
-// anything else answers JSON, and the router decodes by the reply's
-// Content-Type. The payload is built from pagefmt cells:
+// The representation of a /score reply. Every reply a shard's /score sends
+// — a result, a failure of any class, the 405 — is one pagefmt frame
+// (length | CRC32 | payload) under FrameContentType, whatever the request's
+// Accept header says. The payload is built from pagefmt cells:
 //
 //	byte     version (frameVersion)
 //	byte     flags: 1 cache_hit, 2 fused, 4 predictions are uvarints
@@ -33,8 +32,7 @@ import (
 // Result has exactly one accepted spelling: shortest uvarints only, the byte
 // form whenever it fits, no unknown flags, no trailing bytes.
 const (
-	// FrameContentType names the binary /score representation in Accept and
-	// Content-Type headers.
+	// FrameContentType is the Content-Type of every /score reply.
 	FrameContentType = "application/x-accelscore-frame"
 	// MaxFrameBytes caps the payload a router accepts from one shard.
 	MaxFrameBytes = 64 << 20

@@ -13,22 +13,18 @@ import (
 // QueryResponse is the /query JSON envelope: the merged scatter result or
 // an error.
 type QueryResponse struct {
-	OK          bool    `json:"ok"`
-	Error       string  `json:"error,omitempty"`
-	Backend     string  `json:"backend,omitempty"`
-	Predictions []int   `json:"predictions,omitempty"`
-	ScoredRows  []int   `json:"scored_rows,omitempty"`
-	ClassCounts []int64 `json:"class_counts,omitempty"`
-	RowsScanned int     `json:"rows_scanned,omitempty"`
-	RowsScored  int     `json:"rows_scored,omitempty"`
-	CacheHit    bool    `json:"cache_hit"`
-	// Partial marks an explicit partial result; MissingPartitions lists
-	// the stripes whose rows are absent (never zero-filled).
-	Partial           bool  `json:"partial"`
-	MissingPartitions []int `json:"missing_partitions,omitempty"`
-	Shards            int   `json:"shards"`
-	Reroutes          int   `json:"reroutes,omitempty"`
-	StragglerGapNS    int64 `json:"straggler_gap_ns"`
+	OK             bool    `json:"ok"`
+	Error          string  `json:"error,omitempty"`
+	Backend        string  `json:"backend,omitempty"`
+	Predictions    []int   `json:"predictions,omitempty"`
+	ScoredRows     []int   `json:"scored_rows,omitempty"`
+	ClassCounts    []int64 `json:"class_counts,omitempty"`
+	RowsScanned    int     `json:"rows_scanned,omitempty"`
+	RowsScored     int     `json:"rows_scored,omitempty"`
+	CacheHit       bool    `json:"cache_hit"`
+	Shards         int     `json:"shards"`
+	Reroutes       int     `json:"reroutes,omitempty"`
+	StragglerGapNS int64   `json:"straggler_gap_ns"`
 	// SimTotalNS is the merged simulated timeline total (per-stage max
 	// across shards — the gather critical path).
 	SimTotalNS int64      `json:"sim_total_ns"`
@@ -94,22 +90,20 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := QueryResponse{
-		OK:                true,
-		Backend:           merged.Backend,
-		Predictions:       merged.Predictions,
-		ScoredRows:        merged.ScoredRows,
-		ClassCounts:       merged.ClassCounts,
-		RowsScanned:       merged.RowsScanned,
-		RowsScored:        merged.RowsScored,
-		CacheHit:          merged.CacheHit,
-		Partial:           merged.Partial,
-		MissingPartitions: merged.MissingPartitions,
-		Shards:            merged.Shards,
-		Reroutes:          merged.Reroutes,
-		StragglerGapNS:    int64(merged.StragglerGap),
-		SimTotalNS:        int64(merged.Timeline.Total()),
-		Timeline:          wireSpans(&merged.Timeline),
-		TraceID:           merged.TraceID,
+		OK:             true,
+		Backend:        merged.Backend,
+		Predictions:    merged.Predictions,
+		ScoredRows:     merged.ScoredRows,
+		ClassCounts:    merged.ClassCounts,
+		RowsScanned:    merged.RowsScanned,
+		RowsScored:     merged.RowsScored,
+		CacheHit:       merged.CacheHit,
+		Shards:         merged.Shards,
+		Reroutes:       merged.Reroutes,
+		StragglerGapNS: int64(merged.StragglerGap),
+		SimTotalNS:     int64(merged.Timeline.Total()),
+		Timeline:       wireSpans(&merged.Timeline),
+		TraceID:        merged.TraceID,
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -36,18 +37,9 @@ func servedShard(t testing.TB, b router.Backend, wrap func(http.Handler) http.Ha
 }
 
 // fakeShard is servedShard over an in-process replica.
-func fakeShard(t *testing.T, name string, wrap func(http.Handler) http.Handler) *router.HTTPShard {
+func fakeShard(t *testing.T, name string) *router.HTTPShard {
 	t.Helper()
-	return servedShard(t, &router.Local{Name: name, Pipe: newShardPipeline(t, 200)}, wrap)
-}
-
-// jsonOnly makes a shard that predates the frame: it never sees the Accept
-// header, so it answers JSON.
-func jsonOnly(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept")
-		next.ServeHTTP(w, r)
-	})
+	return servedShard(t, &router.Local{Name: name, Pipe: newShardPipeline(t, 200)}, nil)
 }
 
 // rewriteBody lets edit change the reply's body on its way out; the stated
@@ -66,18 +58,33 @@ func rewriteBody(edit func([]byte) []byte) func(http.Handler) http.Handler {
 	}
 }
 
-// TestHTTPShardDecodesByContentType: the router picks its decoder from the
-// reply, so a shard that only speaks JSON (an older build) and one that
-// answers with frames return the same Result, and a damaged frame fails the
-// sub-query with an error the dispatcher may reroute — never a Result.
+// asJSON turns the handler's frame into the JSON reply a shard that
+// predates the frame would send.
+func asJSON(t *testing.T) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			res, err := router.DecodeFrame(rec.Body.Bytes())
+			if err != nil {
+				t.Errorf("the handler's own reply does not decode: %v", err)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(rec.Code)
+			json.NewEncoder(w).Encode(res)
+		})
+	}
+}
+
+// TestHTTPShardDecodesByContentType: the frame is the one reply encoding.
+// A replica's frame decodes to its stripe; a JSON reply (an older shard's)
+// or a damaged frame fails the sub-query with an error that names the shard
+// and that the dispatcher may reroute — never a Result.
 func TestHTTPShardDecodesByContentType(t *testing.T) {
 	ctx := context.Background()
 	req := router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX", Partition: "1/2"}
-	viaJSON, err := fakeShard(t, "old", jsonOnly).Score(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFrame, err := fakeShard(t, "new", nil).Score(ctx, req)
+	viaFrame, err := fakeShard(t, "new").Score(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,38 +92,36 @@ func TestHTTPShardDecodesByContentType(t *testing.T) {
 		t.Fatalf("partition 1/2 came back with %d ordinals, %d predictions; its stripe holds %d rows and lists none",
 			len(viaFrame.ScoredRows), len(viaFrame.Predictions), stripe)
 	}
-	viaJSON.ShardID, viaFrame.ShardID = "", ""
-	if !reflect.DeepEqual(viaJSON, viaFrame) {
-		t.Fatalf("the encodings disagree:\nframe %+v\n json %+v", viaFrame, viaJSON)
-	}
 
-	for name, corrupt := range map[string]func([]byte) []byte{
-		"flipped CRC": func(f []byte) []byte { f[len(f)-1] ^= 1; return f },
-		"truncated":   func(f []byte) []byte { return f[:len(f)/2] },
-		"length over the cap": func(f []byte) []byte {
+	for name, wrap := range map[string]func(http.Handler) http.Handler{
+		"JSON reply":  asJSON(t),
+		"flipped CRC": rewriteBody(func(f []byte) []byte { f[len(f)-1] ^= 1; return f }),
+		"truncated":   rewriteBody(func(f []byte) []byte { return f[:len(f)/2] }),
+		"length over the cap": rewriteBody(func(f []byte) []byte {
 			binary.LittleEndian.PutUint32(f, router.MaxFrameBytes+1)
 			return f
-		},
-		"bytes after the frame": func(f []byte) []byte { return append(f, 0) },
+		}),
+		"bytes after the frame": rewriteBody(func(f []byte) []byte { return append(f, 0) }),
 	} {
-		res, err := fakeShard(t, "bad", rewriteBody(corrupt)).Score(ctx, req)
+		b := &router.Local{Name: "bad", Pipe: newShardPipeline(t, 200)}
+		res, err := servedShard(t, b, wrap).Score(ctx, req)
 		if err == nil {
 			t.Fatalf("%s: decoded to %+v", name, res)
 		}
-		if router.IsNoReroute(err) || !strings.Contains(err.Error(), "shard bad") {
-			t.Fatalf("%s: error %q should name the shard and stay rerouteable", name, err)
+		if res != nil || router.IsNoReroute(err) || !strings.Contains(err.Error(), "shard bad") {
+			t.Fatalf("%s: %+v, error %q; want no Result and a rerouteable error naming the shard", name, res, err)
 		}
 	}
 }
 
-// TestRouterOverMixedWire: one shard answers with frames, the other with
-// JSON; the gather is bit-identical to a single node either way, the wire
-// metrics tell the two apart, and the trace shows where the gather's time
-// went: a "wire decode" span on each shard's lane and one "merge" span.
-func TestRouterOverMixedWire(t *testing.T) {
+// TestRouterWireTelemetry: over two shards behind the real wire the gather
+// is bit-identical to a single node, the wire metrics count every reply's
+// bytes and decode, and the trace shows where the gather's time went: a
+// "wire decode" span on each shard's lane and one "merge" span.
+func TestRouterWireTelemetry(t *testing.T) {
 	o := obs.NewObserver()
 	r, err := router.New(router.Config{
-		Backends: []router.Backend{fakeShard(t, "shard-0", nil), fakeShard(t, "shard-1", jsonOnly)},
+		Backends: []router.Backend{fakeShard(t, "shard-0"), fakeShard(t, "shard-1")},
 		Obs:      o,
 	})
 	if err != nil {
@@ -131,8 +136,8 @@ func TestRouterOverMixedWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Predictions, want.Predictions) || got.ScoredRows != nil || got.Partial {
-		t.Fatalf("gather over a mixed wire differs from single-node: %d vs %d predictions", len(got.Predictions), len(want.Predictions))
+	if !reflect.DeepEqual(got.Predictions, want.Predictions) || got.ScoredRows != nil {
+		t.Fatalf("gather over the wire differs from single-node: %d vs %d predictions", len(got.Predictions), len(want.Predictions))
 	}
 
 	var page bytes.Buffer
@@ -140,8 +145,7 @@ func TestRouterOverMixedWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, series := range []string{
-		obs.MetricRouterWireBytesTotal + `{format="frame"} `,
-		obs.MetricRouterWireBytesTotal + `{format="json"} `,
+		"\n" + obs.MetricRouterWireBytesTotal + " ",
 		obs.MetricRouterWireDecode + "_count 2",
 	} {
 		if !strings.Contains(page.String(), series) {

@@ -17,8 +17,7 @@ type Merged struct {
 	// Predictions holds one class per scored row, ordered by scan ordinal.
 	Predictions []int
 	// ScoredRows lists the global scan ordinals behind Predictions when the
-	// statement filtered or a partial gather lost rows; nil otherwise
-	// (matching the single-node shape).
+	// statement filtered; nil otherwise (matching the single-node shape).
 	ScoredRows []int
 	// Table is the fused aggregate's result table; nil for a non-aggregate
 	// query, whose result is Predictions.
@@ -38,11 +37,6 @@ type Merged struct {
 	RowsScanned, RowsScored int
 	// CacheHit reports whether EVERY shard served from its model cache.
 	CacheHit bool
-	// Partial marks an explicit partial result: MissingPartitions lists
-	// the stripes with no surviving route; their rows are absent from
-	// Predictions/ScoredRows, never zero-filled.
-	Partial           bool
-	MissingPartitions []int
 	// Shards is the scatter width; Reroutes counts partitions that moved
 	// off their preferred shard.
 	Shards, Reroutes int
@@ -101,34 +95,30 @@ func (h *mergeHead) row(i int) int {
 }
 
 // Merge gathers per-partition shard results into one Merged. results is
-// indexed by partition, results[k] answering stripe k of len(results); a nil
-// entry is a missing partition (the caller already classified it partial).
-// mode is the query's aggregation. A filtered (Fused) result's ScoredRows
-// must ascend strictly and no ordinal may appear in two results; any other
-// result lists none and holds exactly its stripe's rows. Merge verifies all
-// of it and fails otherwise. It does not modify the results.
+// indexed by partition, results[k] answering stripe k of len(results); every
+// partition must have answered. mode is the query's aggregation. A filtered
+// (Fused) result's ScoredRows must ascend strictly and no ordinal may appear
+// in two results; any other result lists none and holds exactly its stripe's
+// rows. Merge verifies all of it and fails otherwise. It does not modify the
+// results.
 func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
+	if len(results) == 0 {
+		return nil, fmt.Errorf("router: no shard results to merge")
+	}
 	m := &Merged{Shards: len(results), CacheHit: true}
-	present := make([]*Result, 0, len(results))
 	for k, r := range results {
 		if r == nil {
-			m.Partial = true
-			m.MissingPartitions = append(m.MissingPartitions, k)
-			continue
+			return nil, fmt.Errorf("router: partition %d has no result", k)
 		}
-		present = append(present, r)
 		m.RowsScanned = max(m.RowsScanned, r.RowsScanned)
 		m.RowsScored += r.RowsScored
 		m.CacheHit = m.CacheHit && r.CacheHit
 	}
-	if len(present) == 0 {
-		return nil, fmt.Errorf("router: no shard results to merge")
-	}
-	m.Backend = present[0].Backend
-	m.Timeline = mergeTimelines(present)
+	m.Backend = results[0].Backend
+	m.Timeline = mergeTimelines(results)
 
 	if mode != pipeline.AggNone {
-		for _, r := range present {
+		for _, r := range results {
 			for cls, c := range r.ClassCounts {
 				for len(m.ClassCounts) <= cls {
 					m.ClassCounts = append(m.ClassCounts, 0)
@@ -149,12 +139,9 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 	// as it goes that they do, within and across partitions; it never sorts,
 	// so a result that breaks the order fails the query instead of being
 	// repaired.
-	heads := make([]mergeHead, 0, len(present))
+	heads := make([]mergeHead, 0, len(results))
 	filtered, total, last := false, 0, -1
 	for k, r := range results {
-		if r == nil {
-			continue
-		}
 		h := mergeHead{r: r, rows: r.ScoredRows, part: pipeline.Partition{Index: k, Count: len(results)}}
 		// Without an aggregate, Fused means a pushed-down WHERE.
 		if r.Fused {
@@ -179,7 +166,7 @@ func Merge(mode pipeline.AggMode, results []*Result) (*Merged, error) {
 	// The ordinals are kept when the statement filtered (a single node lists
 	// them even if every row passed), and otherwise unless they are exactly
 	// 0..total-1 (the merge below proves last is the largest, or fails).
-	if filtered || m.Partial || total != m.RowsScanned || last != total-1 {
+	if filtered || total != m.RowsScanned || last != total-1 {
 		m.ScoredRows = make([]int, total)
 	}
 	// Each turn the head with the smallest next row emits a run: its rows

@@ -2,7 +2,12 @@ package router_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"slices"
 	"sort"
@@ -24,12 +29,8 @@ import (
 func referenceMerge(results []*router.Result) (preds, rows []int, err error) {
 	type pred struct{ row, class int }
 	var all []pred
-	filtered, partial, scanned := false, false, 0
+	filtered, scanned := false, 0
 	for k, r := range results {
-		if r == nil {
-			partial = true
-			continue
-		}
 		if r.RowsScanned > scanned {
 			scanned = r.RowsScanned
 		}
@@ -55,7 +56,7 @@ func referenceMerge(results []*router.Result) (preds, rows []int, err error) {
 		}
 	}
 	preds = make([]int, len(all))
-	keep := filtered || partial || len(all) != scanned || (len(all) > 0 && all[len(all)-1].row != len(all)-1)
+	keep := filtered || len(all) != scanned || (len(all) > 0 && all[len(all)-1].row != len(all)-1)
 	if keep {
 		rows = make([]int, len(all))
 	}
@@ -71,7 +72,7 @@ func referenceMerge(results []*router.Result) (preds, rows []int, err error) {
 // randomScatter draws one gather's input: a table of up to 400 rows striped
 // k ways, and either every row scored (stripe results, no ordinals on the
 // wire) or a filtered subset (everything, now and then) listed by ordinal,
-// with some partitions missing but never all.
+// now and then with some partitions missing.
 func randomScatter(rng *xrand.Rand) []*router.Result {
 	k, n := 1+rng.Intn(5), rng.Intn(400)
 	filtered, selectivity := rng.Intn(2) == 0, rng.Float64()
@@ -93,9 +94,8 @@ func randomScatter(rng *xrand.Rand) []*router.Result {
 		r.Predictions = append(r.Predictions, rng.Intn(3))
 		r.RowsScored++
 	}
-	live := rng.Intn(k) // Merge needs one survivor
 	for p := range results {
-		if p != live && rng.Intn(6) == 0 {
+		if rng.Intn(6) == 0 {
 			results[p] = nil
 		}
 	}
@@ -104,21 +104,28 @@ func randomScatter(rng *xrand.Rand) []*router.Result {
 
 // TestMergeMatchesSortReference: over random scatters the linear k-way
 // merge returns what the sort-based gather returned — predictions, the
-// decision to keep ordinals and the ordinals, the partial bookkeeping — and
-// leaves its inputs untouched.
+// decision to keep ordinals and the ordinals — and leaves its inputs
+// untouched; a scatter with a partition missing is no answer at all.
 func TestMergeMatchesSortReference(t *testing.T) {
 	rng := xrand.New(12)
 	shapes := map[string]int{}
 	for trial := 0; trial < 3000; trial++ {
 		results := randomScatter(rng)
+		before := fmt.Sprintf("%+v", derefAll(results))
+		m, err := router.Merge(pipeline.AggNone, results)
+		if missing := slices.Index(results, nil); missing >= 0 {
+			shapes["partition missing"]++
+			if m != nil || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("partition %d ", missing)) {
+				t.Fatalf("trial %d: partition %d missing, Merge = %+v, %v; want an error naming it", trial, missing, m, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, before)
+		}
 		wantPreds, wantRows, err := referenceMerge(results)
 		if err != nil {
 			t.Fatalf("trial %d: generator produced an invalid scatter: %v", trial, err)
-		}
-		before := fmt.Sprintf("%+v", derefAll(results))
-		m, err := router.Merge(pipeline.AggNone, results)
-		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, before)
 		}
 		if after := fmt.Sprintf("%+v", derefAll(results)); after != before {
 			t.Fatalf("trial %d: Merge modified its inputs", trial)
@@ -129,19 +136,10 @@ func TestMergeMatchesSortReference(t *testing.T) {
 		if m.Table != nil {
 			t.Fatalf("trial %d: a non-aggregate merge built a %d-row table; the result is Predictions", trial, m.Table.NumRows())
 		}
-		var missing []int
-		for p, r := range results {
-			if r == nil {
-				missing = append(missing, p)
-			}
-		}
-		if m.Partial != (missing != nil) || !reflect.DeepEqual(m.MissingPartitions, missing) || m.RowsScored != len(wantPreds) {
-			t.Fatalf("trial %d: partial=%v missing=%v scored=%d, want missing=%v scored=%d",
-				trial, m.Partial, m.MissingPartitions, m.RowsScored, missing, len(wantPreds))
+		if m.RowsScored != len(wantPreds) {
+			t.Fatalf("trial %d: scored=%d, want %d", trial, m.RowsScored, len(wantPreds))
 		}
 		switch {
-		case m.Partial:
-			shapes["partial"]++
 		case len(results) == 1 && !results[0].Fused:
 			shapes["one stripe"]++
 		case m.ScoredRows == nil:
@@ -150,7 +148,7 @@ func TestMergeMatchesSortReference(t *testing.T) {
 			shapes["ordinals kept"]++
 		}
 	}
-	for _, shape := range []string{"partial", "one stripe", "full scan, ordinals dropped", "ordinals kept"} {
+	for _, shape := range []string{"partition missing", "one stripe", "full scan, ordinals dropped", "ordinals kept"} {
 		if shapes[shape] < 50 {
 			t.Errorf("only %d trials of shape %q: the generator no longer covers it", shapes[shape], shape)
 		}
@@ -195,7 +193,7 @@ func TestMergeRejectsBrokenOrder(t *testing.T) {
 			[]*router.Result{part("shard-0", 0, 2, 2), part("shard-1", 1)},
 			[]string{"shard-0", "row 2 out of order"}},
 		{"scored by two partitions",
-			[]*router.Result{part("shard-0", 0, 2, 4), nil, part("shard-2", 1, 2)},
+			[]*router.Result{part("shard-0", 0, 2, 4), part("shard-1"), part("shard-2", 1, 2)},
 			[]string{"row 2 scored by two partitions", "shard-0", "shard-2"}},
 		{"two dense results",
 			[]*router.Result{stripe("shard-0", 2, 2), stripe("shard-1", 2, 2)},
@@ -246,9 +244,9 @@ func (s stripeRefuser) Score(ctx context.Context, req router.Request) (*router.R
 // TestStripeMergeIsBitIdentical: over random tables of 0–1 000 rows (most
 // not a multiple of 64, some short of a stripe per shard), widths 1–8, with
 // and without a WHERE, a router over router.Local shards answers what a
-// single node answers, field for field; with one stripe unreachable under
-// AllowPartial it answers exactly the single node's rows outside that
-// stripe, listed by ordinal. The stripes' row counts always sum to the table.
+// single node answers, field for field; with one stripe unreachable it
+// answers nothing: a PartialError naming that stripe, and on /query a 503
+// with no predictions. The stripes' row counts always sum to the table.
 func TestStripeMergeIsBitIdentical(t *testing.T) {
 	pipe := newShardPipeline(t, 1)
 	rng := xrand.New(26)
@@ -285,54 +283,53 @@ func TestStripeMergeIsBitIdentical(t *testing.T) {
 		for i := range backends {
 			backends[i] = stripeRefuser{&router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: pipe}, fmt.Sprintf("%d/%d", missing, width)}
 		}
-		r, err := router.New(router.Config{Backends: backends, AllowPartial: true})
+		r, err := router.New(router.Config{Backends: backends})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := r.Query(context.Background(), sql, router.QueryOptions{})
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("trial %d (%d rows, width %d, stripe %d missing, %q): %s", trial, rows, width, missing, sql, fmt.Sprintf(format, args...))
+		}
+		if missing >= 0 {
+			shapes["stripe missing"]++
+			var pe *router.PartialError
+			if got != nil || !errors.As(err, &pe) || !slices.Equal(pe.Missing, []int{missing}) {
+				fail("answered %+v, %v; want no answer and a *router.PartialError naming the stripe", got, err)
+			}
+			rec := httptest.NewRecorder()
+			router.Handler(r).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?sql="+url.QueryEscape(sql), nil))
+			var qr router.QueryResponse
+			if err := json.NewDecoder(rec.Body).Decode(&qr); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != http.StatusServiceUnavailable || qr.OK || qr.Predictions != nil {
+				fail("/query = HTTP %d %+v, want 503 ok:false with no predictions", rec.Code, qr)
+			}
+			r.Close()
+			continue
+		}
 		r.Close()
 		if err != nil {
-			t.Fatalf("trial %d (%s, width %d, stripe %d missing): %v", trial, sql, width, missing, err)
+			fail("%v", err)
 		}
 		want, err := pipe.ExecQuery(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fail := func(format string, args ...any) {
-			t.Helper()
-			t.Fatalf("trial %d (%d rows, width %d, stripe %d missing, %q): %s", trial, rows, width, missing, sql, fmt.Sprintf(format, args...))
-		}
 		if got.Shards != width || got.RowsScanned != want.RowsScanned {
 			fail("%d wide over %d rows, single node %d rows", got.Shards, got.RowsScanned, want.RowsScanned)
 		}
-		if missing < 0 {
-			shapes[fmt.Sprintf("whole, filtered %v", want.ScoredRows != nil)]++
-			if got.Partial || !slices.Equal(got.Predictions, want.Predictions) || got.RowsScored != want.RowsScored ||
-				!slices.Equal(got.ScoredRows, want.ScoredRows) || (got.ScoredRows == nil) != (want.ScoredRows == nil) {
-				fail("merged %d predictions @ %d ordinals (nil %v, partial %v), single node %d @ %d (nil %v)",
-					len(got.Predictions), len(got.ScoredRows), got.ScoredRows == nil, got.Partial,
-					len(want.Predictions), len(want.ScoredRows), want.ScoredRows == nil)
-			}
-			continue
-		}
-		shapes["partial"]++
-		var preds, ords []int
-		for i, p := range want.Predictions {
-			row := i
-			if want.ScoredRows != nil {
-				row = want.ScoredRows[i]
-			}
-			if pipeline.RowShard(row, width) != missing {
-				preds, ords = append(preds, p), append(ords, row)
-			}
-		}
-		if !got.Partial || !slices.Equal(got.MissingPartitions, []int{missing}) || got.RowsScored != len(preds) ||
-			!slices.Equal(got.Predictions, preds) || !slices.Equal(got.ScoredRows, ords) || got.ScoredRows == nil {
-			fail("partial %v missing %v: %d predictions @ %d ordinals, want %d present rows",
-				got.Partial, got.MissingPartitions, len(got.Predictions), len(got.ScoredRows), len(preds))
+		shapes[fmt.Sprintf("whole, filtered %v", want.ScoredRows != nil)]++
+		if !slices.Equal(got.Predictions, want.Predictions) || got.RowsScored != want.RowsScored ||
+			!slices.Equal(got.ScoredRows, want.ScoredRows) || (got.ScoredRows == nil) != (want.ScoredRows == nil) {
+			fail("merged %d predictions @ %d ordinals (nil %v), single node %d @ %d (nil %v)",
+				len(got.Predictions), len(got.ScoredRows), got.ScoredRows == nil,
+				len(want.Predictions), len(want.ScoredRows), want.ScoredRows == nil)
 		}
 	}
-	for _, shape := range []string{"whole, filtered false", "whole, filtered true", "partial"} {
+	for _, shape := range []string{"whole, filtered false", "whole, filtered true", "stripe missing"} {
 		if shapes[shape] < 20 {
 			t.Errorf("only %d trials of shape %q", shapes[shape], shape)
 		}

@@ -78,8 +78,8 @@ func TestAnyWidthIsBitIdentical(t *testing.T) {
 				if got.Shards != min(l.width, n) {
 					fail("scattered %d wide, the plan says %d", got.Shards, min(l.width, n))
 				}
-				if got.Partial || got.Reroutes != 0 {
-					fail("partial=%v reroutes=%d on a healthy tier", got.Partial, got.Reroutes)
+				if got.Reroutes != 0 {
+					fail("%d reroutes on a healthy tier", got.Reroutes)
 				}
 				if !slices.Equal(got.Predictions, want.Predictions) {
 					fail("%d predictions differ from single-node's %d", len(got.Predictions), len(want.Predictions))

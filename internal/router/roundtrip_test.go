@@ -70,27 +70,24 @@ func cutMidBody(next http.Handler) http.Handler {
 	})
 }
 
-func compose(wraps ...func(http.Handler) http.Handler) func(http.Handler) http.Handler {
-	return func(h http.Handler) http.Handler {
-		for _, wrap := range wraps {
-			h = wrap(h)
-		}
-		return h
+// framesOnly fails t for any reply of the handler's that is not a frame.
+// The server's Close waits for the handler, so the check lands in the test.
+func framesOnly(t *testing.T, name string) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			next.ServeHTTP(w, r)
+			if ct := w.Header().Get("Content-Type"); ct != router.FrameContentType {
+				t.Errorf("%s: reply Content-Type %q, want %q", name, ct, router.FrameContentType)
+			}
+		})
 	}
-}
-
-// wireFormats are the two /score representations, selected the way a real
-// caller selects them: by what Accept header reaches the shard.
-var wireFormats = map[string]func(http.Handler) http.Handler{
-	"frame": func(h http.Handler) http.Handler { return h },
-	"json":  jsonOnly,
 }
 
 // TestShardProtocolRoundTrips is the protocol's defining property:
 // NewHTTPShard(url of ShardHandler(b)) behaves as b. For every outcome a
-// Backend can have — each result shape, each failure class — the HTTPShard
-// returns a deep-equal Result or an error of the same class, under both
-// representations.
+// Backend can have — each result shape, each failure class — the shard
+// replies with one frame and the HTTPShard returns a deep-equal Result or an
+// error of the same class.
 func TestShardProtocolRoundTrips(t *testing.T) {
 	spans := []router.WireSpan{{Name: "data transfer", Kind: 1, NS: 1200}, {Name: "model scoring", Kind: 2, NS: 88000}}
 	outcomes := map[string]*scriptedBackend{
@@ -125,33 +122,31 @@ func TestShardProtocolRoundTrips(t *testing.T) {
 	}
 
 	seen := map[string]bool{}
-	for format, wrap := range wireFormats {
-		for name, b := range outcomes {
-			want, wantErr := b.res, b.err
-			got, err := servedShard(t, b, wrap).Score(context.Background(), router.Request{Model: "m", Data: "t"})
-			if failureClass(err) != wantClass(wantErr) {
-				t.Errorf("%s over %s: error %v (class %s), backend's was %v (class %s)",
-					name, format, err, failureClass(err), wantErr, wantClass(wantErr))
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s over %s:\n got %+v\nwant %+v", name, format, got, want)
-			}
-			if router.IsNoReroute(err) != (wantClass(wantErr) == router.CodeBadRequest) {
-				t.Errorf("%s over %s: NoReroute = %v for class %s", name, format, router.IsNoReroute(err), wantClass(wantErr))
-			}
-			var se *router.ShardError
-			if errors.As(err, &se) && (se.Shard != "scripted" || se.Msg == "" || se.Msg != innermost(wantErr)) {
-				t.Errorf("%s over %s: ShardError %+v does not carry the backend's message %q", name, format, se, innermost(wantErr))
-			}
-			seen[failureClass(err)] = true
+	for name, b := range outcomes {
+		want, wantErr := b.res, b.err
+		got, err := servedShard(t, b, framesOnly(t, name)).Score(context.Background(), router.Request{Model: "m", Data: "t"})
+		if failureClass(err) != wantClass(wantErr) {
+			t.Errorf("%s: error %v (class %s), backend's was %v (class %s)",
+				name, err, failureClass(err), wantErr, wantClass(wantErr))
 		}
-		// A reply cut mid-body is nobody's answer: no Result, and an error
-		// the dispatcher may reroute.
-		cut := outcomes["dense predictions"]
-		got, err := servedShard(t, cut, compose(cutMidBody, wrap)).Score(context.Background(), router.Request{Model: "m", Data: "t"})
-		if got != nil || failureClass(err) != "transport" {
-			t.Errorf("cut %s reply: %+v, %v (class %s), want a rerouteable transport error", format, got, err, failureClass(err))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
+		if router.IsNoReroute(err) != (wantClass(wantErr) == router.CodeBadRequest) {
+			t.Errorf("%s: NoReroute = %v for class %s", name, router.IsNoReroute(err), wantClass(wantErr))
+		}
+		var se *router.ShardError
+		if errors.As(err, &se) && (se.Shard != "scripted" || se.Msg == "" || se.Msg != innermost(wantErr)) {
+			t.Errorf("%s: ShardError %+v does not carry the backend's message %q", name, se, innermost(wantErr))
+		}
+		seen[failureClass(err)] = true
+	}
+	// A reply cut mid-body is nobody's answer: no Result, and an error the
+	// dispatcher may reroute.
+	cut := outcomes["dense predictions"]
+	got, err := servedShard(t, cut, cutMidBody).Score(context.Background(), router.Request{Model: "m", Data: "t"})
+	if got != nil || failureClass(err) != "transport" {
+		t.Errorf("cut reply: %+v, %v (class %s), want a rerouteable transport error", got, err, failureClass(err))
 	}
 	for _, class := range append(codes, "ok") {
 		if !seen[class] {
@@ -174,7 +169,7 @@ func innermost(err error) string {
 // sub-queries: for every conformance scale-out case, an in-process replica
 // and the same replica behind ShardHandler + HTTPShard return deep-equal
 // Results for a scan, a stripe, a pushed-down filter and the fused
-// aggregate, under both representations.
+// aggregate.
 func TestShardProtocolOverConformanceCases(t *testing.T) {
 	cases, err := conformance.Cases(true)
 	if err != nil {
@@ -210,36 +205,34 @@ func TestShardProtocolOverConformanceCases(t *testing.T) {
 		grouped.Agg = "group_count"
 		grouped.Partition = "0/3"
 		part.Partition = "2/3"
-		for format, wrap := range wireFormats {
-			remote := servedShard(t, local, wrap)
-			for _, req := range []router.Request{base, part, filtered, grouped, {Model: "nope", Data: "scoring_input"}} {
-				// The first run of a shape pays the model and snapshot misses,
-				// which show in its simulated timeline; compare warm runs.
-				local.Score(context.Background(), req)
-				want, wantErr := local.Score(context.Background(), req)
-				got, err := remote.Score(context.Background(), req)
-				if failureClass(err) != failureClass(wantErr) {
-					t.Fatalf("%s %+v over %s: error %v, in-process %v", c.Name, req, format, err, wantErr)
-				}
-				if err != nil {
-					continue
-				}
-				got.TraceID, want.TraceID = "", "" // one per execution
-				// The wire does not tell an empty list from an absent one.
-				if len(want.Predictions) == 0 {
-					want.Predictions = nil
-				}
-				if len(want.ScoredRows) == 0 {
-					want.ScoredRows = nil
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %+v over %s:\n got %+v\nwant %+v", c.Name, req, format, got, want)
-				}
-				compared++
+		remote := servedShard(t, local, nil)
+		for _, req := range []router.Request{base, part, filtered, grouped, {Model: "nope", Data: "scoring_input"}} {
+			// The first run of a shape pays the model and snapshot misses,
+			// which show in its simulated timeline; compare warm runs.
+			local.Score(context.Background(), req)
+			want, wantErr := local.Score(context.Background(), req)
+			got, err := remote.Score(context.Background(), req)
+			if failureClass(err) != failureClass(wantErr) {
+				t.Fatalf("%s %+v: error %v, in-process %v", c.Name, req, err, wantErr)
 			}
+			if err != nil {
+				continue
+			}
+			got.TraceID, want.TraceID = "", "" // one per execution
+			// The wire does not tell an empty list from an absent one.
+			if len(want.Predictions) == 0 {
+				want.Predictions = nil
+			}
+			if len(want.ScoredRows) == 0 {
+				want.ScoredRows = nil
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %+v:\n got %+v\nwant %+v", c.Name, req, got, want)
+			}
+			compared++
 		}
 	}
-	if compared < 8*len(cases) {
-		t.Fatalf("only %d of %d sub-queries were compared", compared, 8*len(cases))
+	if compared < 4*len(cases) {
+		t.Fatalf("only %d of %d sub-queries were compared", compared, 4*len(cases))
 	}
 }

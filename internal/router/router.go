@@ -15,18 +15,11 @@ import (
 type Config struct {
 	// Backends are the shard replicas, one per partition index.
 	Backends []Backend
-	// AllowPartial degrades a query with unreachable partitions to an
-	// explicit partial result (Merged.Partial=true, missing partitions
-	// listed) instead of failing it. Predictions for missing partitions
-	// are absent, never zero-filled.
-	AllowPartial bool
 	// Obs receives router metrics and per-query traces (nil disables).
 	Obs *obs.Observer
 	// WarmModels are fanned out to every shard's model cache at
-	// construction (replica-aware warm-on-register).
+	// construction (replica-aware warm-on-register), within warmTimeout.
 	WarmModels []string
-	// WarmTimeout bounds the construction-time warm fan-out (default 10s).
-	WarmTimeout time.Duration
 	// Health tunes the shard health state machine (nil takes defaults).
 	// The state machine always runs on passive per-request signals;
 	// active /healthz probing engages only when Health.ProbeInterval > 0.
@@ -50,6 +43,9 @@ type Router struct {
 	// nextHome rotates the home shard of queries narrower than the tier.
 	nextHome atomic.Uint64
 }
+
+// warmTimeout bounds the construction-time warm fan-out.
+const warmTimeout = 10 * time.Second
 
 // New builds a router over cfg.Backends and, when cfg.WarmModels is set,
 // warms every shard's model cache before returning (warm failures are
@@ -89,11 +85,7 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	if len(cfg.WarmModels) > 0 {
-		to := cfg.WarmTimeout
-		if to <= 0 {
-			to = 10 * time.Second
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), to)
+		ctx, cancel := context.WithTimeout(context.Background(), warmTimeout)
 		defer cancel()
 		for _, model := range cfg.WarmModels {
 			r.Warm(ctx, model)
@@ -310,7 +302,7 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 
 	// A query-level error (unknown model, malformed filter) fails
 	// identically on every replica: surface it as the query's own error,
-	// never as a partial result.
+	// not as a PartialError.
 	for _, d := range dres {
 		if IsNoReroute(d.Err) {
 			r.metrics.ObserveQuery("error", len(parts), gap)
@@ -319,8 +311,9 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 		}
 	}
 
-	pe := partial(dres)
-	if pe != nil && (!r.cfg.AllowPartial || len(pe.Missing) == len(parts)) {
+	// Any partition without an answer fails the query: the tier answers
+	// bit-identically or not at all.
+	if pe := partial(dres); pe != nil {
 		r.metrics.ObserveQuery("error", len(parts), gap)
 		tr.SetAttr("error", pe.Error())
 		// Unwrap a single-partition scatter's sole failure so callers see
@@ -334,13 +327,6 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 	byPart := make([]*Result, len(parts))
 	latencies := make([]time.Duration, len(parts))
 	for i, d := range dres {
-		if d.Err != nil {
-			continue
-		}
-		if d.Value == nil {
-			r.metrics.ObserveQuery("error", len(parts), gap)
-			return nil, fmt.Errorf("router: shard %d returned no result", d.Shard)
-		}
 		byPart[i] = d.Value
 		latencies[i] = d.Latency
 	}
@@ -356,11 +342,7 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 	merged.ShardLatency = latencies
 	merged.Reroutes = reroutes
 	merged.TraceID = tr.ID()
-	outcome := "ok"
-	if merged.Partial {
-		outcome = "partial"
-	}
-	r.metrics.ObserveQuery(outcome, len(parts), gap)
-	tr.SetAttr("outcome", outcome)
+	r.metrics.ObserveQuery("ok", len(parts), gap)
+	tr.SetAttr("outcome", "ok")
 	return merged, nil
 }

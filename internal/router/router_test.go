@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,9 +86,6 @@ func TestRouterBitIdenticalPlain(t *testing.T) {
 	got, err := r.Query(context.Background(), plainSQL, router.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.Partial {
-		t.Fatal("healthy scatter reported partial")
 	}
 	if got.Shards != 3 {
 		t.Fatalf("scatter width %d", got.Shards)
@@ -208,10 +207,10 @@ func (p *partitionKiller) Score(ctx context.Context, req router.Request) (*route
 }
 
 // TestRouterPartialShardFailure is the merge-correctness-under-failure
-// check: a dead shard either fails the query with a typed PartialError
-// (strict mode) or yields an explicit partial result whose surviving
-// predictions are bit-identical to the single-node run — never zero-valued
-// predictions spliced in.
+// check: a dead shard's partition reroutes to a healthy replica and the
+// answer stays bit-identical; a partition no replica can serve fails the
+// whole query loudly — a typed PartialError naming it, and on /query a 503
+// with no predictions — never an answer with rows missing or zero-filled.
 func TestRouterPartialShardFailure(t *testing.T) {
 	const n, rows = 3, 300
 	backends := make([]router.Backend, n)
@@ -234,21 +233,16 @@ func TestRouterPartialShardFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Partial {
-		t.Fatal("reroutable failure degraded to partial despite healthy replicas")
-	}
 	if got.Reroutes == 0 {
 		t.Fatal("dead shard's partition was not rerouted")
 	}
-	for i := range want.Predictions {
-		if got.Predictions[i] != want.Predictions[i] {
-			t.Fatalf("post-reroute row %d: %d vs %d", i, got.Predictions[i], want.Predictions[i])
-		}
+	if !slices.Equal(got.Predictions, want.Predictions) || got.ScoredRows != nil {
+		t.Fatalf("post-reroute answer differs from single-node: %d vs %d predictions", len(got.Predictions), len(want.Predictions))
 	}
 
 	// Now kill ALL routes for partition 1's rows: every replica refuses
 	// that partition, so no reroute can save it while partitions 0 and 2
-	// still succeed. Strict mode => typed PartialError.
+	// still succeed.
 	allDead := make([]router.Backend, n)
 	live := newShardPipeline(t, rows)
 	for i := range allDead {
@@ -257,59 +251,24 @@ func TestRouterPartialShardFailure(t *testing.T) {
 			part:    "1/3",
 		}
 	}
-	strict, err := router.New(router.Config{Backends: allDead})
+	dead, err := router.New(router.Config{Backends: allDead})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = strict.Query(context.Background(), plainSQL, router.QueryOptions{})
+	res, err := dead.Query(context.Background(), plainSQL, router.QueryOptions{})
 	var pe *router.PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("strict mode error = %v, want *router.PartialError", err)
-	}
-	if len(pe.Missing) == 0 {
-		t.Fatal("PartialError lists no missing partitions")
+	if res != nil || !errors.As(err, &pe) || !slices.Equal(pe.Missing, []int{1}) || pe.Errs[1] == nil {
+		t.Fatalf("query over a dead stripe = %v, %v; want no answer and a *router.PartialError naming stripe 1", res, err)
 	}
 
-	// Partial mode => explicit partial result, surviving rows exact.
-	partial, err := router.New(router.Config{Backends: allDead, AllowPartial: true})
-	if err != nil {
+	rec := httptest.NewRecorder()
+	router.Handler(dead).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?sql="+url.QueryEscape(plainSQL), nil))
+	var qr router.QueryResponse
+	if err := json.NewDecoder(rec.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
-	res, err := partial.Query(context.Background(), plainSQL, router.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Partial || len(res.MissingPartitions) == 0 {
-		t.Fatal("degraded query not marked partial")
-	}
-	if len(res.Predictions) == 0 || len(res.Predictions) >= len(want.Predictions) {
-		t.Fatalf("partial result has %d predictions of %d", len(res.Predictions), len(want.Predictions))
-	}
-	if len(res.ScoredRows) != len(res.Predictions) {
-		t.Fatal("partial result lost its scored-row ordinals")
-	}
-	missing := make(map[int]bool)
-	for _, k := range res.MissingPartitions {
-		missing[k] = true
-	}
-	for i, row := range res.ScoredRows {
-		if missing[pipeline.RowShard(row, n)] {
-			t.Fatalf("row %d belongs to a missing partition but has a prediction", row)
-		}
-		if res.Predictions[i] != want.Predictions[row] {
-			t.Fatalf("partial row %d: %d, single-node %d — fabricated data",
-				row, res.Predictions[i], want.Predictions[row])
-		}
-	}
-	for row := range want.Predictions {
-		if !missing[pipeline.RowShard(row, n)] {
-			continue
-		}
-		for _, have := range res.ScoredRows {
-			if have == row {
-				t.Fatalf("row %d from a dead partition present in partial result", row)
-			}
-		}
+	if rec.Code != http.StatusServiceUnavailable || qr.OK || qr.Predictions != nil || qr.Error == "" {
+		t.Fatalf("/query over a dead stripe = HTTP %d %+v, want 503 ok:false with no predictions", rec.Code, qr)
 	}
 }
 
@@ -414,8 +373,8 @@ func TestRouterHandler(t *testing.T) {
 	if resp.StatusCode != 200 || !qr.OK {
 		t.Fatalf("HTTP %d, ok=%v err=%q", resp.StatusCode, qr.OK, qr.Error)
 	}
-	if qr.Shards != 3 || qr.Partial {
-		t.Fatalf("shards=%d partial=%v", qr.Shards, qr.Partial)
+	if qr.Shards != 3 {
+		t.Fatalf("shards=%d", qr.Shards)
 	}
 	if len(qr.Predictions) != len(want.Predictions) {
 		t.Fatalf("%d predictions, want %d", len(qr.Predictions), len(want.Predictions))

@@ -3,8 +3,8 @@
 // every shard holds the full table and any shard can score any partition —
 // so resilience is rerouting: when a shard is not taking traffic or a
 // sub-call fails, its partition moves to the next replica. Only when every
-// route is exhausted does a partition degrade to a typed partial result
-// (PartialError), never to silently missing or zero-valued predictions.
+// route is exhausted does a partition fail, and with it the whole query
+// (PartialError) — never an answer with missing or zero-valued predictions.
 //
 // There is one notion of shard health, the HealthManager's state machine,
 // and every attempt passes it exactly twice: acquire before the shard is
@@ -58,8 +58,7 @@ func rerouteable(err error) bool {
 
 // IsNoReroute reports whether err is a query-level error (wrapped by
 // NoReroute somewhere in its chain): every replica would fail identically,
-// so the caller should fail the query rather than degrade to partial
-// results.
+// so the query fails with it rather than as a PartialError.
 func IsNoReroute(err error) bool { return err != nil && !rerouteable(err) }
 
 // dispatchResult is one partition's outcome.
@@ -252,10 +251,9 @@ func (e *RouteError) Error() string {
 // Unwrap exposes every attempt error for errors.Is/As.
 func (e *RouteError) Unwrap() []error { return e.Attempts }
 
-// PartialError is the typed "partial results" outcome: some partitions have
-// no surviving route. Callers that cannot tolerate gaps fail the query;
-// callers that can (the router's partial mode) return the surviving
-// partitions with an explicit partial marker, never splicing in zeros.
+// PartialError fails a query some partitions of which have no surviving
+// route: the router answers whole or not at all, so the surviving
+// partitions' rows are dropped with the rest.
 type PartialError struct {
 	// Missing lists the partition indices with no result, ascending.
 	Missing []int
