@@ -144,7 +144,7 @@ func newServer(demoRecords int, cfg exec.Config, faultSpec string, faultSeed uin
 		if err != nil {
 			return nil, nil, err
 		}
-		s.slo = obs.NewSLOEngine(o.Metrics(), objs, obs.DefaultSLOTarget)
+		s.slo = obs.NewSLOEngine(o.Metrics(), objs)
 	}
 	if oc.RuntimeSample > 0 {
 		s.runtimeC = obs.StartRuntimeCollector(o.Metrics(), oc.RuntimeSample)

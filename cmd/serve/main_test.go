@@ -512,8 +512,8 @@ func TestRuntimeGaugesOnMetrics(t *testing.T) {
 	}
 }
 
-// TestSLOMetricsPublished: SLO counters, objectives and burn-rate gauges
-// appear after classified queries.
+// TestSLOMetricsPublished: SLO counters and objectives appear after
+// classified queries.
 func TestSLOMetricsPublished(t *testing.T) {
 	ts := startTestServer(t)
 	if code, _ := get(t, ts.URL+"/query"); code != http.StatusOK {
@@ -523,7 +523,6 @@ func TestSLOMetricsPublished(t *testing.T) {
 	for _, needle := range []string{
 		obs.MetricSLOEventsTotal + `{class="default",result="good"} 1`,
 		obs.MetricSLOObjectiveSeconds + `{class="default"} 30`,
-		obs.MetricSLOBurnRate + `{class="default",window="1m"} 0`,
 	} {
 		if !strings.Contains(text, needle) {
 			t.Errorf("/metrics missing %q:\n%s", needle, text)

@@ -22,13 +22,14 @@ import (
 //	  per column, in schema order: checksummed pages until rows are covered
 //	frame{ "ACSNEND" }
 //
-// Pages stream straight out of the table's vectors — a REAL column by
-// striding the row-major block — so Save never materializes a copy of the
-// data, and Load scatters them back into the block. Every frame and page
-// carries a CRC, so truncation or bit rot anywhere in the file surfaces as a
-// typed error on load, never as a silently wrong table. Pages of one column
-// are contiguous and self-describing (column index, row range), which is
-// what lets a reader recover only a feature subset's pages.
+// A REAL column's pages are filled from the row-major block, one loop over
+// the column's stride a page, so Save never materializes a copy of the data;
+// Load decodes them into a column-major scratch and transposes each table's
+// into its block once. Every frame and page carries a CRC, so truncation or
+// bit rot anywhere in the file surfaces as a typed error on load, never as a
+// silently wrong table. Pages of one column are contiguous and
+// self-describing (column index, row range), which is what lets a reader
+// recover only a feature subset's pages.
 var snapshotMagic = [8]byte{'A', 'C', 'S', 'N', 'A', 'P', '0', '1'}
 
 const (
@@ -37,6 +38,7 @@ const (
 	maxHeaderFrame   = 1 << 24 // 16 MiB bounds schema/table headers
 	maxSnapshotCols  = 1 << 16
 	maxSnapshotBytes = 1 << 40 // sanity cap on declared row counts (bytes)
+	maxRealPresize   = 1 << 22 // REAL cells Load sizes for before pages arrive
 )
 
 // Typed persistence errors.
@@ -51,9 +53,9 @@ var (
 )
 
 // Save writes the whole database (tables and stored models) to w in the
-// binary column-page format. Data streams page by page under each table's
-// read lock — memory use is bounded by one page buffer, not by the database
-// size, so a multi-gigabyte table saves without a deep copy.
+// binary column-page format, page by page under each table's read lock: a
+// REAL page fills in one loop over the block, and memory stays one page
+// buffer, so a multi-gigabyte table saves without a deep copy.
 func (d *Database) Save(w io.Writer) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -92,7 +94,7 @@ func (d *Database) Save(w io.Writer) error {
 
 // savePages streams one table (header frame + column pages) to w under the
 // table's read lock, so a concurrent UPDATE cannot tear the encoded rows.
-func (t *Table) savePages(w io.Writer, b *pagefmt.Builder, pageBuf *[]byte) error {
+func (t *Table) savePages(w *bufio.Writer, b *pagefmt.Builder, pageBuf *[]byte) error {
 	t.rowsMu.RLock()
 	defer t.rowsMu.RUnlock()
 
@@ -115,8 +117,8 @@ func (t *Table) savePages(w io.Writer, b *pagefmt.Builder, pageBuf *[]byte) erro
 	*pageBuf = framed[:0]
 
 	emit := func(p *pagefmt.Page) error {
-		*pageBuf = p.AppendTo((*pageBuf)[:0])
-		_, err := w.Write(*pageBuf)
+		_, _ = w.Write(p.AppendHeader((*pageBuf)[:0])) // a failure sticks: the next Write returns it
+		_, err := w.Write(p.Payload)
 		return err
 	}
 	width := len(t.realNames)
@@ -124,10 +126,11 @@ func (t *Table) savePages(w io.Writer, b *pagefmt.Builder, pageBuf *[]byte) erro
 		b.Reset(pagefmt.ColType(col.Type), uint32(ci), version, pagefmt.DefaultPayload, emit)
 		c := &t.cols[ci]
 		var err error
-		for r := 0; r < rows && err == nil; r++ {
+		if col.Type == Float32Col && rows > 0 {
+			err = b.AddFloat32s(t.block[c.pos:], width, rows)
+		}
+		for r := 0; r < rows && err == nil && col.Type != Float32Col; r++ {
 			switch col.Type {
-			case Float32Col:
-				err = b.AddFloat32(t.block[r*width+c.pos])
 			case Int64Col:
 				err = b.AddInt64(c.Ints[r])
 			case TextCol:
@@ -170,12 +173,19 @@ func Load(r io.Reader) (*Database, error) {
 	if magic != snapshotMagic {
 		return nil, ErrSnapshotFormat
 	}
-	return loadBinary(bufio.NewReaderSize(r, 64<<10))
+	return (&loader{r: bufio.NewReaderSize(r, 64<<10)}).load()
 }
 
-// loadBinary decodes the page-format snapshot body after the magic.
-func loadBinary(r io.Reader) (*Database, error) {
-	hdr, err := pagefmt.ReadFrame(r, maxHeaderFrame)
+// loader is one Load's reader and the buffers it reuses across tables.
+type loader struct {
+	r         io.Reader
+	page      []byte    // the page being decoded
+	realCells []float32 // the current table's REAL cells, column after column
+}
+
+// load decodes the page-format snapshot body after the magic.
+func (l *loader) load() (*Database, error) {
+	hdr, err := pagefmt.ReadFrame(l.r, maxHeaderFrame)
 	if err != nil {
 		return nil, fmt.Errorf("%w: file header: %v", ErrSnapshotCorrupt, err)
 	}
@@ -194,7 +204,7 @@ func loadBinary(r io.Reader) (*Database, error) {
 
 	d := &Database{tables: make(map[string]*Table)}
 	for i := uint64(0); i < tableCount; i++ {
-		t, err := loadTable(r)
+		t, err := l.loadTable()
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +213,7 @@ func loadBinary(r io.Reader) (*Database, error) {
 		}
 		d.tables[t.Name] = t
 	}
-	end, err := pagefmt.ReadFrame(r, maxHeaderFrame)
+	end, err := pagefmt.ReadFrame(l.r, maxHeaderFrame)
 	if err != nil || string(end) != snapshotEnd {
 		return nil, fmt.Errorf("%w: missing end marker", ErrSnapshotCorrupt)
 	}
@@ -223,8 +233,8 @@ func loadBinary(r io.Reader) (*Database, error) {
 }
 
 // loadTable decodes one table header frame plus its column pages.
-func loadTable(r io.Reader) (*Table, error) {
-	hdr, err := pagefmt.ReadFrame(r, maxHeaderFrame)
+func (l *loader) loadTable() (*Table, error) {
+	hdr, err := pagefmt.ReadFrame(l.r, maxHeaderFrame)
 	if err != nil {
 		return nil, fmt.Errorf("%w: table header: %v", ErrSnapshotCorrupt, err)
 	}
@@ -267,26 +277,31 @@ func loadTable(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
+	// Sized like the other vectors, for at most 1<<20 declared rows.
+	l.realCells = slices.Grow(l.realCells[:0], min(int(min(rows, 1<<20))*len(t.realNames), maxRealPresize))
 	for ci, col := range cols {
-		if err := t.loadColumnPages(r, ci, rows); err != nil {
+		if err := l.loadColumnPages(t, ci, rows); err != nil {
 			return nil, fmt.Errorf("%w: table %q column %q: %v", ErrSnapshotCorrupt, name, col.Name, err)
 		}
+	}
+	if len(l.realCells) > 0 {
+		t.block = make([]float32, len(l.realCells))
+		transpose(t.block, l.realCells, int(rows))
 	}
 	t.rows = int(rows)
 	t.version.Store(version)
 	return t, nil
 }
 
-// loadColumnPages reads pages for column ci until rows cells are decoded into
-// its storage. A header's row count sizes at most the first 1<<20 rows; past
-// that, vectors grow as pages really arrive. The block grows by whole rows
-// under the first REAL column's pages; later REAL columns scatter into it.
-func (t *Table) loadColumnPages(r io.Reader, ci int, rows uint64) error {
-	typ, c, w := pagefmt.ColType(t.Columns[ci].Type), &t.cols[ci], len(t.realNames)
+// loadColumnPages reads pages for column ci until rows cells are decoded: a
+// REAL column's onto l.realCells, any other's into its vector. A header's
+// row count sizes at most the first 1<<20 rows of one column; past that,
+// storage grows as pages really arrive.
+func (l *loader) loadColumnPages(t *Table, ci int, rows uint64) error {
+	typ, c := pagefmt.ColType(t.Columns[ci].Type), &t.cols[ci]
 	hint := int(min(rows, 1<<20))
 	switch typ {
 	case pagefmt.Float32:
-		t.block = slices.Grow(t.block, max(0, hint*w-len(t.block)))
 	case pagefmt.Int64:
 		c.Ints = make([]int64, 0, hint)
 	case pagefmt.Text:
@@ -296,7 +311,7 @@ func (t *Table) loadColumnPages(r io.Reader, ci int, rows uint64) error {
 	}
 	var got uint64
 	for got < rows {
-		p, err := pagefmt.ReadPage(r)
+		p, err := pagefmt.ReadPage(l.r, &l.page)
 		if err != nil {
 			return err
 		}
@@ -310,15 +325,16 @@ func (t *Table) loadColumnPages(r io.Reader, ci int, rows uint64) error {
 		if got+uint64(p.Rows) > rows {
 			return fmt.Errorf("pages overflow declared row count %d", rows)
 		}
-		if need := int(got+uint64(p.Rows)) * w; typ == pagefmt.Float32 && need > len(t.block) {
-			t.block = append(t.block, make([]float32, need-len(t.block))...)
+		if typ == pagefmt.Float32 {
+			// Decode checked the payload is exactly Rows cells.
+			l.realCells = p.AppendFloat32s(l.realCells)
+			got += uint64(p.Rows)
+			continue
 		}
 		cr := pagefmt.NewCellReader(p.Payload)
 		for end := got + uint64(p.Rows); got < end; got++ {
 			var cellErr error
 			switch typ {
-			case pagefmt.Float32:
-				t.block[int(got)*w+c.pos], cellErr = cr.Float32()
 			case pagefmt.Int64:
 				var v int64
 				v, cellErr = cr.Int64()
@@ -341,6 +357,20 @@ func (t *Table) loadColumnPages(r io.Reader, ci int, rows uint64) error {
 		}
 	}
 	return nil
+}
+
+// transpose fills the row-major block from cols, the same cells column after
+// column. It writes the block in order, gathering each row from the columns'
+// runs, which advance together; writing a column at a time, each store a row
+// apart, measured half as fast.
+func transpose(block, cols []float32, rows int) {
+	w := len(cols) / rows
+	for r := range rows {
+		row := block[r*w : r*w+w]
+		for k := range row {
+			row[k] = cols[k*rows+r]
+		}
+	}
 }
 
 // SaveFile writes the database to a file.

@@ -245,7 +245,7 @@ func RunLoad(env *LoadEnv, r QueryRunner, label string, opt RunOptions) (*LoadRe
 	if len(opt.SLO) > 0 {
 		// A nil registry keeps the engine pure accounting — loadgen's
 		// per-run environments are throwaway, so no gauges to publish.
-		eng := obs.NewSLOEngine(nil, opt.SLO, 0)
+		eng := obs.NewSLOEngine(nil, opt.SLO)
 		maxRec := int64(env.Cfg.TableRows)
 		for _, s := range run.Samples {
 			class := ClassForRecords(opt.SLO, env.Queries[s.I].Records, maxRec)

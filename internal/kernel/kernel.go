@@ -440,7 +440,12 @@ func (c *Compiled) score(x []float32, features, n int, sel *Selection, out []int
 func (c *Compiled) scoreRange(x []float32, features int, sel *Selection, out []int, counts []int64, lo, hi int) {
 	var rows [rowBlockSize]int32
 	var scratch [rowBlockSize]int
-	vp := getVotes(rowBlockSize * c.classes)
+	var votes []int32 // a vote forest's counters; a margin forest keeps none
+	if c.margin == nil {
+		vp := getVotes(rowBlockSize * c.classes)
+		defer putVotes(vp)
+		votes = *vp
+	}
 	outPos := lo
 	if sel != nil {
 		outPos = sel.Rank(lo)
@@ -471,21 +476,21 @@ func (c *Compiled) scoreRange(x []float32, features int, sel *Selection, out []i
 			dst = out[outPos : outPos+nb]
 			outPos += nb
 		}
-		c.scoreBlock(x, features, rows[:nb], dst, *vp)
+		c.scoreBlock(x, features, rows[:nb], dst, votes)
 		if counts != nil {
 			for _, cls := range dst {
 				counts[cls]++
 			}
 		}
 	}
-	putVotes(vp)
 }
 
 // scoreBlock walks every tree for the rows of x listed in rows (at most one
 // block) and writes their predicted classes into out[:len(rows)]. votes is
-// scratch of at least len(rows)*classes entries (unused by two-class
-// ensembles). This is the traversal: the order rows and trees are visited
-// in is decided here, the node layout in Seal and step, and nowhere else.
+// scratch of at least len(rows)*classes entries for a vote forest, and nil
+// for a margin one (two-class or boosted). This is the traversal: the order
+// rows and trees are visited in is decided here, the node layout in Seal and
+// step, and nowhere else.
 // Trees are streamed over the block; within a tree the rows still walking go
 // down in groups of 8 (lockstep), the remainder one at a time through the
 // same step, and each row's leaf then adds its margin or its vote.
@@ -499,8 +504,10 @@ func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int
 	for r, row := range rows {
 		offs[r], pos[r], margins[r] = int(row)*features, uint8(r), c.base
 	}
-	votes = votes[:nb*classes]
-	clear(votes)
+	if margin == nil {
+		votes = votes[:nb*classes]
+		clear(votes)
+	}
 	live, check := nb, c.firstCheck()
 	var leaf [rowBlockSize]int32
 	for t, steps := range c.depth {
@@ -534,9 +541,11 @@ func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int
 		// A tree closes a gap by at most 2, so the smallest sets the next check.
 		rem, minGap, undecided := trees-t-1, trees, 0
 		for i := 0; i < live; i++ {
-			gap := marginGap(int(margins[i]), rem)
+			var gap int
 			if margin == nil {
 				gap = voteGap(votes[i*classes:(i+1)*classes], rem)
+			} else {
+				gap = marginGap(int(margins[i]), rem)
 			}
 			if gap > 0 {
 				minGap = min(minGap, gap)

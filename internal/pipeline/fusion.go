@@ -151,11 +151,12 @@ func buildPredicates(tbl *db.Table, data *dataset.Dataset, where []db.Condition)
 	return preds, nil
 }
 
-// aggResult assembles a fused-aggregate result table. counts is the engine's
-// fused class histogram when it produced one (WantCounts path); otherwise
-// preds is the materialized prediction slice and the histogram is computed
-// here with the batch primitive.
-func aggResult(mode AggMode, preds []int, counts []int64) (*db.Table, error) {
+// AggTable assembles a fused-aggregate result table — on one node, and in
+// the scale-out router's gather from per-shard pieces. counts is the fused
+// class histogram when there is one (WantCounts path); otherwise preds is
+// the materialized prediction slice and the histogram is computed here with
+// the batch primitive.
+func AggTable(mode AggMode, preds []int, counts []int64) (*db.Table, error) {
 	if counts == nil {
 		counts = tensor.Bincount(preds, 0)
 	}
@@ -188,14 +189,6 @@ func aggResult(mode AggMode, preds []int, counts []int64) (*db.Table, error) {
 		}
 		return out, nil
 	default:
-		return nil, fmt.Errorf("pipeline: aggResult on mode %s", mode)
+		return nil, fmt.Errorf("pipeline: AggTable on mode %s", mode)
 	}
-}
-
-// AggTable assembles a fused-aggregate result table from merged predictions
-// or a merged class histogram — aggResult exported for the scale-out
-// router, whose gather path rebuilds the single-node result shape from
-// per-shard pieces.
-func AggTable(mode AggMode, preds []int, counts []int64) (*db.Table, error) {
-	return aggResult(mode, preds, counts)
 }

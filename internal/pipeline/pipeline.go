@@ -755,7 +755,7 @@ func (p *Pipeline) fetchInput(req *ScoreRequest, featureNames []string) (*datase
 // predictions.
 func landResults(agg AggMode, sel *kernel.Selection, scored *backend.Result, res *QueryResult) (err error) {
 	if agg != AggNone {
-		res.Table, err = aggResult(agg, scored.Predictions, scored.ClassCounts)
+		res.Table, err = AggTable(agg, scored.Predictions, scored.ClassCounts)
 		return err
 	}
 	if sel != nil && res.Fused {

@@ -115,8 +115,9 @@ type Page struct {
 	Payload      []byte
 }
 
-// AppendTo appends the encoded page (header + payload) to dst.
-func (p *Page) AppendTo(dst []byte) []byte {
+// AppendHeader appends the page's header, whose CRC covers the payload too,
+// to dst: a writer sends it and then p.Payload as it lies, copying nothing.
+func (p *Page) AppendHeader(dst []byte) []byte {
 	base := len(dst)
 	dst = append(dst, pageMagic[:]...)
 	dst = binary.LittleEndian.AppendUint16(dst, Version)
@@ -126,11 +127,8 @@ func (p *Page) AppendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Payload)))
 	dst = binary.LittleEndian.AppendUint64(dst, p.StartRow)
 	dst = binary.LittleEndian.AppendUint64(dst, p.TableVersion)
-	crc := crc32.NewIEEE()
-	crc.Write(dst[base : base+36])
-	crc.Write(p.Payload)
-	dst = binary.LittleEndian.AppendUint32(dst, crc.Sum32())
-	return append(dst, p.Payload...)
+	crc := crc32.Update(crc32.ChecksumIEEE(dst[base:base+36]), crc32.IEEETable, p.Payload)
+	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // Decode parses one page from the front of data, returning the page and the
@@ -188,10 +186,34 @@ func Decode(data []byte) (*Page, int, error) {
 	return p, total, nil
 }
 
-// ReadPage reads one page from r (e.g. a snapshot file stream).
-func ReadPage(r io.Reader) (*Page, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// AppendFloat32s appends a Float32 page's cells to dst, eight a turn: a turn
+// per cell measured twice as slow.
+func (p *Page) AppendFloat32s(dst []float32) []float32 {
+	src, off := p.Payload, len(dst)
+	dst = slices.Grow(dst, len(src)/4)[:off+len(src)/4]
+	out := dst[off:]
+	for ; len(src) >= 32 && len(out) >= 8; src, out = src[32:], out[8:] {
+		s, o := src[:32:32], out[:8:8]
+		o[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:4]))
+		o[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:8]))
+		o[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:12]))
+		o[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:16]))
+		o[4] = math.Float32frombits(binary.LittleEndian.Uint32(s[16:20]))
+		o[5] = math.Float32frombits(binary.LittleEndian.Uint32(s[20:24]))
+		o[6] = math.Float32frombits(binary.LittleEndian.Uint32(s[24:28]))
+		o[7] = math.Float32frombits(binary.LittleEndian.Uint32(s[28:32]))
+	}
+	for ; len(src) >= 4 && len(out) >= 1; src, out = src[4:], out[1:] {
+		out[0] = math.Float32frombits(binary.LittleEndian.Uint32(src))
+	}
+	return dst
+}
+
+// ReadPage reads one page from r into *buf, which it leaves grown for the
+// next call to reuse: the page's payload aliases *buf until then.
+func ReadPage(r io.Reader, buf *[]byte) (*Page, error) {
+	hdr := append((*buf)[:0], make([]byte, HeaderSize)...)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, ErrTruncated
 		}
@@ -201,29 +223,29 @@ func ReadPage(r io.Reader) (*Page, error) {
 	if payloadLen > MaxPayload {
 		return nil, fmt.Errorf("%w: payload length %d exceeds cap", ErrHeader, payloadLen)
 	}
-	buf, err := readAfter(r, hdr[:], int(payloadLen))
+	data, err := readAfter(r, hdr, int(payloadLen))
 	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, ErrTruncated
 		}
 		return nil, err
 	}
-	p, _, err := Decode(buf)
+	*buf = data
+	p, _, err := Decode(data)
 	return p, err
 }
 
 // readChunk is how much readAfter allocates before any bytes have arrived.
 const readChunk = 1 << 20
 
-// readAfter returns head followed by the next n bytes of r. The buffer grows
-// as the bytes arrive, at most doubling, so a corrupt length field costs
-// memory in proportion to what r really holds, not to what the length claims.
+// readAfter returns head followed by the next n bytes of r, in head's spare
+// capacity first. The buffer grows as the bytes arrive, at most doubling, so
+// a corrupt length costs memory in proportion to what r holds, not claims.
 func readAfter(r io.Reader, head []byte, n int) ([]byte, error) {
-	total := len(head) + n
-	buf := append(make([]byte, 0, len(head)+min(n, readChunk)), head...)
+	total, buf := len(head)+n, head
 	for len(buf) < total {
 		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(total, 2*len(buf))-len(buf))
+			buf = append(make([]byte, 0, min(total, max(2*len(buf), len(head)+readChunk))), buf...)
 		}
 		m, err := io.ReadFull(r, buf[len(buf):min(total, cap(buf))])
 		buf = buf[:len(buf)+m]
@@ -396,9 +418,19 @@ const FrameOverhead = 8
 
 // AppendFrame appends a length+CRC framed payload to dst.
 func AppendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	base := len(dst)
+	dst = append(append(dst, make([]byte, FrameOverhead)...), payload...)
+	PutFrameHeader(dst[base:])
+	return dst
+}
+
+// PutFrameHeader frames in place: it writes the length and CRC of
+// frame[FrameOverhead:] into frame[:FrameOverhead], so a payload built after
+// FrameOverhead bytes of room becomes a frame without being copied.
+func PutFrameHeader(frame []byte) {
+	payload := frame[FrameOverhead:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 }
 
 // DecodeFrame parses one frame from the front of data, returning the payload
@@ -501,11 +533,25 @@ func (b *Builder) Flush() error {
 	return nil
 }
 
-// AddFloat32 appends one float32 cell.
-func (b *Builder) AddFloat32(v float32) error {
-	b.page.Payload = AppendFloat32(b.page.Payload, v)
-	b.page.Rows++
-	return b.flushIfFull()
+// AddFloat32s appends n float32 cells read stride apart from src, such as a
+// REAL column of a row-major block: each page fills in one loop and is
+// emitted where the budget fills, as after n single-cell appends.
+func (b *Builder) AddFloat32s(src []float32, stride, n int) error {
+	for j := 0; n > 0; {
+		k := min(n, max(1, (b.maxPayload-len(b.page.Payload)+3)/4))
+		off := len(b.page.Payload)
+		b.page.Payload = slices.Grow(b.page.Payload, 4*k)[:off+4*k]
+		dst := b.page.Payload[off:]
+		for i := 0; i < k; i, j = i+1, j+stride {
+			binary.LittleEndian.PutUint32(dst[4*i:4*i+4], math.Float32bits(src[j]))
+		}
+		b.page.Rows += uint32(k)
+		n -= k
+		if err := b.flushIfFull(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AddInt64 appends one int64 cell.

@@ -18,8 +18,11 @@ func buildPage(t *testing.T, n int) []byte {
 		p.Payload = AppendFloat32(p.Payload, float32(i)+0.5)
 	}
 	p.Rows = uint32(n)
-	return p.AppendTo(nil)
+	return encode(&p)
 }
+
+// encode is a page as a writer sends it: its header, then its payload.
+func encode(p *Page) []byte { return append(p.AppendHeader(nil), p.Payload...) }
 
 func TestPageRoundTrip(t *testing.T) {
 	enc := buildPage(t, 10)
@@ -53,7 +56,7 @@ func TestPageVariableWidthRoundTrip(t *testing.T) {
 	p.Payload = AppendBytes(p.Payload, []byte("alpha"))
 	p.Payload = AppendBytes(p.Payload, nil)
 	p.Payload = AppendString(p.Payload, "gamma")
-	enc := p.AppendTo(nil)
+	enc := encode(&p)
 	back, _, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -104,13 +107,13 @@ func TestPageDecodeCorruption(t *testing.T) {
 	t.Run("row-payload-mismatch", func(t *testing.T) {
 		p := Page{Type: Float32, Rows: 5}
 		p.Payload = AppendFloat32(nil, 1) // 1 cell, header claims 5
-		if _, _, err := Decode(p.AppendTo(nil)); !errors.Is(err, ErrHeader) {
+		if _, _, err := Decode(encode(&p)); !errors.Is(err, ErrHeader) {
 			t.Fatalf("want ErrHeader for row/payload mismatch")
 		}
 	})
 	t.Run("unknown-type", func(t *testing.T) {
 		p := Page{Type: ColType(9), Rows: 0}
-		if _, _, err := Decode(p.AppendTo(nil)); !errors.Is(err, ErrHeader) {
+		if _, _, err := Decode(encode(&p)); !errors.Is(err, ErrHeader) {
 			t.Fatalf("want ErrHeader for unknown type")
 		}
 	})
@@ -121,19 +124,20 @@ func TestReadPageFromStream(t *testing.T) {
 	stream = append(stream, buildPage(t, 4)...)
 	stream = append(stream, buildPage(t, 6)...)
 	r := bytes.NewReader(stream)
-	p1, err := ReadPage(r)
+	var buf []byte // one buffer for the whole stream
+	p1, err := ReadPage(r, &buf)
 	if err != nil || p1.Rows != 4 {
 		t.Fatalf("page 1: %v rows=%d", err, p1.Rows)
 	}
-	p2, err := ReadPage(r)
+	p2, err := ReadPage(r, &buf)
 	if err != nil || p2.Rows != 6 {
 		t.Fatalf("page 2: %v rows=%d", err, p2.Rows)
 	}
-	if _, err := ReadPage(r); !errors.Is(err, io.EOF) {
+	if _, err := ReadPage(r, &buf); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected io.EOF at stream end, got %v", err)
 	}
 	// A stream cut mid-page reports a torn page.
-	if _, err := ReadPage(bytes.NewReader(stream[:HeaderSize+2])); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadPage(bytes.NewReader(stream[:HeaderSize+2]), new([]byte)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("torn stream: %v", err)
 	}
 }
@@ -149,7 +153,7 @@ func TestReadAllocatesWhatArrives(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, frameErr := ReadFrame(bytes.NewReader(frame), MaxPayload)
-	_, pageErr := ReadPage(bytes.NewReader(page))
+	_, pageErr := ReadPage(bytes.NewReader(page), new([]byte))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(frameErr, ErrFrameTruncated) || !errors.Is(pageErr, ErrTruncated) {
 		t.Fatalf("frame err = %v, page err = %v, want truncation", frameErr, pageErr)
@@ -229,10 +233,13 @@ func TestBuilderFlushesAtBudget(t *testing.T) {
 		pages = append(pages, &cp)
 		return nil
 	})
-	for i := 0; i < 10; i++ { // 40 payload bytes at budget 16 -> pages of 4 rows
-		if err := b.AddFloat32(float32(i)); err != nil {
-			t.Fatal(err)
-		}
+	// 40 payload bytes at budget 16 -> pages of 4 rows; the second run
+	// starts mid-page and reads every other cell.
+	if err := b.AddFloat32s([]float32{0, 1, 2}, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddFloat32s([]float32{3, -1, 4, -1, 5, -1, 6, -1, 7, -1, 8, -1, 9}, 2, 7); err != nil {
+		t.Fatal(err)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -247,6 +254,11 @@ func TestBuilderFlushesAtBudget(t *testing.T) {
 		}
 		if p.TableVersion != 42 {
 			t.Fatalf("page version %d", p.TableVersion)
+		}
+		for i, v := range p.AppendFloat32s(nil) {
+			if v != float32(rows)+float32(i) {
+				t.Fatalf("row %d holds %v", rows+uint64(i), v)
+			}
 		}
 		rows += uint64(p.Rows)
 	}

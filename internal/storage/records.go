@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"accelscore/internal/db"
@@ -58,8 +59,8 @@ func appendRecordHeader(dst []byte, lsn uint64, op byte) []byte {
 }
 
 // A cell is spelled as its kind byte (the column type), then the cell as a
-// column page stores it. INSERT's Value rows and CREATE TABLE's typed vectors
-// are both written through these four.
+// column page stores it. INSERT's Value rows are written through these four,
+// CREATE TABLE's typed vectors through the last three and appendFloatRun.
 func appendFloatCell(dst []byte, f float32) []byte {
 	return pagefmt.AppendFloat32(append(dst, byte(db.Float32Col)), f)
 }
@@ -94,16 +95,27 @@ func appendRows(dst []byte, cols []db.Column, rows [][]db.Value) []byte {
 }
 
 // appendTableRows is appendRows read straight from a table's typed vectors:
-// a row's REAL cells are the next ones of the row-major block.
+// a row's REAL cells are the next ones of the row-major block, and each run
+// of adjacent REAL columns is written in one loop.
 func appendTableRows(dst []byte, v db.TableView) []byte {
 	dst = binary.AppendUvarint(dst, uint64(v.Rows))
 	dst = binary.AppendUvarint(dst, uint64(len(v.Columns)))
+	// run[ci] is how many REAL columns start at ci.
+	run := make([]int, len(v.Columns)+1)
+	for ci := len(v.Columns) - 1; ci >= 0; ci-- {
+		if v.Columns[ci].Type == db.Float32Col {
+			run[ci] = run[ci+1] + 1
+		}
+	}
 	block := v.Block
 	for r := range v.Rows {
-		for ci, col := range v.Columns {
-			switch c := &v.Cells[ci]; col.Type {
-			case db.Float32Col:
-				dst, block = appendFloatCell(dst, block[0]), block[1:]
+		for ci := 0; ci < len(v.Columns); ci++ {
+			if n := run[ci]; n > 0 {
+				dst, block = appendFloatRun(dst, block[:n]), block[n:]
+				ci += n - 1
+				continue
+			}
+			switch c := &v.Cells[ci]; v.Columns[ci].Type {
 			case db.Int64Col:
 				dst = appendIntCell(dst, c.Ints[r])
 			case db.TextCol:
@@ -112,6 +124,18 @@ func appendTableRows(dst []byte, v db.TableView) []byte {
 				dst = appendBlobCell(dst, c.Blobs[r])
 			}
 		}
+	}
+	return dst
+}
+
+// appendFloatRun appends one REAL cell per value of fs.
+func appendFloatRun(dst []byte, fs []float32) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, 5*len(fs))[:off+5*len(fs)]
+	for i, f := range fs {
+		cell := dst[off+5*i : off+5*i+5]
+		cell[0] = byte(db.Float32Col)
+		binary.LittleEndian.PutUint32(cell[1:], math.Float32bits(f))
 	}
 	return dst
 }
@@ -135,28 +159,33 @@ func appendConditions(dst []byte, conds []db.Condition) []byte {
 	return dst
 }
 
-func encodeCreateTable(lsn uint64, v db.TableView) []byte {
-	hdr := appendRecordHeader(nil, lsn, opCreateTable)
-	hdr = pagefmt.AppendString(hdr, v.Name)
-	hdr = binary.AppendUvarint(hdr, uint64(len(v.Columns)))
+// The append* record encoders append a record's payload to dst: the store's
+// record buffer, whose first pagefmt.FrameOverhead bytes the WAL frames it in.
+func appendCreateTable(dst []byte, lsn uint64, v db.TableView) []byte {
+	dst = appendRecordHeader(dst, lsn, opCreateTable)
+	dst = pagefmt.AppendString(dst, v.Name)
+	dst = binary.AppendUvarint(dst, uint64(len(v.Columns)))
 	for _, c := range v.Columns {
-		hdr = pagefmt.AppendString(hdr, c.Name)
-		hdr = append(hdr, byte(c.Type))
+		dst = pagefmt.AppendString(dst, c.Name)
+		dst = append(dst, byte(c.Type))
 	}
 	// One allocation: a REAL cell takes 5 bytes, a BIGINT one 9, and a TEXT
 	// or BLOB one is guessed at 9.
 	cells := 2*binary.MaxVarintLen64 + 5*len(v.Block) + 9*(v.Rows*len(v.Columns)-len(v.Block))
-	return appendTableRows(append(make([]byte, 0, len(hdr)+cells), hdr...), v)
+	if cap(dst)-len(dst) < cells {
+		dst = append(make([]byte, 0, len(dst)+cells), dst...)
+	}
+	return appendTableRows(dst, v)
 }
 
-func encodeInsert(lsn uint64, table string, cols []db.Column, rows [][]db.Value) []byte {
-	dst := appendRecordHeader(nil, lsn, opInsert)
+func appendInsert(dst []byte, lsn uint64, table string, cols []db.Column, rows [][]db.Value) []byte {
+	dst = appendRecordHeader(dst, lsn, opInsert)
 	dst = pagefmt.AppendString(dst, table)
 	return appendRows(dst, cols, rows)
 }
 
-func encodeUpdate(lsn uint64, st *db.UpdateStmt) []byte {
-	dst := appendRecordHeader(nil, lsn, opUpdate)
+func appendUpdate(dst []byte, lsn uint64, st *db.UpdateStmt) []byte {
+	dst = appendRecordHeader(dst, lsn, opUpdate)
 	dst = pagefmt.AppendString(dst, st.Table)
 	// Map iteration order is random; the record must be deterministic.
 	keys := make([]string, 0, len(st.Set))
@@ -172,20 +201,20 @@ func encodeUpdate(lsn uint64, st *db.UpdateStmt) []byte {
 	return appendConditions(dst, st.Where)
 }
 
-func encodeDelete(lsn uint64, st *db.DeleteStmt) []byte {
-	dst := appendRecordHeader(nil, lsn, opDelete)
+func appendDelete(dst []byte, lsn uint64, st *db.DeleteStmt) []byte {
+	dst = appendRecordHeader(dst, lsn, opDelete)
 	dst = pagefmt.AppendString(dst, st.Table)
 	return appendConditions(dst, st.Where)
 }
 
-func encodeModelStore(lsn uint64, name string, blob []byte) []byte {
-	dst := appendRecordHeader(nil, lsn, opModelStore)
+func appendModelStore(dst []byte, lsn uint64, name string, blob []byte) []byte {
+	dst = appendRecordHeader(dst, lsn, opModelStore)
 	dst = pagefmt.AppendString(dst, name)
 	return pagefmt.AppendBytes(dst, blob)
 }
 
-func encodeModelDelete(lsn uint64, name string) []byte {
-	dst := appendRecordHeader(nil, lsn, opModelDelete)
+func appendModelDelete(dst []byte, lsn uint64, name string) []byte {
+	dst = appendRecordHeader(dst, lsn, opModelDelete)
 	return pagefmt.AppendString(dst, name)
 }
 

@@ -110,6 +110,7 @@ type Store struct {
 	// LSN order. The durability wait runs after it is released.
 	logMu   sync.Mutex
 	nextLSN uint64
+	rec     []byte // record buffer, reused under logMu while it stays small
 
 	recovery RecoveryInfo
 
@@ -290,12 +291,19 @@ func (s *Store) EndOp() {
 	}
 }
 
-// log assigns the next LSN, encodes the record and writes it, then — outside
-// logMu, so other writers' records can join its fsync — waits until the
-// record is durable under the sync policy.
-func (s *Store) log(encode func(lsn uint64) []byte) error {
+// keepRecord is the largest record buffer the store keeps for the next one.
+const keepRecord = 64 << 10
+
+// log assigns the next LSN, appends the record after the room for its frame,
+// and writes it, then — outside logMu, so other writers' records can join
+// its fsync — waits until the record is durable under the sync policy.
+func (s *Store) log(encode func(dst []byte, lsn uint64) []byte) error {
 	s.logMu.Lock()
-	end, err := s.wal.write(encode(s.nextLSN))
+	rec := encode(append(s.rec[:0], make([]byte, pagefmt.FrameOverhead)...), s.nextLSN)
+	if cap(rec) <= keepRecord {
+		s.rec = rec
+	}
+	end, err := s.wal.write(rec)
 	if err == nil {
 		s.lastLSN.Set(float64(s.nextLSN))
 		s.nextLSN++
@@ -309,32 +317,32 @@ func (s *Store) log(encode func(lsn uint64) []byte) error {
 
 // LogCreateTable implements db.Journal.
 func (s *Store) LogCreateTable(v db.TableView) error {
-	return s.log(func(lsn uint64) []byte { return encodeCreateTable(lsn, v) })
+	return s.log(func(dst []byte, lsn uint64) []byte { return appendCreateTable(dst, lsn, v) })
 }
 
 // LogInsert implements db.Journal.
 func (s *Store) LogInsert(table string, cols []db.Column, rows [][]db.Value) error {
-	return s.log(func(lsn uint64) []byte { return encodeInsert(lsn, table, cols, rows) })
+	return s.log(func(dst []byte, lsn uint64) []byte { return appendInsert(dst, lsn, table, cols, rows) })
 }
 
 // LogUpdate implements db.Journal.
 func (s *Store) LogUpdate(st *db.UpdateStmt) error {
-	return s.log(func(lsn uint64) []byte { return encodeUpdate(lsn, st) })
+	return s.log(func(dst []byte, lsn uint64) []byte { return appendUpdate(dst, lsn, st) })
 }
 
 // LogDelete implements db.Journal.
 func (s *Store) LogDelete(st *db.DeleteStmt) error {
-	return s.log(func(lsn uint64) []byte { return encodeDelete(lsn, st) })
+	return s.log(func(dst []byte, lsn uint64) []byte { return appendDelete(dst, lsn, st) })
 }
 
 // LogModelStore implements db.Journal.
 func (s *Store) LogModelStore(name string, blob []byte) error {
-	return s.log(func(lsn uint64) []byte { return encodeModelStore(lsn, name, blob) })
+	return s.log(func(dst []byte, lsn uint64) []byte { return appendModelStore(dst, lsn, name, blob) })
 }
 
 // LogModelDelete implements db.Journal.
 func (s *Store) LogModelDelete(name string) error {
-	return s.log(func(lsn uint64) []byte { return encodeModelDelete(lsn, name) })
+	return s.log(func(dst []byte, lsn uint64) []byte { return appendModelDelete(dst, lsn, name) })
 }
 
 // Compact writes a snapshot of the current database and truncates the WAL.

@@ -80,13 +80,12 @@ type walMetrics struct {
 // leader fsyncs outside it. A sticky error poisons the writer after any I/O
 // failure so no later commit is acknowledged against a log of unknown state.
 type wal struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // broadcast when a leader's fsync ends or the writer dies
-	f       *os.File
-	sync    func() error // f.Sync; a test seam, not an option
-	path    string
-	policy  SyncPolicy
-	scratch []byte
+	mu     sync.Mutex
+	cond   *sync.Cond // broadcast when a leader's fsync ends or the writer dies
+	f      *os.File
+	sync   func() error // f.Sync; a test seam, not an option
+	path   string
+	policy SyncPolicy
 
 	size    int64 // bytes appended
 	synced  int64 // bytes known fsynced
@@ -171,11 +170,12 @@ func scanWAL(data []byte) ([]*record, int64) {
 	return records, off
 }
 
-// write frames and writes one record payload and returns the log's end
-// offset after it. Under SyncAlways it fsyncs before returning, so the record
-// is on stable storage when write returns nil; under SyncBatch the caller
-// passes the offset to waitDurable.
-func (w *wal) write(payload []byte) (int64, error) {
+// write frames one record in place — rec is its payload after
+// pagefmt.FrameOverhead bytes of room — writes it with one Write and returns
+// the log's end offset after it. Under SyncAlways it fsyncs before
+// returning, so the record is on stable storage when write returns nil;
+// under SyncBatch the caller passes the offset to waitDurable.
+func (w *wal) write(rec []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -184,8 +184,8 @@ func (w *wal) write(payload []byte) (int64, error) {
 	if w.closed {
 		return 0, ErrWALClosed
 	}
-	w.scratch = pagefmt.AppendFrame(w.scratch[:0], payload)
-	n, err := w.f.Write(w.scratch)
+	pagefmt.PutFrameHeader(rec)
+	n, err := w.f.Write(rec)
 	w.size += int64(n)
 	if err != nil {
 		w.err = fmt.Errorf("storage: WAL append: %w", err)

@@ -28,7 +28,6 @@ var unreachedAllowed = map[string]string{
 	"obs.Gauge.Add":                  "registry tests; Counter, Gauge and Histogram keep one method family",
 	"obs.Histogram.Count":            "registry and race tests read a histogram's observation count",
 	"obs.RuntimeCollector.Samples":   "runtime_test waits on the collector's sample count",
-	"obs.SLOEngine.SetNow":           "slo_test drives the burn-rate windows on a fake clock",
 	"storage.Store.LastLSN":          "metrics_test checks the last-LSN gauge against the store",
 	"xrand.Rand.Float32":             "kernel, pagefmt, storage and tensor tests draw float32 inputs",
 	"engines/cpusk.Engine.Threads":   "cpusk and backend tests check the thread count a name resolves to",
