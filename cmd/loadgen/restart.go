@@ -71,6 +71,9 @@ type restartReport struct {
 	PredictionsSame bool   `json:"predictions_bit_identical"`
 	ReplayedRecords int64  `json:"replayed_records_final_boot"`
 	WALBytes        int64  `json:"wal_bytes_final_boot"`
+	// Process start to healthy /healthz (polled every 25 ms), every boot.
+	BootMedianMS float64 `json:"boot_median_ms"`
+	BootMaxMS    float64 `json:"boot_max_ms"`
 }
 
 // sqlResult mirrors the server's /sql JSON envelope.
@@ -214,7 +217,9 @@ func runRestartChaos(p restartConfig, j *job) error {
 	}
 	defer os.RemoveAll(dataDir)
 
+	var boots []time.Duration
 	start := func() (*harness.Proc, error) {
+		defer func(began time.Time) { boots = append(boots, time.Since(began)) }(time.Now())
 		return harness.Start(bin, "-data-dir", dataDir, "-fsync", p.Fsync,
 			"-demo-records", fmt.Sprint(restartDemoRecords))
 	}
@@ -269,6 +274,8 @@ func runRestartChaos(p restartConfig, j *job) error {
 		Recovered:       len(syn1),
 		ReplayedRecords: replayed,
 		WALBytes:        walBytes,
+		BootMedianMS:    float64(harness.Summarize(boots).P50) / 1e6,
+		BootMaxMS:       float64(slices.Max(boots)) / 1e6,
 	}
 	attempted.Range(func(any, any) bool { rep.Attempted++; return true })
 	acked.Range(func(k, _ any) bool {
@@ -338,6 +345,8 @@ func restartMarkdown(j *job, rep restartReport) *strings.Builder {
 	tbl.Row("phantom rows", rep.PhantomRows)
 	tbl.Row("corrupt rows", rep.CorruptRows)
 	tbl.Row("WAL records replayed at final boot", rep.ReplayedRecords)
+	tbl.Row(fmt.Sprintf("boot to healthy, median of %d (ms)", rep.Kills+2), fmt.Sprintf("%.1f", rep.BootMedianMS))
+	tbl.Row("boot to healthy, max (ms)", fmt.Sprintf("%.1f", rep.BootMaxMS))
 	tbl.Row("predictions bit-identical across recoveries", rep.PredictionsSame)
 	sb.WriteString("\nEvery 200 on /sql is a durability acknowledgement: with `-fsync always` the\n" +
 		"WAL record is on disk before the response leaves the server, so a SIGKILL at\n" +

@@ -18,6 +18,7 @@ import (
 	"os"
 	osexec "os/exec"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"syscall"
@@ -256,13 +257,31 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // GitDescribe identifies the build for /healthz and the working tree for a
-// measurement artifact, memoized: the tree does not change under a running
-// process, and health probes are frequent. "unknown" when git is
-// unavailable (a binary run outside the repo).
+// measurement artifact, memoized: the commit go build stamped into the
+// binary, else (go run, go test) git describe of the working directory, else
+// "unknown".
 var GitDescribe = sync.OnceValue(func() string {
+	if info, ok := debug.ReadBuildInfo(); ok && describeBuild(info) != "" {
+		return describeBuild(info)
+	}
 	out, err := osexec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
 })
+
+// describeBuild spells a build's VCS stamp as git describe --always --dirty
+// spells an untagged tree, "" for a build with no stamp.
+func describeBuild(info *debug.BuildInfo) string {
+	stamp := map[string]string{}
+	for _, s := range info.Settings {
+		stamp[s.Key] = s.Value
+	}
+	if rev := stamp["vcs.revision"]; len(rev) >= 7 && stamp["vcs.modified"] == "true" {
+		return rev[:7] + "-dirty"
+	} else if len(rev) >= 7 {
+		return rev[:7]
+	}
+	return ""
+}

@@ -1,6 +1,10 @@
 package kernel
 
-import "testing"
+import (
+	"math/bits"
+	"slices"
+	"testing"
+)
 
 // forEachVote calls fn with every vote vector of classes entries that casts
 // at most total votes. fn must not keep v.
@@ -121,4 +125,54 @@ func TestMarginGapIsVoteGap(t *testing.T) {
 			}
 		}
 	})
+}
+
+// voteGap is the oracle a tally's gap is checked against: how far votes
+// v, with rem still to cast, are from decided — 0 once no casting of them
+// moves argmax(v) (lowest index winning ties), else the most another class
+// can finish ahead, a tie it wins counting 1.
+func voteGap(v []int32, rem int) int {
+	best, gap := argmax(v), 0
+	for j, n := range v {
+		if g := int(n) + rem - int(v[best]); j < best {
+			gap = max(gap, g+1)
+		} else if j > best {
+			gap = max(gap, g)
+		}
+	}
+	return gap
+}
+
+// TestPackedGapIsVoteGap: for 1–5 classes, every vote vector of at most 12
+// votes and every rem from 0 to 12, readTally reads voteGap as the gap,
+// max(0, chal+rem-lead), and argmax as the leader off a tally packing the
+// vector into one word with the narrowest field width that holds its votes,
+// and off one of a word per class, as a forest too wide for one word keeps.
+// So a row is checked, exits, pads a group and is predicted exactly where
+// its vote vector would be.
+func TestPackedGapIsVoteGap(t *testing.T) {
+	for classes := 1; classes <= 5; classes++ {
+		forEachVote(classes, 12, func(v []int32) {
+			narrow := uint(max(1, bits.Len(uint(slices.Max(v)))))
+			one, wide := make([]uint64, 1), make([]uint64, classes)
+			for j, n := range v {
+				one[0] |= uint64(n) << (uint(j) * narrow)
+				wide[j] = uint64(n)
+			}
+			for _, tally := range []struct {
+				t []uint64
+				w uint
+			}{{one, narrow}, {wide, 64}} {
+				best, lead, chal := readTally(tally.t, classes, tally.w, 1<<tally.w-1)
+				if best != argmax(v) {
+					t.Fatalf("votes %v in %d-bit fields: tally leader %d, argmax %d", v, tally.w, best, argmax(v))
+				}
+				for rem := 0; rem <= 12; rem++ {
+					if gap, want := max(0, chal+rem-lead), voteGap(v, rem); gap != want {
+						t.Fatalf("votes %v in %d-bit fields, %d to cast: tally gap %d, vote gap %d", v, tally.w, rem, gap, want)
+					}
+				}
+			}
+		})
+	}
 }

@@ -2,56 +2,41 @@
 // functional CPU path uses: a forest lowered once into one slice of packed
 // 16-byte nodes and scored a block of up to 64 rows at a time, every tree
 // streamed over the block, eight rows walking each tree in lock-step, fanned
-// out over a GOMAXPROCS-sized worker pool.
+// out over a GOMAXPROCS-sized worker pool. DESIGN.md §7 has the measurements
+// behind each choice below and the variants measured and rejected.
 //
 // Scoring is written once. Predict, PredictSel and PredictAggregate are the
 // same call with different (selection, output) arguments: score splits the
 // rows among workers, scoreRange fills each block with the next rows to
-// score and either stores the predictions or tallies them, scoreBlock
-// streams every tree over the block, and step is one level of one row's
-// descent. Dense scoring is the all-rows case of the filtered loop, not a
-// second loop. walk is a second, deliberately independent spelling of the
+// score (gathering survivors across selection words, so a sparse filter
+// still forms full groups) and stores or tallies their predictions,
+// scoreBlock streams every tree over the block, and step is one level of one
+// row's descent. walk is a second, deliberately independent spelling of the
 // descent, over the builder's arrays, for the row-at-a-time oracle
 // PredictRow, which the batch path is tested against.
 //
 // Layout. Seal re-lays every tree breadth-first into one []node of
 // {feature int32, threshold float32, child int32, class int32}: one 16-byte
-// load brings everything a level needs. Siblings are adjacent — the right
-// child at child, the left at child+1 — so a level is
+// load brings everything a level needs. Siblings are adjacent, so a level is
 //
 //	var lt int32; if row[n.feature] < n.threshold { lt = 1 }; idx = n.child + lt
 //
-// which go1.24 compiles on amd64 to UCOMISS + SETHI + ADD: no conditional
-// jump, where the old walk spent its time on one badly predicted branch per
-// level (the model was L2-resident all along). It is the same float32 `<` as
-// before — false when either side is NaN, so NaN goes right — and
-// predictions are bit-identical. A leaf is a self-loop (child its own index,
-// threshold NaN: a step from it goes nowhere for any input), so rows that
-// reach their leaf early idle there while their group walks on and the loop
-// needs no per-lane "done" test, only the tree's depth as its bound.
+// which go1.24 compiles to no conditional jump. It is the same float32 `<`
+// as ever — false when either side is NaN, so NaN goes right. A leaf is a
+// self-loop (child its own index, threshold NaN), so rows that reach their
+// leaf early idle there while their group walks on; a group stops once all
+// its lanes are on leaves (splits carry class -1).
 //
-// Order. scoreBlock walks 8 rows through a tree in lock-step: eight
-// independent load → compare → add chains in flight where a single walk
-// serialises on one. A group stops early once all its lanes are on leaves
-// (splits carry class -1, so that is one OR over the nodes the step loads
-// anyway); without that a one-sided deep tree costs every row its full
-// depth. A block is 64 rows to score, not 64 table rows: scoreRange gathers
-// survivors across selection words until it is full, so a sparse filter
-// still forms groups. A vote forest of 32 trees or more also stops walking a
-// row once no casting of the votes still to come can change its argmax,
-// lowest index winning ties — exact integer arithmetic, so predictions stay
-// bit-identical; on scan_fused's 64 HIGGS trees the mean row is decided
-// after 40.9; a two-class row keeps one margin, v1 − v0. Checks start once
-// as many votes are cast as remain, then wait ⌈gap/2⌉ trees, and decided rows
-// pad the last group of 8. Below 32 trees the checks cost more than they save
-// (small-8x6 +22–32 %, skewed-16x24 +12–14 %); a boosted float margin walks
-// every tree, as no bound on a float sum is bit-exact.
-//
-// Measured and rejected (numbers in DESIGN.md §7): 4 lanes; a whole-block
-// level-synchronous loop over an index array; no early stop; left/right in
-// locals chosen with an if (Go emits no CMOV on a float condition — only the
-// 0/1 materialisation is branch-free); one block per selection word; a vote
-// check after every tree, or backing off after checks that decide nothing.
+// Votes. A vote forest of one or of three or more classes counts a row's
+// votes in one uint64, class j's in the w = bits.Len(trees) bits at bit j·w
+// (a word per class when K·w > 64): a vote is one add of 1<<(j·w). A
+// two-class forest keeps one margin, v1 − v0, as a boosted one its float
+// sum. A vote forest of 32 trees or more (fewer, and checks cost more than
+// they save) stops walking a row once no casting of the votes still to come
+// can change its argmax, lowest index winning ties — exact integer
+// arithmetic, so predictions stay bit-identical. Checks start once as many
+// votes are cast as remain, then wait ⌈gap/2⌉ trees, and decided rows pad
+// the last group of 8; a boosted sum walks every tree.
 //
 // The package is deliberately free of repo dependencies: internal/forest
 // lowers its pointer trees into a Compiled via the builder API (BeginTree /
@@ -83,7 +68,7 @@ const maxNodes = 1 << 30
 // node is one packed tree node, the only thing the batch traversal reads.
 // A split's right child is nodes[child], its left child nodes[child+1] and
 // its class -1; a leaf has child == its own index, a NaN threshold and the
-// class it votes for (0 in a boosted ensemble); two-class ensembles score margin.
+// class it votes for (0 in a boosted ensemble).
 type node struct {
 	feature   int32
 	threshold float32
@@ -109,13 +94,15 @@ type Compiled struct {
 	value      []float64
 	class      []int32
 
-	// Packed form, built by Seal: the nodes breadth-first per tree, a two-class
-	// ensemble's leaf margins (boosted values or ±1 votes) parallel to them,
-	// each tree's depth (steps to any leaf) and the largest feature read.
-	nodes      []node
-	margin     []float64
-	depth      []int32
-	maxFeature int32
+	// Packed form, built by Seal: the nodes breadth-first per tree, parallel
+	// leaf margins (boosted values or two-class ±1 votes) or increments, each
+	// tree's depth, the largest feature read, and a tally's words and width.
+	nodes        []node
+	margin       []float64
+	inc          []uint64
+	depth        []int32
+	maxFeature   int32
+	width, words int
 
 	classes int
 	boosted bool
@@ -124,16 +111,14 @@ type Compiled struct {
 }
 
 // New returns an empty compiled form ready for tree emission. classes is the
-// vote-vector width (at least 1); boosted selects margin aggregation with
-// base as the initial log-odds. A vote forest ignores base.
+// vote-vector width (at least 1; 2 for a boosted ensemble, which predicts 0
+// or 1); boosted selects margin aggregation with base as the initial
+// log-odds. A vote forest ignores base.
 func New(classes int, boosted bool, base float64) *Compiled {
-	if classes < 1 {
-		classes = 1
-	}
 	if !boosted {
-		base = 0
+		return &Compiled{classes: max(classes, 1)}
 	}
-	return &Compiled{classes: classes, boosted: boosted, base: base}
+	return &Compiled{classes: max(classes, 2), boosted: true, base: base}
 }
 
 // BeginTree opens the next tree's node extent.
@@ -183,10 +168,15 @@ func (c *Compiled) Seal() error {
 	}
 	c.treeStart = append(c.treeStart, int32(len(c.featureIdx)))
 	c.nodes = make([]node, len(c.featureIdx))
+	c.depth = make([]int32, len(c.treeStart)-1)
 	if c.boosted || c.classes == 2 {
 		c.margin = make([]float64, len(c.featureIdx))
+	} else {
+		c.inc = make([]uint64, len(c.featureIdx))
+		if c.width, c.words = bits.Len(uint(len(c.depth))), 1; c.classes*c.width > 64 {
+			c.width, c.words = 64, c.classes
+		}
 	}
-	c.depth = make([]int32, len(c.treeStart)-1)
 	placed := make([]bool, len(c.featureIdx))
 	queue := make([]int32, 0, len(c.featureIdx))
 	for t := range c.depth {
@@ -225,6 +215,8 @@ func (c *Compiled) packTree(t int, placed []bool, queue []int32) error {
 				return fmt.Errorf("leaf %d votes for class %d of %d", b, class, c.classes)
 			} else if c.margin != nil {
 				c.margin[p] = float64(2*class - 1)
+			} else {
+				c.inc[p] = 1 << (int(class) * c.width & 63)
 			}
 			c.nodes[p] = node{threshold: float32(math.NaN()), child: p, class: class}
 			continue
@@ -264,9 +256,6 @@ func (c *Compiled) NumNodes() int { return len(c.featureIdx) }
 
 // NumClasses returns the vote-vector width.
 func (c *Compiled) NumClasses() int { return c.classes }
-
-// Boosted reports margin (vs vote) aggregation.
-func (c *Compiled) Boosted() bool { return c.boosted }
 
 // walk descends one tree for one row over the builder arrays and returns the
 // leaf's builder index. It is PredictRow's own descent: the oracle shares
@@ -310,27 +299,6 @@ func (c *Compiled) PredictRow(row []float32, votes []int) int {
 	return argmax(votes)
 }
 
-// votePool recycles the per-block vote counters so steady-state Predict
-// calls allocate nothing; buffers grow to the widest class count seen and
-// then stick.
-var votePool = sync.Pool{
-	New: func() any {
-		s := make([]int32, 0, 8*rowBlockSize)
-		return &s
-	},
-}
-
-func getVotes(n int) *[]int32 {
-	p := votePool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putVotes(p *[]int32) { votePool.Put(p) }
-
 // Predict scores n = len(out) rows of the row-major feature matrix x
 // (features values per row) into out, using up to workers goroutines
 // (clamped to GOMAXPROCS; <= 0 means GOMAXPROCS). It is the all-rows case of
@@ -355,26 +323,16 @@ func (c *Compiled) PredictSel(x []float32, features int, sel *Selection, out []i
 
 // PredictAggregate fuses scoring with a per-class count: selected rows are
 // scored block-wise and their predicted classes tallied into counts
-// (length >= NumClasses(), or >= 2 for boosted ensembles) without ever
-// materializing a per-row prediction vector. sel may be nil to aggregate
-// over every row (n rows of x).
+// (length >= NumClasses()) without ever materializing a per-row prediction
+// vector. sel may be nil to aggregate over every row (n rows of x).
 func (c *Compiled) PredictAggregate(x []float32, features int, n int, sel *Selection, counts []int64, workers int) {
-	if classes := c.countClasses(); len(counts) < classes {
-		panic(fmt.Sprintf("kernel: PredictAggregate counts length %d < classes %d", len(counts), classes))
+	if len(counts) < c.classes {
+		panic(fmt.Sprintf("kernel: PredictAggregate counts length %d < classes %d", len(counts), c.classes))
 	}
 	if sel != nil {
 		n = sel.Len()
 	}
 	c.score(x, features, n, sel, nil, counts, workers)
-}
-
-// countClasses is the histogram width PredictAggregate tallies into: a
-// boosted ensemble predicts 0 or 1 whatever its declared class count.
-func (c *Compiled) countClasses() int {
-	if c.boosted && c.classes < 2 {
-		return 2
-	}
-	return c.classes
 }
 
 // score is the one fan-out under all three entry points. It splits the n
@@ -389,21 +347,18 @@ func (c *Compiled) score(x []float32, features, n int, sel *Selection, out []int
 		// step indexes x directly: a short row would read its neighbour.
 		panic(fmt.Sprintf("kernel: rows have %d features, the model reads feature %d", features, c.maxFeature))
 	}
-	maxProcs := runtime.GOMAXPROCS(0)
-	if workers <= 0 || workers > maxProcs {
+	if maxProcs := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxProcs {
 		workers = maxProcs
 	}
 	numBlocks := (n + rowBlockSize - 1) / rowBlockSize
-	if workers > numBlocks {
-		workers = numBlocks
-	}
+	workers = min(workers, numBlocks)
 	if workers <= 1 {
 		c.scoreRange(x, features, sel, out, counts, 0, n)
 		return
 	}
 	blocksPerWorker := (numBlocks + workers - 1) / workers
 	var locals []int64
-	classes := c.countClasses()
+	classes := c.classes
 	if counts != nil {
 		locals = make([]int64, workers*classes)
 	}
@@ -440,11 +395,9 @@ func (c *Compiled) score(x []float32, features, n int, sel *Selection, out []int
 func (c *Compiled) scoreRange(x []float32, features int, sel *Selection, out []int, counts []int64, lo, hi int) {
 	var rows [rowBlockSize]int32
 	var scratch [rowBlockSize]int
-	var votes []int32 // a vote forest's counters; a margin forest keeps none
-	if c.margin == nil {
-		vp := getVotes(rowBlockSize * c.classes)
-		defer putVotes(vp)
-		votes = *vp
+	var wide []uint64 // a block's tallies, when one word does not hold a row's
+	if c.words > 1 {
+		wide = make([]uint64, rowBlockSize*c.words)
 	}
 	outPos := lo
 	if sel != nil {
@@ -476,7 +429,7 @@ func (c *Compiled) scoreRange(x []float32, features int, sel *Selection, out []i
 			dst = out[outPos : outPos+nb]
 			outPos += nb
 		}
-		c.scoreBlock(x, features, rows[:nb], dst, votes)
+		c.scoreBlock(x, features, rows[:nb], dst, wide)
 		if counts != nil {
 			for _, cls := range dst {
 				counts[cls]++
@@ -486,76 +439,78 @@ func (c *Compiled) scoreRange(x []float32, features int, sel *Selection, out []i
 }
 
 // scoreBlock walks every tree for the rows of x listed in rows (at most one
-// block) and writes their predicted classes into out[:len(rows)]. votes is
-// scratch of at least len(rows)*classes entries for a vote forest, and nil
-// for a margin one (two-class or boosted). This is the traversal: the order
-// rows and trees are visited in is decided here, the node layout in Seal and
-// step, and nowhere else.
-// Trees are streamed over the block; within a tree the rows still walking go
-// down in groups of 8 (lockstep), the remainder one at a time through the
-// same step, and each row's leaf then adds its margin or its vote.
-func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int, votes []int32) {
-	nb, nodes, margin, classes, trees := len(rows), c.nodes, c.margin, c.classes, len(c.depth)
+// block) and writes their predicted classes into out[:len(rows)]; wide is
+// scratch for tallies of more than one word. This is the traversal: the
+// order rows and trees are visited in is decided here, the node layout in
+// Seal and step. Each row's leaf adds its margin or its increment.
+func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int, wide []uint64) {
+	nb, nodes, margin, inc, trees := len(rows), c.nodes, c.margin, c.inc, len(c.depth)
+	m, k, w := c.words, c.classes, uint(c.width)
+	mask := uint64(1)<<w - 1
 	// Entry i of offs (offset into x), pos (place in the block), margins and
-	// votes is one row; the first live entries are the rows still walking.
+	// the tally is one row; the first live entries are the rows still walking.
 	var offs [rowBlockSize]int
 	var pos [rowBlockSize]uint8
 	var margins [rowBlockSize]float64
 	for r, row := range rows {
 		offs[r], pos[r], margins[r] = int(row)*features, uint8(r), c.base
 	}
-	if margin == nil {
-		votes = votes[:nb*classes]
-		clear(votes)
+	var one [rowBlockSize]uint64 // the tallies, when one word holds a row's
+	tally := one[:]
+	if m > 1 {
+		tally = wide[:nb*m]
+		clear(tally)
 	}
 	live, check := nb, c.firstCheck()
 	var leaf [rowBlockSize]int32
 	for t, steps := range c.depth {
 		// Whole groups: decided rows pad the last, as no vote moves their argmax.
 		walk := min(nb, (live+lanes-1)/lanes*lanes)
-		root := c.treeStart[t]
-		r := 0
-		for ; r+lanes <= walk; r += lanes {
-			lockstep(nodes, x, (*[lanes]int)(offs[r:]), root, steps, (*[lanes]int32)(leaf[r:]))
-		}
-		for ; r < walk; r++ {
-			idx := root
-			for n := &nodes[idx]; n.class < 0; n = &nodes[idx] {
-				idx = n.step(x, offs[r])
-			}
-			leaf[r] = idx
-		}
+		walkTree(nodes, x, &offs, walk, c.treeStart[t], steps, &leaf)
+		// Decided rows swap behind the rest (each entry stays a distinct row).
+		// A tree closes a gap by at most 2, so the smallest sets the next check.
+		rem, minGap, undecided := trees-t-1, trees, 0
 		if margin != nil {
 			for r, l := range leaf[:walk] {
 				margins[r] += margin[l]
 			}
-		} else {
-			for r, l := range leaf[:walk] {
-				votes[r*classes+int(nodes[l].class)]++
+			if t < check {
+				continue
 			}
-		}
-		if t < check {
-			continue
-		}
-		// Decided rows swap behind the rest (each entry stays a distinct row).
-		// A tree closes a gap by at most 2, so the smallest sets the next check.
-		rem, minGap, undecided := trees-t-1, trees, 0
-		for i := 0; i < live; i++ {
-			var gap int
-			if margin == nil {
-				gap = voteGap(votes[i*classes:(i+1)*classes], rem)
-			} else {
-				gap = marginGap(int(margins[i]), rem)
-			}
-			if gap > 0 {
-				minGap = min(minGap, gap)
-				if margin == nil {
-					v := votes[i*classes : (i+1)*classes]
-					for j, u := range votes[undecided*classes : (undecided+1)*classes] {
-						v[j], votes[undecided*classes+j] = u, v[j]
-					}
+			for i := range live {
+				if gap := marginGap(int(margins[i]), rem); gap > 0 {
+					minGap = min(minGap, gap)
+					margins[i], margins[undecided] = margins[undecided], margins[i]
+					offs[i], offs[undecided] = offs[undecided], offs[i]
+					pos[i], pos[undecided] = pos[undecided], pos[i]
+					undecided++
 				}
-				margins[i], margins[undecided] = margins[undecided], margins[i]
+			}
+		} else {
+			if m == 1 {
+				for r, l := range leaf[:walk] {
+					one[r] += inc[l]
+				}
+			} else {
+				for r, l := range leaf[:walk] {
+					tally[r*m+int(nodes[l].class)] += inc[l]
+				}
+			}
+			if t < check && rem > 0 {
+				continue
+			}
+			// A tallied row writes its prediction once decided, which after
+			// the last tree every row is.
+			for i := range live {
+				best, lead, chal := readTally(tally[i*m:(i+1)*m], k, w, mask)
+				if chal+rem <= lead {
+					out[pos[i]] = best
+					continue
+				}
+				minGap = min(minGap, chal+rem-lead)
+				for j := range m {
+					tally[i*m+j], tally[undecided*m+j] = tally[undecided*m+j], tally[i*m+j]
+				}
 				offs[i], offs[undecided] = offs[undecided], offs[i]
 				pos[i], pos[undecided] = pos[undecided], pos[i]
 				undecided++
@@ -565,15 +520,25 @@ func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int
 			break
 		}
 	}
-	for r := 0; r < nb; r++ {
-		switch {
-		case margin == nil:
-			out[pos[r]] = argmax(votes[r*classes : (r+1)*classes])
-		case margins[r] > 0:
+	// A margin row predicts by its sign. A tallied row was written once
+	// decided; only a forest of no trees leaves any, at margin 0: class 0.
+	if margin == nil {
+		nb = live
+	}
+	for r, mr := range margins[:nb] {
+		out[pos[r]] = 0
+		if mr > 0 {
 			out[pos[r]] = 1
-		default:
-			out[pos[r]] = 0
 		}
+	}
+}
+
+// walkTree walks the first n rows at offs down the tree at root in groups of
+// 8 (a last group's spare lanes walk offs' unused entries, row 0) and stores
+// the leaves reached; apart, scoreBlock keeps its bookkeeping in registers.
+func walkTree(nodes []node, x []float32, offs *[rowBlockSize]int, n int, root, steps int32, leaf *[rowBlockSize]int32) {
+	for r := 0; r < n; r += lanes {
+		lockstep(nodes, x, (*[lanes]int)(offs[r:]), root, steps, (*[lanes]int32)(leaf[r:]))
 	}
 }
 
@@ -590,8 +555,8 @@ func (c *Compiled) firstCheck() int {
 	return len(c.depth)
 }
 
-// marginGap is voteGap([v0, v1], rem) in closed form for m = v1 − v0: m + rem
-// while class 0 leads or ties, rem − m + 1 once class 1 leads.
+// marginGap is readTally's gap of [v0, v1] in closed form for m = v1 − v0:
+// m + rem while class 0 leads or ties, rem − m + 1 once class 1 leads.
 func marginGap(m, rem int) int {
 	if m > 0 {
 		m = 1 - m
@@ -599,19 +564,22 @@ func marginGap(m, rem int) int {
 	return max(0, m+rem)
 }
 
-// voteGap is how far votes v, with rem still to cast, are from decided: 0
-// once no casting of them moves argmax(v) (lowest index winning ties), else
-// the most another class can finish ahead, a tie it wins counting 1.
-func voteGap(v []int32, rem int) int {
-	best, gap := argmax(v), 0
-	for j, n := range v {
-		if g := int(n) + rem - int(v[best]); j < best {
-			gap = max(gap, g+1)
-		} else if j > best {
-			gap = max(gap, g)
+// readTally reads the k w-bit fields of tally t (mask their low bits) in one
+// pass: the leader best (lowest index winning ties), its count lead and the
+// best challenger's count chal, one below the leader counting one more. With
+// rem votes to come the gap, max(0, chal+rem-lead), is 0 once no casting
+// moves the argmax, else the most another class can finish ahead.
+func readTally(t []uint64, k int, w uint, mask uint64) (best, lead, chal int) {
+	lead, chal = int(t[0]&mask), math.MinInt32
+	for j, sh := 1, w; j < k; j, sh = j+1, sh+w {
+		n := int(t[min(j, len(t)-1)] >> (sh & 63) & mask)
+		// A new leader is above every class so far: the old one counts one more.
+		if chal = max(chal, n); n > lead {
+			best, chal = j, lead+1
 		}
+		lead = max(lead, n)
 	}
-	return gap
+	return best, lead, chal
 }
 
 // step is one level of one row's descent: from node n to its left child when

@@ -92,9 +92,6 @@ func TestPredictBoosted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Boosted() {
-		t.Fatal("boosted flag lost")
-	}
 	out := make([]int, d.NumRecords())
 	c.Predict(d.X, d.NumFeatures(), out, 4)
 	for i := range out {

@@ -162,7 +162,10 @@ var selShapes = []struct {
 // every tree shape; vote forests of 33 and 64 trees in 2 and 3 classes, heavy
 // in single leaves and, in four of them, tilted toward the first or the last
 // class, so that the early exit decides rows early as well as late and meets
-// ties at the bound; awkward floats on both sides of every comparison; batch
+// ties at the bound; a 10-class forest of 32 trees, whose 6-bit tally fields
+// reach bit 59 of the row's word, and a 12-class forest of 64 trees, too wide
+// for one word, both tilted toward their last class; awkward floats on both
+// sides of every comparison; batch
 // sizes covering every remainder of the 8-row group and the 64-row block;
 // every worker count; every selection shape.
 func TestEntryPointsAreOneFunction(t *testing.T) {
@@ -180,7 +183,7 @@ func TestEntryPointsAreOneFunction(t *testing.T) {
 	ran, shapes := map[string]int{}, map[string]int{}
 	ties, parallelAgg, equalCells, nanCells := 0, 0, 0, 0
 	exitTies, landslides := 0, 0
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 22; trial++ {
 		kind, classes, boosted := "vote", 2+trial/2%6, false
 		if trial%2 == 1 {
 			kind, classes, boosted = "boosted", 1+trial%4/2, true
@@ -193,6 +196,10 @@ func TestEntryPointsAreOneFunction(t *testing.T) {
 			if trial >= 16 {
 				mix.votes, mix.favourite = classes, trial/2%2*(classes-1)
 			}
+		}
+		if trial >= 20 {
+			classes, trees = []int{10, 12}[trial-20], []int{32, 64}[trial-20]
+			mix = tilt{leaves: 4, votes: 2 * classes, favourite: classes - 1}
 		}
 		c, thresholds := randomCompiled(t, rng, classes, boosted, trees, features, 1+rng.Intn(7), mix, shapes)
 		for _, n := range sizes {

@@ -270,11 +270,10 @@ func TestPredictAggregateMatchesBincount(t *testing.T) {
 }
 
 // TestPredictNoAllocsWarm asserts the single-worker path of all three entry
-// points allocates nothing once the vote-buffer pool is warm: the row list,
-// the offsets and the aggregate's 64-prediction scratch live on the stack.
-// 200 runs, because under -race sync.Pool drops one Put in four and each
-// drop is two allocations: the average truncates to 0 as long as fewer than
-// half the runs lose their buffer, which 20 runs did not guarantee.
+// points allocates nothing once warm: the row list, the offsets, the tally
+// words and the aggregate's 64-prediction scratch live on the stack, and no
+// pool is left to warm (the 200 runs date from one, which -race made drop
+// buffers).
 func TestPredictNoAllocsWarm(t *testing.T) {
 	f := trainIris(t, 8, 8)
 	c, err := f.Compile()

@@ -24,7 +24,6 @@ var unreachedAllowed = map[string]string{
 	"db.Table.Version":               "db, pipeline and storage tests check that each mutation steps the version",
 	"exec.Executor.BreakerState":     "resilience_test reads the executor's circuit breaker",
 	"kernel.Compiled.NumNodes":       "kernel and cpuonnx tests check the flattened node count",
-	"kernel.Compiled.Boosted":        "kernel_test checks margin aggregation is lowered",
 	"obs.Gauge.Add":                  "registry tests; Counter, Gauge and Histogram keep one method family",
 	"obs.Histogram.Count":            "registry and race tests read a histogram's observation count",
 	"obs.RuntimeCollector.Samples":   "runtime_test waits on the collector's sample count",
