@@ -345,36 +345,25 @@ func BenchmarkPipelineHotPath(b *testing.B) {
 				}
 			}
 		})
-		// The two observed variants bracket the cost of per-query resource
-		// attribution on the warm path: warm+obs pays for metrics and
-		// tracing, warm+attrib adds the thread pinning and cost sampling on
-		// top. The attribution acceptance bar is warm+attrib within 5% of
-		// warm+obs.
-		for _, attrib := range []bool{false, true} {
-			name := fmt.Sprintf("warm+obs/rows=%d", rows)
-			if attrib {
-				name = fmt.Sprintf("warm+attrib/rows=%d", rows)
+		// The observed variant pays for metrics, tracing and the per-stage
+		// cost samples every observed query takes, on top of warm.
+		b.Run(fmt.Sprintf("warm+obs/rows=%d", rows), func(b *testing.B) {
+			p := hotPathPipeline(b, f, data, true)
+			p.Obs = obs.NewObserver()
+			if _, err := p.ExecQuery(query); err != nil {
+				b.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				p := hotPathPipeline(b, f, data, true)
-				o := obs.NewObserver()
-				o.Attribution = attrib
-				p.Obs = o
-				if _, err := p.ExecQuery(query); err != nil {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := p.ExecQuery(query)
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := p.ExecQuery(query)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if attrib && res.Attribution == nil {
-						b.Fatal("attribution missing from observed query")
-					}
+				if res.Attribution == nil {
+					b.Fatal("attribution missing from observed query")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -56,7 +56,7 @@ type server struct {
 	// slo classifies finished scoring queries against per-class latency
 	// objectives (-slo flag); nil disables SLO accounting.
 	slo *obs.SLOEngine
-	// runtimeC is the background runtime-health sampler; nil when disabled.
+	// runtimeC is the background runtime-health sampler, stopped by Close.
 	runtimeC *obs.RuntimeCollector
 
 	// shardID names this process in the scale-out tier (-shard-id); it tags
@@ -73,11 +73,6 @@ type obsConfig struct {
 	// SLOSpec is the -slo flag value ("interactive=50ms,batch=2s"); empty
 	// disables the SLO engine.
 	SLOSpec string
-	// Attribution enables per-stage resource measurement on the scoring path.
-	Attribution bool
-	// RuntimeSample is the runtime-health sampling period; 0 disables the
-	// collector.
-	RuntimeSample time.Duration
 	// ShardID names this process in a scale-out deployment (-shard-id).
 	ShardID string
 }
@@ -90,7 +85,6 @@ type obsConfig struct {
 // demo database through it.
 func newServer(demoRecords int, cfg exec.Config, faultSpec string, faultSeed uint64, storeCfg *storage.Config, oc obsConfig) (*server, http.Handler, error) {
 	o := obs.NewObserver()
-	o.Attribution = oc.Attribution
 	var demo *experiments.Demo
 	var store *storage.Store
 	if storeCfg != nil {
@@ -146,9 +140,7 @@ func newServer(demoRecords int, cfg exec.Config, faultSpec string, faultSeed uin
 		}
 		s.slo = obs.NewSLOEngine(o.Metrics(), objs)
 	}
-	if oc.RuntimeSample > 0 {
-		s.runtimeC = obs.StartRuntimeCollector(o.Metrics(), oc.RuntimeSample)
-	}
+	s.runtimeC = obs.StartRuntimeCollector(o.Metrics(), obs.DefaultRuntimeSampleInterval)
 
 	mux := http.NewServeMux()
 	dash := experiments.NewDashboard(o, demoRecords)
@@ -195,10 +187,6 @@ func main() {
 	demoRecords := flag.Int("demo-records", 0, "demo table rows (0 = default 2000)")
 	sloSpec := flag.String("slo", "",
 		"per-class latency objectives, e.g. 'interactive=50ms,batch=2s' (empty disables SLO accounting)")
-	attrib := flag.Bool("attrib", true,
-		"measure per-stage CPU/allocation attribution on every scoring query")
-	runtimeSample := flag.Duration("runtime-sample", obs.DefaultRuntimeSampleInterval,
-		"runtime health (GC, heap, goroutines, scheduler latency) sampling period; 0 disables")
 	shardID := flag.String("shard-id", "",
 		"shard name in a scale-out tier; tags /score results and /healthz")
 	paceScale := flag.Float64("pace-scale", 0,
@@ -225,10 +213,8 @@ func main() {
 		DefaultDeadline: *deadline,
 		PaceScale:       *paceScale,
 	}, *faultSpec, *faultSeed, storeCfg, obsConfig{
-		SLOSpec:       *sloSpec,
-		Attribution:   *attrib,
-		RuntimeSample: *runtimeSample,
-		ShardID:       *shardID,
+		SLOSpec: *sloSpec,
+		ShardID: *shardID,
 	})
 	if err != nil {
 		log.Fatal(err)

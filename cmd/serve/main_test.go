@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -32,12 +33,15 @@ func startTestServer(t *testing.T) *httptest.Server {
 func startTestServerFaults(t *testing.T, faultSpec string) (*httptest.Server, *server) {
 	t.Helper()
 	s, handler, err := newServer(50, exec.Config{}, faultSpec, 7, nil,
-		obsConfig{Attribution: true, SLOSpec: "default=30s"})
+		obsConfig{SLOSpec: "default=30s"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(handler)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
 	return ts, s
 }
 
@@ -377,9 +381,10 @@ func TestSQLRefusesOverLimitBody(t *testing.T) {
 	}
 }
 
-// TestQueryReportsAttribution: with attribution on, the /query page carries
-// the measured per-stage resource breakdown and the SLO verdict, and the
-// trace download attaches the costs as span args.
+// TestQueryReportsAttribution: the /query page carries the measured
+// per-stage resource breakdown and the SLO verdict, the trace download
+// attaches the costs as span args, and /debug/queries prints them on the
+// measured spans' lines beside the transfer legs' bytes.
 func TestQueryReportsAttribution(t *testing.T) {
 	ts := startTestServer(t)
 	code, body := get(t, ts.URL+"/query")
@@ -403,10 +408,11 @@ func TestQueryReportsAttribution(t *testing.T) {
 	if !strings.Contains(trace, `"alloc_bytes"`) || !strings.Contains(trace, `"cpu_us"`) {
 		t.Errorf("trace export missing attribution args:\n%s", trace)
 	}
-	// And /debug/queries prints the cost lines.
+	// And /debug/queries prints the costs and the bytes moved.
 	code, dbg := get(t, ts.URL+"/debug/queries")
-	if code != http.StatusOK || !strings.Contains(dbg, "cost  model scoring") {
-		t.Errorf("/debug/queries missing cost lines (code %d):\n%s", code, dbg)
+	if code != http.StatusOK || !regexp.MustCompile(`wall  model scoring .* cpu=`).MatchString(dbg) ||
+		!strings.Contains(dbg, "transfer_in_bytes") || !strings.Contains(dbg, "transfer_out_bytes") {
+		t.Errorf("/debug/queries missing the measured costs or the bytes moved (code %d):\n%s", code, dbg)
 	}
 }
 
@@ -486,11 +492,11 @@ func TestPprofMounted(t *testing.T) {
 	}
 }
 
-// TestRuntimeGaugesOnMetrics: a server with the collector enabled publishes
-// runtime health gauges on /metrics.
+// TestRuntimeGaugesOnMetrics: a server publishes runtime health gauges on
+// /metrics from the moment it is built — the collector's first sample is
+// taken at start, not a period later.
 func TestRuntimeGaugesOnMetrics(t *testing.T) {
-	s, handler, err := newServer(50, exec.Config{}, "", 7, nil,
-		obsConfig{RuntimeSample: 50 * time.Millisecond})
+	s, handler, err := newServer(50, exec.Config{}, "", 7, nil, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

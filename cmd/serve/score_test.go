@@ -25,13 +25,16 @@ func startShardServer(t *testing.T, shardID string) *httptest.Server {
 // shard's pipeline.
 func startFaultyShardServer(t *testing.T, shardID, faultSpec string) *httptest.Server {
 	t.Helper()
-	_, handler, err := newServer(50, exec.Config{},
+	s, handler, err := newServer(50, exec.Config{},
 		faultSpec, 7, nil, obsConfig{ShardID: shardID})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(handler)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
 	return ts
 }
 

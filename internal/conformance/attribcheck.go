@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 
 	"accelscore/internal/backend"
 	"accelscore/internal/db"
@@ -10,10 +11,10 @@ import (
 )
 
 // attributionChecks proves resource attribution is pure observation: the
-// same query scored with attribution on must reproduce the oracle's
-// predictions bit for bit, and the recorded costs must be well-formed —
-// canonical stage order, both transfer legs charged, a retained trace
-// carrying the same costs.
+// same query scored on an observed (so measured) pipeline must reproduce the
+// oracle's predictions bit for bit, and the recorded costs must be
+// well-formed — canonical stage order, both transfer legs charged, and a
+// retained trace whose measured spans are the result's three measured rows.
 func (r *Runner) attributionChecks(rep *Report, c Case, ref *Reference) {
 	database := db.New()
 	tbl, err := db.TableFromDataset("scoring_input", c.Data)
@@ -40,7 +41,6 @@ func (r *Runner) attributionChecks(rep *Report, c Case, ref *Reference) {
 	for _, eng := range r.Engines {
 		name := eng.Name()
 		o := obs.NewObserver()
-		o.Attribution = true
 		p := &pipeline.Pipeline{
 			DB:       database,
 			Runtime:  r.Runtime,
@@ -68,9 +68,15 @@ func (r *Runner) attributionChecks(rep *Report, c Case, ref *Reference) {
 			rep.fail(c.Name, name, "attrib", "attributed query retained no trace")
 			continue
 		}
-		if snap := tr.Snapshot(); len(snap.Costs) != len(res.Attribution) {
+		var spans []obs.StageCost
+		for _, w := range tr.Snapshot().WallSpans {
+			if w.Cost.Stage != "" {
+				spans = append(spans, w.Cost)
+			}
+		}
+		if rows := res.Attribution[1:4]; !slices.Equal(spans, rows) {
 			rep.fail(c.Name, name, "attrib",
-				fmt.Sprintf("trace holds %d stage costs, result holds %d", len(snap.Costs), len(res.Attribution)))
+				fmt.Sprintf("trace's measured spans %+v differ from the result's measured rows %+v", spans, rows))
 			continue
 		}
 		rep.pass(c.Name, name, "attrib")

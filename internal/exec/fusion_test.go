@@ -39,12 +39,12 @@ func TestArrivalOrderDoesNotChangeAnAnswer(t *testing.T) {
 	shapes[6].Partition = pipeline.Partition{Index: 1, Count: 2}
 
 	// stripped removes what legitimately differs between two runs of one
-	// query: its trace ID, the cache counters after it, and the identity of
-	// the result table (compared by its rows).
+	// query: its trace ID, the cache counters after it, its measured stage
+	// costs, and the identity of the result table (compared by its rows).
 	stripped := func(res *pipeline.QueryResult) (pipeline.QueryResult, [][]db.Value) {
 		c := *res
 		rows := c.Table.Rows()
-		c.TraceID, c.CacheStats, c.Table = "", pipeline.CacheStats{}, nil
+		c.TraceID, c.CacheStats, c.Table, c.Attribution = "", pipeline.CacheStats{}, nil, nil
 		return c, rows
 	}
 	if _, err := p.WarmModel(base.Model); err != nil { // every run below is a cache hit

@@ -155,8 +155,9 @@ type Fleet struct {
 
 // StartShards boots n serve shards over a records-row demo table. -workers 1
 // plus -pace-scale paceOf(k) makes shard k serve like a single simulated
-// device at that multiple of its simulated time; attribution and runtime
-// sampling are off so the measurement is the scoring path itself.
+// device at that multiple of its simulated time. A shard measures what it
+// serves the way a deployed one does: every scoring stage is attributed and
+// the runtime is sampled every obs.DefaultRuntimeSampleInterval.
 func StartShards(bin string, n, records int, paceOf func(k int) float64) (*Fleet, error) {
 	f := &Fleet{}
 	client := Client(120 * time.Second)
@@ -166,9 +167,7 @@ func StartShards(bin string, n, records int, paceOf func(k int) float64) (*Fleet
 			"-shard-id", name,
 			"-demo-records", fmt.Sprint(records),
 			"-workers", "1",
-			"-pace-scale", fmt.Sprint(paceOf(k)),
-			"-attrib=false",
-			"-runtime-sample", "0")
+			"-pace-scale", fmt.Sprint(paceOf(k)))
 		if err != nil {
 			f.Kill()
 			return nil, fmt.Errorf("shard %d: %w", k, err)

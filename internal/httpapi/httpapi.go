@@ -19,6 +19,7 @@ import (
 	osexec "os/exec"
 	"os/signal"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -177,9 +178,9 @@ func MountOps(mux *http.ServeMux, o *obs.Observer) {
 	})
 }
 
-// renderQueries lists the tracer's retained queries, newest first: attrs,
-// wall spans with their lane (a routed query has one per shard), measured
-// per-stage costs and the simulated tracks.
+// renderQueries lists the tracer's retained queries, newest first: attrs in
+// key order, wall spans with their lane (a routed query has one per shard)
+// and, on a measured stage, its cost, then the simulated tracks.
 func renderQueries(t *obs.Tracer) string {
 	recent := t.Recent() // already newest-first
 	var sb strings.Builder
@@ -195,21 +196,26 @@ func renderQueries(t *obs.Tracer) string {
 		}
 		fmt.Fprintf(&sb, "%s  %-22s wall %-12v %s\n",
 			snap.ID, snap.Name, snap.Wall.Round(time.Microsecond), status)
-		for k, v := range snap.Attrs {
+		keys := make([]string, 0, len(snap.Attrs))
+		for k := range snap.Attrs {
 			if k != "error" {
-				fmt.Fprintf(&sb, "    %-26s %s\n", k, v)
+				keys = append(keys, k)
 			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&sb, "    %-26s %s\n", k, snap.Attrs[k])
 		}
 		for _, span := range snap.WallSpans {
 			fmt.Fprintf(&sb, "    wall  %-26s %v", span.Name, span.Duration.Round(time.Microsecond))
 			if span.Track != "" {
 				fmt.Fprintf(&sb, "  [%s]", span.Track)
 			}
+			if c := span.Cost; c.Stage != "" {
+				fmt.Fprintf(&sb, "  cpu=%v alloc=%dB/%d objs",
+					c.CPUTime.Round(time.Microsecond), c.AllocBytes, c.AllocObjects)
+			}
 			sb.WriteByte('\n')
-		}
-		for _, c := range snap.Costs {
-			fmt.Fprintf(&sb, "    cost  %-26s cpu=%-10v alloc=%dB/%d objs moved=%dB\n",
-				c.Stage, c.CPUTime.Round(time.Microsecond), c.AllocBytes, c.AllocObjects, c.BytesMoved)
 		}
 		for _, track := range snap.Tracks {
 			fmt.Fprintf(&sb, "    track %s (total %v)\n", track.Name, track.Total)

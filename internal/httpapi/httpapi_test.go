@@ -82,7 +82,8 @@ func TestInstrumentLabelsByMatchedPattern(t *testing.T) {
 }
 
 // TestDebugQueriesRendersEveryLayer: the one /debug/queries renderer prints
-// what either binary records — attrs, wall spans with their lane, the error.
+// what either binary records — attrs in key order, wall spans with their
+// lane, a measured stage's cost on its own line, the error.
 func TestDebugQueriesRendersEveryLayer(t *testing.T) {
 	o := obs.NewObserver()
 	mux := http.NewServeMux()
@@ -94,18 +95,46 @@ func TestDebugQueriesRendersEveryLayer(t *testing.T) {
 		t.Fatalf("empty ring renders as:\n%s", body)
 	}
 	tr := o.Tracer.Start("router m")
-	tr.SetAttr("shards", "2")
+	for _, kv := range [][2]string{
+		{"transfer_out_bytes", "800"}, {"shards", "2"}, {"model", "m"}, {"transfer_in_bytes", "6348"},
+	} {
+		tr.SetAttr(kv[0], kv[1])
+	}
 	tr.SetAttr("error", "shard 1 on fire")
 	tr.StartSpanOn("shard 1", "sub-query 1/2")()
+	if _, err := o.Stage(tr, "model scoring", func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	tr.StartSpan("merge")()
 	tr.Finish()
 	_, body := fetch(t, ts.URL+"/debug/queries")
 	for _, want := range []string{
 		"1 recent queries", tr.ID() + "  router m", "error: shard 1 on fire", "shards",
 		"wall  sub-query 1/2", "[shard 1]", "wall  merge", "download: /debug/trace/" + tr.ID(),
+		"transfer_in_bytes          6348", "transfer_out_bytes         800",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/debug/queries misses %q:\n%s", want, body)
+		}
+	}
+	// A measured stage prints its cost on its span's line; a timed one none.
+	for _, line := range strings.Split(body, "\n") {
+		measured := strings.Contains(line, "wall  model scoring")
+		if strings.Contains(line, "wall  ") && measured != strings.Contains(line, " cpu=") {
+			t.Errorf("span line %q: measured=%v, but cpu= presence disagrees", line, measured)
+		}
+	}
+	if !strings.Contains(body, "wall  model scoring") {
+		t.Errorf("/debug/queries misses the measured stage:\n%s", body)
+	}
+	// Attrs print in key order, so one trace always renders the same.
+	if model, shards, in := strings.Index(body, "    model "), strings.Index(body, "    shards "),
+		strings.Index(body, "    transfer_in_bytes "); !(0 <= model && model < shards && shards < in) {
+		t.Errorf("attrs out of key order:\n%s", body)
+	}
+	for i := 0; i < 5; i++ {
+		if _, again := fetch(t, ts.URL+"/debug/queries"); again != body {
+			t.Fatalf("two renders of one trace differ:\n%s\n---\n%s", body, again)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"errors"
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -51,37 +54,97 @@ func TestAttributionTotal(t *testing.T) {
 }
 
 func TestStageCostArgs(t *testing.T) {
-	c := StageCost{Stage: "s", CPUTime: 1500 * time.Microsecond, AllocBytes: 42, AllocObjects: 7, BytesMoved: 99}
-	args := c.args()
-	if args["cpu_us"] != "1500.0" {
-		t.Errorf("cpu_us = %q", args["cpu_us"])
-	}
-	if args["alloc_bytes"] != "42" || args["alloc_objects"] != "7" || args["bytes_moved"] != "99" {
-		t.Errorf("args = %v", args)
-	}
-	if _, ok := (StageCost{Stage: "s"}).args()["bytes_moved"]; ok {
-		t.Errorf("zero BytesMoved should omit bytes_moved arg")
+	c := StageCost{Stage: "s", CPUTime: 1500 * time.Microsecond, AllocBytes: 42, AllocObjects: 7}
+	want := map[string]string{"cpu_us": "1500.0", "alloc_bytes": "42", "alloc_objects": "7"}
+	if args := c.args(); !maps.Equal(args, want) {
+		t.Errorf("args = %v, want %v", args, want)
 	}
 }
 
-func TestTraceSetStageCostsSurfacesInChromeArgs(t *testing.T) {
-	tr := NewTracer(4).Start("q")
-	end := tr.StartSpan("model scoring")
-	end()
-	tr.SetStageCosts(Attribution{
-		{Stage: "model scoring", CPUTime: time.Millisecond, AllocBytes: 123, AllocObjects: 4},
+// TestStageCostSurfacesInChromeArgs: a stage recorded through
+// Observer.Stage carries its cost on its own span, and the Chrome export
+// renders that cost as the span's args.
+func TestStageCostSurfacesInChromeArgs(t *testing.T) {
+	o := NewObserver()
+	tr := o.StartTrace("q")
+	cost, err := o.Stage(tr, "model scoring", func() error {
+		sink = make([]byte, 64<<10)
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.StartSpan("input fetch")()
 	tr.Finish()
+	snap := tr.Snapshot()
+	if len(snap.WallSpans) != 2 || snap.WallSpans[0].Cost != cost || snap.WallSpans[1].Cost != (StageCost{}) {
+		t.Fatalf("wall spans = %+v, stage cost %+v", snap.WallSpans, cost)
+	}
+	if cost.Stage != "model scoring" || cost.AllocBytes < 64<<10 {
+		t.Fatalf("cost = %+v, want the stage's name and its 64 KiB allocation", cost)
+	}
 	var sb strings.Builder
 	if err := tr.WriteChromeTrace(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, `"alloc_bytes": "123"`) {
-		t.Errorf("chrome export missing attribution args:\n%s", out)
+	if want := fmt.Sprintf(`"alloc_bytes": "%d"`, cost.AllocBytes); !strings.Contains(out, want) {
+		t.Errorf("chrome export missing %s:\n%s", want, out)
 	}
-	snap := tr.Snapshot()
-	if len(snap.Costs) != 1 || snap.Costs[0].AllocBytes != 123 {
-		t.Errorf("snapshot costs = %+v", snap.Costs)
+	if strings.Count(out, `"cpu_us"`) != 1 {
+		t.Errorf("want cost args on the measured span only:\n%s", out)
+	}
+}
+
+// sink keeps a test allocation on the heap.
+var sink []byte
+
+// TestStageRecordsAFailingBody: a stage whose body fails still closes — it
+// returns the body's error, records its span with a cost, and publishes its
+// CPU observation (exemplar: the trace) and allocation counts.
+func TestStageRecordsAFailingBody(t *testing.T) {
+	o := NewObserver()
+	tr := o.StartTrace("q")
+	boom := errors.New("boom")
+	cost, err := o.Stage(tr, "model scoring", func() error { return boom })
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the body's", err)
+	}
+	if cost.Stage != "model scoring" {
+		t.Fatalf("cost = %+v", cost)
+	}
+	if spans := tr.Snapshot().WallSpans; len(spans) != 1 || spans[0].Name != "model scoring" || spans[0].Cost != cost {
+		t.Fatalf("wall spans = %+v, want the failed stage with its cost %+v", spans, cost)
+	}
+	h := o.Registry.Histogram(MetricStageCPUSeconds, "", DefBuckets, "stage", "model scoring")
+	if h.Count() != 1 {
+		t.Fatalf("%s count = %d, want 1", MetricStageCPUSeconds, h.Count())
+	}
+	var expo strings.Builder
+	if err := o.Registry.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`# {trace_id="` + tr.ID() + `"}`,
+		MetricStageAllocBytesTotal + `{stage="model scoring"}`,
+		MetricStageAllocObjectsTotal + `{stage="model scoring"}`,
+	} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, expo.String())
+		}
+	}
+}
+
+// TestStageUnobservedCostsNothing: on a nil observer a stage is its body,
+// unmeasured and allocation-free.
+func TestStageUnobservedCostsNothing(t *testing.T) {
+	var o *Observer
+	calls := 0
+	body := func() error { calls++; return nil }
+	if cost, err := o.Stage(nil, "s", body); err != nil || cost != (StageCost{}) || calls != 1 {
+		t.Fatalf("nil observer stage = %+v, %v after %d calls", cost, err, calls)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = o.Stage(nil, "s", body) }); allocs != 0 {
+		t.Fatalf("unobserved stage allocates %v times", allocs)
 	}
 }

@@ -18,16 +18,17 @@ package obs
 
 // Observer bundles the two halves of the observability layer: the metrics
 // registry served at /metrics and the tracer behind /debug/queries and
-// /debug/trace/<id>. A nil Observer (or nil halves) disables publication.
+// /debug/trace/<id>. A nil Observer (or nil halves) disables publication;
+// a non-nil one measures every stage it brackets (Stage).
 type Observer struct {
 	// Registry aggregates counters, gauges and histograms.
 	Registry *Registry
 	// Tracer records one trace per query in a bounded ring.
 	Tracer *Tracer
-	// Attribution enables per-stage resource measurement (process CPU time,
-	// heap allocations, transfer bytes) on the scoring path. Off by
-	// default: the samples cost two runtime/metrics reads and a getrusage
-	// per stage, which benchmark-grade paths may not want.
+	// Attribution is ignored: every stage an observer brackets is measured
+	// (see Stage). The field stays only because the frozen benchmark
+	// (bench/layers.go) sets it; ROADMAP 2(b) deletes it at the benchmark's
+	// next re-freeze.
 	Attribution bool
 }
 
@@ -54,10 +55,4 @@ func (o *Observer) Metrics() *Registry {
 		return nil
 	}
 	return o.Registry
-}
-
-// AttributionOn reports whether per-stage resource attribution is enabled.
-// Nil-safe, like every observer entry point.
-func (o *Observer) AttributionOn() bool {
-	return o != nil && o.Attribution
 }

@@ -21,6 +21,7 @@ func TestRegistryTracerHammer(t *testing.T) {
 	)
 	r := NewRegistry()
 	tc := NewTracer(32)
+	o := &Observer{Registry: r, Tracer: tc}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -47,11 +48,14 @@ func TestRegistryTracerHammer(t *testing.T) {
 				tl.Add("compute", sim.KindCompute, time.Duration(i)*time.Microsecond)
 				tr.AddTimeline("sim", &tl)
 				end()
-				// Stage costs land while other workers export the ring: the
-				// Chrome export must snapshot them under the trace lock.
-				tr.SetStageCosts(Attribution{
-					{Stage: "stage", CPUTime: time.Duration(i) * time.Microsecond, AllocBytes: uint64(i), AllocObjects: 1},
-				})
+				// Measured stages land while other workers export the ring
+				// and scrape: the Chrome export must snapshot their spans
+				// under the trace lock, and the stage series must take
+				// concurrent observations.
+				if _, err := o.Stage(tr, "measured", func() error { return nil }); err != nil {
+					t.Error(err)
+					return
+				}
 				tr.Finish()
 
 				if i%50 == 0 {
@@ -83,6 +87,9 @@ func TestRegistryTracerHammer(t *testing.T) {
 	}
 	if want := uint64(workers * iters); hcount != want {
 		t.Fatalf("histogram count = %d, want %d", hcount, want)
+	}
+	if got := r.Histogram(MetricStageCPUSeconds, "", DefBuckets, "stage", "measured").Count(); got != workers*iters {
+		t.Fatalf("stage observations = %d, want %d", got, workers*iters)
 	}
 	if tc.Len() != 32 {
 		t.Fatalf("ring = %d, want 32", tc.Len())

@@ -42,68 +42,45 @@ const schedLatencyName = "/sched/latencies:seconds"
 // schedQuantiles is the fixed (bounded) quantile label set.
 var schedQuantiles = []float64{0.5, 0.9, 0.99}
 
-// DefaultRuntimeSampleInterval is the collector period when StartRuntimeCollector
-// gets interval <= 0.
+// DefaultRuntimeSampleInterval is the period a serving process samples its
+// runtime at.
 const DefaultRuntimeSampleInterval = 5 * time.Second
 
 // RuntimeCollector periodically samples the Go runtime into a Registry.
-// Start it once per process; Stop it on shutdown.
+// Start it once per process (StartRuntimeCollector); Stop it on shutdown.
 type RuntimeCollector struct {
-	reg      *Registry
-	interval time.Duration
+	reg *Registry
 
-	mu            sync.Mutex
-	lastPauseNs   uint64
-	lastNumGC     uint32
-	lastSched     *metrics.Float64Histogram
-	samplesCount  uint64
-	schedSamples  []metrics.Sample
-	stop          chan struct{}
-	done          chan struct{}
-	startedReally bool
+	mu           sync.Mutex
+	lastPauseNs  uint64
+	lastNumGC    uint32
+	lastSched    *metrics.Float64Histogram
+	samplesCount uint64
+	schedSamples []metrics.Sample
+	stop         chan struct{}
+	done         chan struct{}
 }
 
-// NewRuntimeCollector builds a collector publishing into reg every interval
-// (DefaultRuntimeSampleInterval when <= 0). It does not start sampling until
-// Start is called; SampleNow works without Start for deterministic tests.
-func NewRuntimeCollector(reg *Registry, interval time.Duration) *RuntimeCollector {
-	if interval <= 0 {
-		interval = DefaultRuntimeSampleInterval
+// NewRuntimeCollector builds a collector publishing into reg that samples
+// only when SampleNow is called, for deterministic tests.
+func NewRuntimeCollector(reg *Registry) *RuntimeCollector {
+	return &RuntimeCollector{
+		reg:          reg,
+		schedSamples: []metrics.Sample{{Name: schedLatencyName}},
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
-	c := &RuntimeCollector{
-		reg:      reg,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	c.schedSamples = []metrics.Sample{{Name: schedLatencyName}}
-	return c
 }
 
-// StartRuntimeCollector builds, samples once (so a scrape immediately after
-// startup sees populated gauges), and starts a collector.
+// StartRuntimeCollector builds a collector, samples once (so a scrape
+// immediately after startup sees populated gauges), then samples every
+// interval until Stop.
 func StartRuntimeCollector(reg *Registry, interval time.Duration) *RuntimeCollector {
-	c := NewRuntimeCollector(reg, interval)
+	c := NewRuntimeCollector(reg)
 	c.SampleNow()
-	c.Start()
-	return c
-}
-
-// Start launches the background sampling goroutine. Safe to call once.
-func (c *RuntimeCollector) Start() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.startedReally {
-		c.mu.Unlock()
-		return
-	}
-	c.startedReally = true
-	c.mu.Unlock()
 	go func() {
 		defer close(c.done)
-		tick := time.NewTicker(c.interval)
+		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
 			select {
@@ -114,22 +91,17 @@ func (c *RuntimeCollector) Start() {
 			}
 		}
 	}()
+	return c
 }
 
-// Stop halts the sampler and waits for the goroutine to exit. Safe on a nil
-// collector and idempotent-adjacent (second call panics on closed channel
-// only if Start ran; callers stop exactly once on shutdown).
+// Stop halts a started collector's sampler and waits for it to exit. Call
+// it once; it is safe on a nil collector.
 func (c *RuntimeCollector) Stop() {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	started := c.startedReally
-	c.mu.Unlock()
 	close(c.stop)
-	if started {
-		<-c.done
-	}
+	<-c.done
 }
 
 // Samples returns how many times the collector has sampled (for tests and

@@ -10,7 +10,7 @@ import (
 
 func TestRuntimeCollectorSampleNow(t *testing.T) {
 	reg := NewRegistry()
-	c := NewRuntimeCollector(reg, time.Hour)
+	c := NewRuntimeCollector(reg)
 	c.SampleNow()
 	c.SampleNow()
 	if got := c.Samples(); got != 2 {

@@ -105,12 +105,14 @@ func (t *Tracer) Len() int {
 // wallSpan is a real (measured) span relative to the trace start. track is
 // empty for the main wall-clock track; a named track groups related spans
 // (e.g. one track per shard of a scatter-gather fan-out) onto its own lane
-// in the exported trace.
+// in the exported trace. cost is the resource cost of a span recorded by
+// Observer.Stage, zero (empty Stage) on one that was only timed.
 type wallSpan struct {
 	name   string
 	track  string
 	offset time.Duration
 	dur    time.Duration
+	cost   StageCost
 }
 
 // simTrack is one named sim.Timeline recorded on the trace (e.g. the Fig. 11
@@ -133,7 +135,6 @@ type Trace struct {
 	attrs  map[string]string
 	wall   []wallSpan
 	tracks []simTrack
-	costs  Attribution
 	total  time.Duration
 	done   bool
 }
@@ -154,8 +155,9 @@ func (tr *Trace) Name() string {
 	return tr.name
 }
 
-// StartSpan opens a wall-clock span; the returned closer records it.
-func (tr *Trace) StartSpan(name string) func() {
+// StartSpan opens a wall-clock span; the returned closer records it and
+// returns its duration.
+func (tr *Trace) StartSpan(name string) func() time.Duration {
 	return tr.StartSpanOn("", name)
 }
 
@@ -163,18 +165,30 @@ func (tr *Trace) StartSpan(name string) func() {
 // track render on one lane in the Chrome export, so a scatter-gather query
 // can record one track per shard ("shard 0", "shard 1", ...) and the
 // straggler gap is visible as the ragged right edge across lanes. An empty
-// track is the main wall-clock track.
-func (tr *Trace) StartSpanOn(track, name string) func() {
-	if tr == nil {
-		return func() {}
-	}
+// track is the main wall-clock track. The closer returns the span's
+// duration, timed on a nil trace too, so a caller that also publishes the
+// duration reads one clock.
+func (tr *Trace) StartSpanOn(track, name string) func() time.Duration {
 	t0 := time.Now()
-	return func() {
-		d := time.Since(t0)
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		tr.wall = append(tr.wall, wallSpan{name: name, track: track, offset: t0.Sub(tr.start), dur: d})
+	if tr == nil {
+		return func() time.Duration { return time.Since(t0) }
 	}
+	return func() time.Duration {
+		d := time.Since(t0)
+		tr.addWall(t0, wallSpan{name: name, track: track, dur: d})
+		return d
+	}
+}
+
+// addWall appends a span that started at t0.
+func (tr *Trace) addWall(t0 time.Time, w wallSpan) {
+	if tr == nil {
+		return
+	}
+	w.offset = t0.Sub(tr.start)
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.wall = append(tr.wall, w)
 }
 
 // SetAttr records a string attribute shown in the trace viewer and the
@@ -199,18 +213,6 @@ func (tr *Trace) AddTimeline(track string, tl *sim.Timeline) {
 	tr.tracks = append(tr.tracks, simTrack{name: track, spans: tl.Spans()})
 }
 
-// SetStageCosts records the query's per-stage resource attribution. The
-// costs surface in Snapshot, /debug/queries, and as args on the matching
-// wall-clock spans of the Chrome trace export.
-func (tr *Trace) SetStageCosts(costs Attribution) {
-	if tr == nil || len(costs) == 0 {
-		return
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.costs = append(Attribution(nil), costs...)
-}
-
 // Finish seals the trace, fixing its wall-clock total. Idempotent.
 func (tr *Trace) Finish() {
 	if tr == nil {
@@ -225,12 +227,14 @@ func (tr *Trace) Finish() {
 }
 
 // WallSpanSnapshot is one measured span in a snapshot. Track is empty for
-// the main wall-clock lane.
+// the main wall-clock lane. Cost is the resource cost of a span recorded by
+// Observer.Stage; its Stage is empty on a span that was only timed.
 type WallSpanSnapshot struct {
 	Name     string
 	Track    string
 	Offset   time.Duration
 	Duration time.Duration
+	Cost     StageCost
 }
 
 // TrackSnapshot is one simulated track in a snapshot.
@@ -250,8 +254,6 @@ type TraceSnapshot struct {
 	Attrs     map[string]string
 	WallSpans []WallSpanSnapshot
 	Tracks    []TrackSnapshot
-	// Costs is the per-stage resource attribution, when recorded.
-	Costs Attribution
 }
 
 // Snapshot copies the trace state under its lock.
@@ -277,7 +279,7 @@ func (tr *Trace) Snapshot() TraceSnapshot {
 	}
 	for _, w := range tr.wall {
 		snap.WallSpans = append(snap.WallSpans,
-			WallSpanSnapshot{Name: w.name, Track: w.track, Offset: w.offset, Duration: w.dur})
+			WallSpanSnapshot{Name: w.name, Track: w.track, Offset: w.offset, Duration: w.dur, Cost: w.cost})
 	}
 	for _, trk := range tr.tracks {
 		ts := TrackSnapshot{Name: trk.name, Spans: append([]sim.Span(nil), trk.spans...)}
@@ -286,7 +288,6 @@ func (tr *Trace) Snapshot() TraceSnapshot {
 		}
 		snap.Tracks = append(snap.Tracks, ts)
 	}
-	snap.Costs = append(Attribution(nil), tr.costs...)
 	return snap
 }
 
@@ -324,12 +325,18 @@ func (snap TraceSnapshot) chromeEvents(pid int) []chromeEvent {
 		{Name: "thread_name", Ph: "M", PID: pid, TID: 1, Args: map[string]string{"name": "wall clock"}},
 		{Name: snap.Name, Cat: "query", Ph: "i", PID: pid, TID: 1, Args: snap.Attrs},
 	}
-	// Wall spans carry the measured resource attribution of their stage as
-	// args, so a span selected in the viewer shows CPU time, allocations
-	// and bytes moved alongside its duration.
-	costByStage := make(map[string]StageCost, len(snap.Costs))
-	for _, c := range snap.Costs {
-		costByStage[c.Stage] = c
+	// A measured wall span carries its stage's cost as args, so a span
+	// selected in the viewer shows CPU time and allocations alongside its
+	// duration.
+	wallEvent := func(w WallSpanSnapshot, tid int) chromeEvent {
+		ev := chromeEvent{
+			Name: w.Name, Cat: "wall", Ph: "X",
+			TS: micros(w.Offset), Dur: micros(w.Duration), PID: pid, TID: tid,
+		}
+		if w.Cost.Stage != "" {
+			ev.Args = w.Cost.args()
+		}
+		return ev
 	}
 	wallTracks := make(map[string]int) // named track -> tid
 	var wallOrder []string
@@ -341,14 +348,7 @@ func (snap TraceSnapshot) chromeEvents(pid int) []chromeEvent {
 			}
 			continue
 		}
-		ev := chromeEvent{
-			Name: w.Name, Cat: "wall", Ph: "X",
-			TS: micros(w.Offset), Dur: micros(w.Duration), PID: pid, TID: 1,
-		}
-		if c, ok := costByStage[w.Name]; ok {
-			ev.Args = c.args()
-		}
-		evs = append(evs, ev)
+		evs = append(evs, wallEvent(w, 1))
 	}
 	for i, trk := range snap.Tracks {
 		tid := 2 + i
@@ -376,10 +376,7 @@ func (snap TraceSnapshot) chromeEvents(pid int) []chromeEvent {
 		if w.Track == "" {
 			continue
 		}
-		evs = append(evs, chromeEvent{
-			Name: w.Name, Cat: "wall", Ph: "X",
-			TS: micros(w.Offset), Dur: micros(w.Duration), PID: pid, TID: wallTracks[w.Track],
-		})
+		evs = append(evs, wallEvent(w, wallTracks[w.Track]))
 	}
 	return evs
 }

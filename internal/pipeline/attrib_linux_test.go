@@ -18,9 +18,7 @@ import (
 func TestAttributionScoringCPUCountsTheWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	p, _, _ := newPipeline(t, 64, 10, 40000)
-	o := obs.NewObserver()
-	o.Attribution = true
-	p.Obs = o
+	p.Obs = obs.NewObserver()
 	// The first query compiles the model; time the second.
 	if _, err := p.ExecQuery(obsQuery); err != nil {
 		t.Fatal(err)

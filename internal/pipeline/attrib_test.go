@@ -1,6 +1,8 @@
 package pipeline_test
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,9 +19,9 @@ var attribStages = []string{
 	pipeline.StageTransferOut,
 }
 
-// TestAttributionOnSeededQuery is the acceptance check: with attribution on,
-// a seeded query reports per-stage CPU/alloc/bytes-moved costs on the
-// result, on the retained trace, and in the stage metrics.
+// TestAttributionOnSeededQuery is the acceptance check: an observed seeded
+// query reports per-stage CPU/alloc/bytes-moved costs on the result, on the
+// retained trace's measured spans, and in the stage metrics.
 func TestAttributionOnSeededQuery(t *testing.T) {
 	// 8192 rows make the scoring stage's output buffer a large (> 32 KiB)
 	// allocation, which the runtime's allocation counter sees at once; a
@@ -27,7 +29,6 @@ func TestAttributionOnSeededQuery(t *testing.T) {
 	// the "scoring allocates" check below failed about one run in fifty.
 	p, _, _ := newPipeline(t, 8, 8, 8192)
 	o := obs.NewObserver()
-	o.Attribution = true
 	p.Obs = o
 
 	res, err := p.ExecQuery(obsQuery)
@@ -55,14 +56,25 @@ func TestAttributionOnSeededQuery(t *testing.T) {
 		t.Errorf("total bytes moved %d != sum of legs", tot.BytesMoved)
 	}
 
-	// The trace carries the same costs and they surface as Chrome args.
+	// The trace's measured spans are the three measured rows, the transfer
+	// legs are its attrs, and the costs surface as Chrome args.
 	tr, ok := o.Tracer.Get(res.TraceID)
 	if !ok {
 		t.Fatalf("trace %s not retained", res.TraceID)
 	}
 	snap := tr.Snapshot()
-	if len(snap.Costs) != len(attribStages) {
-		t.Fatalf("trace costs = %+v", snap.Costs)
+	var measured obs.Attribution
+	for _, w := range snap.WallSpans {
+		if w.Cost.Stage != "" {
+			measured = append(measured, w.Cost)
+		}
+	}
+	if !slices.Equal(measured, res.Attribution[1:4]) {
+		t.Fatalf("trace's measured spans = %+v, result rows = %+v", measured, res.Attribution[1:4])
+	}
+	if snap.Attrs["transfer_in_bytes"] != strconv.FormatInt(res.Attribution[0].BytesMoved, 10) ||
+		snap.Attrs["transfer_out_bytes"] != strconv.FormatInt(res.Attribution[4].BytesMoved, 10) {
+		t.Errorf("trace attrs = %v, want the transfer legs' bytes", snap.Attrs)
 	}
 	var sb strings.Builder
 	if err := tr.WriteChromeTrace(&sb); err != nil {
@@ -82,8 +94,8 @@ func TestAttributionOnSeededQuery(t *testing.T) {
 	}
 	text := expo.String()
 	for _, needle := range []string{
-		pipeline.MetricStageCPUSeconds + `_count{stage="model scoring"} 1`,
-		pipeline.MetricStageAllocBytesTotal + `{stage="model scoring"}`,
+		obs.MetricStageCPUSeconds + `_count{stage="model scoring"} 1`,
+		obs.MetricStageAllocBytesTotal + `{stage="model scoring"}`,
 		pipeline.MetricTransferBytesTotal + `{direction="in"}`,
 		pipeline.MetricTransferBytesTotal + `{direction="out"}`,
 	} {
@@ -93,26 +105,16 @@ func TestAttributionOnSeededQuery(t *testing.T) {
 	}
 }
 
-// TestAttributionOffLeavesResultClean: attribution is opt-in — a default
-// observer and an unobserved pipeline both skip the cost sampling entirely.
+// TestAttributionOffLeavesResultClean: an unobserved pipeline skips the cost
+// sampling entirely.
 func TestAttributionOffLeavesResultClean(t *testing.T) {
 	p, _, _ := newPipeline(t, 4, 6, 100)
-	p.Obs = obs.NewObserver() // Attribution defaults to false
 	res, err := p.ExecQuery(obsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Attribution != nil {
-		t.Fatalf("attribution recorded without opt-in: %+v", res.Attribution)
-	}
-
-	p2, _, _ := newPipeline(t, 4, 6, 100)
-	res2, err := p2.ExecQuery(obsQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Attribution != nil {
-		t.Fatalf("unobserved pipeline recorded attribution: %+v", res2.Attribution)
+		t.Fatalf("unobserved pipeline recorded attribution: %+v", res.Attribution)
 	}
 }
 

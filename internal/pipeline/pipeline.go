@@ -94,15 +94,8 @@ const (
 	// MetricFusedStageSimSeconds is MetricStageSimSeconds restricted to fused
 	// queries {stage}, for before/after fusion comparisons.
 	MetricFusedStageSimSeconds = "accelscore_fused_stage_sim_seconds"
-	// MetricStageCPUSeconds is the MEASURED per-stage process-CPU-time
-	// histogram {stage} (populated only with attribution enabled).
-	MetricStageCPUSeconds = "accelscore_stage_cpu_seconds"
-	// MetricStageAllocBytesTotal accumulates measured heap-allocated bytes
-	// per stage {stage} (attribution only).
-	MetricStageAllocBytesTotal = "accelscore_stage_alloc_bytes_total"
-	// MetricStageAllocObjectsTotal accumulates measured heap-allocated
-	// objects per stage {stage} (attribution only).
-	MetricStageAllocObjectsTotal = "accelscore_stage_alloc_objects_total"
+	// The measured per-stage series are obs.MetricStageCPUSeconds and its
+	// two allocation counters, published by obs.Observer.Stage.
 	// MetricTransferBytesTotal accumulates simulated bytes crossing the
 	// runtime boundary {direction="in"|"out"}.
 	MetricTransferBytesTotal = "accelscore_transfer_bytes_total"
@@ -196,9 +189,10 @@ type QueryResult struct {
 	// Fused reports whether the query engaged operator fusion (a pushed-down
 	// WHERE and/or a fused aggregate).
 	Fused bool
-	// Attribution is the query's measured per-stage resource cost (thread
-	// CPU time, heap allocations, transfer bytes), populated when the
-	// pipeline's observer has Attribution enabled.
+	// Attribution is the query's per-stage resource cost in canonical order:
+	// the inbound transfer leg's bytes, the three measured stages' process
+	// CPU time and heap allocations, the outbound leg's bytes. Populated
+	// whenever the pipeline has an observer.
 	Attribution obs.Attribution
 }
 
@@ -560,9 +554,6 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResu
 	start := time.Now()
 	defer func() { p.observeQuery(tr, start, res, err) }()
 
-	// Resource attribution brackets the three measured stages (see stage).
-	attribOn := p.Obs.AttributionOn()
-
 	// Model pre-processing: cache probe, blob deserialization, kernel
 	// lowering.
 	blob, err := p.DB.LoadModelBlob(req.Model)
@@ -570,7 +561,7 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResu
 		return nil, err
 	}
 	var rm *resolvedModel
-	costPreproc, err := p.stage(tr, StageModelPreproc, attribOn, func() (err error) {
+	costPreproc, err := p.Obs.Stage(tr, StageModelPreproc, func() (err error) {
 		rm, err = p.resolveModel(req.Model, blob)
 		return err
 	})
@@ -615,7 +606,7 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResu
 		return nil, err
 	}
 	var scored *backend.Result
-	costScoring, err := p.stage(tr, StageModelScoring, attribOn, func() (err error) {
+	costScoring, err := p.Obs.Stage(tr, StageModelScoring, func() (err error) {
 		scored, err = eng.Score(&backend.Request{
 			Forest: f, Data: data, Compiled: compiled, Stats: &stats,
 			Ctx: ctx, Inject: p.Faults,
@@ -646,7 +637,7 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResu
 	}
 
 	res.Backend, res.RowsScanned, res.RowsScored = eng.Name(), int(records), int(scoredRows)
-	costPost, err := p.stage(tr, StagePostprocessing, attribOn, func() error {
+	costPost, err := p.Obs.Stage(tr, StagePostprocessing, func() error {
 		return landResults(req.Agg, sel, scored, res)
 	})
 	if err != nil {
@@ -667,6 +658,7 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResu
 	if !resident {
 		inBytes += int64(len(blob))
 	}
+	p.noteTransfer(tr, "in", "transfer_in_bytes", inBytes)
 	tl.Add(StageDataTransfer, sim.KindPipeline, p.Runtime.IPCTime(inBytes))
 	if resident {
 		tl.Add(StageModelPreproc, sim.KindPipeline, p.Runtime.ModelCacheHitTime(int64(len(blob))))
@@ -680,13 +672,14 @@ func (p *Pipeline) score(ctx context.Context, req *ScoreRequest) (res *QueryResu
 	if req.Agg != AggNone {
 		outBytes = int64(stats.Classes+1) * 16
 	}
+	p.noteTransfer(tr, "out", "transfer_out_bytes", outBytes)
 	tl.Add(StageDataTransfer, sim.KindPipeline, p.Runtime.IPCTime(outBytes))
 	res.ScoringDetail = scored.Timeline
 
 	// Attribution in canonical order: the two transfer legs carry the
 	// (simulated) byte volumes that crossed the runtime boundary, the three
 	// measured stages carry real process-CPU and allocation deltas.
-	if attribOn {
+	if p.Obs != nil {
 		res.Attribution = obs.Attribution{
 			{Stage: StageTransferIn, BytesMoved: inBytes},
 			costPreproc,
@@ -769,25 +762,16 @@ func landResults(agg AggMode, sel *kernel.Selection, scored *backend.Result, res
 	return err
 }
 
-// stage runs body as one measured stage of the query: under the named
-// wall-clock span on its trace and, with attribution on, between two cost
-// samples whose process-CPU and allocation delta is returned as the stage's
-// cost row (the zero StageCost otherwise). The span closes and the bracket
-// is read whether or not body fails.
-func (p *Pipeline) stage(tr *obs.Trace, name string, attribOn bool, body func() error) (obs.StageCost, error) {
-	var sample obs.CostSample
-	if attribOn {
-		sample = obs.ReadCostSample()
+// noteTransfer publishes one leg of the simulated runtime-boundary transfer:
+// its byte counter {direction}, and the trace attr /debug/queries shows.
+func (p *Pipeline) noteTransfer(tr *obs.Trace, direction, attr string, bytes int64) {
+	if reg := p.Obs.Metrics(); reg != nil {
+		reg.Counter(MetricTransferBytesTotal, "Bytes crossing the runtime boundary by direction.",
+			"direction", direction).Add(float64(bytes))
 	}
-	end := tr.StartSpan(name)
-	err := body()
-	end()
-	var cost obs.StageCost
-	if attribOn {
-		cost = obs.ReadCostSample().Sub(sample)
-		cost.Stage = name
+	if tr != nil {
+		tr.SetAttr(attr, strconv.FormatInt(bytes, 10))
 	}
-	return cost, err
 }
 
 const helpModelCacheEvents = "Compiled-model cache hits, misses and evictions."
@@ -878,29 +862,6 @@ func (p *Pipeline) observeQuery(tr *obs.Trace, start time.Time, res *QueryResult
 						"backend", res.Backend, "kind", kind.String()).Add(d.Seconds())
 				}
 			}
-			for _, c := range res.Attribution {
-				switch c.Stage {
-				case StageTransferIn:
-					reg.Counter(MetricTransferBytesTotal,
-						"Bytes crossing the runtime boundary by direction.",
-						"direction", "in").Add(float64(c.BytesMoved))
-				case StageTransferOut:
-					reg.Counter(MetricTransferBytesTotal,
-						"Bytes crossing the runtime boundary by direction.",
-						"direction", "out").Add(float64(c.BytesMoved))
-				default:
-					reg.Histogram(MetricStageCPUSeconds,
-						"Measured per-stage process CPU time (attribution).",
-						obs.DefBuckets, "stage", c.Stage).
-						ObserveExemplar(c.CPUTime.Seconds(), res.TraceID)
-					reg.Counter(MetricStageAllocBytesTotal,
-						"Measured heap bytes allocated per stage (attribution).",
-						"stage", c.Stage).Add(float64(c.AllocBytes))
-					reg.Counter(MetricStageAllocObjectsTotal,
-						"Measured heap objects allocated per stage (attribution).",
-						"stage", c.Stage).Add(float64(c.AllocObjects))
-				}
-			}
 		}
 		if p.Cache != nil {
 			reg.Gauge(MetricModelCacheEntries, "Compiled models resident in the cache.").
@@ -917,7 +878,6 @@ func (p *Pipeline) observeQuery(tr *obs.Trace, start time.Time, res *QueryResult
 			}
 			tr.AddTimeline("simulated end-to-end (Fig. 11)", &res.Timeline)
 			tr.AddTimeline("simulated scoring detail (Fig. 7)", &res.ScoringDetail)
-			tr.SetStageCosts(res.Attribution)
 		}
 		tr.Finish()
 	}

@@ -175,10 +175,8 @@ func (s *HTTPShard) Score(ctx context.Context, req Request) (*Result, error) {
 	}
 	tap, _ := ctx.Value(wireTapKey{}).(wireTap)
 	end := tap.trace.StartSpanOn(tap.lane, "wire decode")
-	start := time.Now()
 	res, err := DecodeFrame(buf.Bytes())
-	end()
-	tap.metrics.ObserveWire(buf.Len(), time.Since(start))
+	tap.metrics.ObserveWire(buf.Len(), end())
 	if err != nil {
 		return nil, fmt.Errorf("router: shard %s: decoding /score response (HTTP %d): %w",
 			s.name, resp.StatusCode, err)
