@@ -260,7 +260,7 @@ func TestArtifactShapes(t *testing.T) {
 		}
 		check(t, overloadDoc(smokeJob("overload", ""), p, 1, []overloadCell{cell}, r.AdmissionStats(), &overloadChaosReport{}),
 			"cells[].wrong", "cells[].offered", "cells[].accepted", "cells[].shed", "cells[].failed",
-			"cells[].p95_ns", "saturation_qps", "admission[].class",
+			"cells[].p95_ns", "saturation_qps", "admission.shed",
 			"chaos.wrong", "chaos.drain_wrong", "chaos.ok_after_kill", "chaos.flap_rejoined",
 			"chaos.drain_errors", "chaos.verdict", "chaos.shed", "chaos.accepted")
 	})

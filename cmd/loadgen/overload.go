@@ -6,8 +6,8 @@
 //
 // The harness boots three serve shards (one intentionally paced slower — the
 // straggler), fronts them with a router running the full overload stack
-// (health state machine with active probing, admission control with
-// priority classes), then:
+// (health state machine with active probing, admission control's one
+// router-wide in-flight bound), then:
 //
 //  1. calibrates saturation throughput closed-loop;
 //  2. sweeps offered load past saturation with Poisson and bursty
@@ -32,21 +32,20 @@ import (
 	"time"
 
 	"accelscore/internal/harness"
-	"accelscore/internal/obs"
 	"accelscore/internal/router"
 )
 
 // The overload tier: three shards (the last a straggler paced
 // overloadSlowFactor slower, then a kill victim and a flap victim), each
 // open-loop sweep cell offered for overloadWindow, every arrival carrying
-// overloadDeadline, and the admission priority spelling — interactive
-// sheds last, batch first.
+// overloadDeadline, and admission's router-wide bound of two in flight per
+// shard.
 const (
-	overloadShards     = 3
-	overloadSlowFactor = 2.0
-	overloadWindow     = 2 * time.Second
-	overloadDeadline   = 2 * time.Second
-	overloadClasses    = "interactive=250ms,batch=2s"
+	overloadShards      = 3
+	overloadSlowFactor  = 2.0
+	overloadWindow      = 2 * time.Second
+	overloadDeadline    = 2 * time.Second
+	overloadMaxInFlight = 2 * overloadShards
 )
 
 // overloadCell is one open-loop sweep point.
@@ -89,12 +88,8 @@ type overloadChaosReport struct {
 }
 
 // overloadRouter builds the harness router: health probing and admission
-// (two in flight per shard) both on.
+// both on.
 func overloadRouter(backends []router.Backend) (*router.Router, error) {
-	classes, err := obs.ParseSLOSpec(overloadClasses)
-	if err != nil {
-		return nil, err
-	}
 	return router.New(router.Config{
 		Backends:   backends,
 		WarmModels: []string{"iris_rf"},
@@ -109,10 +104,7 @@ func overloadRouter(backends []router.Backend) (*router.Router, error) {
 			QuarantineBackoff:   300 * time.Millisecond,
 			MaxBackoff:          2 * time.Second,
 		},
-		Admission: &router.AdmissionConfig{
-			MaxInFlight: 2 * len(backends),
-			Classes:     classes,
-		},
+		Admission: &router.AdmissionConfig{MaxInFlight: overloadMaxInFlight},
 	})
 }
 
@@ -144,11 +136,6 @@ func arrivalTimes(kind string, qps float64, window time.Duration, rng *rand.Rand
 	return out
 }
 
-// alternateClasses is the open-loop arrivals' priority mix.
-func alternateClasses(i int) string { return [2]string{"interactive", "batch"}[i%2] }
-
-func interactive(int) string { return "interactive" }
-
 // bootOverloadTier boots the shards (the last one paced slower — the static
 // straggler the tier must absorb) and the router over them; the caller
 // closes the router and kills the fleet.
@@ -171,15 +158,13 @@ func bootOverloadTier(bin string, p overloadConfig) (*harness.Fleet, *router.Rou
 }
 
 // calibrate measures closed-loop saturation throughput through the full
-// router stack (also seeding the latency window behind the admission
-// controller's deadline shed). Clients stay below the tier width so the
-// calibration itself doesn't stack a deep queue on the straggler shard and
-// poison the latency predictor. Warm-up failures are
+// router stack. Clients stay below the tier width so the calibration itself
+// doesn't stack a deep queue on the straggler shard. Warm-up failures are
 // tolerated; a wrong answer is not.
 func calibrate(r *router.Router, oracle *harness.DemoOracle) (float64, error) {
 	const clients, queries = 2, 16
 	run := harness.Closed(context.Background(), clients, queries, 0,
-		oracle.QueryOp(r, interactive, new(harness.Routing)))
+		oracle.QueryOp(r, new(harness.Routing)))
 	if wrong := run.Tally()[harness.Wrong]; wrong > 0 {
 		return 0, fmt.Errorf("overload: %d wrong answers during fault-free calibration", wrong)
 	}
@@ -192,7 +177,7 @@ func calibrate(r *router.Router, oracle *harness.DemoOracle) (float64, error) {
 func runOverloadCell(cell overloadCell, r *router.Router, schedule []time.Duration,
 	oracle *harness.DemoOracle) (overloadCell, error) {
 	var routing harness.Routing
-	run := harness.Open(context.Background(), schedule, overloadDeadline, oracle.QueryOp(r, alternateClasses, &routing))
+	run := harness.Open(context.Background(), schedule, overloadDeadline, oracle.QueryOp(r, &routing))
 	t, sum := run.Tally(), harness.Summarize(run.OKLatencies())
 	cell.Offered, cell.Accepted, cell.Shed, cell.Wrong = len(schedule), t[harness.OK], t[harness.Shed], t[harness.Wrong]
 	cell.Failed = cell.Offered - cell.Accepted - cell.Shed - cell.Wrong
@@ -238,7 +223,7 @@ func runOverloadChaos(r *router.Router, procs []*harness.Proc, satQPS float64,
 		log.Printf("overload: chaos SIGCONT shard %d", rep.FlappedShard)
 		procs[rep.FlappedShard].Cont()
 	}()
-	t := harness.Open(context.Background(), schedule, overloadDeadline, oracle.QueryOp(r, alternateClasses, &routing)).Tally()
+	t := harness.Open(context.Background(), schedule, overloadDeadline, oracle.QueryOp(r, &routing)).Tally()
 	<-faultsDone
 	rep.Offered, rep.Accepted, rep.Shed, rep.Wrong = len(schedule), t[harness.OK], t[harness.Shed], t[harness.Wrong]
 	rep.Failed = rep.Offered - rep.Accepted - rep.Shed - rep.Wrong
@@ -248,7 +233,7 @@ func runOverloadChaos(r *router.Router, procs []*harness.Proc, satQPS float64,
 	// Rejoin wait: the flapped shard must come back through quarantine ->
 	// probes -> warm -> trickle on its own. The trickle needs real traffic,
 	// so keep a slow drip flowing while we wait.
-	drip := oracle.QueryOp(r, interactive, &routing)
+	drip := oracle.QueryOp(r, &routing)
 	rejoinCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	rep.Wrong += harness.Closed(rejoinCtx, 1, 0, overloadDeadline, func(ctx context.Context, i int) error {
@@ -326,7 +311,7 @@ func runOverloadBench(p overloadConfig, j *job) error {
 
 // overloadDoc assembles the overload JSON artifact on the common envelope.
 func overloadDoc(j *job, p overloadConfig, satQPS float64, cells []overloadCell,
-	admStats []router.AdmissionStats, chaosRep *overloadChaosReport) map[string]any {
+	admStats *router.AdmissionStats, chaosRep *overloadChaosReport) map[string]any {
 	doc := j.envelope("overload")
 	doc["backend"] = tierBackend
 	doc["shards"] = overloadShards
@@ -334,7 +319,6 @@ func overloadDoc(j *job, p overloadConfig, satQPS float64, cells []overloadCell,
 	doc["pace_scale"] = paceScale
 	doc["slow_factor"] = overloadSlowFactor
 	doc["deadline_ns"] = int64(overloadDeadline)
-	doc["classes"] = overloadClasses
 	doc["saturation_qps"] = satQPS
 	doc["cells"] = cells
 	doc["admission"] = admStats
@@ -346,7 +330,7 @@ func overloadDoc(j *job, p overloadConfig, satQPS float64, cells []overloadCell,
 // straggler: calibrate saturation, then offer each load multiple with each
 // arrival process.
 func runOverloadSweep(bin string, p overloadConfig, oracle *harness.DemoOracle,
-	rng *rand.Rand) (satQPS float64, cells []overloadCell, admStats []router.AdmissionStats, err error) {
+	rng *rand.Rand) (satQPS float64, cells []overloadCell, admStats *router.AdmissionStats, err error) {
 	fleet, r, err := bootOverloadTier(bin, p)
 	if err != nil {
 		return 0, nil, nil, err
@@ -375,13 +359,10 @@ func runOverloadSweep(bin string, p overloadConfig, oracle *harness.DemoOracle,
 			cells = append(cells, cell)
 		}
 	}
-	// The admission ledger's books must balance: offered == accepted + shed
-	// per class.
+	// The admission ledger's books must balance: offered == accepted + shed.
 	admStats = r.AdmissionStats()
-	for _, s := range admStats {
-		if s.Offered != s.Accepted+s.Shed {
-			return 0, nil, nil, fmt.Errorf("overload: admission ledger out of balance for class %q: %+v", s.Class, s)
-		}
+	if admStats.Offered != admStats.Accepted+admStats.Shed {
+		return 0, nil, nil, fmt.Errorf("overload: admission ledger out of balance: %+v", *admStats)
 	}
 	return satQPS, cells, admStats, nil
 }
@@ -396,7 +377,7 @@ func runOverloadChaosCell(bin string, p overloadConfig, satQPS float64,
 	}
 	defer fleet.Kill()
 	defer r.Close()
-	// Seed the latency predictor before faults.
+	// Warm the tier as the sweep's was warmed before it is faulted.
 	if _, err := calibrate(r, oracle); err != nil {
 		return nil, err
 	}
@@ -417,10 +398,10 @@ func overloadMarkdown(j *job, satQPS float64,
 	fmt.Fprintf(&sb, "Measured by %s: %d serve shards "+
 		"(the last paced %gx slower — a static straggler), fronted by a router running "+
 		"the full overload stack: shard health state machine with active probing and "+
-		"admission control (`%s`; capacity, priority, and deadline shedding). Open-loop "+
+		"admission control (one router-wide bound of %d queries in flight). Open-loop "+
 		"arrivals carry a %v deadline; calibrated saturation is %.1f q/s. Every accepted "+
 		"answer is verified against a fault-free single-node oracle.\n\n",
-		j.ran(), overloadShards, overloadSlowFactor, overloadClasses, overloadDeadline, satQPS)
+		j.ran(), overloadShards, overloadSlowFactor, overloadMaxInFlight, overloadDeadline, satQPS)
 	tbl := harness.NewTable(&sb, []harness.Col{
 		{":arrival", "%s"}, {"load:", "%.2gx"}, {"offered:", "%d"}, {"goodput q/s:", "%.1f"},
 		{"shed:", "%d"}, {"failed:", "%d"}, {"wrong:", "%d"}, {"p50:", "%v"}, {"p95:", "%v"},
@@ -435,9 +416,9 @@ func overloadMarkdown(j *job, satQPS float64,
 	sb.WriteString("\nPast saturation an open-loop arrival process keeps offering work the tier " +
 		"cannot absorb; without admission control the queue (and every latency percentile) " +
 		"grows without bound. The shed column is the valve working: refused queries get an " +
-		"immediate 503 + Retry-After instead of a slow timeout, and goodput holds near " +
-		"saturation instead of collapsing. Batch sheds before interactive (priority classes " +
-		"reuse the SLO objective spelling: the tightest objective sheds last).\n")
+		"immediate 503 + Retry-After: 1 instead of a slow timeout, and goodput holds near " +
+		"saturation instead of collapsing. Every query is refused by the same rule: the " +
+		"router is at its in-flight bound.\n")
 	sb.WriteString("\n## Chaos: SIGKILL + SIGSTOP/SIGCONT flap under over-saturated load\n\n")
 	fmt.Fprintf(&sb, "With 1.5x saturation Poisson traffic flowing, shard %d was SIGKILLed and "+
 		"shard %d frozen (SIGSTOP) then thawed (SIGCONT). Of %d offered: %d accepted "+

@@ -85,7 +85,7 @@ func runScaleCell(backends []router.Backend, queries int, oracle *harness.DemoOr
 		return nil, err
 	}
 	var routing harness.Routing
-	run := harness.Closed(context.Background(), min(shards, queries), queries, 0, oracle.QueryOp(r, nil, &routing))
+	run := harness.Closed(context.Background(), min(shards, queries), queries, 0, oracle.QueryOp(r, &routing))
 	for _, s := range run.Samples {
 		if s.Err != nil {
 			return nil, fmt.Errorf("query %d on %d shards: %w", s.I, shards, s.Err)
@@ -123,7 +123,7 @@ func runScaleChaos(bin string, p scaleoutConfig, records int, oracle *harness.De
 	queries := max(p.Queries*3, 12)
 	killAfter := queries / 3
 	var routing harness.Routing
-	query := oracle.QueryOp(r, nil, &routing)
+	query := oracle.QueryOp(r, &routing)
 	t := harness.Closed(context.Background(), shards, queries, 0, func(ctx context.Context, q int) error {
 		if q == killAfter {
 			log.Printf("scaleout: chaos SIGKILL shard %d mid-run", killedShard)

@@ -12,16 +12,14 @@
 // Usage:
 //
 //	router -shards http://localhost:8081,http://localhost:8082 \
-//	    [-addr :8090] [-warm iris_rf] \
-//	    [-max-inflight 64] [-classes interactive=25ms,batch=500ms]
+//	    [-addr :8090] [-warm iris_rf] [-max-inflight 64]
 //
 // The shard health state machine (healthy -> degraded -> quarantined ->
 // rejoining) is the router's one notion of shard health. It runs on passive
 // per-request signals and on an active /healthz probe every 2 s,
-// so a quarantined shard can rejoin without traffic. Either -max-inflight or
-// -classes turns on admission control (the router-wide bound is 4 x shards
-// when -classes turns it on): capacity, priority-class, and deadline-aware
-// shedding answer 503 with Retry-After instead of queueing without bound.
+// so a quarantined shard can rejoin without traffic. -max-inflight turns on
+// admission control, one router-wide in-flight bound: a query past it is
+// answered 503 with Retry-After: 1 instead of queueing without bound.
 // A busy shard refuses a sub-query at its own executor queue, and the
 // router reroutes it.
 //
@@ -61,11 +59,7 @@ func main() {
 	warm := flag.String("warm", "",
 		"comma-separated models to warm on every shard at startup (replica-aware cache warming)")
 	maxInFlight := flag.Int("max-inflight", 0,
-		"router-wide concurrent query bound; enables admission control"+
-			" (0 = off, or 4 x shards when -classes turns it on)")
-	classes := flag.String("classes", "",
-		"admission priority classes as SLO objectives, e.g. interactive=25ms,batch=500ms"+
-			" (tightest objective sheds last)")
+		"router-wide concurrent query bound; enables admission control (0 = off)")
 	flag.Parse()
 
 	urls := splitList(*shards)
@@ -94,15 +88,8 @@ func main() {
 		WarmModels: splitList(*warm),
 		Health:     &router.HealthConfig{ProbeInterval: probeInterval},
 	}
-	if *maxInFlight > 0 || *classes != "" {
-		objs, err := obs.ParseSLOSpec(*classes)
-		if err != nil {
-			log.Fatalf("router: -classes: %v", err)
-		}
-		cfg.Admission = &router.AdmissionConfig{
-			MaxInFlight: *maxInFlight,
-			Classes:     objs,
-		}
+	if *maxInFlight > 0 {
+		cfg.Admission = &router.AdmissionConfig{MaxInFlight: *maxInFlight}
 	}
 	r, err := router.New(cfg)
 	if err != nil {

@@ -150,7 +150,7 @@ func TestDriversClassifyEveryOutcomeOnce(t *testing.T) {
 		exec.ErrRejected,
 		fmt.Errorf("query budget: %w", context.DeadlineExceeded),
 		context.Canceled,
-		&router.ShedError{Class: "batch", Reason: "capacity"},
+		&router.ShedError{},
 		fmt.Errorf("%w: row 0", ErrWrong),
 		errors.New("shard fell over"),
 	}

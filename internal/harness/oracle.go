@@ -104,17 +104,12 @@ type Routing struct {
 func (a *Routing) Mark() { a.marked.Store(true) }
 
 // QueryOp returns the operation every tier mode drives: the demo statement
-// through r under admission class classOf(i) (nil: the default class),
-// verified against the oracle, with what the answer says about its routing
-// added to acc.
-func (o *DemoOracle) QueryOp(r *router.Router, classOf func(i int) string, acc *Routing) Op {
-	return func(ctx context.Context, i int) error {
-		var opts router.QueryOptions
-		if classOf != nil {
-			opts.Class = classOf(i)
-		}
+// through r, verified against the oracle, with what the answer says about
+// its routing added to acc.
+func (o *DemoOracle) QueryOp(r *router.Router, acc *Routing) Op {
+	return func(ctx context.Context, _ int) error {
 		afterMark := acc.marked.Load()
-		m, err := r.Query(ctx, o.SQL, opts)
+		m, err := r.Query(ctx, o.SQL, router.QueryOptions{})
 		if err != nil {
 			return err
 		}

@@ -24,7 +24,13 @@ import (
 // on other threads than the goroutine that brackets it, so a per-thread
 // reading would miss them — and concurrent queries bleed into each other's
 // numbers: the attribution is honest about being a sample, not a ledger,
-// which is all the advisor's regime detection needs.
+// which is all the advisor's regime detection needs. The allocation counts
+// also lag: the runtime adds a small object to /gc/heap/allocs:* only when
+// the span it came from leaves the P's cache (a refill, or a GC flush), so a
+// stage whose few small allocations fit in cached spans reads 0B/0 objs and
+// the stage that refills the cache is billed for them; the counts are right
+// in sum, not per stage. runtime.ReadMemStats would be exact, but it stops
+// the world, so it has no place on the query path.
 
 // Metric names Stage publishes, one series per stage {stage}.
 const (

@@ -29,15 +29,11 @@ const (
 	// MetricRouterWarmTotal counts model-cache warm calls fanned out to
 	// shards {status="hit"|"miss"|"nocache"|"error"}.
 	MetricRouterWarmTotal = "accelscore_router_warm_total"
-	// MetricRouterPredictedQuery gauges the query latency admission last
-	// predicted for its deadline shed: the mean of the router's recent
-	// successful queries, seconds; 0 before the first one.
-	MetricRouterPredictedQuery = "accelscore_router_predicted_query_seconds"
 	// MetricRouterShardState gauges each shard's health state {shard}:
 	// 0 healthy, 1 degraded, 2 quarantined, 3 rejoining.
 	MetricRouterShardState = "accelscore_router_shard_state"
-	// MetricRouterAdmissionShedTotal counts queries refused at admission
-	// {class} (capacity, priority, or deadline shedding).
+	// MetricRouterAdmissionShedTotal counts queries refused at admission:
+	// the router was at its in-flight bound.
 	MetricRouterAdmissionShedTotal = "accelscore_router_admission_shed_total"
 	// MetricRouterWireBytesTotal counts /score reply bytes (frames) the
 	// router read from its shards: what the gather moves.
@@ -116,16 +112,6 @@ func (m *RouterMetrics) NoteWarm(status string) {
 		"status", status).Inc()
 }
 
-// SetPredictedQuery gauges the query latency admission just decided with.
-func (m *RouterMetrics) SetPredictedQuery(predicted time.Duration) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.reg.Gauge(MetricRouterPredictedQuery,
-		"Predicted query latency admission sheds deadlines against (recent mean), seconds; 0 = no sample yet.").
-		Set(predicted.Seconds())
-}
-
 // SetShardState gauges a shard's health state (0 healthy, 1 degraded,
 // 2 quarantined, 3 rejoining).
 func (m *RouterMetrics) SetShardState(shard, state int) {
@@ -137,17 +123,13 @@ func (m *RouterMetrics) SetShardState(shard, state int) {
 		"shard", strconv.Itoa(shard)).Set(float64(state))
 }
 
-// NoteAdmissionShed counts one query refused at admission, by class.
-func (m *RouterMetrics) NoteAdmissionShed(class string) {
-	if class == "" {
-		class = "default"
-	}
+// NoteAdmissionShed counts one query refused at admission.
+func (m *RouterMetrics) NoteAdmissionShed() {
 	if m == nil || m.reg == nil {
 		return
 	}
 	m.reg.Counter(MetricRouterAdmissionShedTotal,
-		"Queries refused at admission (capacity, priority, or deadline shedding).",
-		"class", class).Inc()
+		"Queries refused at admission: the router was at its in-flight bound.").Inc()
 }
 
 // ObserveWire records one decoded /score reply: its size on the wire, and

@@ -77,11 +77,10 @@ func TestRouterMetrics(t *testing.T) {
 	m.ObserveQuery("error", 4, 40*time.Millisecond)
 	m.ObserveShard(2, 10*time.Millisecond, 0)
 	m.ObserveShard(0, 25*time.Millisecond, 1)
-	m.SetPredictedQuery(75 * time.Millisecond)
 	m.NoteWarm("hit")
 	m.SetShardState(1, 2)
-	m.NoteAdmissionShed("batch")
-	m.NoteAdmissionShed("") // empty class normalizes to "default"
+	m.NoteAdmissionShed()
+	m.NoteAdmissionShed()
 	m.ObserveWire(25000, 200*time.Microsecond)
 	m.ObserveWire(95000, 4*time.Millisecond)
 
@@ -97,11 +96,9 @@ func TestRouterMetrics(t *testing.T) {
 		`accelscore_router_straggler_gap_seconds_count 2`,
 		`accelscore_router_shard_latency_seconds_count{shard="0"} 1`,
 		`accelscore_router_reroutes_total{shard="0"} 1`,
-		`accelscore_router_predicted_query_seconds 0.075`,
 		`accelscore_router_warm_total{status="hit"} 1`,
 		`accelscore_router_shard_state{shard="1"} 2`,
-		`accelscore_router_admission_shed_total{class="batch"} 1`,
-		`accelscore_router_admission_shed_total{class="default"} 1`,
+		"accelscore_router_admission_shed_total 2\n",
 		"accelscore_router_wire_bytes_total 120000\n",
 		`accelscore_router_wire_decode_seconds_count 2`,
 	} {
@@ -120,10 +117,9 @@ func TestRouterMetrics(t *testing.T) {
 	var nilM *RouterMetrics
 	nilM.ObserveQuery("ok", 1, 0)
 	nilM.ObserveShard(0, 0, 0)
-	nilM.SetPredictedQuery(0)
 	nilM.NoteWarm("hit")
 	nilM.SetShardState(0, 0)
-	nilM.NoteAdmissionShed("batch")
+	nilM.NoteAdmissionShed()
 	nilM.ObserveWire(1, 0)
 	if NewRouterMetrics(nil) != nil {
 		t.Fatal("NewRouterMetrics(nil) not nil")

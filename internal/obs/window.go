@@ -9,11 +9,10 @@ import (
 const windowSize = 64
 
 // LatencyWindow is the one latency estimator the serving tier decides from:
-// the last windowSize successful latencies of one series (the router's
-// queries, a device's runs). Observe is O(1); the mean is computed on read.
-// Each reader publishes the value it decided with as a gauge, so /metrics
-// shows what the decision saw. The zero value is an empty window, safe for
-// concurrent use.
+// the last windowSize successful latencies of one series (a device's runs).
+// Observe is O(1); the mean is computed on read. Each reader publishes the
+// value it decided with as a gauge, so /metrics shows what the decision saw.
+// The zero value is an empty window, safe for concurrent use.
 type LatencyWindow struct {
 	mu   sync.Mutex
 	ring [windowSize]time.Duration

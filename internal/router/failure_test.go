@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,6 +201,104 @@ type stallingBackend struct{ router.Backend }
 func (stallingBackend) Score(ctx context.Context, _ router.Request) (*router.Result, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
+}
+
+// gatedBackend holds the first sub-query until release closes, announcing
+// it on entered first; later sub-queries pass straight through.
+type gatedBackend struct {
+	router.Backend
+	held    atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *gatedBackend) Score(ctx context.Context, req router.Request) (*router.Result, error) {
+	if b.held.CompareAndSwap(false, true) {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	return b.Backend.Score(ctx, req)
+}
+
+// TestAdmissionShedOverHTTP: with one query held in flight under
+// MaxInFlight 1, a second /query is refused at admission — 503, Retry-After:
+// 1 and a JSON error — and /healthz and /metrics count it.
+func TestAdmissionShedOverHTTP(t *testing.T) {
+	gate := &gatedBackend{
+		Backend: &router.Local{Name: "shard-0", Pipe: newShardPipeline(t, 100)},
+		entered: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
+	rt, err := router.New(router.Config{
+		Backends:  []router.Backend{gate},
+		Obs:       obs.NewObserver(),
+		Admission: &router.AdmissionConfig{MaxInFlight: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(router.Handler(rt))
+	defer front.Close()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release() // before front.Close, which waits for the held handler
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := front.Client().Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	query := "/query?sql=" + url.QueryEscape(plainSQL)
+
+	first := make(chan int, 1)
+	go func() {
+		resp, err := front.Client().Get(front.URL + query)
+		if err != nil {
+			first <- 0
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	select { // the first query holds the one slot once it reaches the shard
+	case <-gate.entered:
+	case code := <-first:
+		t.Fatalf("first query finished (HTTP %d) without reaching the shard", code)
+	}
+
+	resp := get(query)
+	var qr router.QueryResponse
+	err = json.NewDecoder(resp.Body).Decode(&qr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusServiceUnavailable || qr.OK || qr.Error == "" {
+		t.Fatalf("second query: HTTP %d, %+v (decode: %v); want 503 with a JSON error", resp.StatusCode, qr, err)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", got)
+	}
+	release()
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("held query: HTTP %d, want 200", code)
+	}
+
+	resp = get("/healthz")
+	var health struct{ Admission *router.AdmissionStats }
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil || health.Admission == nil ||
+		*health.Admission != (router.AdmissionStats{Offered: 2, Accepted: 1, Shed: 1}) {
+		t.Fatalf("/healthz admission %+v (decode: %v), want offered 2 = accepted 1 + shed 1", health.Admission, err)
+	}
+
+	resp = get("/metrics")
+	var metrics strings.Builder
+	_, err = io.Copy(&metrics, resp.Body)
+	resp.Body.Close()
+	if err != nil || !strings.Contains(metrics.String(), obs.MetricRouterAdmissionShedTotal+" 1\n") {
+		t.Fatalf("/metrics lacks %s 1 (read: %v):\n%s", obs.MetricRouterAdmissionShedTotal, err, metrics.String())
+	}
 }
 
 // TestLostToTheQueryContextKeepsItsClass: a query whose partitions were all

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strconv"
 	"time"
 
 	"accelscore/internal/httpapi"
@@ -71,20 +70,12 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	opts := QueryOptions{
-		Tenant: r.URL.Query().Get("tenant"),
-		Class:  r.URL.Query().Get("class"),
-	}
-	merged, err := h.r.Query(ctx, sql, opts)
+	merged, err := h.r.Query(ctx, sql, QueryOptions{Tenant: r.URL.Query().Get("tenant")})
 	if err != nil {
 		var se *ShedError
 		if errors.As(err, &se) {
 			// Admission shed: tell the client when to come back.
-			secs := int(se.RetryAfter / time.Second)
-			if se.RetryAfter%time.Second != 0 || secs < 1 {
-				secs++
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			w.Header().Set("Retry-After", "1")
 		}
 		httpapi.WriteJSON(w, statusFor(err), QueryResponse{Error: err.Error()})
 		return
@@ -133,9 +124,9 @@ func (h *handler) handleWarm(w http.ResponseWriter, r *http.Request) {
 // every shard (state, probe history, reroutes) plus the admission ledger
 // when admission control is on.
 type routerHealth struct {
-	Status    string           `json:"status"`
-	Shards    []shardHealth    `json:"shards"`
-	Admission []AdmissionStats `json:"admission,omitempty"`
+	Status    string          `json:"status"`
+	Shards    []shardHealth   `json:"shards"`
+	Admission *AdmissionStats `json:"admission,omitempty"`
 }
 
 type shardHealth struct {

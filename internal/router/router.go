@@ -120,9 +120,9 @@ func (r *Router) Health() *HealthManager { return r.health }
 // shard i (their preferred shard).
 func (r *Router) RerouteCount(i int) uint64 { return r.reroutes[i].Load() }
 
-// AdmissionStats snapshots the per-class admission ledger (nil when
-// admission control is disabled).
-func (r *Router) AdmissionStats() []AdmissionStats { return r.adm.Stats() }
+// AdmissionStats snapshots the admission ledger (nil when admission
+// control is disabled).
+func (r *Router) AdmissionStats() *AdmissionStats { return r.adm.Stats() }
 
 // Shards returns the number of shard replicas, the widest a query scatters.
 func (r *Router) Shards() int { return len(r.cfg.Backends) }
@@ -207,10 +207,6 @@ type QueryOptions struct {
 	// keeping that tenant's model cache on one replica. Failures still
 	// reroute to other shards.
 	Tenant string
-	// Class is the query's SLO priority class for admission control
-	// (see AdmissionConfig.Classes; unknown or empty classes get the
-	// lowest priority). Ignored when admission is disabled.
-	Class string
 }
 
 // Query parses sql ONCE, scatters it as the sub-queries its plan names, and
@@ -236,19 +232,16 @@ func (r *Router) Query(ctx context.Context, sql string, opts QueryOptions) (*Mer
 
 // Score scatters a validated scoring request. req.Partition must be zero:
 // partitioning is the router's job.
-func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts QueryOptions) (merged *Merged, err error) {
+func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts QueryOptions) (*Merged, error) {
 	if req.Partition.Active() {
 		return nil, NoReroute(fmt.Errorf("router: request already partitioned (%s); the router assigns partitions",
 			req.Partition))
 	}
-	// Admission control: capacity, priority-class, and deadline shedding
-	// happen HERE, before any shard sees the query.
-	qStart := time.Now()
-	release, aerr := r.adm.Admit(ctx, opts.Class)
-	if aerr != nil {
-		return nil, aerr
+	// Admission control happens HERE, before any shard sees the query.
+	if err := r.adm.Admit(); err != nil {
+		return nil, err
 	}
-	defer func() { release(err == nil, time.Since(qStart)) }()
+	defer r.adm.Release()
 
 	parts, home := r.plan(req.Limit, opts.Tenant)
 
@@ -331,7 +324,7 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 		latencies[i] = d.Latency
 	}
 	endMerge := tr.StartSpan("merge")
-	merged, err = Merge(req.Agg, byPart)
+	merged, err := Merge(req.Agg, byPart)
 	endMerge()
 	if err != nil {
 		r.metrics.ObserveQuery("error", len(parts), gap)
