@@ -39,7 +39,7 @@ func TestEnvelopeFields(t *testing.T) {
 	if !ok {
 		t.Fatalf("host = %v", doc["host"])
 	}
-	for _, k := range []string{"goos", "goarch", "gomaxprocs", "num_cpu"} {
+	for _, k := range []string{"goos", "goarch", "gomaxprocs", "num_cpu", "kernel_walk"} {
 		if _, ok := host[k]; !ok {
 			t.Errorf("host missing %q", k)
 		}
@@ -110,7 +110,7 @@ func keyPaths(t *testing.T, doc any) map[string]bool {
 
 var envelopePaths = []string{
 	"schema_version", "kind", "generated", "git_describe",
-	"host.goos", "host.goarch", "host.gomaxprocs", "host.num_cpu", "presets",
+	"host.goos", "host.goarch", "host.gomaxprocs", "host.num_cpu", "host.kernel_walk", "presets",
 }
 
 // smokeJob is a job running mode's smoke preset, writing its JSON to path.

@@ -32,6 +32,7 @@ import (
 	"accelscore/internal/experiments"
 	"accelscore/internal/faults"
 	"accelscore/internal/httpapi"
+	"accelscore/internal/kernel"
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/router"
@@ -365,14 +366,16 @@ func (s *server) handleSQL(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz reports liveness plus identity and the durability state:
 // which shard this process is (scale-out tier), which build is running,
-// whether a store is attached, what recovery found at boot, and the current
-// WAL size. The restart-chaos harness polls it to decide the server is up
-// and recovered; the router's health probe reads it per shard.
+// which walk its scoring kernel runs (kernel.Walk), whether a store is
+// attached, what recovery found at boot, and the current WAL size. The
+// restart-chaos harness polls it to decide the server is up and recovered;
+// the router's health probe reads it per shard.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	type health struct {
 		Status      string                `json:"status"`
 		ShardID     string                `json:"shard_id,omitempty"`
 		GitDescribe string                `json:"git_describe"`
+		KernelWalk  string                `json:"kernel_walk"`
 		Fsync       string                `json:"fsync"`
 		Durability  string                `json:"durability"`
 		Recovery    *storage.RecoveryInfo `json:"recovery,omitempty"`
@@ -386,6 +389,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:      "ok",
 		ShardID:     s.shardID,
 		GitDescribe: httpapi.GitDescribe(),
+		KernelWalk:  kernel.Walk(),
 		Fsync:       s.fsync,
 		Durability:  "disabled",
 		InFlight:    s.exec.Running(),

@@ -146,16 +146,6 @@ func (b *breaker) abandon() {
 	b.mu.Unlock()
 }
 
-// current returns the state (for tests and status pages).
-func (b *breaker) current() breakerState {
-	if b == nil {
-		return breakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 func (b *breaker) setLocked(s breakerState) {
 	b.state = s
 	if b.onChange != nil {
@@ -182,12 +172,6 @@ func (e *Executor) publishBreakerState(dev sched.Device, s breakerState) {
 		reg.Gauge(MetricBreakerState, "Circuit state per device (0 closed, 1 half-open, 2 open).",
 			"device", string(dev)).Set(float64(s))
 	}
-}
-
-// BreakerState returns a device's current circuit state as its gauge
-// encoding (0 closed, 1 half-open, 2 open).
-func (e *Executor) BreakerState(dev sched.Device) int {
-	return int(e.breakers[dev].current())
 }
 
 // fallbackFor returns the degradation target for a requested backend, or ""

@@ -44,6 +44,12 @@ func exposition(t *testing.T, p *pipeline.Pipeline) string {
 	return sb.String()
 }
 
+// breakerState reads dev's circuit state off its published gauge (0 closed,
+// 1 half-open, 2 open), which every transition sets.
+func breakerState(p *pipeline.Pipeline, dev sched.Device) int {
+	return int(p.Obs.Registry.Gauge(exec.MetricBreakerState, "", "device", string(dev)).Value())
+}
+
 // TestRetryRecoversFromTransientFaults: two injected busy faults on the CPU
 // engine are absorbed by the bounded retry policy — the query succeeds, the
 // result records the attempts, and the retry counter matches.
@@ -182,7 +188,7 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 			t.Fatalf("burst query %d: reason %q, want fault", i, res.FallbackReason)
 		}
 	}
-	if st := e.BreakerState(sched.DeviceFPGA); st != 2 {
+	if st := breakerState(p, sched.DeviceFPGA); st != 2 {
 		t.Fatalf("breaker state after burst = %d, want 2 (open)", st)
 	}
 
@@ -202,7 +208,7 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 	if res.FallbackFrom != "" || res.Backend != "FPGA" {
 		t.Fatalf("probe query ran on %q (fallback from %q), want FPGA directly", res.Backend, res.FallbackFrom)
 	}
-	if st := e.BreakerState(sched.DeviceFPGA); st != 0 {
+	if st := breakerState(p, sched.DeviceFPGA); st != 0 {
 		t.Fatalf("breaker state after probe = %d, want 0 (closed)", st)
 	}
 
@@ -247,7 +253,7 @@ func TestQueryErrorsDoNotTripBreaker(t *testing.T) {
 			}
 		}
 	}
-	if st := e.BreakerState(sched.DeviceCPU); st != 0 {
+	if st := breakerState(p, sched.DeviceCPU); st != 0 {
 		t.Fatalf("breaker state after ten bad queries = %d, want 0 (closed)", st)
 	}
 	if out := exposition(t, p); strings.Contains(out, transitions("open")) {
@@ -260,19 +266,19 @@ func TestQueryErrorsDoNotTripBreaker(t *testing.T) {
 			t.Fatalf("crash %d: err = %v, want ErrInvokeCrash", i, err)
 		}
 	}
-	if st := e.BreakerState(sched.DeviceCPU); st != 2 {
+	if st := breakerState(p, sched.DeviceCPU); st != 2 {
 		t.Fatalf("breaker state after three crashes = %d, want 2 (open)", st)
 	}
 	if _, err := e.ExecQuery(badModel); err == nil || errors.Is(err, exec.ErrBreakerOpen) {
 		t.Fatalf("bad probe: err = %v, want the query's own error", err)
 	}
-	if st := e.BreakerState(sched.DeviceCPU); st != 1 {
+	if st := breakerState(p, sched.DeviceCPU); st != 1 {
 		t.Fatalf("breaker state after a bad probe = %d, want 1 (still half-open)", st)
 	}
 	if _, err := e.ExecQuery(scoreSQL); err != nil {
 		t.Fatalf("valid probe: %v", err)
 	}
-	if st := e.BreakerState(sched.DeviceCPU); st != 0 {
+	if st := breakerState(p, sched.DeviceCPU); st != 0 {
 		t.Fatalf("breaker state after a valid probe = %d, want 0 (closed)", st)
 	}
 	out := exposition(t, p)

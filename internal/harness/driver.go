@@ -86,11 +86,12 @@ func (r *Run) OKLatencies() []time.Duration {
 	return lats
 }
 
-// timed runs op under its deadline (0 = none) and returns the error.
-func timed(ctx context.Context, deadline time.Duration, op Op, i int) error {
+// timed runs op under a deadline of deadline after start (0 = none) and
+// returns the error.
+func timed(ctx context.Context, start time.Time, deadline time.Duration, op Op, i int) error {
 	if deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
+		ctx, cancel = context.WithDeadline(ctx, start.Add(deadline))
 		defer cancel()
 	}
 	return op(ctx, i)
@@ -115,7 +116,7 @@ func Closed(ctx context.Context, clients, n int, deadline time.Duration, op Op) 
 					return
 				}
 				t0 := time.Now()
-				err := timed(ctx, deadline, op, i)
+				err := timed(ctx, t0, deadline, op, i)
 				perClient[c] = append(perClient[c], Sample{I: i, Latency: time.Since(t0), Err: err})
 			}
 		}()
@@ -130,8 +131,8 @@ func Closed(ctx context.Context, clients, n int, deadline time.Duration, op Op) 
 
 // Open drives op open-loop: operation i starts at schedule[i] after the
 // run's start whether or not earlier ones have finished — arrivals do not
-// slow down when the system does. Latency is measured from the scheduled
-// arrival, so time spent queued behind a slow system counts.
+// slow down when the system does. Latency and the deadline run from the
+// scheduled arrival, so time spent queued behind a slow system counts.
 func Open(ctx context.Context, schedule []time.Duration, deadline time.Duration, op Op) *Run {
 	run := &Run{Samples: make([]Sample, len(schedule))}
 	var wg sync.WaitGroup
@@ -142,7 +143,7 @@ func Open(ctx context.Context, schedule []time.Duration, deadline time.Duration,
 			defer wg.Done()
 			arrival := start.Add(at)
 			time.Sleep(time.Until(arrival))
-			err := timed(ctx, deadline, op, i)
+			err := timed(ctx, arrival, deadline, op, i)
 			run.Samples[i] = Sample{I: i, Latency: time.Since(arrival), Err: err}
 		}()
 	}

@@ -198,6 +198,31 @@ func TestDriversClassifyEveryOutcomeOnce(t *testing.T) {
 	}
 }
 
+// TestOpenDeadlineRunsFromArrival: an open-loop operation's deadline is its
+// scheduled arrival plus the deadline, exactly, however late its goroutine
+// wakes; so an accepted reply never outlasts its deadline from arrival.
+func TestOpenDeadlineRunsFromArrival(t *testing.T) {
+	schedule := []time.Duration{0, 0, 1, time.Millisecond, 2 * time.Millisecond, 2*time.Millisecond + 1}
+	const deadline = time.Second
+	due := make([]time.Time, len(schedule))
+	before := time.Now()
+	Open(context.Background(), schedule, deadline, func(ctx context.Context, i int) error {
+		due[i], _ = ctx.Deadline()
+		return nil
+	})
+	after := time.Now()
+	// The run's start is the one instant every deadline counts from.
+	start := due[0].Add(-schedule[0] - deadline)
+	if start.Before(before) || start.After(after) {
+		t.Fatalf("deadline %v implies a start outside the run [%v, %v]", due[0], before, after)
+	}
+	for i, d := range due {
+		if want := start.Add(schedule[i] + deadline); !d.Equal(want) {
+			t.Errorf("op %d (arrival +%v): deadline %v, want arrival + %v = %v", i, schedule[i], d, deadline, want)
+		}
+	}
+}
+
 func TestTableRendersFromColumnSpecs(t *testing.T) {
 	var sb strings.Builder
 	tbl := NewTable(&sb, []Col{{":arrival", "%s"}, {"load:", "%.2gx"}, {"note", "%v"}})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"accelscore/internal/httpapi"
+	"accelscore/internal/kernel"
 )
 
 // ArtifactSchemaVersion versions the shared envelope of every JSON artifact
@@ -21,7 +22,8 @@ const ArtifactSchemaVersion = 1
 
 // Envelope returns the fields every loadgen JSON artifact shares: schema
 // version, artifact kind, generation timestamp, the git revision that
-// produced the numbers, and the host shape. Callers merge their
+// produced the numbers, and the host shape, with the walk the scoring
+// kernel runs on it (kernel.Walk). Callers merge their
 // report-specific keys on top.
 func Envelope(kind string) map[string]any {
 	return map[string]any{
@@ -30,10 +32,11 @@ func Envelope(kind string) map[string]any {
 		"generated":      time.Now().UTC().Format(time.RFC3339),
 		"git_describe":   httpapi.GitDescribe(),
 		"host": map[string]any{
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-			"num_cpu":    runtime.NumCPU(),
+			"goos":        runtime.GOOS,
+			"goarch":      runtime.GOARCH,
+			"gomaxprocs":  runtime.GOMAXPROCS(0),
+			"num_cpu":     runtime.NumCPU(),
+			"kernel_walk": kernel.Walk(),
 		},
 	}
 }

@@ -47,7 +47,8 @@ func (in *fuzzInput) float() float32 {
 
 // FuzzKernelPredict: for any ensemble the builder API can express and any
 // float32 bit patterns in the rows, either Seal refuses the ensemble or the
-// three batch entry points agree with the row-at-a-time oracle.
+// three batch entry points agree with the row-at-a-time oracle, on every
+// walk the host can run.
 func FuzzKernelPredict(f *testing.F) {
 	leaf := func(class byte) []byte { return []byte{fuzzLeaf, class} }
 	split := func(feature byte, threshold float32, left, right []byte) []byte {
@@ -147,22 +148,24 @@ func FuzzKernelPredict(f *testing.F) {
 				wantCounts[want[r]]++
 			}
 		}
-		for _, workers := range []int{1, 2} {
-			got := poisoned(n)
-			c.Predict(x, fuzzFeatures, got, workers)
-			if !slices.Equal(got, want) {
-				t.Fatalf("workers=%d: Predict %v != PredictRow %v", workers, got, want)
+		kernel.EachWalk(t, func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				got := poisoned(n)
+				c.Predict(x, fuzzFeatures, got, workers)
+				if !slices.Equal(got, want) {
+					t.Fatalf("workers=%d: Predict %v != PredictRow %v", workers, got, want)
+				}
+				gotSel := poisoned(len(wantSel))
+				c.PredictSel(x, fuzzFeatures, sel, gotSel, workers)
+				if !slices.Equal(gotSel, wantSel) {
+					t.Fatalf("workers=%d: PredictSel %v != PredictRow over the selection %v", workers, gotSel, wantSel)
+				}
+				counts := make([]int64, classes)
+				c.PredictAggregate(x, fuzzFeatures, n, sel, counts, workers)
+				if !slices.Equal(counts, wantCounts) {
+					t.Fatalf("workers=%d: PredictAggregate %v != tally %v", workers, counts, wantCounts)
+				}
 			}
-			gotSel := poisoned(len(wantSel))
-			c.PredictSel(x, fuzzFeatures, sel, gotSel, workers)
-			if !slices.Equal(gotSel, wantSel) {
-				t.Fatalf("workers=%d: PredictSel %v != PredictRow over the selection %v", workers, gotSel, wantSel)
-			}
-			counts := make([]int64, classes)
-			c.PredictAggregate(x, fuzzFeatures, n, sel, counts, workers)
-			if !slices.Equal(counts, wantCounts) {
-				t.Fatalf("workers=%d: PredictAggregate %v != tally %v", workers, counts, wantCounts)
-			}
-		}
+		})
 	})
 }

@@ -1,8 +1,9 @@
 // Package kernel implements the shared flat-traversal scoring kernel every
 // functional CPU path uses: a forest lowered once into one slice of packed
 // 16-byte nodes and scored a block of up to 64 rows at a time, every tree
-// streamed over the block, eight rows walking each tree in lock-step, fanned
-// out over a GOMAXPROCS-sized worker pool. DESIGN.md §7 has the measurements
+// streamed over the block, its rows walking each tree in lock-step (16 lanes
+// to an AVX-512 gather where the CPU has it, else 8 scalar lanes), fanned out
+// over a GOMAXPROCS-sized worker pool. DESIGN.md §7 has the measurements
 // behind each choice below and the variants measured and rejected.
 //
 // Scoring is written once. Predict, PredictSel and PredictAggregate are the
@@ -10,10 +11,11 @@
 // rows among workers, scoreRange fills each block with the next rows to
 // score (gathering survivors across selection words, so a sparse filter
 // still forms full groups) and stores or tallies their predictions,
-// scoreBlock streams every tree over the block, and step is one level of one
-// row's descent. walk is a second, deliberately independent spelling of the
-// descent, over the builder's arrays, for the row-at-a-time oracle
-// PredictRow, which the batch path is tested against.
+// scoreBlock streams every tree over the block, walkTree takes the block down
+// one tree, and step is one level of one row's descent. walk is a second,
+// deliberately independent spelling of the descent, over the builder's
+// arrays, for the row-at-a-time oracle PredictRow, which the batch path is
+// tested against.
 //
 // Layout. Seal re-lays every tree breadth-first into one []node of
 // {feature int32, threshold float32, child int32, class int32}: one 16-byte
@@ -347,6 +349,10 @@ func (c *Compiled) score(x []float32, features, n int, sel *Selection, out []int
 		// step indexes x directly: a short row would read its neighbour.
 		panic(fmt.Sprintf("kernel: rows have %d features, the model reads feature %d", features, c.maxFeature))
 	}
+	if len(x) < n*features {
+		// Caught here, before any prediction is written: a gather checks no bounds.
+		panic(fmt.Sprintf("kernel: x holds %d cells, %d rows of %d features need %d", len(x), n, features, n*features))
+	}
 	if maxProcs := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxProcs {
 		workers = maxProcs
 	}
@@ -533,10 +539,24 @@ func (c *Compiled) scoreBlock(x []float32, features int, rows []int32, out []int
 	}
 }
 
-// walkTree walks the first n rows at offs down the tree at root in groups of
-// 8 (a last group's spare lanes walk offs' unused entries, row 0) and stores
+// simd is whether walkTree runs walkAVX512, decided once from CPUID.
+var simd = avx512()
+
+// Walk names the walk walkTree runs on this host: "avx512" or "go".
+func Walk() string { return walkNames[simd] }
+
+var walkNames = map[bool]string{true: "avx512", false: "go"}
+
+// walkTree walks the first n rows at offs down the tree at root and stores
 // the leaves reached; apart, scoreBlock keeps its bookkeeping in registers.
+// walkAVX512 walks them where its 32-bit gather indices reach every node
+// byte and every cell; lockstep elsewhere, in groups of 8 (a last group's
+// spare lanes walk offs' unused entries, row 0).
 func walkTree(nodes []node, x []float32, offs *[rowBlockSize]int, n int, root, steps int32, leaf *[rowBlockSize]int32) {
+	if simd && len(nodes) < 1<<27 && len(x) <= math.MaxInt32 {
+		walkAVX512(nodes, x, offs, n, root, steps, leaf)
+		return
+	}
 	for r := 0; r < n; r += lanes {
 		lockstep(nodes, x, (*[lanes]int)(offs[r:]), root, steps, (*[lanes]int32)(leaf[r:]))
 	}

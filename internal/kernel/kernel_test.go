@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,4 +232,39 @@ func TestSealRefusesLinksThatAreNotTrees(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestShortMatrixPanicsBeforeWriting: an x one cell short of the rows to
+// score panics on every walk and at every entry point, naming the cells it
+// holds and the cells needed, before any prediction or count is written.
+func TestShortMatrixPanicsBeforeWriting(t *testing.T) {
+	c, err := trainIris(t, 4, 4).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	features := dataset.Iris().NumFeatures()
+	x := dataset.Iris().Replicate(n).X[:n*features-1]
+	want := fmt.Sprintf("kernel: x holds %d cells, %d rows of %d features need %d", len(x), n, features, n*features)
+	sel := kernel.SelectionFromFunc(n, func(r int) bool { return r%3 != 0 })
+	kernel.EachWalk(t, func(t *testing.T) {
+		for name, call := range map[string]func(out []int, counts []int64){
+			"Predict":          func(out []int, _ []int64) { c.Predict(x, features, out, 1) },
+			"PredictSel":       func(out []int, _ []int64) { c.PredictSel(x, features, sel, out[:sel.Count()], 2) },
+			"PredictAggregate": func(_ []int, counts []int64) { c.PredictAggregate(x, features, n, nil, counts, 1) },
+		} {
+			out, counts := poisoned(n), make([]int64, c.NumClasses())
+			got := func() (msg any) {
+				defer func() { msg = recover() }()
+				call(out, counts)
+				return nil
+			}()
+			if got != want {
+				t.Errorf("%s: panic %v, want %q", name, got, want)
+			}
+			if !slices.Equal(out, poisoned(n)) || slices.ContainsFunc(counts, func(v int64) bool { return v != 0 }) {
+				t.Errorf("%s wrote before it panicked: out %v, counts %v", name, out, counts)
+			}
+		}
+	})
 }

@@ -167,11 +167,16 @@ var selShapes = []struct {
 // for one word, both tilted toward their last class; awkward floats on both
 // sides of every comparison; batch
 // sizes covering every remainder of the 8-row group and the 64-row block;
-// every worker count; every selection shape.
+// every worker count; every selection shape; and every walk the host can run.
 func TestEntryPointsAreOneFunction(t *testing.T) {
 	// At least four Ps, so workers = 2 and workers = GOMAXPROCS fan out for
 	// real (and differently) on a one-CPU runner too.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	kernel.EachWalk(t, entryPointsAreOneFunction)
+}
+
+// entryPointsAreOneFunction is TestEntryPointsAreOneFunction on one walk.
+func entryPointsAreOneFunction(t *testing.T) {
 	workerCounts := map[string]int{"1": 1, "2": 2, "max": runtime.GOMAXPROCS(0)}
 	sizes := []int{63, 64, 65, 1000}
 	for n := 0; n <= 17; n++ {

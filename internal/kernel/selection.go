@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // PredOp enumerates the comparison operators a pushed-down predicate may
@@ -28,40 +29,21 @@ const (
 // predEps matches the SQL layer's equality tolerance for REAL comparisons.
 const predEps = 1e-9
 
+// predOpSQL spells each operator in SQL syntax, both ways.
+var predOpSQL = [...]string{PredEQ: "=", PredNE: "<>", PredLT: "<", PredLE: "<=", PredGT: ">", PredGE: ">="}
+
 // String renders the operator in SQL syntax.
 func (op PredOp) String() string {
-	switch op {
-	case PredEQ:
-		return "="
-	case PredNE:
-		return "<>"
-	case PredLT:
-		return "<"
-	case PredLE:
-		return "<="
-	case PredGT:
-		return ">"
-	case PredGE:
-		return ">="
+	if int(op) < len(predOpSQL) {
+		return predOpSQL[op]
 	}
 	return "?"
 }
 
 // ParsePredOp maps a SQL comparison operator to its PredOp.
 func ParsePredOp(op string) (PredOp, error) {
-	switch op {
-	case "=":
-		return PredEQ, nil
-	case "<>":
-		return PredNE, nil
-	case "<":
-		return PredLT, nil
-	case "<=":
-		return PredLE, nil
-	case ">":
-		return PredGT, nil
-	case ">=":
-		return PredGE, nil
+	if i := slices.Index(predOpSQL[:], op); i >= 0 {
+		return PredOp(i), nil
 	}
 	return 0, fmt.Errorf("kernel: unsupported predicate operator %q", op)
 }

@@ -104,17 +104,6 @@ func (c *RuntimeCollector) Stop() {
 	<-c.done
 }
 
-// Samples returns how many times the collector has sampled (for tests and
-// the /debug surface).
-func (c *RuntimeCollector) Samples() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.samplesCount
-}
-
 // SampleNow takes one sample synchronously: gauges are set to current
 // values, cumulative pause/cycle counters advance by the delta since the
 // previous sample, and scheduler-latency quantiles are computed over the

@@ -8,13 +8,20 @@ import (
 	"time"
 )
 
+// samples reads how many times c has sampled.
+func samples(c *RuntimeCollector) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.samplesCount
+}
+
 func TestRuntimeCollectorSampleNow(t *testing.T) {
 	reg := NewRegistry()
 	c := NewRuntimeCollector(reg)
 	c.SampleNow()
 	c.SampleNow()
-	if got := c.Samples(); got != 2 {
-		t.Errorf("Samples() = %d, want 2", got)
+	if got := samples(c); got != 2 {
+		t.Errorf("samples = %d, want 2", got)
 	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -48,11 +55,11 @@ func TestRuntimeCollectorStartStop(t *testing.T) {
 	c := StartRuntimeCollector(reg, 10*time.Millisecond)
 	defer c.Stop()
 	deadline := time.Now().Add(2 * time.Second)
-	for c.Samples() < 3 && time.Now().Before(deadline) {
+	for samples(c) < 3 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if c.Samples() < 3 {
-		t.Fatalf("collector only took %d samples", c.Samples())
+	if samples(c) < 3 {
+		t.Fatalf("collector only took %d samples", samples(c))
 	}
 }
 

@@ -8,6 +8,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -30,16 +31,24 @@ const (
 	AggGroupCount
 )
 
-// String names the mode for metrics labels and trace attributes.
+// aggNames spells each mode for metrics labels, trace attributes and the
+// wire, both ways.
+var aggNames = [...]string{AggNone: "none", AggCount: "count", AggGroupCount: "group_count"}
+
+// String names the mode.
 func (m AggMode) String() string {
-	switch m {
-	case AggCount:
-		return "count"
-	case AggGroupCount:
-		return "group_count"
-	default:
-		return "none"
+	if m >= 0 && int(m) < len(aggNames) {
+		return aggNames[m]
 	}
+	return "none"
+}
+
+// ParseAgg maps a mode's name ("" is none) back to the mode.
+func ParseAgg(s string) (AggMode, error) {
+	if i := slices.Index(aggNames[:], cmp.Or(s, "none")); i >= 0 {
+		return AggMode(i), nil
+	}
+	return AggNone, fmt.Errorf("pipeline: unknown aggregation %q", s)
 }
 
 // Fused reports whether the request engages any fusion (filter or

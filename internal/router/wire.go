@@ -52,20 +52,6 @@ type Request struct {
 	Partition string `json:"partition,omitempty"`
 }
 
-// ParseAgg maps the wire aggregation spelling back to its mode.
-func ParseAgg(s string) (pipeline.AggMode, error) {
-	switch s {
-	case "", "none":
-		return pipeline.AggNone, nil
-	case "count":
-		return pipeline.AggCount, nil
-	case "group_count":
-		return pipeline.AggGroupCount, nil
-	default:
-		return pipeline.AggNone, fmt.Errorf("router: unknown aggregation %q", s)
-	}
-}
-
 // WireRequest renders a validated scoring request for the wire.
 func WireRequest(req *pipeline.ScoreRequest) Request {
 	w := Request{
@@ -108,7 +94,7 @@ func (r Request) ScoreRequest() (*pipeline.ScoreRequest, error) {
 		}
 		req.Where = conds
 	}
-	agg, err := ParseAgg(r.Agg)
+	agg, err := pipeline.ParseAgg(r.Agg)
 	if err != nil {
 		return nil, err
 	}

@@ -269,13 +269,6 @@ func (s *Store) Recovery() RecoveryInfo { return s.recovery }
 // WALSize returns the current WAL length in bytes.
 func (s *Store) WALSize() int64 { return s.wal.Size() }
 
-// LastLSN returns the highest LSN assigned so far.
-func (s *Store) LastLSN() uint64 {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	return s.nextLSN - 1
-}
-
 // BeginOp and EndOp implement db.Journal's operation bracket: the read side
 // of the compaction gate, plus the post-op compaction check (which must run
 // after the read lock is released, since Compact takes the write side).

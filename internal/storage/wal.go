@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,32 +34,23 @@ const (
 	SyncNone
 )
 
+// syncPolicyNames spells each policy as its flag value, both ways.
+var syncPolicyNames = [...]string{SyncAlways: "always", SyncBatch: "batch", SyncNone: "none"}
+
 // String returns the flag spelling.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncBatch:
-		return "batch"
-	case SyncNone:
-		return "none"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
+	if p >= 0 && int(p) < len(syncPolicyNames) {
+		return syncPolicyNames[p]
 	}
+	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// ParseSyncPolicy maps a flag value to a policy.
+// ParseSyncPolicy maps a flag value, in any case ("" is always), to a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch strings.ToLower(s) {
-	case "always", "":
-		return SyncAlways, nil
-	case "batch":
-		return SyncBatch, nil
-	case "none":
-		return SyncNone, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown fsync policy %q (want always, batch, or none)", s)
+	if i := slices.Index(syncPolicyNames[:], strings.ToLower(cmp.Or(s, "always"))); i >= 0 {
+		return SyncPolicy(i), nil
 	}
+	return 0, fmt.Errorf("storage: unknown fsync policy %q (want always, batch, or none)", s)
 }
 
 // ErrWALClosed reports an append after Close.

@@ -22,12 +22,9 @@ var unreachedAllowed = map[string]string{
 	// Test seams: accessors that let a package's own tests read state the
 	// program never needs to.
 	"db.Table.Version":               "db, pipeline and storage tests check that each mutation steps the version",
-	"exec.Executor.BreakerState":     "resilience_test reads the executor's circuit breaker",
 	"kernel.Compiled.NumNodes":       "kernel and cpuonnx tests check the flattened node count",
 	"obs.Gauge.Add":                  "registry tests; Counter, Gauge and Histogram keep one method family",
 	"obs.Histogram.Count":            "registry and race tests read a histogram's observation count",
-	"obs.RuntimeCollector.Samples":   "runtime_test waits on the collector's sample count",
-	"storage.Store.LastLSN":          "metrics_test checks the last-LSN gauge against the store",
 	"xrand.Rand.Float32":             "kernel, pagefmt, storage and tensor tests draw float32 inputs",
 	"engines/cpusk.Engine.Threads":   "cpusk and backend tests check the thread count a name resolves to",
 	"engines/cpuonnx.Engine.Threads": "cpuonnx and backend tests check the thread count a name resolves to",
