@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"accelscore/internal/exec"
 	"accelscore/internal/experiments"
 	"accelscore/internal/harness"
 	"accelscore/internal/obs"
@@ -162,7 +161,6 @@ func TestArtifactShapes(t *testing.T) {
 	t.Run("chaos", func(t *testing.T) {
 		cfg := harness.ChaosConfig{
 			Load: load, Clients: 2, Deadline: 2 * time.Second,
-			Exec:      exec.Config{MaxRetries: 3},
 			FaultSpec: "CPU_SKLearn:invoke:busy:every=3", FaultSeed: 1,
 		}
 		rep, err := harness.RunChaos(cfg)
@@ -175,7 +173,7 @@ func TestArtifactShapes(t *testing.T) {
 		var paths []string
 		for _, run := range []string{"healthy", "chaos"} {
 			for _, f := range []string{"ok", "wrong_predictions", "availability", "faults_injected",
-				"retries", "fallbacks", "deadline_exceeded", "p50_ns", "p99_ns"} {
+				"fallbacks", "deadline_exceeded", "p50_ns", "p99_ns"} {
 				paths = append(paths, run+"."+f)
 			}
 		}

@@ -239,8 +239,8 @@ func executorLabel(workers int) string {
 }
 
 // chaos is the healthy-vs-chaos run a chaos preset describes: an
-// accelerator-targeted stream (the plans inject FPGA faults) under retries,
-// hang detection and a per-query deadline.
+// accelerator-targeted stream (the plans inject FPGA faults) under hang
+// detection, CPU fallback and a per-query deadline.
 func (p chaosConfig) chaos() harness.ChaosConfig {
 	return harness.ChaosConfig{
 		Load: harness.LoadConfig{
@@ -251,7 +251,7 @@ func (p chaosConfig) chaos() harness.ChaosConfig {
 			TreeChoices:  zooTrees,
 			DepthChoices: zooDepths,
 		},
-		Exec:      exec.Config{QueueDepth: queueDepth, MaxRetries: 3, AttemptTimeout: 150 * time.Millisecond},
+		Exec:      exec.Config{QueueDepth: queueDepth, AttemptTimeout: 150 * time.Millisecond},
 		Clients:   clients,
 		FaultSpec: p.Faults,
 		FaultSeed: p.FaultSeed,
@@ -334,19 +334,19 @@ func chaosMarkdown(j *job, cfg harness.ChaosConfig, rep *harness.ChaosReport) *s
 	tbl := harness.NewTable(&sb, []harness.Col{
 		{"run", "%s"}, {"ok:", "%d"}, {"deadline:", "%d"}, {"rejected:", "%d"}, {"errors:", "%d"},
 		{"wrong:", "%d"}, {"availability:", "%.1f%%"}, {"p50:", "%v"}, {"p99:", "%v"}, {"faults:", "%.0f"},
-		{"retries:", "%.0f"}, {"fallbacks:", "%.0f"}, {"breaker transitions:", "%.0f"},
+		{"fallbacks:", "%.0f"},
 	})
 	for _, r := range []*harness.ChaosRun{rep.Healthy, rep.Chaos} {
 		tbl.Row(r.Label, r.Ok, r.DeadlineExceeded, r.Rejected, r.OtherErrors+r.Canceled,
 			r.Wrong, 100*r.Availability, r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond),
-			r.FaultsInjected, r.Retries, r.Fallbacks, r.BreakerTransitions)
+			r.FaultsInjected, r.Fallbacks)
 	}
 	sb.WriteString("\nEvery successful answer is checked bit-for-bit against a fault-free serial " +
-		"oracle over the same deterministic stream: injected faults may cost retries, latency " +
-		"and — past the deadline — availability, but they never change a returned prediction. " +
-		"Retryable faults (busy, corrupt, detected hangs) are absorbed by bounded retry with " +
-		"jittered backoff; fatal crashes and open circuit breakers degrade the query to the " +
-		"CPU engine, which is what keeps availability up when the accelerator misbehaves.\n")
+		"oracle over the same deterministic stream: injected faults may cost latency and — past " +
+		"the deadline — availability, but they never change a returned prediction. Every " +
+		"accelerator fault (busy, corrupt, crash, or a hang cut short by the attempt timeout) " +
+		"degrades its query to the CPU engine, which is what keeps availability up when the " +
+		"accelerator misbehaves.\n")
 	return &sb
 }
 

@@ -51,10 +51,9 @@ var throughputPresets = map[string]throughputConfig{
 // chaosConfig is the healthy-vs-chaos stream: its size and the fault plan
 // (backend:boundary:kind[:trigger];...) with the injector's seed. The
 // artifact's plan is the resilience layer's acceptance scenario: 20%
-// retryable invocation faults plus one forced device hang, which retries,
-// hang detection and CPU fallback must absorb. (FPGA stands in for the
-// accelerator: RAPIDS FIL cannot score the 3-class IRIS models.) Smoke adds
-// crashes, so CI sees fallbacks.
+// busy invocation faults plus one forced device hang, which hang detection
+// and CPU fallback must absorb. (FPGA stands in for the accelerator: RAPIDS
+// FIL cannot score the 3-class IRIS models.) Smoke adds crashes.
 type chaosConfig struct {
 	Queries   int    `json:"queries"`
 	Rows      int    `json:"rows"`

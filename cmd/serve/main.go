@@ -11,7 +11,8 @@
 //
 // Scoring queries on /query run through the concurrent executor: a bounded
 // admission queue (full queue → 503), a worker pool, per-device limits and
-// the retry / breaker / fallback policy. One query is one pipeline run.
+// the CPU fallback for a faulted or hung device. One query is one pipeline
+// run.
 //
 // Usage:
 //
@@ -264,9 +265,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&sb, "backend          %s\n", res.Backend)
 	if res.FallbackFrom != "" {
 		fmt.Fprintf(&sb, "degraded from    %s (%s)\n", res.FallbackFrom, res.FallbackReason)
-	}
-	if res.Retries > 0 {
-		fmt.Fprintf(&sb, "retries          %d\n", res.Retries)
 	}
 	fmt.Fprintf(&sb, "records scored   %d\n", len(res.Predictions))
 	fmt.Fprintf(&sb, "model cache      hit=%v\n", res.CacheHit)

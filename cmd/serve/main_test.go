@@ -297,20 +297,6 @@ func TestClientDisconnectMapsTo499(t *testing.T) {
 	}
 }
 
-// TestQueryRetriesSurviveInjectedFault: a transient injected fault on the
-// demo backend is retried away — the page still renders 200 and reports the
-// retry count.
-func TestQueryRetriesSurviveInjectedFault(t *testing.T) {
-	ts, _ := startTestServerFaults(t, "CPU_SKLearn:invoke:busy:once=1")
-	code, body := get(t, ts.URL+"/query")
-	if code != http.StatusOK {
-		t.Fatalf("/query = %d: %s", code, body)
-	}
-	if !strings.Contains(body, "retries          1") {
-		t.Fatalf("response does not report the retry:\n%s", body)
-	}
-}
-
 func postSQL(t *testing.T, url, sql string) (int, sqlResponse) {
 	t.Helper()
 	resp, err := http.Post(url+"/sql", "text/plain", strings.NewReader(sql))

@@ -48,11 +48,10 @@ func (s *server) Healthz(ctx context.Context) error { return nil }
 
 // classify is the one table from a pipeline, executor or database error to
 // its failure class (a router.Code*); /score puts the class on the wire and
-// every endpoint answers router.StatusOf of it. A device fault that outlived
-// the executor's retries and fallback, an open breaker with no fallback, or
-// a journal that refused a write is this shard's trouble: internal, so the
-// router reroutes the partition and counts the failure against the shard's
-// health. Anything unrecognized is query-level (unknown model, bad filter):
+// every endpoint answers router.StatusOf of it. A device fault the
+// executor's CPU fallback could not absorb, or a journal that refused a
+// write, is this shard's trouble: internal, so the router reroutes the
+// partition and counts the failure against the shard's health. Anything unrecognized is query-level (unknown model, bad filter):
 // on data-symmetric replicas it fails identically everywhere, so the router
 // must not reroute it or hold it against the shard.
 func classify(err error) string {
@@ -63,7 +62,7 @@ func classify(err error) string {
 		return router.CodeTimeout
 	case errors.Is(err, context.Canceled):
 		return router.CodeCanceled
-	case faults.Injected(err), errors.Is(err, exec.ErrBreakerOpen), errors.Is(err, db.ErrJournal):
+	case faults.Injected(err), errors.Is(err, db.ErrJournal):
 		return router.CodeInternal
 	default:
 		return router.CodeBadRequest

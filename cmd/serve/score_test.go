@@ -113,12 +113,13 @@ func TestScoreEndpoint(t *testing.T) {
 }
 
 // TestBadQueriesLeaveTheShardServing: a burst of /score requests naming an
-// unknown model is five 400s and nothing else — the CPU device's breaker does
-// not move, so the valid query behind them is a 200, not a 500 that would
-// make the router reroute and charge a healthy shard.
+// unknown model is five 400s and nothing else — no query degrades to the
+// fallback engine (a query error is not a device fault), and the valid query
+// behind them is a 200, not a 500 that would make the router reroute and
+// charge a healthy shard.
 func TestBadQueriesLeaveTheShardServing(t *testing.T) {
 	ts := startShardServer(t, "shard-0")
-	transitions := func() string {
+	fallbacks := func() string {
 		resp, err := http.Get(ts.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
@@ -130,13 +131,13 @@ func TestBadQueriesLeaveTheShardServing(t *testing.T) {
 		}
 		var lines []string
 		for _, line := range strings.Split(string(body), "\n") {
-			if strings.HasPrefix(line, exec.MetricBreakerTransitionsTotal) {
+			if strings.HasPrefix(line, exec.MetricFallbacksTotal) {
 				lines = append(lines, line)
 			}
 		}
 		return strings.Join(lines, "\n")
 	}
-	before := transitions()
+	before := fallbacks()
 	for i := 0; i < 5; i++ {
 		code, res := postScore(t, ts.URL, router.Request{Model: "nope", Data: "iris"})
 		if code != http.StatusBadRequest || res.Code != router.CodeBadRequest {
@@ -147,8 +148,8 @@ func TestBadQueriesLeaveTheShardServing(t *testing.T) {
 	if code != http.StatusOK || res.Error != "" {
 		t.Fatalf("valid query after the burst = %d, error %q", code, res.Error)
 	}
-	if after := transitions(); after != before {
-		t.Fatalf("breaker transitions moved:\nbefore:\n%s\nafter:\n%s", before, after)
+	if after := fallbacks(); after != before {
+		t.Fatalf("fallbacks moved:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
 
@@ -326,30 +327,34 @@ func TestEveryScoreReplyIsAFrame(t *testing.T) {
 	}
 }
 
-// crashPlan makes every CPU_SKLearn invocation crash. CPU_SKLearn is the
-// executor's fallback engine, so nothing absorbs the fault: it reaches the
-// endpoint.
-const crashPlan = "CPU_SKLearn:invoke:crash"
+// devicePlans each make CPU_SKLearn fault: a crash on every invocation, and
+// one busy invocation. CPU_SKLearn is the executor's fallback engine, so
+// nothing on the shard absorbs either fault: it reaches the endpoint.
+var devicePlans = []string{"CPU_SKLearn:invoke:crash", "CPU_SKLearn:invoke:busy:once=1"}
 
 // TestScoreDeviceFaultIsInternal: a shard-local device failure is the
 // shard's trouble, not the query's — /score answers 500 internal (which the
 // router reroutes), not 400 bad_request (which fails the query everywhere).
 func TestScoreDeviceFaultIsInternal(t *testing.T) {
-	ts := startFaultyShardServer(t, "shard-0", crashPlan)
-	code, res := postScore(t, ts.URL, router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn"})
-	if code != http.StatusInternalServerError || res.Code != router.CodeInternal || res.Error == "" {
-		t.Fatalf("device crash = %d code %q (%q), want 500 %q", code, res.Code, res.Error, router.CodeInternal)
-	}
-	// A healthy engine on the same shard still answers.
-	if code, res := postScore(t, ts.URL, router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX"}); code != http.StatusOK {
-		t.Fatalf("healthy engine = %d (%q)", code, res.Error)
+	for _, plan := range devicePlans {
+		t.Run(plan, func(t *testing.T) {
+			ts := startFaultyShardServer(t, "shard-0", plan)
+			code, res := postScore(t, ts.URL, router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_SKLearn"})
+			if code != http.StatusInternalServerError || res.Code != router.CodeInternal || res.Error == "" {
+				t.Fatalf("device fault = %d code %q (%q), want 500 %q", code, res.Code, res.Error, router.CodeInternal)
+			}
+			// A healthy engine on the same shard still answers.
+			if code, res := postScore(t, ts.URL, router.Request{Model: "iris_rf", Data: "iris", Backend: "CPU_ONNX"}); code != http.StatusOK {
+				t.Fatalf("healthy engine = %d (%q)", code, res.Error)
+			}
+		})
 	}
 }
 
-// TestRouterReroutesAroundFaultyShard: with one of two replicas crashing on
-// every invocation, the router moves that replica's partition to the healthy
-// one, returns the answer a healthy tier returns, and holds the failure
-// against the sick shard's health.
+// TestRouterReroutesAroundFaultyShard: with one of two replicas faulting on
+// its first invocation or on every one, the router moves that replica's
+// partition to the healthy one, returns the answer a healthy tier returns,
+// and holds the failure against the sick shard's health.
 func TestRouterReroutesAroundFaultyShard(t *testing.T) {
 	ctx := context.Background()
 	const sql = "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='CPU_SKLearn'"
@@ -375,19 +380,23 @@ func TestRouterReroutesAroundFaultyShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := tier(crashPlan)
-	got, err := r.Query(ctx, sql, router.QueryOptions{})
-	if err != nil {
-		t.Fatalf("one sick replica failed the whole query: %v", err)
-	}
-	if got.Reroutes != 1 || !reflect.DeepEqual(got.Predictions, want.Predictions) {
-		t.Fatalf("%d reroutes, %d predictions (healthy tier: %d), want a bit-identical answer over 1 reroute",
-			got.Reroutes, len(got.Predictions), len(want.Predictions))
-	}
-	if st := r.Health().State(0); st == router.ShardHealthy {
-		t.Fatalf("the faulty shard's health never heard about the failure: still %v", st)
-	}
-	if st := r.Health().State(1); st != router.ShardHealthy {
-		t.Fatalf("the healthy shard is %v", st)
+	for _, plan := range devicePlans {
+		t.Run(plan, func(t *testing.T) {
+			r := tier(plan)
+			got, err := r.Query(ctx, sql, router.QueryOptions{})
+			if err != nil {
+				t.Fatalf("one sick replica failed the whole query: %v", err)
+			}
+			if got.Reroutes != 1 || !reflect.DeepEqual(got.Predictions, want.Predictions) {
+				t.Fatalf("%d reroutes, %d predictions (healthy tier: %d), want a bit-identical answer over 1 reroute",
+					got.Reroutes, len(got.Predictions), len(want.Predictions))
+			}
+			if st := r.Health().State(0); st == router.ShardHealthy {
+				t.Fatalf("the faulty shard's health never heard about the failure: still %v", st)
+			}
+			if st := r.Health().State(1); st != router.ShardHealthy {
+				t.Fatalf("the healthy shard is %v", st)
+			}
+		})
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"accelscore/internal/obs"
 	"accelscore/internal/pipeline"
 	"accelscore/internal/sched"
-	"accelscore/internal/xrand"
 )
 
 // ErrRejected is returned when the admission queue is full: the caller
@@ -40,18 +39,9 @@ const (
 	MetricInflight = "accelscore_exec_inflight_queries"
 	// MetricRejectedTotal counts queries shed at admission.
 	MetricRejectedTotal = "accelscore_exec_rejected_total"
-	// MetricRetriesTotal counts re-attempts after retryable faults
-	// {backend}.
-	MetricRetriesTotal = "accelscore_exec_retries_total"
 	// MetricFallbacksTotal counts graceful degradations to the CPU engine
-	// {from, to, reason="breaker_open"|"deadline"|"fault"}.
+	// {from, to, reason="deadline"|"fault"}.
 	MetricFallbacksTotal = "accelscore_exec_fallbacks_total"
-	// MetricBreakerState gauges each device's circuit state
-	// {device}: 0 closed, 1 half-open, 2 open.
-	MetricBreakerState = "accelscore_exec_breaker_state"
-	// MetricBreakerTransitionsTotal counts breaker state changes
-	// {device, to="closed"|"half_open"|"open"}.
-	MetricBreakerTransitionsTotal = "accelscore_exec_breaker_transitions_total"
 	// MetricDeadlineExceededTotal counts queries that terminated because
 	// their deadline expired.
 	MetricDeadlineExceededTotal = "accelscore_exec_deadline_exceeded_total"
@@ -85,26 +75,10 @@ type Config struct {
 	// MaxBatch is ignored, and stays for the same reason (bench/layers.go,
 	// ROADMAP 2(b)).
 	MaxBatch int
-	// MaxRetries bounds extra attempts after a retryable fault (default 2;
-	// negative disables retry entirely).
-	MaxRetries int
-	// RetryBackoff is the base delay before the first retry; it doubles per
-	// attempt with ±50% jitter and is capped at 250ms (default 2ms).
-	RetryBackoff time.Duration
-	// AttemptTimeout bounds a single scoring attempt so a hung device is
-	// detected and retried or degraded while the query deadline still has
-	// budget (0 = attempts run under the query deadline only).
+	// AttemptTimeout bounds a scoring run so a hung device is detected and
+	// the query degraded to the CPU engine while its deadline still has
+	// budget (0 = runs are bounded by the query deadline only).
 	AttemptTimeout time.Duration
-	// BreakerThreshold is how many consecutive failures open a device's
-	// circuit breaker (default 3; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit waits before admitting a
-	// single half-open probe (default 250ms).
-	BreakerCooldown time.Duration
-	// FallbackBackend is the engine degraded queries run on when their
-	// requested backend faults, hangs, or sits behind an open breaker
-	// (default "CPU_SKLearn"; "none" disables graceful degradation).
-	FallbackBackend string
 	// DefaultDeadline bounds queries that carry neither an @timeout
 	// parameter nor a caller deadline (0 = unbounded).
 	DefaultDeadline time.Duration
@@ -130,24 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	switch {
-	case c.MaxRetries == 0:
-		c.MaxRetries = 2
-	case c.MaxRetries < 0:
-		c.MaxRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 2 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 250 * time.Millisecond
-	}
-	if c.FallbackBackend == "" {
-		c.FallbackBackend = "CPU_SKLearn"
 	}
 	return c
 }
@@ -176,13 +132,9 @@ type Executor struct {
 	closed  bool           // admission stopped by Close
 	wg      sync.WaitGroup // one count per query inside Submit
 
-	breakers map[sched.Device]*breaker
 	// runTime holds each device's recent successful run times: what the
 	// deadline fallback predicts from. Built in New, read-only after.
 	runTime map[sched.Device]*obs.LatencyWindow
-
-	rngMu sync.Mutex
-	rng   *xrand.Rand // retry jitter; fixed seed, so deterministic
 }
 
 // execMetrics holds the instruments every query touches, resolved once in
@@ -211,9 +163,7 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 		},
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
-		breakers:   make(map[sched.Device]*breaker),
 		runTime:    make(map[sched.Device]*obs.LatencyWindow),
-		rng:        xrand.New(1),
 	}
 	for d := range e.devices {
 		e.runTime[d] = new(obs.LatencyWindow)
@@ -225,12 +175,6 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Executor {
 		e.met = &execMetrics{
 			queueDepth: reg.Gauge(MetricQueueDepth, "Queries admitted but not yet executing."),
 			inflight:   reg.Gauge(MetricInflight, "Queries currently executing."),
-		}
-	}
-	if cfg.BreakerThreshold > 0 {
-		for d := range e.devices {
-			e.breakers[d] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, e.breakerObserver(d))
-			e.publishBreakerState(d, breakerClosed)
 		}
 	}
 	return e
@@ -246,7 +190,7 @@ func (e *Executor) ExecQuery(sql string) (*pipeline.QueryResult, error) {
 // path under the caller's context. Scoring queries run under the resilience
 // policy (score); everything else takes a worker slot and executes directly.
 // A ScoreRequest's @timeout (or the configured DefaultDeadline) becomes a
-// context deadline covering queueing, retries and fallback. Returns
+// context deadline covering queueing, the run and any fallback. Returns
 // ErrRejected when the admission queue is full, ErrClosed after Close, and
 // the context's error when the caller cancels or the deadline expires.
 func (e *Executor) Submit(ctx context.Context, sql string) (res *pipeline.QueryResult, err error) {
@@ -334,9 +278,9 @@ func (e *Executor) admit(ctx context.Context) (func(), error) {
 }
 
 // SubmitScore runs one pre-validated scoring request through the concurrent
-// hot path: the same admission, device-token, retry, breaker and fallback
-// machinery as Submit, minus the SQL parse. The scale-out shard endpoint uses
-// it to serve router sub-queries, whose partition rides in req.Partition.
+// hot path: the same admission, device-token and fallback machinery as
+// Submit, minus the SQL parse. The scale-out shard endpoint uses it to
+// serve router sub-queries, whose partition rides in req.Partition.
 func (e *Executor) SubmitScore(ctx context.Context, req *pipeline.ScoreRequest) (res *pipeline.QueryResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -351,8 +295,7 @@ func (e *Executor) SubmitScore(ctx context.Context, req *pipeline.ScoreRequest) 
 }
 
 // score runs one admitted scoring request under its deadline and a worker
-// slot; device tokens, retry, breaker accounting and fallback happen inside
-// runResilient.
+// slot; the device token and any fallback happen inside runResilient.
 func (e *Executor) score(ctx context.Context, req *pipeline.ScoreRequest) (*pipeline.QueryResult, error) {
 	qctx, cancel := e.queryContext(ctx, req.Timeout)
 	defer cancel()

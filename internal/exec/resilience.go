@@ -1,11 +1,13 @@
-// Resilience policy for the scoring path: bounded retry with jittered
-// backoff for retryable faults, a per-device circuit breaker, and graceful
-// degradation to the CPU engine — so an injected (or real) accelerator
-// fault costs one query some latency, never a wrong answer and rarely an
-// error. The policy mirrors the paper's framing: the accelerators are
-// optional throughput devices behind O/L/C boundaries; the CPU engine is
-// the always-available baseline, so "degrade to CPU and record why" is the
-// correct failure posture for a DBMS scoring operator.
+// Resilience policy for the scoring path: one recovery per fault. A query
+// whose requested engine faults, hangs past the attempt timeout, or cannot
+// meet its deadline degrades to the CPU engine, and the result records why
+// — so an injected (or real) accelerator fault costs one query some
+// latency, never a wrong answer and rarely an error. The policy mirrors the
+// paper's framing: the accelerators are optional throughput devices behind
+// O/L/C boundaries; the CPU engine is the always-available baseline, so
+// "degrade to CPU and record why" is the correct failure posture for a DBMS
+// scoring operator. A fault the CPU engine cannot absorb fails the query,
+// and one tier up the router reroutes it to another shard (CodeInternal).
 
 package exec
 
@@ -14,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"accelscore/internal/faults"
@@ -23,277 +24,88 @@ import (
 	"accelscore/internal/sched"
 )
 
-// ErrBreakerOpen is returned when a device's circuit is open and no
-// fallback backend is configured.
-var ErrBreakerOpen = errors.New("exec: device circuit breaker open")
+// fallbackBackend is the engine a degraded query runs on: the CPU engine,
+// which every shard has.
+const fallbackBackend = "CPU_SKLearn"
 
-// breakerState is a device circuit's position. The numeric values are the
-// gauge encoding on /metrics.
-type breakerState int
-
-const (
-	breakerClosed   breakerState = 0
-	breakerHalfOpen breakerState = 1
-	breakerOpen     breakerState = 2
-)
-
-// String returns the metric-label spelling of the state.
-func (s breakerState) String() string {
-	switch s {
-	case breakerHalfOpen:
-		return "half_open"
-	case breakerOpen:
-		return "open"
-	default:
-		return "closed"
-	}
+// degrades reports whether a query requesting target may degrade to the
+// fallback engine: "auto" and default requests resolve in-pipeline (no
+// fixed device to degrade from), and the fallback engine itself has nowhere
+// further to go.
+func degrades(target string) bool {
+	return target != "" && !strings.EqualFold(target, "auto") && !strings.EqualFold(target, fallbackBackend)
 }
 
-// breaker is a per-device circuit breaker: `threshold` consecutive failures
-// open it, an open circuit rejects work for `cooldown`, then admits exactly
-// one half-open probe whose outcome closes or re-opens the circuit.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	onChange  func(breakerState)
-
-	mu       sync.Mutex
-	state    breakerState
-	failures int       // consecutive failures while closed
-	openedAt time.Time // when the circuit last opened
-	probing  bool      // a half-open probe is in flight
-}
-
-// newBreaker builds a closed breaker. onChange fires on every state
-// transition (under the breaker's lock; keep it cheap).
-func newBreaker(threshold int, cooldown time.Duration, onChange func(breakerState)) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, onChange: onChange}
-}
-
-// allow reports whether a request may reach the device. Admitting a request
-// from the open state (cooldown elapsed) or the half-open state marks it as
-// the probe: the caller must follow up with success, failure, or abandon.
-func (b *breaker) allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		if time.Since(b.openedAt) < b.cooldown {
-			return false
-		}
-		b.setLocked(breakerHalfOpen)
-		b.probing = true
-		return true
-	case breakerHalfOpen:
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	default:
-		return true
-	}
-}
-
-// success records a completed run: the circuit closes and the consecutive
-// failure count resets.
-func (b *breaker) success() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.failures = 0
-	b.probing = false
-	if b.state != breakerClosed {
-		b.setLocked(breakerClosed)
-	}
-}
-
-// failure records a failed run: a failed half-open probe re-opens the
-// circuit immediately; `threshold` consecutive failures open a closed one.
-func (b *breaker) failure() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	switch b.state {
-	case breakerHalfOpen:
-		b.openedAt = time.Now()
-		b.setLocked(breakerOpen)
-	case breakerClosed:
-		b.failures++
-		if b.failures >= b.threshold {
-			b.openedAt = time.Now()
-			b.setLocked(breakerOpen)
-		}
-	}
-}
-
-// abandon releases a probe slot without an outcome (the run never reached
-// the device — e.g. its context expired while queued).
-func (b *breaker) abandon() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.probing = false
-	b.mu.Unlock()
-}
-
-func (b *breaker) setLocked(s breakerState) {
-	b.state = s
-	if b.onChange != nil {
-		b.onChange(s)
-	}
-}
-
-// breakerObserver publishes a device's breaker transitions as the state
-// gauge plus a transition counter, so open→half-open→closed sequences are
-// visible on /metrics even after the circuit has recovered.
-func (e *Executor) breakerObserver(dev sched.Device) func(breakerState) {
-	return func(s breakerState) {
-		e.publishBreakerState(dev, s)
-		if reg := e.pipe.Obs.Metrics(); reg != nil {
-			reg.Counter(MetricBreakerTransitionsTotal, "Circuit-breaker state transitions per device.",
-				"device", string(dev), "to", s.String()).Inc()
-		}
-	}
-}
-
-// publishBreakerState exports the per-device state gauge.
-func (e *Executor) publishBreakerState(dev sched.Device, s breakerState) {
-	if reg := e.pipe.Obs.Metrics(); reg != nil {
-		reg.Gauge(MetricBreakerState, "Circuit state per device (0 closed, 1 half-open, 2 open).",
-			"device", string(dev)).Set(float64(s))
-	}
-}
-
-// fallbackFor returns the degradation target for a requested backend, or ""
-// when degradation does not apply: "auto" and default requests resolve
-// in-pipeline (no fixed device to degrade from), and the fallback engine
-// itself has nowhere further to go.
-func (e *Executor) fallbackFor(target string) string {
-	fb := e.cfg.FallbackBackend
-	if fb == "" || strings.EqualFold(fb, "none") {
-		return ""
-	}
-	if target == "" || strings.EqualFold(target, "auto") || strings.EqualFold(target, fb) {
-		return ""
-	}
-	return fb
-}
-
-// runResilient resolves where the query actually runs — honoring the
-// device's circuit breaker and the remaining deadline budget — and degrades
-// to the CPU fallback engine when the requested backend cannot serve it.
+// runResilient runs the query on its requested backend and degrades it to
+// the CPU fallback engine when that backend cannot serve it: before
+// dispatch when the device's recent run times cannot meet the remaining
+// deadline, and after a run that ended in a device fault or a detected hang.
 func (e *Executor) runResilient(ctx context.Context, req *pipeline.ScoreRequest) (*pipeline.QueryResult, error) {
-	target := req.Backend
-	dev := sched.DeviceOf(target)
-	fb := e.fallbackFor(target)
-
-	// Pre-dispatch degradation: a deadline the device's recent run times
-	// cannot meet. Checked before the breaker so the decision never
-	// consumes a half-open probe slot.
-	if fb != "" && dev != sched.DeviceCPU && e.deadlineTooTight(ctx, dev) {
-		e.noteFallback(target, fb, "deadline")
-		return e.runOn(ctx, req, fb, target, "deadline", nil)
+	degrade := degrades(req.Backend)
+	if dev := sched.DeviceOf(req.Backend); degrade && dev != sched.DeviceCPU && e.deadlineTooTight(ctx, dev) {
+		return e.runFallback(ctx, req, "deadline")
 	}
-	br := e.breakers[dev]
-	if !br.allow() {
-		if fb == "" {
-			return nil, fmt.Errorf("exec: %s rejected: %w", target, ErrBreakerOpen)
-		}
-		e.noteFallback(target, fb, "breaker_open")
-		return e.runOn(ctx, req, fb, target, "breaker_open", nil)
-	}
-
-	res, err := e.runOn(ctx, req, target, "", "", br)
-	if err == nil || fb == "" || ctx.Err() != nil || !faults.Injected(err) {
+	res, err := e.runOn(ctx, req)
+	if err == nil || !degrade || ctx.Err() != nil || !faults.Injected(err) {
 		// Logical errors (bad model, unsupported class count) would fail on
 		// the fallback engine too — only device faults and hangs degrade.
 		return res, err
 	}
-	e.noteFallback(target, fb, "fault")
-	return e.runOn(ctx, req, fb, target, "fault", nil)
+	return e.runFallback(ctx, req, "fault")
 }
 
-// runOn executes the query on one backend under its device token, retrying
-// retryable faults with jittered backoff up to MaxRetries. When fbFrom is
-// non-empty the run is a degraded copy and the result is annotated with the
-// original backend and the reason. br (nil for fallback runs) receives the
-// device's circuit accounting: a run that completes is a success, a device
-// fault (injected, or the attempt-timeout hang) a failure, and anything else
-// — an unknown model or table, a bad parameter, the caller's own deadline —
-// says nothing about the device and only releases the probe slot, the same
-// ruling the router's dispatcher.settle makes one tier up.
-func (e *Executor) runOn(ctx context.Context, req *pipeline.ScoreRequest, target, fbFrom, fbReason string, br *breaker) (*pipeline.QueryResult, error) {
-	dev := sched.DeviceOf(target)
+// runFallback counts the degradation, runs a copy of the query on the
+// fallback engine, and annotates the result with the original backend and
+// the reason.
+func (e *Executor) runFallback(ctx context.Context, req *pipeline.ScoreRequest, reason string) (*pipeline.QueryResult, error) {
+	e.noteFallback(req.Backend, reason)
+	c := *req
+	c.Backend = fallbackBackend
+	res, err := e.runOn(ctx, &c)
+	if err != nil {
+		return nil, err
+	}
+	res.FallbackFrom, res.FallbackReason = req.Backend, reason
+	return res, nil
+}
+
+// runOn executes the query once on its backend under the device token. An
+// attempt cut short by AttemptTimeout while the query deadline still has
+// budget is classified as a device hang, so runResilient degrades a
+// silently stuck device like one that faulted.
+func (e *Executor) runOn(ctx context.Context, req *pipeline.ScoreRequest) (*pipeline.QueryResult, error) {
+	dev := sched.DeviceOf(req.Backend)
 	sem, ok := e.devices[dev]
 	if !ok {
-		br.abandon()
 		return nil, fmt.Errorf("exec: no device limit for %q", dev)
 	}
 	select {
 	case sem <- struct{}{}:
 	case <-ctx.Done():
-		br.abandon()
 		return nil, ctx.Err()
 	}
 	defer func() { <-sem }()
 
-	if fbFrom != "" {
-		c := *req
-		c.Backend = target
-		req = &c
+	actx, acancel := ctx, context.CancelFunc(func() {})
+	if e.cfg.AttemptTimeout > 0 {
+		actx, acancel = context.WithTimeout(ctx, e.cfg.AttemptTimeout)
 	}
-
-	for attempt := 0; ; attempt++ {
-		actx, acancel := ctx, context.CancelFunc(func() {})
-		if e.cfg.AttemptTimeout > 0 {
-			actx, acancel = context.WithTimeout(ctx, e.cfg.AttemptTimeout)
-		}
-		start := time.Now()
-		res, err := e.pipe.ExecScoreCtx(actx, req)
-		acancel()
-		if err == nil {
-			br.success()
-			e.pace(ctx, start, res)
-			e.runTime[dev].Observe(time.Since(start))
-			res.Retries = attempt
-			res.FallbackFrom = fbFrom
-			res.FallbackReason = fbReason
-			return res, nil
-		}
-		if actx.Err() != nil && ctx.Err() == nil && !faults.Injected(err) {
-			// The per-attempt timer fired while the query deadline still has
-			// budget: classify as a hang so the retry/fallback policy treats
-			// a silently stuck device like an explicit busy fault.
-			err = fmt.Errorf("exec: attempt %d on %s timed out after %v: %w",
-				attempt+1, target, e.cfg.AttemptTimeout, faults.ErrDeviceHang)
-		}
-		if faults.Injected(err) {
-			br.failure()
-		} else {
-			br.abandon()
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("exec: %s failed and the query budget expired: %w",
-				target, errors.Join(err, cerr))
-		}
-		if !faults.Retryable(err) || attempt >= e.cfg.MaxRetries {
-			return nil, err
-		}
-		e.noteRetry(target)
-		if !e.backoff(ctx, attempt) {
-			return nil, ctx.Err()
-		}
+	start := time.Now()
+	res, err := e.pipe.ExecScoreCtx(actx, req)
+	acancel()
+	if err == nil {
+		e.pace(ctx, start, res)
+		e.runTime[dev].Observe(time.Since(start))
+		return res, nil
 	}
+	if actx.Err() != nil && ctx.Err() == nil && !faults.Injected(err) {
+		err = fmt.Errorf("exec: %s timed out after %v: %w", req.Backend, e.cfg.AttemptTimeout, faults.ErrDeviceHang)
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, fmt.Errorf("exec: %s failed and the query budget expired: %w",
+			req.Backend, errors.Join(err, cerr))
+	}
+	return nil, err
 }
 
 // pace holds the query (and its device token) until PaceScale x its
@@ -315,27 +127,6 @@ func (e *Executor) pace(ctx context.Context, start time.Time, res *pipeline.Quer
 	select {
 	case <-t.C:
 	case <-ctx.Done():
-	}
-}
-
-// backoff sleeps the jittered exponential delay before the next attempt,
-// returning false if the context expires first.
-func (e *Executor) backoff(ctx context.Context, attempt int) bool {
-	d := e.cfg.RetryBackoff << uint(attempt)
-	if maxBackoff := 250 * time.Millisecond; d > maxBackoff || d <= 0 {
-		d = maxBackoff
-	}
-	e.rngMu.Lock()
-	jitter := 0.5 + e.rng.Float64() // ±50% around the base
-	e.rngMu.Unlock()
-	d = time.Duration(float64(d) * jitter)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }
 
@@ -365,19 +156,11 @@ func (e *Executor) deadlineTooTight(ctx context.Context, dev sched.Device) bool 
 	return time.Until(dl) < need
 }
 
-// noteRetry counts a re-attempt on a backend.
-func (e *Executor) noteRetry(backend string) {
-	if reg := e.pipe.Obs.Metrics(); reg != nil {
-		reg.Counter(MetricRetriesTotal, "Scoring re-attempts after retryable faults.",
-			"backend", backend).Inc()
-	}
-}
-
 // noteFallback counts a graceful degradation decision.
-func (e *Executor) noteFallback(from, to, reason string) {
+func (e *Executor) noteFallback(from, reason string) {
 	if reg := e.pipe.Obs.Metrics(); reg != nil {
 		reg.Counter(MetricFallbacksTotal, "Queries degraded to the fallback engine.",
-			"from", from, "to", to, "reason", reason).Inc()
+			"from", from, "to", fallbackBackend, "reason", reason).Inc()
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"accelscore/internal/exec"
 	"accelscore/internal/faults"
 	"accelscore/internal/pipeline"
-	"accelscore/internal/sched"
 )
 
 // mustPlan parses a fault plan or fails the test.
@@ -44,73 +43,49 @@ func exposition(t *testing.T, p *pipeline.Pipeline) string {
 	return sb.String()
 }
 
-// breakerState reads dev's circuit state off its published gauge (0 closed,
-// 1 half-open, 2 open), which every transition sets.
-func breakerState(p *pipeline.Pipeline, dev sched.Device) int {
-	return int(p.Obs.Registry.Gauge(exec.MetricBreakerState, "", "device", string(dev)).Value())
-}
-
-// TestRetryRecoversFromTransientFaults: two injected busy faults on the CPU
-// engine are absorbed by the bounded retry policy — the query succeeds, the
-// result records the attempts, and the retry counter matches.
-func TestRetryRecoversFromTransientFaults(t *testing.T) {
-	p, f, data := newEnv(t, 4, 6, 120)
-	p.Faults = exec.WireFaultMetrics(
-		mustInjector(t, 7, "CPU_SKLearn:invoke:busy:first=2"), p.Obs.Metrics())
-	e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8, MaxRetries: 2, RetryBackoff: time.Millisecond})
-
-	res, err := e.ExecQuery(scoreSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", res.Retries)
-	}
-	if res.FallbackFrom != "" {
-		t.Fatalf("unexpected fallback from %q", res.FallbackFrom)
-	}
-	want := f.PredictBatch(data)
-	for j := range want {
-		if res.Predictions[j] != want[j] {
-			t.Fatalf("prediction %d differs after retries", j)
-		}
-	}
-	out := exposition(t, p)
-	if !strings.Contains(out, `accelscore_exec_retries_total{backend="CPU_SKLearn"} 2`) {
-		t.Fatalf("retries not counted:\n%s", out)
-	}
-	if !strings.Contains(out, `accelscore_faults_injected_total`) {
-		t.Fatalf("injected faults not counted:\n%s", out)
-	}
-}
-
-// TestFatalFaultFallsBackToCPU: a crash fault is not retryable — the query
-// degrades to the CPU engine, still returns correct predictions, and the
-// decision is recorded on the result and the fallback counter.
+// TestFatalFaultFallsBackToCPU: every kind of device fault — busy, corrupt
+// or crash — degrades the query to the CPU engine, which still returns
+// correct predictions, and the decision is recorded on the result and the
+// fallback counter, the fault itself on the injected-faults counter. The
+// accelerator is tried once: no fault is retried on it.
 func TestFatalFaultFallsBackToCPU(t *testing.T) {
-	p, f, data := newEnv(t, 4, 6, 120)
-	p.Faults = mustInjector(t, 7, "FPGA:invoke:crash")
-	e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8})
+	for _, plan := range []string{"FPGA:invoke:busy", "FPGA:transfer:corrupt", "FPGA:invoke:crash"} {
+		rule := strings.Split(plan, ":") // backend, boundary, kind
+		t.Run(rule[2], func(t *testing.T) {
+			p, f, data := newEnv(t, 4, 6, 120)
+			inj := mustInjector(t, 7, plan)
+			p.Faults = exec.WireFaultMetrics(inj, p.Obs.Metrics())
+			e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8})
 
-	res, err := e.ExecQuery("EXEC sp_score_model @model='iris_rf', @data='iris', @backend='FPGA'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FallbackFrom != "FPGA" || res.FallbackReason != "fault" {
-		t.Fatalf("fallback = (%q, %q), want (FPGA, fault)", res.FallbackFrom, res.FallbackReason)
-	}
-	if res.Backend != "CPU_SKLearn" {
-		t.Fatalf("degraded query ran on %q, want CPU_SKLearn", res.Backend)
-	}
-	want := f.PredictBatch(data)
-	for j := range want {
-		if res.Predictions[j] != want[j] {
-			t.Fatalf("prediction %d differs after fallback", j)
-		}
-	}
-	out := exposition(t, p)
-	if !strings.Contains(out, `accelscore_exec_fallbacks_total{from="FPGA",reason="fault",to="CPU_SKLearn"} 1`) {
-		t.Fatalf("fallback not counted:\n%s", out)
+			res, err := e.ExecQuery("EXEC sp_score_model @model='iris_rf', @data='iris', @backend='FPGA'")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FallbackFrom != "FPGA" || res.FallbackReason != "fault" {
+				t.Fatalf("fallback = (%q, %q), want (FPGA, fault)", res.FallbackFrom, res.FallbackReason)
+			}
+			if res.Backend != "CPU_SKLearn" {
+				t.Fatalf("degraded query ran on %q, want CPU_SKLearn", res.Backend)
+			}
+			if n := len(inj.Events()); n != 1 {
+				t.Fatalf("%d faults fired, want 1: the FPGA is tried once", n)
+			}
+			want := f.PredictBatch(data)
+			for j := range want {
+				if res.Predictions[j] != want[j] {
+					t.Fatalf("prediction %d differs after fallback", j)
+				}
+			}
+			out := exposition(t, p)
+			for _, want := range []string{
+				`accelscore_exec_fallbacks_total{from="FPGA",reason="fault",to="CPU_SKLearn"} 1`,
+				`accelscore_faults_injected_total{backend="FPGA",boundary="` + rule[1] + `",kind="` + rule[2] + `"} 1`,
+			} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("exposition missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }
 
@@ -163,163 +138,32 @@ func TestDeadlineTooTightFallsBackToCPU(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensThenRecovers drives the FPGA circuit through the full
-// closed → open → half-open → closed cycle with a three-crash burst:
-// queries during the burst degrade with reason "fault", queries during the
-// cooldown degrade with reason "breaker_open" without touching the device,
-// and the first probe after the cooldown closes the circuit again.
-func TestBreakerOpensThenRecovers(t *testing.T) {
-	p, _, _ := newEnv(t, 4, 6, 80)
-	p.Faults = mustInjector(t, 7, "FPGA:invoke:crash:first=3")
-	e := exec.New(p, exec.Config{
-		Workers: 2, QueueDepth: 8,
-		MaxRetries:       -1, // isolate the breaker from retry
-		BreakerThreshold: 3,
-		BreakerCooldown:  30 * time.Millisecond,
-	})
-	fpgaSQL := "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='FPGA'"
-
-	for i := 0; i < 3; i++ {
-		res, err := e.ExecQuery(fpgaSQL)
-		if err != nil {
-			t.Fatalf("burst query %d: %v", i, err)
-		}
-		if res.FallbackReason != "fault" {
-			t.Fatalf("burst query %d: reason %q, want fault", i, res.FallbackReason)
-		}
-	}
-	if st := breakerState(p, sched.DeviceFPGA); st != 2 {
-		t.Fatalf("breaker state after burst = %d, want 2 (open)", st)
-	}
-
-	res, err := e.ExecQuery(fpgaSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FallbackReason != "breaker_open" {
-		t.Fatalf("cooldown query reason = %q, want breaker_open", res.FallbackReason)
-	}
-
-	time.Sleep(50 * time.Millisecond) // past the cooldown
-	res, err = e.ExecQuery(fpgaSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FallbackFrom != "" || res.Backend != "FPGA" {
-		t.Fatalf("probe query ran on %q (fallback from %q), want FPGA directly", res.Backend, res.FallbackFrom)
-	}
-	if st := breakerState(p, sched.DeviceFPGA); st != 0 {
-		t.Fatalf("breaker state after probe = %d, want 0 (closed)", st)
-	}
-
-	out := exposition(t, p)
-	for _, want := range []string{
-		`accelscore_exec_breaker_transitions_total{device="fpga",to="open"} 1`,
-		`accelscore_exec_breaker_transitions_total{device="fpga",to="half_open"} 1`,
-		`accelscore_exec_breaker_transitions_total{device="fpga",to="closed"} 1`,
-		`accelscore_exec_breaker_state{device="fpga"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestQueryErrorsDoNotTripBreaker: a query that names an unknown model or
-// table fails before it reaches a device, so it says nothing about the
-// device — a client's typo must not open the CPU circuit and take the shard's
-// valid queries down with it. A bad query that arrives as the half-open probe
-// releases the slot without closing or re-opening the circuit.
-func TestQueryErrorsDoNotTripBreaker(t *testing.T) {
-	p, _, _ := newEnv(t, 4, 6, 80)
-	p.Faults = mustInjector(t, 7, "CPU_SKLearn:invoke:crash:first=3")
-	e := exec.New(p, exec.Config{
-		Workers: 2, QueueDepth: 8,
-		MaxRetries:       -1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Nanosecond, // an open circuit is due its probe at once
-		FallbackBackend:  "none",
-	})
-	badModel := "EXEC sp_score_model @model='no_such_model', @data='iris', @backend='CPU_SKLearn'"
-	badTable := "EXEC sp_score_model @model='iris_rf', @data='no_such_table', @backend='CPU_SKLearn'"
-	transitions := func(to string) string {
-		return `accelscore_exec_breaker_transitions_total{device="cpu",to="` + to + `"}`
-	}
-
-	for _, sql := range []string{badModel, badTable} {
-		for i := 0; i < 5; i++ {
-			if _, err := e.ExecQuery(sql); err == nil || errors.Is(err, exec.ErrBreakerOpen) {
-				t.Fatalf("bad query %d: err = %v, want the query's own error", i, err)
-			}
-		}
-	}
-	if st := breakerState(p, sched.DeviceCPU); st != 0 {
-		t.Fatalf("breaker state after ten bad queries = %d, want 0 (closed)", st)
-	}
-	if out := exposition(t, p); strings.Contains(out, transitions("open")) {
-		t.Fatalf("bad queries moved the CPU breaker:\n%s", out)
-	}
-
-	// Three real device faults open it; the next query is the probe.
-	for i := 0; i < 3; i++ {
-		if _, err := e.ExecQuery(scoreSQL); !errors.Is(err, faults.ErrInvokeCrash) {
-			t.Fatalf("crash %d: err = %v, want ErrInvokeCrash", i, err)
-		}
-	}
-	if st := breakerState(p, sched.DeviceCPU); st != 2 {
-		t.Fatalf("breaker state after three crashes = %d, want 2 (open)", st)
-	}
-	if _, err := e.ExecQuery(badModel); err == nil || errors.Is(err, exec.ErrBreakerOpen) {
-		t.Fatalf("bad probe: err = %v, want the query's own error", err)
-	}
-	if st := breakerState(p, sched.DeviceCPU); st != 1 {
-		t.Fatalf("breaker state after a bad probe = %d, want 1 (still half-open)", st)
-	}
-	if _, err := e.ExecQuery(scoreSQL); err != nil {
-		t.Fatalf("valid probe: %v", err)
-	}
-	if st := breakerState(p, sched.DeviceCPU); st != 0 {
-		t.Fatalf("breaker state after a valid probe = %d, want 0 (closed)", st)
-	}
-	out := exposition(t, p)
-	for _, want := range []string{transitions("open") + " 1", transitions("half_open") + " 1", transitions("closed") + " 1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestHangDetectionRetriesWithinDeadline: an injected device hang is cut
-// short by the per-attempt timeout while the query deadline still has
-// budget, classified retryable, and the second attempt succeeds — the
-// deadline never fires.
-func TestHangDetectionRetriesWithinDeadline(t *testing.T) {
+// TestHangDegradesWithinDeadline: an injected device hang is cut short by
+// the attempt timeout while the query deadline still has budget, and the
+// query degrades to the CPU engine with reason "fault" — it answers
+// correctly long before the hang would have ended, and the deadline never
+// fires.
+func TestHangDegradesWithinDeadline(t *testing.T) {
 	p, f, data := newEnv(t, 4, 6, 80)
-	p.Faults = mustInjector(t, 7, "FPGA:compute:hang=200ms:once=1")
-	e := exec.New(p, exec.Config{
-		Workers: 2, QueueDepth: 8,
-		AttemptTimeout: 30 * time.Millisecond,
-		RetryBackoff:   time.Millisecond,
-	})
+	p.Faults = mustInjector(t, 7, "FPGA:compute:hang=2s:once=1")
+	e := exec.New(p, exec.Config{Workers: 2, QueueDepth: 8, AttemptTimeout: 30 * time.Millisecond})
 
 	start := time.Now()
 	res, err := e.ExecQuery("EXEC sp_score_model @model='iris_rf', @data='iris', @backend='FPGA', @timeout='500ms'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1 (one hung attempt)", res.Retries)
-	}
-	if res.FallbackFrom != "" {
-		t.Fatalf("hang should retry on the same device, fell back from %q", res.FallbackFrom)
-	}
 	if elapsed := time.Since(start); elapsed >= 200*time.Millisecond {
 		t.Fatalf("query took %v: the attempt timeout did not cut the hang short", elapsed)
+	}
+	if res.FallbackFrom != "FPGA" || res.FallbackReason != "fault" || res.Backend != "CPU_SKLearn" {
+		t.Fatalf("hung query ran on %q, fallback (%q, %q); want CPU_SKLearn, (FPGA, fault)",
+			res.Backend, res.FallbackFrom, res.FallbackReason)
 	}
 	want := f.PredictBatch(data)
 	for j := range want {
 		if res.Predictions[j] != want[j] {
-			t.Fatalf("prediction %d differs after hang retry", j)
+			t.Fatalf("prediction %d differs after the hang fallback", j)
 		}
 	}
 }
@@ -471,10 +315,11 @@ func TestFaultInjectionIsDeterministic(t *testing.T) {
 		p, _, _ := newEnv(t, 4, 6, 80)
 		inj := mustInjector(t, 99, "CPU_SKLearn:invoke:busy:p=0.5;CPU_SKLearn:compute:corrupt:every=3")
 		p.Faults = inj
-		e := exec.New(p, exec.Config{Workers: 1, QueueDepth: 8, RetryBackoff: time.Millisecond, MaxRetries: 3})
+		e := exec.New(p, exec.Config{Workers: 1, QueueDepth: 8})
 		for i := 0; i < 10; i++ {
-			// Retry-exhausted errors are fine — they must simply be the SAME
-			// errors on both runs, which the event comparison below implies.
+			// Faulted queries fail (CPU_SKLearn is the fallback engine, so
+			// nothing absorbs them) — they must simply fail the SAME way on
+			// both runs, which the event comparison below implies.
 			_, _ = e.ExecQuery(scoreSQL)
 		}
 		return inj.Events()

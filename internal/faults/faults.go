@@ -17,7 +17,7 @@
 // A hang is a real injected delay, not an error: Check sleeps, bounded by
 // the operation's context, so per-attempt timeouts and per-query deadlines
 // are genuinely exercised. All other kinds return typed errors that callers
-// classify with Retryable.
+// recognize with Injected.
 package faults
 
 import (
@@ -30,37 +30,27 @@ import (
 	"accelscore/internal/xrand"
 )
 
-// Typed fault errors. Busy, corrupt and hang are transient conditions a
-// caller may retry; a crashed invocation is fatal for the attempt and the
-// caller should degrade (fall back) instead of retrying the same device.
+// Typed fault errors. The executor degrades every one of them to the CPU
+// engine alike, so none is classified further.
 var (
 	// ErrDeviceBusy models a device rejecting new work (GPU OOM/queue-full,
-	// FPGA CSR busy). Retryable.
+	// FPGA CSR busy).
 	ErrDeviceBusy = errors.New("faults: device busy")
 	// ErrTransferCorrupt models a failed/corrupted PCIe or IPC transfer.
-	// Retryable.
 	ErrTransferCorrupt = errors.New("faults: transfer corrupt")
 	// ErrInvokeCrash models the external runtime or device process dying
-	// mid-invocation. Fatal: retrying the same device is pointless.
+	// mid-invocation.
 	ErrInvokeCrash = errors.New("faults: invocation crashed")
 	// ErrDeviceHang is returned when an injected hang outlives the
 	// operation's context — the caller's deadline fired while the device was
-	// unresponsive. Retryable (on a fresh attempt or another device).
+	// unresponsive.
 	ErrDeviceHang = errors.New("faults: device hang")
 )
 
-// Retryable reports whether the error is a transient injected fault that a
-// bounded-retry policy may re-attempt. Fatal faults (ErrInvokeCrash) and
-// everything that is not an injected fault return false.
-func Retryable(err error) bool {
-	return errors.Is(err, ErrDeviceBusy) ||
-		errors.Is(err, ErrTransferCorrupt) ||
-		errors.Is(err, ErrDeviceHang)
-}
-
 // Injected reports whether the error originated from a fault injector.
 func Injected(err error) bool {
-	return Retryable(err) || errors.Is(err, ErrInvokeCrash)
+	return errors.Is(err, ErrDeviceBusy) || errors.Is(err, ErrTransferCorrupt) ||
+		errors.Is(err, ErrInvokeCrash) || errors.Is(err, ErrDeviceHang)
 }
 
 // Boundary identifies where in an engine's simulated execution an operation
@@ -106,8 +96,8 @@ type Rule struct {
 	EveryN int
 	// Once fires exactly once, on the Nth matching operation.
 	Once int
-	// First fires on each of the first N matching operations (a burst —
-	// the way to trip a consecutive-failure circuit breaker on purpose).
+	// First fires on each of the first N matching operations (a burst of
+	// consecutive faults).
 	First int
 }
 

@@ -72,13 +72,12 @@ func TestParseRejectsBadPlans(t *testing.T) {
 func TestTypedErrorsAndClassification(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
-		plan      string
-		sentinel  error
-		retryable bool
+		plan     string
+		sentinel error
 	}{
-		{"X:invoke:busy", ErrDeviceBusy, true},
-		{"X:transfer:corrupt", ErrTransferCorrupt, true},
-		{"X:invoke:crash", ErrInvokeCrash, false},
+		{"X:invoke:busy", ErrDeviceBusy},
+		{"X:transfer:corrupt", ErrTransferCorrupt},
+		{"X:invoke:crash", ErrInvokeCrash},
 	}
 	for _, c := range cases {
 		in := mustInjector(t, 1, c.plan)
@@ -89,14 +88,11 @@ func TestTypedErrorsAndClassification(t *testing.T) {
 		if !errors.Is(err, c.sentinel) {
 			t.Errorf("plan %q: got %v, want %v", c.plan, err, c.sentinel)
 		}
-		if Retryable(err) != c.retryable {
-			t.Errorf("plan %q: Retryable=%v, want %v", c.plan, Retryable(err), c.retryable)
-		}
 		if !Injected(err) {
 			t.Errorf("plan %q: Injected=false", c.plan)
 		}
 	}
-	if Retryable(errors.New("unrelated")) || Injected(nil) {
+	if Injected(errors.New("unrelated")) || Injected(nil) {
 		t.Error("misclassified non-fault errors")
 	}
 }
@@ -206,8 +202,8 @@ func TestHangInterruptedByContext(t *testing.T) {
 	if !errors.Is(err, ErrDeviceHang) {
 		t.Fatalf("interrupted hang: got %v, want ErrDeviceHang", err)
 	}
-	if !Retryable(err) {
-		t.Error("interrupted hang should be retryable")
+	if !Injected(err) {
+		t.Error("interrupted hang should count as an injected fault")
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Errorf("hang ignored the context for %v", d)

@@ -20,7 +20,7 @@ import (
 //	GPU_HB:compute:busy:p=0.2        20% of GPU_HB kernel launches are busy
 //	GPU_HB:invoke:hang=5s:once=7     the 7th GPU_HB invocation stalls 5s
 //	FPGA:transfer:corrupt:every=10   every 10th FPGA transfer corrupts
-//	GPU_HB:invoke:crash:first=3      a crash burst that trips the breaker
+//	GPU_HB:invoke:crash:first=3      the first 3 GPU_HB invocations crash
 func Parse(spec string) ([]Rule, error) {
 	var rules []Rule
 	for _, part := range strings.Split(spec, ";") {

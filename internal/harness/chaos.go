@@ -17,8 +17,8 @@ import (
 type ChaosConfig struct {
 	// Load shapes the workload; both runs replay the identical stream.
 	Load LoadConfig
-	// Exec configures the executor (retries, breaker, fallback, attempt
-	// timeout). The same config drives both runs; only the injector differs.
+	// Exec configures the executor (queue depth, attempt timeout). The same
+	// config drives both runs; only the injector differs.
 	Exec exec.Config
 	// Clients is the closed-loop concurrency.
 	Clients int
@@ -48,19 +48,17 @@ type ChaosRun struct {
 	P50          time.Duration `json:"p50_ns"`
 	P99          time.Duration `json:"p99_ns"`
 	// Resilience counter totals read from the run's metrics registry.
-	FaultsInjected     float64 `json:"faults_injected"`
-	Retries            float64 `json:"retries"`
-	Fallbacks          float64 `json:"fallbacks"`
-	BreakerTransitions float64 `json:"breaker_transitions"`
+	FaultsInjected float64 `json:"faults_injected"`
+	Fallbacks      float64 `json:"fallbacks"`
 }
 
 // String renders one report line.
 func (r *ChaosRun) String() string {
-	return fmt.Sprintf("%-10s %4d ok %3d dl %3d rej %3d err %3d wrong  avail %5.1f%%  wall %-9v p50 %-10v p99 %-10v faults %.0f retries %.0f fallbacks %.0f",
+	return fmt.Sprintf("%-10s %4d ok %3d dl %3d rej %3d err %3d wrong  avail %5.1f%%  wall %-9v p50 %-10v p99 %-10v faults %.0f fallbacks %.0f",
 		r.Label, r.Ok, r.DeadlineExceeded, r.Rejected, r.OtherErrors+r.Canceled, r.Wrong,
 		100*r.Availability, r.Wall.Round(time.Millisecond),
 		r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond),
-		r.FaultsInjected, r.Retries, r.Fallbacks)
+		r.FaultsInjected, r.Fallbacks)
 }
 
 // ChaosReport pairs the healthy baseline with the chaos run over the same
@@ -164,9 +162,7 @@ func runChaosPass(cfg ChaosConfig, label string, inj *faults.Injector, oracle []
 	}
 	text := buf.String()
 	rep.FaultsInjected = metricTotal(text, exec.MetricFaultsInjectedTotal)
-	rep.Retries = metricTotal(text, exec.MetricRetriesTotal)
 	rep.Fallbacks = metricTotal(text, exec.MetricFallbacksTotal)
-	rep.BreakerTransitions = metricTotal(text, exec.MetricBreakerTransitionsTotal)
 	return rep, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"accelscore/internal/exec"
+	"accelscore/internal/kernel"
 	"accelscore/internal/router"
 )
 
@@ -223,6 +224,9 @@ func TestOpenDeadlineRunsFromArrival(t *testing.T) {
 	}
 }
 
+// TestTableRendersFromColumnSpecs checks the two pieces every markdown
+// report is built from: a table from column specs, and the "Measured by"
+// host line, which names the kernel walk the envelope records.
 func TestTableRendersFromColumnSpecs(t *testing.T) {
 	var sb strings.Builder
 	tbl := NewTable(&sb, []Col{{":arrival", "%s"}, {"load:", "%.2gx"}, {"note", "%v"}})
@@ -231,5 +235,8 @@ func TestTableRendersFromColumnSpecs(t *testing.T) {
 	want := "| arrival | load | note |\n|:---|---:|---|\n| poisson | 0.5x | true |\n| burst | 2x | 3ms |\n"
 	if sb.String() != want {
 		t.Errorf("table =\n%s\nwant\n%s", sb.String(), want)
+	}
+	if host, walk := Host(), "kernel walk "+kernel.Walk(); !strings.HasSuffix(host, walk) {
+		t.Errorf("Host() = %q, want it to end with %q", host, walk)
 	}
 }

@@ -41,10 +41,11 @@ func Envelope(kind string) map[string]any {
 	}
 }
 
-// Host renders the host shape for a markdown report's "Measured by" line.
+// Host renders the host shape for a markdown report's "Measured by" line:
+// the same fields as the envelope's host, the kernel walk included.
 func Host() string {
-	return fmt.Sprintf("%s/%s, GOMAXPROCS=%d (%d CPU)",
-		runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	return fmt.Sprintf("%s/%s, GOMAXPROCS=%d (%d CPU), kernel walk %s",
+		runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), runtime.NumCPU(), kernel.Walk())
 }
 
 // WriteJSON writes v pretty-printed to path.

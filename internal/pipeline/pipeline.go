@@ -168,12 +168,11 @@ type QueryResult struct {
 	// FallbackFrom names the originally requested backend when the executor
 	// degraded the query to another engine ("" = no fallback).
 	FallbackFrom string
-	// FallbackReason records why the executor degraded
-	// ("breaker_open", "deadline", or "fault"; "" = no fallback).
+	// FallbackReason records why the executor degraded: "deadline" (the
+	// device's recent runs could not meet the query's remaining budget) or
+	// "fault" (the run ended in a device fault or a detected hang); "" = no
+	// fallback.
 	FallbackReason string
-	// Retries is how many extra attempts the executor made after retryable
-	// faults before this result was produced.
-	Retries int
 	// RowsScanned is how many rows left the column store for this query
 	// (after @limit pushdown, before the fused WHERE).
 	RowsScanned int
@@ -317,8 +316,8 @@ type ScoreRequest struct {
 	// Limit caps the scored rows (0 = all rows).
 	Limit int
 	// Timeout is the query's own deadline from @timeout (0 = none). The
-	// executor turns it into a context deadline covering queueing, retries
-	// and fallback.
+	// executor turns it into a context deadline covering queueing, the run
+	// and any fallback.
 	Timeout time.Duration
 	// Where holds pushed-down filter conjuncts (from @where or a PREDICT
 	// statement's WHERE clause): rows failing them are skipped inside the

@@ -18,7 +18,7 @@ import (
 //	byte     flags: 1 cache_hit, 2 fused, 4 predictions are uvarints
 //	string   shard_id, backend, fallback_from, fallback_reason, trace_id,
 //	         error, code
-//	int64    rows_scanned, rows_scored, retries
+//	int64    rows_scanned, rows_scored
 //	spans    timeline, scoring_detail: uvarint count, then per span
 //	         string name, int64 kind, int64 ns
 //	uvarint  len(scored_rows), then one uvarint per ordinal: its distance
@@ -38,8 +38,9 @@ const (
 	MaxFrameBytes = 64 << 20
 
 	// Version 2 lists no ordinals for an unfiltered stripe, where 1 listed a
-	// hash partition's: a tier mixing the two fails at decode, not at merge.
-	frameVersion = 2
+	// hash partition's; version 3 drops the retries cell that followed
+	// rows_scored. A tier mixing versions fails at decode, not at merge.
+	frameVersion = 3
 
 	flagCacheHit     = 1 << 0
 	flagFused        = 1 << 1
@@ -128,7 +129,6 @@ func EncodeFrame(r *Result) ([]byte, error) {
 	}
 	b = pagefmt.AppendInt64(b, int64(r.RowsScanned))
 	b = pagefmt.AppendInt64(b, int64(r.RowsScored))
-	b = pagefmt.AppendInt64(b, int64(r.Retries))
 	for _, spans := range [][]WireSpan{r.Timeline, r.ScoringDetail} {
 		b = binary.AppendUvarint(b, uint64(len(spans)))
 		for _, s := range spans {
@@ -193,7 +193,7 @@ func DecodeFrame(data []byte) (*Result, error) {
 			return nil, err
 		}
 	}
-	for _, v := range []*int{&r.RowsScanned, &r.RowsScored, &r.Retries} {
+	for _, v := range []*int{&r.RowsScanned, &r.RowsScored} {
 		if *v, err = readInt(c); err != nil {
 			return nil, err
 		}

@@ -42,7 +42,7 @@ func frameCases() map[string]*Result {
 		},
 		"filtered": {
 			ShardID: "shard-0", Backend: "FPGA", Predictions: []int{2, 0, 1, 1}, ScoredRows: []int{0, 17, 18, 24999},
-			RowsScanned: 25000, RowsScored: 4, Fused: true, Retries: 2,
+			RowsScanned: 25000, RowsScored: 4, Fused: true,
 			FallbackFrom: "GPU_RAPIDS", FallbackReason: "device busy", Timeline: timeline,
 		},
 		"plain": {

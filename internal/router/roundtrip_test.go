@@ -97,7 +97,7 @@ func TestShardProtocolRoundTrips(t *testing.T) {
 		}},
 		"selection and ordinals": {res: &router.Result{
 			ShardID: "scripted", Backend: "FPGA", Predictions: []int{1, 300, 0}, ScoredRows: []int{0, 4, 9},
-			RowsScanned: 10, RowsScored: 3, Fused: true, Retries: 2, FallbackFrom: "GPU_RAPIDS", FallbackReason: "breaker open",
+			RowsScanned: 10, RowsScored: 3, Fused: true, FallbackFrom: "GPU_RAPIDS", FallbackReason: "fault",
 		}},
 		"fused counts": {res: &router.Result{
 			ShardID: "scripted", Backend: "CPU_SKLearn", ClassCounts: []int64{3, 0, 1 << 40}, RowsScanned: 12, RowsScored: 9, Fused: true,

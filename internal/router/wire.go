@@ -212,7 +212,6 @@ type Result struct {
 	RowsScored     int        `json:"rows_scored"`
 	CacheHit       bool       `json:"cache_hit"`
 	Fused          bool       `json:"fused"`
-	Retries        int        `json:"retries,omitempty"`
 	FallbackFrom   string     `json:"fallback_from,omitempty"`
 	FallbackReason string     `json:"fallback_reason,omitempty"`
 	TraceID        string     `json:"trace_id,omitempty"`
@@ -237,7 +236,6 @@ func WireResult(shardID string, mode pipeline.AggMode, res *pipeline.QueryResult
 		RowsScored:     res.RowsScored,
 		CacheHit:       res.CacheHit,
 		Fused:          res.Fused,
-		Retries:        res.Retries,
 		FallbackFrom:   res.FallbackFrom,
 		FallbackReason: res.FallbackReason,
 		TraceID:        res.TraceID,
